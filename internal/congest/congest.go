@@ -5,21 +5,15 @@
 // average bin demand ("overflow") — a standard probabilistic measure of
 // how concentrated routing demand is.
 //
-// The grid plugs into the engine through cost.Objective with the same
-// bitwise ApplyDirty ≡ Full contract the wire/power summation trees obey.
-// Floating-point bin accumulation cannot honor that contract under
-// subtract/re-add ((a+x)−x rarely equals a in float64), so the grid stores
-// demand as int64 fixed-point (Scale fractional bits): integer addition is
-// exactly associative and commutative, which makes removing a net's
-// contribution and re-adding it at its new box reproduce the
-// rebuilt-from-scratch bits no matter the update order. Each net's
+// The grid plugs into the engine as a cost.Objective and is rebuilt from
+// every net's bounding box on each evaluation. Demand is stored as int64
+// fixed-point (Scale fractional bits): integer addition is exactly
+// associative and commutative, so the bins — and the cost, a pure function
+// of them — do not depend on the order nets are added in. Each net's
 // quantized half-perimeter is split across its bins by integer division
 // with the remainder dealt one unit at a time to the leading bins in
-// row-major order — a deterministic pattern the subtract path replays
-// exactly. The overflow total is recomputed from the integer bins on every
-// evaluation (a single deterministic pass; the 2×average threshold is
-// global, so no incremental shortcut is sound), and the cost value is a
-// pure function of those integers.
+// row-major order. The overflow total is recomputed from the integer bins
+// in a single deterministic pass.
 //
 // Bin convention: bins are half-open, [k·binW, (k+1)·binW) along x and the
 // same along y, indexed by floor division — a pin sitting exactly on a bin
@@ -31,7 +25,6 @@ package congest
 import (
 	"math"
 
-	"simevo/internal/cost"
 	"simevo/internal/fuzzy"
 	"simevo/internal/layout"
 	"simevo/internal/netlist"
@@ -89,8 +82,7 @@ func (s PlacementSource) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float6
 
 // Spec fixes a grid's geometry. It must be a static function of circuit
 // and config — never of the evolving placement — so the incremental and
-// reference engines, and every snapshot along a trajectory, bin
-// identically.
+// reference engines, and every rank of a parallel run, bin identically.
 type Spec struct {
 	NX, NY        int
 	Width, Height float64
@@ -124,8 +116,8 @@ func SpecSized(width, height float64, nx int) Spec {
 	return Spec{NX: nx, NY: ny, Width: width, Height: height}
 }
 
-// rect is a net's covered bin range, inclusive; x0 == -1 marks "no
-// contribution recorded".
+// rect is a net's covered bin range, inclusive; x0 == -1 marks a net that
+// contributes no demand.
 type rect struct {
 	x0, y0, x1, y1 int32
 }
@@ -140,11 +132,10 @@ type Grid struct {
 	binW, binH float64
 	src        Source
 
-	demand  []int64 // nx*ny quantized bin demand, row-major
-	contrib []int64 // per-net quantized half-perimeter last added
-	rects   []rect  // per-net covered bins last added
+	demand []int64 // nx*ny quantized bin demand, row-major
+	rects  []rect  // per-net covered bins (NetScore reads them)
 
-	val          float64 // cost of the last Full/ApplyDirty
+	val          float64 // cost of the last Full
 	total        int64   // Σ demand of the last evaluation
 	peak         int64   // max bin demand of the last evaluation
 	overflowNum  int64   // overflow numerator, units of Scale·NX·NY
@@ -159,13 +150,12 @@ type Grid struct {
 // (SetSource must run before the first evaluation).
 func New(ckt *netlist.Circuit, spec Spec, src Source) *Grid {
 	g := &Grid{
-		spec:    spec,
-		binW:    spec.Width / float64(spec.NX),
-		binH:    spec.Height / float64(spec.NY),
-		src:     src,
-		demand:  make([]int64, spec.NX*spec.NY),
-		contrib: make([]int64, ckt.NumNets()),
-		rects:   make([]rect, ckt.NumNets()),
+		spec:   spec,
+		binW:   spec.Width / float64(spec.NX),
+		binH:   spec.Height / float64(spec.NY),
+		src:    src,
+		demand: make([]int64, spec.NX*spec.NY),
+		rects:  make([]rect, ckt.NumNets()),
 	}
 	for i := range g.rects {
 		g.rects[i] = noRect
@@ -214,63 +204,37 @@ func (g *Grid) Full(lengths []float64) float64 {
 	for i := range g.demand {
 		g.demand[i] = 0
 	}
-	for n := range g.contrib {
+	for n := range g.rects {
 		g.addNet(netlist.NetID(n))
 	}
 	return g.finish()
 }
 
-// ApplyDirty removes and re-adds only the dirty nets' bin contributions.
-// Past a quarter of the nets the per-net churn costs more than a linear
-// rebuild; the fallback produces identical bits because the grid is
-// integer.
-func (g *Grid) ApplyDirty(dirty []netlist.NetID, lengths []float64) float64 {
-	if len(dirty)*4 >= len(g.contrib) {
-		return g.Full(lengths)
-	}
-	for _, n := range dirty {
-		g.subNet(n)
-		g.addNet(n)
-	}
-	return g.finish()
-}
-
 // addNet quantizes a net's half-perimeter, spreads it over the bins its
-// box overlaps, and records the pattern for the matching subtract.
+// box overlaps, and records the box for NetScore.
 func (g *Grid) addNet(n netlist.NetID) {
+	g.rects[n] = noRect
 	minX, minY, maxX, maxY, ok := g.src.NetBBox(n)
 	if !ok {
-		g.contrib[n], g.rects[n] = 0, noRect
 		return
 	}
 	hp := (maxX - minX) + (maxY - minY)
 	q := int64(math.Round(hp * float64(Scale)))
 	if q <= 0 {
-		g.contrib[n], g.rects[n] = 0, noRect
 		return
 	}
 	r := rect{
 		x0: int32(g.BinX(minX)), y0: int32(g.BinY(minY)),
 		x1: int32(g.BinX(maxX)), y1: int32(g.BinY(maxY)),
 	}
-	g.contrib[n], g.rects[n] = q, r
-	g.apply(r, q, +1)
+	g.rects[n] = r
+	g.spread(r, q)
 }
 
-// subNet replays the net's recorded pattern with opposite sign.
-func (g *Grid) subNet(n netlist.NetID) {
-	if g.rects[n].x0 < 0 {
-		return
-	}
-	g.apply(g.rects[n], g.contrib[n], -1)
-	g.contrib[n], g.rects[n] = 0, noRect
-}
-
-// apply adds sign·(q split over r's bins): base share q/bins everywhere,
-// and the first q%bins bins in row-major order take one extra unit, so
-// the bins sum to exactly q and the subtract path can replay the exact
-// pattern.
-func (g *Grid) apply(r rect, q int64, sign int64) {
+// spread adds q split over r's bins: base share q/bins everywhere, and the
+// first q%bins bins in row-major order take one extra unit, so the bins
+// sum to exactly q.
+func (g *Grid) spread(r rect, q int64) {
 	bins := int64(r.x1-r.x0+1) * int64(r.y1-r.y0+1)
 	base, remn := q/bins, q%bins
 	nx := g.spec.NX
@@ -282,7 +246,7 @@ func (g *Grid) apply(r rect, q int64, sign int64) {
 			if i < remn {
 				d++
 			}
-			row[x] += sign * d
+			row[x] += d
 			i++
 		}
 	}
@@ -290,8 +254,7 @@ func (g *Grid) apply(r rect, q int64, sign int64) {
 }
 
 // finish recomputes total, peak, and the overflow cost from the integer
-// bins — a single deterministic left-to-right pass, so the cost is a pure
-// function of the bin integers regardless of how they were produced.
+// bins in a single deterministic left-to-right pass.
 func (g *Grid) finish() float64 {
 	var total, peak int64
 	for _, d := range g.demand {
@@ -350,7 +313,7 @@ func (g *Grid) Demand(dst []float64) []float64 {
 // Stats reports the grid's lifetime churn counters.
 func (g *Grid) Stats() (binUpdates, rebuilds uint64) { return g.nBinUpdates, g.nRebuilds }
 
-/// CellScore is the goodness hook: 1 − (cell's bin demand / peak demand),
+// CellScore is the goodness hook: 1 − (cell's bin demand / peak demand),
 // so cells in the hottest bin score 0 and cells in empty bins score 1.
 // Like delay criticality, the score depends on a global quantity (the
 // peak), so the engine re-reads it on every goodness aggregation.
@@ -373,41 +336,6 @@ func (g *Grid) NetScore(n netlist.NetID) float64 {
 	}
 	d := g.demand[int((r.y0+r.y1)/2)*g.spec.NX+int((r.x0+r.x1)/2)]
 	return float64(d) / float64(g.peak)
-}
-
-// gridSnapshot is the Snapshot payload: a deep copy of everything a
-// Restore must reinstate.
-type gridSnapshot struct {
-	demand      []int64
-	contrib     []int64
-	rects       []rect
-	val         float64
-	total       int64
-	peak        int64
-	overflowNum int64
-}
-
-// Snapshot deep-copies the grid state (bins, per-net patterns, and the
-// overflow accumulator).
-func (g *Grid) Snapshot() cost.Snapshot {
-	return &gridSnapshot{
-		demand:      append([]int64(nil), g.demand...),
-		contrib:     append([]int64(nil), g.contrib...),
-		rects:       append([]rect(nil), g.rects...),
-		val:         g.val,
-		total:       g.total,
-		peak:        g.peak,
-		overflowNum: g.overflowNum,
-	}
-}
-
-// Restore reinstates a Snapshot.
-func (g *Grid) Restore(s cost.Snapshot) {
-	snap := s.(*gridSnapshot)
-	copy(g.demand, snap.demand)
-	copy(g.contrib, snap.contrib)
-	copy(g.rects, snap.rects)
-	g.val, g.total, g.peak, g.overflowNum = snap.val, snap.total, snap.peak, snap.overflowNum
 }
 
 // Silence disables the process-wide telemetry flush — one-shot diagnostic

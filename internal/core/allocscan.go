@@ -40,12 +40,6 @@ type scanResult struct {
 	score float64
 }
 
-// evalTally counts goodness-cache outcomes for one pool slot; folded by
-// flushEvalTallies after each parallel batch.
-type evalTally struct {
-	hits, misses uint64
-}
-
 // scanWorkers resolves the configured alloc-scan fan-out (0 = auto).
 func (e *Engine) scanWorkers() int {
 	w := e.prob.Cfg.AllocWorkers
@@ -81,7 +75,6 @@ func (e *Engine) ensurePool() *Pool {
 		e.slotViews = make([]*wire.View, e.pool.Size())
 		e.slotGoods = make([][]float64, e.pool.Size())
 		e.slotScan = make([]wire.ScanStats, e.pool.Size())
-		e.slotEval = make([]evalTally, e.pool.Size())
 	}
 	return e.pool
 }

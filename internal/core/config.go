@@ -100,20 +100,21 @@ type Config struct {
 	AllocOrder AllocOrder
 
 	// DisableIncremental forces from-scratch evaluation everywhere: net
-	// lengths, trial scoring, and every cost.Objective's full recompute
-	// (wire/power re-sum all nets, delay reruns a complete STA pass)
-	// instead of the cached incremental pipeline. The two modes follow
-	// bitwise-identical trajectories for every objective set (the
-	// incremental machinery is an optimization, not an approximation);
-	// this switch exists as the reference for equivalence tests and as an
-	// escape hatch.
+	// lengths, goodness, and trial scoring re-collect every pin from the
+	// placement instead of reading the cached wire.Incremental mirror.
+	// The two modes follow bitwise-identical trajectories for every
+	// objective set (the mirror is an optimization, not an
+	// approximation); this switch exists as the reference for equivalence
+	// tests and as an escape hatch.
 	DisableIncremental bool
 
-	// FullEvalEvery is the periodic full-recompute drift guard interval:
-	// every this many evaluations the incremental net state is rebuilt
-	// from scratch and every objective recomputes from the full length
-	// array, bounding any float drift a future non-exact estimator (or a
-	// dirty-net tracking bug) could introduce (0: 64).
+	// FullEvalEvery is the interval of the net-length mirror's periodic
+	// rebuild: every this many evaluations the wire.Incremental state is
+	// rebuilt from the placement instead of synced from the coordinate
+	// journal, bounding any drift a future non-exact estimator (or a
+	// dirty-net tracking bug) could introduce (0: 64). The objectives
+	// themselves recompute from the full length array on every
+	// evaluation.
 	FullEvalEvery int
 
 	// AllocWorkers bounds the worker pool that fans the per-cell vacancy

@@ -9,11 +9,11 @@ import (
 
 // TestCongestTrajectoriesAllCircuits is the congestion tentpole's
 // equivalence gate: on every bundled benchmark, the incremental engine —
-// integer bin grid folded forward net by net — must report bitwise the
-// costs, μ, and placements of the DisableIncremental reference (grid
-// rebuilt from scratch off the raw placement every evaluation) with the
-// full wire+power+delay+congestion objective set active. A short
-// FullEvalEvery exercises the mid-run drift-guard rebuild.
+// integer bin grid binned off the wire.Incremental mirror's pin boxes —
+// must report bitwise the costs, μ, and placements of the
+// DisableIncremental reference (grid binned off the raw placement) with
+// the full wire+power+delay+congestion objective set active. A short
+// FullEvalEvery exercises the mid-run mirror rebuild.
 func TestCongestTrajectoriesAllCircuits(t *testing.T) {
 	for _, name := range gen.Catalog() {
 		name := name

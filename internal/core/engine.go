@@ -40,15 +40,12 @@ type Engine struct {
 	lengths []float64
 
 	// Objective pipeline: every active cost term behind the unified
-	// cost.Objective interface, evaluated from the full length array
-	// (reference / rebuild) or folded forward from the dirty-net batch.
-	pipe      *cost.Pipeline
-	gains     []gainSrc     // per active objective, in aggregation order
-	gainW     [][]float64   // weight tables of the weighted objectives
-	hasScorer bool          // a CellScored objective (delay/congestion) is active
-	congGrid  *congest.Grid // congestion bin grid (nil unless Congest is active)
-	gainTerms []float64   // per cell × weighted objective: cached goodness terms
-	dirtyNets []netlist.NetID
+	// cost.Objective interface, recomputed from the full length array on
+	// every evaluation.
+	pipe     *cost.Pipeline
+	gains    []gainSrc     // per active objective, in aggregation order
+	gainW    [][]float64   // weight tables of the weighted objectives
+	congGrid *congest.Grid // congestion bin grid (nil unless Congest is active)
 
 	// Incremental net-cost engine (nil in DisableIncremental mode). The
 	// mirror is kept in lockstep with the placement through the layout
@@ -59,7 +56,6 @@ type Engine struct {
 	evalsSince int // evaluations since the last full-recompute checksum
 
 	goodness   []float64 // per cell id
-	goodClean  []bool    // per cell id: goodness[id] is valid for the current solution
 	domain     []netlist.CellID
 	allocOrder AllocOrder
 	mu         float64
@@ -95,14 +91,13 @@ type Engine struct {
 	flushKern  func(slot, lo, hi int) // bound once: flushChunk
 
 	// Telemetry: tel is the per-run tally copied into Result.Telemetry;
-	// scanStats / slotScan / slotEval are plain per-goroutine accumulators
+	// scanStats / slotScan are plain per-goroutine accumulators
 	// (one per pool slot for the parallel kernels) folded into tel and the
 	// process-wide registry once per phase, keeping atomics out of the
 	// inner loops. Purely observational — never consulted by the search.
 	tel       telemetry.EngineSnapshot
 	scanStats wire.ScanStats   // serial-scan accumulator
 	slotScan  []wire.ScanStats // per pool slot: parallel-scan accumulators
-	slotEval  []evalTally      // per pool slot: goodness-cache tallies
 
 	// scratch buffers
 	selected []netlist.CellID
@@ -116,11 +111,11 @@ type Engine struct {
 	// speculative-exchange scratch (SnapshotSearch / AdoptPlacementPatched)
 	patchSlots  []layout.SlotRef
 	patchDeltas []layout.SlotDelta
-	vacs     []wire.Vacancy
-	vacUsed  []bool
-	buckets  wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
-	rowW     []int
-	rowOK    []bool // per row: adding the current cell keeps the width bound
+	vacs        []wire.Vacancy
+	vacUsed     []bool
+	buckets     wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
+	rowW        []int
+	rowOK       []bool // per row: adding the current cell keeps the width bound
 }
 
 func (e *Engine) init() {
@@ -151,7 +146,6 @@ func (e *Engine) init() {
 			e.gainW = append(e.gainW, x.Weights())
 		case cost.CellScored:
 			e.gains = append(e.gains, gainSrc{scorer: x})
-			e.hasScorer = true
 		default:
 			panic("core: objective " + o.Name() + " provides no goodness hook")
 		}
@@ -159,11 +153,7 @@ func (e *Engine) init() {
 	if len(e.gains) > maxObjectives {
 		panic("core: too many active objectives")
 	}
-	if e.hasScorer {
-		e.gainTerms = make([]float64, len(ckt.Cells)*len(e.gainW))
-	}
 	e.goodness = make([]float64, len(ckt.Cells))
-	e.goodClean = make([]bool, len(ckt.Cells))
 	e.runCtx = context.Background()
 	e.allocKern = e.scanChunk
 	e.evalKern = e.evalChunk
@@ -291,10 +281,10 @@ func (e *Engine) PatchPlacement(deltas []layout.SlotDelta) error {
 	return nil
 }
 
-// EvaluateCosts refreshes net lengths, runs the objective pipeline
-// (wirelength, power, and — when active — the incremental STA behind
-// delay) and μ(s), and updates the best-solution tracking. It does not
-// touch per-cell goodness.
+// EvaluateCosts refreshes net lengths, recomputes every objective of the
+// pipeline (wirelength, power, and — when active — delay and congestion)
+// and μ(s), and updates the best-solution tracking. It does not touch
+// per-cell goodness.
 func (e *Engine) EvaluateCosts() {
 	if e.place.Dirty() {
 		e.place.Recompute()
@@ -312,56 +302,36 @@ func (e *Engine) EvaluateCosts() {
 			e.congGrid.SetSource(congest.PlacementSource{P: e.place})
 		}
 	}
-	if e.inc == nil {
-		// Reference mode re-derives everything from scratch, including
-		// every cell's goodness and every objective's full recompute —
-		// the exact semantics the cached modes are tested against.
+	switch {
+	case e.inc == nil:
+		// Reference mode re-derives every net length from scratch.
 		e.lengths = e.ev.Lengths(e.place, e.lengths)
-		e.invalidateAllGoodness()
-		e.costs = e.pipe.Full(e.lengths)
-		e.tel.Evals++
 		e.tel.FullRebuilds++
 		telemetry.EngineEvalsReference.Inc()
-	} else if rebuilt := e.syncIncremental(); rebuilt {
-		// A full rebuild loses the dirty-net record, so every cached
-		// goodness value is suspect and every objective recomputes from
-		// the full length array — the periodic drift guard of the
-		// pipeline (Config.FullEvalEvery) rides the same path.
-		e.invalidateAllGoodness()
+	case e.syncIncremental():
 		e.lengths = e.inc.Lengths(e.lengths)
-		e.costs = e.pipe.Full(e.lengths)
-		e.tel.Evals++
 		e.tel.FullRebuilds++
 		telemetry.EngineEvalsRebuild.Inc()
-	} else {
-		// Goodness inputs for the weighted objectives are per-cell-local:
-		// the lengths and pin geometry of the cell's nets (plus static
-		// tables). Only cells on a net touched since the last evaluation
-		// can change, so the cached terms of all other cells are reused —
-		// bitwise what a recomputation would produce. (The delay score is
-		// global — MaxDelay rescales every criticality — so it is
-		// re-read from the refreshed STA on every aggregation instead of
-		// living in the cache; see goodnessWith.) The dirty-net list is
-		// snapshotted before Lengths flushes it, then folded into every
-		// objective in O(dirty).
-		e.dirtyNets = e.inc.DirtySnapshot(e.dirtyNets)
-		e.invalidateGoodnessOnNets(e.dirtyNets)
-		// Large dirty batches re-estimate across the worker pool first
-		// (per-net estimates are independent and order-free, so the
-		// committed lengths are bitwise the serial flush's); Lengths then
-		// finds nothing left to flush and just copies.
-		if w := e.evalWorkers(); w > 1 && e.inc.DirtyLen() >= flushMinDirtyNets {
-			e.ensurePool().Batch(e.runCtx, w, e.inc.DirtyLen(), e.flushKern)
+	default:
+		// The mirror re-estimates only the nets touched since the last
+		// evaluation. Large dirty batches re-estimate across the worker
+		// pool first (per-net estimates are independent and order-free, so
+		// the committed lengths are bitwise the serial flush's); Lengths
+		// then finds nothing left to flush and just copies.
+		dirty := e.inc.DirtyLen()
+		if w := e.evalWorkers(); w > 1 && dirty >= flushMinDirtyNets {
+			e.ensurePool().Batch(e.runCtx, w, dirty, e.flushKern)
 			e.inc.FinishFlush()
 		}
 		e.lengths = e.inc.Lengths(e.lengths)
-		e.costs = e.pipe.ApplyDirty(e.dirtyNets, e.lengths)
-		e.tel.Evals++
 		e.tel.IncrementalEvals++
-		e.tel.DirtyNets += uint64(len(e.dirtyNets))
+		e.tel.DirtyNets += uint64(dirty)
 		telemetry.EngineEvalsIncremental.Inc()
-		telemetry.EngineDirtyNets.Observe(int64(len(e.dirtyNets)))
+		telemetry.EngineDirtyNets.Observe(int64(dirty))
 	}
+	e.costs = e.pipe.Full(e.lengths)
+	e.tel.Evals++
+	e.tel.CostFull++
 	ratios := fuzzy.Ratio(e.costs, e.prob.Lower)
 	e.mu = fuzzy.Eval(cfg.Objectives, ratios, cfg.Goals, e.prob.OWA, e.place.WidthViolation(cfg.Alpha))
 	e.recordMu(e.mu)
@@ -377,12 +347,11 @@ func (e *Engine) EvaluateCosts() {
 	}
 }
 
-// syncIncremental brings the incremental net-cost state into lockstep with
-// the placement: normally a journal drain re-estimating only the nets
-// touched since the last evaluation; a full rebuild after the placement
-// object was replaced, and periodically as the full-recompute checksum.
-// It reports whether a full rebuild ran (the goodness cache must then be
-// invalidated wholesale: the dirty-net record is gone).
+// syncIncremental brings the incremental net-length mirror into lockstep
+// with the placement: normally a journal drain marking only the nets
+// touched since the last evaluation dirty; a full rebuild after the
+// placement object was replaced, and periodically as the full-recompute
+// checksum. It reports whether a full rebuild ran.
 func (e *Engine) syncIncremental() bool {
 	if e.incStale || !e.inc.Built() || e.evalsSince >= e.prob.Cfg.FullEvalEvery {
 		e.place.JournalCoords(true)
@@ -395,29 +364,6 @@ func (e *Engine) syncIncremental() bool {
 	e.inc.Sync(e.place)
 	e.evalsSince++
 	return false
-}
-
-// invalidateAllGoodness drops every cached goodness value.
-func (e *Engine) invalidateAllGoodness() {
-	for i := range e.goodClean {
-		e.goodClean[i] = false
-	}
-}
-
-// invalidateGoodnessOnNets drops the cached goodness of every cell with a
-// pin on one of the given nets — exactly the cells whose goodness inputs
-// (net length, excluding-length geometry) may have changed.
-func (e *Engine) invalidateGoodnessOnNets(nets []netlist.NetID) {
-	ckt := e.prob.Ckt
-	for _, n := range nets {
-		net := &ckt.Nets[n]
-		if net.Driver != netlist.NoCell {
-			e.goodClean[net.Driver] = false
-		}
-		for _, s := range net.Sinks {
-			e.goodClean[s] = false
-		}
-	}
 }
 
 // CostPhases returns the accumulated per-objective pipeline time —
@@ -434,10 +380,7 @@ var evalMinCells = 128
 // for the current placement. Returning the values in cell order supports
 // the Type I master/slave protocol.
 //
-// Cells whose goodness inputs are untouched since their last evaluation
-// (no incident net dirty — see EvaluateCosts) are served from the cached
-// table; recomputing them would reproduce the identical bits. With
-// Config.EvalWorkers > 1 (and the incremental engine active) the remaining
+// With Config.EvalWorkers > 1 (and the incremental engine active) the
 // cells are partitioned across the shared worker pool, each chunk scoring
 // through its own read-only view; values land in per-cell slots, so the
 // result — and the selection trajectory consuming it in deterministic cell
@@ -451,30 +394,13 @@ func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float6
 		e.evalCells, e.evalDst = cells, dst
 		e.ensurePool().Batch(e.runCtx, w, len(cells), e.evalKern)
 		e.evalCells, e.evalDst = nil, nil
-		e.flushEvalTallies()
 		return dst
 	}
-	var hits, misses uint64
 	for i, id := range cells {
-		// With a per-cell scorer active (delay), a clean cell's cached
-		// weighted terms are reused but the aggregate is re-derived: the
-		// scorer term is global (MaxDelay rescales every criticality), so
-		// the final goodness moves even when the cell's nets did not.
-		if !e.hasScorer && e.goodClean[id] {
-			dst[i] = e.goodness[id]
-			hits++
-			continue
-		}
 		g := e.cellGoodness(id)
 		e.goodness[id] = g
-		e.goodClean[id] = true
 		dst[i] = g
-		misses++
 	}
-	e.tel.GoodnessHits += hits
-	e.tel.GoodnessMisses += misses
-	telemetry.GoodnessCacheHits.Add(hits)
-	telemetry.GoodnessCacheMisses.Add(misses)
 	return dst
 }
 
@@ -482,36 +408,21 @@ func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float6
 func (e *Engine) evalChunk(slot, lo, hi int) {
 	view := e.slotView(slot)
 	goods := e.slotGoods[slot]
-	tally := &e.slotEval[slot]
 	for i := lo; i < hi; i++ {
 		id := e.evalCells[i]
-		if !e.hasScorer && e.goodClean[id] {
-			e.evalDst[i] = e.goodness[id]
-			tally.hits++
-			continue
-		}
 		var g float64
 		g, goods = e.goodnessWith(id, view, goods)
 		e.goodness[id] = g
-		e.goodClean[id] = true
 		e.evalDst[i] = g
-		tally.misses++
 	}
 	e.slotGoods[slot] = goods
 }
 
 // SetGoodness installs externally computed goodness values (Type I master
-// after gathering slave results). The values are as valid for the current
-// solution as locally computed ones, so they enter the cache — except in
-// delay mode, where goodClean additionally promises valid per-cell
-// gainTerms (which external values do not carry); those cells stay
-// unclean and recompute in full if a later evaluation ever visits them.
+// after gathering slave results).
 func (e *Engine) SetGoodness(cells []netlist.CellID, vals []float64) {
 	for i, id := range cells {
 		e.goodness[id] = vals[i]
-		if !e.hasScorer {
-			e.goodClean[id] = true
-		}
 	}
 }
 
@@ -543,16 +454,10 @@ func (e *Engine) cellGoodness(id netlist.CellID) float64 {
 // view (nil selects the from-scratch reference path, which may only run
 // serially: it shares the engine's evaluator scratch). goods is the
 // caller's aggregation scratch, returned with its grown capacity.
-//
-// When a per-cell scorer is active (delay), the weighted terms of a clean
-// cell are served from the gainTerms cache — their inputs (net lengths,
-// pin geometry) are untouched, so recomputing would reproduce identical
-// bits — and only the global scorer term is re-read before aggregation.
 func (e *Engine) goodnessWith(id netlist.CellID, view *wire.View, goods []float64) (float64, []float64) {
 	nw := len(e.gainW)
 	var accC, accO [maxObjectives]float64
-	useCache := e.hasScorer && e.goodClean[id]
-	if nw > 0 && !useCache {
+	if nw > 0 {
 		if view != nil {
 			// The flat incidence already pairs each incident net with the
 			// cell's pin multiplicity, in CellNets order — same summation
@@ -587,26 +492,13 @@ func (e *Engine) goodnessWith(id netlist.CellID, view *wire.View, goods []float6
 				}
 			}
 		}
-		if e.hasScorer {
-			base := int(id) * nw
-			for j := 0; j < nw; j++ {
-				e.gainTerms[base+j] = ratio01(accO[j], accC[j])
-			}
-		}
 	}
 
 	goods = goods[:0]
-	if e.hasScorer {
-		base := int(id) * nw
-		for _, g := range e.gains {
-			if g.scorer != nil {
-				goods = append(goods, g.scorer.CellScore(id))
-			} else {
-				goods = append(goods, e.gainTerms[base+g.wIdx])
-			}
-		}
-	} else {
-		for _, g := range e.gains {
+	for _, g := range e.gains {
+		if g.scorer != nil {
+			goods = append(goods, g.scorer.CellScore(id))
+		} else {
 			goods = append(goods, ratio01(accO[g.wIdx], accC[g.wIdx]))
 		}
 	}
@@ -879,21 +771,6 @@ func (e *Engine) flushScanStats() {
 	telemetry.ScanRowsVisited.Add(agg.RowsVisited)
 }
 
-// flushEvalTallies folds the pool slots' goodness-cache tallies after a
-// parallel ComputeGoodness batch.
-func (e *Engine) flushEvalTallies() {
-	var hits, misses uint64
-	for i := range e.slotEval {
-		hits += e.slotEval[i].hits
-		misses += e.slotEval[i].misses
-		e.slotEval[i] = evalTally{}
-	}
-	e.tel.GoodnessHits += hits
-	e.tel.GoodnessMisses += misses
-	telemetry.GoodnessCacheHits.Add(hits)
-	telemetry.GoodnessCacheMisses.Add(misses)
-}
-
 // prepTrial stages the per-cell trial state: the cell's incident nets with
 // their objective weights (hoisted out of the per-vacancy loop — they do
 // not depend on the candidate position), and, in incremental mode, lifts
@@ -1150,14 +1027,13 @@ func (e *Engine) result() *Result {
 	}
 }
 
-// Telemetry returns the engine's per-run counter snapshot, with the
-// pipeline and STA work totals folded in at read time (they accumulate
+// Telemetry returns the engine's per-run counter snapshot, with the STA
+// and congestion-grid work totals folded in at read time (they accumulate
 // inside their own layers).
 func (e *Engine) Telemetry() telemetry.EngineSnapshot {
 	t := e.tel
-	t.CostFull, t.CostDirty, t.CostDirtyFallback = e.pipe.Calls()
 	if sta := e.pipe.Delay(); sta != nil {
-		t.TimingUpdates, t.TimingRebuilds, t.TimingConeCells = sta.Stats()
+		t.TimingRebuilds = sta.Rebuilds()
 	}
 	if e.congGrid != nil {
 		t.CongestBinUpdates, t.CongestRebuilds = e.congGrid.Stats()

@@ -53,9 +53,10 @@ func TestParallelEvalMatchesReferenceAllCircuits(t *testing.T) {
 	}
 }
 
-// TestGoodnessCacheMatchesReference pins the dirty-cell goodness cache by
-// itself (serial evaluation, incremental mode, frequent rebuild checksum)
-// against the reference mode that recomputes every cell every iteration.
+// TestGoodnessCacheMatchesReference pins serial goodness evaluation in
+// incremental mode (excluding lengths read from the wire.Incremental
+// mirror, with a frequent mirror rebuild) against the reference mode that
+// re-collects every pin.
 func TestGoodnessCacheMatchesReference(t *testing.T) {
 	run := func(scratch bool) *Result {
 		p := testProblem(t, fuzzy.WirePower, 30)
@@ -66,7 +67,7 @@ func TestGoodnessCacheMatchesReference(t *testing.T) {
 	ref := run(true)
 	inc := run(false)
 	if ref.BestMu != inc.BestMu || ref.Best.Fingerprint() != inc.Best.Fingerprint() {
-		t.Fatalf("goodness cache diverged: best μ %v vs %v", ref.BestMu, inc.BestMu)
+		t.Fatalf("incremental goodness diverged: best μ %v vs %v", ref.BestMu, inc.BestMu)
 	}
 }
 

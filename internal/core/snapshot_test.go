@@ -26,12 +26,12 @@ func scratchCosts(t *testing.T, p *Problem, e *Engine) fuzzy.Costs {
 }
 
 // TestSnapshotRestoreEquivalence is the randomized
-// Snapshot -> mutate -> Restore -> ApplyDirty equivalence check: after
+// Snapshot -> mutate -> Restore -> evaluate equivalence check: after
 // rewinding a speculated-ahead engine, its placement, costs, and best
 // tracking must bitwise equal the snapshot's, and every subsequent
 // incremental evaluation must bitwise match a from-scratch evaluation of
-// the same placement — proving the restored objective trees, length
-// array, and coordinate journal are mutually consistent.
+// the same placement — proving the restored placement and the warm
+// net-length mirror's coordinate journal are consistent.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, obj := range snapshotObjectiveSets {
 		obj := obj
@@ -51,7 +51,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			wantBestMu, wantBest := eng.BestMu(), eng.BestPlacement()
 
 			// Speculate ahead: a randomized window of real iterations that
-			// mutate the placement, the incremental trees, and (possibly)
+			// mutate the placement, the net-length mirror, and (possibly)
 			// the best tracking.
 			for i := 0; i < 1+r.Intn(8); i++ {
 				eng.Step()
@@ -69,9 +69,9 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				t.Fatalf("best tracking not restored: μ=%v (%p), want μ=%v (%p)",
 					eng.BestMu(), eng.BestPlacement(), wantBestMu, wantBest)
 			}
-			// The restored incremental state must feed ApplyDirty values
-			// bitwise identical to a scratch rebuild — immediately and
-			// across further search steps.
+			// The restored incremental state must evaluate bitwise
+			// identical to a scratch rebuild — immediately and across
+			// further search steps.
 			eng.EvaluateCosts()
 			if got, want := eng.Costs(), scratchCosts(t, p, eng); got != want {
 				t.Fatalf("post-restore evaluation diverged from scratch: %+v != %+v", got, want)
@@ -122,15 +122,14 @@ func TestSnapshotRestoreReferenceMode(t *testing.T) {
 }
 
 // TestSpeculativeAdoptAvoidsFullRebuild proves the speculative exchange
-// path stays on the incremental fast path: adopting a foreign placement
+// path keeps the wire.Incremental mirror warm: adopting a foreign placement
 // through AdoptPlacementPatched and rejecting a speculation through
-// RestoreSearch must not trigger a single full cost recompute, while the
-// legacy AdoptPlacement path must. Counted via the pipeline's Full() call
-// tally (Engine.Telemetry().CostFull).
+// RestoreSearch must not trigger a single mirror rebuild, while the legacy
+// AdoptPlacement path must. Counted via Engine.Telemetry().FullRebuilds.
 func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 	p := testProblem(t, fuzzy.WirePower, 200)
-	// Keep the periodic drift guard out of the way: only adoption
-	// semantics should decide between Full and ApplyDirty here.
+	// Keep the periodic mirror rebuild out of the way: only adoption
+	// semantics should decide between a rebuild and a journal sync here.
 	p.Cfg.FullEvalEvery = 1 << 20
 
 	// Exchange partners share the reference starting placement (the
@@ -150,7 +149,7 @@ func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 		eng.Step()
 	}
 	eng.EvaluateCosts()
-	base := eng.Telemetry().CostFull
+	base := eng.Telemetry().FullRebuilds
 
 	snap := eng.SnapshotSearch()
 	eng.AdoptPlacementPatched(foreign)
@@ -158,8 +157,8 @@ func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 	eng.Step()
 	eng.RestoreSearch(snap)
 	eng.EvaluateCosts()
-	if got := eng.Telemetry().CostFull; got != base {
-		t.Fatalf("speculative adopt/reject used %d full recomputes, want 0", got-base)
+	if got := eng.Telemetry().FullRebuilds; got != base {
+		t.Fatalf("speculative adopt/reject rebuilt the mirror %d times, want 0", got-base)
 	}
 	// Sanity: the restored state still matches a scratch evaluation.
 	if got, want := eng.Costs(), scratchCosts(t, p, eng); got != want {
@@ -169,7 +168,7 @@ func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 	// Control: the legacy adoption rebuilds from scratch.
 	eng.AdoptPlacement(foreign)
 	eng.EvaluateCosts()
-	if got := eng.Telemetry().CostFull; got == base {
-		t.Fatal("legacy AdoptPlacement did not full-recompute; the control is broken")
+	if got := eng.Telemetry().FullRebuilds; got == base {
+		t.Fatal("legacy AdoptPlacement did not rebuild the mirror; the control is broken")
 	}
 }

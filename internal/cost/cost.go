@@ -1,29 +1,24 @@
-// Package cost is the pluggable incremental objective pipeline behind the
-// SimE engine's multi-objective evaluation. Each cost term of the fuzzy
-// aggregation — wirelength, power, delay, and any future objective — is an
-// Objective with Full / ApplyDirty / Snapshot-Restore semantics:
+// Package cost is the pluggable objective pipeline behind the SimE
+// engine's multi-objective evaluation. Each cost term of the fuzzy
+// aggregation — wirelength, power, delay, congestion — is an Objective that
+// recomputes its value from the full array of committed net lengths
+// (Full). The engine runs Full for every objective on every evaluation:
+// a SimE iteration re-places enough cells to dirty far more nets than an
+// incremental fold could profitably skip.
 //
-//	Full        recompute from every committed net length (the reference
-//	            path, doubling as the periodic drift guard)
-//	ApplyDirty  fold only the re-estimated dirty nets in, in
-//	            O(|dirty|·polylog), bitwise identical to Full
-//	Snapshot    copy the cached state; Restore reinstates it
-//
-// The bitwise contract is what lets the engine's incremental mode follow
-// the exact trajectory of the Config.DisableIncremental reference: the
-// weighted-length objectives accumulate through a fixed-shape pairwise
-// summation tree (every partial sum is a deterministic function of the
-// leaves, so replacing one leaf and re-propagating its root path yields
-// the same bits as a full bottom-up rebuild), and the delay objective's
-// incremental STA (timing.Inc) re-propagates pure per-cell recurrences
-// whose fixpoint is independent of the update order.
+// The weighted-length objectives (wirelength, power) accumulate through a
+// fixed-shape pairwise summation tree. Every partial sum is a deterministic
+// function of the leaves, so replacing a few leaves and re-propagating
+// their root paths yields the same bits as a full rebuild. Pipeline.ApplyDirty
+// exposes that fold for callers that move a handful of cells at a time —
+// the simulated-annealing and tabu-search swaps of internal/metaheur.
 //
 // Two optional capability interfaces tell the engine how an objective
 // contributes to per-cell goodness and allocation trial weighting:
 // LengthWeighted (wirelength, power: a per-net weight table) and
-// CellScored (delay: a direct per-cell score plus a per-net trial weight).
-// A new objective — congestion, say — plugs in by implementing Objective
-// plus whichever capability fits, with no engine surgery.
+// CellScored (delay, congestion: a direct per-cell score plus a per-net
+// trial weight). A new objective plugs in by implementing Objective plus
+// whichever capability fits, with no engine surgery.
 package cost
 
 import (
@@ -36,7 +31,7 @@ import (
 	"simevo/internal/timing"
 )
 
-// Objective is one incrementally maintained cost term.
+// Objective is one cost term of the fuzzy aggregation.
 type Objective interface {
 	// Bit identifies the objective in the fuzzy aggregation.
 	Bit() fuzzy.Objectives
@@ -44,20 +39,7 @@ type Objective interface {
 	Name() string
 	// Full recomputes the cost from every committed net length.
 	Full(lengths []float64) float64
-	// ApplyDirty folds the re-estimated lengths of the dirty nets into
-	// the cached state and returns the updated cost. The result is
-	// bitwise identical to Full over the same lengths.
-	ApplyDirty(dirty []netlist.NetID, lengths []float64) float64
-	// Value returns the cost of the last Full/ApplyDirty.
-	Value() float64
-	// Snapshot copies the cached state; Restore reinstates it. The
-	// snapshot is opaque and only valid for the objective that made it.
-	Snapshot() Snapshot
-	Restore(Snapshot)
 }
-
-// Snapshot is an opaque copy of one objective's cached state.
-type Snapshot any
 
 // LengthWeighted marks objectives of the form Σ_n w[n]·length[n]. The
 // engine folds the weight table into per-cell goodness gain terms and
@@ -78,7 +60,7 @@ type CellScored interface {
 // pairwise summation tree: leaf n holds w[n]·length[n], every internal
 // node the rounded sum of its two children. Replacing a leaf and
 // re-propagating the log-depth path to the root reproduces exactly the
-// bits a bottom-up rebuild would, so ApplyDirty ≡ Full.
+// bits a bottom-up rebuild would, so applyDirty ≡ Full.
 type weightedSum struct {
 	bit  fuzzy.Objectives
 	name string
@@ -89,14 +71,13 @@ type weightedSum struct {
 func (o *weightedSum) Bit() fuzzy.Objectives { return o.bit }
 func (o *weightedSum) Name() string          { return o.name }
 func (o *weightedSum) Weights() []float64    { return o.w }
-func (o *weightedSum) Value() float64        { return o.tree.value() }
 
 func (o *weightedSum) Full(lengths []float64) float64 {
 	o.tree.rebuild(len(lengths), func(i int) float64 { return o.w[i] * lengths[i] })
 	return o.tree.value()
 }
 
-func (o *weightedSum) ApplyDirty(dirty []netlist.NetID, lengths []float64) float64 {
+func (o *weightedSum) applyDirty(dirty []netlist.NetID, lengths []float64) float64 {
 	// Past a quarter of the leaves the O(dirty·log n) path walks more
 	// nodes than the linear recombine; fall back to Full, which produces
 	// the identical bits by construction.
@@ -109,39 +90,20 @@ func (o *weightedSum) ApplyDirty(dirty []netlist.NetID, lengths []float64) float
 	return o.tree.value()
 }
 
-func (o *weightedSum) Snapshot() Snapshot { return o.tree.snapshot() }
-func (o *weightedSum) Restore(s Snapshot) {
-	o.tree.restore(s.([]float64))
-}
-
-// delayObjective adapts the incremental STA to the Objective interface.
+// delayObjective adapts the STA to the Objective interface.
 type delayObjective struct {
 	sta *timing.Inc
-	val float64
 }
 
 func (o *delayObjective) Bit() fuzzy.Objectives { return fuzzy.Delay }
 func (o *delayObjective) Name() string          { return "delay" }
-func (o *delayObjective) Value() float64        { return o.val }
 
 func (o *delayObjective) Full(lengths []float64) float64 {
-	o.val = o.sta.Rebuild(lengths)
-	return o.val
-}
-
-func (o *delayObjective) ApplyDirty(dirty []netlist.NetID, lengths []float64) float64 {
-	o.val = o.sta.Update(dirty, lengths)
-	return o.val
+	return o.sta.Rebuild(lengths)
 }
 
 func (o *delayObjective) CellScore(id netlist.CellID) float64 { return 1 - o.sta.Criticality(id) }
 func (o *delayObjective) NetScore(n netlist.NetID) float64    { return o.sta.NetCriticality(n) }
-
-func (o *delayObjective) Snapshot() Snapshot { return o.sta.Snapshot() }
-func (o *delayObjective) Restore(s Snapshot) {
-	o.sta.Restore(s.(*timing.IncSnapshot))
-	o.val = o.sta.MaxDelay()
-}
 
 // Sta exposes the underlying analyzer (nil-safe callers should check the
 // pipeline's Delay accessor instead).
@@ -158,18 +120,6 @@ type Pipeline struct {
 	phases []time.Duration
 	timed  bool
 	costs  fuzzy.Costs
-
-	// Evaluation-path tallies (plain counters: a pipeline is mutated
-	// from one goroutine by contract).
-	nFull, nDirty, nFallback uint64
-}
-
-// Calls reports how many evaluations took each path: explicit Full
-// rebuilds, genuinely incremental ApplyDirty calls, and ApplyDirty
-// calls whose dirty batch crossed the n/4 crossover and fell back to a
-// full recombine inside the objectives.
-func (p *Pipeline) Calls() (full, dirty, dirtyFallback uint64) {
-	return p.nFull, p.nDirty, p.nFallback
 }
 
 // NewPipeline builds the objective set. acts is the per-net switching
@@ -203,7 +153,7 @@ func NewPipeline(set fuzzy.Objectives, ckt *netlist.Circuit, acts []float64, lv 
 // Objectives returns the pipeline's objectives in evaluation order.
 func (p *Pipeline) Objectives() []Objective { return p.objs }
 
-// Delay returns the incremental STA behind the delay objective, or nil
+// Delay returns the STA behind the delay objective, or nil
 // when the set does not include Delay.
 func (p *Pipeline) Delay() *timing.Inc {
 	for _, o := range p.objs {
@@ -222,7 +172,6 @@ func (p *Pipeline) EnableTiming() { p.timed = true }
 
 // Full recomputes every objective from the full length array.
 func (p *Pipeline) Full(lengths []float64) fuzzy.Costs {
-	p.nFull++
 	telemetry.CostFullEvals.Inc()
 	for i, o := range p.objs {
 		if p.timed {
@@ -236,27 +185,26 @@ func (p *Pipeline) Full(lengths []float64) fuzzy.Costs {
 	return p.costs
 }
 
-// ApplyDirty folds a batch of re-estimated dirty nets into every
-// objective. The result is bitwise identical to Full over the same
-// lengths — the incremental/reference equivalence invariant.
+// ApplyDirty folds a batch of re-estimated dirty nets into the summation
+// trees of a wire/power pipeline — the per-move path of the SA and TS
+// swaps, which touch a handful of nets out of thousands. The result is
+// bitwise identical to Full over the same lengths. It panics when the
+// pipeline holds an objective without a summation tree (delay,
+// congestion), and its time is not counted in Phases.
 func (p *Pipeline) ApplyDirty(dirty []netlist.NetID, lengths []float64) fuzzy.Costs {
-	// Mirror the objectives' shared n/4 crossover so the fallback count
-	// reflects what weightedSum and timing.Inc actually did.
+	// Mirror weightedSum's n/4 crossover so the fallback count reflects
+	// what the trees actually did.
 	if len(dirty)*4 >= len(lengths) {
-		p.nFallback++
 		telemetry.CostDirtyFallbackEvals.Inc()
 	} else {
-		p.nDirty++
 		telemetry.CostDirtyEvals.Inc()
 	}
-	for i, o := range p.objs {
-		if p.timed {
-			t0 := time.Now()
-			p.setCost(o.Bit(), o.ApplyDirty(dirty, lengths))
-			p.phases[i] += time.Since(t0)
-			continue
+	for _, o := range p.objs {
+		ws, ok := o.(*weightedSum)
+		if !ok {
+			panic("cost: ApplyDirty on a pipeline with the " + o.Name() + " objective")
 		}
-		p.setCost(o.Bit(), o.ApplyDirty(dirty, lengths))
+		p.setCost(o.Bit(), ws.applyDirty(dirty, lengths))
 	}
 	return p.costs
 }

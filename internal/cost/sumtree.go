@@ -46,7 +46,3 @@ func (t *sumTree) set(i int, v float64) {
 
 // value returns the tree sum.
 func (t *sumTree) value() float64 { return t.node[1] }
-
-func (t *sumTree) snapshot() []float64 { return append([]float64(nil), t.node...) }
-
-func (t *sumTree) restore(node []float64) { copy(t.node, node) }

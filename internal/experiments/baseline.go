@@ -24,9 +24,8 @@ import (
 // engine's hot paths at the BenchmarkProfileShare scale (s1196, 60
 // iterations), so future PRs have a recorded perf trajectory. The
 // top-level fields measure the paper's two-objective (wire+power) mode;
-// WirePowerDelay adds the three-objective mode whose evaluation runs the
-// full cost pipeline — summation-tree power and dirty-cone STA — against
-// the full-recompute reference. simevo-bench -baseline writes it as JSON
+// WirePowerDelay adds the three-objective mode, whose evaluation runs a
+// full STA pass on every iteration in both modes. simevo-bench -baseline writes it as JSON
 // (BENCH_baseline.json at the repo root).
 type Baseline struct {
 	Circuit   string `json:"circuit"`
@@ -60,7 +59,7 @@ type Baseline struct {
 	WirePowerDelay *ModeBaseline `json:"wire_power_delay,omitempty"`
 
 	// WirePowerDelayCongest is the four-objective mode: the full cost
-	// pipeline plus the incremental congestion bin grid (nil when the
+	// pipeline plus the congestion bin grid (nil when the
 	// baseline was recorded with -objectives excluding it).
 	WirePowerDelayCongest *ModeBaseline `json:"wire_power_delay_congest,omitempty"`
 
@@ -169,8 +168,8 @@ type ModeBaseline struct {
 
 // BaselineRun is one mode's measurement. ObjectivePhases breaks the cost
 // pipeline's evaluation down per objective (ns/iter keyed by objective
-// name) — for the delay mode it shows how much of the iteration the
-// dirty-cone STA actually costs against its full-recompute counterpart.
+// name) — for the delay mode it shows how much of the iteration the STA
+// pass costs.
 type BaselineRun struct {
 	NsPerIter      float64 `json:"ns_per_iter"`
 	EvalNsPerIter  float64 `json:"eval_ns_per_iter"`

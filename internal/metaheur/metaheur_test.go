@@ -10,6 +10,7 @@ import (
 	"simevo/internal/mpi"
 	"simevo/internal/netlist"
 	"simevo/internal/rng"
+	"simevo/internal/telemetry"
 )
 
 func testProblem(t testing.TB, iters int) *core.Problem {
@@ -106,9 +107,15 @@ func TestRequireWirePower(t *testing.T) {
 
 func TestSAImproves(t *testing.T) {
 	prob := testProblem(t, 10)
+	dirtyBefore := telemetry.CostDirtyEvals.Load()
 	res, err := RunSA(prob, SAConfig{Moves: 30000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Accepted swaps fold their few touched nets into the wire/power
+	// summation trees instead of recomputing every net.
+	if telemetry.CostDirtyEvals.Load() == dirtyBefore {
+		t.Fatal("SA never took the cost pipeline's dirty-net fold")
 	}
 	if res.BestMu <= 0.1 {
 		t.Fatalf("SA best μ = %v, want clear improvement over 0 (initial)", res.BestMu)

@@ -10,13 +10,12 @@ import (
 
 // TestTypeIIDeltaWirePowerDelay is the warm-patch satellite for the
 // multi-objective pipeline: under Type II delta broadcasts a slave's
-// power summation tree and incremental STA are never rebuilt — the slot
-// deltas feed the coordinate journal and every objective folds only the
-// dirty nets forward. The trajectory must equal the full-broadcast run
-// AND the from-scratch reference engine (DisableIncremental +
-// FullBroadcast), bit for bit, so a warm-patched wire/power/delay state is
-// provably indistinguishable from one rebuilt from first principles each
-// iteration.
+// net-length mirror is never rebuilt — the slot deltas feed the coordinate
+// journal and only the dirty nets are re-estimated. The trajectory must
+// equal the full-broadcast run AND the from-scratch reference engine
+// (DisableIncremental + FullBroadcast), bit for bit, so a warm-patched
+// wire/power/delay evaluation is provably indistinguishable from one
+// rebuilt from first principles each iteration.
 func TestTypeIIDeltaWirePowerDelay(t *testing.T) {
 	run := func(fullBcast, disableInc bool) *Result {
 		prob := testProblem(t, fuzzy.WirePowerDelay, 15, 2006)

@@ -98,7 +98,7 @@ type Spec struct {
 	// IncludePlacement it is excluded from the cache key.
 	MaxRetries int `json:"max_retries,omitempty"`
 	// DisableIncremental forces the from-scratch reference evaluation
-	// instead of the incremental cost pipeline. The search trajectory is
+	// instead of the incremental net-length mirror. The search trajectory is
 	// bitwise identical either way — this is the escape hatch / A-B knob
 	// for validating the incremental machinery in production, at full-
 	// recompute cost per iteration.

@@ -30,7 +30,9 @@ var (
 	EngineEvalsReference   = Default.Counter("simevo_engine_evals_total", "Cost evaluations by kind.", "kind", "reference")
 	EngineDirtyNets        = Default.Histogram("simevo_engine_dirty_nets", "Dirty-net batch size per incremental cost evaluation.")
 
-	// Goodness cache (per-cell goodness memoization inside ComputeGoodness).
+	// Goodness cache. The engine recomputes every cell's goodness on every
+	// evaluation and no longer writes these; they stay registered because
+	// the benchmark module reads them.
 	GoodnessCacheHits   = Default.Counter("simevo_engine_goodness_cache_total", "Goodness-cache lookups by result.", "result", "hit")
 	GoodnessCacheMisses = Default.Counter("simevo_engine_goodness_cache_total", "Goodness-cache lookups by result.", "result", "miss")
 
@@ -45,21 +47,24 @@ var (
 	ScanRowsVisited   = Default.Counter("simevo_scan_rows_visited_total", "Row buckets entered by the sharded vacancy scan.")
 	ScanScored        = Default.Counter("simevo_scan_scored_total", "ScanBest candidates fully scored (survived every prune).")
 
-	// cost.Objective pipeline: full rebuilds vs incremental updates vs
-	// incremental calls that fell back to a full rebuild internally.
+	// cost.Pipeline evaluations: Full recomputes (every engine evaluation)
+	// vs wire/power summation-tree folds (the SA/TS swap path) vs folds
+	// whose dirty batch crossed the n/4 crossover and recombined in full.
 	CostFullEvals          = Default.Counter("simevo_cost_evals_total", "cost.Objective evaluations by path.", "path", "full")
 	CostDirtyEvals         = Default.Counter("simevo_cost_evals_total", "cost.Objective evaluations by path.", "path", "dirty")
 	CostDirtyFallbackEvals = Default.Counter("simevo_cost_evals_total", "cost.Objective evaluations by path.", "path", "dirty_fallback")
 
-	// congest.Grid incremental congestion objective.
-	CongestBinUpdates = Default.Counter("simevo_congest_bin_updates_total", "Congestion-grid bin writes (net contribution add/subtract).")
-	CongestRebuilds   = Default.Counter("simevo_congest_rebuilds_total", "Full congestion-grid rebuilds (including dirty batches past the fallback crossover).")
+	// congest.Grid congestion objective.
+	CongestBinUpdates = Default.Counter("simevo_congest_bin_updates_total", "Congestion-grid bin writes (net contribution adds).")
+	CongestRebuilds   = Default.Counter("simevo_congest_rebuilds_total", "Full congestion-grid rebuilds.")
 	CongestPeak       = Default.Gauge("simevo_congest_peak_demand", "Peak bin routing demand of the last congestion evaluation.")
 	CongestOverflow   = Default.Gauge("simevo_congest_overflow", "Summed bin demand above twice the average, last congestion evaluation.")
 
-	// timing.Inc incremental STA.
+	// timing.Inc STA. Every evaluation is a full rebuild; TimingConeCells
+	// is no longer written and stays registered because the benchmark
+	// module reads it.
 	TimingConeCells = Default.Histogram("simevo_timing_cone_cells", "Cells recomputed per incremental STA update (dirty-cone size).")
-	TimingRebuilds  = Default.Counter("simevo_timing_rebuilds_total", "Full STA rebuilds (including incremental updates that fell back).")
+	TimingRebuilds  = Default.Counter("simevo_timing_rebuilds_total", "Full STA rebuilds.")
 
 	// core.Pool worker lifecycle.
 	PoolWorkersAlive   = Default.Gauge("simevo_pool_workers", "Live pool worker goroutines.")

@@ -25,9 +25,6 @@ type EngineSnapshot struct {
 	FullRebuilds     uint64 `json:"full_rebuilds"`
 	DirtyNets        uint64 `json:"dirty_nets"`
 
-	GoodnessHits   uint64 `json:"goodness_hits"`
-	GoodnessMisses uint64 `json:"goodness_misses"`
-
 	ScanVacancies     uint64 `json:"scan_vacancies"`
 	ScanPrunedBBox    uint64 `json:"scan_pruned_bbox"`
 	ScanPrunedSuffix  uint64 `json:"scan_pruned_suffix"`
@@ -36,16 +33,13 @@ type EngineSnapshot struct {
 	ScanSkippedBucket uint64 `json:"scan_skipped_bucket"`
 	ScanRowsVisited   uint64 `json:"scan_rows_visited"`
 
-	CostFull          uint64 `json:"cost_full"`
-	CostDirty         uint64 `json:"cost_dirty"`
-	CostDirtyFallback uint64 `json:"cost_dirty_fallback"`
-
-	TimingUpdates   uint64 `json:"timing_updates"`
-	TimingRebuilds  uint64 `json:"timing_rebuilds"`
-	TimingConeCells uint64 `json:"timing_cone_cells"`
+	// Objective pipeline Full() evaluations and full STA rebuilds (one
+	// per evaluation each: the engine recomputes every objective).
+	CostFull       uint64 `json:"cost_full"`
+	TimingRebuilds uint64 `json:"timing_rebuilds"`
 
 	// Congestion grid activity (zero unless the objective set includes
-	// Congest): individual bin add/subtract writes and full grid rebuilds.
+	// Congest): individual bin writes and full grid rebuilds.
 	CongestBinUpdates uint64 `json:"congest_bin_updates"`
 	CongestRebuilds   uint64 `json:"congest_rebuilds"`
 }
@@ -65,8 +59,6 @@ func (s *EngineSnapshot) Counters() map[string]uint64 {
 		"incremental_evals":   s.IncrementalEvals,
 		"full_rebuilds":       s.FullRebuilds,
 		"dirty_nets":          s.DirtyNets,
-		"goodness_hits":       s.GoodnessHits,
-		"goodness_misses":     s.GoodnessMisses,
 		"scan_vacancies":      s.ScanVacancies,
 		"scan_pruned_bbox":    s.ScanPrunedBBox,
 		"scan_pruned_suffix":  s.ScanPrunedSuffix,
@@ -75,11 +67,7 @@ func (s *EngineSnapshot) Counters() map[string]uint64 {
 		"scan_skipped_bucket": s.ScanSkippedBucket,
 		"scan_rows_visited":   s.ScanRowsVisited,
 		"cost_full":           s.CostFull,
-		"cost_dirty":          s.CostDirty,
-		"cost_dirty_fallback": s.CostDirtyFallback,
-		"timing_updates":      s.TimingUpdates,
 		"timing_rebuilds":     s.TimingRebuilds,
-		"timing_cone_cells":   s.TimingConeCells,
 		"congest_bin_updates": s.CongestBinUpdates,
 		"congest_rebuilds":    s.CongestRebuilds,
 	}

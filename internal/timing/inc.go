@@ -7,32 +7,24 @@ import (
 	"simevo/internal/telemetry"
 )
 
-// Inc is an incremental static timing analyzer: the cost-pipeline
-// substrate behind the Delay objective. Where Analyze re-derives the whole
-// arrival/required landscape from scratch on every call, Inc keeps the
-// analysis warm and, after a batch of net-length changes, re-propagates
+// Inc is the static timing analyzer behind the cost pipeline's Delay
+// objective. Where Analyze returns a fresh Analysis with explicit required
+// times, Inc keeps its per-cell state in place across evaluations and
+// serves the two reads the engine makes between them: per-cell and per-net
+// criticality. Rebuild re-derives the whole state from the net lengths:
 //
-//   - arrival times only through the fan-out cones of the dirty nets
-//     (a worklist over netlist.Levels, ascending), and
+//   - arrival times in topological order (netlist.Levels), and
 //   - departure times — the worst path delay from a cell's output to any
-//     sink — only through the fan-in cones (the same worklist, descending),
-//
-// stopping each wavefront as soon as a recomputed value is bitwise equal
-// to the cached one. Rebuild recomputes everything; because every per-cell
-// value is a pure function of its fan-in (arrival) or fan-out (departure)
-// neighborhood, the steady state of Update is bitwise identical to a
-// Rebuild over the same lengths — the property the engine's
-// incremental/reference equivalence rests on.
+//     sink — in reverse topological order.
 //
 // Slack is represented deadline-free: slack(c) = MaxDelay − arr(c) −
 // dep(c), so a changed critical path re-scales every criticality without
 // touching the per-cell state. Per-net criticality (the allocation trial
-// weight) is served from a cached per-net max of arr+dep over the net's
-// endpoints, refreshed only for nets incident to cells whose arrival or
-// departure actually moved.
+// weight) is served from a per-net max of arr+dep over the net's
+// endpoints.
 //
 // An Inc is not safe for concurrent mutation; concurrent reads
-// (Criticality, NetCriticality, MaxDelay) are safe once Update/Rebuild has
+// (Criticality, NetCriticality, MaxDelay) are safe once Rebuild has
 // returned.
 type Inc struct {
 	ckt *netlist.Circuit
@@ -46,53 +38,24 @@ type Inc struct {
 	netDelay []float64 // interconnect delay ID per net
 	adNet    []float64 // per-net max over endpoints of arr+dep
 	maxDelay float64
-	built    bool
 
-	// Worklist state, reused across updates (no steady-state allocations).
-	fwd, bwd  [][]netlist.CellID // per-level buckets
-	inFwd     []bool
-	inBwd     []bool
-	sinkSet   []netlist.CellID // POs/DFFs whose dataArr needs a refresh
-	inSink    []bool
-	changed   []netlist.CellID // cells whose arr or dep moved this update
-	inChanged []bool
-	pending   []netlist.NetID // nets whose adNet needs a refresh
-	netMark   []bool
-	netsBuf   []netlist.NetID
-
-	// Telemetry tallies (plain counters: Inc is single-goroutine by
-	// contract). Snapshot/Restore leave them alone — they are monotone
-	// work counters, not analysis state.
-	statUpdates   uint64
-	statRebuilds  uint64
-	statConeCells uint64
+	rebuilds uint64 // Rebuild calls (plain counter: Inc is single-goroutine by contract)
 }
 
-// Stats reports incremental-update work totals: successful incremental
-// updates, full rebuilds (including fallbacks), and the total dirty-cone
-// cells recomputed across all updates.
-func (s *Inc) Stats() (updates, rebuilds, coneCells uint64) {
-	return s.statUpdates, s.statRebuilds, s.statConeCells
-}
+// Rebuilds reports how many times Rebuild has run.
+func (s *Inc) Rebuilds() uint64 { return s.rebuilds }
 
 // NewInc builds the analyzer shell; Rebuild must run before any reads.
 func NewInc(ckt *netlist.Circuit, lv *netlist.Levels, m Model) *Inc {
 	n := len(ckt.Cells)
 	s := &Inc{
 		ckt: ckt, lv: lv, m: m,
-		cd:        make([]float64, n),
-		arr:       make([]float64, n),
-		dep:       make([]float64, n),
-		dataArr:   make([]float64, n),
-		netDelay:  make([]float64, ckt.NumNets()),
-		adNet:     make([]float64, ckt.NumNets()),
-		fwd:       make([][]netlist.CellID, lv.Depth+1),
-		bwd:       make([][]netlist.CellID, lv.Depth+1),
-		inFwd:     make([]bool, n),
-		inBwd:     make([]bool, n),
-		inSink:    make([]bool, n),
-		inChanged: make([]bool, n),
-		netMark:   make([]bool, ckt.NumNets()),
+		cd:       make([]float64, n),
+		arr:      make([]float64, n),
+		dep:      make([]float64, n),
+		dataArr:  make([]float64, n),
+		netDelay: make([]float64, ckt.NumNets()),
+		adNet:    make([]float64, ckt.NumNets()),
 	}
 	for id := range ckt.Cells {
 		s.cd[id] = m.CellDelay(ckt, netlist.CellID(id))
@@ -100,16 +63,12 @@ func NewInc(ckt *netlist.Circuit, lv *netlist.Levels, m Model) *Inc {
 	return s
 }
 
-// Built reports whether Rebuild has initialized the state.
-func (s *Inc) Built() bool { return s.built }
-
 // MaxDelay returns Cost_delay: the largest sink arrival.
 func (s *Inc) MaxDelay() float64 { return s.maxDelay }
 
-// Rebuild re-derives the full analysis from the given per-net lengths —
-// the reference path, and the periodic drift guard of the cost pipeline.
+// Rebuild re-derives the full analysis from the given per-net lengths.
 func (s *Inc) Rebuild(lengths []float64) float64 {
-	s.statRebuilds++
+	s.rebuilds++
 	telemetry.TimingRebuilds.Inc()
 	ckt := s.ckt
 	for n := range s.netDelay {
@@ -134,160 +93,11 @@ func (s *Inc) Rebuild(lengths []float64) float64 {
 	for n := range s.adNet {
 		s.adNet[n] = s.adOf(netlist.NetID(n))
 	}
-	s.built = true
 	return s.maxDelay
 }
 
-// Update folds a batch of re-estimated net lengths in, re-propagating only
-// through the affected cones. dirty lists the nets whose length may have
-// changed; lengths holds the full committed array with the new values.
-func (s *Inc) Update(dirty []netlist.NetID, lengths []float64) float64 {
-	if !s.built {
-		return s.Rebuild(lengths)
-	}
-	// A batch touching a large fraction of the nets drags most of the
-	// circuit through the worklists; past that point the plain O(V+E)
-	// rebuild is cheaper — and lands on the identical bits, so the
-	// crossover is purely a wall-clock choice.
-	if len(dirty)*4 >= len(s.netDelay) {
-		return s.Rebuild(lengths)
-	}
-	ckt := s.ckt
-	var visited int64 // cells popped off either wavefront this update
-	for _, n := range dirty {
-		nd := s.m.UnitWire * lengths[n]
-		if nd == s.netDelay[n] {
-			continue
-		}
-		s.netDelay[n] = nd
-		net := &ckt.Nets[n]
-		for _, sk := range net.Sinks {
-			s.seedFwd(sk)
-		}
-		if net.Driver != netlist.NoCell {
-			s.seedBwd(net.Driver)
-		}
-	}
-
-	// Forward wavefront, ascending levels: every enqueue targets a
-	// strictly higher level (combinational sinks level above their
-	// drivers; POs and DFF data pins go to the sink set instead).
-	for l := 0; l < len(s.fwd); l++ {
-		bucket := s.fwd[l]
-		for i := 0; i < len(bucket); i++ {
-			id := bucket[i]
-			s.inFwd[id] = false
-			visited++
-			na := s.arrivalOf(id)
-			if na == s.arr[id] {
-				continue
-			}
-			s.arr[id] = na
-			s.markChanged(id)
-			out := ckt.Cells[id].Out
-			if out == netlist.NoNet {
-				continue
-			}
-			for _, sk := range ckt.Nets[out].Sinks {
-				s.seedFwd(sk)
-			}
-		}
-		s.fwd[l] = bucket[:0]
-	}
-	for _, id := range s.sinkSet {
-		s.inSink[id] = false
-		s.dataArr[id] = s.dataArrOf(id)
-	}
-	s.sinkSet = s.sinkSet[:0]
-
-	// Backward wavefront, descending levels: departures flow from sinks
-	// toward sources, every enqueue targeting a strictly lower level.
-	for l := len(s.bwd) - 1; l >= 0; l-- {
-		bucket := s.bwd[l]
-		for i := 0; i < len(bucket); i++ {
-			id := bucket[i]
-			s.inBwd[id] = false
-			visited++
-			nd := s.depOf(id)
-			if nd == s.dep[id] {
-				continue
-			}
-			s.dep[id] = nd
-			s.markChanged(id)
-			cell := &ckt.Cells[id]
-			if cell.Type == netlist.Input || cell.Type == netlist.DFF || cell.Type == netlist.Output {
-				continue // sequential/boundary: the wavefront stops here
-			}
-			for _, in := range cell.In {
-				if d := ckt.Nets[in].Driver; d != netlist.NoCell {
-					s.seedBwd(d)
-				}
-			}
-		}
-		s.bwd[l] = bucket[:0]
-	}
-
-	s.maxDelay = s.maxOverSinks()
-
-	// Per-net criticality inputs: only nets incident to a cell whose
-	// arrival or departure moved can change their endpoint maximum.
-	for _, id := range s.changed {
-		s.inChanged[id] = false
-		s.netsBuf = ckt.CellNets(id, s.netsBuf[:0])
-		for _, n := range s.netsBuf {
-			if !s.netMark[n] {
-				s.netMark[n] = true
-				s.pending = append(s.pending, n)
-			}
-		}
-	}
-	s.changed = s.changed[:0]
-	for _, n := range s.pending {
-		s.netMark[n] = false
-		s.adNet[n] = s.adOf(n)
-	}
-	s.pending = s.pending[:0]
-	s.statUpdates++
-	s.statConeCells += uint64(visited)
-	telemetry.TimingConeCells.Observe(visited)
-	return s.maxDelay
-}
-
-func (s *Inc) seedFwd(sk netlist.CellID) {
-	switch s.ckt.Cells[sk].Type {
-	case netlist.Output, netlist.DFF:
-		// Sink-side arrivals re-derive after the sweep; a DFF's output
-		// arrival is the constant clock-to-Q and never propagates.
-		if !s.inSink[sk] {
-			s.inSink[sk] = true
-			s.sinkSet = append(s.sinkSet, sk)
-		}
-	case netlist.Input:
-		// Pads have no inputs; nothing to recompute.
-	default:
-		if !s.inFwd[sk] {
-			s.inFwd[sk] = true
-			s.fwd[s.lv.Level[sk]] = append(s.fwd[s.lv.Level[sk]], sk)
-		}
-	}
-}
-
-func (s *Inc) seedBwd(d netlist.CellID) {
-	if !s.inBwd[d] {
-		s.inBwd[d] = true
-		s.bwd[s.lv.Level[d]] = append(s.bwd[s.lv.Level[d]], d)
-	}
-}
-
-func (s *Inc) markChanged(id netlist.CellID) {
-	if !s.inChanged[id] {
-		s.inChanged[id] = true
-		s.changed = append(s.changed, id)
-	}
-}
-
-// arrivalOf is the canonical arrival recurrence; Rebuild and the forward
-// wavefront share it, which is what makes their fixpoints bit-identical.
+// arrivalOf is the arrival recurrence: the worst fan-in arrival plus
+// interconnect, plus the cell's own switching delay.
 func (s *Inc) arrivalOf(id netlist.CellID) float64 {
 	cell := &s.ckt.Cells[id]
 	switch cell.Type {
@@ -324,7 +134,7 @@ func (s *Inc) dataArrOf(id netlist.CellID) float64 {
 	return worst
 }
 
-// depOf is the canonical departure recurrence: the worst path delay from
+// depOf is the departure recurrence: the worst path delay from
 // the cell's output pin to any sink (-Inf when it feeds none). Paths end
 // at PO inputs (no further delay) and DFF data pins (setup penalty).
 func (s *Inc) depOf(id netlist.CellID) float64 {
@@ -351,9 +161,7 @@ func (s *Inc) depOf(id netlist.CellID) float64 {
 	return best
 }
 
-// maxOverSinks re-derives Cost_delay from the cached sink arrivals. Max is
-// order-independent, so an O(#sinks) rescan stays bitwise stable no matter
-// which subset of sinks the update touched.
+// maxOverSinks re-derives Cost_delay from the sink arrivals.
 func (s *Inc) maxOverSinks() float64 {
 	max := 0.0
 	for _, po := range s.ckt.POs {
@@ -413,32 +221,4 @@ func (s *Inc) Criticality(id netlist.CellID) float64 {
 // delay weight of allocation trials.
 func (s *Inc) NetCriticality(n netlist.NetID) float64 {
 	return s.critOf(s.adNet[n])
-}
-
-// IncSnapshot is a copy of an Inc's mutable analysis state.
-type IncSnapshot struct {
-	arr, dep, dataArr, netDelay, adNet []float64
-	maxDelay                           float64
-	built                              bool
-}
-
-// Snapshot copies the analysis state for a later Restore.
-func (s *Inc) Snapshot() *IncSnapshot {
-	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	return &IncSnapshot{
-		arr: cp(s.arr), dep: cp(s.dep), dataArr: cp(s.dataArr),
-		netDelay: cp(s.netDelay), adNet: cp(s.adNet),
-		maxDelay: s.maxDelay, built: s.built,
-	}
-}
-
-// Restore reinstates a snapshot taken from the same circuit.
-func (s *Inc) Restore(sn *IncSnapshot) {
-	copy(s.arr, sn.arr)
-	copy(s.dep, sn.dep)
-	copy(s.dataArr, sn.dataArr)
-	copy(s.netDelay, sn.netDelay)
-	copy(s.adNet, sn.adNet)
-	s.maxDelay = sn.maxDelay
-	s.built = sn.built
 }

@@ -478,18 +478,11 @@ func (inc *Incremental) estimateWith(ev *Evaluator, n netlist.NetID) float64 {
 // Built reports whether Rebuild has initialized the state.
 func (inc *Incremental) Built() bool { return inc.built }
 
-// Dirty returns the nets whose cached committed length is stale — the nets
-// touched by mutations since the last re-estimation. The engine's goodness
-// cache reads it (before Lengths flushes it) to invalidate exactly the
-// cells whose goodness inputs changed. The returned slice aliases internal
-// state: valid until the next mutation or flush, and not to be mutated.
-func (inc *Incremental) Dirty() []netlist.NetID { return inc.dirty }
-
-// DirtySnapshot copies the current dirty-net list into dst (reused if
-// roomy). Unlike Dirty the result survives the flush that Lengths
-// performs, which is what the cost pipeline needs: it captures the list
-// before reading the refreshed lengths, then folds exactly those nets into
-// each objective's cached state.
+// DirtySnapshot copies the current dirty-net list — the nets touched by
+// mutations since the last re-estimation — into dst (reused if roomy).
+// The copy survives the flush that Lengths performs, which is what a
+// dirty-net cost fold needs: it captures the list before reading the
+// refreshed lengths, then folds exactly those nets in.
 func (inc *Incremental) DirtySnapshot(dst []netlist.NetID) []netlist.NetID {
 	return append(dst[:0], inc.dirty...)
 }
