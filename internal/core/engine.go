@@ -108,7 +108,7 @@ type Engine struct {
 	goodsBuf []float64     // per-objective goodness scratch (cellGoodness)
 	goodsOut []float64     // per-domain goodness scratch (Step)
 	vacRef   []layout.SlotRef
-	// speculative-exchange scratch (SnapshotSearch / AdoptPlacementPatched)
+	// speculative-exchange scratch (RestoreSearch / AdoptPlacement)
 	patchSlots  []layout.SlotRef
 	patchDeltas []layout.SlotDelta
 	vacs        []wire.Vacancy
@@ -247,9 +247,21 @@ func (e *Engine) DomainFromRows(rows []int) {
 	e.SetDomain(cells)
 }
 
-// AdoptPlacement replaces the current placement (Type III solution
-// exchange). The adopted placement is cloned.
+// AdoptPlacement replaces the current placement with a copy of p (Type III
+// solution exchange). When the incremental state is warm it patches
+// through slot deltas: only the differing cells move, the coordinate
+// journal records them, and the next evaluation re-estimates only their
+// nets instead of rebuilding the mirror. Without a warm mirror — or when
+// the patch fails because the row shapes differ, which cannot happen
+// between placements of one run — it clones p and marks the mirror stale.
 func (e *Engine) AdoptPlacement(p *layout.Placement) {
+	if e.inc != nil && !e.incStale && e.inc.Built() {
+		e.patchSlots = p.SnapshotSlots(e.patchSlots)
+		e.patchDeltas = e.place.DiffSlotsTo(e.patchSlots, e.patchDeltas[:0])
+		if err := e.PatchPlacement(e.patchDeltas); err == nil {
+			return
+		}
+	}
 	e.place = p.Clone()
 	e.place.Recompute()
 	e.incStale = true
@@ -741,7 +753,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	telemetry.AllocSubCommitNs.Observe(int64(commitD))
 }
 
-// flushScanStats folds the per-goroutine ScanBest accumulators (the
+// flushScanStats folds the per-goroutine vacancy-scan accumulators (the
 // serial one plus every pool slot's) into the run snapshot and the
 // process-wide counters — a handful of atomic adds per allocation pass
 // instead of per vacancy.

@@ -262,6 +262,18 @@ func TestAdoptPlacement(t *testing.T) {
 	if e1.BestPlacement().Fingerprint() != fp {
 		t.Fatal("AdoptPlacement did not clone")
 	}
+	// A second adoption lands on e2's warm mirror and takes the patched
+	// path: it must reproduce e1's best μ and leave e1's best untouched.
+	e2.EvaluateCosts()
+	e2.AdoptPlacement(e1.BestPlacement())
+	e2.EvaluateCosts()
+	if math.Abs(e2.Mu()-e1.BestMu()) > 1e-12 {
+		t.Fatalf("patched adoption μ %v != source %v", e2.Mu(), e1.BestMu())
+	}
+	e2.Step()
+	if e1.BestPlacement().Fingerprint() != fp {
+		t.Fatal("patched AdoptPlacement mutated the source placement")
+	}
 }
 
 func TestStopAfterNoImprove(t *testing.T) {

@@ -80,22 +80,3 @@ func (e *Engine) RestoreSearch(s *SearchSnapshot) {
 	e.noImprove = s.noImprove
 	e.evalsSince = s.evalsSince
 }
-
-// AdoptPlacementPatched replaces the current placement with p like
-// AdoptPlacement, but through slot deltas when the incremental state is
-// warm: only the differing cells move, the coordinate journal records
-// them, and the next evaluation re-estimates only their nets instead of
-// rebuilding the mirror. Falls back to AdoptPlacement when the engine has no warm
-// incremental mirror or the delta application fails (e.g. row shapes
-// differ, which cannot happen between placements of one run).
-func (e *Engine) AdoptPlacementPatched(p *layout.Placement) {
-	if e.inc == nil || e.incStale || !e.inc.Built() {
-		e.AdoptPlacement(p)
-		return
-	}
-	e.patchSlots = p.SnapshotSlots(e.patchSlots)
-	e.patchDeltas = e.place.DiffSlotsTo(e.patchSlots, e.patchDeltas[:0])
-	if err := e.PatchPlacement(e.patchDeltas); err != nil {
-		e.AdoptPlacement(p)
-	}
-}

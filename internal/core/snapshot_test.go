@@ -123,9 +123,10 @@ func TestSnapshotRestoreReferenceMode(t *testing.T) {
 
 // TestSpeculativeAdoptAvoidsFullRebuild proves the speculative exchange
 // path keeps the wire.Incremental mirror warm: adopting a foreign placement
-// through AdoptPlacementPatched and rejecting a speculation through
-// RestoreSearch must not trigger a single mirror rebuild, while the legacy
-// AdoptPlacement path must. Counted via Engine.Telemetry().FullRebuilds.
+// through AdoptPlacement on a warm engine and rejecting a speculation
+// through RestoreSearch must not trigger a single mirror rebuild, while an
+// adoption on a cold engine (the clone fallback) must. Counted via
+// Engine.Telemetry().FullRebuilds.
 func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 	p := testProblem(t, fuzzy.WirePower, 200)
 	// Keep the periodic mirror rebuild out of the way: only adoption
@@ -152,7 +153,7 @@ func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 	base := eng.Telemetry().FullRebuilds
 
 	snap := eng.SnapshotSearch()
-	eng.AdoptPlacementPatched(foreign)
+	eng.AdoptPlacement(foreign)
 	eng.EvaluateCosts()
 	eng.Step()
 	eng.RestoreSearch(snap)
@@ -165,10 +166,15 @@ func TestSpeculativeAdoptAvoidsFullRebuild(t *testing.T) {
 		t.Fatalf("post-reject costs diverged from scratch: %+v != %+v", got, want)
 	}
 
-	// Control: the legacy adoption rebuilds from scratch.
+	// Control: with the mirror stale, adoption takes the clone fallback
+	// and the next evaluation rebuilds from scratch.
+	eng.SetPlacement(eng.Placement().Clone())
 	eng.AdoptPlacement(foreign)
 	eng.EvaluateCosts()
 	if got := eng.Telemetry().FullRebuilds; got == base {
-		t.Fatal("legacy AdoptPlacement did not rebuild the mirror; the control is broken")
+		t.Fatal("stale-mirror AdoptPlacement did not rebuild the mirror; the control is broken")
+	}
+	if eng.Placement() == foreign || eng.Placement().Fingerprint() != foreign.Fingerprint() {
+		t.Fatal("clone-fallback adoption did not install a copy of the foreign placement")
 	}
 }

@@ -70,8 +70,8 @@ type Baseline struct {
 	LargeCircuit *LargeCircuitBaseline `json:"large_circuit,omitempty"`
 
 	// AsyncExchange is the Type III exchange-overhead entry: the same
-	// 4-rank simulated cluster run under the legacy blocking protocol and
-	// the asynchronous epoch-tagged one. The p50 ratio is the tentpole
+	// 4-rank simulated cluster run in the blocking exchange mode and the
+	// asynchronous speculative one. The p50 ratio is the tentpole
 	// gate (async must stay at least asyncExchangeMinSpeedup times
 	// cheaper per exchange segment); the async best μ is the
 	// host-independent determinism gate.

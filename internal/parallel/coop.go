@@ -8,9 +8,9 @@ import (
 	"simevo/internal/mpi"
 )
 
-// ExchangeFunc is handed to cooperating workers: it sends the worker's
-// current best to the central store and returns the store's strictly
-// better solution if one exists (adopted == true).
+// ExchangeFunc is handed to cooperating workers: it posts the worker's
+// current best to the central store, polls the store, and returns the
+// store's strictly better solution if one exists (adopted == true).
 type ExchangeFunc func(mu float64, best *layout.Placement) (adopted bool, storeMu float64, store *layout.Placement)
 
 // CoopOptions configures a generic cooperating parallel search: rank 0 is
@@ -57,18 +57,21 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 		// crash: remember it, let the worker finish on its own solution,
 		// and surface it at the rank boundary after the Done handshake.
 		var exchErr error
+		var seq uint64
 		exchange := func(mu float64, best *layout.Placement) (bool, float64, *layout.Placement) {
 			if exchErr != nil {
 				return false, 0, nil
 			}
-			c.Send(0, tagT3Request, encodeSolution(mu, best))
-			reply, _ := c.Recv(0, tagT3Reply)
-			if len(reply) == 0 {
+			seq++
+			c.Send(0, tagT3Post, encodePost(seq, mu, best))
+			c.Send(0, tagT3Poll, encodePollReq(0, mu))
+			news, _ := c.Recv(0, tagT3News)
+			_, _, storeMu, place, err := decodeNews(prob, news)
+			if err != nil {
+				exchErr = fmt.Errorf("parallel: rank %d: corrupt store news: %w", c.Rank(), err)
 				return false, 0, nil
 			}
-			storeMu, place, err := decodeSolution(prob, reply)
-			if err != nil {
-				exchErr = fmt.Errorf("parallel: rank %d: corrupt store reply: %w", c.Rank(), err)
+			if place == nil {
 				return false, 0, nil
 			}
 			return true, storeMu, place
@@ -79,7 +82,7 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 		}
 		// Coop workers track their own budgets; the store's iteration
 		// count is unused here (Iters is cleared below).
-		c.Send(0, tagT3Done, encodeDone(0, mu, best))
+		c.Send(0, tagT3Done, encodeDone(0, mu, best, &searcherStats{}))
 		return exchErr
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"simevo/internal/core"
 	"simevo/internal/fuzzy"
 	"simevo/internal/layout"
 	"simevo/internal/mpi"
@@ -53,8 +52,10 @@ func TestTypeIIIAsyncDeterministic(t *testing.T) {
 	}
 }
 
-// TestTypeIIISyncExchange keeps the legacy blocking protocol working
-// behind Options.SyncExchange and reporting its round-trip overhead.
+// TestTypeIIISyncExchange keeps the blocking exchange working behind
+// Options.SyncExchange: it reports its round-trip overhead, never
+// speculates, and the store counts exactly the improvements the searchers
+// posted.
 func TestTypeIIISyncExchange(t *testing.T) {
 	prob := testProblem(t, fuzzy.WirePower, 25, 2006)
 	opt := detOpts(4)
@@ -73,42 +74,15 @@ func TestTypeIIISyncExchange(t *testing.T) {
 	if res.Exchange.Restores != 0 {
 		t.Fatalf("sync protocol cannot speculate, got %d restores", res.Exchange.Restores)
 	}
-}
-
-// TestTypeIIIPortfolio runs a heterogeneous-knob portfolio (three SimE
-// variants with different allocation orders and consultation budgets) and
-// checks the store's per-searcher improvement-rate table comes back.
-func TestTypeIIIPortfolio(t *testing.T) {
-	prob := testProblem(t, fuzzy.WirePower, 25, 2006)
-	opt := detOpts(4)
-	opt.Retry = 5
-	opt.Portfolio = []SearcherConfig{
-		{AllocOrder: core.WorstFirst},
-		{AllocOrder: core.BestFirst, Retry: 3},
-		{AllocOrder: core.WidestFirst, SpecWindow: 4},
+	if res.Exchange.Posted == 0 {
+		t.Fatal("no posts recorded; blocking searchers' improvements never reached the store")
 	}
-	res, err := RunTypeIII(prob, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exchange == nil || len(res.Exchange.Searchers) == 0 {
-		t.Fatal("portfolio run returned no per-searcher stats")
-	}
+	sum := 0
 	for _, sr := range res.Exchange.Searchers {
-		if sr.Rank < 1 || sr.Rank >= opt.Procs {
-			t.Fatalf("searcher table has out-of-range rank %d", sr.Rank)
-		}
+		sum += sr.Posts
 	}
-}
-
-// TestTypeIIIPortfolioReservedKind verifies the SA/TS slots fail with a
-// descriptive error instead of silently running the wrong optimizer.
-func TestTypeIIIPortfolioReservedKind(t *testing.T) {
-	prob := testProblem(t, fuzzy.WirePower, 10, 2006)
-	opt := detOpts(3)
-	opt.Portfolio = []SearcherConfig{{Kind: "sa"}}
-	if _, err := RunTypeIII(prob, opt); err == nil {
-		t.Fatal("portfolio kind \"sa\" should be a reserved-slot error")
+	if res.Exchange.Posted != sum {
+		t.Fatalf("posted = %d, but the per-searcher posts sum to %d", res.Exchange.Posted, sum)
 	}
 }
 
@@ -141,6 +115,10 @@ func (s *scriptComm) Recv(src, tag int) ([]byte, mpi.Status) {
 	s.frames = s.frames[1:]
 	return f.data, mpi.Status{Source: f.src, Tag: f.tag}
 }
+func (s *scriptComm) Poll(src, tag int) ([]byte, mpi.Status, bool) {
+	data, st := s.Recv(src, tag)
+	return data, st, true
+}
 func (s *scriptComm) Bcast(root int, data []byte) []byte    { return data }
 func (s *scriptComm) Gather(root int, data []byte) [][]byte { return nil }
 func (s *scriptComm) Barrier()                              {}
@@ -165,7 +143,7 @@ func TestTypeIIIStoreNeverRegresses(t *testing.T) {
 	}
 	done := func(src int, mu float64) scriptFrame {
 		var st searcherStats
-		return scriptFrame{src: src, tag: tagT3Done, data: encodeDoneStats(5, mu, place(), &st)}
+		return scriptFrame{src: src, tag: tagT3Done, data: encodeDone(5, mu, place(), &st)}
 	}
 
 	c := &scriptComm{size: 3, frames: []scriptFrame{
@@ -232,7 +210,7 @@ func TestTypeIIIStoreCullsAndClones(t *testing.T) {
 	}
 	done := func(src int, mu float64) scriptFrame {
 		var st searcherStats
-		return scriptFrame{src: src, tag: tagT3Done, data: encodeDoneStats(5, mu, place(), &st)}
+		return scriptFrame{src: src, tag: tagT3Done, data: encodeDone(5, mu, place(), &st)}
 	}
 	c := &scriptComm{size: 3, frames: []scriptFrame{
 		post(1, 1, 0.40), // rank 1 wins...
@@ -273,4 +251,82 @@ func TestTypeIIIStoreCullsAndClones(t *testing.T) {
 			}
 		}
 	}
+}
+
+// storeFrameTags are the frames a searcher may send the store, indexed by
+// the fuzzer's tag selector.
+var storeFrameTags = [...]int{tagT3Post, tagT3Poll, tagT3Done}
+
+// FuzzTypeIIIStoreFrames hardens the store against corrupt searcher
+// frames: one fuzzed (tag, payload) frame from rank 1, then a clean Done
+// from each searcher. The store must return a result or an error and
+// never panic; an accepted run must still be monotonic.
+func FuzzTypeIIIStoreFrames(f *testing.F) {
+	prob := testProblem(f, fuzzy.WirePower, 10, 2006)
+	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(5))
+	st := searcherStats{adopted: 1, rejected: 2, restores: 2, roundNs: []int64{7, 9}}
+	post := encodePost(1, 0.7, place)
+	done := encodeDone(5, 0.8, place, &st)
+	f.Add(uint8(0), post)
+	f.Add(uint8(0), post[:20])
+	f.Add(uint8(1), encodePollReq(3, 0.2))
+	f.Add(uint8(1), []byte{1, 2, 3})
+	f.Add(uint8(2), done)
+	f.Add(uint8(2), done[:len(done)-3])
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		var clean searcherStats
+		c := &scriptComm{size: 3, frames: []scriptFrame{
+			{src: 1, tag: storeFrameTags[int(sel)%len(storeFrameTags)], data: data},
+			{src: 1, tag: tagT3Done, data: encodeDone(5, 0.3, place, &clean)},
+			{src: 2, tag: tagT3Done, data: encodeDone(5, 0.4, place, &clean)},
+		}}
+		res, err := typeIIIStore(prob, c, nil, 10)
+		if err != nil {
+			return
+		}
+		// Rank 1's clean Done is always read (the fuzzed frame ends at
+		// most one rank), so the store's best can never fall below it.
+		if res.BestMu < 0.3 || res.Best == nil {
+			t.Fatalf("store best μ %v below rank 1's clean Done 0.3", res.BestMu)
+		}
+	})
+}
+
+// FuzzNewsDecode hardens the searchers' news decoder: it must return an
+// error or a valid solution, never panic.
+func FuzzNewsDecode(f *testing.F) {
+	prob := testProblem(f, fuzzy.WirePower, 10, 2006)
+	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(6))
+	f.Add(encodeNews(4, 10, nil))
+	f.Add(encodeNews(4, 10, encodeSolution(0.6, place)))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, _, p, err := decodeNews(prob, data)
+		if err == nil && p != nil {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("accepted news carries an invalid placement: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzDoneStatsDecode hardens the Done frame's exchange-stats decoder: an
+// accepted blob is exactly the fixed header plus its announced samples.
+func FuzzDoneStatsDecode(f *testing.F) {
+	prob := testProblem(f, fuzzy.WirePower, 10, 2006)
+	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(7))
+	st := searcherStats{adopted: 3, roundNs: []int64{1, 2, 3}}
+	frame := encodeDone(5, 0.5, place, &st)
+	f.Add(frame[len(frame)-16-8*len(st.roundNs):])
+	f.Add([]byte{})
+	f.Add(make([]byte, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeDoneStats(data)
+		if err != nil {
+			return
+		}
+		if len(data) != 16+8*len(got.roundNs) {
+			t.Fatalf("accepted %d-byte blob announcing %d samples", len(data), len(got.roundNs))
+		}
+	})
 }

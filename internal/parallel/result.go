@@ -28,33 +28,20 @@ type Options struct {
 	TargetMu float64
 	// Pattern is the Type II row allocation pattern (default FixedPattern).
 	Pattern RowPattern
-	// FullBroadcast disables the Type II delta codec: every iteration
-	// broadcasts the full placement (and slaves rebuild their net-cost
-	// state from scratch) instead of the moved-cell deltas that patch the
-	// slaves' warm incremental state. The two modes follow bitwise-identical
-	// trajectories; this switch is the reference for equivalence tests and
-	// for measuring the broadcast-byte savings.
-	FullBroadcast bool
 	// Retry is the Type III retry threshold (iterations without
 	// improvement before consulting the central store).
 	Retry int
 	// Diversify gives each Type III searcher a different allocation order
 	// — the search-diversification idea of the paper's Section 7.
 	Diversify bool
-	// SyncExchange selects the legacy synchronous Type III protocol: a
-	// searcher that consults the store blocks in a request/reply round
-	// trip and rebuilds its cost state on adoption. The default is the
-	// asynchronous epoch-tagged protocol (post/poll/news frames,
-	// speculative adoption with snapshot/restore) — see typeiii.go. The
-	// synchronous mode remains as the exchange-overhead baseline and for
-	// transports without non-blocking receives.
+	// SyncExchange selects the paper's blocking Type III exchange: a
+	// searcher that consults the store waits for its news and adopts a
+	// better solution outright. The default is asynchronous and
+	// speculative: the searcher keeps iterating until the news arrives and
+	// adopts with snapshot/restore. Both modes speak the same post/poll/news
+	// frames — see typeiii.go. The blocking mode remains as the
+	// exchange-overhead baseline.
 	SyncExchange bool
-	// Portfolio assigns per-rank searcher configurations for Type III:
-	// searcher rank r runs Portfolio[(r-1) % len(Portfolio)]. Empty runs
-	// the homogeneous SimE configuration (honoring Diversify). The store
-	// keeps per-searcher improvement-rate statistics and reallocates
-	// consultation budgets between winners and losers (see typeiii.go).
-	Portfolio []SearcherConfig
 	// Context cancels a run cooperatively: the master (Type I/II) or every
 	// searcher (Type III) checks it between iterations, winds the cluster
 	// down cleanly, and the best-so-far result is returned. Nil never
@@ -154,11 +141,11 @@ type Result struct {
 
 // ExchangeStats aggregates the Type III exchange activity of one run.
 // Posted/Adopted/Rejected/Restores sum over searchers; Searchers carries
-// the store's per-rank improvement-rate table (the portfolio racer's
-// cull/clone input). RoundNs are the timed exchange segments — for the
-// synchronous protocol one blocking store round trip each, for the async
-// protocol the non-blocking machinery actually paid per exchange
-// (post encode/send, news decode, speculative snapshot/adopt, restore).
+// the store's per-rank improvement-rate table (the input of its cull/clone
+// budget reallocation). RoundNs are the timed exchange segments — in
+// blocking mode one poll-to-adoption round each, in the async mode the
+// non-blocking machinery actually paid per exchange (post encode/send,
+// news decode, speculative snapshot/adopt, restore).
 type ExchangeStats struct {
 	Posted   int
 	Adopted  int
@@ -174,7 +161,7 @@ type ExchangeStats struct {
 // SearcherRate is the store's view of one searcher's productivity.
 type SearcherRate struct {
 	Rank  int
-	Posts int // improvements posted (or brought by sync requests)
+	Posts int // improvements posted
 	Wins  int // posts that improved the global best
 	Retry int // consultation budget the store last granted the rank
 }

@@ -104,10 +104,10 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 		msg := encodeAssignment(assign)
 		place := eng.Placement()
 		deltaBuf = deltaBuf[:0]
-		if prevSlots != nil && !opt.FullBroadcast {
+		if prevSlots != nil {
 			deltaBuf = place.DiffSlots(prevSlots, deltaBuf)
 		}
-		if prevSlots != nil && !opt.FullBroadcast && 3*len(deltaBuf) < numCells+numRows {
+		if prevSlots != nil && 3*len(deltaBuf) < numCells+numRows {
 			msg = append(msg, bcastDelta)
 			msg = appendSlotDeltas(msg, deltaBuf)
 		} else {

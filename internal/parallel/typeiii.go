@@ -14,19 +14,19 @@ import (
 	"simevo/internal/transport"
 )
 
-// Type III protocol tags. The first four are the legacy synchronous
-// protocol (still spoken by Options.SyncExchange mode and by the
-// cooperating-worker drivers in coop.go); the last three are the
-// asynchronous epoch-tagged protocol.
+// Type III protocol tags: the searchers' (and cooperating workers') frames
+// to the central store, and the store's one answer.
 const (
-	tagT3Report  = 30 + iota // slave -> store: new personal best (sync)
-	tagT3Request             // slave -> store: ask for a better solution (sync, blocks)
-	tagT3Reply               // store -> slave: better solution or keep-yours (sync)
-	tagT3Done                // slave -> store: final best
-	tagT3Post                // searcher -> store: sequenced improvement post (async, fire-and-forget)
-	tagT3Poll                // searcher -> store: 16-byte best-so-far poll (async, non-blocking)
-	tagT3News                // store -> searcher: epoch + budget + optionally a better solution
+	tagT3Done = 33 + iota // searcher -> store: final best + exchange stats
+	tagT3Post             // searcher -> store: sequenced improvement post (fire-and-forget)
+	tagT3Poll             // searcher -> store: 16-byte best-so-far poll
+	tagT3News             // store -> searcher: epoch + budget + optionally a better solution
 )
+
+// specWindow is the speculation horizon: long enough for an adopted
+// solution to prove productive, short enough that a reject wastes little
+// budget.
+const specWindow = 8
 
 // RunTypeIII executes the parallel-search strategy of the paper's Figure 6,
 // modeled on asynchronous multiple-Markov-chain parallel SA [1]: rank 0 is
@@ -34,15 +34,16 @@ const (
 // an independent search from the same starting solution with a different
 // random stream.
 //
-// By default the exchange protocol is asynchronous and speculative: a
-// searcher that improves posts the solution to the store without waiting,
-// and a searcher that stalls for Options.Retry iterations sends a 16-byte
-// poll and keeps iterating until the store's news frame arrives. A
-// strictly better store solution is adopted speculatively — the searcher
-// snapshots its search state, patches the placement in, runs a short
-// speculation window, and on reject restores the snapshot instead of
-// rebuilding its cost state. Options.SyncExchange selects the legacy
-// blocking request/reply round, the paper-faithful baseline.
+// A searcher that improves posts the solution to the store without
+// waiting; a searcher that stalls for Options.Retry iterations sends a
+// 16-byte poll, and the store answers with a news frame. By default the
+// exchange is asynchronous and speculative: the searcher keeps iterating
+// until the news arrives, and adopts a strictly better store solution
+// speculatively — it snapshots its search state, patches the placement
+// in, runs a short speculation window, and on reject restores the
+// snapshot. Options.SyncExchange selects the paper's blocking exchange
+// over the same frames: the searcher waits for the news and adopts a
+// better solution outright.
 //
 // On the simulated cluster the async protocol is deterministic: polls
 // participate in the virtual-time schedule (mpi.Comm.Poll), so for a
@@ -83,11 +84,7 @@ func TypeIIIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 		retry = 100
 	}
 	if c.Rank() != 0 {
-		poller, ok := c.(transport.Poller)
-		if opt.SyncExchange || !ok {
-			return nil, typeIIISearcherSync(prob, c, retry, opt)
-		}
-		return nil, typeIIISearcherAsync(prob, c, poller, retry, opt)
+		return nil, typeIIISearcher(prob, c, retry, opt, opt.SyncExchange)
 	}
 	fc := tolerantComm(c, opt)
 	out, err := typeIIIStore(prob, c, fc, retry)
@@ -109,67 +106,65 @@ func TypeIIIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 
 // --- wire formats ---
 
-// encodeDone prepends the executed iteration count to a solution encoding
-// — the tagT3Done wire format the store expects. Searchers append an
-// exchange-stats blob (encodeDoneStats); the bare form is what the
-// cooperating workers of coop.go send.
-func encodeDone(iters int, mu float64, place *layout.Placement) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, uint64(iters))
-	return append(buf, encodeSolution(mu, place)...)
-}
-
 // searcherStats is one searcher's exchange accounting, shipped to the
-// store inside the Done frame.
+// store inside the Done frame. Posts are counted by the store itself.
 type searcherStats struct {
-	posted   int
 	adopted  int
 	rejected int
 	restores int
 	roundNs  []int64
 }
 
-// encodeDoneStats is encodeDone plus the searcher's exchange-stats blob:
-// four u32 counters, a u32 sample count, and the timed exchange segments.
-func encodeDoneStats(iters int, mu float64, place *layout.Placement, st *searcherStats) []byte {
-	buf := encodeDone(iters, mu, place)
-	var tail [20]byte
-	binary.LittleEndian.PutUint32(tail[0:], uint32(st.posted))
-	binary.LittleEndian.PutUint32(tail[4:], uint32(st.adopted))
-	binary.LittleEndian.PutUint32(tail[8:], uint32(st.rejected))
-	binary.LittleEndian.PutUint32(tail[12:], uint32(st.restores))
-	binary.LittleEndian.PutUint32(tail[16:], uint32(len(st.roundNs)))
-	buf = append(buf, tail[:]...)
+// encodeDone is the tagT3Done wire format: the executed iteration count
+// (u64), the final solution, and the exchange-stats blob — three u32
+// counters, a u32 sample count, and the timed exchange segments.
+func encodeDone(iters int, mu float64, place *layout.Placement, st *searcherStats) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(iters))
+	buf = append(buf, encodeSolution(mu, place)...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.adopted))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.rejected))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.restores))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.roundNs)))
 	for _, ns := range st.roundNs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ns))
 	}
 	return buf
 }
 
-// decodeDoneStats parses the optional exchange-stats blob after a decoded
-// Done solution. Absent (legacy coop frames) means zero stats.
+// decodeDoneStats parses the exchange-stats blob that follows the
+// solution in a Done frame.
 func decodeDoneStats(rest []byte) (searcherStats, error) {
 	var st searcherStats
-	if len(rest) == 0 {
-		return st, nil
-	}
-	if len(rest) < 20 {
+	if len(rest) < 16 {
 		return st, fmt.Errorf("parallel: done stats blob too short (%d bytes)", len(rest))
 	}
-	st.posted = int(binary.LittleEndian.Uint32(rest[0:]))
-	st.adopted = int(binary.LittleEndian.Uint32(rest[4:]))
-	st.rejected = int(binary.LittleEndian.Uint32(rest[8:]))
-	st.restores = int(binary.LittleEndian.Uint32(rest[12:]))
-	n := int(binary.LittleEndian.Uint32(rest[16:]))
-	rest = rest[20:]
-	if len(rest) != 8*n {
+	st.adopted = int(binary.LittleEndian.Uint32(rest[0:]))
+	st.rejected = int(binary.LittleEndian.Uint32(rest[4:]))
+	st.restores = int(binary.LittleEndian.Uint32(rest[8:]))
+	n := uint64(binary.LittleEndian.Uint32(rest[12:]))
+	rest = rest[16:]
+	if uint64(len(rest)) != 8*n {
 		return st, fmt.Errorf("parallel: done stats blob: %d samples announced, %d bytes present", n, len(rest))
 	}
 	st.roundNs = make([]int64, n)
-	for i := 0; i < n; i++ {
+	for i := range st.roundNs {
 		st.roundNs[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
 	}
 	return st, nil
+}
+
+// decodeDone parses a tagT3Done frame (see encodeDone).
+func decodeDone(prob *core.Problem, data []byte) (iters int, mu float64, place *layout.Placement, st searcherStats, err error) {
+	if len(data) < 8 {
+		return 0, 0, nil, st, fmt.Errorf("parallel: done payload too short (%d bytes)", len(data))
+	}
+	iters = int(binary.LittleEndian.Uint64(data))
+	mu, place, rest, err := decodeSolution(prob, data[8:])
+	if err != nil {
+		return 0, 0, nil, st, err
+	}
+	st, err = decodeDoneStats(rest)
+	return iters, mu, place, st, err
 }
 
 // solution wire format: 8-byte μ followed by the placement encoding.
@@ -179,16 +174,18 @@ func encodeSolution(mu float64, place *layout.Placement) []byte {
 	return append(buf, place.Encode()...)
 }
 
-func decodeSolution(prob *core.Problem, data []byte) (float64, *layout.Placement, error) {
+// decodeSolution decodes a solution from the front of data and returns
+// the bytes after it.
+func decodeSolution(prob *core.Problem, data []byte) (float64, *layout.Placement, []byte, error) {
 	if len(data) < 8 {
-		return 0, nil, fmt.Errorf("parallel: solution payload too short (%d bytes)", len(data))
+		return 0, nil, nil, fmt.Errorf("parallel: solution payload too short (%d bytes)", len(data))
 	}
 	mu := math.Float64frombits(binary.LittleEndian.Uint64(data))
-	place, err := layout.DecodePlacement(prob.Ckt, data[8:])
+	place, rest, err := layout.DecodePlacementPrefix(prob.Ckt, data[8:])
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return mu, place, nil
+	return mu, place, rest, nil
 }
 
 // post wire format: 8-byte per-searcher sequence number, then a solution.
@@ -199,9 +196,8 @@ func encodePost(seq uint64, mu float64, place *layout.Placement) []byte {
 }
 
 // poll wire format: the searcher's last-seen store epoch and its current
-// best μ — 16 bytes, no placement. The synchronous protocol shipped a
-// full placement with every consultation; not re-sending solutions the
-// store already saw is most of the async protocol's traffic win.
+// best μ — 16 bytes, no placement. The store already holds every
+// improvement the searcher posted, so a consultation never re-sends one.
 func encodePollReq(epoch uint64, mu float64) []byte {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[0:], epoch)
@@ -232,14 +228,14 @@ func decodeNews(prob *core.Problem, data []byte) (epoch uint64, retry int, mu fl
 	if data[12] == 0 {
 		return epoch, retry, 0, nil, nil
 	}
-	mu, place, err = decodeSolution(prob, data[13:])
+	mu, place, _, err = decodeSolution(prob, data[13:])
 	return epoch, retry, mu, place, err
 }
 
 // --- store ---
 
 // searcherEntry is the store's improvement-rate record for one searcher
-// rank — the portfolio racer's cull/clone input.
+// rank — the cull/clone input of its budget reallocation.
 type searcherEntry struct {
 	lastSeq uint64
 	posts   int
@@ -247,14 +243,14 @@ type searcherEntry struct {
 	retry   int // last granted consultation budget
 }
 
-// typeIIIStore runs the central best-solution store on rank 0. It speaks
-// both protocols at once — sequenced posts and 16-byte polls from async
-// searchers, blocking request/reply rounds from sync searchers and
-// cooperating workers — so mixed clusters and the legacy drivers keep
-// working. With a non-nil fc the store degrades instead of failing: a
-// searcher that dies or sends corrupt frames counts as done (its
-// contributions so far are kept), and the run errors only if every
-// searcher is lost before any solution arrived.
+// typeIIIStore runs the central best-solution store on rank 0: it merges
+// sequenced posts, answers every 16-byte poll with a news frame, and
+// collects each rank's Done. Blocking and asynchronous searchers and the
+// cooperating workers of coop.go all speak this one frame set; they differ
+// only in when they read the news. With a non-nil fc the store degrades
+// instead of failing: a searcher that dies or sends corrupt frames counts
+// as done (its contributions so far are kept), and the run errors only if
+// every searcher is lost before any solution arrived.
 func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Result, error) {
 	bestMu := -1.0
 	var bestData []byte // encoded solution, kept serialized for cheap replies
@@ -379,7 +375,7 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 				continue
 			}
 			e.lastSeq = seq
-			mu, place, err := decodeSolution(prob, data[8:])
+			mu, place, _, err := decodeSolution(prob, data[8:])
 			if err != nil {
 				if err := dropOrFail(st.Source, fmt.Errorf("parallel: corrupt post frame: %w", err)); err != nil {
 					return nil, err
@@ -405,81 +401,30 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 				solution = bestData
 			}
 			reply(st.Source, encodeNews(epoch, budgetFor(st.Source), solution))
-		case tagT3Report, tagT3Done:
-			if st.Tag == tagT3Done {
-				// Done wire format: 8-byte iteration count, then the
-				// solution, then an optional exchange-stats blob.
-				if len(data) < 8 {
-					if err := dropOrFail(st.Source, fmt.Errorf("parallel: done payload too short (%d bytes)", len(data))); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				if n := int(binary.LittleEndian.Uint64(data)); n > iters {
-					iters = n
-				}
-				data = data[8:]
-				done++
-				if fc != nil {
-					doneRanks[st.Source] = true
-				}
-			}
-			mu, place, err := decodeSolution(prob, data)
+		case tagT3Done:
+			// Done wire format: 8-byte iteration count, the solution, then
+			// the exchange-stats blob. A corrupt Done still ends the rank.
+			n, mu, place, sst, err := decodeDone(prob, data)
 			if err != nil {
-				if fc != nil {
-					fc.DropRank(st.Source, fmt.Errorf("parallel: corrupt solution frame: %w", err))
-					rankDown(st.Source) // no-op if this was its Done
-					continue
-				}
-				return nil, err
-			}
-			if st.Tag == tagT3Done {
-				// Re-decode the placement prefix to locate the stats blob.
-				_, rest, _ := layout.DecodePlacementPrefix(prob.Ckt, data[8:])
-				sst, err := decodeDoneStats(rest)
-				if err != nil {
-					if err := dropOrFail(st.Source, err); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				exch.Adopted += sst.adopted
-				exch.Rejected += sst.rejected
-				exch.Restores += sst.restores
-				exch.RoundNs = append(exch.RoundNs, sst.roundNs...)
-				data = data[:8+len(data[8:])-len(rest)]
-			}
-			if mu > bestMu {
-				entry(st.Source).wins++
-				improve(mu, place, data)
-			}
-		case tagT3Request:
-			// Legacy synchronous consultation: the request carries the
-			// searcher's best, the reply is the store's better solution or
-			// empty for keep-yours.
-			mu, place, err := decodeSolution(prob, data)
-			if err != nil {
-				if err := dropOrFail(st.Source, fmt.Errorf("parallel: corrupt request frame: %w", err)); err != nil {
+				if err := dropOrFail(st.Source, fmt.Errorf("parallel: corrupt done frame: %w", err)); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			entry(st.Source).posts++
-			var replyData []byte
-			if mu > bestMu {
-				// The requester's solution is better than the store's:
-				// adopt it and tell the requester to keep going.
-				entry(st.Source).wins++
-				improve(mu, place, data)
-			} else if bestMu > mu {
-				replyData = bestData
-			}
+			done++
 			if fc != nil {
-				if err := fc.TrySend(st.Source, tagT3Reply, replyData); err != nil {
-					rankDown(st.Source)
-				}
-			} else {
-				c.Send(st.Source, tagT3Reply, replyData)
+				doneRanks[st.Source] = true
+			}
+			if n > iters {
+				iters = n
+			}
+			exch.Adopted += sst.adopted
+			exch.Rejected += sst.rejected
+			exch.Restores += sst.restores
+			exch.RoundNs = append(exch.RoundNs, sst.roundNs...)
+			if mu > bestMu {
+				entry(st.Source).wins++
+				improve(mu, place, encodeSolution(mu, place))
 			}
 		default:
 			if err := dropOrFail(st.Source, fmt.Errorf("parallel: store received unexpected tag %d", st.Tag)); err != nil {
@@ -501,89 +446,24 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 	return res, nil
 }
 
-// --- searchers ---
+// --- searcher ---
 
-// typeIIISearcherSync is the legacy synchronous searcher: improvements
-// are reported fire-and-forget, but a consultation blocks in a
-// request/reply round trip at the store and adopts with a full cost-state
-// rebuild. Kept as the exchange-overhead baseline (Options.SyncExchange)
-// and for transports without non-blocking receives.
-func typeIIISearcherSync(prob *core.Problem, c Comm, retry int, opt Options) error {
-	sc := searcherConfigFor(c.Rank(), opt)
-	s, err := newSearcher(prob, c.Rank(), sc)
-	if err != nil {
-		return err
-	}
-	if sc.Retry > 0 {
-		retry = sc.Retry
-	}
-	var stats searcherStats
-	count := 0
-
-	// Every searcher checks the context (there is no master to wind the
-	// others down); rank 1 doubles as the progress reporter.
-	iters := 0
-	for ; iters < prob.Cfg.MaxIters && !opt.cancelled(); iters++ {
-		prevBest := s.BestMu()
-		st := s.Step()
-		if c.Rank() == 1 {
-			opt.report(st)
-		}
-		if s.BestMu() > prevBest {
-			// Keep the store current so any requesting thread benefits.
-			c.Send(0, tagT3Report, encodeSolution(s.BestMu(), s.BestPlacement()))
-			stats.posted++
-			telemetry.ExchangePosted.Inc()
-			count = 0
-			continue
-		}
-		count++
-		if count > retry {
-			exchStart := time.Now()
-			c.Send(0, tagT3Request, encodeSolution(s.BestMu(), s.BestPlacement()))
-			reply, _ := c.Recv(0, tagT3Reply)
-			if len(reply) > 0 {
-				_, place, err := decodeSolution(prob, reply)
-				if err != nil {
-					return err
-				}
-				// Adopt the store's better solution and continue evolving
-				// from there, rebuilding the cost state from scratch —
-				// the O(n) exchange cost the speculative path eliminates.
-				s.AdoptFull(place)
-				stats.adopted++
-				telemetry.ExchangeAdopted.Inc()
-			}
-			ns := int64(time.Since(exchStart))
-			telemetry.ExchangeRoundType3Ns.Observe(ns)
-			stats.roundNs = append(stats.roundNs, ns)
-			count = 0
-		}
-	}
-	if s.BestPlacement() == nil {
-		// Cancelled before the first iteration: evaluate the starting
-		// solution so the final report carries a real placement.
-		s.EvaluateCosts()
-	}
-	c.Send(0, tagT3Done, encodeDoneStats(iters, s.BestMu(), s.BestPlacement(), &stats))
-	return nil
-}
-
-// typeIIISearcherAsync is the asynchronous speculative searcher. It never
-// blocks on the store: improvements are posted with a sequence number,
-// stalls send a 16-byte poll and keep iterating, and the store's news is
-// consumed by a non-blocking poll whenever it has arrived. A strictly
-// better remote solution is adopted speculatively — snapshot, patched
-// adoption (no rebuild), a SpecWindow-iteration probe — and rejected by
-// restoring the snapshot if the probe fails to improve on the adopted μ.
-func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, retry int, opt Options) error {
-	sc := searcherConfigFor(c.Rank(), opt)
-	s, err := newSearcher(prob, c.Rank(), sc)
-	if err != nil {
-		return err
-	}
-	if sc.Retry > 0 {
-		retry = sc.Retry
+// typeIIISearcher runs one searcher rank. Every strict improvement of its
+// best is posted to the store with a sequence number; after retry
+// iterations without one it polls the store with its best μ. With block
+// set it waits for the store's news and adopts a strictly better solution
+// outright — the paper's exchange. Otherwise it keeps iterating, picks up
+// the news with a non-blocking poll whenever it has arrived, and adopts
+// speculatively: snapshot, adopt, a specWindow-iteration probe, and a
+// restore of the snapshot if the probe fails to improve on the adopted μ.
+func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block bool) error {
+	// Every searcher starts from the canonical reference placement with its
+	// own random stream (the paper's Table 4 setup).
+	eng := prob.EngineFromReference(uint64(c.Rank()))
+	if opt.Diversify {
+		// Section 7's diversification proposal: a different allocation
+		// function per thread steers the searches apart.
+		eng.SetAllocOrder(core.AllocOrder((c.Rank() - 1) % 3))
 	}
 
 	var (
@@ -598,25 +478,58 @@ func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, r
 		specLeft int                  // speculation iterations remaining
 	)
 
-	observe := func(start time.Time) int64 {
+	// The timed exchange segments: in blocking mode one poll-to-adoption
+	// round each; otherwise every piece of exchange work the search pays
+	// for (post, poll, news handling, restore).
+	observe := func(start time.Time) {
 		ns := int64(time.Since(start))
-		telemetry.ExchangeAsyncType3Ns.Observe(ns)
+		if block {
+			telemetry.ExchangeRoundType3Ns.Observe(ns)
+		} else {
+			telemetry.ExchangeAsyncType3Ns.Observe(ns)
+		}
 		stats.roundNs = append(stats.roundNs, ns)
-		return ns
 	}
 	post := func() {
 		start := time.Now()
 		seq++
-		c.Send(0, tagT3Post, encodePost(seq, s.BestMu(), s.BestPlacement()))
-		observe(start)
-		stats.posted++
+		c.Send(0, tagT3Post, encodePost(seq, eng.BestMu(), eng.BestPlacement()))
+		if !block {
+			observe(start)
+		}
 		telemetry.ExchangePosted.Inc()
 	}
+	news := func(data []byte) error {
+		newsEpoch, grant, mu, place, err := decodeNews(prob, data)
+		if err != nil {
+			return fmt.Errorf("parallel: rank %d: corrupt news frame: %w", c.Rank(), err)
+		}
+		epoch = newsEpoch
+		if grant > 0 {
+			retry = grant
+		}
+		if place == nil || mu <= eng.BestMu() {
+			return nil
+		}
+		if block {
+			eng.AdoptPlacement(place)
+			stats.adopted++
+			telemetry.ExchangeAdopted.Inc()
+			return nil
+		}
+		spec = eng.SnapshotSearch()
+		eng.AdoptPlacement(place)
+		specMu = mu
+		specLeft = specWindow
+		return nil
+	}
 
+	// Every searcher checks the context (there is no master to wind the
+	// others down); rank 1 doubles as the progress reporter.
 	iters := 0
 	for ; iters < prob.Cfg.MaxIters && !opt.cancelled(); iters++ {
-		prevBest := s.BestMu()
-		st := s.Step()
+		prevBest := eng.BestMu()
+		st := eng.Step()
 		if c.Rank() == 1 {
 			opt.report(st)
 		}
@@ -626,7 +539,7 @@ func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, r
 			// soon as the probe improves past the adopted μ, reject by
 			// restoring the pre-adoption state when the window closes.
 			specLeft--
-			if s.BestMu() > specMu {
+			if eng.BestMu() > specMu {
 				spec = nil
 				stats.adopted++
 				telemetry.ExchangeAdopted.Inc()
@@ -634,7 +547,7 @@ func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, r
 				count = 0
 			} else if specLeft <= 0 {
 				start := time.Now()
-				s.Restore(spec)
+				eng.RestoreSearch(spec)
 				observe(start)
 				spec = nil
 				stats.rejected++
@@ -646,7 +559,7 @@ func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, r
 			continue
 		}
 
-		if s.BestMu() > prevBest {
+		if eng.BestMu() > prevBest {
 			post()
 			count = 0
 			continue
@@ -654,22 +567,11 @@ func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, r
 		count++
 
 		if pollPending {
-			if news, _, ok := poller.Poll(0, tagT3News); ok {
+			if data, _, ok := c.Poll(0, tagT3News); ok {
 				pollPending = false
 				start := time.Now()
-				newsEpoch, grant, mu, place, err := decodeNews(prob, news)
-				if err != nil {
-					return fmt.Errorf("parallel: rank %d: corrupt news frame: %w", c.Rank(), err)
-				}
-				epoch = newsEpoch
-				if grant > 0 {
-					retry = grant
-				}
-				if place != nil && mu > s.BestMu() {
-					spec = s.Snapshot()
-					s.Adopt(place)
-					specMu = mu
-					specLeft = sc.SpecWindow
+				if err := news(data); err != nil {
+					return err
 				}
 				observe(start)
 				count = 0
@@ -678,17 +580,24 @@ func typeIIISearcherAsync(prob *core.Problem, c Comm, poller transport.Poller, r
 		}
 		if count > retry {
 			start := time.Now()
-			c.Send(0, tagT3Poll, encodePollReq(epoch, s.BestMu()))
+			c.Send(0, tagT3Poll, encodePollReq(epoch, eng.BestMu()))
+			if block {
+				data, _ := c.Recv(0, tagT3News)
+				if err := news(data); err != nil {
+					return err
+				}
+			} else {
+				pollPending = true
+			}
 			observe(start)
-			pollPending = true
 			count = 0
 		}
 	}
-	if s.BestPlacement() == nil {
+	if eng.BestPlacement() == nil {
 		// Cancelled before the first iteration: evaluate the starting
 		// solution so the final report carries a real placement.
-		s.EvaluateCosts()
+		eng.EvaluateCosts()
 	}
-	c.Send(0, tagT3Done, encodeDoneStats(iters, s.BestMu(), s.BestPlacement(), &stats))
+	c.Send(0, tagT3Done, encodeDone(iters, eng.BestMu(), eng.BestPlacement(), &stats))
 	return nil
 }

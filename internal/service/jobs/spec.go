@@ -87,10 +87,10 @@ type Spec struct {
 	Retry int `json:"retry,omitempty"`
 	// Diversify gives each Type III searcher a distinct allocation order.
 	Diversify bool `json:"diversify,omitempty"`
-	// SyncExchange selects the legacy blocking Type III exchange protocol
-	// (request/reply round trips with full cost-state rebuilds on
-	// adoption). Default false: the asynchronous epoch-tagged protocol
-	// with speculative adoption.
+	// SyncExchange selects the blocking Type III exchange: a consulting
+	// searcher waits for the store's news and adopts a better solution
+	// outright. Default false: the asynchronous exchange with speculative
+	// adoption. Both modes speak the same post/poll/news frames.
 	SyncExchange bool `json:"sync_exchange,omitempty"`
 	// MaxRetries is how many times a failed run is retried (with capped
 	// exponential backoff between attempts) before the job is marked

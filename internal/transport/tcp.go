@@ -606,7 +606,7 @@ func (g *Group) DropRank(rank int, err error) {
 // Recv implements Transport.
 func (g *Group) Recv(src, tag int) ([]byte, mpi.Status) { return g.in.recv(src, tag) }
 
-// Poll is the non-blocking Recv (see transport.Poller).
+// Poll is the non-blocking Recv (see Transport.Poll).
 func (g *Group) Poll(src, tag int) ([]byte, mpi.Status, bool) { return g.in.pollRecv(src, tag) }
 
 // Bcast implements Transport.
@@ -856,7 +856,7 @@ func (r *remote) Send(dst, tag int, data []byte) {
 
 func (r *remote) Recv(src, tag int) ([]byte, mpi.Status) { return r.in.recv(src, tag) }
 
-// Poll is the non-blocking Recv (see transport.Poller).
+// Poll is the non-blocking Recv (see Transport.Poll).
 func (r *remote) Poll(src, tag int) ([]byte, mpi.Status, bool) { return r.in.pollRecv(src, tag) }
 func (r *remote) Bcast(root int, data []byte) []byte     { return bcast(r, root, data) }
 func (r *remote) Gather(root int, data []byte) [][]byte  { return gather(r, root, data) }

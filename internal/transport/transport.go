@@ -3,8 +3,8 @@
 //
 // The Transport interface captures exactly the communication semantics the
 // strategies already use against the virtual-time simulator: eager tagged
-// sends, blocking receives with source/tag wildcards, and the three
-// collectives (broadcast, gather, barrier). *mpi.Comm — a rank inside the
+// sends, blocking and non-blocking receives with source/tag wildcards, and
+// the three collectives (broadcast, gather, barrier). *mpi.Comm — a rank inside the
 // simulated cluster — satisfies it unchanged, so every strategy runs
 // identically on simulated ranks (goroutines, virtual clocks) and on real
 // ranks (OS processes connected over TCP, this package's tcp.go).
@@ -45,6 +45,13 @@ type Transport interface {
 	Send(dst, tag int, data []byte)
 	// Recv blocks until a message matching (src, tag) is available.
 	Recv(src, tag int) ([]byte, mpi.Status)
+	// Poll is the non-blocking Recv the asynchronous Type III exchange
+	// builds on: it consumes and returns a message matching (src, tag) if
+	// one is already available and reports ok=false otherwise. On the
+	// simulator a poll participates in the virtual-time schedule
+	// (deterministic under MeasureCompute=false); on TCP it inspects the
+	// live inbox, so what a poll sees depends on wall-clock arrival order.
+	Poll(src, tag int) (data []byte, st mpi.Status, ok bool)
 	// Bcast distributes data from root to every rank; all ranks must call it.
 	Bcast(root int, data []byte) []byte
 	// Gather collects one payload per rank at root; all ranks must call it.
@@ -59,26 +66,6 @@ var (
 	_ Transport = (*mpi.Comm)(nil)
 	_ Transport = (*Group)(nil)
 	_ Transport = (*remote)(nil)
-)
-
-// Poller is the optional non-blocking receive capability asynchronous
-// protocols (the async Type III exchange) build on: Poll consumes and
-// returns a message matching (src, tag) if one is already available and
-// reports ok=false without blocking otherwise. On the simulator a poll
-// participates in the virtual-time schedule (deterministic under
-// MeasureCompute=false); on TCP it inspects the live inbox, so what a
-// poll sees depends on wall-clock arrival order. A strategy that needs a
-// Poller should type-assert and fall back to its synchronous protocol
-// when the transport lacks one.
-type Poller interface {
-	Poll(src, tag int) ([]byte, mpi.Status, bool)
-}
-
-// The simulator rank and both TCP endpoints support non-blocking polls.
-var (
-	_ Poller = (*mpi.Comm)(nil)
-	_ Poller = (*Group)(nil)
-	_ Poller = (*remote)(nil)
 )
 
 // Fatal wraps an unrecoverable transport failure (connection loss, protocol

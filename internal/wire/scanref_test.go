@@ -1,0 +1,177 @@
+package wire
+
+// The flat vacancy scan and the eager memo fill it needs for concurrent
+// chunked use. Production allocation runs the row-sharded ScanBestRows;
+// these stay as its bitwise reference in the package tests.
+
+// PrefillClasses eagerly computes every per-class memo entry, so that
+// concurrent Score/ScoreBounded or ScanBest calls over arbitrary vacancy
+// chunks never race on a lazy fill.
+func (t *TrialSet) PrefillClasses(yOf func(class int) float64) {
+	for i := range t.items {
+		if t.items[i].kind != trialTrunk {
+			continue
+		}
+		for c := 0; c < t.yClasses; c++ {
+			t.fillClass(i, c, yOf(c))
+		}
+	}
+}
+
+// ScanBest is the flat reference scan ScanBestRows is pinned to. It scans
+// the compiled cell over free[lo:hi] — the ascending indices of
+// still-free vacancies — skipping width-infeasible rows, scoring the rest
+// with the bounded early exit, and returning the first vacancy index
+// holding the strictly smallest score (-1 if none is admissible under
+// bound0). The scoring is inlined; the equivalence test pins it bitwise
+// to the ScoreBounded loop it replaces. The memo must be compiled with yClasses
+// covering every row. A serial caller may leave the memo cold — classes
+// fill lazily on first use, so rows no vacancy sits in are never computed.
+// Concurrent chunked use must PrefillClasses first (lazy filling is not
+// goroutine-safe) and needs one View per goroutine. st (which may be
+// nil) collects prune statistics with plain increments; it changes no
+// comparison, so the winner and the trajectory are bitwise unaffected.
+func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
+	rowOK []bool, lo, hi int, bound0 float64, st *ScanStats) (int, float64) {
+	if st == nil {
+		st = new(ScanStats)
+	}
+	best, bound := -1, bound0
+	items := t.items
+	// Bbox pre-check on the leading net: any trial with stored pins —
+	// bbox, trunk, or RMST — is bounded below by the half-perimeter of the
+	// stored pins extended by the candidate, and items 1.. are bounded
+	// below by tail[1]. When even that sum reaches the current bound the
+	// vacancy is skipped before any full evaluation. Pruned vacancies are
+	// exactly ones the bounded scan would have discarded (their true cost
+	// is >= the bound), so the winner — and the trajectory — is untouched.
+	tail := t.tail
+	prune := false
+	var pruneW, tail1, minX0, maxX0, minY0, maxY0 float64
+	if len(items) > 0 && items[0].hasBox {
+		it := &items[0]
+		prune, pruneW, tail1 = true, it.w, tail[1]
+		minX0, maxX0, minY0, maxY0 = it.minX, it.maxX, it.minY, it.maxY
+	}
+scan:
+	for _, v32 := range free[lo:hi] {
+		v := int(v32)
+		row := vacs[v].Row
+		if !rowOK[row] {
+			continue
+		}
+		x, y := vacs[v].X, vacs[v].Y
+		st.Vacancies++
+		if prune {
+			lox, hix, loy, hiy := minX0, maxX0, minY0, maxY0
+			if x < lox {
+				lox = x
+			}
+			if x > hix {
+				hix = x
+			}
+			if y < loy {
+				loy = y
+			}
+			if y > hiy {
+				hiy = y
+			}
+			if (((hix-lox)+(hiy-loy))*pruneW+tail1)*scanSlack >= bound {
+				st.PrunedBBox++
+				continue
+			}
+		}
+		yClass := int(row)
+		cost := 0.0
+		for i := range items {
+			it := &items[i]
+			switch it.kind {
+			case trialBBox:
+				lox, hix, loy, hiy := it.minX, it.maxX, it.minY, it.maxY
+				if x < lox {
+					lox = x
+				}
+				if x > hix {
+					hix = x
+				}
+				if y < loy {
+					loy = y
+				}
+				if y > hiy {
+					hiy = y
+				}
+				cost += ((hix - lox) + (hiy - loy)) * it.w
+			case trialTrunk:
+				slot := i*t.yClasses + yClass
+				if !t.filled[slot] {
+					t.fillClass(i, yClass, y)
+				}
+				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
+
+				lox, hix := it.minX, it.maxX
+				if x < lox {
+					lox = x
+				}
+				if x > hix {
+					hix = x
+				}
+				h := (hix - lox) + yBranch
+
+				var medX float64
+				if it.oddM {
+					medX = clampMed(x, it.ax0, it.ax1)
+				} else {
+					medX = (clampMed(x, it.ax0, it.ax1) + clampMed(x, it.ax1, it.ax2)) / 2
+				}
+				var si int
+				switch {
+				case medX <= it.ax0:
+					si = int(it.ix0)
+				case medX <= it.ax1:
+					si = int(it.ixMid)
+				default:
+					si = int(it.ixMid) + 1
+				}
+				xBranch := branchSumAt(it.xv, it.xp, medX, si)
+				if x > medX {
+					xBranch += x - medX
+				} else {
+					xBranch += medX - x
+				}
+				v2 := ySpan + xBranch
+
+				if v2 < h {
+					h = v2
+				}
+				cost += h * it.w
+			case trialRMST:
+				cost += view.TrialNetAt(it.net, x, y) * it.w
+			case trialZero:
+				// Falls through to the bound check: a trailing zero
+				// record at cost == bound is a tie and must not reach
+				// the winner assignment (first minimum wins).
+			}
+			// Bail as soon as the partial cost plus the remaining items'
+			// stored-span floor reaches the bound: the full cost could
+			// only be larger, so only non-winners are dropped (and a tie
+			// at the bound never wins — first minimum stays). The
+			// estimate is deflated by scanSlack so float reassociation
+			// can never prune a true sub-bound cost; the exact prefix
+			// check keeps the common case (cost alone already past the
+			// bound) at full strength.
+			if cost >= bound {
+				st.BailedExact++
+				continue scan
+			}
+			if (cost+tail[i+1])*scanSlack >= bound {
+				st.PrunedSuffix++
+				continue scan
+			}
+		}
+		st.Scored++
+		if cost < bound { // unconditional first-minimum, even for an empty set
+			best, bound = v, cost
+		}
+	}
+	return best, bound
+}

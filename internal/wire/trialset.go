@@ -46,7 +46,8 @@ type TrialSet struct {
 	// each axis (Σ|dx| over the tree's edges is at least the x span along
 	// the leftmost-to-rightmost path, likewise for y), so
 	// RMST(stored ∪ candidate) >= merged half-perimeter >= storedSpan.
-	// Only empty nets contribute 0. ScanBest adds tail[i+1] to the partial
+	// Only empty nets contribute 0. The flat in-order scan (the package
+	// tests' reference for ScanBestRows) adds tail[i+1] to the partial
 	// cost when bailing, pruning vacancies whose suffix could never fit
 	// under the bound — deflated by scanSlack so float reassociation
 	// cannot turn the estimate into an over-prune; see scanSlack.
@@ -125,8 +126,8 @@ type TrialSet struct {
 	xTotW         float64
 }
 
-// scanSlack deflates the estimate-based prune thresholds of ScanBest.
-// The suffix bound compares cost + tail[i+1] against the running bound,
+// scanSlack deflates the estimate-based prune thresholds of the vacancy
+// scans. The suffix bound compares cost + tail[i+1] against the running bound,
 // but tail is a *reassociated* float sum: it can exceed the true
 // sequentially-rounded remaining cost by a few ULPs (and the per-item
 // trial arithmetic itself carries ~1e-14 relative error), so an exact
@@ -264,20 +265,6 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 	}
 }
 
-// PrefillClasses eagerly computes every per-class memo entry. Required
-// before concurrent Score/ScoreBounded calls (lazy filling is not
-// goroutine-safe); the parallel vacancy scanner calls it once per cell.
-func (t *TrialSet) PrefillClasses(yOf func(class int) float64) {
-	for i := range t.items {
-		if t.items[i].kind != trialTrunk {
-			continue
-		}
-		for c := 0; c < t.yClasses; c++ {
-			t.fillClass(i, c, yOf(c))
-		}
-	}
-}
-
 // PrepareScan computes the row-sharded prune state ScanBestRows consumes:
 // the per-row suffix bounds rowTail (see the field comment) and the
 // leading-item anchor/x-interval. yOf maps a row to its centerline y and
@@ -285,8 +272,8 @@ func (t *TrialSet) PrefillClasses(yOf func(class int) float64) {
 // layout.RowY); rows must cover every candidate row. O(items·rows) — noise
 // against the O(items·vacancies) scan it accelerates. Call after
 // CompileTrials and before any ScanBestRows; the state is read-only during
-// scans, so concurrent row-chunked scanning needs no further setup beyond
-// PrefillClasses.
+// scans, and the lazy y-memo fills of row-chunked concurrent scans touch
+// disjoint (item, row) entries, so they need no further setup.
 func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	stride := len(t.items) + 1
 	t.rowTail = resizeFloats(t.rowTail, rows*stride)
@@ -571,7 +558,8 @@ func (t *TrialSet) fillClass(i, class int, y float64) {
 // Score returns the weighted trial cost of placing the compiled cell at
 // (x, y). yClass identifies y's memo class (pass a negative class, or
 // compile with yClasses 0, to bypass the memo). Read-only apart from lazy
-// memo fills; concurrent use requires PrefillClasses first and one View
+// memo fills; concurrent use requires goroutines to score disjoint y
+// classes (lazy filling is not goroutine-safe within a class) and one View
 // per goroutine (the RMST fallback needs per-goroutine scratch).
 func (t *TrialSet) Score(view *View, x, y float64, yClass int) float64 {
 	cost, _ := t.ScoreBounded(view, x, y, yClass, math.Inf(1))
@@ -704,14 +692,14 @@ func clampMed(c, lo, hi float64) float64 {
 	return c
 }
 
-// Vacancy is one candidate slot for ScanBest: physical center plus the
+// Vacancy is one candidate slot for ScanBestRows: physical center plus the
 // row, which doubles as the y memo class.
 type Vacancy struct {
 	X, Y float64
 	Row  int32
 }
 
-// ScanStats tallies where ScanBest spends (and saves) work: how many
+// ScanStats tallies where the vacancy scan spends (and saves) work: how many
 // candidates it visited, how many each prune mechanism discarded, and
 // how many survived to a full score. Accumulation is plain arithmetic —
 // callers own one ScanStats per goroutine and fold them into telemetry
@@ -737,165 +725,6 @@ func (s *ScanStats) Merge(o *ScanStats) {
 	s.RowsVisited += o.RowsVisited
 }
 
-// ScanBest runs the full vacancy scan for the compiled cell over
-// free[lo:hi] — the ascending indices of still-free vacancies — skipping
-// width-infeasible rows, scoring the rest with the bounded early exit, and
-// returning the first vacancy index holding the strictly smallest score
-// (-1 if none is admissible under bound0). One call replaces the per-
-// vacancy ScoreBounded calls — this is the innermost allocation loop, so
-// the scoring is inlined here; the equivalence test pins it bitwise to the
-// ScoreBounded loop it replaces. The memo must be compiled with yClasses
-// covering every row. A serial caller may leave the memo cold — classes
-// fill lazily on first use, so rows no vacancy sits in are never computed.
-// Concurrent chunked use must PrefillClasses first (lazy filling is not
-// goroutine-safe) and needs one View per goroutine. st (which may be
-// nil) collects prune statistics with plain increments; it changes no
-// comparison, so the winner and the trajectory are bitwise unaffected.
-func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
-	rowOK []bool, lo, hi int, bound0 float64, st *ScanStats) (int, float64) {
-	if st == nil {
-		st = new(ScanStats)
-	}
-	best, bound := -1, bound0
-	items := t.items
-	// Bbox pre-check on the leading net: any trial with stored pins —
-	// bbox, trunk, or RMST — is bounded below by the half-perimeter of the
-	// stored pins extended by the candidate, and items 1.. are bounded
-	// below by tail[1]. When even that sum reaches the current bound the
-	// vacancy is skipped before any full evaluation. Pruned vacancies are
-	// exactly ones the bounded scan would have discarded (their true cost
-	// is >= the bound), so the winner — and the trajectory — is untouched.
-	tail := t.tail
-	prune := false
-	var pruneW, tail1, minX0, maxX0, minY0, maxY0 float64
-	if len(items) > 0 && items[0].hasBox {
-		it := &items[0]
-		prune, pruneW, tail1 = true, it.w, tail[1]
-		minX0, maxX0, minY0, maxY0 = it.minX, it.maxX, it.minY, it.maxY
-	}
-scan:
-	for _, v32 := range free[lo:hi] {
-		v := int(v32)
-		row := vacs[v].Row
-		if !rowOK[row] {
-			continue
-		}
-		x, y := vacs[v].X, vacs[v].Y
-		st.Vacancies++
-		if prune {
-			lox, hix, loy, hiy := minX0, maxX0, minY0, maxY0
-			if x < lox {
-				lox = x
-			}
-			if x > hix {
-				hix = x
-			}
-			if y < loy {
-				loy = y
-			}
-			if y > hiy {
-				hiy = y
-			}
-			if (((hix-lox)+(hiy-loy))*pruneW+tail1)*scanSlack >= bound {
-				st.PrunedBBox++
-				continue
-			}
-		}
-		yClass := int(row)
-		cost := 0.0
-		for i := range items {
-			it := &items[i]
-			switch it.kind {
-			case trialBBox:
-				lox, hix, loy, hiy := it.minX, it.maxX, it.minY, it.maxY
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				if y < loy {
-					loy = y
-				}
-				if y > hiy {
-					hiy = y
-				}
-				cost += ((hix - lox) + (hiy - loy)) * it.w
-			case trialTrunk:
-				slot := i*t.yClasses + yClass
-				if !t.filled[slot] {
-					t.fillClass(i, yClass, y)
-				}
-				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
-
-				lox, hix := it.minX, it.maxX
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				h := (hix - lox) + yBranch
-
-				var medX float64
-				if it.oddM {
-					medX = clampMed(x, it.ax0, it.ax1)
-				} else {
-					medX = (clampMed(x, it.ax0, it.ax1) + clampMed(x, it.ax1, it.ax2)) / 2
-				}
-				var si int
-				switch {
-				case medX <= it.ax0:
-					si = int(it.ix0)
-				case medX <= it.ax1:
-					si = int(it.ixMid)
-				default:
-					si = int(it.ixMid) + 1
-				}
-				xBranch := branchSumAt(it.xv, it.xp, medX, si)
-				if x > medX {
-					xBranch += x - medX
-				} else {
-					xBranch += medX - x
-				}
-				v2 := ySpan + xBranch
-
-				if v2 < h {
-					h = v2
-				}
-				cost += h * it.w
-			case trialRMST:
-				cost += view.TrialNetAt(it.net, x, y) * it.w
-			case trialZero:
-				// Falls through to the bound check: a trailing zero
-				// record at cost == bound is a tie and must not reach
-				// the winner assignment (first minimum wins).
-			}
-			// Bail as soon as the partial cost plus the remaining items'
-			// stored-span floor reaches the bound: the full cost could
-			// only be larger, so only non-winners are dropped (and a tie
-			// at the bound never wins — first minimum stays). The
-			// estimate is deflated by scanSlack so float reassociation
-			// can never prune a true sub-bound cost; the exact prefix
-			// check keeps the common case (cost alone already past the
-			// bound) at full strength.
-			if cost >= bound {
-				st.BailedExact++
-				continue scan
-			}
-			if (cost+tail[i+1])*scanSlack >= bound {
-				st.PrunedSuffix++
-				continue scan
-			}
-		}
-		st.Scored++
-		if cost < bound { // unconditional first-minimum, even for an empty set
-			best, bound = v, cost
-		}
-	}
-	return best, bound
-}
-
 // rowScan is ScanBestRows' walk state, shared by the two directional walks
 // of each row. bound is the tie-admitting prune threshold: one ulp above
 // the best score so far (or the caller's bound0 before any accept), so an
@@ -912,7 +741,7 @@ type rowScan struct {
 	visited   uint64
 }
 
-// ScanBestRows is the row-sharded replacement for the flat ScanBest: it
+// ScanBestRows is the row-sharded vacancy scan for the compiled cell: it
 // visits only rows [rowLo, rowHi) of the buckets, skipping infeasible and
 // empty rows, skipping whole rows whose rowTail lower bound already
 // reaches the running bound, and walking each surviving bucket outward
@@ -924,8 +753,8 @@ type rowScan struct {
 // regions wholesale instead of bailing per vacancy.
 //
 // The winner is the lowest-index vacancy among those with the strictly
-// smallest score — bitwise the flat ScanBest's (and the reference loop's)
-// first-minimum — restored from the out-of-order walk by the tie-admitting
+// smallest score — bitwise the first minimum of a flat in-order
+// ScoreBounded loop — restored from the out-of-order walk by the tie-admitting
 // bound plus an explicit index tie-break. Requires CompileTrials,
 // PrepareScan (with yOf matching the vacancies' row centerlines), and a
 // bucket Build over the same vacancy pool. The y memo may start cold:
@@ -1138,7 +967,7 @@ walk:
 			case trialRMST:
 				cost += c.view.TrialNetAt(it.net, x, y) * it.w
 			case trialZero:
-				// Falls through to the bound check, like ScanBest: a
+				// Falls through to the bound check, like the flat scan: a
 				// trailing zero record at the bound is handled by the
 				// accept logic's index tie-break below.
 			}
@@ -1155,7 +984,7 @@ walk:
 					xRem -= it.w * (x - it.maxX)
 				}
 			}
-			// Same two-stage bail as ScanBest, with the row-sharpened
+			// Same two-stage bail as the flat scan, with the row-sharpened
 			// suffix bound — plus the remaining x-penalty envelope: the
 			// exact prefix check at full strength, then the estimate
 			// deflated by scanSlack (it is a reassociated sum, and must
