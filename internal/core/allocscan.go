@@ -19,14 +19,17 @@ import (
 // unchanged.
 
 // allocScanMinVacancies is the free-vacancy count below which a cell's scan
-// is not worth the per-cell synchronization. Re-measured for the bucketed
-// row scan (BenchmarkAllocScanBreakEven sweeps the thresholds on a given
-// host): the sharded scan skips dominated regions wholesale, so the serial
-// scan does far less work per vacancy than the flat walk the previous
-// floor of 160 was tuned for, and the per-cell Batch synchronization
-// amortizes later — the floor moves up to 256. Variable so tests can force
-// the parallel path on small circuits.
-var allocScanMinVacancies = 256
+// is not worth the per-cell synchronization. BenchmarkAllocScanBreakEven
+// sweeps the thresholds on a given host. 1024 is not a measured crossover:
+// on the one host measured (2 vCPUs, two scan workers) no floor beat the
+// serial scan on circuits of 3000, 20000 or 100000 cells, whose passes
+// start with up to ~29,000 vacancies, and the loss shrank as the floor
+// rose (20000 cells: floor 512 +51%, 1024 +38%, 4096 +7% over serial).
+// The pruned row scan does little work per vacancy, and a row chunk that
+// misses the anchor row prunes with the seed bound only. Whether and
+// where the fan-out pays on hosts with more cores is unmeasured. Variable
+// so tests can force the parallel path on small circuits.
+var allocScanMinVacancies = 1024
 
 // flushMinDirtyNets is the dirty-net batch size below which the committed-
 // length flush stays serial: per-net re-estimation is cheap (most nets take

@@ -124,10 +124,11 @@ type Config struct {
 	// through a read-only evaluator view and the reduction reproduces the
 	// serial first-minimum tie-breaking. The pool persists across
 	// iterations (workers retire after an idle period); the fan-out
-	// engages once a cell has allocScanMinVacancies (256) free vacancies —
-	// the bucketed row scan prunes so much per vacancy that the
-	// synchronization amortizes later than the flat walk's ~160 floor; see
-	// BenchmarkAllocScanBreakEven for the sweep on a given host.
+	// engages once a cell has allocScanMinVacancies (1024) free vacancies.
+	// That floor is not a measured crossover: on a 2-vCPU host the fan-out
+	// lost to the serial scan at every floor and pool size measured, and
+	// hosts with more cores are unmeasured; see allocScanMinVacancies and
+	// BenchmarkAllocScanBreakEven, which sweeps the floor on a given host.
 	AllocWorkers int
 
 	// EvalWorkers fans the per-cell goodness evaluation across the same

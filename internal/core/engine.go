@@ -811,8 +811,8 @@ func (e *Engine) prepTrial(id netlist.CellID, useInc bool) {
 	if useInc {
 		// Vacancy candidates sit on row centerlines, so the rows are the
 		// y-memo classes; RowY reproduces Recompute's centerline expression
-		// bit for bit. The memo fills lazily during serial scans; a
-		// parallel scan prefills it first (allocate). PrepareScan derives
+		// bit for bit. The memo fills lazily, also in a parallel scan,
+		// whose row chunks fill disjoint entries. PrepareScan derives
 		// the per-row suffix bounds and the anchor the bucketed scan
 		// prunes with — O(nets·rows), noise against the scan itself.
 		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, e.place.NumRows())

@@ -1,28 +1,26 @@
 package wire
 
-// VacancyBuckets shards a vacancy pool by row, keeping each row's
+// VacancyBuckets shards a vacancy pool by row, keeping each row's free
 // vacancies x-sorted so ScanBestRows can seed near a cell's anchor and
 // walk outward instead of visiting the whole free list in index order.
 //
-// The structure separates the static sort from the dynamic occupancy: the
-// per-row ordering is built once per allocation pass (the vacancy set is
-// fixed after capture), and the commit/free journal only flips per-slot
-// liveness bits — O(1) per operation, so maintaining the buckets while
-// cells take slots costs nothing against the O(|S|²) trial scans they
-// accelerate. Dead (committed) entries stay in place and are skipped
-// during the walk; each skip is a single branch, and a scan never touches
-// more positions than the flat free-list walk it replaces.
+// The per-row ordering is built once per allocation pass (the vacancy set
+// is fixed after capture). Each row region is kept dense: its free
+// vacancies fill the prefix [start[r], start[r]+rowN[r]) in x order, and
+// Commit moves the taken vacancy behind that prefix by shifting the rest
+// of the row left — O(row length), noise against the trial scans the
+// buckets accelerate, and it leaves the walk with no dead entries to step
+// over.
 //
 // Not safe for concurrent mutation; concurrent read-only use (the chunked
-// parallel scan, which partitions rows) is fine between journal ops.
+// parallel scan, which partitions rows) is fine between commits.
 type VacancyBuckets struct {
-	order []int32   // vacancy indices grouped by row, x-ascending (ties: ascending index)
+	order []int32   // vacancy indices grouped by row; each row's live prefix x-ascending (ties: ascending index)
 	xs    []float64 // xs[p] = vacancy order[p]'s x (hoisted for the seek/walk)
 	pos   []int32   // per vacancy: its position in order
 	rowAt []int32   // per position: the row (inverse of the region table)
 	start []int32   // per row: region start in order; len rows+1
-	live  []bool    // per position: vacancy still free
-	rowN  []int32   // per row: live count
+	rowN  []int32   // per row: live count, the length of the region's live prefix
 	total int       // live count across all rows
 }
 
@@ -35,7 +33,6 @@ func (b *VacancyBuckets) Build(vacs []Vacancy, rows int) {
 	b.pos = resizeI32s(b.pos, n)
 	b.rowAt = resizeI32s(b.rowAt, n)
 	b.start = resizeI32s(b.start, rows+1)
-	b.live = resizeBools(b.live, n)
 	b.rowN = resizeI32s(b.rowN, rows)
 	b.total = n
 
@@ -81,53 +78,44 @@ func (b *VacancyBuckets) Build(vacs []Vacancy, rows int) {
 	for p, v := range b.order {
 		b.pos[v] = int32(p)
 		b.xs[p] = vacs[v].X
-		b.live[p] = true
 	}
 }
 
-// Commit marks vacancy v occupied (journal op, O(1)).
+// Commit marks vacancy v occupied: it leaves its row's live prefix, whose
+// remaining entries shift left to stay dense and x-sorted. Committing an
+// already-occupied vacancy is a no-op.
 func (b *VacancyBuckets) Commit(v int32) {
 	p := b.pos[v]
-	if !b.live[p] {
+	r := b.rowAt[p]
+	end := b.start[r] + b.rowN[r] // one past the live prefix
+	if p >= end {
 		return
 	}
-	b.live[p] = false
-	b.rowN[b.rowAt[p]]--
+	x := b.xs[p]
+	for q := p; q+1 < end; q++ {
+		u := b.order[q+1]
+		b.order[q], b.xs[q] = u, b.xs[q+1]
+		b.pos[u] = q
+	}
+	b.order[end-1], b.xs[end-1] = v, x
+	b.pos[v] = end - 1
+	b.rowN[r]--
 	b.total--
-}
-
-// Free revives vacancy v (journal op, O(1)). The engine's allocation pass
-// only commits — each selected cell consumes one vacancy — but the journal
-// is symmetric so callers undoing a speculative commit need no rebuild.
-func (b *VacancyBuckets) Free(v int32) {
-	p := b.pos[v]
-	if b.live[p] {
-		return
-	}
-	b.live[p] = true
-	b.rowN[b.rowAt[p]]++
-	b.total++
 }
 
 // Live returns the number of free vacancies across all rows.
 func (b *VacancyBuckets) Live() int { return b.total }
 
-// LiveInRow returns the number of free vacancies in one row.
-func (b *VacancyBuckets) LiveInRow(row int) int { return int(b.rowN[row]) }
-
-// Rows returns the row count the buckets were built with.
-func (b *VacancyBuckets) Rows() int { return len(b.rowN) }
-
-// RowSpan returns the static position range [lo, hi) of one row's bucket.
-func (b *VacancyBuckets) RowSpan(row int) (lo, hi int) {
-	return int(b.start[row]), int(b.start[row+1])
+// liveSpan returns the position range [lo, hi) of one row's free vacancies.
+func (b *VacancyBuckets) liveSpan(row int) (lo, hi int) {
+	lo = int(b.start[row])
+	return lo, lo + int(b.rowN[row])
 }
 
-// SeekGE returns the first position in row whose x is >= x (the region end
-// when every vacancy sits left of x). Positions include dead entries;
-// callers skip them via Alive.
+// SeekGE returns the first position among row's free vacancies whose x is
+// >= x (the end of the live prefix when every free vacancy sits left of x).
 func (b *VacancyBuckets) SeekGE(row int, x float64) int {
-	lo, hi := int(b.start[row]), int(b.start[row+1])
+	lo, hi := b.liveSpan(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if b.xs[mid] < x {
@@ -138,15 +126,6 @@ func (b *VacancyBuckets) SeekGE(row int, x float64) int {
 	}
 	return lo
 }
-
-// Alive reports whether the vacancy at position p is still free.
-func (b *VacancyBuckets) Alive(p int) bool { return b.live[p] }
-
-// At returns the vacancy index at position p.
-func (b *VacancyBuckets) At(p int) int32 { return b.order[p] }
-
-// XAt returns the x coordinate at position p.
-func (b *VacancyBuckets) XAt(p int) float64 { return b.xs[p] }
 
 func resizeBools(s []bool, n int) []bool {
 	if cap(s) < n {

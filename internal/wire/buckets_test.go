@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"simevo/internal/gen"
 	"simevo/internal/layout"
+	"simevo/internal/netlist"
 	"simevo/internal/rng"
 )
 
@@ -36,37 +38,56 @@ func catalogVacancies(t *testing.T, name string, keepOneIn int, seed uint64) ([]
 	return vacs, rows
 }
 
+// bucketFree reports whether vacancy v sits in its row's live prefix.
+func bucketFree(b *VacancyBuckets, v int) bool {
+	p := b.pos[v]
+	r := b.rowAt[p]
+	return p < b.start[r]+b.rowN[r]
+}
+
 // requireBucketsEqual asserts two bucket structures over the same vacancy
-// pool agree position by position — order, coordinates, and liveness.
-func requireBucketsEqual(t *testing.T, tag string, got, want *VacancyBuckets, rows int) {
+// pool agree on every row's live prefix — order and coordinates — and that
+// both keep their position tables consistent: pos inverts order, rowAt
+// stays within each row's region, and every live prefix is x-sorted
+// (ties by index).
+func requireBucketsEqual(t *testing.T, tag string, got, want *VacancyBuckets, vacs []Vacancy, rows int) {
 	t.Helper()
 	if got.Live() != want.Live() {
 		t.Fatalf("%s: live totals %d vs %d", tag, got.Live(), want.Live())
 	}
-	for r := 0; r < rows; r++ {
-		if got.LiveInRow(r) != want.LiveInRow(r) {
-			t.Fatalf("%s: row %d live %d vs %d", tag, r, got.LiveInRow(r), want.LiveInRow(r))
+	for _, b := range []*VacancyBuckets{got, want} {
+		for p, v := range b.order {
+			if int(b.pos[v]) != p || b.xs[p] != vacs[v].X || b.rowAt[p] != vacs[v].Row {
+				t.Fatalf("%s: position %d (vacancy %d) inconsistent", tag, p, v)
+			}
 		}
-		glo, ghi := got.RowSpan(r)
-		wlo, whi := want.RowSpan(r)
+	}
+	for r := 0; r < rows; r++ {
+		glo, ghi := got.liveSpan(r)
+		wlo, whi := want.liveSpan(r)
 		if glo != wlo || ghi != whi {
-			t.Fatalf("%s: row %d span [%d,%d) vs [%d,%d)", tag, r, glo, ghi, wlo, whi)
+			t.Fatalf("%s: row %d live [%d,%d) vs [%d,%d)", tag, r, glo, ghi, wlo, whi)
 		}
 		for p := glo; p < ghi; p++ {
-			if got.At(p) != want.At(p) || got.XAt(p) != want.XAt(p) || got.Alive(p) != want.Alive(p) {
-				t.Fatalf("%s: row %d pos %d: (%d, %v, %v) vs (%d, %v, %v)", tag, r, p,
-					got.At(p), got.XAt(p), got.Alive(p),
-					want.At(p), want.XAt(p), want.Alive(p))
+			if got.order[p] != want.order[p] || got.xs[p] != want.xs[p] {
+				t.Fatalf("%s: row %d pos %d: (%d, %v) vs (%d, %v)", tag, r, p,
+					got.order[p], got.xs[p], want.order[p], want.xs[p])
+			}
+			if p > glo {
+				a, b := got.order[p-1], got.order[p]
+				if vacs[a].X > vacs[b].X || (vacs[a].X == vacs[b].X && a > b) {
+					t.Fatalf("%s: row %d live prefix unsorted at %d", tag, r, p)
+				}
 			}
 		}
 	}
 }
 
-// TestVacancyBucketsJournalMatchesRebuild drives 10k randomized commit/free
-// journal operations — including idempotent repeats — against the row
-// buckets of every bundled benchmark circuit and asserts, at checkpoints
-// and at the end, that the journaled state is identical to a from-scratch
-// Build replayed to the same occupancy.
+// TestVacancyBucketsJournalMatchesRebuild drives 10k randomized commits —
+// including idempotent repeats, and a fresh Build whenever the pool runs
+// dry — against the row buckets of every bundled benchmark circuit and
+// asserts, at checkpoints and at the end, that the journaled state is
+// identical to a from-scratch Build replayed to the same occupancy.
 func TestVacancyBucketsJournalMatchesRebuild(t *testing.T) {
 	const ops = 10000
 	for _, name := range gen.Catalog() {
@@ -77,15 +98,14 @@ func TestVacancyBucketsJournalMatchesRebuild(t *testing.T) {
 			r := rng.New(0x6a09)
 			dead := make([]bool, len(vacs))
 			for op := 1; op <= ops; op++ {
-				v := int32(r.Intn(len(vacs)))
-				if r.Intn(2) == 0 {
-					b.Commit(v)
-					dead[v] = true
-				} else {
-					b.Free(v)
-					dead[v] = false
+				if b.Live() == 0 {
+					b.Build(vacs, rows)
+					clear(dead)
 				}
-				if op%2500 == 0 || op == ops {
+				v := int32(r.Intn(len(vacs)))
+				b.Commit(v)
+				dead[v] = true
+				if op%250 == 0 || op == ops {
 					var fresh VacancyBuckets
 					fresh.Build(vacs, rows)
 					deadN := 0
@@ -98,7 +118,12 @@ func TestVacancyBucketsJournalMatchesRebuild(t *testing.T) {
 					if b.Live() != len(vacs)-deadN {
 						t.Fatalf("op %d: journal live %d, mirror says %d", op, b.Live(), len(vacs)-deadN)
 					}
-					requireBucketsEqual(t, name, &b, &fresh, rows)
+					for v := range vacs {
+						if bucketFree(&b, v) == dead[v] {
+							t.Fatalf("op %d: vacancy %d free=%v, mirror dead=%v", op, v, !dead[v], dead[v])
+						}
+					}
+					requireBucketsEqual(t, name, &b, &fresh, vacs, rows)
 				}
 			}
 		})
@@ -121,73 +146,103 @@ type scanState struct {
 // infeasible rows), and seed bounds, ScanBestRows must return bitwise the
 // same (winner, score) as the flat ScanBest over the live list — which
 // TestTrialSetMatchesViewTrials in turn pins to the brute-force
-// ScoreBounded loop.
+// ScoreBounded loop. The generated circuit covers every estimator; the
+// trunk-heavy fixtures (Steiner nets keeping 4-16 pins besides the
+// trialled hub) make the branch-excess bound carry real weight.
 func TestScanBestRowsMatchesFlatScan(t *testing.T) {
 	ckt := testCircuit(t, 36)
-	movable := ckt.Movable()
 	for _, est := range allEstimators {
 		place := layout.NewRandom(ckt, 8, rng.New(5))
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(place)
-		view := inc.View()
-		r := rng.New(0xb0c5)
-		var s scanState
-		s.rows = place.NumRows()
-
-		for step := 0; step < 80; step++ {
-			id := movable[r.Intn(len(movable))]
-			nets := ckt.CellNets(id, nil)
-			weights := make([]float64, len(nets))
-			for i := range weights {
-				weights[i] = 1 + float64(r.Intn(8))/4
-			}
-			inc.RemoveCell(id)
-			inc.CompileTrials(&s.set, nets, weights, s.rows)
-
-			nVac := 8 + r.Intn(40)
-			s.vacs = s.vacs[:0]
-			for i := 0; i < nVac; i++ {
-				row := int32(r.Intn(s.rows))
-				s.vacs = append(s.vacs, Vacancy{
-					X: float64(r.Intn(60)) / 2, Y: layout.RowY(int(row)), Row: row,
-				})
-			}
-			s.bk.Build(s.vacs, s.rows)
-			for i := 0; i < nVac/4; i++ {
-				s.bk.Commit(int32(r.Intn(nVac)))
-			}
-			s.free = s.free[:0]
-			for v := 0; v < nVac; v++ {
-				if s.bk.Alive(int(s.bk.pos[v])) {
-					s.free = append(s.free, int32(v))
-				}
-			}
-			s.rowOK = s.rowOK[:0]
-			for row := 0; row < s.rows; row++ {
-				s.rowOK = append(s.rowOK, r.Intn(8) != 0)
-			}
-
-			// Alternate the unbounded scan with an engine-style seed bound
-			// (nextafter above a random live vacancy's exact score).
-			bound0 := 1e308
-			if step%2 == 1 && len(s.free) > 0 {
-				v := s.free[r.Intn(len(s.free))]
-				if s.rowOK[s.vacs[v].Row] {
-					score := s.set.Score(view, s.vacs[v].X, s.vacs[v].Y, int(s.vacs[v].Row))
-					bound0 = math.Nextafter(score, math.Inf(1))
-				}
-			}
-
-			s.set.PrepareScan(layout.RowY, s.rows)
-			gotBest, gotScore := s.set.ScanBestRows(view, s.vacs, &s.bk, s.rowOK, 0, s.rows, bound0, nil)
-			wantBest, wantScore := s.set.ScanBest(view, s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, nil)
-			if gotBest != wantBest || gotScore != wantScore {
-				t.Fatalf("est %d step %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)",
-					est, step, gotBest, gotScore, wantBest, wantScore)
-			}
-			inc.RestoreCell(id)
+		checkScanMatchesFlat(t, fmt.Sprintf("est %d", est), ckt, place, place.NumRows(),
+			est, ckt.Movable(), rng.New(0xb0c5), 80)
+	}
+	r := rng.New(0x7b0c)
+	sawExcess := false
+	for fix := 0; fix < 8; fix++ {
+		f := newTrunkFixture(t, r, 4, false)
+		if checkScanMatchesFlat(t, fmt.Sprintf("trunks %d", fix), f.ckt, f.coords, f.rows,
+			Steiner, f.hubs, r, 20) {
+			sawExcess = true
 		}
 	}
+	if !sawExcess {
+		t.Fatal("trunk-heavy case compiled no item with a nonzero x branch excess")
+	}
+}
+
+// checkScanMatchesFlat runs steps random scans of the given cells and
+// reports whether any compiled item carried a nonzero x branch excess.
+func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords Coords, rows int,
+	est Estimator, cells []netlist.CellID, r *rng.R, steps int) (sawExcess bool) {
+	t.Helper()
+	inc := NewIncremental(ckt, est)
+	inc.Rebuild(coords)
+	view := inc.View()
+	var s scanState
+	s.rows = rows
+	for step := 0; step < steps; step++ {
+		id := cells[r.Intn(len(cells))]
+		nets := ckt.CellNets(id, nil)
+		weights := make([]float64, len(nets))
+		for i := range weights {
+			weights[i] = 1 + float64(r.Intn(8))/4
+		}
+		inc.RemoveCell(id)
+		inc.CompileTrials(&s.set, nets, weights, s.rows)
+		for i := range s.set.items {
+			sawExcess = sawExcess || s.set.items[i].ex > 0
+		}
+
+		nVac := 8 + r.Intn(40)
+		s.vacs = s.vacs[:0]
+		for i := 0; i < nVac; i++ {
+			row := int32(r.Intn(s.rows))
+			s.vacs = append(s.vacs, Vacancy{
+				X: float64(r.Intn(60)) / 2, Y: layout.RowY(int(row)), Row: row,
+			})
+		}
+		s.bk.Build(s.vacs, s.rows)
+		for i := 0; i < nVac/4; i++ {
+			s.bk.Commit(int32(r.Intn(nVac)))
+		}
+		s.free = s.free[:0]
+		for v := 0; v < nVac; v++ {
+			if bucketFree(&s.bk, v) {
+				s.free = append(s.free, int32(v))
+			}
+		}
+		s.rowOK = s.rowOK[:0]
+		for row := 0; row < s.rows; row++ {
+			s.rowOK = append(s.rowOK, r.Intn(8) != 0)
+		}
+
+		// Alternate the unbounded scan with an engine-style seed bound
+		// (nextafter above a random live vacancy's exact score).
+		bound0 := 1e308
+		if step%2 == 1 && len(s.free) > 0 {
+			v := s.free[r.Intn(len(s.free))]
+			if s.rowOK[s.vacs[v].Row] {
+				score := s.set.Score(view, s.vacs[v].X, s.vacs[v].Y, int(s.vacs[v].Row))
+				bound0 = math.Nextafter(score, math.Inf(1))
+			}
+		}
+
+		s.set.PrepareScan(layout.RowY, s.rows)
+		var st, wantSt ScanStats
+		gotBest, gotScore := s.set.ScanBestRows(view, s.vacs, &s.bk, s.rowOK, 0, s.rows, bound0, &st)
+		wantBest, wantScore := s.set.ScanBest(view, s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, &wantSt)
+		if gotBest != wantBest || gotScore != wantScore {
+			t.Fatalf("%s step %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)",
+				tag, step, gotBest, gotScore, wantBest, wantScore)
+		}
+		// Every free vacancy of a feasible row is a candidate, visited or
+		// skipped, exactly as the flat scan counts its visits.
+		if n := st.Vacancies + st.SkippedBucket; n != wantSt.Vacancies {
+			t.Fatalf("%s step %d: scan counted %d candidates, flat scan %d", tag, step, n, wantSt.Vacancies)
+		}
+		inc.RestoreCell(id)
+	}
+	return sawExcess
 }
 
 // TestScanBestRowsTieHeavy pins the earliest-index tie rule under the

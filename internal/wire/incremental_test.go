@@ -278,9 +278,6 @@ func TestScanBestTrailingZeroTieBreak(t *testing.T) {
 			{kind: trialBBox, w: 1, minX: 10, maxX: 20, minY: 1.5, maxY: 1.5},
 			{kind: trialZero},
 		},
-		// Hand-built sets must carry the stored-span suffix bounds
-		// CompileTrials derives: Σ_{j>=i} w_j · storedSpan_j.
-		tail: []float64{10, 0, 0},
 	}
 	// Two vacancies with identical coordinates — identical scores.
 	vacs := []Vacancy{{X: 0, Y: 1.5, Row: 0}, {X: 0, Y: 1.5, Row: 0}}

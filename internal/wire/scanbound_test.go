@@ -1,0 +1,377 @@
+package wire
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"simevo/internal/layout"
+	"simevo/internal/netlist"
+	"simevo/internal/rng"
+)
+
+// intn deals fixture parameters: an rng for the randomized tests, a
+// byteSource for the fuzz target.
+type intn interface{ Intn(n int) int }
+
+// byteSource deals values from a fuzz input, cycling through it (zeros when
+// empty), so inputs of any length map to a valid fixture.
+type byteSource struct {
+	b []byte
+	i int
+}
+
+func (s *byteSource) Intn(n int) int {
+	if len(s.b) == 0 {
+		return 0
+	}
+	v := int(s.b[s.i%len(s.b)])
+	s.i++
+	return v % n
+}
+
+// trunkFixture is a circuit whose hub cells see only Steiner trunks: every
+// hub net keeps between minPins and 16 pins once the hub is lifted out.
+// Pin coordinates sit on a coarse grid (many duplicates), off row
+// centerlines as well as on them: x = x0 + k·dx for k < 48, y = y0 + k·dy
+// for k < 4·rows, with row r's centerline at rowY(r) = y0 + (4r+2)·dy.
+// The narrow grid (half units near 0, layout.RowY rows) keeps every float
+// sum exact; the wide one puts tightly clustered pins at non-dyadic
+// coordinates near 4000 and 3000, where the prefix sums behind the trunk
+// branch sums round at the magnitude of the coordinates, not of the net.
+type trunkFixture struct {
+	ckt            *netlist.Circuit
+	coords         *mutableCoords
+	hubs           []netlist.CellID
+	rows           int
+	x0, dx, y0, dy float64
+}
+
+func (f *trunkFixture) xAt(k int) float64  { return f.x0 + float64(k)*f.dx }
+func (f *trunkFixture) rowY(r int) float64 { return f.y0 + float64(4*r+2)*f.dy }
+
+func newTrunkFixture(t testing.TB, src intn, minPins int, wide bool) *trunkFixture {
+	t.Helper()
+	pins := func() int { return minPins + src.Intn(17-minPins) }
+	b := netlist.NewBuilder("trunks")
+	nHub := 1 + src.Intn(3)
+	for h := 0; h < nHub; h++ {
+		nIn := 1 + src.Intn(3)
+		var ins []string
+		for j := 0; j < nIn; j++ {
+			// The pad drives the hub and k-1 buffers: k pins besides the hub.
+			pad := fmt.Sprintf("i%d_%d", h, j)
+			b.AddInput(pad)
+			ins = append(ins, pad)
+			for k := pins(); k > 1; k-- {
+				buf := fmt.Sprintf("b%d_%d_%d", h, j, k)
+				b.AddGate(buf, netlist.Buf, []string{pad}, 0)
+				b.AddOutput(buf)
+			}
+		}
+		typ := netlist.And
+		if nIn == 1 {
+			typ = netlist.Buf
+		}
+		hub := fmt.Sprintf("h%d", h)
+		b.AddGate(hub, typ, ins, 0)
+		for k := pins(); k > 0; k-- {
+			buf := fmt.Sprintf("o%d_%d", h, k)
+			b.AddGate(buf, netlist.Buf, []string{hub}, 0)
+			b.AddOutput(buf)
+		}
+	}
+	ckt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &trunkFixture{ckt: ckt, rows: 8, dx: 0.5, dy: layout.RowPitch / 4}
+	if wide {
+		f.x0, f.dx, f.y0, f.dy = 4000, 0.1, 3000.1, 0.07
+	}
+	f.coords = &mutableCoords{x: make([]float64, len(ckt.Cells)), y: make([]float64, len(ckt.Cells))}
+	for i := range ckt.Cells {
+		f.coords.x[i] = f.xAt(src.Intn(48))
+		f.coords.y[i] = f.y0 + float64(src.Intn(4*f.rows))*f.dy
+		if strings.HasPrefix(ckt.Cells[i].Name, "h") {
+			f.hubs = append(f.hubs, netlist.CellID(i))
+		}
+	}
+	return f
+}
+
+func fixtureWeights(src intn, n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(1+src.Intn(8)) / 4
+	}
+	return w
+}
+
+// xPenOf is the x-extension a candidate at x forces on an item's stored box.
+func xPenOf(it *compiledTrial, x float64) float64 {
+	switch {
+	case !it.hasBox:
+		return 0
+	case x < it.minX:
+		return it.minX - x
+	case x > it.maxX:
+		return x - it.maxX
+	}
+	return 0
+}
+
+// TestScanBoundsSound checks the scan's lower bounds against exact trial
+// costs on Steiner trunks with 3-16 stored pins (duplicate coordinates
+// included), for every row and for x inside and outside the pin spans:
+// each item's rowTail term plus its x-penalty stays under the item's
+// weighted trial length, and rowLB plus the x envelope stays under the
+// whole trial score — each up to scanSlack, as the scan compares them.
+// Half the fixtures use the wide grid, where the bounds and the trial
+// costs round at the magnitude of the coordinates and candidates coincide
+// with pins. It also requires the branch-excess term to be exercised: some
+// trunk must carry eX > 0, and some row bound must come out strictly
+// sharper than the bound without it.
+func TestScanBoundsSound(t *testing.T) {
+	r := rng.New(0x5eed)
+	sawExcess, sawSharper := false, false
+	for trial := 0; trial < 80; trial++ {
+		f := newTrunkFixture(t, r, 3, trial%2 == 1)
+		inc := NewIncremental(f.ckt, Steiner)
+		inc.Rebuild(f.coords)
+		view := inc.View()
+		for _, hub := range f.hubs {
+			nets := f.ckt.CellNets(hub, nil)
+			inc.RemoveCell(hub)
+			var set TrialSet
+			inc.CompileTrials(&set, nets, fixtureWeights(r, len(nets)), f.rows)
+			set.PrepareScan(f.rowY, f.rows)
+			for i := range set.items {
+				it := &set.items[i]
+				if it.kind != trialTrunk {
+					t.Fatalf("trial %d: item %d is kind %d, want a trunk", trial, i, it.kind)
+				}
+				// Only the rounding allowance (branchExcess) may take the
+				// excess below 0.
+				allow := 4 * 17 * 17 * 0x1p-52 * max(f.xAt(48), f.y0+float64(4*f.rows)*f.dy)
+				if it.ex < -allow || it.ey < -allow {
+					t.Fatalf("trial %d: branch excess (%v, %v) below the rounding allowance", trial, it.ex, it.ey)
+				}
+				if len(it.xv) == 3 && (it.ex > 0 || it.ey > 0) {
+					t.Fatalf("trial %d: 3 stored pins with excess (%v, %v)", trial, it.ex, it.ey)
+				}
+				sawExcess = sawExcess || it.ex > 0
+			}
+			stride := len(set.items) + 1
+			for row := 0; row < f.rows; row++ {
+				set.ensureRowTail(row)
+				y := f.rowY(row)
+				base := row * stride
+				for i := range set.items {
+					slot := i*set.yClasses + row
+					yBranch, ySpan := set.memo[2*slot], set.memo[2*slot+1]
+					if ySpan < yBranch && ySpan+set.items[i].ex > ySpan {
+						sawSharper = true
+					}
+				}
+				for k := -6; k < 54; k++ {
+					x := f.xAt(k)
+					score := set.Score(view, x, y, row)
+					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
+						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
+					}
+					whole := set.rowTail[base]
+					for i := range set.items {
+						it := &set.items[i]
+						cost := view.TrialNetAt(nets[i], x, y) * it.w
+						pen := it.w * xPenOf(it, x)
+						whole += pen
+						if term := set.rowTail[base+i] - set.rowTail[base+i+1] + pen; term*scanSlack > cost {
+							t.Fatalf("trial %d row %d x %v item %d: bound %v > cost %v", trial, row, x, i, term, cost)
+						}
+					}
+					if whole*scanSlack > score {
+						t.Fatalf("trial %d row %d x %v: rowTail+xPen %v > score %v", trial, row, x, whole, score)
+					}
+				}
+			}
+			inc.RestoreCell(hub)
+		}
+	}
+	if !sawExcess || !sawSharper {
+		t.Fatalf("branch excess never exercised: eX > 0 seen %v, sharper row bound seen %v", sawExcess, sawSharper)
+	}
+}
+
+// TestRowBoundSweepRounding checks rowLB on a tall die: 2000 rows with every
+// pin in the top six, so the y sweep starts thousands of units from the
+// items and its partial sums cancel down to the trial's scale. Its rounding
+// is then absolute, larger than scanSlack covers relative to the score,
+// and only PrepareScan's deduction keeps rowLB plus the x envelope under
+// the score on the rows the pins sit in.
+func TestRowBoundSweepRounding(t *testing.T) {
+	r := rng.New(7)
+	const rows = 2000
+	rowY := func(k int) float64 { return (float64(k) + 0.5) * layout.RowPitch }
+	for trial := 0; trial < 200; trial++ {
+		f := newTrunkFixture(t, r, 3, false)
+		for i := range f.coords.y {
+			f.coords.x[i] = 1000 + float64(r.Intn(40))*0.37
+			f.coords.y[i] = rowY(rows - 1 - r.Intn(6))
+		}
+		inc := NewIncremental(f.ckt, Steiner)
+		inc.Rebuild(f.coords)
+		view := inc.View()
+		for _, hub := range f.hubs {
+			nets := f.ckt.CellNets(hub, nil)
+			inc.RemoveCell(hub)
+			w := make([]float64, len(nets))
+			for i := range w {
+				w[i] = 0.01 + r.Float64()
+			}
+			var set TrialSet
+			inc.CompileTrials(&set, nets, w, rows)
+			set.PrepareScan(rowY, rows)
+			for row := rows - 6; row < rows; row++ {
+				y := rowY(row)
+				for k := 0; k < 40; k++ {
+					x := 1000 + float64(k)*0.37
+					score := set.Score(view, x, y, row)
+					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
+						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
+					}
+				}
+			}
+			inc.RestoreCell(hub)
+		}
+	}
+}
+
+// FuzzScanBestRows runs an allocation-like sequence over a fuzzed trunk
+// fixture — grid, pins, weights, vacancy pool, feasible rows and seed
+// bounds all come from the input: each selected cell is scanned, its winner
+// placed and committed, then the next cell is scanned against the shrunken
+// pool. Vacancies share the pins' grid, so many tie exactly. Every winner
+// must be bitwise the flat reference scan's and the first minimum of a
+// plain Score loop, for the whole row range and for a two-chunk split
+// reduced the way the parallel scan reduces, and the scan must count every
+// free vacancy of a feasible row exactly once. An odd first byte selects
+// the wide grid.
+func FuzzScanBestRows(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte("trunk-heavy vacancy scan with duplicate pins"))
+	f.Add([]byte("wide trunk-heavy scan with clustered pins"))
+	f.Add([]byte{255, 13, 0, 0, 77, 3, 3, 3, 200, 41, 9, 128})
+	f.Add([]byte{3, 255, 2, 3, 16, 16, 16, 47, 46, 45, 7, 7, 7, 7, 0, 1, 2, 3, 4, 5, 6, 7})
+	// Wide grid: without the trunk rounding allowance the row bound
+	// ("12") and the flat scan's stored-span bound ("C200") round a hair
+	// above the winner's computed score; with every pin of a trunk at one
+	// point ("1j") an unclamped branch sum rounds below 0.
+	f.Add([]byte("12"))
+	f.Add([]byte("C200"))
+	f.Add([]byte("1j"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &byteSource{b: data}
+		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)
+		inc := NewIncremental(fx.ckt, Steiner)
+		inc.Rebuild(fx.coords)
+		view := inc.View()
+
+		sel := append([]netlist.CellID(nil), fx.hubs...)
+		movable := fx.ckt.Movable()
+		picked := make(map[netlist.CellID]bool)
+		for _, h := range sel {
+			picked[h] = true
+		}
+		for k := src.Intn(6); k > 0; k-- {
+			if id := movable[src.Intn(len(movable))]; !picked[id] {
+				picked[id] = true
+				sel = append(sel, id)
+			}
+		}
+		nVac := len(sel) + src.Intn(24)
+		vacs := make([]Vacancy, nVac)
+		for i := range vacs {
+			row := int32(src.Intn(fx.rows))
+			vacs[i] = Vacancy{X: fx.xAt(src.Intn(48)), Y: fx.rowY(int(row)), Row: row}
+		}
+		var bk VacancyBuckets
+		bk.Build(vacs, fx.rows)
+		free := make([]int32, nVac)
+		for i := range free {
+			free[i] = int32(i)
+		}
+		rowOK := make([]bool, fx.rows)
+		var set TrialSet
+		for own, id := range sel {
+			nets := fx.ckt.CellNets(id, nil)
+			inc.RemoveCell(id)
+			inc.CompileTrials(&set, nets, fixtureWeights(src, len(nets)), fx.rows)
+			set.PrepareScan(fx.rowY, fx.rows)
+			feasible := uint64(0)
+			for r := range rowOK {
+				rowOK[r] = src.Intn(6) != 0
+			}
+			for _, v := range free {
+				if rowOK[vacs[v].Row] {
+					feasible++
+				}
+			}
+			bound0 := 1e308
+			if src.Intn(2) == 0 && bucketFree(&bk, own) && rowOK[vacs[own].Row] {
+				score := set.Score(view, vacs[own].X, vacs[own].Y, int(vacs[own].Row))
+				bound0 = math.Nextafter(score, math.Inf(1))
+			}
+
+			want, wantScore := set.ScanBest(view, vacs, free, rowOK, 0, len(free), bound0, nil)
+			brute, bruteScore := -1, bound0
+			for _, v := range free {
+				if vc := vacs[v]; rowOK[vc.Row] {
+					if s := set.Score(view, vc.X, vc.Y, int(vc.Row)); s < bruteScore {
+						brute, bruteScore = int(v), s
+					}
+				}
+			}
+			if brute != want || (brute >= 0 && bruteScore != wantScore) {
+				t.Fatalf("cell %d: ScanBest (%d, %v) != Score loop (%d, %v)", own, want, wantScore, brute, bruteScore)
+			}
+			var st ScanStats
+			got, gotScore := set.ScanBestRows(view, vacs, &bk, rowOK, 0, fx.rows, bound0, &st)
+			if got != want || gotScore != wantScore {
+				t.Fatalf("cell %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)", own, got, gotScore, want, wantScore)
+			}
+			if n := st.Vacancies + st.SkippedBucket; n != feasible {
+				t.Fatalf("cell %d: scan counted %d candidates, %d free feasible", own, n, feasible)
+			}
+			split := 1 + src.Intn(fx.rows-1)
+			best, bestScore := -1, 0.0
+			for _, rg := range [][2]int{{0, split}, {split, fx.rows}} {
+				b, s := set.ScanBestRows(view, vacs, &bk, rowOK, rg[0], rg[1], bound0, nil)
+				if b >= 0 && (best < 0 || s < bestScore || (s == bestScore && b < best)) {
+					best, bestScore = b, s
+				}
+			}
+			if best != want || (best >= 0 && bestScore != wantScore) {
+				t.Fatalf("cell %d split %d: chunked (%d, %v) != ScanBest (%d, %v)", own, split, best, bestScore, want, wantScore)
+			}
+
+			if want < 0 {
+				want = int(free[0]) // the engine's width-violation fallback
+			}
+			inc.PlaceCell(id, vacs[want].X, vacs[want].Y)
+			bk.Commit(int32(want))
+			for i, v := range free {
+				if int(v) == want {
+					free = append(free[:i], free[i+1:]...)
+					break
+				}
+			}
+			if len(free) == 0 {
+				return
+			}
+		}
+	})
+}

@@ -38,19 +38,31 @@ func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
 	}
 	best, bound := -1, bound0
 	items := t.items
+	// tail[i] = Σ_{j>=i} w_j · (storedSpan_j + e_j) lower-bounds the
+	// weighted cost of items i.. for any candidate: every trial with stored
+	// pins is at least the stored pins' half-perimeter (see TrialSet.rowTail
+	// for the RMST argument), a trunk's by min(eX, eY) more — an excess
+	// that carries the trunk's rounding allowance, so it may be slightly
+	// negative; empty nets contribute 0.
+	tail := make([]float64, len(items)+1)
+	for i := len(items) - 1; i >= 0; i-- {
+		tail[i] = tail[i+1]
+		if it := &items[i]; it.hasBox {
+			tail[i] += ((it.maxX - it.minX) + (it.maxY - it.minY) + trunkExcess(it)) * it.w
+		}
+	}
 	// Bbox pre-check on the leading net: any trial with stored pins —
 	// bbox, trunk, or RMST — is bounded below by the half-perimeter of the
-	// stored pins extended by the candidate, and items 1.. are bounded
-	// below by tail[1]. When even that sum reaches the current bound the
+	// stored pins extended by the candidate (a trunk's plus its excess, as
+	// in tail), and items 1.. are bounded below by tail[1]. When even that sum reaches the current bound the
 	// vacancy is skipped before any full evaluation. Pruned vacancies are
 	// exactly ones the bounded scan would have discarded (their true cost
 	// is >= the bound), so the winner — and the trajectory — is untouched.
-	tail := t.tail
 	prune := false
-	var pruneW, tail1, minX0, maxX0, minY0, maxY0 float64
+	var pruneW, pruneE, tail1, minX0, maxX0, minY0, maxY0 float64
 	if len(items) > 0 && items[0].hasBox {
 		it := &items[0]
-		prune, pruneW, tail1 = true, it.w, tail[1]
+		prune, pruneW, pruneE, tail1 = true, it.w, trunkExcess(it), tail[1]
 		minX0, maxX0, minY0, maxY0 = it.minX, it.maxX, it.minY, it.maxY
 	}
 scan:
@@ -76,7 +88,7 @@ scan:
 			if y > hiy {
 				hiy = y
 			}
-			if (((hix-lox)+(hiy-loy))*pruneW+tail1)*scanSlack >= bound {
+			if (((hix-lox)+(hiy-loy)+pruneE)*pruneW+tail1)*scanSlack >= bound {
 				st.PrunedBBox++
 				continue
 			}
@@ -174,4 +186,12 @@ scan:
 		}
 	}
 	return best, bound
+}
+
+// trunkExcess is min(eX, eY) for a trunk item and 0 for any other.
+func trunkExcess(it *compiledTrial) float64 {
+	if it.kind != trialTrunk {
+		return 0
+	}
+	return min(it.ex, it.ey)
 }

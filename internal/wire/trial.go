@@ -107,7 +107,14 @@ func branchSumAt(v, p []float64, med float64, i int) float64 {
 	n := len(v)
 	left := med*float64(i) - p[i]
 	right := (p[n] - p[i]) - med*float64(n-i)
-	return left + right
+	// The prefix-sum form rounds at the magnitude of the values, so when
+	// they all coincide far from the origin it can land a hair below 0.
+	// Clamping keeps every trial length nonnegative, which the bounded
+	// scans' prefix bail (cost >= bound) relies on.
+	if s := left + right; s > 0 {
+		return s
+	}
+	return 0
 }
 
 // bboxPlus1 returns the half-perimeter of stored bounds extended by one

@@ -38,49 +38,63 @@ type TrialSet struct {
 	memo     []float64 // per (item, class): [ySpanExt|0, yBranch|ySpanExt]
 	filled   []bool    // per (item, class)
 
-	// tail[i] = Σ_{j>=i} w_j · storedSpan_j: a lower bound on the weighted
-	// cost of items i.. for ANY candidate, since every trial with stored
-	// pins is at least the stored pins' half-perimeter — bbox and trunk
-	// trials by construction, and RMST trials because any spanning
-	// structure over the merged pin set must cover the merged extent on
-	// each axis (Σ|dx| over the tree's edges is at least the x span along
-	// the leftmost-to-rightmost path, likewise for y), so
-	// RMST(stored ∪ candidate) >= merged half-perimeter >= storedSpan.
-	// Only empty nets contribute 0. The flat in-order scan (the package
-	// tests' reference for ScanBestRows) adds tail[i+1] to the partial
-	// cost when bailing, pruning vacancies whose suffix could never fit
-	// under the bound — deflated by scanSlack so float reassociation
-	// cannot turn the estimate into an over-prune; see scanSlack.
-	tail []float64
-
-	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] is the
-	// per-row sharpening of tail: Σ_{j>=i} w_j · (storedSpan_j + yPen_j(r)),
-	// where yPen_j(r) is the y-extension the row's centerline forces on the
-	// stored pins' bbox — a lower bound on the weighted cost of items i..
-	// for ANY candidate in row r (every trial with stored pins is at least
-	// the stored half-perimeter extended by the candidate — see tail for
-	// the RMST argument; empty nets contribute 0). The weights embed the
-	// active objective scores — in wpd mode the cached per-net timing
-	// criticality, in wpc/wpdc mode the congestion grid's per-net demand
-	// score — so the bound is criticality- and congestion-aware: hot nets
-	// carry inflated weights and their bound mass prunes proportionally
-	// harder, which is what keeps wpd/wpdc scans pruning like wp scans.
-	// Columns fill lazily, one row on first walk (ensureRowTail): the
-	// outward row iteration cuts most rows before their suffix column is
-	// ever needed, and the chunked parallel scan partitions rows, so the
-	// lazy fill touches disjoint memory per worker.
+	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] is a
+	// lower bound on the weighted cost of items i.. for ANY candidate in
+	// row r, x-penalties aside (the walk tracks those separately, see
+	// xlo/xhi): Σ_{j>=i} w_j · lb_j(r), where
+	//
+	//   - a bbox item's lb is its exact y half plus its stored x span:
+	//     storedSpanX + ySpanExt(r), with ySpanExt the stored y span
+	//     extended to the row's centerline;
+	//   - an RMST item with stored pins uses the same bbox formula: any
+	//     spanning structure over the merged pin set covers the merged
+	//     extent on each axis (Σ|dx| over the tree's edges is at least the
+	//     x span along the leftmost-to-rightmost path, likewise for y), so
+	//     RMST(stored ∪ candidate) >= the merged half-perimeter;
+	//   - a trunk item's lb is storedSpanX + min(yBranch(r), ySpanExt(r) +
+	//     eX). The horizontal orientation costs spanX(x) + yBranch, and
+	//     spanX(x) = storedSpanX + xPen(x). The vertical one costs
+	//     ySpanExt + xBranch(x), and xBranch(x) >= spanX(x) + eX, where eX
+	//     = D − storedSpanX is the branch excess of the stored pins (D =
+	//     Σ|x_i − m| about a stored median m). The merged x branch sum is
+	//     min_m [Σ|x_i − m| + |x − m|]. The first term is always >= D. If
+	//     m lies past the stored interval's end on the candidate's side,
+	//     by δ, it is >= D + k·δ (k >= 1 stored pins) while |x − m| >=
+	//     xPen(x) − δ; anywhere else |x − m| >= xPen(x) outright. Either
+	//     way the sum is >= D + xPen(x) = spanX(x) + eX. The stored eX
+	//     also has a rounding allowance deducted (branchExcess), so the
+	//     bound holds against the computed branch sums too;
+	//   - empty and boxless items contribute 0.
+	//
+	// The weights embed the active objective scores — in wpd mode the
+	// cached per-net timing criticality, in wpc/wpdc mode the congestion
+	// grid's per-net demand score — so the bound is criticality- and
+	// congestion-aware: hot nets carry inflated weights and their bound
+	// mass prunes proportionally harder, which is what keeps wpd/wpdc
+	// scans pruning like wp scans. Columns fill lazily, one row on first
+	// walk (ensureRowTail): the best-first row iteration cuts most rows
+	// before their suffix column is ever needed, and the chunked parallel
+	// scan partitions rows, so the lazy fill touches disjoint memory per
+	// worker.
 	rowTail  []float64
 	rowReady []bool
 	// rowLB[r] = C + Σ w_j · yPen_j(y_r), the whole-trial lower bound at
-	// row r's centerline (C = Σ w_j · storedSpan_j), computed for every
-	// row by an O(rows + items) breakpoint sweep: the y-penalty envelope
-	// is convex piecewise-linear in y, so integrating its slope across
-	// the sorted row centerlines reproduces the per-row sums with a few
-	// flops per row instead of O(items). The sweep's accumulated rounding
-	// is absorbed by scanSlack like any other reassociation error. When
-	// even rowLB[r] (deflated) reaches the running bound, ScanBestRows
-	// skips the whole row bucket; anchorRow is the argmin — the most
-	// promising row, where the outward row iteration starts.
+	// row r's centerline, with C = Σ w_j · (storedSpan_j + e_j): e_j is
+	// min(eX, eY) for a trunk item and 0 otherwise. By the rowTail
+	// argument, and its mirror on y (yBranch(y) >= spanY(y) + eY), each
+	// trunk orientation costs at least spanX(x) + spanY(y) + min(eX, eY).
+	// rowLB is computed for every row by an O(rows + items) breakpoint
+	// sweep: the y-penalty envelope is convex piecewise-linear in y, so
+	// integrating its slope across the sorted row centerlines reproduces
+	// the per-row sums with a few flops per row instead of O(items). The
+	// sweep's rounding is absolute, at the scale of the rows swept, so
+	// PrepareScan deducts a bound on it from every row, and the compares
+	// deflate by scanSlack for the relative rest. Every trunk's
+	// excess carries its own rounding allowance (branchExcess). When even
+	// rowLB[r] (deflated) reaches the
+	// running bound, ScanBestRows skips the whole row bucket; anchorRow is
+	// the argmin — the most promising row, where the best-first row
+	// iteration starts.
 	rowLB     []float64
 	rowY      []float64
 	anchorRow int
@@ -102,14 +116,12 @@ type TrialSet struct {
 	// compares against bound/scanSlack: the 1e-12 slack dwarfs both the
 	// summation error and any near-zero-slope misjudgment of the cut
 	// interval, so a cut vacancy's true cost still reaches the bound.
-	// yCutLo/yCutHi are the same construction for the y envelope, cutting
-	// whole row directions in ScanBestRows. anchorX, the midpoint of the
-	// cut interval (the envelope's minimum region), seeds the in-row walk.
+	// anchorX, the midpoint of the cut interval (the envelope's minimum
+	// region), seeds the in-row walk.
 	hasPrune       bool
 	xlo, xhi, xw   []float64
 	ylo, yhi       []float64 // same items' y-intervals (weights shared via xw)
 	xCutLo, xCutHi float64
-	yCutLo, yCutHi float64
 	anchorX        float64
 	evp, evw       []float64 // breakpoint-sweep scratch: positions, weights
 	// Piecewise-linear form of the x envelope, built once per cell from the
@@ -118,17 +130,17 @@ type TrialSet struct {
 	// left of xbp[0] the slope is -xTotW (the negated total weight). envAt
 	// evaluates the envelope in O(1) given the segment index, turning the
 	// per-vacancy O(items) penalty loop into a monotone cursor walk. The
-	// segment values are themselves a breakpoint sweep, so like rowLB they
-	// are reassociated sums of the same nonnegative terms — every compare
-	// against them stays deflated by scanSlack, which dwarfs the sweep's
-	// accumulated rounding.
+	// segment values are themselves a breakpoint sweep, but one that starts
+	// at the items' own extent, not rows away from them, so its rounding
+	// stays at the scale of the trial and every compare against them is
+	// deflated by scanSlack alone.
 	xbp, xbv, xbs []float64
 	xTotW         float64
 }
 
 // scanSlack deflates the estimate-based prune thresholds of the vacancy
-// scans. The suffix bound compares cost + tail[i+1] against the running bound,
-// but tail is a *reassociated* float sum: it can exceed the true
+// scans. The suffix bound compares cost + rowTail[i+1] against the running
+// bound, but rowTail is a *reassociated* float sum: it can exceed the true
 // sequentially-rounded remaining cost by a few ULPs (and the per-item
 // trial arithmetic itself carries ~1e-14 relative error), so an exact
 // comparison could prune a vacancy whose true cost is a hair below the
@@ -141,6 +153,10 @@ type TrialSet struct {
 // true cost >= bound, so only genuine non-winners are skipped and the
 // winner is bitwise the brute-force scan's. Prefix-only bails
 // (cost >= bound over the already-accumulated exact terms) need no slack.
+// The slack covers rounding relative to the estimate only; rounding at the
+// magnitude of the coordinates (trunk branch sums, the rowLB sweep across
+// the rows) is deducted from the bounds where it arises (branchExcess,
+// PrepareScan).
 const scanSlack = 1 - 1e-12
 
 type trialKind uint8
@@ -164,6 +180,13 @@ type compiledTrial struct {
 
 	// Stored pin bounds per axis (hasBox items).
 	minX, maxX, minY, maxY float64
+
+	// Trunk: branch excess of the stored pins per axis, Σ|v_i − m| −
+	// (v_max − v_min) about a stored median m, less a rounding allowance
+	// (branchExcess): the true excess is >= 0, and 0 for 3 stored pins,
+	// so the stored value can dip just below 0. The prune bounds use it
+	// (see TrialSet.rowTail).
+	ex, ey float64
 
 	// Trunk: median anchors around the merged middle. Odd merged count
 	// uses a0..a1 (med = clamp(c, a0, a1)); even uses a0..a2
@@ -235,18 +258,10 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 			}
 			it.ix0 = int32(sort.SearchFloat64s(g.xv, it.ax0))
 			it.iy0 = int32(sort.SearchFloat64s(g.yv, it.ay0))
+			it.ex = branchExcess(g.xv, g.xp)
+			it.ey = branchExcess(g.yv, g.yp)
 		}
 		dst.items = append(dst.items, it)
-	}
-	dst.tail = resizeFloats(dst.tail, len(dst.items)+1)
-	acc := 0.0
-	dst.tail[len(dst.items)] = 0
-	for i := len(dst.items) - 1; i >= 0; i-- {
-		it := &dst.items[i]
-		if it.hasBox {
-			acc += ((it.maxX - it.minX) + (it.maxY - it.minY)) * it.w
-		}
-		dst.tail[i] = acc
 	}
 	dst.yClasses = yClasses
 	if yClasses > 0 {
@@ -263,6 +278,24 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 			dst.filled[i] = false
 		}
 	}
+}
+
+// branchExcess returns Σ|v_i − m| − (v_max − v_min) for sorted values v with
+// prefix sums p, m the upper middle value, less a rounding allowance. Both
+// this branch sum and the one a trial computes are differences of prefix
+// sums, so each can be off by about n²·ε·M in absolute terms (n values, M
+// the largest |v|): rounding at the magnitude of the coordinates, not of
+// the net, which scanSlack (relative to the score) does not cover for a
+// short net far from the origin. Deducting 4(n+1)²·ε·M, over twice that,
+// keeps every bound built on the excess under the computed trial cost.
+// The result is not clamped: where the true excess is 0 (3 stored pins,
+// or a trial branch sum that rounds below the span) the allowance makes it
+// slightly negative, which is what keeps those bounds sound.
+func branchExcess(v, p []float64) float64 {
+	n := len(v)
+	h := n / 2
+	m := max(math.Abs(v[0]), math.Abs(v[n-1]))
+	return branchSumAt(v, p, v[h], h) - (v[n-1] - v[0]) - 4*float64((n+1)*(n+1))*0x1p-52*m
 }
 
 // PrepareScan computes the row-sharded prune state ScanBestRows consumes:
@@ -287,7 +320,8 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	}
 
 	// Compile the x-penalty envelope, the walk anchor, and the constant
-	// part C = Σ w_j · storedSpan_j of the per-row bound.
+	// part C = Σ w_j · (storedSpan_j + e_j) of the per-row bound (see
+	// rowLB).
 	t.xlo, t.xhi, t.xw = t.xlo[:0], t.xhi[:0], t.xw[:0]
 	t.ylo, t.yhi = t.ylo[:0], t.yhi[:0]
 	t.anchorX = math.Inf(-1) // seek to the region start: right walk covers all
@@ -302,12 +336,15 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 		t.xw = append(t.xw, it.w)
 		t.ylo = append(t.ylo, it.minY)
 		t.yhi = append(t.yhi, it.maxY)
-		c += ((it.maxX - it.minX) + (it.maxY - it.minY)) * it.w
+		e := 0.0
+		if it.kind == trialTrunk {
+			e = min(it.ex, it.ey)
+		}
+		c += ((it.maxX - it.minX) + (it.maxY - it.minY) + e) * it.w
 	}
 	t.hasPrune = len(t.xw) > 0
 	if !t.hasPrune {
 		t.xCutLo, t.xCutHi = math.Inf(-1), math.Inf(1)
-		t.yCutLo, t.yCutHi = math.Inf(-1), math.Inf(1)
 		for r := 0; r < rows; r++ {
 			t.rowLB[r] = 0
 		}
@@ -323,13 +360,12 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	// The x events are still sorted in evp/evw: fold them into the
 	// piecewise-linear envelope the walks evaluate per vacancy.
 	t.buildEnvelope()
-	// Same for the y envelope, which also drives the rowLB sweep below.
-	t.yCutLo, t.yCutHi = t.cutInterval(t.ylo, t.yhi)
 
 	// Sweep the convex y-penalty envelope across the row centerlines:
-	// rowLB[r] = C + f(y_r) with f integrated breakpoint to breakpoint.
-	// The sorted (position, weight) breakpoints are still in evp/evw from
-	// cutInterval; slope starts at -Σw left of every interval.
+	// rowLB[r] = C + f(y_r) with f integrated breakpoint to breakpoint
+	// over the sorted (position, weight) y events; slope starts at -Σw
+	// left of every interval.
+	t.sortEvents(t.ylo, t.yhi)
 	slope, f := 0.0, 0.0
 	y0 := t.rowY[0]
 	for j, w := range t.xw {
@@ -365,6 +401,18 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 			t.anchorRow = r
 		}
 	}
+	// The sweep rounds at the scale of the rows swept, not of the bound it
+	// produces: its partial sums reach Σw·span rows away from the items and
+	// cancel as the slope turns from -Σw to +Σw. Each of its ops additions
+	// rounds by at most ε/2 of Σw·span, and the carried slope by as much
+	// per event, so deducting 8·ops·ε·Σw·span keeps every rowLB under the
+	// true bound. A constant deduction keeps the argmin and the convexity
+	// the row order and the side cuts rely on.
+	span := max(t.rowY[rows-1], t.evp[len(t.evp)-1]) - min(y0, t.evp[0])
+	d := 8 * float64(len(t.xw)+len(t.evp)+rows) * 0x1p-52 * t.xTotW * span
+	for r := 0; r < rows; r++ {
+		t.rowLB[r] -= d
+	}
 }
 
 // cutInterval sorts the prunable items' interval endpoints along one axis
@@ -373,26 +421,9 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 // ≤ 0 left of cutLo and ≥ 0 right of cutHi, so f is nonincreasing toward
 // the interval from the left and nondecreasing away from it on the right —
 // the directional-cut thresholds. Leaves the sorted breakpoints in evp/evw
-// for the caller's sweep.
+// (sortEvents) for the caller's sweep.
 func (t *TrialSet) cutInterval(los, his []float64) (cutLo, cutHi float64) {
-	t.evp, t.evw = t.evp[:0], t.evw[:0]
-	total := 0.0
-	for j, w := range t.xw {
-		t.evp = append(t.evp, los[j], his[j])
-		t.evw = append(t.evw, w, w)
-		total += w
-	}
-	// Insertion sort by position (ties keep insertion order; the envelope
-	// slope only depends on the multiset of events at each position).
-	for i := 1; i < len(t.evp); i++ {
-		p, w := t.evp[i], t.evw[i]
-		j := i - 1
-		for j >= 0 && t.evp[j] > p {
-			t.evp[j+1], t.evw[j+1] = t.evp[j], t.evw[j]
-			j--
-		}
-		t.evp[j+1], t.evw[j+1] = p, w
-	}
+	total := t.sortEvents(los, his)
 	// Slope left of everything is -total; each event adds its weight.
 	slope := -total
 	cutLo, cutHi = t.evp[0], math.NaN()
@@ -409,6 +440,30 @@ func (t *TrialSet) cutInterval(los, his []float64) (cutLo, cutHi float64) {
 		cutHi = t.evp[len(t.evp)-1]
 	}
 	return cutLo, cutHi
+}
+
+// sortEvents fills evp/evw with the prunable items' interval endpoints
+// along one axis, each carrying its item's weight, sorted by position, and
+// returns the total weight.
+func (t *TrialSet) sortEvents(los, his []float64) (total float64) {
+	t.evp, t.evw = t.evp[:0], t.evw[:0]
+	for j, w := range t.xw {
+		t.evp = append(t.evp, los[j], his[j])
+		t.evw = append(t.evw, w, w)
+		total += w
+	}
+	// Insertion sort by position (ties keep insertion order; the envelope
+	// slope only depends on the multiset of events at each position).
+	for i := 1; i < len(t.evp); i++ {
+		p, w := t.evp[i], t.evw[i]
+		j := i - 1
+		for j >= 0 && t.evp[j] > p {
+			t.evp[j+1], t.evw[j+1] = t.evp[j], t.evw[j]
+			j--
+		}
+		t.evp[j+1], t.evw[j+1] = p, w
+	}
+	return total
 }
 
 // buildEnvelope folds the sorted x events left in evp/evw by cutInterval
@@ -456,8 +511,8 @@ func (t *TrialSet) envSeg(x float64) int {
 }
 
 // envAt evaluates the x-penalty envelope at x, which must lie on segment
-// seg (envSeg, or a cursor advanced by the caller). The result carries
-// the sweep's reassociation error — compare it only slack-deflated.
+// seg (envSeg, or a cursor advanced by the caller). The result is a
+// reassociated sum — compare it only slack-deflated.
 func (t *TrialSet) envAt(seg int, x float64) float64 {
 	if seg < 0 {
 		return t.xbv[0] + t.xTotW*(t.xbp[0]-x)
@@ -467,13 +522,10 @@ func (t *TrialSet) envAt(seg int, x float64) float64 {
 
 // ensureRowTail fills row's suffix column of rowTail on first use, at full
 // sharpness: a bbox item contributes its exact y half (extended span), and
-// a trunk item contributes storedSpanX + min(yBranch, ySpanExt) — both
-// memoized per row, and both valid lower bounds on the trunk cost, since
-// the horizontal orientation costs spanX(x) + yBranch ≥ storedSpanX +
-// xPen + yBranch and the vertical one ySpanExt + xBranch ≥ ySpanExt +
-// storedSpanX + xPen (the x branch sum is at least the merged x span).
-// The xPen part is tracked separately by the walk's envelope (xRem).
-// Filling the column also warms the trunk y-memo the scoring loop uses.
+// a trunk item contributes storedSpanX + min(yBranch, ySpanExt + eX) from
+// its memoized row class — the field comment proves both bounds. The xPen
+// part is tracked separately by the walk's envelope (xRem). Filling the
+// column also warms the trunk y-memo the scoring loop uses.
 // Safe under the chunked parallel scan: rows are partitioned across
 // workers, so each column (and its ready bit) is touched by exactly one
 // goroutine.
@@ -491,7 +543,7 @@ func (t *TrialSet) ensureRowTail(row int) {
 		case trialBBox, trialRMST:
 			// The bbox formula is exact for bbox items and a valid lower
 			// bound for RMST items with stored pins (merged half-perimeter
-			// <= RMST; see tail). Boxless RMST items (all pins removed)
+			// <= RMST; see rowTail). Boxless RMST items (all pins removed)
 			// contribute 0 like empty nets.
 			if !it.hasBox {
 				break
@@ -509,8 +561,8 @@ func (t *TrialSet) ensureRowTail(row int) {
 				t.fillClass(i, row, y)
 			}
 			yMin := t.memo[2*slot] // y branch total (horizontal trunk)
-			if s := t.memo[2*slot+1]; s < yMin {
-				yMin = s // extended y span (vertical trunk)
+			if s := t.memo[2*slot+1] + it.ex; s < yMin {
+				yMin = s // extended y span plus x branch excess (vertical trunk)
 			}
 			acc += ((it.maxX - it.minX) + yMin) * it.w
 		}
@@ -707,7 +759,7 @@ type Vacancy struct {
 type ScanStats struct {
 	Vacancies     uint64 // row-feasible candidates considered
 	PrunedBBox    uint64 // dropped by the leading-net bbox pre-check
-	PrunedSuffix  uint64 // dropped by the suffix-bound (tail) estimate
+	PrunedSuffix  uint64 // dropped by the suffix-bound (rowTail) estimate
 	BailedExact   uint64 // dropped by the exact partial-cost prefix check
 	Scored        uint64 // fully scored (survived every prune)
 	SkippedBucket uint64 // never visited: cut wholesale by a row/tail skip
@@ -743,14 +795,17 @@ type rowScan struct {
 
 // ScanBestRows is the row-sharded vacancy scan for the compiled cell: it
 // visits only rows [rowLo, rowHi) of the buckets, skipping infeasible and
-// empty rows, skipping whole rows whose rowTail lower bound already
-// reaches the running bound, and walking each surviving bucket outward
-// from the vacancy nearest the cell's median anchor. The outward order
-// tightens the bound with the best candidates first, and the per-vacancy
-// precheck — rowTail[row] plus the leading item's x-penalty, weakly
-// monotone in the outward x distance — cuts the entire remaining bucket
-// tail the moment it fires beyond the anchor interval, skipping dominated
-// regions wholesale instead of bailing per vacancy.
+// empty rows, skipping whole rows whose lower bound already reaches the
+// running bound, and walking each surviving bucket outward from the
+// vacancy nearest the cell's median anchor. Rows are entered best-first:
+// rowLB is convex around anchorRow, so the scan grows one contiguous row
+// range from there, each step entering whichever neighbouring row has the
+// smaller rowLB. That tightens the bound on the most promising rows
+// first, and once one row's rowLB reaches the bound, every farther row on
+// its side does too, so that side is cut. The per-vacancy precheck — rowTail[row] plus the x-penalty
+// envelope, weakly monotone in the outward x distance — cuts the entire
+// remaining bucket tail the moment it fires beyond the cut interval,
+// skipping dominated regions wholesale instead of bailing per vacancy.
 //
 // The winner is the lowest-index vacancy among those with the strictly
 // smallest score — bitwise the first minimum of a flat in-order
@@ -761,98 +816,101 @@ type rowScan struct {
 // lazy fills index by (item, row), so row-chunked concurrent scans touch
 // disjoint entries — each goroutine still needs its own View. Returns
 // (-1, bound0) if no vacancy is admissible under bound0.
+//
+// st counts every free vacancy of a feasible row exactly once: as visited
+// (Vacancies) or as skipped wholesale (SkippedBucket).
 func (t *TrialSet) ScanBestRows(view *View, vacs []Vacancy, bk *VacancyBuckets,
 	rowOK []bool, rowLo, rowHi int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
 		st = new(ScanStats)
 	}
 	c := rowScan{view: view, vacs: vacs, bk: bk, st: st, best: -1, bound: bound0}
-	r0 := t.anchorRow
-	if r0 < rowLo {
-		r0 = rowLo
+	up := min(max(t.anchorRow, rowLo), rowHi-1)
+	down := up - 1
+	for up < rowHi || down >= rowLo {
+		if down < rowLo || (up < rowHi && t.rowLB[up] <= t.rowLB[down]) {
+			if t.scanRow(&c, rowOK, up) {
+				c.skipRows(rowOK, up+1, rowHi)
+				up = rowHi
+			} else {
+				up++
+			}
+		} else {
+			if t.scanRow(&c, rowOK, down) {
+				c.skipRows(rowOK, rowLo, down)
+				down = rowLo - 1
+			} else {
+				down--
+			}
+		}
 	}
-	if r0 >= rowHi {
-		r0 = rowHi - 1
-	}
-	t.walkRows(&c, rowOK, r0, rowHi, +1)
-	t.walkRows(&c, rowOK, r0-1, rowLo-1, -1)
 	if c.best < 0 {
 		return -1, bound0
 	}
 	return c.best, c.bestScore
 }
 
-// walkRows iterates rows from r toward end (exclusive) in steps of dir —
-// outward from the anchor row, so the bound tightens on the most promising
-// rows first. Rows whose rowLB (or rowLB plus the row's best-case x
-// penalty) already reaches the bound are skipped wholesale; when the rowLB
-// skip fires at a centerline beyond the y cut interval, every remaining
-// row in the walk direction is dominated too (the y envelope is
-// nondecreasing outward) and the whole direction is cut.
-func (t *TrialSet) walkRows(c *rowScan, rowOK []bool, r, end, dir int) {
-	bk, st := c.bk, c.st
-	for ; r != end; r += dir {
-		liveN := uint64(bk.rowN[r])
-		if liveN == 0 || !rowOK[r] {
-			continue
+// skipRows counts the free vacancies of feasible rows [lo, hi) as skipped.
+func (c *rowScan) skipRows(rowOK []bool, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		if rowOK[r] {
+			c.st.SkippedBucket += uint64(c.bk.rowN[r])
 		}
-		st.RowsVisited++
-		if t.rowLB[r]*scanSlack >= c.bound {
-			st.SkippedBucket += liveN
-			y := t.rowY[r]
-			if (dir > 0 && y >= t.yCutHi) || (dir < 0 && y <= t.yCutLo) {
-				for rr := r + dir; rr != end; rr += dir {
-					if rowOK[rr] {
-						st.SkippedBucket += uint64(bk.rowN[rr])
-					}
-				}
-				return
-			}
-			continue
-		}
-		lo, hi := int(bk.start[r]), int(bk.start[r+1])
-		xlb := 0.0
-		if t.hasPrune {
-			// Best-case x penalty anywhere in this row: the envelope is
-			// convex with its minimum on [xCutLo, xCutHi], so its minimum
-			// over the row's x range is attained at the cut point clamped
-			// into the range (dead entries only widen the range — still a
-			// valid lower bound).
-			xc := t.xCutLo
-			if xc < bk.xs[lo] {
-				xc = bk.xs[lo]
-			}
-			if xc > bk.xs[hi-1] {
-				xc = bk.xs[hi-1]
-			}
-			xlb = t.envAt(t.envSeg(xc), xc)
-			if (t.rowLB[r]+xlb)*scanSlack >= c.bound {
-				st.SkippedBucket += liveN
-				continue
-			}
-		}
-		t.ensureRowTail(r)
-		// Re-check with the sharp memoized column before paying for the
-		// seek and walk: rowTail[base] upgrades the sweep's span-based
-		// bound with the true per-row trunk y halves.
-		if (t.rowTail[r*(len(t.items)+1)]+xlb)*scanSlack >= c.bound {
-			st.SkippedBucket += liveN
-			continue
-		}
-		p0 := bk.SeekGE(r, t.anchorX)
-		c.visited = 0
-		t.walkDir(c, r, p0, hi, +1)
-		t.walkDir(c, r, p0-1, lo-1, -1)
-		st.SkippedBucket += liveN - c.visited
 	}
 }
 
-// walkDir walks one row bucket from position p toward end (exclusive) in
-// steps of dir, scoring live vacancies under the cursor's running bound.
-// Dead (committed) positions cost one branch each. When the precheck fires
-// at an x outside the leading item's stored interval, every remaining
-// position in the walk direction has a precheck value at least as large
-// (weak FP monotonicity of max/sub/add/positive-mul), so the walk stops —
+// scanRow scans one row of the best-first order. A row whose rowLB (or
+// rowLB plus the row's best-case x penalty) already reaches the bound is
+// skipped wholesale. scanRow reports true when the rowLB skip fires: each
+// side of the order moves away from anchorRow, the argmin of the convex
+// rowLB, so every remaining row on that side is dominated too, and the
+// caller cuts the side.
+func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
+	bk, st := c.bk, c.st
+	liveN := uint64(bk.rowN[r])
+	if liveN == 0 || !rowOK[r] {
+		return false
+	}
+	st.RowsVisited++
+	if t.rowLB[r]*scanSlack >= c.bound {
+		st.SkippedBucket += liveN
+		return true
+	}
+	lo, hi := bk.liveSpan(r)
+	xlb := 0.0
+	if t.hasPrune {
+		// Best-case x penalty anywhere in this row: the envelope is
+		// convex with its minimum on [xCutLo, xCutHi], so its minimum
+		// over the row's free vacancies is attained at the cut point
+		// clamped into their x range.
+		xc := min(max(t.xCutLo, bk.xs[lo]), bk.xs[hi-1])
+		xlb = t.envAt(t.envSeg(xc), xc)
+		if (t.rowLB[r]+xlb)*scanSlack >= c.bound {
+			st.SkippedBucket += liveN
+			return false
+		}
+	}
+	t.ensureRowTail(r)
+	// Re-check with the sharp memoized column before paying for the
+	// seek and walk: rowTail[base] upgrades the sweep's span-based
+	// bound with the true per-row trunk y halves.
+	if (t.rowTail[r*(len(t.items)+1)]+xlb)*scanSlack >= c.bound {
+		st.SkippedBucket += liveN
+		return false
+	}
+	p0 := bk.SeekGE(r, t.anchorX)
+	c.visited = 0
+	t.walkDir(c, r, p0, hi, +1)
+	t.walkDir(c, r, p0-1, lo-1, -1)
+	st.SkippedBucket += liveN - c.visited
+	return false
+}
+
+// walkDir walks one row's free vacancies from position p toward end
+// (exclusive) in steps of dir, scoring each under the cursor's running
+// bound. When the precheck fires at an x beyond the cut interval, every
+// remaining position in the walk direction has a precheck value at least
+// as large (the envelope is nondecreasing outward), so the walk stops —
 // the dominated tail is never visited.
 func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int) {
 	bk, st, vacs := c.bk, c.st, c.vacs
@@ -869,9 +927,6 @@ func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int) {
 	}
 walk:
 	for ; p != end; p += dir {
-		if !bk.live[p] {
-			continue
-		}
 		v := int(bk.order[p])
 		x := bk.xs[p]
 		c.visited++
