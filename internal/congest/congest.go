@@ -12,8 +12,11 @@
 // of them — do not depend on the order nets are added in. Each net's
 // quantized half-perimeter is split across its bins by integer division
 // with the remainder dealt one unit at a time to the leading bins in
-// row-major order. The overflow total is recomputed from the integer bins
-// in a single deterministic pass.
+// row-major order. A net's share is a handful of rectangles, so it is
+// recorded as corner updates on a summed-area difference array, and one
+// integration pass per evaluation turns the corners into bin demand. The
+// overflow total is recomputed from the integer bins in a single
+// deterministic pass.
 //
 // Bin convention: bins are half-open, [k·binW, (k+1)·binW) along x and the
 // same along y, indexed by floor division — a pin sitting exactly on a bin
@@ -133,6 +136,7 @@ type Grid struct {
 	src        Source
 
 	demand []int64 // nx*ny quantized bin demand, row-major
+	diff   []int64 // (nx+1)*(ny+1) corner updates; demand is its 2-D prefix sum
 	rects  []rect  // per-net covered bins (NetScore reads them)
 
 	val          float64 // cost of the last Full
@@ -155,6 +159,7 @@ func New(ckt *netlist.Circuit, spec Spec, src Source) *Grid {
 		binH:   spec.Height / float64(spec.NY),
 		src:    src,
 		demand: make([]int64, spec.NX*spec.NY),
+		diff:   make([]int64, (spec.NX+1)*(spec.NY+1)),
 		rects:  make([]rect, ckt.NumNets()),
 	}
 	for i := range g.rects {
@@ -201,13 +206,37 @@ func (g *Grid) Value() float64 { return g.val }
 // Full rebuilds the grid from every net's current bounding box.
 func (g *Grid) Full(lengths []float64) float64 {
 	g.nRebuilds++
-	for i := range g.demand {
-		g.demand[i] = 0
-	}
+	clear(g.diff)
 	for n := range g.rects {
 		g.addNet(netlist.NetID(n))
 	}
+	g.integrate()
 	return g.finish()
+}
+
+// integrate turns the corner updates into bin demand: each bin is the sum
+// of the difference array over the rectangle from the grid origin to it,
+// computed row by row as a running row sum plus the bin below. The sums
+// are integers, so the bins do not depend on the order nets were added.
+func (g *Grid) integrate() {
+	nx, ny := g.spec.NX, g.spec.NY
+	for y := 0; y < ny; y++ {
+		src := g.diff[y*(nx+1) : y*(nx+1)+nx]
+		row := g.demand[y*nx : y*nx+nx]
+		acc := int64(0)
+		if y == 0 {
+			for x, d := range src {
+				acc += d
+				row[x] = acc
+			}
+			continue
+		}
+		below := g.demand[(y-1)*nx : y*nx]
+		for x, d := range src {
+			acc += d
+			row[x] = acc + below[x]
+		}
+	}
 }
 
 // addNet quantizes a net's half-perimeter, spreads it over the bins its
@@ -233,24 +262,35 @@ func (g *Grid) addNet(n netlist.NetID) {
 
 // spread adds q split over r's bins: base share q/bins everywhere, and the
 // first q%bins bins in row-major order take one extra unit, so the bins
-// sum to exactly q.
+// sum to exactly q. Those leading bins are the remainder's full rows plus
+// a prefix of the next row, so the share is at most three rectangles,
+// each recorded as four corner updates for integrate. nBinUpdates still
+// counts the covered bins.
 func (g *Grid) spread(r rect, q int64) {
-	bins := int64(r.x1-r.x0+1) * int64(r.y1-r.y0+1)
+	w := int64(r.x1 - r.x0 + 1)
+	bins := w * int64(r.y1-r.y0+1)
 	base, remn := q/bins, q%bins
-	nx := g.spec.NX
-	i := int64(0)
-	for y := int(r.y0); y <= int(r.y1); y++ {
-		row := g.demand[y*nx : y*nx+nx]
-		for x := int(r.x0); x <= int(r.x1); x++ {
-			d := base
-			if i < remn {
-				d++
-			}
-			row[x] += d
-			i++
-		}
+	if base != 0 {
+		g.addRect(r.x0, r.y0, r.x1, r.y1, base)
+	}
+	if full := int32(remn / w); full > 0 {
+		g.addRect(r.x0, r.y0, r.x1, r.y0+full-1, 1)
+	}
+	if part := int32(remn % w); part > 0 {
+		y := r.y0 + int32(remn/w)
+		g.addRect(r.x0, y, r.x0+part-1, y, 1)
 	}
 	g.nBinUpdates += uint64(bins)
+}
+
+// addRect adds d to every bin of the inclusive range [x0, x1]×[y0, y1]
+// through the difference array's four corners.
+func (g *Grid) addRect(x0, y0, x1, y1 int32, d int64) {
+	stride := int32(g.spec.NX + 1)
+	g.diff[y0*stride+x0] += d
+	g.diff[y0*stride+x1+1] -= d
+	g.diff[(y1+1)*stride+x0] -= d
+	g.diff[(y1+1)*stride+x1+1] += d
 }
 
 // finish recomputes total, peak, and the overflow cost from the integer

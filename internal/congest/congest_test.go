@@ -180,3 +180,84 @@ func TestContributionConservation(t *testing.T) {
 		t.Fatalf("bins sum %d != contributions sum %d", sumBins, sumContrib)
 	}
 }
+
+// refSpread is the per-bin spread the summed-area one replaced, kept as its
+// oracle: base share q/bins in every bin of r, one extra unit in each of
+// the first q%bins bins in row-major order.
+func refSpread(demand []int64, nx int, r rect, q int64) {
+	bins := int64(r.x1-r.x0+1) * int64(r.y1-r.y0+1)
+	base, remn := q/bins, q%bins
+	i := int64(0)
+	for y := int(r.y0); y <= int(r.y1); y++ {
+		for x := int(r.x0); x <= int(r.x1); x++ {
+			d := base
+			if i < remn {
+				d++
+			}
+			demand[y*nx+x] += d
+			i++
+		}
+	}
+}
+
+// TestSpreadMatchesReference checks the summed-area spread bin for bin
+// against refSpread: batches of random rectangles, among them single bins,
+// the whole grid, and remainders that fill several rows plus part of the
+// next, superposed on one grid and integrated once, as Full does. The
+// covered-bin counter must match too.
+func TestSpreadMatchesReference(t *testing.T) {
+	r := rng.New(0x5a7)
+	for trial := 0; trial < 300; trial++ {
+		nx, ny := 1+r.Intn(12), 1+r.Intn(12)
+		g := &Grid{
+			spec:   Spec{NX: nx, NY: ny},
+			demand: make([]int64, nx*ny),
+			diff:   make([]int64, (nx+1)*(ny+1)),
+		}
+		want := make([]int64, nx*ny)
+		wantBins := uint64(0)
+		for k := 0; k < 1+r.Intn(20); k++ {
+			var rc rect
+			switch k % 4 {
+			case 0: // a single bin
+				x, y := int32(r.Intn(nx)), int32(r.Intn(ny))
+				rc = rect{x, y, x, y}
+			case 1: // the whole grid
+				rc = rect{0, 0, int32(nx - 1), int32(ny - 1)}
+			default:
+				x0, y0 := r.Intn(nx), r.Intn(ny)
+				rc = rect{int32(x0), int32(y0), int32(x0 + r.Intn(nx-x0)), int32(y0 + r.Intn(ny-y0))}
+			}
+			w, h := int64(rc.x1-rc.x0+1), int64(rc.y1-rc.y0+1)
+			bins := w * h
+			var remn int64
+			switch r.Intn(4) {
+			case 0: // several full rows plus part of the next, where they fit
+				full := min(2+int64(r.Intn(3)), h-1)
+				remn = full*w + int64(r.Intn(int(w)))
+				if remn >= bins {
+					remn = bins - 1
+				}
+			case 1: // an exact multiple: no remainder
+			default:
+				remn = int64(r.Intn(int(bins)))
+			}
+			q := int64(r.Intn(4))*bins + remn
+			if q == 0 {
+				q = 1
+			}
+			g.spread(rc, q)
+			refSpread(want, nx, rc, q)
+			wantBins += uint64(bins)
+		}
+		g.integrate()
+		for i := range want {
+			if g.demand[i] != want[i] {
+				t.Fatalf("trial %d (%dx%d): bin %d = %d, want %d", trial, nx, ny, i, g.demand[i], want[i])
+			}
+		}
+		if g.nBinUpdates != wantBins {
+			t.Fatalf("trial %d: %d bin updates counted, want %d", trial, g.nBinUpdates, wantBins)
+		}
+	}
+}

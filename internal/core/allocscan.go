@@ -130,9 +130,16 @@ func (e *Engine) scanCell(workers, rows int, bound0 float64) (int, float64) {
 }
 
 // scanChunk is the alloc-scan kernel body for one row range of the buckets.
+// It counts its own rows' feasible free vacancies for the scan statistics.
 func (e *Engine) scanChunk(slot, lo, hi int) {
-	best, score := e.trials.ScanBestRows(e.slotView(slot), e.vacs, &e.buckets,
-		e.rowOK, lo, hi, e.scanBound0, &e.slotScan[slot])
+	feasible := 0
+	for r := lo; r < hi; r++ {
+		if e.rowOK[r] {
+			feasible += e.buckets.RowLive(r)
+		}
+	}
+	best, score := e.trials.ScanBestRows(e.slotView(slot), &e.buckets,
+		e.rowOK, lo, hi, feasible, e.scanBound0, &e.slotScan[slot])
 	e.scanRes[slot] = scanResult{idx: best, score: score}
 }
 

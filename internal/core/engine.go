@@ -115,7 +115,8 @@ type Engine struct {
 	vacUsed     []bool
 	buckets     wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
 	rowW        []int
-	rowOK       []bool // per row: adding the current cell keeps the width bound
+	rowOK       []bool    // per row: adding the current cell keeps the width bound
+	rowY        []float64 // per row: centerline y (layout.RowY), the scan's y classes
 }
 
 func (e *Engine) init() {
@@ -655,6 +656,12 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	useInc := e.inc != nil && e.inc.Built()
 	if useInc {
 		e.buckets.Build(e.vacs, numRows)
+		if len(e.rowY) != numRows {
+			e.rowY = make([]float64, numRows)
+			for r := range e.rowY {
+				e.rowY[r] = layout.RowY(r)
+			}
+		}
 	}
 	scanW := 0
 	if useInc && n >= allocScanMinVacancies {
@@ -677,8 +684,15 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	for own, id := range sel {
 		w := ckt.Cells[id].Width
 		e.prepTrial(id, useInc)
+		// feasible counts the free vacancies of the width-feasible rows,
+		// the candidates the scan's statistics account for.
+		feasible := 0
 		for r := range e.rowOK {
-			e.rowOK[r] = float64(e.rowW[r]+w) <= limit
+			ok := float64(e.rowW[r]+w) <= limit
+			e.rowOK[r] = ok
+			if ok && useInc {
+				feasible += e.buckets.RowLive(r)
+			}
 		}
 		t1 := time.Now()
 		// First pass: best width-feasible vacancy. The width bound is a
@@ -701,8 +715,8 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 			// still free and feasible, makes most other vacancies bail on
 			// their first net; nextafter keeps equal-scoring earlier
 			// vacancies admissible, so the serial first-minimum wins.
-			best, _ = e.trials.ScanBestRows(e.inc.BaseView(), e.vacs, &e.buckets,
-				e.rowOK, 0, numRows, e.seedBound(own), &e.scanStats)
+			best, _ = e.trials.ScanBestRows(e.inc.BaseView(), &e.buckets,
+				e.rowOK, 0, numRows, feasible, e.seedBound(own), &e.scanStats)
 		default:
 			bestScore := 0.0
 			for v := 0; v < n; v++ {
@@ -810,13 +824,14 @@ func (e *Engine) prepTrial(id netlist.CellID, useInc bool) {
 	e.orderTrials(id, useInc)
 	if useInc {
 		// Vacancy candidates sit on row centerlines, so the rows are the
-		// y-memo classes; RowY reproduces Recompute's centerline expression
-		// bit for bit. The memo fills lazily, also in a parallel scan,
-		// whose row chunks fill disjoint entries. PrepareScan derives
-		// the per-row suffix bounds and the anchor the bucketed scan
-		// prunes with — O(nets·rows), noise against the scan itself.
-		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, e.place.NumRows())
-		e.trials.PrepareScan(layout.RowY, e.place.NumRows())
+		// y-memo classes; e.rowY holds layout.RowY per row, which
+		// reproduces Recompute's centerline expression bit for bit. The
+		// memo fills lazily, also in a parallel scan, whose row chunks
+		// fill disjoint entries. PrepareScan derives the per-row bound and
+		// the anchor the bucketed scan prunes with — O(nets·log nets +
+		// rows), noise against the scan itself.
+		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, len(e.rowY))
+		e.trials.PrepareScan(e.rowY)
 	}
 }
 

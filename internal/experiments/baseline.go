@@ -379,7 +379,7 @@ func parseObjectiveModes(objectives string) (baselineModes, error) {
 	return m, nil
 }
 
-/// largeCircuitIters keeps the scale-tier entry affordable: the 100k-cell
+// largeCircuitIters keeps the scale-tier entry affordable: the 100k-cell
 // iteration costs seconds of wall clock, and two iterations exercise both
 // the from-cold first evaluation and a full steady-state step.
 const largeCircuitIters = 2

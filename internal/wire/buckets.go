@@ -106,6 +106,9 @@ func (b *VacancyBuckets) Commit(v int32) {
 // Live returns the number of free vacancies across all rows.
 func (b *VacancyBuckets) Live() int { return b.total }
 
+// RowLive returns the number of free vacancies in one row.
+func (b *VacancyBuckets) RowLive(row int) int { return int(b.rowN[row]) }
+
 // liveSpan returns the position range [lo, hi) of one row's free vacancies.
 func (b *VacancyBuckets) liveSpan(row int) (lo, hi int) {
 	lo = int(b.start[row])
@@ -125,13 +128,6 @@ func (b *VacancyBuckets) SeekGE(row int, x float64) int {
 		}
 	}
 	return lo
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }
 
 func resizeI32s(s []int32, n int) []int32 {

@@ -45,6 +45,28 @@ func bucketFree(b *VacancyBuckets, v int) bool {
 	return p < b.start[r]+b.rowN[r]
 }
 
+// feasibleLive sums the free vacancies of the rowOK rows in [lo, hi) — the
+// count ScanBestRows takes.
+func feasibleLive(b *VacancyBuckets, rowOK []bool, lo, hi int) int {
+	n := 0
+	for r := lo; r < hi; r++ {
+		if rowOK[r] {
+			n += b.RowLive(r)
+		}
+	}
+	return n
+}
+
+// rowCenters tabulates yOf over rows — the row centerlines PrepareScan
+// takes.
+func rowCenters(yOf func(int) float64, rows int) []float64 {
+	ys := make([]float64, rows)
+	for r := range ys {
+		ys[r] = yOf(r)
+	}
+	return ys
+}
+
 // requireBucketsEqual asserts two bucket structures over the same vacancy
 // pool agree on every row's live prefix — order and coordinates — and that
 // both keep their position tables consistent: pos inverts order, rowAt
@@ -227,18 +249,21 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 			}
 		}
 
-		s.set.PrepareScan(layout.RowY, s.rows)
+		s.set.PrepareScan(rowCenters(layout.RowY, s.rows))
 		var st, wantSt ScanStats
-		gotBest, gotScore := s.set.ScanBestRows(view, s.vacs, &s.bk, s.rowOK, 0, s.rows, bound0, &st)
+		feasible := feasibleLive(&s.bk, s.rowOK, 0, s.rows)
+		gotBest, gotScore := s.set.ScanBestRows(view, &s.bk, s.rowOK, 0, s.rows, feasible, bound0, &st)
 		wantBest, wantScore := s.set.ScanBest(view, s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, &wantSt)
 		if gotBest != wantBest || gotScore != wantScore {
 			t.Fatalf("%s step %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)",
 				tag, step, gotBest, gotScore, wantBest, wantScore)
 		}
-		// Every free vacancy of a feasible row is a candidate, visited or
-		// skipped, exactly as the flat scan counts its visits.
-		if n := st.Vacancies + st.SkippedBucket; n != wantSt.Vacancies {
-			t.Fatalf("%s step %d: scan counted %d candidates, flat scan %d", tag, step, n, wantSt.Vacancies)
+		// Every free vacancy of a feasible row is a candidate, visited at
+		// most once or else skipped, exactly as the flat scan counts its
+		// visits.
+		if n := st.Vacancies + st.SkippedBucket; n != wantSt.Vacancies || uint64(feasible) != n || st.Vacancies > n {
+			t.Fatalf("%s step %d: scan counted %d candidates (%d visited, %d feasible), flat scan %d",
+				tag, step, n, st.Vacancies, feasible, wantSt.Vacancies)
 		}
 		inc.RestoreCell(id)
 	}
@@ -294,8 +319,8 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 			rowOK[i] = true
 		}
 
-		set.PrepareScan(layout.RowY, rows)
-		got, gotScore := set.ScanBestRows(view, vacs, &bk, rowOK, 0, rows, 1e308, nil)
+		set.PrepareScan(rowCenters(layout.RowY, rows))
+		got, gotScore := set.ScanBestRows(view, &bk, rowOK, 0, rows, feasibleLive(&bk, rowOK, 0, rows), 1e308, nil)
 
 		// Brute-force reference: first index with the strictly smallest
 		// exact score.

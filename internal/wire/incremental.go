@@ -31,30 +31,27 @@ import (
 // mutation finishes before a scan starts, and Views carry their own
 // scratch for the RMST estimator.
 //
-// Storage is structure-of-arrays: all per-net sorted pin values, owning
-// cells, and prefix sums live in one contiguous backing array per axis
-// (flatXV, flatYV, ...), carved into per-net regions at construction. The
-// per-net netGeom fields are capacity-capped slice headers aliasing those
-// regions, so the existing insert/remove-by-memmove mutation paths work
-// unchanged, can never spill into a neighboring net's region (a net's pin
-// count never exceeds its degree), and never allocate. Walking nets in id
-// order — the dirty-net re-estimation, the goodness formulas, trial
-// compilation — therefore walks contiguous memory.
+// Storage is one flat array: each net owns a contiguous block holding its
+// sorted x values, sorted y values, and (Steiner only) their prefix sums,
+// carved out at construction. The multisets hold values only — nothing
+// reads which cell a sorted entry belongs to, so pins are inserted and
+// removed by value. The per-net netGeom fields are capacity-capped slice
+// headers aliasing the block, so the insert/remove-by-memmove mutation
+// paths can never spill into a neighboring net's block (a net's pin count
+// never exceeds its degree) and never allocate. Walking nets in id order —
+// the dirty-net re-estimation, the goodness formulas, trial compilation —
+// therefore walks contiguous memory.
 type Incremental struct {
 	ckt *netlist.Circuit
 	est Estimator
 
 	cx, cy []float64 // per-cell coordinate mirror
-	geoms  []netGeom // per-net sorted pin geometry (headers into the flats)
+	geoms  []netGeom // per-net sorted pin geometry (headers into flat)
 
-	// Flat SoA backing for the per-net geometry. geoms[n] aliases
-	// [netOff[n], netOff[n]+deg(n)) of each value/cell array and
-	// [netOff[n]+n, netOff[n]+n+deg(n)+1) of each prefix array (prefix
-	// regions are one element longer per net; nil unless the estimator
-	// needs them).
-	flatXV, flatYV []float64
-	flatXC, flatYC []netlist.CellID
-	flatXP, flatYP []float64
+	// Backing for the per-net geometry: net n's block is xv|yv (deg(n)
+	// each), followed by xp|yp (deg(n)+1 each) when the estimator needs
+	// prefix sums.
+	flat []float64
 
 	// Flat cell-net incidence: cell id's distinct incident nets (with pin
 	// multiplicities) are pinRefs[pinOff[id]:pinOff[id+1]], in CellNets
@@ -75,13 +72,12 @@ type Incremental struct {
 	built    bool             // Rebuild has run at least once
 }
 
-// netGeom holds one net's cached geometry: pin coordinates sorted per axis
-// with the owning cell per entry, plus prefix sums for the Steiner branch
-// math (len = len(values)+1; unused for HPWL/RMST). The slices are
-// capacity-capped windows into the Incremental's flat backing arrays.
+// netGeom holds one net's cached geometry: pin coordinates sorted per axis,
+// plus prefix sums for the Steiner branch math (len = len(values)+1; unused
+// for HPWL/RMST). The slices are capacity-capped windows into the net's
+// block of the Incremental's flat backing array.
 type netGeom struct {
 	xv, yv []float64
-	xc, yc []netlist.CellID
 	xp, yp []float64
 }
 
@@ -147,38 +143,34 @@ func (inc *Incremental) buildPins() {
 	}
 }
 
-// buildFlat allocates the contiguous SoA backing arrays and points every
-// net's geometry header at its region. Regions are sized to the net's full
+// buildFlat allocates the flat backing array and points every net's
+// geometry headers at its block. Each window is sized to the net's full
 // degree and capacity-capped, so the in-place mutation paths can neither
 // reallocate nor cross into a neighbor.
 func (inc *Incremental) buildFlat() {
-	ckt := inc.ckt
+	block := func(deg int) int {
+		if inc.needPrefix() {
+			return 4*deg + 2
+		}
+		return 2 * deg
+	}
 	total := 0
-	for n := 0; n < ckt.NumNets(); n++ {
-		total += inc.netDegree(netlist.NetID(n))
+	for n := range inc.geoms {
+		total += block(inc.netDegree(netlist.NetID(n)))
 	}
-	inc.flatXV = make([]float64, total)
-	inc.flatYV = make([]float64, total)
-	inc.flatXC = make([]netlist.CellID, total)
-	inc.flatYC = make([]netlist.CellID, total)
-	if inc.needPrefix() {
-		inc.flatXP = make([]float64, total+ckt.NumNets())
-		inc.flatYP = make([]float64, total+ckt.NumNets())
-	}
+	inc.flat = make([]float64, total)
 	off := 0
 	for n := range inc.geoms {
 		deg := inc.netDegree(netlist.NetID(n))
 		g := &inc.geoms[n]
-		g.xv = inc.flatXV[off : off+deg : off+deg]
-		g.yv = inc.flatYV[off : off+deg : off+deg]
-		g.xc = inc.flatXC[off : off+deg : off+deg]
-		g.yc = inc.flatYC[off : off+deg : off+deg]
+		b := inc.flat[off : off+block(deg)]
+		g.xv = b[:deg:deg]
+		g.yv = b[deg : 2*deg : 2*deg]
 		if inc.needPrefix() {
-			p := off + n
-			g.xp = inc.flatXP[p : p : p+deg+1]
-			g.yp = inc.flatYP[p : p : p+deg+1]
+			g.xp = b[2*deg : 2*deg : 3*deg+1]
+			g.yp = b[3*deg+1 : 3*deg+1 : 4*deg+2]
 		}
-		off += deg
+		off += len(b)
 	}
 }
 
@@ -257,12 +249,9 @@ func (inc *Incremental) rebuildNet(n netlist.NetID) {
 
 	g.xv = resizeFloats(g.xv, deg)
 	g.yv = resizeFloats(g.yv, deg)
-	g.xc = resizeCells(g.xc, deg)
-	g.yc = resizeCells(g.yc, deg)
 	i := 0
 	fill := func(id netlist.CellID) {
-		g.xv[i], g.xc[i] = inc.cx[id], id
-		g.yv[i], g.yc[i] = inc.cy[id], id
+		g.xv[i], g.yv[i] = inc.cx[id], inc.cy[id]
 		i++
 	}
 	if net.Driver != netlist.NoCell {
@@ -271,21 +260,35 @@ func (inc *Incremental) rebuildNet(n netlist.NetID) {
 	for _, s := range net.Sinks {
 		fill(s)
 	}
-	coSort(g.xv, g.xc)
-	coSort(g.yv, g.yc)
-	inc.refreshPrefix(g)
+	sortFloats(g.xv)
+	sortFloats(g.yv)
+	inc.refreshPrefix(g, 0, 0)
 }
 
-// refreshPrefix recomputes both prefix-sum arrays by a fresh left-to-right
-// accumulation — the canonical form every evaluator produces, keeping
-// prefix bits independent of edit history.
-func (inc *Incremental) refreshPrefix(g *netGeom) {
+// refreshPrefix brings both prefix-sum arrays up to date after edits that
+// left xv[:xLo] and yv[:yLo] in place. Entries up to those indices are
+// unchanged, and the accumulation resumes from the stored partial sum, so
+// the bits equal a fresh left-to-right prefixInto — the canonical form
+// every evaluator produces, independent of edit history.
+func (inc *Incremental) refreshPrefix(g *netGeom, xLo, yLo int) {
 	if !inc.needPrefix() {
-		g.xp, g.yp = g.xp[:0], g.yp[:0]
 		return
 	}
-	g.xp = prefixInto(g.xp, g.xv)
-	g.yp = prefixInto(g.yp, g.yv)
+	g.xp = prefixFrom(g.xp, g.xv, xLo)
+	g.yp = prefixFrom(g.yp, g.yv, yLo)
+}
+
+// prefixFrom recomputes p[lo+1:] as the running sums of v, resuming from
+// p[lo]; p[:lo+1] must already hold the prefix sums of v[:lo]. p[0] is
+// never written, so it keeps the 0 of the zeroed backing array.
+func prefixFrom(p, v []float64, lo int) []float64 {
+	p = p[:len(v)+1]
+	sum := p[lo]
+	for j := lo; j < len(v); j++ {
+		sum += v[j]
+		p[j+1] = sum
+	}
+	return p
 }
 
 func prefixInto(dst, v []float64) []float64 {
@@ -310,13 +313,12 @@ func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 	oldX, oldY := inc.cx[id], inc.cy[id]
 	inc.cx[id], inc.cy[id] = x, y
 	inc.eachNet(id, func(n netlist.NetID, g *netGeom, k int) {
+		xLo, yLo := len(g.xv), len(g.yv)
 		for i := 0; i < k; i++ {
-			removePin(&g.xv, &g.xc, oldX, id)
-			removePin(&g.yv, &g.yc, oldY, id)
-			insertPin(&g.xv, &g.xc, x, id)
-			insertPin(&g.yv, &g.yc, y, id)
+			xLo = min(xLo, removePin(&g.xv, oldX), insertPin(&g.xv, x))
+			yLo = min(yLo, removePin(&g.yv, oldY), insertPin(&g.yv, y))
 		}
-		inc.refreshPrefix(g)
+		inc.refreshPrefix(g, xLo, yLo)
 		inc.markDirty(n)
 	})
 }
@@ -330,12 +332,14 @@ func (inc *Incremental) RemoveCell(id netlist.CellID) {
 	inc.removed = append(inc.removed, id)
 	inc.oldX = append(inc.oldX, inc.cx[id])
 	inc.oldY = append(inc.oldY, inc.cy[id])
+	x, y := inc.cx[id], inc.cy[id]
 	inc.eachNet(id, func(n netlist.NetID, g *netGeom, k int) {
+		xLo, yLo := len(g.xv), len(g.yv)
 		for i := 0; i < k; i++ {
-			removePin(&g.xv, &g.xc, inc.cx[id], id)
-			removePin(&g.yv, &g.yc, inc.cy[id], id)
+			xLo = min(xLo, removePin(&g.xv, x))
+			yLo = min(yLo, removePin(&g.yv, y))
 		}
-		inc.refreshPrefix(g)
+		inc.refreshPrefix(g, xLo, yLo)
 	})
 }
 
@@ -362,11 +366,12 @@ func (inc *Incremental) PlaceCell(id netlist.CellID, x, y float64) {
 
 	inc.cx[id], inc.cy[id] = x, y
 	inc.eachNet(id, func(n netlist.NetID, g *netGeom, k int) {
+		xLo, yLo := len(g.xv), len(g.yv)
 		for i := 0; i < k; i++ {
-			insertPin(&g.xv, &g.xc, x, id)
-			insertPin(&g.yv, &g.yc, y, id)
+			xLo = min(xLo, insertPin(&g.xv, x))
+			yLo = min(yLo, insertPin(&g.yv, y))
 		}
-		inc.refreshPrefix(g)
+		inc.refreshPrefix(g, xLo, yLo)
 		if moved {
 			inc.markDirty(n)
 		}
@@ -395,9 +400,8 @@ func (inc *Incremental) RestoreCell(id netlist.CellID) {
 // moves a large fraction of the cells (every allocated cell plus the row
 // repacking behind it), so most touched nets have several moved pins and
 // the single refill is cheaper than the per-pin edits. The refilled arrays
-// hold the same sorted multisets the per-pin edits would produce (entries
-// of equal coordinate may carry different owning cells, which no consumer
-// distinguishes), so every downstream value is bit-identical.
+// hold the same sorted value multisets the per-pin edits would produce, so
+// every downstream value is bit-identical.
 func (inc *Incremental) Sync(src ChangeSource) {
 	if len(inc.removed) != 0 {
 		panic("wire: Sync with removed cells outstanding")
@@ -560,56 +564,46 @@ func (inc *Incremental) eachNet(id netlist.CellID, fn func(n netlist.NetID, g *n
 	}
 }
 
-// insertPin inserts (v, cell) keeping values ascending.
-func insertPin(vals *[]float64, cells *[]netlist.CellID, v float64, cell netlist.CellID) {
-	vs, cs := *vals, *cells
+// insertPin inserts v keeping values ascending and returns its index.
+func insertPin(vals *[]float64, v float64) int {
+	vs := *vals
 	i := searchF64(vs, v)
 	vs = append(vs, 0)
-	cs = append(cs, 0)
 	copy(vs[i+1:], vs[i:])
-	copy(cs[i+1:], cs[i:])
-	vs[i], cs[i] = v, cell
-	*vals, *cells = vs, cs
+	vs[i] = v
+	*vals = vs
+	return i
 }
 
-// removePin removes one (v, cell) entry. The entry must exist.
-func removePin(vals *[]float64, cells *[]netlist.CellID, v float64, cell netlist.CellID) {
-	vs, cs := *vals, *cells
+// removePin removes one entry of value v and returns the index it held.
+// The value must be present.
+func removePin(vals *[]float64, v float64) int {
+	vs := *vals
 	i := searchF64(vs, v)
-	for ; i < len(vs) && vs[i] == v; i++ {
-		if cs[i] == cell {
-			*vals = append(vs[:i], vs[i+1:]...)
-			*cells = append(cs[:i], cs[i+1:]...)
-			return
-		}
+	if i == len(vs) || vs[i] != v {
+		panic(fmt.Sprintf("wire: pin coordinate %v not found for removal", v))
 	}
-	panic(fmt.Sprintf("wire: pin (%v, cell %d) not found for removal", v, cell))
+	*vals = append(vs[:i], vs[i+1:]...)
+	return i
 }
 
-// coSort sorts vals ascending, carrying cells along (insertion sort: net
-// degrees are small and this runs only on rebuild).
-func coSort(vals []float64, cells []netlist.CellID) {
-	for i := 1; i < len(vals); i++ {
-		v, c := vals[i], cells[i]
+// sortFloats sorts v ascending (insertion sort: net degrees are small and
+// this runs only on a net refill).
+func sortFloats(v []float64) {
+	for i := 1; i < len(v); i++ {
+		x := v[i]
 		j := i - 1
-		for j >= 0 && vals[j] > v {
-			vals[j+1], cells[j+1] = vals[j], cells[j]
+		for j >= 0 && v[j] > x {
+			v[j+1] = v[j]
 			j--
 		}
-		vals[j+1], cells[j+1] = v, c
+		v[j+1] = x
 	}
 }
 
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeCells(s []netlist.CellID, n int) []netlist.CellID {
-	if cap(s) < n {
-		return make([]netlist.CellID, n)
 	}
 	return s[:n]
 }

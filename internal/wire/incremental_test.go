@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"simevo/internal/gen"
@@ -224,7 +227,6 @@ func TestTrialSetMatchesViewTrials(t *testing.T) {
 			}
 			inc.RemoveCell(id)
 			inc.CompileTrials(&set, nets, weights, place.NumRows())
-			set.PrefillClasses(layout.RowY)
 
 			// Build a vacancy pool on row centerlines.
 			nVac := 12
@@ -418,6 +420,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	var nets []netlist.NetID
 	var weights []float64
 	view := inc.BaseView()
+	rowY := rowCenters(layout.RowY, 8)
 
 	cycle := func(round int) {
 		// A batch of moves through the journal, then dirty re-estimation.
@@ -441,7 +444,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		inc.RemoveCell(id)
 		inc.CompileTrials(&trials, nets, weights, 8)
-		trials.PrefillClasses(layout.RowY)
+		trials.PrepareScan(rowY)
 		_ = trials.Score(view, 3.5, layout.RowY(2), 2)
 		inc.RestoreCell(id)
 	}
@@ -457,5 +460,151 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state cycle allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// dupPinCircuit builds a few wide nets whose sink cells often sink the same
+// net more than once (pin multiplicity K > 1): each of nPads pads drives
+// its own net, and every gate takes two or three inputs drawn from the
+// pads with repetition.
+func dupPinCircuit(t *testing.T, r *rng.R, nPads, nGates int) *netlist.Circuit {
+	t.Helper()
+	b := netlist.NewBuilder("dup")
+	pads := make([]string, nPads)
+	for i := range pads {
+		pads[i] = fmt.Sprintf("p%d", i)
+		b.AddInput(pads[i])
+	}
+	for g := 0; g < nGates; g++ {
+		ins := make([]string, 2+r.Intn(2))
+		for j := range ins {
+			ins[j] = pads[r.Intn(nPads)]
+		}
+		name := fmt.Sprintf("g%d", g)
+		b.AddGate(name, netlist.And, ins, 0)
+		b.AddOutput(name)
+	}
+	ckt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckt
+}
+
+// TestMultisetDuplicatesMatchRebuild pins the value-only multisets: random
+// RemoveCell / PlaceCell / RestoreCell / MoveCell sequences on nets full
+// of equal x or y values, with cells of pin multiplicity K > 1, must keep
+// every net's sorted values and prefix sums bitwise equal to the pins
+// still stored, collected, sorted and summed from scratch — and, whenever
+// no cell is lifted out, to a fresh Rebuild. Removal takes an entry by
+// value, and the prefix sums are refreshed only from the first changed
+// index.
+func TestMultisetDuplicatesMatchRebuild(t *testing.T) {
+	r := rng.New(0xd0b1e)
+	ckt := dupPinCircuit(t, r, 5, 40)
+	sawK := false
+	probe := NewIncremental(ckt, HPWL)
+	for id := range ckt.Cells {
+		for _, ref := range probe.CellPins(netlist.CellID(id)) {
+			sawK = sawK || ref.K > 1
+		}
+	}
+	if !sawK {
+		t.Fatal("fixture has no cell with pin multiplicity K > 1")
+	}
+	// Few distinct coordinates per axis, so most stored values tie, and
+	// non-dyadic ones, so the prefix sums round.
+	coordX := func() float64 { return 1000.1 + 0.3*float64(r.Intn(4)) }
+	coordY := func() float64 { return 1.1 * layout.RowY(r.Intn(3)) }
+	for _, est := range allEstimators {
+		coords := &mutableCoords{x: make([]float64, len(ckt.Cells)), y: make([]float64, len(ckt.Cells))}
+		for i := range ckt.Cells {
+			coords.x[i], coords.y[i] = coordX(), coordY()
+		}
+		inc := NewIncremental(ckt, est)
+		inc.Rebuild(coords)
+		removed := make(map[netlist.CellID]bool)
+		for step := 0; step < 1500; step++ {
+			id := netlist.CellID(r.Intn(len(ckt.Cells)))
+			x, y := coordX(), coordY()
+			if r.Intn(2) == 0 {
+				x = coords.x[id] // same x, new y: the x multiset sees remove+insert of one value
+			}
+			switch {
+			case removed[id] && r.Intn(3) == 0:
+				inc.RestoreCell(id)
+				delete(removed, id)
+			case removed[id]:
+				inc.PlaceCell(id, x, y)
+				coords.x[id], coords.y[id] = x, y
+				delete(removed, id)
+			case r.Intn(2) == 0:
+				inc.RemoveCell(id)
+				removed[id] = true
+			default:
+				inc.MoveCell(id, x, y)
+				coords.x[id], coords.y[id] = x, y
+			}
+			requireGeomsMatch(t, fmt.Sprintf("est %d step %d", est, step), inc, ckt, coords, removed)
+			if len(removed) == 0 {
+				fresh := NewIncremental(ckt, est)
+				fresh.Rebuild(coords)
+				requireGeomsEqual(t, fmt.Sprintf("est %d step %d rebuild", est, step), inc, fresh)
+			}
+		}
+	}
+}
+
+// requireGeomsMatch checks every net's multisets against its stored pins
+// (those of cells not in removed) collected from coords, sorted, and
+// prefix-summed from scratch.
+func requireGeomsMatch(t *testing.T, tag string, inc *Incremental, ckt *netlist.Circuit,
+	coords *mutableCoords, removed map[netlist.CellID]bool) {
+	t.Helper()
+	for n := range inc.geoms {
+		net := ckt.Net(netlist.NetID(n))
+		var want netGeom
+		add := func(id netlist.CellID) {
+			if id != netlist.NoCell && !removed[id] {
+				want.xv = append(want.xv, coords.x[id])
+				want.yv = append(want.yv, coords.y[id])
+			}
+		}
+		add(net.Driver)
+		for _, s := range net.Sinks {
+			add(s)
+		}
+		slices.Sort(want.xv)
+		slices.Sort(want.yv)
+		if inc.needPrefix() {
+			want.xp = prefixInto(nil, want.xv)
+			want.yp = prefixInto(nil, want.yv)
+		}
+		requireNetGeom(t, tag, n, &inc.geoms[n], &want)
+	}
+}
+
+// requireGeomsEqual checks two incremental states' multisets bitwise.
+func requireGeomsEqual(t *testing.T, tag string, got, want *Incremental) {
+	t.Helper()
+	for n := range got.geoms {
+		requireNetGeom(t, tag, n, &got.geoms[n], &want.geoms[n])
+	}
+}
+
+func requireNetGeom(t *testing.T, tag string, n int, got, want *netGeom) {
+	t.Helper()
+	for _, a := range []struct {
+		name      string
+		got, want []float64
+	}{{"xv", got.xv, want.xv}, {"yv", got.yv, want.yv}, {"xp", got.xp, want.xp}, {"yp", got.yp, want.yp}} {
+		if len(a.got) != len(a.want) {
+			t.Fatalf("%s: net %d %s has %d entries, want %d", tag, n, a.name, len(a.got), len(a.want))
+		}
+		for i := range a.got {
+			if math.Float64bits(a.got[i]) != math.Float64bits(a.want[i]) {
+				t.Fatalf("%s: net %d %s[%d] = %v, want %v", tag, n, a.name, i, a.got[i], a.want[i])
+			}
+		}
 	}
 }

@@ -146,7 +146,7 @@ func TestScanBoundsSound(t *testing.T) {
 			inc.RemoveCell(hub)
 			var set TrialSet
 			inc.CompileTrials(&set, nets, fixtureWeights(r, len(nets)), f.rows)
-			set.PrepareScan(f.rowY, f.rows)
+			set.PrepareScan(rowCenters(f.rowY, f.rows))
 			for i := range set.items {
 				it := &set.items[i]
 				if it.kind != trialTrunk {
@@ -214,6 +214,7 @@ func TestRowBoundSweepRounding(t *testing.T) {
 	r := rng.New(7)
 	const rows = 2000
 	rowY := func(k int) float64 { return (float64(k) + 0.5) * layout.RowPitch }
+	centers := rowCenters(rowY, rows)
 	for trial := 0; trial < 200; trial++ {
 		f := newTrunkFixture(t, r, 3, false)
 		for i := range f.coords.y {
@@ -232,7 +233,7 @@ func TestRowBoundSweepRounding(t *testing.T) {
 			}
 			var set TrialSet
 			inc.CompileTrials(&set, nets, w, rows)
-			set.PrepareScan(rowY, rows)
+			set.PrepareScan(centers)
 			for row := rows - 6; row < rows; row++ {
 				y := rowY(row)
 				for k := 0; k < 40; k++ {
@@ -305,12 +306,13 @@ func FuzzScanBestRows(f *testing.F) {
 			free[i] = int32(i)
 		}
 		rowOK := make([]bool, fx.rows)
+		centers := rowCenters(fx.rowY, fx.rows)
 		var set TrialSet
 		for own, id := range sel {
 			nets := fx.ckt.CellNets(id, nil)
 			inc.RemoveCell(id)
 			inc.CompileTrials(&set, nets, fixtureWeights(src, len(nets)), fx.rows)
-			set.PrepareScan(fx.rowY, fx.rows)
+			set.PrepareScan(centers)
 			feasible := uint64(0)
 			for r := range rowOK {
 				rowOK[r] = src.Intn(6) != 0
@@ -339,17 +341,19 @@ func FuzzScanBestRows(f *testing.F) {
 				t.Fatalf("cell %d: ScanBest (%d, %v) != Score loop (%d, %v)", own, want, wantScore, brute, bruteScore)
 			}
 			var st ScanStats
-			got, gotScore := set.ScanBestRows(view, vacs, &bk, rowOK, 0, fx.rows, bound0, &st)
+			live := feasibleLive(&bk, rowOK, 0, fx.rows)
+			got, gotScore := set.ScanBestRows(view, &bk, rowOK, 0, fx.rows, live, bound0, &st)
 			if got != want || gotScore != wantScore {
 				t.Fatalf("cell %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)", own, got, gotScore, want, wantScore)
 			}
-			if n := st.Vacancies + st.SkippedBucket; n != feasible {
-				t.Fatalf("cell %d: scan counted %d candidates, %d free feasible", own, n, feasible)
+			if n := st.Vacancies + st.SkippedBucket; n != feasible || uint64(live) != feasible || st.Vacancies > feasible {
+				t.Fatalf("cell %d: scan counted %d candidates (%d visited, %d live), %d free feasible",
+					own, n, st.Vacancies, live, feasible)
 			}
 			split := 1 + src.Intn(fx.rows-1)
 			best, bestScore := -1, 0.0
 			for _, rg := range [][2]int{{0, split}, {split, fx.rows}} {
-				b, s := set.ScanBestRows(view, vacs, &bk, rowOK, rg[0], rg[1], bound0, nil)
+				b, s := set.ScanBestRows(view, &bk, rowOK, rg[0], rg[1], feasibleLive(&bk, rowOK, rg[0], rg[1]), bound0, nil)
 				if b >= 0 && (best < 0 || s < bestScore || (s == bestScore && b < best)) {
 					best, bestScore = b, s
 				}

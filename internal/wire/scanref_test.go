@@ -1,22 +1,7 @@
 package wire
 
-// The flat vacancy scan and the eager memo fill it needs for concurrent
-// chunked use. Production allocation runs the row-sharded ScanBestRows;
-// these stay as its bitwise reference in the package tests.
-
-// PrefillClasses eagerly computes every per-class memo entry, so that
-// concurrent Score/ScoreBounded or ScanBest calls over arbitrary vacancy
-// chunks never race on a lazy fill.
-func (t *TrialSet) PrefillClasses(yOf func(class int) float64) {
-	for i := range t.items {
-		if t.items[i].kind != trialTrunk {
-			continue
-		}
-		for c := 0; c < t.yClasses; c++ {
-			t.fillClass(i, c, yOf(c))
-		}
-	}
-}
+// The flat vacancy scan. Production allocation runs the row-sharded
+// ScanBestRows; this stays as its bitwise reference in the package tests.
 
 // ScanBest is the flat reference scan ScanBestRows is pinned to. It scans
 // the compiled cell over free[lo:hi] — the ascending indices of
@@ -24,11 +9,10 @@ func (t *TrialSet) PrefillClasses(yOf func(class int) float64) {
 // with the bounded early exit, and returning the first vacancy index
 // holding the strictly smallest score (-1 if none is admissible under
 // bound0). The scoring is inlined; the equivalence test pins it bitwise
-// to the ScoreBounded loop it replaces. The memo must be compiled with yClasses
-// covering every row. A serial caller may leave the memo cold — classes
-// fill lazily on first use, so rows no vacancy sits in are never computed.
-// Concurrent chunked use must PrefillClasses first (lazy filling is not
-// goroutine-safe) and needs one View per goroutine. st (which may be
+// to the ScoreBounded loop it replaces. The memo must be compiled with
+// yClasses covering every row. Every trunk trial refills its y-memo entry
+// (the same values each time), so the scan needs no warm memo, and
+// concurrent calls must not share a row. st (which may be
 // nil) collects prune statistics with plain increments; it changes no
 // comparison, so the winner and the trajectory are bitwise unaffected.
 func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
@@ -114,10 +98,7 @@ scan:
 				}
 				cost += ((hix - lox) + (hiy - loy)) * it.w
 			case trialTrunk:
-				slot := i*t.yClasses + yClass
-				if !t.filled[slot] {
-					t.fillClass(i, yClass, y)
-				}
+				slot := t.fillClass(i, yClass, y)
 				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
 
 				lox, hix := it.minX, it.maxX

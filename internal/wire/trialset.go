@@ -24,9 +24,10 @@ import (
 //
 // Vacancies sit on row centerlines, so the candidate y takes only numRows
 // distinct values. When compiled with yClasses > 0, the y-dependent half
-// of every record — the y branch total of a trunk, the extended y-span —
-// is memoized per y-class (row) on first use, leaving only the x-side
-// arithmetic per trial.
+// of every trunk record — the y branch total, the extended y-span — is
+// memoized per y-class (row), leaving only the x-side arithmetic per
+// trial. The scan fills a row's entries when it first enters the row
+// (ensureRowTail); Score fills the entry it reads.
 //
 // Score sums net costs in compile order with the same multiply-add
 // sequence as the scalar path, so its result is bitwise identical to
@@ -35,8 +36,7 @@ import (
 type TrialSet struct {
 	items    []compiledTrial
 	yClasses int
-	memo     []float64 // per (item, class): [ySpanExt|0, yBranch|ySpanExt]
-	filled   []bool    // per (item, class)
+	memo     []float64 // per (item, class): [yBranch, ySpanExt]; trunk items only
 
 	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] is a
 	// lower bound on the weighted cost of items i.. for ANY candidate in
@@ -75,9 +75,12 @@ type TrialSet struct {
 	// walk (ensureRowTail): the best-first row iteration cuts most rows
 	// before their suffix column is ever needed, and the chunked parallel
 	// scan partitions rows, so the lazy fill touches disjoint memory per
-	// worker.
+	// worker. rowReady[r] == epoch marks row r's column (and its trunk
+	// memo entries) filled for the current cell; PrepareScan advances the
+	// epoch instead of clearing every row.
 	rowTail  []float64
-	rowReady []bool
+	rowReady []uint32
+	epoch    uint32
 	// rowLB[r] = C + Σ w_j · yPen_j(y_r), the whole-trial lower bound at
 	// row r's centerline, with C = Σ w_j · (storedSpan_j + e_j): e_j is
 	// min(eX, eY) for a trunk item and 0 otherwise. By the rowTail
@@ -96,9 +99,8 @@ type TrialSet struct {
 	// the argmin — the most promising row, where the best-first row
 	// iteration starts.
 	rowLB     []float64
-	rowY      []float64
+	rowY      []float64 // per row: centerline y, the caller's slice
 	anchorRow int
-	scanRows  int
 	// Per-item x-penalty envelope for the per-vacancy precheck and the
 	// outward walk. xlo/xhi/xw hold the stored x-interval and weight of
 	// every bbox/trunk item, so xLB(x) = Σ w_j · dist(x, [xlo_j, xhi_j])
@@ -117,12 +119,18 @@ type TrialSet struct {
 	// summation error and any near-zero-slope misjudgment of the cut
 	// interval, so a cut vacancy's true cost still reaches the bound.
 	// anchorX, the midpoint of the cut interval (the envelope's minimum
-	// region), seeds the in-row walk.
+	// region), seeds the in-row walk, and anchorSeg is its envelope
+	// segment, the seed of both walk directions' cursors. minEnv is the
+	// envelope evaluated at xCutLo: the smallest x penalty any vacancy can
+	// carry, and exactly the best-case penalty of a row whose free range
+	// spans xCutLo.
 	hasPrune       bool
 	xlo, xhi, xw   []float64
 	ylo, yhi       []float64 // same items' y-intervals (weights shared via xw)
 	xCutLo, xCutHi float64
 	anchorX        float64
+	anchorSeg      int
+	minEnv         float64
 	evp, evw       []float64 // breakpoint-sweep scratch: positions, weights
 	// Piecewise-linear form of the x envelope, built once per cell from the
 	// cut interval's sorted endpoints: xbp are the deduplicated breakpoints,
@@ -265,18 +273,7 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 	}
 	dst.yClasses = yClasses
 	if yClasses > 0 {
-		n := len(dst.items) * yClasses
-		if cap(dst.memo) < 2*n {
-			dst.memo = make([]float64, 2*n)
-		}
-		dst.memo = dst.memo[:2*n]
-		if cap(dst.filled) < n {
-			dst.filled = make([]bool, n)
-		}
-		dst.filled = dst.filled[:n]
-		for i := range dst.filled {
-			dst.filled[i] = false
-		}
+		dst.memo = resizeFloats(dst.memo, 2*len(dst.items)*yClasses)
 	}
 }
 
@@ -299,24 +296,30 @@ func branchExcess(v, p []float64) float64 {
 }
 
 // PrepareScan computes the row-sharded prune state ScanBestRows consumes:
-// the per-row suffix bounds rowTail (see the field comment) and the
-// leading-item anchor/x-interval. yOf maps a row to its centerline y and
-// must reproduce the candidates' y bit for bit (the engine passes
-// layout.RowY); rows must cover every candidate row. O(items·rows) — noise
-// against the O(items·vacancies) scan it accelerates. Call after
-// CompileTrials and before any ScanBestRows; the state is read-only during
-// scans, and the lazy y-memo fills of row-chunked concurrent scans touch
-// disjoint (item, row) entries, so they need no further setup.
-func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
-	stride := len(t.items) + 1
-	t.rowTail = resizeFloats(t.rowTail, rows*stride)
-	t.rowReady = resizeBools(t.rowReady, rows)
+// the x envelope with its cut interval and anchor, and the per-row bound
+// rowLB; the per-row suffix columns rowTail (see the field comment) fill
+// lazily during the scan. rowY holds every row's centerline y and must
+// reproduce the candidates' y bit for bit (the engine passes layout.RowY
+// of each row); the TrialSet keeps the slice, so it must not change while
+// the set scans. O(items log items + rows) — noise against the
+// O(items·vacancies) scan it accelerates. Call after CompileTrials and
+// before any ScanBestRows; the state is read-only during scans, and the
+// lazy fills of row-chunked concurrent scans touch disjoint rows, so they
+// need no further setup.
+func (t *TrialSet) PrepareScan(rowY []float64) {
+	rows := len(rowY)
+	t.rowY = rowY
+	t.rowTail = resizeFloats(t.rowTail, rows*(len(t.items)+1))
 	t.rowLB = resizeFloats(t.rowLB, rows)
-	t.rowY = resizeFloats(t.rowY, rows)
-	t.scanRows = rows
-	for r := 0; r < rows; r++ {
-		t.rowReady[r] = false
-		t.rowY[r] = yOf(r)
+	if len(t.rowReady) < rows {
+		t.rowReady = make([]uint32, rows)
+		t.epoch = 0
+	}
+	t.rowReady = t.rowReady[:rows]
+	if t.epoch++; t.epoch == 0 {
+		// The stamp wrapped: clear the stale ones once.
+		clear(t.rowReady)
+		t.epoch = 1
 	}
 
 	// Compile the x-penalty envelope, the walk anchor, and the constant
@@ -345,9 +348,8 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	t.hasPrune = len(t.xw) > 0
 	if !t.hasPrune {
 		t.xCutLo, t.xCutHi = math.Inf(-1), math.Inf(1)
-		for r := 0; r < rows; r++ {
-			t.rowLB[r] = 0
-		}
+		t.minEnv = 0
+		clear(t.rowLB)
 		t.anchorRow = 0
 		return
 	}
@@ -360,14 +362,25 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	// The x events are still sorted in evp/evw: fold them into the
 	// piecewise-linear envelope the walks evaluate per vacancy.
 	t.buildEnvelope()
+	t.anchorSeg = t.envSeg(t.anchorX)
+	t.minEnv = t.envAt(t.envSeg(t.xCutLo), t.xCutLo)
 
 	// Sweep the convex y-penalty envelope across the row centerlines:
 	// rowLB[r] = C + f(y_r) with f integrated breakpoint to breakpoint
 	// over the sorted (position, weight) y events; slope starts at -Σw
 	// left of every interval.
 	t.sortEvents(t.ylo, t.yhi)
+	// The sweep rounds at the scale of the rows swept, not of the bound it
+	// produces: its partial sums reach Σw·span rows away from the items and
+	// cancel as the slope turns from -Σw to +Σw. Each of its ops additions
+	// rounds by at most ε/2 of Σw·span, and the carried slope by as much
+	// per event, so deducting 8·ops·ε·Σw·span keeps every rowLB under the
+	// true bound. A constant deduction keeps the convexity the row order
+	// and the side cuts rely on; the argmin is taken before it.
+	y0 := rowY[0]
+	span := max(rowY[rows-1], t.evp[len(t.evp)-1]) - min(y0, t.evp[0])
+	d := 8 * float64(len(t.xw)+len(t.evp)+rows) * 0x1p-52 * t.xTotW * span
 	slope, f := 0.0, 0.0
-	y0 := t.rowY[0]
 	for j, w := range t.xw {
 		slope -= w
 		if lo := t.ylo[j]; y0 < lo {
@@ -381,11 +394,11 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 		slope += t.evw[k]
 		k++
 	}
-	t.rowLB[0] = c + f
+	minLB := c + f
+	t.rowLB[0] = minLB - d
 	t.anchorRow = 0
-	minLB := t.rowLB[0]
 	for r := 1; r < rows; r++ {
-		y, prev := t.rowY[r], t.rowY[r-1]
+		y, prev := rowY[r], rowY[r-1]
 		for k < len(t.evp) && t.evp[k] <= y {
 			if t.evp[k] > prev {
 				f += slope * (t.evp[k] - prev)
@@ -395,23 +408,12 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 			k++
 		}
 		f += slope * (y - prev)
-		t.rowLB[r] = c + f
-		if t.rowLB[r] < minLB {
-			minLB = t.rowLB[r]
+		lb := c + f
+		t.rowLB[r] = lb - d
+		if lb < minLB {
+			minLB = lb
 			t.anchorRow = r
 		}
-	}
-	// The sweep rounds at the scale of the rows swept, not of the bound it
-	// produces: its partial sums reach Σw·span rows away from the items and
-	// cancel as the slope turns from -Σw to +Σw. Each of its ops additions
-	// rounds by at most ε/2 of Σw·span, and the carried slope by as much
-	// per event, so deducting 8·ops·ε·Σw·span keeps every rowLB under the
-	// true bound. A constant deduction keeps the argmin and the convexity
-	// the row order and the side cuts rely on.
-	span := max(t.rowY[rows-1], t.evp[len(t.evp)-1]) - min(y0, t.evp[0])
-	d := 8 * float64(len(t.xw)+len(t.evp)+rows) * 0x1p-52 * t.xTotW * span
-	for r := 0; r < rows; r++ {
-		t.rowLB[r] -= d
 	}
 }
 
@@ -523,14 +525,14 @@ func (t *TrialSet) envAt(seg int, x float64) float64 {
 // ensureRowTail fills row's suffix column of rowTail on first use, at full
 // sharpness: a bbox item contributes its exact y half (extended span), and
 // a trunk item contributes storedSpanX + min(yBranch, ySpanExt + eX) from
-// its memoized row class — the field comment proves both bounds. The xPen
-// part is tracked separately by the walk's envelope (xRem). Filling the
-// column also warms the trunk y-memo the scoring loop uses.
-// Safe under the chunked parallel scan: rows are partitioned across
-// workers, so each column (and its ready bit) is touched by exactly one
+// its row class — the field comment proves both bounds. The xPen part is
+// tracked separately by the walk's envelope (xRem). Filling the column
+// also fills the row's trunk y-memo entries, which the walk then reads
+// unchecked. Safe under the chunked parallel scan: rows are partitioned
+// across workers, so each column (and its stamp) is touched by exactly one
 // goroutine.
 func (t *TrialSet) ensureRowTail(row int) {
-	if t.rowReady[row] {
+	if t.rowReady[row] == t.epoch {
 		return
 	}
 	y := t.rowY[row]
@@ -556,10 +558,7 @@ func (t *TrialSet) ensureRowTail(row int) {
 			}
 			acc += ((it.maxX - it.minX) + (it.maxY - it.minY) + yPen) * it.w
 		case trialTrunk:
-			slot := i*t.yClasses + row
-			if !t.filled[slot] {
-				t.fillClass(i, row, y)
-			}
+			slot := t.fillClass(i, row, y)
 			yMin := t.memo[2*slot] // y branch total (horizontal trunk)
 			if s := t.memo[2*slot+1] + it.ex; s < yMin {
 				yMin = s // extended y span plus x branch excess (vertical trunk)
@@ -568,10 +567,12 @@ func (t *TrialSet) ensureRowTail(row int) {
 		}
 		t.rowTail[base+i] = acc
 	}
-	t.rowReady[row] = true
+	t.rowReady[row] = t.epoch
 }
 
-func (t *TrialSet) fillClass(i, class int, y float64) {
+// fillClass computes trunk item i's y-memo entry for class (centerline y)
+// and returns its slot.
+func (t *TrialSet) fillClass(i, class int, y float64) int {
 	it := &t.items[i]
 	slot := i*t.yClasses + class
 	var medY float64
@@ -604,15 +605,15 @@ func (t *TrialSet) fillClass(i, class int, y float64) {
 		hiy = y
 	}
 	t.memo[2*slot+1] = hiy - loy // vertical trunk: along-y span
-	t.filled[slot] = true
+	return slot
 }
 
 // Score returns the weighted trial cost of placing the compiled cell at
 // (x, y). yClass identifies y's memo class (pass a negative class, or
-// compile with yClasses 0, to bypass the memo). Read-only apart from lazy
-// memo fills; concurrent use requires goroutines to score disjoint y
-// classes (lazy filling is not goroutine-safe within a class) and one View
-// per goroutine (the RMST fallback needs per-goroutine scratch).
+// compile with yClasses 0, to bypass the memo). Read-only apart from the
+// memo entries it fills; concurrent use requires goroutines to score
+// disjoint y classes and one View per goroutine (the RMST fallback needs
+// per-goroutine scratch).
 func (t *TrialSet) Score(view *View, x, y float64, yClass int) float64 {
 	cost, _ := t.ScoreBounded(view, x, y, yClass, math.Inf(1))
 	return cost
@@ -650,10 +651,7 @@ func (t *TrialSet) ScoreBounded(view *View, x, y float64, yClass int, bound floa
 		case trialTrunk:
 			var yBranch, ySpan float64
 			if memo {
-				slot := i*t.yClasses + yClass
-				if !t.filled[slot] {
-					t.fillClass(i, yClass, y)
-				}
+				slot := t.fillClass(i, yClass, y)
 				yBranch, ySpan = t.memo[2*slot], t.memo[2*slot+1]
 			} else {
 				var medY float64
@@ -745,7 +743,8 @@ func clampMed(c, lo, hi float64) float64 {
 }
 
 // Vacancy is one candidate slot for ScanBestRows: physical center plus the
-// row, which doubles as the y memo class.
+// row, which doubles as the y memo class. Y is the row's centerline; the
+// scan reads the row's entry of PrepareScan's rowY instead.
 type Vacancy struct {
 	X, Y float64
 	Row  int32
@@ -784,13 +783,11 @@ func (s *ScanStats) Merge(o *ScanStats) {
 // tie-break below then reproduces the flat scan's earliest-index winner.
 type rowScan struct {
 	view      *View
-	vacs      []Vacancy
 	bk        *VacancyBuckets
 	st        *ScanStats
 	best      int
 	bestScore float64
 	bound     float64
-	visited   uint64
 }
 
 // ScanBestRows is the row-sharded vacancy scan for the compiled cell: it
@@ -801,92 +798,84 @@ type rowScan struct {
 // rowLB is convex around anchorRow, so the scan grows one contiguous row
 // range from there, each step entering whichever neighbouring row has the
 // smaller rowLB. That tightens the bound on the most promising rows
-// first, and once one row's rowLB reaches the bound, every farther row on
-// its side does too, so that side is cut. The per-vacancy precheck — rowTail[row] plus the x-penalty
-// envelope, weakly monotone in the outward x distance — cuts the entire
-// remaining bucket tail the moment it fires beyond the cut interval,
-// skipping dominated regions wholesale instead of bailing per vacancy.
+// first, and once one row's rowLB plus the smallest x penalty reaches the
+// bound, every farther row on its side does too, so that side is cut. The
+// per-vacancy precheck — rowTail[row] plus the x-penalty envelope, weakly
+// monotone in the outward x distance — cuts the entire remaining bucket
+// tail the moment it fires beyond the cut interval, skipping dominated
+// regions wholesale instead of bailing per vacancy.
 //
 // The winner is the lowest-index vacancy among those with the strictly
 // smallest score — bitwise the first minimum of a flat in-order
-// ScoreBounded loop — restored from the out-of-order walk by the tie-admitting
-// bound plus an explicit index tie-break. Requires CompileTrials,
-// PrepareScan (with yOf matching the vacancies' row centerlines), and a
-// bucket Build over the same vacancy pool. The y memo may start cold:
-// lazy fills index by (item, row), so row-chunked concurrent scans touch
-// disjoint entries — each goroutine still needs its own View. Returns
-// (-1, bound0) if no vacancy is admissible under bound0.
+// ScoreBounded loop — restored from the out-of-order walk by the
+// tie-admitting bound plus an explicit index tie-break. Vacancies are
+// scored at their bucket x and their row's centerline. Requires
+// CompileTrials, PrepareScan (with rowY matching the vacancies' row
+// centerlines), and a bucket Build over the same vacancy pool. The y memo
+// may start cold: each row fills its own entries on entry, so row-chunked
+// concurrent scans touch disjoint entries — each goroutine still needs its
+// own View. Returns (-1, bound0) if no vacancy is admissible under bound0.
 //
-// st counts every free vacancy of a feasible row exactly once: as visited
-// (Vacancies) or as skipped wholesale (SkippedBucket).
-func (t *TrialSet) ScanBestRows(view *View, vacs []Vacancy, bk *VacancyBuckets,
-	rowOK []bool, rowLo, rowHi int, bound0 float64, st *ScanStats) (int, float64) {
+// feasible must be the number of free vacancies in the rowOK rows of
+// [rowLo, rowHi) (RowLive summed over them). st counts each of them
+// exactly once: as visited (Vacancies), or, the difference, as skipped
+// wholesale (SkippedBucket).
+func (t *TrialSet) ScanBestRows(view *View, bk *VacancyBuckets, rowOK []bool,
+	rowLo, rowHi, feasible int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
 		st = new(ScanStats)
 	}
-	c := rowScan{view: view, vacs: vacs, bk: bk, st: st, best: -1, bound: bound0}
+	visited0 := st.Vacancies
+	c := rowScan{view: view, bk: bk, st: st, best: -1, bound: bound0}
 	up := min(max(t.anchorRow, rowLo), rowHi-1)
 	down := up - 1
 	for up < rowHi || down >= rowLo {
 		if down < rowLo || (up < rowHi && t.rowLB[up] <= t.rowLB[down]) {
 			if t.scanRow(&c, rowOK, up) {
-				c.skipRows(rowOK, up+1, rowHi)
 				up = rowHi
 			} else {
 				up++
 			}
 		} else {
 			if t.scanRow(&c, rowOK, down) {
-				c.skipRows(rowOK, rowLo, down)
 				down = rowLo - 1
 			} else {
 				down--
 			}
 		}
 	}
+	st.SkippedBucket += uint64(feasible) - (st.Vacancies - visited0)
 	if c.best < 0 {
 		return -1, bound0
 	}
 	return c.best, c.bestScore
 }
 
-// skipRows counts the free vacancies of feasible rows [lo, hi) as skipped.
-func (c *rowScan) skipRows(rowOK []bool, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		if rowOK[r] {
-			c.st.SkippedBucket += uint64(c.bk.rowN[r])
-		}
-	}
-}
-
-// scanRow scans one row of the best-first order. A row whose rowLB (or
-// rowLB plus the row's best-case x penalty) already reaches the bound is
-// skipped wholesale. scanRow reports true when the rowLB skip fires: each
-// side of the order moves away from anchorRow, the argmin of the convex
-// rowLB, so every remaining row on that side is dominated too, and the
-// caller cuts the side.
+// scanRow scans one row of the best-first order. A row whose rowLB plus
+// the smallest x penalty minEnv, or rowLB plus the row's best-case x
+// penalty, already reaches the bound is skipped wholesale. scanRow
+// reports true when the first skip fires: each side of the order moves
+// away from anchorRow, the argmin of the convex rowLB, so every remaining
+// row on that side is dominated too, and the caller cuts the side.
 func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
-	bk, st := c.bk, c.st
-	liveN := uint64(bk.rowN[r])
-	if liveN == 0 || !rowOK[r] {
+	bk := c.bk
+	if bk.rowN[r] == 0 || !rowOK[r] {
 		return false
 	}
-	st.RowsVisited++
-	if t.rowLB[r]*scanSlack >= c.bound {
-		st.SkippedBucket += liveN
+	c.st.RowsVisited++
+	if (t.rowLB[r]+t.minEnv)*scanSlack >= c.bound {
 		return true
 	}
 	lo, hi := bk.liveSpan(r)
-	xlb := 0.0
-	if t.hasPrune {
-		// Best-case x penalty anywhere in this row: the envelope is
-		// convex with its minimum on [xCutLo, xCutHi], so its minimum
-		// over the row's free vacancies is attained at the cut point
-		// clamped into their x range.
+	// Best-case x penalty anywhere in this row: the envelope is convex with
+	// its minimum on [xCutLo, xCutHi], so its minimum over the row's free
+	// vacancies is attained at the cut point clamped into their x range —
+	// minEnv itself when that range spans xCutLo.
+	xlb := t.minEnv
+	if t.hasPrune && (bk.xs[lo] > t.xCutLo || bk.xs[hi-1] < t.xCutLo) {
 		xc := min(max(t.xCutLo, bk.xs[lo]), bk.xs[hi-1])
 		xlb = t.envAt(t.envSeg(xc), xc)
 		if (t.rowLB[r]+xlb)*scanSlack >= c.bound {
-			st.SkippedBucket += liveN
 			return false
 		}
 	}
@@ -895,14 +884,11 @@ func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
 	// seek and walk: rowTail[base] upgrades the sweep's span-based
 	// bound with the true per-row trunk y halves.
 	if (t.rowTail[r*(len(t.items)+1)]+xlb)*scanSlack >= c.bound {
-		st.SkippedBucket += liveN
 		return false
 	}
 	p0 := bk.SeekGE(r, t.anchorX)
-	c.visited = 0
 	t.walkDir(c, r, p0, hi, +1)
 	t.walkDir(c, r, p0-1, lo-1, -1)
-	st.SkippedBucket += liveN - c.visited
 	return false
 }
 
@@ -913,23 +899,21 @@ func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
 // as large (the envelope is nondecreasing outward), so the walk stops —
 // the dominated tail is never visited.
 func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int) {
-	bk, st, vacs := c.bk, c.st, c.vacs
+	bk, st := c.bk, c.st
 	items, stride := t.items, len(t.items)+1
 	rowBase := row * stride
 	rowLB := t.rowTail[rowBase]
-	// The walk is monotone in x, so the envelope segment cursor advances
-	// amortized O(1) per position: one binary search seeds it, then each
+	y := t.rowY[row]
+	// The walk is monotone in x and starts on its own side of anchorX (p
+	// is SeekGE's split there), so the envelope segment cursor, seeded at
+	// the anchor's segment, advances amortized O(1) per position: each
 	// vacancy's precheck is a single multiply-add instead of the O(items)
 	// penalty loop.
-	seg, nbp := 0, len(t.xbp)
-	if t.hasPrune && p != end {
-		seg = t.envSeg(bk.xs[p])
-	}
+	seg, nbp := t.anchorSeg, len(t.xbp)
 walk:
 	for ; p != end; p += dir {
 		v := int(bk.order[p])
 		x := bk.xs[p]
-		c.visited++
 		st.Vacancies++
 		xRem := 0.0
 		if t.hasPrune {
@@ -956,7 +940,6 @@ walk:
 				continue walk
 			}
 		}
-		y := vacs[v].Y
 		cost := 0.0
 		for i := range items {
 			it := &items[i]
@@ -978,9 +961,6 @@ walk:
 				cost += ((hix - lox) + (hiy - loy)) * it.w
 			case trialTrunk:
 				slot := i*t.yClasses + row
-				if !t.filled[slot] {
-					t.fillClass(i, row, y)
-				}
 				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
 
 				lox, hix := it.minX, it.maxX
