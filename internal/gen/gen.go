@@ -104,6 +104,7 @@ func Generate(p Params) (*netlist.Circuit, error) {
 
 	r := rng.New(p.Seed)
 	b := netlist.NewBuilder(p.Name)
+	b.Grow(p.PIs + p.DFFs + p.Gates + p.POs)
 
 	// Level 0 signal pool: PIs and DFF outputs.
 	var levels [][]string
@@ -128,12 +129,12 @@ func Generate(p Params) (*netlist.Circuit, error) {
 		perLevel[lvl] = 1 // every level keeps at least one gate
 		remaining--
 	}
+	// Weight level l by Depth-l+1 for a gently tapering profile.
+	w := make([]float64, p.Depth)
+	for i := range w {
+		w[i] = float64(p.Depth - i + 1)
+	}
 	for remaining > 0 {
-		// Weight level l by Depth-l+1 for a gently tapering profile.
-		w := make([]float64, p.Depth)
-		for i := range w {
-			w[i] = float64(p.Depth - i + 1)
-		}
 		perLevel[1+r.Pick(w)]++
 		remaining--
 	}
@@ -150,12 +151,13 @@ func Generate(p Params) (*netlist.Circuit, error) {
 	}
 
 	gateNum := 0
+	var inputs []string // AddGate copies it, so one buffer serves every gate
 	for lvl := 1; lvl <= p.Depth; lvl++ {
-		var cur []string
+		cur := make([]string, 0, perLevel[lvl])
 		for g := 0; g < perLevel[lvl]; g++ {
 			fanin := 1 + r.Pick(p.FaninDist)
 			typ := gateForFanin(r, fanin)
-			inputs := make([]string, 0, fanin)
+			inputs = inputs[:0]
 			seen := map[string]bool{}
 			if g == 0 {
 				// Anchor each level to the previous one so the realized

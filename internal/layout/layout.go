@@ -157,27 +157,27 @@ func NewClustered(ckt *netlist.Circuit, numRows int, r *rng.R) *Placement {
 	// cell sharing a net with it into the same cluster. The shuffled seed
 	// order (and the deterministic net/pin order below) makes the traversal
 	// reproducible for a given rng stream.
+	// Cells enter order as they are discovered, so order[head:] is the
+	// FIFO queue of the current traversal.
 	order := make([]netlist.CellID, 0, len(movable))
 	visited := make([]bool, len(ckt.Cells))
-	queue := make([]netlist.CellID, 0, 64)
 	var nets []netlist.NetID
 	for _, seed := range movable {
 		if visited[seed] {
 			continue
 		}
 		visited[seed] = true
-		queue = append(queue[:0], seed)
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			order = append(order, id)
+		head := len(order)
+		order = append(order, seed)
+		for ; head < len(order); head++ {
+			id := order[head]
 			nets = ckt.CellNets(id, nets[:0])
 			for _, n := range nets {
 				net := &ckt.Nets[n]
 				visit := func(c netlist.CellID) {
 					if c != netlist.NoCell && isMovable[c] && !visited[c] {
 						visited[c] = true
-						queue = append(queue, c)
+						order = append(order, c)
 					}
 				}
 				visit(net.Driver)

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs circuits incrementally, by name. It is used by the
 // .bench parser and by the synthetic circuit generator.
@@ -48,6 +51,15 @@ func (b *Builder) AddGate(name string, typ GateType, inputs []string, width int)
 	b.add(protoCell{name: name, typ: typ, width: width, inputs: cp})
 }
 
+// Grow reserves room for n more cells, so a caller that knows the
+// circuit's size declares it without the builder regrowing.
+func (b *Builder) Grow(n int) {
+	b.cells = slices.Grow(b.cells, n)
+	if len(b.byNam) == 0 {
+		b.byNam = make(map[string]int, n)
+	}
+}
+
 func (b *Builder) add(p protoCell) {
 	if _, dup := b.byNam[p.name]; dup {
 		b.errs = append(b.errs, fmt.Errorf("netlist: duplicate cell %q", p.name))
@@ -58,15 +70,24 @@ func (b *Builder) add(p protoCell) {
 }
 
 // Build resolves all signal references and returns the finished circuit.
+// Every cell's input nets and every net's sinks are carved out of two
+// exactly sized arrays, so building allocates little beyond the circuit.
 func (b *Builder) Build() (*Circuit, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
 	ckt := &Circuit{Name: b.name}
 	ckt.Cells = make([]Cell, len(b.cells))
+	nets, pins := 0, 0
+	for _, p := range b.cells {
+		if p.typ != Output {
+			nets++
+		}
+		pins += len(p.inputs)
+	}
+	ckt.Nets = make([]Net, 0, nets)
 
 	// First pass: create cells and one net per driving cell.
-	netOf := make(map[string]NetID) // signal name -> net
 	for i, p := range b.cells {
 		id := CellID(i)
 		ckt.Cells[i] = Cell{ID: id, Name: p.name, Type: p.typ, Width: p.width, Out: NoNet}
@@ -81,19 +102,44 @@ func (b *Builder) Build() (*Circuit, error) {
 		if p.typ != Output {
 			nid := NetID(len(ckt.Nets))
 			ckt.Nets = append(ckt.Nets, Net{ID: nid, Name: p.name, Driver: id})
-			netOf[p.name] = nid
 			ckt.Cells[i].Out = nid
 		}
 	}
 
-	// Second pass: connect input pins.
+	// Second pass: resolve input pins to the nets of their driving cells
+	// and count each net's sinks.
+	ins := make([]NetID, pins)
+	fanout := make([]int, nets)
+	off := 0
 	for i, p := range b.cells {
-		for _, sig := range p.inputs {
-			nid, ok := netOf[sig]
-			if !ok {
+		if len(p.inputs) == 0 {
+			continue
+		}
+		in := ins[off : off+len(p.inputs) : off+len(p.inputs)]
+		off += len(p.inputs)
+		for k, sig := range p.inputs {
+			j, ok := b.byNam[sig]
+			if !ok || b.cells[j].typ == Output {
 				return nil, fmt.Errorf("netlist: cell %q references undriven signal %q", p.name, sig)
 			}
-			ckt.Cells[i].In = append(ckt.Cells[i].In, nid)
+			in[k] = ckt.Cells[j].Out
+			fanout[in[k]]++
+		}
+		ckt.Cells[i].In = in
+	}
+
+	// Third pass: fill the sinks in cell order, each net's into its own
+	// capacity-capped window.
+	sinks := make([]CellID, pins)
+	off = 0
+	for n, c := range fanout {
+		if c > 0 {
+			ckt.Nets[n].Sinks = sinks[off : off : off+c]
+		}
+		off += c
+	}
+	for i := range ckt.Cells {
+		for _, nid := range ckt.Cells[i].In {
 			ckt.Nets[nid].Sinks = append(ckt.Nets[nid].Sinks, CellID(i))
 		}
 	}

@@ -154,6 +154,13 @@ func (c *Circuit) NumNets() int { return len(c.Nets) }
 // slice is cached and must not be modified.
 func (c *Circuit) Movable() []CellID {
 	if c.movable == nil {
+		n := 0
+		for i := range c.Cells {
+			if !c.Cells[i].IsPad() {
+				n++
+			}
+		}
+		c.movable = make([]CellID, 0, n)
 		for i := range c.Cells {
 			if !c.Cells[i].IsPad() {
 				c.movable = append(c.movable, CellID(i))

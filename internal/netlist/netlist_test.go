@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,62 @@ func TestBuilderUndrivenSignal(t *testing.T) {
 	b.AddOutput("g")
 	if _, err := b.Build(); err == nil {
 		t.Fatal("undriven signal not rejected")
+	}
+}
+
+// TestBuilderPinWindows pins the wiring Build carves out of its shared
+// pin arrays: inputs in pin order, sinks in cell order with repeats for
+// multi-pin cells, and windows capped so that growing one never writes
+// into a neighbor's.
+func TestBuilderPinWindows(t *testing.T) {
+	build := func(grow bool) *Circuit {
+		b := NewBuilder("windows")
+		if grow {
+			b.Grow(6)
+		}
+		b.AddInput("a")
+		b.AddInput("b")
+		b.AddGate("g1", And, []string{"a", "a"}, 0) // two pins on net a
+		b.AddGate("g2", Or, []string{"b", "g1"}, 0)
+		b.AddGate("g3", Not, []string{"a"}, 0)
+		b.AddOutput("g2")
+		ckt, err := b.Build()
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return ckt
+	}
+	ckt := build(false)
+	if !reflect.DeepEqual(ckt, build(true)) {
+		t.Fatal("Grow changed the built circuit")
+	}
+	a, g1 := ckt.Cells[0].Out, ckt.Cells[2].Out
+	if got, want := ckt.Nets[a].Sinks, []CellID{2, 2, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sinks of a = %v, want %v", got, want)
+	}
+	if got, want := ckt.Cells[3].In, []NetID{ckt.Cells[1].Out, g1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("inputs of g2 = %v, want %v", got, want)
+	}
+	if ckt.Cells[0].In != nil || ckt.Nets[ckt.Cells[4].Out].Sinks != nil {
+		t.Fatal("a cell without inputs or a net without sinks has a non-nil slice")
+	}
+	_ = append(ckt.Cells[2].In, g1)
+	_ = append(ckt.Nets[a].Sinks, 3)
+	if got, want := ckt.Cells[3].In[0], ckt.Cells[1].Out; got != want {
+		t.Fatalf("growing g1's inputs overwrote g2's: %v, want %v", got, want)
+	}
+	if got, want := ckt.Nets[ckt.Cells[1].Out].Sinks, []CellID{3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("growing a's sinks overwrote b's: %v, want %v", got, want)
+	}
+}
+
+func TestBuilderOutputPadIsNotADriver(t *testing.T) {
+	b := NewBuilder("padref")
+	b.AddInput("a")
+	b.AddOutput("a")
+	b.AddGate("g", Not, []string{"out:a"}, 0)
+	if _, err := b.Build(); err == nil {
+		t.Fatal("reference to an output pad not rejected")
 	}
 }
 

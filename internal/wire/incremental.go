@@ -123,6 +123,15 @@ func NewIncremental(ckt *netlist.Circuit, est Estimator) *Incremental {
 func (inc *Incremental) buildPins() {
 	ckt := inc.ckt
 	inc.pinOff = make([]int32, len(ckt.Cells)+1)
+	// A cell's distinct nets are at most its output plus its input pins.
+	refs := 0
+	for id := range ckt.Cells {
+		if ckt.Cells[id].Out != netlist.NoNet {
+			refs++
+		}
+		refs += len(ckt.Cells[id].In)
+	}
+	inc.pinRefs = make([]PinRef, 0, refs)
 	var nets []netlist.NetID
 	for id := range ckt.Cells {
 		nets = ckt.CellNets(netlist.CellID(id), nets[:0])
