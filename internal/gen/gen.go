@@ -3,8 +3,8 @@
 //
 // The real ISCAS-89 netlist files are not redistributable in this offline
 // workspace, so the experiments run on synthetic stand-ins generated here.
-// The substitution is documented in DESIGN.md: SimE placement behaviour is
-// driven by netlist statistics — cell count, fan-in distribution, net degree
+// The substitution is sound because SimE placement behaviour is driven by
+// netlist statistics — cell count, fan-in distribution, net degree
 // distribution, logic depth, and connection locality — all of which the
 // generator reproduces for each catalog entry. Real .bench files, when
 // available, load through netlist.ParseBench and run unchanged.

@@ -52,7 +52,9 @@ func DecodePlacementPrefix(ckt *netlist.Circuit, data []byte) (*Placement, []byt
 	if err != nil {
 		return nil, nil, err
 	}
-	if numRows <= 0 || numRows > 1<<20 {
+	// Every row carries at least its 4-byte count, so the row count is
+	// bounded by the bytes left before anything is allocated for it.
+	if numRows <= 0 || int(numRows) > d.left()/4 {
 		return nil, nil, fmt.Errorf("layout: decoded row count %d out of range", numRows)
 	}
 	p := New(ckt, int(numRows))
@@ -61,7 +63,7 @@ func DecodePlacementPrefix(ckt *netlist.Circuit, data []byte) (*Placement, []byt
 		if err != nil {
 			return nil, nil, err
 		}
-		if count < 0 || int(count) > len(ckt.Cells) {
+		if count < 0 || int(count) > len(ckt.Cells) || int(count) > d.left()/4 {
 			return nil, nil, fmt.Errorf("layout: decoded row %d count %d out of range", r, count)
 		}
 		row := make([]netlist.CellID, count)
@@ -78,11 +80,11 @@ func DecodePlacementPrefix(ckt *netlist.Circuit, data []byte) (*Placement, []byt
 		}
 		p.rows[r] = row
 	}
-	p.dirty = true
-	p.Recompute()
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
+	p.dirty = true
+	p.Recompute()
 	return p, d.data[d.off:], nil
 }
 
@@ -157,6 +159,9 @@ type decoder struct {
 	data []byte
 	off  int
 }
+
+// left returns the number of bytes not yet decoded.
+func (d *decoder) left() int { return len(d.data) - d.off }
 
 func (d *decoder) i32() (int32, error) {
 	if d.off+4 > len(d.data) {

@@ -519,31 +519,40 @@ func (p *Placement) Fingerprint() uint64 {
 }
 
 // Validate checks the placement invariants: every movable cell is placed in
-// exactly one slot, slot back-references agree, and no holes remain.
+// exactly one slot, slot back-references agree, and no holes remain. It
+// does not allocate unless it fails.
 func (p *Placement) Validate() error {
-	seen := make(map[netlist.CellID]SlotRef)
 	for r := range p.rows {
 		for i, id := range p.rows[r] {
 			ref := SlotRef{Row: int32(r), Idx: int32(i)}
 			if id == netlist.NoCell {
 				return fmt.Errorf("layout: hole remains at %v", ref)
 			}
-			if prev, dup := seen[id]; dup {
-				return fmt.Errorf("layout: cell %d placed at both %v and %v", id, prev, ref)
-			}
-			seen[id] = ref
-			if p.slotOf[id] != ref {
-				return fmt.Errorf("layout: cell %d slot back-reference %v != %v", id, p.slotOf[id], ref)
+			if back := p.slotOf[id]; back != ref {
+				if p.holds(back, id) {
+					return fmt.Errorf("layout: cell %d placed at both %v and %v", id, back, ref)
+				}
+				return fmt.Errorf("layout: cell %d slot back-reference %v != %v", id, back, ref)
 			}
 			if p.ckt.Cells[id].IsPad() {
 				return fmt.Errorf("layout: pad %d placed in a row", id)
 			}
 		}
 	}
+	// Every placed cell's back-reference names its own slot, so no cell is
+	// placed twice, and a cell is placed exactly when its back-reference
+	// holds it.
 	for _, id := range p.ckt.Movable() {
-		if _, ok := seen[id]; !ok {
+		if !p.holds(p.slotOf[id], id) {
 			return fmt.Errorf("layout: movable cell %d is unplaced", id)
 		}
 	}
 	return nil
+}
+
+// holds reports whether ref is a slot of p that holds cell id.
+func (p *Placement) holds(ref SlotRef, id netlist.CellID) bool {
+	return ref.Row >= 0 && int(ref.Row) < len(p.rows) &&
+		ref.Idx >= 0 && int(ref.Idx) < len(p.rows[ref.Row]) &&
+		p.rows[ref.Row][ref.Idx] == id
 }

@@ -18,21 +18,18 @@ func (c *Comm) Rank() int { return c.rs.id }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.cl.n }
 
-// Elapsed returns this rank's virtual clock.
+// Elapsed returns this rank's virtual clock: its clock at the start of the
+// current compute segment, with every queued send counted, plus the
+// segment's explicit charges so far.
 func (c *Comm) Elapsed() time.Duration {
 	c.cl.mu.Lock()
 	defer c.cl.mu.Unlock()
-	return c.rs.clock
+	return c.rs.key + c.rs.pending
 }
 
 // Charge adds modeled compute time to this rank's clock. Use together with
 // Options.MeasureCompute=false for deterministic virtual-time tests.
-func (c *Comm) Charge(d time.Duration) {
-	c.cl.mu.Lock()
-	defer c.cl.mu.Unlock()
-	c.rs.clock += d
-	c.rs.stats.Compute += d
-}
+func (c *Comm) Charge(d time.Duration) { c.rs.pending += d }
 
 // Status describes a received message.
 type Status struct {
@@ -40,136 +37,73 @@ type Status struct {
 	Tag    int
 }
 
-// Send posts a message to dst. Sends are eager (buffered at the receiver):
-// the call returns after charging the sender's overhead and transfer time.
-// A send to the sender's own rank is a local enqueue — the message lands in
-// the sender's inbox after the modeled overheads, so strategy code needs no
-// rank special-casing (MPI likewise buffers self-sends).
+// Send posts a message to dst. Sends are eager (buffered at the receiver)
+// and never wait: the message is queued with the sender's overhead and
+// transfer time charged to its clock, and delivered at the sender's turn
+// in the schedule while the sender computes on. A send to the sender's own
+// rank is a local enqueue — the message lands in the sender's inbox after
+// the modeled overheads, so strategy code needs no rank special-casing
+// (MPI likewise buffers self-sends).
 func (c *Comm) Send(dst, tag int, data []byte) {
 	if dst < 0 || dst >= c.cl.n {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d", dst))
 	}
-	cl := c.cl
-	cl.mu.Lock()
-	cl.chargeComputeLocked(c.rs)
-	c.sendLocked(dst, tag, data, true)
-	cl.yieldLocked(c.rs)
-	c.rs.computeStart = time.Now()
-	cl.mu.Unlock()
+	compute := c.cl.endSegment(c.rs)
+	c.cl.queue(c.rs, op{kind: opSend, tag: tag, out: []outMsg{{dst, clone(data)}}}, compute)
 }
 
-// sendLocked enqueues a message; chargeWire controls whether bandwidth and
-// overhead are charged (TrueBroadcast fan-out charges only the first copy).
-func (c *Comm) sendLocked(dst, tag int, data []byte, chargeWire bool) {
-	cl := c.cl
-	m := cl.opt.Net
-	if chargeWire {
-		c.rs.clock += m.SendOverhead + m.transferTime(len(data))
-	}
-	arrival := c.rs.clock + m.Latency
+// clone copies a payload the caller may reuse once Send returns. Unlike
+// bytes.Clone it never returns nil, so an empty message arrives non-nil.
+func clone(data []byte) []byte {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	cl.seq++
-	target := cl.rs[dst]
-	target.inbox = append(target.inbox, message{
-		src: c.rs.id, tag: tag, data: cp, arrival: arrival, seq: cl.seq,
-	})
-	c.rs.stats.MsgsSent++
-	c.rs.stats.BytesSent += len(data)
-	if target.state == stateBlocked && findMatchLocked(target, target.waitSrc, target.waitTag) >= 0 {
-		target.state = stateRunnable
-	}
+	return cp
 }
 
 // Recv blocks until a message matching (src, tag) is available and returns
 // its payload. Use AnySource and AnyTag as wildcards; internal collective
 // traffic is never matched by AnyTag.
 func (c *Comm) Recv(src, tag int) ([]byte, Status) {
-	cl := c.cl
-	cl.mu.Lock()
-	cl.chargeComputeLocked(c.rs)
-	for {
-		if i := findMatchLocked(c.rs, src, tag); i >= 0 {
-			msg := c.rs.inbox[i]
-			c.rs.inbox = append(c.rs.inbox[:i], c.rs.inbox[i+1:]...)
-			if msg.arrival > c.rs.clock {
-				c.rs.clock = msg.arrival
-			}
-			c.rs.clock += cl.opt.Net.RecvOverhead
-			c.rs.stats.MsgsRecv++
-			c.rs.stats.BytesRecv += len(msg.data)
-			cl.yieldLocked(c.rs)
-			c.rs.computeStart = time.Now()
-			cl.mu.Unlock()
-			return msg.data, Status{Source: msg.src, Tag: msg.tag}
-		}
-		cl.blockLocked(c.rs, src, tag)
-	}
+	msg, _ := c.cl.park(c.rs, op{kind: opRecv, src: src, tag: tag})
+	return msg.data, Status{Source: msg.src, Tag: msg.tag}
 }
 
 // Poll is a non-blocking Recv: it consumes and returns a message matching
 // (src, tag) if one is pending, and returns ok=false without blocking
-// otherwise. Before inspecting the inbox the caller yields to every
-// runnable rank with a smaller virtual clock, so the set of messages a
-// poll can see is a pure function of the virtual-time schedule — with
-// MeasureCompute=false this makes polling loops (the async Type III
-// exchange) fully deterministic, the simulator's reference schedule. A
-// hit charges the receive overhead and advances the clock to the
-// message's arrival exactly as Recv would; a miss charges nothing.
+// otherwise. The poll takes two turns: the first lands the caller's
+// compute on its clock, and the inbox is inspected at the second, after
+// every rank with a smaller virtual clock has had its turn. So the set of
+// messages a poll can see is a pure function of the virtual-time schedule
+// — with MeasureCompute=false this makes polling loops (the async Type III
+// exchange) fully deterministic. A hit charges the receive overhead and
+// advances the clock to the message's arrival exactly as Recv would; a
+// miss charges nothing.
 func (c *Comm) Poll(src, tag int) ([]byte, Status, bool) {
-	cl := c.cl
-	cl.mu.Lock()
-	cl.chargeComputeLocked(c.rs)
-	cl.yieldLocked(c.rs)
-	if i := findMatchLocked(c.rs, src, tag); i >= 0 {
-		msg := c.rs.inbox[i]
-		c.rs.inbox = append(c.rs.inbox[:i], c.rs.inbox[i+1:]...)
-		if msg.arrival > c.rs.clock {
-			c.rs.clock = msg.arrival
-		}
-		c.rs.clock += cl.opt.Net.RecvOverhead
-		c.rs.stats.MsgsRecv++
-		c.rs.stats.BytesRecv += len(msg.data)
-		cl.yieldLocked(c.rs)
-		c.rs.computeStart = time.Now()
-		cl.mu.Unlock()
-		return msg.data, Status{Source: msg.src, Tag: msg.tag}, true
+	msg, ok := c.cl.park(c.rs, op{kind: opPollCharge, src: src, tag: tag})
+	if !ok {
+		return nil, Status{}, false
 	}
-	c.rs.computeStart = time.Now()
-	cl.mu.Unlock()
-	return nil, Status{}, false
+	return msg.data, Status{Source: msg.src, Tag: msg.tag}, true
 }
 
 // Bcast distributes data from root to every rank; all ranks must call it.
 // It returns the payload (root returns its own data). With a TrueBroadcast
 // network the root pays the wire cost once, as on a shared-medium LAN.
+// Like Send, the root does not wait.
 func (c *Comm) Bcast(root int, data []byte) []byte {
-	cl := c.cl
-	if c.rs.id == root {
-		cl.mu.Lock()
-		cl.chargeComputeLocked(c.rs)
-		m := cl.opt.Net
-		if m.TrueBroadcast {
-			c.rs.clock += m.SendOverhead + m.transferTime(len(data))
-			for dst := 0; dst < cl.n; dst++ {
-				if dst != root {
-					c.sendLocked(dst, tagBcast, data, false)
-				}
-			}
-		} else {
-			for dst := 0; dst < cl.n; dst++ {
-				if dst != root {
-					c.sendLocked(dst, tagBcast, data, true)
-				}
-			}
-		}
-		cl.yieldLocked(c.rs)
-		c.rs.computeStart = time.Now()
-		cl.mu.Unlock()
-		return data
+	if c.rs.id != root {
+		payload, _ := c.Recv(root, tagBcast)
+		return payload
 	}
-	payload, _ := c.Recv(root, tagBcast)
-	return payload
+	compute := c.cl.endSegment(c.rs)
+	o := op{kind: opSend, tag: tagBcast, once: c.cl.opt.Net.TrueBroadcast, size: len(data)}
+	for dst := 0; dst < c.cl.n; dst++ {
+		if dst != root {
+			o.out = append(o.out, outMsg{dst, clone(data)})
+		}
+	}
+	c.cl.queue(c.rs, o, compute)
+	return data
 }
 
 // Gather collects one payload per rank at root; all ranks must call it.

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +167,38 @@ func TestManagerRunAndCache(t *testing.T) {
 		t.Fatal("different spec was served from cache")
 	}
 	waitTerminal(t, m, v3.ID)
+}
+
+// TestManagerCacheFilledBeforeDone resubmits every spec the moment its
+// job is seen done: the resubmission must always hit the cache. The
+// journal's synced write on the finish path widens the window in which a
+// cache filled after the job turned done would be missed.
+func TestManagerCacheFilledBeforeDone(t *testing.T) {
+	jr, err := OpenJournal(filepath.Join(t.TempDir(), "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	m := NewManager(Options{Workers: 2, CacheSize: 128, Journal: jr})
+	defer m.Close()
+	bench := smallBench(t)
+	for seed := uint64(1); seed <= 100; seed++ {
+		spec := Spec{Bench: bench, Strategy: "serial", MaxIters: 2, Seed: seed}
+		v, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := waitTerminal(t, m, v.ID); done.State != StateDone {
+			t.Fatalf("seed %d: job finished %s (%s)", seed, done.State, done.Error)
+		}
+		again, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.State != StateDone || again.Result == nil || !again.Result.Cached {
+			t.Fatalf("seed %d: resubmit right after done missed the cache: state %s", seed, again.State)
+		}
+	}
 }
 
 func TestManagerCancelRunning(t *testing.T) {

@@ -517,15 +517,17 @@ func (m *Manager) runJob(job *Job) {
 		job.finish(StateCanceled, res, "")
 		m.journal(journalRecord{Type: "finish", ID: job.id, Time: time.Now(), State: StateCanceled, Result: res})
 	default:
-		job.finish(StateDone, res, "")
-		m.journal(journalRecord{Type: "finish", ID: job.id, Time: time.Now(), State: StateDone, Result: res})
 		if !res.Degraded && !res.TransportFallback {
 			// Degraded and fallback results are honest outcomes for this
-			// run but not canonical for the spec: do not cache them.
+			// run but not canonical for the spec: do not cache them. The
+			// cache fills before the job turns done, so a client that
+			// resubmits on seeing done finds the result there.
 			m.mu.Lock()
 			m.cache.put(job.fp, *res)
 			m.mu.Unlock()
 		}
+		job.finish(StateDone, res, "")
+		m.journal(journalRecord{Type: "finish", ID: job.id, Time: time.Now(), State: StateDone, Result: res})
 	}
 }
 

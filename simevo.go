@@ -92,8 +92,10 @@ func LoadBenchFile(path string) (*Circuit, error) {
 }
 
 // Benchmark returns one of the paper's five ISCAS-89 test cases as a
-// synthetic, statistically equivalent circuit (see DESIGN.md for the
-// substitution rationale). Generation is deterministic.
+// synthetic, statistically equivalent circuit: it matches the original's
+// cell count, fan-in and net-degree distributions, logic depth and
+// connection locality, the statistics SimE placement behaviour depends on.
+// Generation is deterministic.
 func Benchmark(name string) (*Circuit, error) {
 	ckt, err := gen.Benchmark(name)
 	if err != nil {
