@@ -43,6 +43,7 @@ func BenchmarkTrialCost(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			p := benchProblem(b, mode.scratch)
 			e := p.NewEngine(0)
+			e.Step() // sizes the per-row scan state prepTrial reads
 			e.EvaluateCosts()
 			id := p.Ckt.Movable()[len(p.Ckt.Movable())/2]
 			useInc := !mode.scratch && e.inc != nil && e.inc.Built()
@@ -140,6 +141,46 @@ func BenchmarkAllocScanBreakEven(b *testing.B) {
 					b.ReportMetric(float64(len(e.vacs)), "vacancies/pass")
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkEvaluate measures the evaluation phase of a SimE iteration —
+// EvaluateCosts followed by ComputeGoodness over the domain — on the
+// placements a running engine produces: every op is a full Step, so each
+// evaluation sees one iteration's worth of moved cells. eval-ns/op is the
+// evaluation phase alone (the Step's own phase timer); ns/op is the whole
+// iteration.
+func BenchmarkEvaluate(b *testing.B) {
+	for _, c := range []struct {
+		circuit string
+		obj     fuzzy.Objectives
+	}{
+		{"s1196", fuzzy.WirePower},
+		{"s3330", fuzzy.WirePowerDelay},
+	} {
+		b.Run(c.circuit+"-"+c.obj.String(), func(b *testing.B) {
+			ckt, err := gen.Benchmark(c.circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultConfig(c.obj)
+			cfg.MaxIters = 1 << 30
+			cfg.Seed = 2006
+			p, err := NewProblem(ckt, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := p.NewEngine(0)
+			e.Step() // warm scratch buffers and the incremental state
+			start := e.Profile()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			b.StopTimer()
+			d := e.Profile().Eval - start.Eval
+			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), "eval-ns/op")
 		})
 	}
 }

@@ -131,14 +131,15 @@ type Config struct {
 	// BenchmarkAllocScanBreakEven, which sweeps the floor on a given host.
 	AllocWorkers int
 
-	// EvalWorkers fans the per-cell goodness evaluation across the same
-	// shared worker pool. Per-cell goodness is read-only over the cached
-	// net multisets, so partitioning the cells and evaluating chunks
-	// concurrently produces bitwise the values of the serial loop; the
-	// selection operator then consumes them in deterministic cell order,
-	// keeping the search trajectory identical. Unlike AllocWorkers, 0 (or
-	// 1, or any negative value) keeps evaluation serial — the serial path
-	// is the reference mode — and values > 1 opt into that many chunks.
+	// EvalWorkers fans the evaluation across the same shared worker pool:
+	// large dirty-net refreshes in chunks of nets, and the per-cell
+	// goodness folds in chunks of cells. Each chunk writes only its own
+	// nets' or cells' slots, so the values are bitwise those of the serial
+	// loops; the selection operator then consumes them in deterministic
+	// cell order, keeping the search trajectory identical. Unlike
+	// AllocWorkers, 0 (or 1, or any negative value) keeps evaluation
+	// serial — the serial path is the reference mode — and values > 1 opt
+	// into that many chunks.
 	// Requires the incremental engine (DisableIncremental forces serial).
 	EvalWorkers int
 

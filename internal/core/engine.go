@@ -55,6 +55,11 @@ type Engine struct {
 	incStale   bool
 	evalsSince int // evaluations since the last full-recompute checksum
 
+	// pinAttach[inc.PinIndex(id)+i] is attachSum for the cell's i-th
+	// CellPins entry: widths never change, so the goodness fold reads the
+	// attachment span of every (cell, net) pin reference from this table.
+	pinAttach []int32
+
 	goodness   []float64 // per cell id
 	domain     []netlist.CellID
 	allocOrder AllocOrder
@@ -105,7 +110,7 @@ type Engine struct {
 	trialW   []float64     // per-net trial weights, parallel to netsBuf
 	trialKey []float64     // per-net scan-ordering keys, parallel to netsBuf
 	trials   wire.TrialSet // compiled per-cell trial scorer (incremental mode)
-	goodsBuf []float64     // per-objective goodness scratch (cellGoodness)
+	goodsBuf []float64     // per-objective goodness scratch (serial goodnessWith)
 	goodsOut []float64     // per-domain goodness scratch (Step)
 	vacRef   []layout.SlotRef
 	// speculative-exchange scratch (RestoreSearch / AdoptPlacement)
@@ -126,6 +131,12 @@ func (e *Engine) init() {
 	if !cfg.DisableIncremental {
 		e.inc = wire.NewIncremental(ckt, cfg.WireEstimator)
 		e.incStale = true
+		e.pinAttach = make([]int32, 0, e.inc.NumPins())
+		for id := range ckt.Cells {
+			for _, ref := range e.inc.CellPins(netlist.CellID(id)) {
+				e.pinAttach = append(e.pinAttach, e.attachSum(ref.Net, netlist.CellID(id)))
+			}
+		}
 	}
 	// Wire and power are always evaluated (their raw costs are reported
 	// even when inactive); delay only when the objective set asks for it.
@@ -374,7 +385,7 @@ func (e *Engine) syncIncremental() bool {
 		e.evalsSince = 0
 		return true
 	}
-	e.inc.Sync(e.place)
+	e.inc.Drain(e.place)
 	e.evalsSince++
 	return false
 }
@@ -393,16 +404,26 @@ var evalMinCells = 128
 // for the current placement. Returning the values in cell order supports
 // the Type I master/slave protocol.
 //
+// With the incremental engine active, the excluded net lengths behind each
+// cell's O_i come from the net visits (wire.Incremental.Exclusions). The
+// cells of the last request stay wanted, and Step declares its domain
+// before evaluating, so the dirty-net refresh inside EvaluateCosts has
+// already computed them; only nets of newly requested cells are visited
+// here. Each cell's goodness is then a fold over its pin references.
+//
 // With Config.EvalWorkers > 1 (and the incremental engine active) the
-// cells are partitioned across the shared worker pool, each chunk scoring
-// through its own read-only view; values land in per-cell slots, so the
-// result — and the selection trajectory consuming it in deterministic cell
-// order — is bitwise identical to the serial reference.
+// folds are partitioned across the shared worker pool; values land in
+// per-cell slots, so the result — and the selection trajectory consuming
+// it in deterministic cell order — is bitwise identical to the serial
+// reference.
 func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float64 {
 	if cap(dst) < len(cells) {
 		dst = make([]float64, len(cells))
 	}
 	dst = dst[:len(cells)]
+	if e.inc != nil {
+		e.inc.Exclusions(cells)
+	}
 	if w := e.evalWorkers(); w > 1 && e.inc != nil && e.inc.Built() && len(cells) >= evalMinCells {
 		e.evalCells, e.evalDst = cells, dst
 		e.ensurePool().Batch(e.runCtx, w, len(cells), e.evalKern)
@@ -410,7 +431,8 @@ func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float6
 		return dst
 	}
 	for i, id := range cells {
-		g := e.cellGoodness(id)
+		g, goods := e.goodnessWith(id, e.goodsBuf)
+		e.goodsBuf = goods
 		e.goodness[id] = g
 		dst[i] = g
 	}
@@ -419,12 +441,11 @@ func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float6
 
 // evalChunk is the goodness kernel for one chunk of the cell list.
 func (e *Engine) evalChunk(slot, lo, hi int) {
-	view := e.slotView(slot)
 	goods := e.slotGoods[slot]
 	for i := lo; i < hi; i++ {
 		id := e.evalCells[i]
 		var g float64
-		g, goods = e.goodnessWith(id, view, goods)
+		g, goods = e.goodnessWith(id, goods)
 		e.goodness[id] = g
 		e.evalDst[i] = g
 	}
@@ -439,47 +460,36 @@ func (e *Engine) SetGoodness(cells []netlist.CellID, vals []float64) {
 	}
 }
 
-// cellGoodness computes g_i = O_i / C_i aggregated over active objectives.
+// goodnessWith computes g_i = O_i / C_i aggregated over active objectives.
+// goods is the caller's aggregation scratch, returned with its grown
+// capacity.
 //
 // Each weighted objective (wirelength: unit weights; power: switching
 // activities) contributes ratio01(Σ w·optimal, Σ w·current) over the
 // cell's nets, where "optimal" is the net over the remaining pins plus the
 // minimal attachment span (half the cell's width plus half the nearest
-// remaining cell's width, which a 2-pin net needs to be non-zero). A
-// CellScored objective (delay) contributes its per-cell score directly:
-// 1 − timing criticality (slack-based).
-func (e *Engine) cellGoodness(id netlist.CellID) float64 {
-	// With the incremental engine active (and synced by the preceding
-	// EvaluateCosts), the excluding lengths come from the cached sorted
-	// multisets in O(log p) per net; the reference path re-collects the
-	// pins. Both evaluate the canonical formulas of wire/excl.go, so the
-	// goodness values — and with them selection — are bitwise identical.
-	var view *wire.View
-	if e.inc != nil {
-		view = e.inc.BaseView()
-	}
-	g, goods := e.goodnessWith(id, view, e.goodsBuf)
-	e.goodsBuf = goods
-	return g
-}
-
-// goodnessWith computes one cell's goodness through the given read-only
-// view (nil selects the from-scratch reference path, which may only run
-// serially: it shares the engine's evaluator scratch). goods is the
-// caller's aggregation scratch, returned with its grown capacity.
-func (e *Engine) goodnessWith(id netlist.CellID, view *wire.View, goods []float64) (float64, []float64) {
+// remaining cell's width, which a 2-pin net needs to be non-zero), clamped
+// to the current length. A CellScored objective (delay) contributes its
+// per-cell score directly: 1 − timing criticality (slack-based).
+//
+// The incremental engine folds, in CellPins order, the excluded lengths
+// that ComputeGoodness requested and the tabulated attachment spans. The
+// reference path (DisableIncremental) re-collects each net's pins through
+// the from-scratch evaluator, which only runs serially since it shares the
+// engine's evaluator scratch. Both sum the same values in the same order
+// (CellPins follows CellNets), so the goodness values — and with them
+// selection — are bitwise identical.
+func (e *Engine) goodnessWith(id netlist.CellID, goods []float64) (float64, []float64) {
 	nw := len(e.gainW)
 	var accC, accO [maxObjectives]float64
 	if nw > 0 {
-		if view != nil {
-			// The flat incidence already pairs each incident net with the
-			// cell's pin multiplicity, in CellNets order — same summation
-			// order as the reference path, without re-deriving either.
-			for _, ref := range e.inc.CellPins(id) {
+		if e.inc != nil {
+			excl := e.inc.CellExcl(id)
+			attach := e.pinAttach[e.inc.PinIndex(id):]
+			for i, ref := range e.inc.CellPins(id) {
 				n := ref.Net
 				l := e.lengths[n]
-				excl := view.NetLengthExcludingK(n, id, int(ref.K))
-				opt := excl + e.minAttach(n, id)
+				opt := excl[i] + float64(attach[i])/2
 				if opt > l {
 					opt = l // clamp: O_i may not exceed the achieved cost
 				}
@@ -521,11 +531,17 @@ func (e *Engine) goodnessWith(id netlist.CellID, view *wire.View, goods []float6
 // minAttach returns the minimal center-to-center span cell id needs to
 // reach the closest other cell of the net: half its own width plus half
 // the narrowest other pin's width (pads count as width 0 plus clearance,
-// already in the net lower bound; here they contribute 0). Served from the
+// already in the net lower bound; here they contribute 0).
+func (e *Engine) minAttach(n netlist.NetID, id netlist.CellID) float64 {
+	return float64(e.attachSum(n, id)) / 2
+}
+
+// attachSum returns twice minAttach: the cell's width plus the narrowest
+// other pin's width, or 0 when no other cell is on the net. Served from the
 // problem's static attach tables in O(1): widths never change, so the only
 // per-call question is whether the excluded cell is the one holding the
 // net-wide minimum.
-func (e *Engine) minAttach(n netlist.NetID, id netlist.CellID) float64 {
+func (e *Engine) attachSum(n netlist.NetID, id netlist.CellID) int32 {
 	p := e.prob
 	w := p.attachW1[n]
 	if p.attachC1[n] == id {
@@ -534,7 +550,7 @@ func (e *Engine) minAttach(n netlist.NetID, id netlist.CellID) float64 {
 	if w < 0 {
 		return 0
 	}
-	return float64(int32(e.prob.Ckt.Cells[id].Width)+w) / 2
+	return int32(p.Ckt.Cells[id].Width) + w
 }
 
 func ratio01(o, c float64) float64 {
@@ -675,12 +691,13 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	}
 	e.rowOK = e.rowOK[:numRows]
 
-	// Sub-phase stamps: tMark carries the previous cell's end stamp into
-	// the next cell's prep window, so the loop costs three clock reads per
-	// cell instead of four.
+	// Sub-phase stamps are offsets from tCapture: time.Since reads only the
+	// monotonic clock, where time.Now reads the wall clock as well. mark
+	// carries the previous cell's end stamp into the next cell's prep
+	// window, so the loop costs three clock reads per cell instead of four.
 	var prepD, scanD, commitD time.Duration
-	tMark := time.Now()
-	prepD = tMark.Sub(tCapture)
+	mark := time.Since(tCapture)
+	prepD = mark
 	for own, id := range sel {
 		w := ckt.Cells[id].Width
 		e.prepTrial(id, useInc)
@@ -694,7 +711,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 				feasible += e.buckets.RowLive(r)
 			}
 		}
-		t1 := time.Now()
+		t1 := time.Since(tCapture)
 		// First pass: best width-feasible vacancy. The width bound is a
 		// hard constraint (Section 2), so infeasible vacancies are only
 		// considered in the fallback pass, by smallest violation.
@@ -741,7 +758,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 				}
 			}
 		}
-		t2 := time.Now()
+		t2 := time.Since(tCapture)
 		e.place.FillHole(e.vacRef[best], id)
 		e.place.SetCoordHint(id, e.vacs[best].X, e.vacs[best].Y)
 		if useInc {
@@ -750,15 +767,15 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 		}
 		e.vacUsed[best] = true
 		e.rowW[e.vacs[best].Row] += w
-		t3 := time.Now()
-		prepD += t1.Sub(tMark)
-		scanD += t2.Sub(t1)
-		commitD += t3.Sub(t2)
-		tMark = t3
+		t3 := time.Since(tCapture)
+		prepD += t1 - mark
+		scanD += t2 - t1
+		commitD += t3 - t2
+		mark = t3
 	}
 	e.flushScanStats()
 	e.place.Recompute()
-	commitD += time.Since(tMark)
+	commitD += time.Since(tCapture) - mark
 	e.tel.AllocPrepNs += uint64(prepD)
 	e.tel.AllocScanNs += uint64(scanD)
 	e.tel.AllocCommitNs += uint64(commitD)
@@ -942,6 +959,12 @@ func (e *Engine) trialCost(id netlist.CellID, x, y float64) float64 {
 // and returns its statistics.
 func (e *Engine) Step() IterStats {
 	t0 := time.Now()
+	if e.inc != nil {
+		// Declare the goodness request up front, so the evaluation's net
+		// visits compute the domain's exclusions. A Type II rank's domain
+		// changes every iteration.
+		e.inc.Want(e.domain)
+	}
 	e.EvaluateCosts()
 	e.goodsOut = e.ComputeGoodness(e.domain, e.goodsOut)
 	d := time.Since(t0)

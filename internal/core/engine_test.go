@@ -11,8 +11,14 @@ import (
 
 func testProblem(t testing.TB, obj fuzzy.Objectives, iters int) *Problem {
 	t.Helper()
+	return sizedProblem(t, obj, 150, 10, iters)
+}
+
+// sizedProblem is testProblem's generated circuit at another size.
+func sizedProblem(t testing.TB, obj fuzzy.Objectives, gates, dffs, iters int) *Problem {
+	t.Helper()
 	ckt, err := gen.Generate(gen.Params{
-		Name: "core-t", Gates: 150, DFFs: 10, PIs: 8, POs: 8, Depth: 10, Seed: 77,
+		Name: "core-t", Gates: gates, DFFs: dffs, PIs: 8, POs: 8, Depth: 10, Seed: 77,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +320,11 @@ func TestProfileAllocationDominates(t *testing.T) {
 	// contention from parallel test packages skews absolute shares. The
 	// circuit is sized so the O(cells · vacancies) reference allocation
 	// dwarfs evaluation even with the weighted trial ordering sharpening
-	// the reference scan's suffix pruning.
-	p := testProblem(t, fuzzy.WirePower, 60)
+	// the reference scan's suffix pruning: about 82% of the reference
+	// iteration at 400 gates. At testProblem's 150 gates it is 63%, the
+	// share the incremental engine reaches there once its evaluation is
+	// incremental too, so that size cannot separate the two profiles.
+	p := sizedProblem(t, fuzzy.WirePower, 400, 27, 60)
 	p.Cfg.DisableIncremental = true
 	e := p.NewEngine(0)
 	e.Run()
@@ -331,7 +340,7 @@ func TestProfileAllocationDominates(t *testing.T) {
 	// The incremental engine must shift the profile: its allocation phase
 	// is incomparably cheaper, so the allocation share drops well below
 	// the reference mode's.
-	pi := testProblem(t, fuzzy.WirePower, 30)
+	pi := sizedProblem(t, fuzzy.WirePower, 400, 27, 30)
 	ei := pi.NewEngine(0)
 	ei.Run()
 	_, _, allocInc := ei.Profile().Shares()

@@ -128,7 +128,9 @@ func (p *Placement) ApplyRows(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if count < 0 || int(count) > len(p.ckt.Cells) {
+		// The count is bounded by the bytes left (4 per cell id) before
+		// the row is allocated, as in DecodePlacementPrefix.
+		if count < 0 || int(count) > len(p.ckt.Cells) || int(count) > d.left()/4 {
 			return fmt.Errorf("layout: ApplyRows count %d out of range", count)
 		}
 		row := make([]netlist.CellID, count)

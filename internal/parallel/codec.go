@@ -111,12 +111,15 @@ func decodeAssignment(data []byte) ([][]int, []byte, error) {
 		off += 4
 		return v, nil
 	}
+	// Every rank carries at least its 4-byte row count and every row its
+	// 4-byte index, so both counts are bounded by the bytes left before
+	// anything is allocated for them.
 	ranks, err := next()
 	if err != nil {
 		return nil, nil, err
 	}
-	if ranks > 1<<16 {
-		return nil, nil, fmt.Errorf("parallel: absurd rank count %d", ranks)
+	if uint64(ranks) > uint64(len(data)-off)/4 {
+		return nil, nil, fmt.Errorf("parallel: rank count %d exceeds the message", ranks)
 	}
 	out := make([][]int, ranks)
 	for j := range out {
@@ -124,8 +127,8 @@ func decodeAssignment(data []byte) ([][]int, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if count > 1<<20 {
-			return nil, nil, fmt.Errorf("parallel: absurd row count %d", count)
+		if uint64(count) > uint64(len(data)-off)/4 {
+			return nil, nil, fmt.Errorf("parallel: row count %d exceeds the message", count)
 		}
 		rows := make([]int, count)
 		for i := range rows {

@@ -1,13 +1,17 @@
 package parallel
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"simevo/internal/core"
 	"simevo/internal/fuzzy"
 	"simevo/internal/gen"
+	"simevo/internal/layout"
 	"simevo/internal/mpi"
+	"simevo/internal/rng"
 )
 
 func boolPtr(b bool) *bool { return &b }
@@ -42,7 +46,7 @@ func testProblem(t testing.TB, obj fuzzy.Objectives, iters int, seed uint64) *co
 func TestFixedPatternShapes(t *testing.T) {
 	p := FixedPattern{}
 	even := p.Assign(0, 10, 3)
-	if err := validateAssignment(even, 10); err != nil {
+	if err := validatePattern(even, 10); err != nil {
 		t.Fatalf("even assignment: %v", err)
 	}
 	// Contiguous blocks in even iterations.
@@ -54,7 +58,7 @@ func TestFixedPatternShapes(t *testing.T) {
 		}
 	}
 	odd := p.Assign(1, 10, 3)
-	if err := validateAssignment(odd, 10); err != nil {
+	if err := validatePattern(odd, 10); err != nil {
 		t.Fatalf("odd assignment: %v", err)
 	}
 	// Strided by m in odd iterations: slave j holds rows j, j+m, ...
@@ -72,7 +76,7 @@ func TestRandomPatternValidAndSeeded(t *testing.T) {
 	b := NewRandomPattern(42)
 	for iter := 0; iter < 5; iter++ {
 		pa := a.Assign(iter, 13, 4)
-		if err := validateAssignment(pa, 13); err != nil {
+		if err := validatePattern(pa, 13); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		pb := b.Assign(iter, 13, 4)
@@ -398,5 +402,68 @@ func TestTypeIIWithParallelEval(t *testing.T) {
 	}
 	if serial.Best.Fingerprint() != par.Best.Fingerprint() {
 		t.Fatal("Type II with EvalWorkers reached a different best placement")
+	}
+}
+
+// FuzzDecodeAssignment feeds arbitrary bytes to the assignment header of a
+// Type II broadcast, which every slave decodes. Decoding must not panic,
+// whatever it accepts must re-encode to the bytes it consumed, and every
+// assignment a slave accepts — one that passes validateAssignment against
+// its row count — must be safe to turn into a domain: each row it names
+// exists in the slave's placement.
+func FuzzDecodeAssignment(f *testing.F) {
+	ckt, err := gen.Generate(gen.Params{Name: "fz", Gates: 10, DFFs: 1, PIs: 2, POs: 2, Depth: 3, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	const numRows = 6
+	place := layout.NewRandom(ckt, numRows, rng.New(3))
+	for procs := 2; procs <= 4; procs++ {
+		data := encodeAssignment(FixedPattern{}.Assign(0, numRows, procs))
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+	}
+	f.Add(encodeAssignment([][]int{{0, 1, 2}, {3, 4, 9}}))    // row out of range
+	f.Add(encodeAssignment([][]int{{0, 1, 2}, {2, 3, 4, 5}})) // row twice
+	f.Add([]byte{0xff, 0xff, 0, 0, 0xff, 0xff, 0xff, 0xff})   // huge counts
+	f.Fuzz(func(t *testing.T, data []byte) {
+		assign, rest, err := decodeAssignment(data)
+		if err != nil {
+			return
+		}
+		used := data[:len(data)-len(rest)]
+		if enc := encodeAssignment(assign); !bytes.Equal(enc, used) {
+			t.Fatalf("re-encoding gives %x, decoded from %x", enc, used)
+		}
+		if validateAssignment(assign, numRows) != nil {
+			return // the slave rejects it
+		}
+		for _, rows := range assign {
+			for _, r := range rows {
+				_ = place.Row(r) // DomainFromRows' access
+			}
+		}
+	})
+}
+
+// TestTypeIISlaveRejectsBadAssignment broadcasts a well-formed placement
+// with an assignment naming a row the placement does not have. The slave
+// must fail with an error instead of panicking in DomainFromRows.
+func TestTypeIISlaveRejectsBadAssignment(t *testing.T) {
+	prob := testProblem(t, fuzzy.WirePower, 5, 3)
+	place := prob.NewEngine(0).Placement()
+	bad := [][]int{{0}, {place.NumRows() + 7}}
+	msg := append(encodeAssignment(bad), bcastFull)
+	msg = append(msg, place.Encode()...)
+	cl := mpi.NewCluster(2, mpi.Options{})
+	err := cl.Run(func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			c.Bcast(0, msg)
+			return nil
+		}
+		return typeIISlave(prob, c)
+	})
+	if err == nil || !strings.Contains(err.Error(), "bad assignment") {
+		t.Fatalf("slave accepted an out-of-range row: err = %v", err)
 	}
 }

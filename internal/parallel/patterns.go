@@ -87,15 +87,30 @@ func (p *RandomPattern) Assign(iter, numRows, ranks int) [][]int {
 	return out
 }
 
-// validateAssignment checks the partition property (used in tests and
-// defensively by the master).
-func validateAssignment(assign [][]int, numRows int) error {
-	seen := make([]bool, numRows)
-	count := 0
+// validatePattern checks what a row pattern's assignment must satisfy: the
+// partition property (validateAssignment), with at least one row for every
+// rank. The master checks each pattern's assignment with it.
+func validatePattern(assign [][]int, numRows int) error {
+	if err := validateAssignment(assign, numRows); err != nil {
+		return err
+	}
 	for j, rows := range assign {
 		if len(rows) == 0 {
 			return fmt.Errorf("parallel: rank %d received no rows", j)
 		}
+	}
+	return nil
+}
+
+// validateAssignment checks the partition property: every row index lies
+// in [0, numRows) and belongs to exactly one rank. A rank may hold no rows:
+// the degraded master moves a failed rank's share onto the survivors, so
+// every slave checks the assignment it decodes from the broadcast with
+// this, not with validatePattern, before using it.
+func validateAssignment(assign [][]int, numRows int) error {
+	seen := make([]bool, numRows)
+	count := 0
+	for _, rows := range assign {
 		for _, r := range rows {
 			if r < 0 || r >= numRows {
 				return fmt.Errorf("parallel: row %d out of range", r)

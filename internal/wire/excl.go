@@ -7,7 +7,7 @@ import (
 )
 
 // Canonical excluding-length formulas shared by the from-scratch Evaluator
-// and the Incremental views.
+// and the Incremental engine.
 //
 // The goodness measure asks, per cell and net: "what would this net cost
 // without the cell's pins?" — the basis of the O_i lower bound. Like the
@@ -15,10 +15,19 @@ import (
 // SAME arithmetic over the SAME sorted value sequences so the two paths are
 // bitwise identical: the full sorted pin multiset with its left-to-right
 // prefix sums, plus the excluded cell's coordinate and pin multiplicity k.
-// The excluded pins are never materialized out of the arrays — their
-// positions are resolved by binary search and their contributions removed
-// by counted subtraction, which costs O(log p) per net instead of the
-// O(p log p) re-collect-and-sort of the historical implementation.
+// The excluded pins are never materialized out of the arrays; their
+// contributions are removed by counted subtraction.
+//
+// The spans need no positions: two comparisons tell whether the excluded
+// entries sit at an end of the sorted axis. The Steiner medians and branch
+// sums need the excluded entries' position in each sorted axis, which the
+// callers supply. The Evaluator searches for them in its freshly sorted
+// copy. The Incremental engine ranks the pins of a net once while it
+// refills the net's sorted arrays (refresh, incremental.go) and evaluates
+// the exclusion of every requested cell on the net in that same visit, so
+// a dirty net of p pins costs one O(p log p) ranking instead of two
+// searches per excluded cell. Only a net that is visited for newly
+// requested cells without having changed (Exclusions) is searched.
 
 // searchF64 returns the first index i with v[i] >= x — sort.SearchFloat64s
 // semantics. Placement nets are small, so a linear scan beats the binary
@@ -38,16 +47,18 @@ func searchF64(v []float64, x float64) int {
 }
 
 // exclSpan returns min and max of the sorted values v after removing k
-// entries of value rv (lo is rv's lower-bound insertion index). The caller
-// guarantees len(v)-k >= 1.
-func exclSpan(v []float64, lo, k int) (min, max float64) {
+// entries of value rv, which v holds. The removed entries sit at rv's
+// lower-bound position lo: they take the minimum's place when lo == 0,
+// which holds iff v[0] == rv, and the maximum's place when lo+k == n, which
+// holds iff v[n-k-1] < rv. The caller guarantees len(v)-k >= 1.
+func exclSpan(v []float64, rv float64, k int) (min, max float64) {
 	n := len(v)
-	if lo == 0 {
+	if v[0] == rv {
 		min = v[k]
 	} else {
 		min = v[0]
 	}
-	if lo+k == n {
+	if v[n-k-1] < rv {
 		max = v[n-k-1]
 	} else {
 		max = v[n-1]
@@ -58,36 +69,52 @@ func exclSpan(v []float64, lo, k int) (min, max float64) {
 // hpwlExcl returns the half-perimeter of the pins excluding k entries at
 // (rx, ry). The caller guarantees at least two pins remain.
 func hpwlExcl(xv, yv []float64, rx, ry float64, k int) float64 {
-	minX, maxX := exclSpan(xv, searchF64(xv, rx), k)
-	minY, maxY := exclSpan(yv, searchF64(yv, ry), k)
+	minX, maxX := exclSpan(xv, rx, k)
+	minY, maxY := exclSpan(yv, ry, k)
 	return (maxX - minX) + (maxY - minY)
 }
 
-// exclAt returns element j of the sorted slice v with the k entries at
-// index range [lo, lo+k) virtually removed.
-func exclAt(v []float64, lo, k, j int) float64 {
+// exclIdx returns the index in v of element j of the sorted slice with the
+// k entries at index range [lo, lo+k) virtually removed.
+func exclIdx(lo, k, j int) int {
 	if j >= lo {
 		j += k
 	}
-	return v[j]
+	return j
 }
 
 // exclMedian returns the median of the remaining values, with the same
-// even/odd averaging as wire.median.
-func exclMedian(v []float64, lo, k int) float64 {
+// even/odd averaging as wire.median, plus the index in v of the upper
+// middle value, the greatest remaining value the median can equal.
+func exclMedian(v []float64, lo, k int) (med float64, hi int) {
 	m := len(v) - k
+	hi = exclIdx(lo, k, m/2)
 	if m%2 == 1 {
-		return exclAt(v, lo, k, m/2)
+		return v[hi], hi
 	}
-	return (exclAt(v, lo, k, m/2-1) + exclAt(v, lo, k, m/2)) / 2
+	return (v[exclIdx(lo, k, m/2-1)] + v[hi]) / 2, hi
+}
+
+// lowerFrom returns the first index i with v[i] >= x — searchF64(v, x) —
+// given a hint j with v[j] >= x: it walks down from j over the entries
+// that are still >= x. From the median's upper middle value that walk
+// crosses at most the removed entries and the median's duplicates.
+func lowerFrom(v []float64, j int, x float64) int {
+	if v[j] < x {
+		return searchF64(v, x) // the mean of two values overflowed
+	}
+	for j > 0 && v[j-1] >= x {
+		j--
+	}
+	return j
 }
 
 // exclBranchSum returns Σ|v_i − med| over the remaining values, using the
 // full array's prefix sums with the removed entries' contributions
 // subtracted by count: rb of the k removed entries (all of value rv) sit
-// below the split. Mirrors branchSumAt's left + right decomposition.
-func exclBranchSum(v, p []float64, rv float64, lo, k int, med float64) float64 {
-	i := searchF64(v, med) // first stored value >= med
+// below the split i, the first stored value >= med. Mirrors branchSumAt's
+// left + right decomposition.
+func exclBranchSum(v, p []float64, rv float64, lo, k int, med float64, i int) float64 {
 	rb := i - lo
 	if rb < 0 {
 		rb = 0
@@ -107,69 +134,28 @@ func exclBranchSum(v, p []float64, rv float64, lo, k int, med float64) float64 {
 
 // trunkExcl computes the single-trunk length of the remaining pins with the
 // trunk along the first axis: remaining along-span plus a branch from every
-// remaining across-coordinate to the remaining median. Shapes the sum like
-// trunkTrial: span first, then the branch total.
-func trunkExcl(along []float64, rAlong float64, across, acrossP []float64, rAcross float64, k int) float64 {
-	minA, maxA := exclSpan(along, searchF64(along, rAlong), k)
-	cLo := searchF64(across, rAcross)
-	med := exclMedian(across, cLo, k)
-	return (maxA - minA) + exclBranchSum(across, acrossP, rAcross, cLo, k, med)
+// remaining across-coordinate to the remaining median. cLo is the excluded
+// entries' lower-bound position in the sorted across axis. Shapes the sum
+// like trunkTrial: span first, then the branch total.
+func trunkExcl(along []float64, rAlong float64, across, acrossP []float64, rAcross float64, cLo, k int) float64 {
+	minA, maxA := exclSpan(along, rAlong, k)
+	med, hi := exclMedian(across, cLo, k)
+	split := lowerFrom(across, hi, med)
+	return (maxA - minA) + exclBranchSum(across, acrossP, rAcross, cLo, k, med, split)
 }
 
 // steinerExcl returns the single-trunk Steiner length of the pins excluding
-// k entries at (rx, ry), taking the cheaper trunk orientation exactly like
-// lengthOf and steinerTrial. The caller guarantees more than three pins
-// remain (fewer degenerate to hpwlExcl).
-func steinerExcl(xv, xp, yv, yp []float64, rx, ry float64, k int) float64 {
-	h := trunkExcl(xv, rx, yv, yp, ry, k)
-	v := trunkExcl(yv, ry, xv, xp, rx, k)
+// k entries at (rx, ry), whose values start at sorted positions xLo and
+// yLo, taking the cheaper trunk orientation exactly like lengthOf and
+// steinerTrial. The caller guarantees more than three pins remain (fewer
+// degenerate to hpwlExcl).
+func steinerExcl(xv, xp, yv, yp []float64, rx, ry float64, xLo, yLo, k int) float64 {
+	h := trunkExcl(xv, rx, yv, yp, ry, yLo, k)
+	v := trunkExcl(yv, ry, xv, xp, rx, xLo, k)
 	if v < h {
 		return v
 	}
 	return h
-}
-
-// NetLengthExcluding estimates the net's length over the stored pins minus
-// the given cell's — the View counterpart of Evaluator.NetLengthExcluding,
-// served from the cached sorted multisets in O(log p) (O(p) for RMST). The
-// incremental state must be synced with no cells removed. Both
-// implementations evaluate the canonical formulas above over identical
-// sorted sequences and prefix sums, so their results are bitwise equal.
-func (v *View) NetLengthExcluding(n netlist.NetID, id netlist.CellID) float64 {
-	k := 0
-	for _, ref := range v.inc.CellPins(id) {
-		if ref.Net == n {
-			k = int(ref.K)
-			break
-		}
-	}
-	return v.NetLengthExcludingK(n, id, k)
-}
-
-// NetLengthExcludingK is NetLengthExcluding with the cell's pin
-// multiplicity k on the net already known — the goodness hot loop iterates
-// the cell's PinRefs, so the per-net incidence rescan is redundant there.
-func (v *View) NetLengthExcludingK(n netlist.NetID, id netlist.CellID, k int) float64 {
-	inc := v.inc
-	g := &inc.geoms[n]
-	m := len(g.xv) - k
-	if m < 2 {
-		return 0
-	}
-	rx, ry := inc.cx[id], inc.cy[id]
-	switch inc.est {
-	case HPWL:
-		return hpwlExcl(g.xv, g.yv, rx, ry, k)
-	case Steiner:
-		if m <= 3 {
-			return hpwlExcl(g.xv, g.yv, rx, ry, k)
-		}
-		return steinerExcl(g.xv, g.xp, g.yv, g.yp, rx, ry, k)
-	case RMST:
-		v.collectRemainingExcluding(n, id)
-		return v.ev.rmstLength()
-	}
-	panic("wire: unknown estimator")
 }
 
 // collectRemainingExcluding fills the view scratch with the net's pins in

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"simevo/internal/netlist"
 )
@@ -15,21 +17,30 @@ import (
 //     View (TrialNetAt / TrialNetAt2) instead of re-collecting and
 //     re-sorting every pin;
 //   - after a batch of cell moves, only the nets incident to the moved
-//     cells ("dirty" nets) are re-estimated (Sync + Lengths), instead of
-//     recomputing every net from scratch.
+//     cells ("dirty" nets) are re-derived, instead of recomputing every net
+//     from scratch.
 //
-// Committed net lengths are always produced by the embedded from-scratch
-// Evaluator collecting pins in pin order from the mirror, so they are
-// bitwise identical to Evaluator.Lengths over the same coordinates — the
-// serial, Type I, and Type II trajectory invariants depend on this. Trial
-// values go through the canonical formulas in trial.go, shared with
-// Evaluator.NetLengthWithCellAt, and are likewise bitwise reproducible.
+// A dirty net is re-derived in one visit. A net a journal drain dirtied
+// is stale: the visit (refresh) collects the net's pins from the mirror in
+// pin order, refills the sorted multisets and prefix sums, computes the
+// committed length, and evaluates the excluded length of every requested
+// cell on the net (Exclusions, the goodness measure's O_i basis). A net
+// that only per-pin edits (MoveCell, PlaceCell) changed keeps its sorted
+// multisets current, so its visit (relength) recomputes just the length
+// and the exclusions from them. The committed length takes the span and
+// the median from the sorted multisets and sums the Steiner branches over
+// the pins in pin order; RMST runs Prim over the pin-order collection.
+// Both are the values the from-scratch Evaluator computes over the same
+// coordinates, bit for bit — the serial, Type I, and Type II trajectory
+// invariants depend on this. Exclusions and trials go through the
+// canonical formulas of excl.go and trial.go, shared with the Evaluator,
+// and are likewise bitwise reproducible.
 //
 // An Incremental is not safe for concurrent mutation. Concurrent *reads*
 // are safe through per-goroutine Views (View), which the parallel
-// allocation scanner and the parallel goodness evaluator exploit: every
+// allocation scanner and the parallel dirty-net flush exploit: every
 // mutation finishes before a scan starts, and Views carry their own
-// scratch for the RMST estimator.
+// scratch for the net visits and the RMST estimator.
 //
 // Storage is one flat array: each net owns a contiguous block holding its
 // sorted x values, sorted y values, and (Steiner only) their prefix sums,
@@ -39,8 +50,8 @@ import (
 // headers aliasing the block, so the insert/remove-by-memmove mutation
 // paths can never spill into a neighboring net's block (a net's pin count
 // never exceeds its degree) and never allocate. Walking nets in id order —
-// the dirty-net re-estimation, the goodness formulas, trial compilation —
-// therefore walks contiguous memory.
+// the dirty-net refresh, trial compilation — therefore walks contiguous
+// memory.
 type Incremental struct {
 	ckt *netlist.Circuit
 	est Estimator
@@ -58,19 +69,43 @@ type Incremental struct {
 	// order.
 	pinRefs []PinRef
 	pinOff  []int32
+	// The same incidence seen from the nets: net n's pins, in pin order
+	// (driver, then sinks), belong to pin references
+	// netRef[netOff[n]:netOff[n+1]].
+	netRef []int32
+	netOff []int32
+
+	// Goodness exclusions: excl[r] is the length of pinRefs[r]'s net
+	// without the pins of the cell owning r. It is kept current for the
+	// wanted cells (Want) by every net refresh; a newly wanted cell's
+	// entries are reset to -1 until computed.
+	excl     []float64
+	want     []uint8 // per cell: 1 while in wantList
+	wantList []netlist.CellID
+	unfilled bool            // some wanted entry may still be -1
+	pending  []netlist.NetID // Exclusions scratch: nets to refresh
 
 	lengths  []float64        // committed per-net lengths
-	dirty    []netlist.NetID  // nets whose cached length is stale
-	isDirty  []bool           // per net
-	geoStale []netlist.NetID  // Sync scratch: nets to refill from the mirror
-	geoMark  []bool           // per net: already on geoStale
+	dirty    []netlist.NetID  // nets changed since the last Lengths
+	stale    []netlist.NetID  // nets Drain marked stale, not yet visited (for Sync)
+	state    []uint8          // per net: netListed | netStale | netEdited | netQueued
 	removed  []netlist.CellID // cells lifted out for trial scanning
 	oldX     []float64        // coords of removed cells, parallel to removed
 	oldY     []float64
 	base     View             // serial-use view
-	drainBuf []netlist.CellID // scratch for Sync
+	drainBuf []netlist.CellID // scratch for Drain
 	built    bool             // Rebuild has run at least once
 }
+
+// Per-net state bits.
+const (
+	netListed uint8 = 1 << iota // on the dirty list
+	netStale                    // geometry, length and exclusions need a refresh
+	netEdited                   // geometry current; length and exclusions need a relength
+	netQueued                   // on the Exclusions pending list
+
+	netPending = netStale | netEdited // the net's visit is due
+)
 
 // netGeom holds one net's cached geometry: pin coordinates sorted per axis,
 // plus prefix sums for the Steiner branch math (len = len(values)+1; unused
@@ -107,11 +142,12 @@ func NewIncremental(ckt *netlist.Circuit, est Estimator) *Incremental {
 		cy:      make([]float64, len(ckt.Cells)),
 		geoms:   make([]netGeom, ckt.NumNets()),
 		lengths: make([]float64, ckt.NumNets()),
-		isDirty: make([]bool, ckt.NumNets()),
-		geoMark: make([]bool, ckt.NumNets()),
+		state:   make([]uint8, ckt.NumNets()),
+		want:    make([]uint8, len(ckt.Cells)),
 	}
 	inc.base = View{inc: inc, ev: NewEvaluator(ckt, est)}
 	inc.buildPins()
+	inc.excl = make([]float64, len(inc.pinRefs))
 	inc.buildFlat()
 	return inc
 }
@@ -119,7 +155,9 @@ func NewIncremental(ckt *netlist.Circuit, est Estimator) *Incremental {
 // buildPins precomputes the cell-net incidence with pin multiplicities so
 // the mutation paths touch each incident net in O(1) instead of rescanning
 // the net's sink list. The incidence is itself flat: one contiguous PinRef
-// array with per-cell offsets.
+// array with per-cell offsets, and per net the references of its pins.
+// Both are filled in one pass over the pins, so a high-fanout net costs its
+// degree, not its degree squared.
 func (inc *Incremental) buildPins() {
 	ckt := inc.ckt
 	inc.pinOff = make([]int32, len(ckt.Cells)+1)
@@ -136,19 +174,35 @@ func (inc *Incremental) buildPins() {
 	for id := range ckt.Cells {
 		nets = ckt.CellNets(netlist.CellID(id), nets[:0])
 		for _, n := range nets {
-			net := ckt.Net(n)
-			k := int32(0)
-			if net.Driver == netlist.CellID(id) {
-				k++
-			}
-			for _, s := range net.Sinks {
-				if s == netlist.CellID(id) {
-					k++
-				}
-			}
-			inc.pinRefs = append(inc.pinRefs, PinRef{Net: n, K: k})
+			inc.pinRefs = append(inc.pinRefs, PinRef{Net: n})
 		}
 		inc.pinOff[id+1] = int32(len(inc.pinRefs))
+	}
+	inc.netOff = make([]int32, ckt.NumNets()+1)
+	for n := range ckt.Nets {
+		inc.netOff[n+1] = inc.netOff[n] + int32(inc.netDegree(netlist.NetID(n)))
+	}
+	inc.netRef = make([]int32, inc.netOff[ckt.NumNets()])
+	for n := range ckt.Nets {
+		net := ckt.Net(netlist.NetID(n))
+		at := inc.netOff[n]
+		// Point the pin at its cell's reference to the net and count it
+		// there; a cell has only a few nets to search.
+		pin := func(c netlist.CellID) {
+			r := inc.pinOff[c]
+			for inc.pinRefs[r].Net != netlist.NetID(n) {
+				r++
+			}
+			inc.pinRefs[r].K++
+			inc.netRef[at] = r
+			at++
+		}
+		if net.Driver != netlist.NoCell {
+			pin(net.Driver)
+		}
+		for _, c := range net.Sinks {
+			pin(c)
+		}
 	}
 }
 
@@ -203,8 +257,8 @@ func (inc *Incremental) CellPins(id netlist.CellID) []PinRef {
 // Estimator returns the configured estimator.
 func (inc *Incremental) Estimator() Estimator { return inc.est }
 
-// Coord returns the mirrored coordinates of a cell, satisfying Coords so
-// the embedded Evaluator (and callers) can read the mirror directly.
+// Coord returns the mirrored coordinates of a cell, satisfying Coords (the
+// congestion grid's source contract reads the mirror through it).
 func (inc *Incremental) Coord(id netlist.CellID) (x, y float64) {
 	return inc.cx[id], inc.cy[id]
 }
@@ -226,10 +280,10 @@ func (inc *Incremental) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float64
 // needPrefix reports whether the estimator uses the prefix-sum branch math.
 func (inc *Incremental) needPrefix() bool { return inc.est == Steiner }
 
-// Rebuild resynchronizes the full state — mirror, multisets, and committed
-// lengths — from the given coordinates. It doubles as the periodic
-// full-recompute checksum: rebuilding from a consistent state reproduces
-// the cached values bit for bit.
+// Rebuild resynchronizes the full state — mirror, multisets, committed
+// lengths and the wanted cells' exclusions — from the given coordinates. It
+// doubles as the periodic full-recompute checksum: rebuilding from a
+// consistent state reproduces the cached values bit for bit.
 func (inc *Incremental) Rebuild(coords Coords) {
 	if len(inc.removed) != 0 {
 		panic("wire: Rebuild with removed cells outstanding")
@@ -238,40 +292,258 @@ func (inc *Incremental) Rebuild(coords Coords) {
 		inc.cx[i], inc.cy[i] = coords.Coord(netlist.CellID(i))
 	}
 	for n := range inc.geoms {
-		inc.rebuildNet(netlist.NetID(n))
-		inc.isDirty[n] = false
-		inc.lengths[n] = inc.estimate(netlist.NetID(n))
+		inc.refresh(&inc.base, netlist.NetID(n))
+		inc.state[n] = 0
 	}
 	inc.dirty = inc.dirty[:0]
+	inc.stale = inc.stale[:0]
+	inc.unfilled = false
 	inc.built = true
 }
 
-// rebuildNet refills one net's sorted geometry from the mirror.
-func (inc *Incremental) rebuildNet(n netlist.NetID) {
+// refresh re-derives one net from the mirror in a single visit. It collects
+// the pins in pin order (driver, then sinks), refills the sorted multisets
+// and prefix sums, computes the committed length, and evaluates the
+// excluded length of every wanted cell on the net. Only Steiner trunks
+// (more than three pins) and RMST read the pins in pin order; other nets
+// are collected straight into their sorted arrays. When a Steiner
+// exclusion on the net can keep more than three pins, the refill ranks the
+// pins: the sort records where each pin's value starts in the sorted axes,
+// which are the positions the trunk formulas need. The visit writes only
+// this net's geometry block, length slot and pin references, so views may
+// refresh disjoint nets concurrently (FlushChunk).
+func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
-	deg := 0
-	if net.Driver != netlist.NoCell {
-		deg++
+	deg := inc.netDegree(n)
+	g.xv, g.yv = g.xv[:deg], g.yv[:deg]
+	if inc.est == HPWL || (inc.est == Steiner && deg <= 3) {
+		wanted := inc.collect(net, g.xv, g.yv)
+		sortFloats(g.xv)
+		sortFloats(g.yv)
+		inc.refreshPrefix(g, 0, 0)
+		inc.lengths[n] = spanLength(g)
+		if wanted {
+			inc.excludeNet(v, n, false) // the spans need no positions
+		}
+		return
 	}
-	deg += len(net.Sinks)
+	ev := v.ev
+	ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
+	wanted := inc.collect(net, ev.xs, ev.ys)
+	if wanted && inc.est == Steiner && deg > 4 {
+		v.posX = rankInto(g.xv, ev.xs, v.posX, &v.ranks)
+		v.posY = rankInto(g.yv, ev.ys, v.posY, &v.ranks)
+	} else {
+		copy(g.xv, ev.xs)
+		copy(g.yv, ev.ys)
+		sortFloats(g.xv)
+		sortFloats(g.yv)
+	}
+	inc.refreshPrefix(g, 0, 0)
+	inc.lengths[n] = inc.netLength(v, g)
+	if wanted {
+		inc.excludeNet(v, n, true)
+	}
+}
 
-	g.xv = resizeFloats(g.xv, deg)
-	g.yv = resizeFloats(g.yv, deg)
+// relength recomputes the committed length and the wanted cells'
+// exclusions of a net whose sorted multisets and prefix sums per-pin edits
+// kept current: the span is read from the sorted ends, and only Steiner
+// trunks and RMST collect the pins, in pin order, for their branch sums.
+// The values equal refresh's, which differs only in refilling the arrays
+// first. Like refresh it writes only this net's length slot and pin
+// references.
+func (inc *Incremental) relength(v *View, n netlist.NetID) {
+	g := &inc.geoms[n]
+	net := inc.ckt.Net(n)
+	deg := len(g.xv)
+	var wanted bool
+	if inc.est == HPWL || (inc.est == Steiner && deg <= 3) {
+		inc.lengths[n] = spanLength(g)
+		wanted = len(inc.wantList) != 0 && inc.wanted(net)
+	} else {
+		ev := v.ev
+		ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
+		wanted = inc.collect(net, ev.xs, ev.ys)
+		inc.lengths[n] = inc.netLength(v, g)
+	}
+	if wanted {
+		inc.excludeNet(v, n, false)
+	}
+}
+
+// visit brings a dirty net's length and exclusions up to date: refresh for
+// a stale net, relength for one only per-pin edits changed. It leaves the
+// state bits alone.
+func (inc *Incremental) visit(v *View, n netlist.NetID) {
+	switch s := inc.state[n]; {
+	case s&netStale != 0:
+		inc.refresh(v, n)
+	case s&netEdited != 0:
+		inc.relength(v, n)
+	}
+}
+
+// spanLength is the half-perimeter of a net's sorted axes, 0 below two
+// pins.
+func spanLength(g *netGeom) float64 {
+	n := len(g.xv)
+	if n < 2 {
+		return 0
+	}
+	return (g.xv[n-1] - g.xv[0]) + (g.yv[n-1] - g.yv[0])
+}
+
+// wanted reports whether a wanted cell is on the net.
+func (inc *Incremental) wanted(net *netlist.Net) bool {
+	if d := net.Driver; d != netlist.NoCell && inc.want[d] != 0 {
+		return true
+	}
+	for _, c := range net.Sinks {
+		if inc.want[c] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// collect writes the net's pin coordinates from the mirror, in pin order,
+// into xs and ys (each of the net's degree) and reports whether a wanted
+// cell is on the net.
+func (inc *Incremental) collect(net *netlist.Net, xs, ys []float64) (wanted bool) {
 	i := 0
-	fill := func(id netlist.CellID) {
-		g.xv[i], g.yv[i] = inc.cx[id], inc.cy[id]
+	if d := net.Driver; d != netlist.NoCell {
+		xs[0], ys[0] = inc.cx[d], inc.cy[d]
+		wanted = inc.want[d] != 0
+		i = 1
+	}
+	for j, c := range net.Sinks {
+		xs[i+j], ys[i+j] = inc.cx[c], inc.cy[c]
+		wanted = wanted || inc.want[c] != 0
+	}
+	return wanted
+}
+
+// netLength is the committed length of a just-refreshed net with more than
+// three pins or under RMST, bitwise the Evaluator's NetLength over the same
+// coordinates: min and max are the sorted ends, the Steiner median is the
+// sorted middle, and the branch sums run over the view's pin-order
+// collection exactly like trunkLength.
+func (inc *Incremental) netLength(v *View, g *netGeom) float64 {
+	deg := len(g.xv)
+	if deg < 2 {
+		return 0
+	}
+	switch inc.est {
+	case Steiner:
+		h := trunkSorted(g.xv, g.yv, v.ev.ys) // horizontal trunk
+		w := trunkSorted(g.yv, g.xv, v.ev.xs) // vertical trunk
+		if w < h {
+			return w
+		}
+		return h
+	case RMST:
+		return v.ev.rmstLength()
+	}
+	panic("wire: unknown estimator")
+}
+
+// excludeNet evaluates the exclusion of every wanted cell on net n from the
+// net's current geometry. ranked reports that the visit's rank sort left
+// the pins' sorted positions in the view; otherwise exclude searches for
+// the ones it needs.
+func (inc *Incremental) excludeNet(v *View, n netlist.NetID, ranked bool) {
+	g := &inc.geoms[n]
+	net := inc.ckt.Net(n)
+	refs := inc.netRef[inc.netOff[n]:inc.netOff[n+1]]
+	i := 0
+	if d := net.Driver; d != netlist.NoCell {
+		if inc.want[d] != 0 {
+			inc.exclude(v, n, g, d, refs[0], 0, ranked)
+		}
 		i++
 	}
-	if net.Driver != netlist.NoCell {
-		fill(net.Driver)
+	for j, c := range net.Sinks {
+		if inc.want[c] != 0 {
+			inc.exclude(v, n, g, c, refs[i+j], i+j, ranked)
+		}
 	}
-	for _, s := range net.Sinks {
-		fill(s)
+}
+
+// exclude stores the length of net n without cell c's pins into c's pin
+// reference r, c holding the net's pin i (in pin order). A cell with
+// several pins on the net is evaluated at each of them; the value is the
+// same.
+func (inc *Incremental) exclude(v *View, n netlist.NetID, g *netGeom, c netlist.CellID, r int32, i int, ranked bool) {
+	k := int(inc.pinRefs[r].K)
+	m := len(g.xv) - k
+	rx, ry := inc.cx[c], inc.cy[c]
+	x := 0.0
+	switch {
+	case m < 2:
+	case inc.est == HPWL || (inc.est == Steiner && m <= 3):
+		x = hpwlExcl(g.xv, g.yv, rx, ry, k)
+	case inc.est == Steiner:
+		var xLo, yLo int
+		if ranked {
+			xLo, yLo = int(v.posX[i]), int(v.posY[i])
+		} else {
+			xLo, yLo = searchF64(g.xv, rx), searchF64(g.yv, ry)
+		}
+		x = steinerExcl(g.xv, g.xp, g.yv, g.yp, rx, ry, xLo, yLo, k)
+	default:
+		// RMST has no sorted-multiset shortcut; like the Evaluator, it
+		// collects the remaining pins in pin order and runs Prim.
+		v.collectRemainingExcluding(n, c)
+		x = v.ev.rmstLength()
 	}
-	sortFloats(g.xv)
-	sortFloats(g.yv)
-	inc.refreshPrefix(g, 0, 0)
+	inc.excl[r] = x
+}
+
+// rankPair is one value of a net axis with its pin index, the sort key of
+// rankInto.
+type rankPair struct {
+	v float64
+	i int32
+}
+
+// rankInto writes vals in ascending order into dst and, for every pin i,
+// the first index of its value in dst into pos[i] — the lower-bound
+// position searchF64 would find. pos and the pair scratch are grown as
+// needed and returned.
+func rankInto(dst, vals []float64, pos []int32, buf *[]rankPair) []int32 {
+	ps := (*buf)[:0]
+	for i, x := range vals {
+		ps = append(ps, rankPair{x, int32(i)})
+	}
+	if len(ps) <= 32 {
+		for i := 1; i < len(ps); i++ {
+			p := ps[i]
+			j := i - 1
+			for j >= 0 && ps[j].v > p.v {
+				ps[j+1] = ps[j]
+				j--
+			}
+			ps[j+1] = p
+		}
+	} else {
+		slices.SortFunc(ps, func(a, b rankPair) int { return cmp.Compare(a.v, b.v) })
+	}
+	*buf = ps
+	if cap(pos) < len(ps) {
+		pos = make([]int32, len(ps))
+	}
+	pos = pos[:len(ps)]
+	start := 0
+	for j, p := range ps {
+		if j > 0 && p.v != ps[j-1].v {
+			start = j
+		}
+		dst[j] = p.v
+		pos[p.i] = int32(start)
+	}
+	return pos
 }
 
 // refreshPrefix brings both prefix-sum arrays up to date after edits that
@@ -312,8 +584,9 @@ func prefixInto(dst, v []float64) []float64 {
 }
 
 // MoveCell updates the mirror and every incident net's geometry for a cell
-// now at (x, y), marking those nets dirty. Removal is a binary search into
-// each sorted axis plus a memmove; no-op when the coordinates are
+// now at (x, y), marking those nets dirty; their next visit only
+// recomputes length and exclusions (relength). Removal is a binary search
+// into each sorted axis plus a memmove; no-op when the coordinates are
 // unchanged.
 func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 	if inc.cx[id] == x && inc.cy[id] == y {
@@ -328,7 +601,7 @@ func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 			yLo = min(yLo, removePin(&g.yv, oldY), insertPin(&g.yv, y))
 		}
 		inc.refreshPrefix(g, xLo, yLo)
-		inc.markDirty(n)
+		inc.markDirty(n, netEdited)
 	})
 }
 
@@ -382,7 +655,7 @@ func (inc *Incremental) PlaceCell(id netlist.CellID, x, y float64) {
 		}
 		inc.refreshPrefix(g, xLo, yLo)
 		if moved {
-			inc.markDirty(n)
+			inc.markDirty(n, netEdited)
 		}
 	})
 }
@@ -398,22 +671,25 @@ func (inc *Incremental) RestoreCell(id netlist.CellID) {
 	panic(fmt.Sprintf("wire: RestoreCell(%d) without RemoveCell", id))
 }
 
-// Sync drains the source's coordinate-change journal and applies the moves,
-// marking only the touched nets dirty. The source must be the same
-// placement the state was last rebuilt from.
+// Drain applies the source's coordinate-change journal to the mirror and
+// marks the nets of every moved cell stale. The marked nets' geometry,
+// lengths and exclusions stay stale until the next Lengths, NetLength or
+// chunked flush re-derives them, so nothing may read or edit them in
+// between; Sync is the variant that refreshes at once. The source must be
+// the same placement the state was last rebuilt from.
 //
 // Unlike MoveCell — which edits each net's sorted arrays one pin at a time
 // and pays two binary searches, two memmoves, and a prefix refresh per pin
-// — Sync batches: it updates the whole mirror first, then refills each
-// touched net's geometry once from the mirror. A journal drain typically
-// moves a large fraction of the cells (every allocated cell plus the row
-// repacking behind it), so most touched nets have several moved pins and
-// the single refill is cheaper than the per-pin edits. The refilled arrays
-// hold the same sorted value multisets the per-pin edits would produce, so
-// every downstream value is bit-identical.
-func (inc *Incremental) Sync(src ChangeSource) {
+// — a drain batches: it updates the whole mirror first, and the flush then
+// refreshes each touched net once from the mirror. A journal drain
+// typically moves a large fraction of the cells (every allocated cell plus
+// the row repacking behind it), so most touched nets have several moved
+// pins and the single refill is cheaper than the per-pin edits. The
+// refilled arrays hold the same sorted value multisets the per-pin edits
+// would produce, so every downstream value is bit-identical.
+func (inc *Incremental) Drain(src ChangeSource) {
 	if len(inc.removed) != 0 {
-		panic("wire: Sync with removed cells outstanding")
+		panic("wire: Drain with removed cells outstanding")
 	}
 	inc.drainBuf = src.DrainChangedCells(inc.drainBuf[:0])
 	for _, id := range inc.drainBuf {
@@ -423,23 +699,44 @@ func (inc *Incremental) Sync(src ChangeSource) {
 		}
 		inc.cx[id], inc.cy[id] = x, y
 		for _, ref := range inc.CellPins(id) {
-			inc.markDirty(ref.Net)
-			if !inc.geoMark[ref.Net] {
-				inc.geoMark[ref.Net] = true
-				inc.geoStale = append(inc.geoStale, ref.Net)
+			if inc.state[ref.Net]&netStale == 0 {
+				inc.stale = append(inc.stale, ref.Net)
 			}
+			inc.markDirty(ref.Net, netStale)
 		}
 	}
-	for _, n := range inc.geoStale {
-		inc.geoMark[n] = false
-		inc.rebuildNet(n)
-	}
-	inc.geoStale = inc.geoStale[:0]
 }
 
-// Lengths re-estimates the dirty nets (pin-order collection through the
-// embedded Evaluator, bitwise identical to a from-scratch pass) and returns
-// all committed per-net lengths in dst (allocated if too small).
+// Sync is Drain followed by an immediate refresh of every stale net, so the
+// geometry is current for trials and per-pin edits right away. It visits
+// only the nets drains marked stale, not the whole dirty list: a caller
+// that syncs between per-pin edits (SA, TS) keeps a growing list of edited
+// nets. The dirty list survives until the next Lengths, for DirtySnapshot.
+func (inc *Incremental) Sync(src ChangeSource) {
+	inc.Drain(src)
+	for _, n := range inc.stale {
+		if inc.state[n]&netStale != 0 {
+			inc.refresh(&inc.base, n)
+			inc.state[n] &^= netPending
+		}
+	}
+	inc.stale = inc.stale[:0]
+}
+
+// refreshStale visits every net on the dirty list that is still due,
+// leaving the list itself in place.
+func (inc *Incremental) refreshStale() {
+	for _, n := range inc.dirty {
+		if inc.state[n]&netPending != 0 {
+			inc.visit(&inc.base, n)
+			inc.state[n] &^= netPending
+		}
+	}
+	inc.stale = inc.stale[:0]
+}
+
+// Lengths refreshes the dirty nets and returns all committed per-net
+// lengths in dst (allocated if too small).
 func (inc *Incremental) Lengths(dst []float64) []float64 {
 	inc.flush()
 	dst = resizeFloats(dst, len(inc.lengths))
@@ -447,55 +744,114 @@ func (inc *Incremental) Lengths(dst []float64) []float64 {
 	return dst
 }
 
-// NetLength returns one net's committed length, re-estimating it first if
-// the net is dirty.
+// NetLength returns one net's committed length, visiting the net first if
+// it changed since.
 func (inc *Incremental) NetLength(n netlist.NetID) float64 {
-	if inc.isDirty[n] {
+	if inc.state[n]&netPending != 0 {
 		if len(inc.removed) != 0 {
 			panic("wire: NetLength with removed cells outstanding")
 		}
-		inc.lengths[n] = inc.estimate(n)
-		inc.isDirty[n] = false
+		inc.visit(&inc.base, n)
+		inc.state[n] &^= netPending
 	}
 	return inc.lengths[n]
 }
 
-// estimate re-derives one net's committed length, bitwise identical to the
-// from-scratch Evaluator over the same coordinates. Nets whose estimate
-// degenerates to the bounding box (HPWL, or Steiner with <= 3 pins — the
-// bulk of a netlist) read the extremes straight from the sorted multisets:
-// min and max are order-independent, so the value equals the pin-order
-// hpwl() bit for bit without collecting a single pin. Everything else goes
-// through the embedded Evaluator's canonical pin-order path.
-func (inc *Incremental) estimate(n netlist.NetID) float64 {
-	return inc.estimateWith(inc.base.ev, n)
+// Want makes the given cells the wanted set: from here on every net
+// refresh also evaluates their exclusions, in the same visit as the net's
+// length. A caller that knows which cells it will ask Exclusions for
+// declares them before the evaluation that dirties the nets, so that
+// evaluation computes them; Exclusions keeps the set of its last call.
+func (inc *Incremental) Want(cells []netlist.CellID) {
+	if slices.Equal(cells, inc.wantList) {
+		return
+	}
+	for _, id := range cells {
+		if inc.want[id] == 0 {
+			// Not maintained while unwanted.
+			for r := inc.pinOff[id]; r < inc.pinOff[id+1]; r++ {
+				inc.excl[r] = -1
+			}
+		}
+		inc.want[id] = 2
+	}
+	for _, id := range inc.wantList {
+		if inc.want[id] == 1 {
+			inc.want[id] = 0
+		}
+	}
+	for _, id := range cells {
+		inc.want[id] = 1
+	}
+	inc.wantList = append(inc.wantList[:0], cells...)
+	inc.unfilled = true
 }
 
-// estimateWith is estimate through a caller-supplied evaluator scratch, so
-// concurrent flush chunks (FlushChunk) can re-estimate disjoint net ranges
-// without sharing the base evaluator. The value is independent of which
-// evaluator computes it: the bbox fast path reads only the sorted
-// multisets, and NetLength collects pins in pin order from the mirror.
-func (inc *Incremental) estimateWith(ev *Evaluator, n netlist.NetID) float64 {
-	g := &inc.geoms[n]
-	deg := len(g.xv)
-	if deg < 2 {
-		return 0
+// Exclusions makes the given cells the wanted set (Want) and brings the
+// excluded lengths of all their pins up to date; CellExcl then reads them.
+// The net refreshes since the cells became wanted have computed most of
+// them, so this call only fills what no refresh covered: the nets of newly
+// wanted cells that have not changed since. Each such net is visited once,
+// for all wanted cells on it; its geometry is current, so the visit
+// searches the sorted axes for the positions the Steiner formula needs
+// instead of ranking the pins again. Only the wanted cells' pins are
+// evaluated. No cells may be removed.
+func (inc *Incremental) Exclusions(cells []netlist.CellID) {
+	if len(inc.removed) != 0 {
+		panic("wire: Exclusions with removed cells outstanding")
 	}
-	if inc.est == HPWL || (inc.est == Steiner && deg <= 3) {
-		return (g.xv[deg-1] - g.xv[0]) + (g.yv[deg-1] - g.yv[0])
+	inc.refreshStale()
+	inc.Want(cells)
+	if !inc.unfilled {
+		return
 	}
-	return ev.NetLength(n, inc)
+	for _, id := range cells {
+		for r := inc.pinOff[id]; r < inc.pinOff[id+1]; r++ {
+			if inc.excl[r] >= 0 {
+				continue
+			}
+			n := inc.pinRefs[r].Net
+			if inc.state[n]&netQueued == 0 {
+				inc.state[n] |= netQueued
+				inc.pending = append(inc.pending, n)
+			}
+		}
+	}
+	// These nets have not changed since their last refresh: only the
+	// exclusions are missing.
+	for _, n := range inc.pending {
+		inc.state[n] &^= netQueued
+		inc.excludeNet(&inc.base, n, false)
+	}
+	inc.pending = inc.pending[:0]
+	inc.unfilled = false
 }
+
+// CellExcl returns, parallel to CellPins(id), the length of each incident
+// net without the cell's pins. The cell must have been among the cells of
+// the last Exclusions call, and no net may have changed since the last
+// Exclusions or Lengths call. The slice aliases internal state; callers
+// must not mutate it.
+func (inc *Incremental) CellExcl(id netlist.CellID) []float64 {
+	return inc.excl[inc.pinOff[id]:inc.pinOff[id+1]]
+}
+
+// PinIndex returns the index of the cell's first pin reference in the flat
+// incidence, so callers can keep their own per-pin tables parallel to it:
+// entry PinIndex(id)+i belongs to CellPins(id)[i].
+func (inc *Incremental) PinIndex(id netlist.CellID) int { return int(inc.pinOff[id]) }
+
+// NumPins returns the number of pin references in the flat incidence.
+func (inc *Incremental) NumPins() int { return len(inc.pinRefs) }
 
 // Built reports whether Rebuild has initialized the state.
 func (inc *Incremental) Built() bool { return inc.built }
 
 // DirtySnapshot copies the current dirty-net list — the nets touched by
-// mutations since the last re-estimation — into dst (reused if roomy).
-// The copy survives the flush that Lengths performs, which is what a
-// dirty-net cost fold needs: it captures the list before reading the
-// refreshed lengths, then folds exactly those nets in.
+// mutations since the last Lengths — into dst (reused if roomy). The copy
+// survives the flush that Lengths performs, which is what a dirty-net cost
+// fold needs: it captures the list before reading the refreshed lengths,
+// then folds exactly those nets in.
 func (inc *Incremental) DirtySnapshot(dst []netlist.NetID) []netlist.NetID {
 	return append(dst[:0], inc.dirty...)
 }
@@ -518,34 +874,31 @@ func (inc *Incremental) flush() {
 		panic("wire: Lengths with removed cells outstanding")
 	}
 	for _, n := range inc.dirty {
-		if inc.isDirty[n] {
-			inc.lengths[n] = inc.estimate(n)
-			inc.isDirty[n] = false
-		}
+		inc.visit(&inc.base, n)
+		inc.state[n] &^= netListed | netPending
 	}
 	inc.dirty = inc.dirty[:0]
+	inc.stale = inc.stale[:0]
 }
 
 // DirtyLen returns the current dirty-net count — the fan-out domain for a
 // chunked parallel flush.
 func (inc *Incremental) DirtyLen() int { return len(inc.dirty) }
 
-// FlushChunk re-estimates dirty nets [lo, hi) of the dirty list through
-// the given view's evaluator scratch, writing the committed lengths but
-// leaving the dirty flags set. Chunks over disjoint ranges may run
-// concurrently (each net's estimate reads shared immutable state and
-// writes only its own length slot); a serial FinishFlush completes the
-// flush. Per-net estimates are order-independent and bitwise identical to
-// the serial flush's, so a chunked flush followed by FinishFlush is
-// indistinguishable from Lengths' built-in flush.
+// FlushChunk visits the due nets among dirty nets [lo, hi) of the dirty
+// list through the given view's scratch, leaving the flags set.
+// Chunks over disjoint ranges may run concurrently (each refresh reads
+// shared immutable state and writes only its own net's block, length slot
+// and pin references); a serial FinishFlush completes the flush. Refreshes
+// are order-independent and bitwise identical to the serial flush's, so a
+// chunked flush followed by FinishFlush is indistinguishable from Lengths'
+// built-in flush.
 func (inc *Incremental) FlushChunk(v *View, lo, hi int) {
 	if len(inc.removed) != 0 {
 		panic("wire: FlushChunk with removed cells outstanding")
 	}
 	for _, n := range inc.dirty[lo:hi] {
-		if inc.isDirty[n] {
-			inc.lengths[n] = inc.estimateWith(v.ev, n)
-		}
+		inc.visit(v, n)
 	}
 }
 
@@ -553,14 +906,19 @@ func (inc *Incremental) FlushChunk(v *View, lo, hi int) {
 // chunked parallel flush completed.
 func (inc *Incremental) FinishFlush() {
 	for _, n := range inc.dirty {
-		inc.isDirty[n] = false
+		inc.state[n] &^= netListed | netPending
 	}
 	inc.dirty = inc.dirty[:0]
+	inc.stale = inc.stale[:0]
 }
 
-func (inc *Incremental) markDirty(n netlist.NetID) {
-	if !inc.isDirty[n] {
-		inc.isDirty[n] = true
+// markDirty lists net n and marks its visit due: bit is netStale when the
+// net's geometry must be refilled from the mirror, netEdited when per-pin
+// edits kept it current.
+func (inc *Incremental) markDirty(n netlist.NetID, bit uint8) {
+	inc.state[n] |= bit
+	if inc.state[n]&netListed == 0 {
+		inc.state[n] |= netListed
 		inc.dirty = append(inc.dirty, n)
 	}
 }
@@ -596,9 +954,13 @@ func removePin(vals *[]float64, v float64) int {
 	return i
 }
 
-// sortFloats sorts v ascending (insertion sort: net degrees are small and
-// this runs only on a net refill).
+// sortFloats sorts v ascending: insertion sort for the small nets that
+// dominate a netlist, pdqsort past that.
 func sortFloats(v []float64) {
+	if len(v) > 32 {
+		slices.Sort(v)
+		return
+	}
 	for i := 1; i < len(v); i++ {
 		x := v[i]
 		j := i - 1
@@ -622,7 +984,11 @@ func resizeFloats(s []float64, n int) []float64 {
 // concurrently (one View each) while no mutation is in flight.
 type View struct {
 	inc *Incremental
-	ev  *Evaluator // scratch for RMST trials and candidate staging
+	ev  *Evaluator // scratch: pin-order collection, RMST, candidate staging
+
+	// Net-refresh scratch: the rank sort and each pin's sorted positions.
+	ranks      []rankPair
+	posX, posY []int32
 }
 
 // View returns a new independent view.

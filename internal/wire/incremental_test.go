@@ -331,9 +331,12 @@ func TestPlacementJournalFeedsSync(t *testing.T) {
 }
 
 // TestExcludingMatchesScratch asserts the goodness-path invariant: for
-// every net and every incident cell, the View's cached-state excluding
+// every requested cell and every incident net, the cached-state excluded
 // length is bitwise equal to the Evaluator's from-scratch value, across all
-// estimators — including after moves synced through the journal.
+// estimators. It covers the three ways an exclusion gets computed: filled
+// on request (a first request, then a wider one that adds cells), kept
+// current by the refresh of nets a journal sync dirtied, and kept current
+// by per-pin edits (MoveCell) flushed through Lengths.
 func TestExcludingMatchesScratch(t *testing.T) {
 	for _, est := range allEstimators {
 		ckt := testCircuit(t, 5)
@@ -341,35 +344,99 @@ func TestExcludingMatchesScratch(t *testing.T) {
 		inc := NewIncremental(ckt, est)
 		inc.Rebuild(p)
 		ev := NewEvaluator(ckt, est)
-		view := inc.View()
+		movable := ckt.Movable()
 
-		check := func(stage string, coords Coords) {
-			var nets []netlist.NetID
-			for _, id := range ckt.Movable() {
-				nets = ckt.CellNets(id, nets[:0])
-				for _, n := range nets {
-					got := view.NetLengthExcluding(n, id)
-					want := ev.NetLengthExcluding(n, id, coords)
-					if got != want {
-						t.Fatalf("est %v %s: net %d excluding cell %d: view %v, scratch %v",
-							est, stage, n, id, got, want)
+		check := func(stage string, cells []netlist.CellID, coords Coords) {
+			inc.Exclusions(cells)
+			for _, id := range cells {
+				excl := inc.CellExcl(id)
+				for i, ref := range inc.CellPins(id) {
+					want := ev.NetLengthExcluding(ref.Net, id, coords)
+					if excl[i] != want {
+						t.Fatalf("est %v %s: net %d excluding cell %d: cached %v, scratch %v",
+							est, stage, ref.Net, id, excl[i], want)
 					}
 				}
 			}
 		}
-		check("initial", p)
+		check("first request", movable[:len(movable)/2], p)
+		check("wider request", movable, p)
 
 		// Move a batch of cells and re-check after a journal sync.
 		m := newMutableCoords(ckt, p)
 		r := rng.New(99)
-		movable := ckt.Movable()
 		for i := 0; i < 25; i++ {
 			id := movable[int(r.Uint64()%uint64(len(movable)))]
 			m.move(id, float64(r.Uint64()%300), float64(r.Uint64()%90))
 		}
 		inc.Sync(m)
 		inc.Lengths(nil)
-		check("after sync", m)
+		check("after sync", movable, m)
+
+		// Per-pin edits, flushed by Lengths.
+		for i := 0; i < 10; i++ {
+			id := movable[int(r.Uint64()%uint64(len(movable)))]
+			x, y := float64(r.Uint64()%300), float64(r.Uint64()%90)
+			m.x[id], m.y[id] = x, y
+			inc.MoveCell(id, x, y)
+		}
+		inc.Lengths(nil)
+		check("after moves", movable, m)
+	}
+}
+
+// TestEditedNetsMatchScratch covers nets that per-pin edits changed, whose
+// visit recomputes length and exclusions without refilling the sorted
+// arrays: MoveCell followed by NetLength on the moved cell's nets (the
+// SA/TS move path), mixed with journal syncs that refill, must give the
+// Evaluator's lengths and exclusions bit for bit.
+func TestEditedNetsMatchScratch(t *testing.T) {
+	for _, est := range allEstimators {
+		ckt := testCircuit(t, 8)
+		p := layout.NewRandom(ckt, 8, rng.New(8))
+		m := newMutableCoords(ckt, p)
+		inc := NewIncremental(ckt, est)
+		inc.Rebuild(m)
+		ev := NewEvaluator(ckt, est)
+		movable := ckt.Movable()
+		wanted := movable[:len(movable)/2]
+		inc.Exclusions(wanted)
+		r := rng.New(17)
+		for step := 0; step < 300; step++ {
+			id := movable[r.Intn(len(movable))]
+			x, y := float64(r.Intn(160))/2, float64(r.Intn(48))/2
+			if step%7 == 0 {
+				m.move(id, x, y)
+				inc.Sync(m)
+			} else {
+				m.x[id], m.y[id] = x, y
+				inc.MoveCell(id, x, y)
+			}
+			for _, ref := range inc.CellPins(id) {
+				if got, want := inc.NetLength(ref.Net), ev.NetLength(ref.Net, m); got != want {
+					t.Fatalf("est %v step %d: net %d length %v, scratch %v", est, step, ref.Net, got, want)
+				}
+			}
+			if step%10 != 9 {
+				continue
+			}
+			inc.Exclusions(wanted)
+			for _, c := range wanted {
+				excl := inc.CellExcl(c)
+				for i, ref := range inc.CellPins(c) {
+					if want := ev.NetLengthExcluding(ref.Net, c, m); excl[i] != want {
+						t.Fatalf("est %v step %d: net %d excluding cell %d: %v, scratch %v",
+							est, step, ref.Net, c, excl[i], want)
+					}
+				}
+			}
+			got := inc.Lengths(nil)
+			for n, want := range ev.Lengths(m, nil) {
+				if got[n] != want {
+					t.Fatalf("est %v step %d: net %d committed %v, scratch %v", est, step, n, got[n], want)
+				}
+			}
+		}
 	}
 }
 
@@ -381,20 +448,21 @@ func TestExcludingPadNets(t *testing.T) {
 	inc := NewIncremental(ckt, Steiner)
 	inc.Rebuild(p)
 	ev := NewEvaluator(ckt, Steiner)
-	view := inc.View()
-	var nets []netlist.NetID
+	all := make([]netlist.CellID, len(ckt.Cells))
+	for i := range all {
+		all[i] = netlist.CellID(i)
+	}
+	inc.Exclusions(all)
 	seen2 := false
-	for i := range ckt.Cells {
-		id := netlist.CellID(i)
-		nets = ckt.CellNets(id, nets[:0])
-		for _, n := range nets {
-			if ckt.Net(n).Degree() == 2 {
+	for _, id := range all {
+		excl := inc.CellExcl(id)
+		for i, ref := range inc.CellPins(id) {
+			if ckt.Net(ref.Net).Degree() == 2 {
 				seen2 = true
 			}
-			got := view.NetLengthExcluding(n, id)
-			want := ev.NetLengthExcluding(n, id, p)
-			if got != want {
-				t.Fatalf("net %d excluding cell %d: view %v, scratch %v", n, id, got, want)
+			want := ev.NetLengthExcluding(ref.Net, id, p)
+			if excl[i] != want {
+				t.Fatalf("net %d excluding cell %d: cached %v, scratch %v", ref.Net, id, excl[i], want)
 			}
 		}
 	}
@@ -431,11 +499,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		inc.Sync(coords)
 		lengths = inc.Lengths(lengths)
 
-		// Goodness-style excluding reads plus a compiled trial scan.
+		// Goodness exclusions for a fixed request plus a compiled trial
+		// scan.
+		inc.Exclusions(movable)
 		id := movable[round%len(movable)]
-		for _, ref := range inc.CellPins(id) {
-			_ = view.NetLengthExcludingK(ref.Net, id, int(ref.K))
-		}
 		nets = nets[:0]
 		weights = weights[:0]
 		for _, ref := range inc.CellPins(id) {

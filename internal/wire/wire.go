@@ -88,9 +88,9 @@ func (e *Evaluator) NetLength(id netlist.NetID, coords Coords) float64 {
 // always reach the remaining pins' tree at zero marginal bounding-box cost.
 //
 // It computes the canonical excluding formulas of excl.go over the full
-// sorted pin multiset, producing bitwise the same value as an Incremental
-// View's NetLengthExcluding over the cached state — the reference side of
-// the goodness-equivalence invariant.
+// sorted pin multiset, producing bitwise the same value as the Incremental
+// engine's per-pin exclusions (Incremental.Exclusions) over the cached
+// state — the reference side of the goodness-equivalence invariant.
 func (e *Evaluator) NetLengthExcluding(id netlist.NetID, exclude netlist.CellID, coords Coords) float64 {
 	net := e.ckt.Net(id)
 	if e.est == RMST {
@@ -126,7 +126,7 @@ func (e *Evaluator) NetLengthExcluding(id netlist.NetID, exclude netlist.CellID,
 	}
 	e.pxs = prefixInto(e.pxs, e.sxs)
 	e.pys = prefixInto(e.pys, e.sys)
-	return steinerExcl(e.sxs, e.pxs, e.sys, e.pys, rx, ry, k)
+	return steinerExcl(e.sxs, e.pxs, e.sys, e.pys, rx, ry, searchF64(e.sxs, rx), searchF64(e.sys, ry), k)
 }
 
 // NetLengthWithCellAt estimates the net length with one cell's pins moved
@@ -296,11 +296,34 @@ func median(v []float64, scratch *[]float64) float64 {
 	s := (*scratch)[:len(v)]
 	copy(s, v)
 	slices.Sort(s) // non-reflective pdqsort; scratch is reused across calls
+	return sortedMedian(s)
+}
+
+// sortedMedian returns the median of ascending values: the middle one, or
+// the mean of the two middle ones.
+func sortedMedian(s []float64) float64 {
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// trunkSorted is trunkLength for a net whose axes are also held sorted:
+// the span and the median come from the sorted copies (the same values
+// trunkLength finds by scanning and sorting), and the branch sum runs over
+// across in pin order, so the result is bitwise trunkLength's.
+func trunkSorted(alongSorted, acrossSorted, across []float64) float64 {
+	med := sortedMedian(acrossSorted)
+	sum := alongSorted[len(alongSorted)-1] - alongSorted[0]
+	for _, v := range across {
+		if v > med {
+			sum += v - med
+		} else {
+			sum += med - v
+		}
+	}
+	return sum
 }
 
 // Lengths fills dst (allocated if nil) with per-net length estimates and

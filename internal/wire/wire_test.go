@@ -254,3 +254,44 @@ func TestMovingCellTowardPinsReducesLength(t *testing.T) {
 		}
 	}
 }
+
+// TestExclusionPositionsMatchSearch pins the position shortcuts of the
+// excluding formulas on random sorted arrays with heavy duplication:
+// exclSpan's end tests against the lower-bound search they replace, and
+// lowerFrom against searchF64 from every median hint exclMedian returns.
+func TestExclusionPositionsMatchSearch(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 20000; trial++ {
+		n := 2 + r.Intn(12)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(r.Intn(6))
+		}
+		sortFloats(v)
+		rv := v[r.Intn(n)]
+		lo := searchF64(v, rv)
+		run := 0
+		for j := lo; j < n && v[j] == rv; j++ {
+			run++
+		}
+		k := 1 + r.Intn(run)
+		if n-k < 1 {
+			continue
+		}
+		min, max := exclSpan(v, rv, k)
+		wantMin, wantMax := v[0], v[n-1]
+		if lo == 0 {
+			wantMin = v[k]
+		}
+		if lo+k == n {
+			wantMax = v[n-k-1]
+		}
+		if min != wantMin || max != wantMax {
+			t.Fatalf("exclSpan(%v, %v, %d) = %v, %v; want %v, %v", v, rv, k, min, max, wantMin, wantMax)
+		}
+		med, hi := exclMedian(v, lo, k)
+		if got, want := lowerFrom(v, hi, med), searchF64(v, med); got != want {
+			t.Fatalf("lowerFrom(%v, %d, %v) = %d, searchF64 %d", v, hi, med, got, want)
+		}
+	}
+}
