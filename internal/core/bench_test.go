@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"simevo/internal/fuzzy"
@@ -83,64 +82,6 @@ func BenchmarkAllocate(b *testing.B) {
 			b.StopTimer()
 			d := e.Profile().Alloc - start.Alloc
 			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), "alloc-ns/op")
-		})
-	}
-}
-
-// BenchmarkAllocScanBreakEven sweeps the parallel-scan threshold so the
-// break-even of the persistent worker pool is directly measurable: Serial
-// disables the fan-out entirely; the numeric variants engage it for cells
-// with at least that many free vacancies. Engines use the default
-// AllocWorkers (min(GOMAXPROCS, 8) workers). Each generated circuit gets
-// floors below the vacancy count its passes start with
-// (vacancies/pass reports the last pass's), so every variant engages on
-// part of each pass; benchProblem's passes hold about 110, below all of
-// them. The shipped default of allocScanMinVacancies is chosen from this
-// sweep (see its doc); on a single-CPU host scanWorkers() is 1 and every
-// variant collapses to the identical serial path, so the sweep only
-// measures noise there.
-func BenchmarkAllocScanBreakEven(b *testing.B) {
-	for _, c := range []struct {
-		cells int
-		mins  []int
-	}{
-		{3000, []int{512, 384, 256, 160}},
-		{20000, []int{4096, 3072, 2048, 1024, 512}},
-	} {
-		b.Run(fmt.Sprintf("Cells%d", c.cells), func(b *testing.B) {
-			ckt, err := gen.Generate(gen.ScaledParams("scale", c.cells, 2006))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := DefaultConfig(fuzzy.WirePower)
-			cfg.MaxIters = 1 << 30
-			cfg.Seed = 2006
-			p, err := NewProblem(ckt, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, floor := range append([]int{1 << 30}, c.mins...) {
-				name := fmt.Sprintf("Min%d", floor)
-				if floor == 1<<30 {
-					name = "Serial"
-				}
-				b.Run(name, func(b *testing.B) {
-					old := allocScanMinVacancies
-					allocScanMinVacancies = floor
-					defer func() { allocScanMinVacancies = old }()
-					e := p.NewEngine(0)
-					e.Step()
-					start := e.Profile()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						e.Step()
-					}
-					b.StopTimer()
-					d := e.Profile().Alloc - start.Alloc
-					b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), "alloc-ns/op")
-					b.ReportMetric(float64(len(e.vacs)), "vacancies/pass")
-				})
-			}
 		})
 	}
 }

@@ -117,31 +117,12 @@ type Config struct {
 	// evaluation.
 	FullEvalEvery int
 
-	// AllocWorkers bounds the worker pool that fans the per-cell vacancy
-	// scan of the allocation operator across goroutines. 0 picks
-	// min(GOMAXPROCS, 8); 1 (or any negative value) keeps the scan serial.
-	// Results are identical in either mode: each worker scores its chunk
-	// through a read-only evaluator view and the reduction reproduces the
-	// serial first-minimum tie-breaking. The pool persists across
-	// iterations (workers retire after an idle period); the fan-out
-	// engages once a cell has allocScanMinVacancies (1024) free vacancies.
-	// That floor is not a measured crossover: on a 2-vCPU host the fan-out
-	// lost to the serial scan at every floor and pool size measured, and
-	// hosts with more cores are unmeasured; see allocScanMinVacancies and
-	// BenchmarkAllocScanBreakEven, which sweeps the floor on a given host.
+	// AllocWorkers is kept only so existing callers that assign it still
+	// compile; nothing reads it. The engine is single-threaded: parallelism
+	// lives in the Type I/II/III strategies.
+	//
+	// Deprecated: ignored; the vacancy scan is serial.
 	AllocWorkers int
-
-	// EvalWorkers fans the evaluation across the same shared worker pool:
-	// large dirty-net refreshes in chunks of nets, and the per-cell
-	// goodness folds in chunks of cells. Each chunk writes only its own
-	// nets' or cells' slots, so the values are bitwise those of the serial
-	// loops; the selection operator then consumes them in deterministic
-	// cell order, keeping the search trajectory identical. Unlike
-	// AllocWorkers, 0 (or 1, or any negative value) keeps evaluation
-	// serial — the serial path is the reference mode — and values > 1 opt
-	// into that many chunks.
-	// Requires the incremental engine (DisableIncremental forces serial).
-	EvalWorkers int
 
 	// DisableMuTrace turns off recording μ(s) after every evaluation
 	// (Engine.MuTrace). Recording is on by default — benchmarks and the

@@ -63,43 +63,37 @@ func TestCongestTrajectoriesAllCircuits(t *testing.T) {
 	}
 }
 
-// TestCongestTrajectoryParallelEval re-runs the equivalence with the
-// goodness evaluation fanned across 4 pool workers — the congestion
-// CellScore reads (bin demand, peak) are shared read-only state, so the
-// parallel chunks must reproduce the serial reference bitwise. The core
-// package runs under -race in CI, which makes this the data-race gate
-// for the grid's scorer hooks.
+// TestCongestTrajectoryParallelEval runs the wire+power+congestion set
+// (no delay) on s1196 with the default grid, step by step against the
+// DisableIncremental reference: the congestion CellScore and NetScore
+// hooks feed goodness and the trial weights without an STA alongside.
 func TestCongestTrajectoryParallelEval(t *testing.T) {
 	ckt, err := gen.Benchmark("s1196")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const iters = 8
-	mk := func(disable bool, workers int) *Engine {
+	mk := func(disable bool) *Engine {
 		cfg := DefaultConfig(fuzzy.WirePowerCongest)
 		cfg.MaxIters = iters
 		cfg.Seed = 2006
 		cfg.DisableIncremental = disable
-		cfg.EvalWorkers = workers
 		p, err := NewProblem(ckt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p.NewEngine(0)
 	}
-	saveMin := evalMinCells
-	evalMinCells = 1 // force the parallel path on the small circuit
-	defer func() { evalMinCells = saveMin }()
-	ref := mk(true, 0)
-	par := mk(false, 4)
+	ref := mk(true)
+	inc := mk(false)
 	for i := 0; i < iters; i++ {
 		ref.Step()
-		par.Step()
-		if ref.Costs() != par.Costs() {
-			t.Fatalf("iter %d: costs diverged: %+v vs %+v", i, ref.Costs(), par.Costs())
+		inc.Step()
+		if ref.Costs() != inc.Costs() {
+			t.Fatalf("iter %d: costs diverged: %+v vs %+v", i, ref.Costs(), inc.Costs())
 		}
-		if ref.Mu() != par.Mu() {
-			t.Fatalf("iter %d: μ diverged: %v vs %v", i, ref.Mu(), par.Mu())
+		if ref.Mu() != inc.Mu() {
+			t.Fatalf("iter %d: μ diverged: %v vs %v", i, ref.Mu(), inc.Mu())
 		}
 	}
 }

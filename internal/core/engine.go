@@ -78,31 +78,13 @@ type Engine struct {
 	muHead    int  // ring position when the trace cap is reached
 	muWrapped bool // the ring has overwritten at least one entry
 
-	// Shared worker pool (pool.go) for the parallel phases, plus the
-	// slot-keyed per-worker state both phases draw on. runCtx is the
-	// context of the current RunContext call (Background otherwise); pool
-	// workers retire when it is cancelled, so an engine abandoned mid-run
-	// leaks no goroutines past the cancellation.
-	pool       *Pool
-	runCtx     context.Context
-	slotViews  []*wire.View // per slot: read-only scorer over e.inc
-	slotGoods  [][]float64  // per slot: goodness aggregation scratch
-	scanRes    []scanResult // per slot: alloc-scan reduction inputs
-	scanBound0 float64      // per-cell seed bound, written before a scan batch
-	evalCells  []netlist.CellID
-	evalDst    []float64
-	allocKern  func(slot, lo, hi int) // bound once: scanChunk
-	evalKern   func(slot, lo, hi int) // bound once: evalChunk
-	flushKern  func(slot, lo, hi int) // bound once: flushChunk
-
 	// Telemetry: tel is the per-run tally copied into Result.Telemetry;
-	// scanStats / slotScan are plain per-goroutine accumulators
-	// (one per pool slot for the parallel kernels) folded into tel and the
-	// process-wide registry once per phase, keeping atomics out of the
-	// inner loops. Purely observational — never consulted by the search.
+	// scanStats is a plain accumulator folded into tel and the
+	// process-wide registry once per allocation pass, keeping atomics out
+	// of the scan loop. Purely observational — never consulted by the
+	// search.
 	tel       telemetry.EngineSnapshot
-	scanStats wire.ScanStats   // serial-scan accumulator
-	slotScan  []wire.ScanStats // per pool slot: parallel-scan accumulators
+	scanStats wire.ScanStats
 
 	// scratch buffers
 	selected []netlist.CellID
@@ -110,7 +92,7 @@ type Engine struct {
 	trialW   []float64     // per-net trial weights, parallel to netsBuf
 	trialKey []float64     // per-net scan-ordering keys, parallel to netsBuf
 	trials   wire.TrialSet // compiled per-cell trial scorer (incremental mode)
-	goodsBuf []float64     // per-objective goodness scratch (serial goodnessWith)
+	goodsBuf []float64     // per-objective goodness scratch (cellGoodness)
 	goodsOut []float64     // per-domain goodness scratch (Step)
 	vacRef   []layout.SlotRef
 	// speculative-exchange scratch (RestoreSearch / AdoptPlacement)
@@ -166,10 +148,6 @@ func (e *Engine) init() {
 		panic("core: too many active objectives")
 	}
 	e.goodness = make([]float64, len(ckt.Cells))
-	e.runCtx = context.Background()
-	e.allocKern = e.scanChunk
-	e.evalKern = e.evalChunk
-	e.flushKern = e.flushChunk
 	e.domain = append([]netlist.CellID(nil), ckt.Movable()...)
 	e.allocOrder = cfg.AllocOrder
 	e.bestMu = -1
@@ -326,27 +304,18 @@ func (e *Engine) EvaluateCosts() {
 			e.congGrid.SetSource(congest.PlacementSource{P: e.place})
 		}
 	}
-	switch {
-	case e.inc == nil:
+	if e.inc == nil {
 		// Reference mode re-derives every net length from scratch.
 		e.lengths = e.ev.Lengths(e.place, e.lengths)
 		e.tel.FullRebuilds++
 		telemetry.EngineEvalsReference.Inc()
-	case e.syncIncremental():
+	} else if rebuilt, dirty := e.syncIncremental(); rebuilt {
 		e.lengths = e.inc.Lengths(e.lengths)
 		e.tel.FullRebuilds++
 		telemetry.EngineEvalsRebuild.Inc()
-	default:
+	} else {
 		// The mirror re-estimates only the nets touched since the last
-		// evaluation. Large dirty batches re-estimate across the worker
-		// pool first (per-net estimates are independent and order-free, so
-		// the committed lengths are bitwise the serial flush's); Lengths
-		// then finds nothing left to flush and just copies.
-		dirty := e.inc.DirtyLen()
-		if w := e.evalWorkers(); w > 1 && dirty >= flushMinDirtyNets {
-			e.ensurePool().Batch(e.runCtx, w, dirty, e.flushKern)
-			e.inc.FinishFlush()
-		}
+		// evaluation.
 		e.lengths = e.inc.Lengths(e.lengths)
 		e.tel.IncrementalEvals++
 		e.tel.DirtyNets += uint64(dirty)
@@ -375,29 +344,25 @@ func (e *Engine) EvaluateCosts() {
 // with the placement: normally a journal drain marking only the nets
 // touched since the last evaluation dirty; a full rebuild after the
 // placement object was replaced, and periodically as the full-recompute
-// checksum. It reports whether a full rebuild ran.
-func (e *Engine) syncIncremental() bool {
+// checksum. It reports whether a full rebuild ran and, after a drain, how
+// many nets the next Lengths refreshes.
+func (e *Engine) syncIncremental() (rebuilt bool, dirty int) {
 	if e.incStale || !e.inc.Built() || e.evalsSince >= e.prob.Cfg.FullEvalEvery {
 		e.place.JournalCoords(true)
 		e.place.ResetJournal()
 		e.inc.Rebuild(e.place)
 		e.incStale = false
 		e.evalsSince = 0
-		return true
+		return true, 0
 	}
-	e.inc.Drain(e.place)
+	dirty = e.inc.Drain(e.place)
 	e.evalsSince++
-	return false
+	return false, dirty
 }
 
 // CostPhases returns the accumulated per-objective pipeline time —
 // simevo-bench records it as the per-objective phase breakdown.
 func (e *Engine) CostPhases() map[string]time.Duration { return e.pipe.Phases() }
-
-// evalMinCells is the cell count below which goodness evaluation is not
-// worth fanning across the pool. Variable so tests can force the parallel
-// path on small circuits.
-var evalMinCells = 128
 
 // ComputeGoodness evaluates the goodness of the given cells (which must be
 // distinct) into the engine's goodness table. EvaluateCosts must have run
@@ -410,12 +375,6 @@ var evalMinCells = 128
 // before evaluating, so the dirty-net refresh inside EvaluateCosts has
 // already computed them; only nets of newly requested cells are visited
 // here. Each cell's goodness is then a fold over its pin references.
-//
-// With Config.EvalWorkers > 1 (and the incremental engine active) the
-// folds are partitioned across the shared worker pool; values land in
-// per-cell slots, so the result — and the selection trajectory consuming
-// it in deterministic cell order — is bitwise identical to the serial
-// reference.
 func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float64 {
 	if cap(dst) < len(cells) {
 		dst = make([]float64, len(cells))
@@ -424,32 +383,12 @@ func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float6
 	if e.inc != nil {
 		e.inc.Exclusions(cells)
 	}
-	if w := e.evalWorkers(); w > 1 && e.inc != nil && e.inc.Built() && len(cells) >= evalMinCells {
-		e.evalCells, e.evalDst = cells, dst
-		e.ensurePool().Batch(e.runCtx, w, len(cells), e.evalKern)
-		e.evalCells, e.evalDst = nil, nil
-		return dst
-	}
 	for i, id := range cells {
-		g, goods := e.goodnessWith(id, e.goodsBuf)
-		e.goodsBuf = goods
+		g := e.cellGoodness(id)
 		e.goodness[id] = g
 		dst[i] = g
 	}
 	return dst
-}
-
-// evalChunk is the goodness kernel for one chunk of the cell list.
-func (e *Engine) evalChunk(slot, lo, hi int) {
-	goods := e.slotGoods[slot]
-	for i := lo; i < hi; i++ {
-		id := e.evalCells[i]
-		var g float64
-		g, goods = e.goodnessWith(id, goods)
-		e.goodness[id] = g
-		e.evalDst[i] = g
-	}
-	e.slotGoods[slot] = goods
 }
 
 // SetGoodness installs externally computed goodness values (Type I master
@@ -460,9 +399,7 @@ func (e *Engine) SetGoodness(cells []netlist.CellID, vals []float64) {
 	}
 }
 
-// goodnessWith computes g_i = O_i / C_i aggregated over active objectives.
-// goods is the caller's aggregation scratch, returned with its grown
-// capacity.
+// cellGoodness computes g_i = O_i / C_i aggregated over active objectives.
 //
 // Each weighted objective (wirelength: unit weights; power: switching
 // activities) contributes ratio01(Σ w·optimal, Σ w·current) over the
@@ -475,11 +412,10 @@ func (e *Engine) SetGoodness(cells []netlist.CellID, vals []float64) {
 // The incremental engine folds, in CellPins order, the excluded lengths
 // that ComputeGoodness requested and the tabulated attachment spans. The
 // reference path (DisableIncremental) re-collects each net's pins through
-// the from-scratch evaluator, which only runs serially since it shares the
-// engine's evaluator scratch. Both sum the same values in the same order
+// the from-scratch evaluator. Both sum the same values in the same order
 // (CellPins follows CellNets), so the goodness values — and with them
 // selection — are bitwise identical.
-func (e *Engine) goodnessWith(id netlist.CellID, goods []float64) (float64, []float64) {
+func (e *Engine) cellGoodness(id netlist.CellID) float64 {
 	nw := len(e.gainW)
 	var accC, accO [maxObjectives]float64
 	if nw > 0 {
@@ -517,7 +453,7 @@ func (e *Engine) goodnessWith(id netlist.CellID, goods []float64) (float64, []fl
 		}
 	}
 
-	goods = goods[:0]
+	goods := e.goodsBuf[:0]
 	for _, g := range e.gains {
 		if g.scorer != nil {
 			goods = append(goods, g.scorer.CellScore(id))
@@ -525,7 +461,8 @@ func (e *Engine) goodnessWith(id netlist.CellID, goods []float64) (float64, []fl
 			goods = append(goods, ratio01(accO[g.wIdx], accC[g.wIdx]))
 		}
 	}
-	return e.prob.OWA.Aggregate(goods...), goods
+	e.goodsBuf = goods
+	return e.prob.OWA.Aggregate(goods...)
 }
 
 // minAttach returns the minimal center-to-center span cell id needs to
@@ -633,9 +570,7 @@ func (e *Engine) selectCells() []netlist.CellID {
 // net through the row-sharded vacancy buckets (wire.ScanBestRows): the
 // vacancy pool is bucketed per row and x-sorted once per pass, occupancy is
 // journaled with O(1) commits, and each cell's scan walks outward from its
-// median anchor, cutting dominated regions wholesale. Large vacancy pools
-// additionally fan the per-cell scan across the bounded worker pool
-// (allocscan.go) — vacancy trials for one cell are independent.
+// median anchor, cutting dominated regions wholesale.
 func (e *Engine) allocate(sel []netlist.CellID) {
 	if len(sel) == 0 {
 		return
@@ -679,12 +614,6 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 			}
 		}
 	}
-	scanW := 0
-	if useInc && n >= allocScanMinVacancies {
-		if w := e.scanWorkers(); w > 1 {
-			scanW = w
-		}
-	}
 
 	if cap(e.rowOK) < numRows {
 		e.rowOK = make([]bool, numRows)
@@ -716,15 +645,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 		// hard constraint (Section 2), so infeasible vacancies are only
 		// considered in the fallback pass, by smallest violation.
 		best := -1
-		switch {
-		case scanW > 1 && e.buckets.Live() >= allocScanMinVacancies:
-			// The pool shrinks as cells are placed; late cells with few
-			// vacancies left drop back to the serial bounded scan, which
-			// picks identical winners without the per-cell synchronization.
-			// The y memo fills lazily even here: entries index by
-			// (item, row) and workers partition rows, so fills are disjoint.
-			best, _ = e.scanCell(scanW, numRows, e.seedBound(own))
-		case useInc:
+		if useInc {
 			// Bounded scoring: a vacancy bails out once its partial cost
 			// reaches the best so far — the winner is provably unchanged.
 			// Seeding the bound with the cell's own vacated slot (index
@@ -733,8 +654,8 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 			// their first net; nextafter keeps equal-scoring earlier
 			// vacancies admissible, so the serial first-minimum wins.
 			best, _ = e.trials.ScanBestRows(e.inc.BaseView(), &e.buckets,
-				e.rowOK, 0, numRows, feasible, e.seedBound(own), &e.scanStats)
-		default:
+				e.rowOK, feasible, e.seedBound(own), &e.scanStats)
+		} else {
 			bestScore := 0.0
 			for v := 0; v < n; v++ {
 				if e.vacUsed[v] || !e.rowOK[e.vacs[v].Row] {
@@ -784,17 +705,12 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	telemetry.AllocSubCommitNs.Observe(int64(commitD))
 }
 
-// flushScanStats folds the per-goroutine vacancy-scan accumulators (the
-// serial one plus every pool slot's) into the run snapshot and the
-// process-wide counters — a handful of atomic adds per allocation pass
-// instead of per vacancy.
+// flushScanStats folds the vacancy-scan accumulator into the run snapshot
+// and the process-wide counters — a handful of atomic adds per allocation
+// pass instead of per vacancy.
 func (e *Engine) flushScanStats() {
 	agg := e.scanStats
 	e.scanStats = wire.ScanStats{}
-	for i := range e.slotScan {
-		agg.Merge(&e.slotScan[i])
-		e.slotScan[i] = wire.ScanStats{}
-	}
 	if agg.Vacancies == 0 {
 		return
 	}
@@ -843,8 +759,7 @@ func (e *Engine) prepTrial(id netlist.CellID, useInc bool) {
 		// Vacancy candidates sit on row centerlines, so the rows are the
 		// y-memo classes; e.rowY holds layout.RowY per row, which
 		// reproduces Recompute's centerline expression bit for bit. The
-		// memo fills lazily, also in a parallel scan, whose row chunks
-		// fill disjoint entries. PrepareScan derives the per-row bound and
+		// memo fills lazily. PrepareScan derives the per-row bound and
 		// the anchor the bucketed scan prunes with — O(nets·log nets +
 		// rows), noise against the scan itself.
 		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, len(e.rowY))
@@ -1029,16 +944,10 @@ func (e *Engine) Run() *Result { return e.RunContext(context.Background(), nil) 
 // cancelled the loop stops before starting another iteration and the
 // best-so-far result is returned (inspect ctx.Err() for the reason).
 // progress, when non-nil, is invoked after every completed iteration with
-// that iteration's statistics.
+// that iteration's statistics. The run executes on the calling goroutine;
+// the engine starts no goroutines of its own.
 func (e *Engine) RunContext(ctx context.Context, progress Progress) *Result {
 	cfg := &e.prob.Cfg
-	if ctx != nil {
-		// Tie the worker pool's lifetime to the run: cancelling the
-		// context retires parked workers immediately, so an engine
-		// abandoned mid-run leaks no goroutines past the cancellation.
-		e.runCtx = ctx
-		defer func() { e.runCtx = context.Background() }()
-	}
 	for e.iter < cfg.MaxIters {
 		if ctx.Err() != nil {
 			break

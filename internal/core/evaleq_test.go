@@ -47,24 +47,20 @@ o2 = BUF(n10)
 // DisableIncremental reference for 20 Steps and requires, after every
 // Step, bitwise-equal net lengths, costs, μ and goodness of every requested
 // cell. The matrix covers the wp, wpd and wpc objective sets, the HPWL,
-// Steiner and RMST estimators, and three request shapes: the full domain,
-// a Type II row domain re-derived before every Step (so the requested set
-// changes), and EvalWorkers 4 with the fan-outs forced on. The hand-built
+// Steiner and RMST estimators, and two request shapes: the full domain
+// and a Type II row domain re-derived before every Step (so the requested
+// set changes). The hand-built
 // netlist runs the whole matrix; every catalog circuit runs wp with the
 // default estimator on the full domain, and s1196 also runs every
 // objective set, estimator and request shape.
 func TestEvaluationMatchesReference(t *testing.T) {
-	oldFlush, oldEval := flushMinDirtyNets, evalMinCells
-	flushMinDirtyNets, evalMinCells = 1, 1
-	defer func() { flushMinDirtyNets, evalMinCells = oldFlush, oldEval }()
-
 	hand, err := netlist.ParseBench("evaleq", strings.NewReader(evalEqBench))
 	if err != nil {
 		t.Fatal(err)
 	}
 	objs := []fuzzy.Objectives{fuzzy.WirePower, fuzzy.WirePowerDelay, fuzzy.WirePowerCongest}
 	ests := []wire.Estimator{wire.HPWL, wire.Steiner, wire.RMST}
-	modes := []string{"full", "rows", "workers4"}
+	modes := []string{"full", "rows"}
 	for _, obj := range objs {
 		for _, est := range ests {
 			for _, mode := range modes {
@@ -106,9 +102,6 @@ func checkEvaluation(t *testing.T, name string, ckt *netlist.Circuit, obj fuzzy.
 		cfg.FullEvalEvery = 7 // a periodic rebuild mid-run
 		if obj.Has(fuzzy.Congest) {
 			cfg.CongestBins = 8
-		}
-		if mode == "workers4" && !reference {
-			cfg.EvalWorkers = 4
 		}
 		p, err := NewProblem(ckt, cfg)
 		if err != nil {

@@ -64,7 +64,6 @@ func scaleGolden(t *testing.T) *Result {
 
 func goldenRun(t *testing.T, ckt *netlist.Circuit, cfg Config) *Result {
 	t.Helper()
-	cfg.AllocWorkers = 1
 	p, err := NewProblem(ckt, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"simevo/internal/fuzzy"
+	"simevo/internal/gen"
 )
 
 // TestIncrementalReproducesReferenceTrajectory asserts the tentpole
@@ -44,31 +45,105 @@ func TestIncrementalReproducesReferenceTrajectory(t *testing.T) {
 	}
 }
 
-// TestParallelAllocScanMatchesSerial asserts the bounded worker pool picks
-// identical vacancies: with the fan-out forced on (tiny threshold, several
-// workers) the trajectory must equal the serial scan's, bit for bit.
-func TestParallelAllocScanMatchesSerial(t *testing.T) {
-	oldMin := allocScanMinVacancies
-	allocScanMinVacancies = 1
-	defer func() { allocScanMinVacancies = oldMin }()
+// TestParallelEvalMatchesReferenceAllCircuits runs wp on every bundled
+// benchmark and requires the incremental engine to follow the
+// DisableIncremental reference bitwise: best μ, best placement and the
+// whole μ trace.
+func TestParallelEvalMatchesReferenceAllCircuits(t *testing.T) {
+	for _, name := range gen.Catalog() {
+		ckt, err := gen.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(scratch bool) *Result {
+			cfg := DefaultConfig(fuzzy.WirePower)
+			cfg.MaxIters = 6
+			cfg.Seed = 99
+			cfg.DisableIncremental = scratch
+			p, err := NewProblem(ckt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.NewEngine(0).Run()
+		}
+		ref := run(true)
+		inc := run(false)
+		if ref.BestMu != inc.BestMu {
+			t.Fatalf("%s: best μ diverged: reference %v, incremental %v", name, ref.BestMu, inc.BestMu)
+		}
+		if ref.Best.Fingerprint() != inc.Best.Fingerprint() {
+			t.Fatalf("%s: best placements diverged", name)
+		}
+		for i := range ref.MuTrace {
+			if ref.MuTrace[i] != inc.MuTrace[i] {
+				t.Fatalf("%s: μ trace diverged at %d: %v vs %v", name, i, ref.MuTrace[i], inc.MuTrace[i])
+			}
+		}
+	}
+}
 
-	run := func(workers int) *Result {
-		p := testProblem(t, fuzzy.WirePower, 20)
-		p.Cfg.AllocWorkers = workers
+// TestParallelWpdAllocMatchesReferenceAllCircuits runs wpd on every
+// bundled benchmark, step by step, and requires the incremental engine to
+// report bitwise the costs, μ and placement of the DisableIncremental
+// reference after every Step.
+func TestParallelWpdAllocMatchesReferenceAllCircuits(t *testing.T) {
+	for _, name := range gen.Catalog() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			ckt, err := gen.Benchmark(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters := 6
+			if name == "s3330" {
+				iters = 3 // the big circuit dominates the -race budget
+			}
+			mk := func(disable bool) *Engine {
+				cfg := DefaultConfig(fuzzy.WirePowerDelay)
+				cfg.MaxIters = iters
+				cfg.Seed = 2006
+				cfg.DisableIncremental = disable
+				p, err := NewProblem(ckt, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p.NewEngine(0)
+			}
+			ref := mk(true)
+			inc := mk(false)
+			for i := 0; i < iters; i++ {
+				ref.Step()
+				inc.Step()
+				if ref.Costs() != inc.Costs() {
+					t.Fatalf("iter %d: costs diverged:\n reference   %+v\n incremental %+v",
+						i, ref.Costs(), inc.Costs())
+				}
+				if ref.Mu() != inc.Mu() {
+					t.Fatalf("iter %d: μ diverged: %v vs %v", i, ref.Mu(), inc.Mu())
+				}
+				if ref.Placement().Fingerprint() != inc.Placement().Fingerprint() {
+					t.Fatalf("iter %d: placements diverged", i)
+				}
+			}
+		})
+	}
+}
+
+// TestGoodnessCacheMatchesReference pins serial goodness evaluation in
+// incremental mode (excluding lengths read from the wire.Incremental
+// mirror, with a frequent mirror rebuild) against the reference mode that
+// re-collects every pin.
+func TestGoodnessCacheMatchesReference(t *testing.T) {
+	run := func(scratch bool) *Result {
+		p := testProblem(t, fuzzy.WirePower, 30)
+		p.Cfg.DisableIncremental = scratch
+		p.Cfg.FullEvalEvery = 11
 		return p.NewEngine(0).Run()
 	}
-	serial := run(-1) // negative: keep the scan serial
-	par := run(4)
-	if serial.BestMu != par.BestMu {
-		t.Fatalf("parallel scan diverged: best μ %v vs %v", par.BestMu, serial.BestMu)
-	}
-	if serial.Best.Fingerprint() != par.Best.Fingerprint() {
-		t.Fatal("parallel scan produced a different best placement")
-	}
-	for i := range serial.MuTrace {
-		if serial.MuTrace[i] != par.MuTrace[i] {
-			t.Fatalf("μ trace diverged at %d: %v vs %v", i, par.MuTrace[i], serial.MuTrace[i])
-		}
+	ref := run(true)
+	inc := run(false)
+	if ref.BestMu != inc.BestMu || ref.Best.Fingerprint() != inc.Best.Fingerprint() {
+		t.Fatalf("incremental goodness diverged: best μ %v vs %v", ref.BestMu, inc.BestMu)
 	}
 }
 

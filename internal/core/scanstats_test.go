@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"simevo/internal/fuzzy"
@@ -14,47 +13,35 @@ import (
 // width-feasible for that cell, with no vacancy visited twice. The
 // expected sum is replayed from the pass's outcome — the selection order,
 // the vacancy pool, and the vacancy each cell took — independently of the
-// scan. It runs for the serial scan and for the row-chunked scan on two
-// workers, whose chunks each count their own rows.
+// scan.
 func TestScanCountsEveryFeasibleVacancy(t *testing.T) {
-	old := allocScanMinVacancies
-	allocScanMinVacancies = 1
-	defer func() { allocScanMinVacancies = old }()
 	ckt, err := gen.Benchmark("s1196")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := DefaultConfig(fuzzy.WirePower)
-			cfg.Seed = 31
-			cfg.AllocWorkers = workers
-			p, err := NewProblem(ckt, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := p.NewEngine(0)
-			var skipped uint64
-			for iter := 0; iter < 8; iter++ {
-				before := e.Telemetry()
-				e.Step()
-				after := e.Telemetry()
-				visited := after.ScanVacancies - before.ScanVacancies
-				skip := after.ScanSkippedBucket - before.ScanSkippedBucket
-				want := replayFeasible(t, e)
-				if visited > want || visited+skip != want {
-					t.Fatalf("iter %d: %d visited + %d skipped, want %d feasible free vacancies",
-						iter, visited, skip, want)
-				}
-				skipped += skip
-			}
-			if skipped == 0 {
-				t.Fatal("no vacancy was skipped wholesale: the skipped count went untested")
-			}
-			if (e.pool != nil) != (workers > 1) {
-				t.Fatalf("worker pool in use = %v with %d workers", e.pool != nil, workers)
-			}
-		})
+	cfg := DefaultConfig(fuzzy.WirePower)
+	cfg.Seed = 31
+	p, err := NewProblem(ckt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := p.NewEngine(0)
+	var skipped uint64
+	for iter := 0; iter < 8; iter++ {
+		before := e.Telemetry()
+		e.Step()
+		after := e.Telemetry()
+		visited := after.ScanVacancies - before.ScanVacancies
+		skip := after.ScanSkippedBucket - before.ScanSkippedBucket
+		want := replayFeasible(t, e)
+		if visited > want || visited+skip != want {
+			t.Fatalf("iter %d: %d visited + %d skipped, want %d feasible free vacancies",
+				iter, visited, skip, want)
+		}
+		skipped += skip
+	}
+	if skipped == 0 {
+		t.Fatal("no vacancy was skipped wholesale: the skipped count went untested")
 	}
 }
 

@@ -47,12 +47,9 @@ type Baseline struct {
 	// reach the identical best solution (bitwise equal μ).
 	TrajectoryMatch bool `json:"trajectory_match"`
 
-	// GoMaxProcs and EvalWorkers record the measurement context: the
-	// incremental run fans goodness evaluation (and the vacancy scan)
-	// across the engine pool when more than one CPU is available, and
-	// the numbers are only comparable at similar parallelism.
-	GoMaxProcs  int `json:"gomaxprocs"`
-	EvalWorkers int `json:"eval_workers"`
+	// GoMaxProcs records the measurement context; the gate re-measures
+	// at the same value.
+	GoMaxProcs int `json:"gomaxprocs"`
 
 	// WirePowerDelay is the three-objective mode measurement (nil when
 	// the baseline was recorded with -objectives excluding it).
@@ -197,7 +194,7 @@ const (
 
 // measureMode runs one (objective set, mode) configuration and reports
 // the timings, best μ, and best-placement fingerprint.
-func measureMode(obj fuzzy.Objectives, scratch bool, evalWorkers int) (BaselineRun, uint64, error) {
+func measureMode(obj fuzzy.Objectives, scratch bool) (BaselineRun, uint64, error) {
 	ckt, err := gen.Benchmark(baselineCircuit)
 	if err != nil {
 		return BaselineRun{}, 0, err
@@ -206,9 +203,6 @@ func measureMode(obj fuzzy.Objectives, scratch bool, evalWorkers int) (BaselineR
 	cfg.MaxIters = baselineIters
 	cfg.Seed = baselineSeed
 	cfg.DisableIncremental = scratch
-	if !scratch {
-		cfg.EvalWorkers = evalWorkers
-	}
 	prob, err := core.NewProblem(ckt, cfg)
 	if err != nil {
 		return BaselineRun{}, 0, err
@@ -286,14 +280,14 @@ func measureScanRates(obj fuzzy.Objectives) (map[string]*CircuitScanRates, error
 // standard noise floor for wall-clock microbenchmarks. Solution quality is
 // identical across repetitions (the run is deterministic), so only the
 // timings differ.
-func measureModeBest(obj fuzzy.Objectives, scratch bool, evalWorkers int) (BaselineRun, uint64, error) {
+func measureModeBest(obj fuzzy.Objectives, scratch bool) (BaselineRun, uint64, error) {
 	const reps = 3
-	r, fp, err := measureMode(obj, scratch, evalWorkers)
+	r, fp, err := measureMode(obj, scratch)
 	if err != nil {
 		return r, fp, err
 	}
 	for i := 1; i < reps; i++ {
-		r2, _, err := measureMode(obj, scratch, evalWorkers)
+		r2, _, err := measureMode(obj, scratch)
 		if err != nil {
 			return r, fp, err
 		}
@@ -305,12 +299,12 @@ func measureModeBest(obj fuzzy.Objectives, scratch bool, evalWorkers int) (Basel
 }
 
 // measureObjectiveMode measures both engine modes for one objective set.
-func measureObjectiveMode(obj fuzzy.Objectives, evalWorkers int) (*ModeBaseline, error) {
-	inc, incFP, err := measureModeBest(obj, false, evalWorkers)
+func measureObjectiveMode(obj fuzzy.Objectives) (*ModeBaseline, error) {
+	inc, incFP, err := measureModeBest(obj, false)
 	if err != nil {
 		return nil, err
 	}
-	scr, scrFP, err := measureModeBest(obj, true, evalWorkers)
+	scr, scrFP, err := measureModeBest(obj, true)
 	if err != nil {
 		return nil, err
 	}
@@ -321,25 +315,6 @@ func measureObjectiveMode(obj fuzzy.Objectives, evalWorkers int) (*ModeBaseline,
 		TotalSpeedup:    scr.NsPerIter / inc.NsPerIter,
 		TrajectoryMatch: inc.BestMu == scr.BestMu && incFP == scrFP,
 	}, nil
-}
-
-// MeasureBaseline runs both modes for the requested objective sets and
-// assembles the report. The incremental engine mode is measured as it
-// ships: EvalWorkers engages the parallel goodness evaluation when the
-// host has more than one CPU (the trajectory is bitwise identical either
-// way — only the wall clock changes). The scratch reference stays serial.
-// objectives selects from "wire+power", "wire+power+delay",
-// "wire+power+delay+congestion", and "large" (the 100k-cell scale-tier
-// entry); "" measures all of them.
-func MeasureBaseline(objectives string) (*Baseline, error) {
-	evalWorkers := runtime.GOMAXPROCS(0)
-	if evalWorkers > 8 {
-		evalWorkers = 8
-	}
-	if evalWorkers <= 1 {
-		evalWorkers = 0
-	}
-	return measureBaselineWith(evalWorkers, objectives)
 }
 
 // baselineModes selects which baseline sections to measure.
@@ -396,7 +371,7 @@ const largeCongestBins = 64
 // measureLargeCircuit runs the incremental engine on the generated
 // 100k-cell tier with congestion active. One rep — the gate consumes the
 // deterministic μ, not the wall clock.
-func measureLargeCircuit(evalWorkers int) (*LargeCircuitBaseline, error) {
+func measureLargeCircuit() (*LargeCircuitBaseline, error) {
 	ckt, err := gen.Generate(gen.ScaledParams("large", gen.LargeCells, 1))
 	if err != nil {
 		return nil, err
@@ -404,7 +379,6 @@ func measureLargeCircuit(evalWorkers int) (*LargeCircuitBaseline, error) {
 	cfg := core.DefaultConfig(fuzzy.WirePowerCongest)
 	cfg.MaxIters = largeCircuitIters
 	cfg.Seed = baselineSeed
-	cfg.EvalWorkers = evalWorkers
 	// Non-uniform start for the scale tier. Note the measured congestion
 	// behaviour is the opposite of the intuition that clustering creates
 	// hotspots: clustering shrinks net bounding boxes, which *flattens*
@@ -522,21 +496,22 @@ func measureExchange() (*ExchangeBaseline, error) {
 	return b, nil
 }
 
-// measureBaselineWith measures at a pinned evaluation fan-out, so the
-// bench gate can reproduce the committed baseline's configuration.
-func measureBaselineWith(evalWorkers int, objectives string) (*Baseline, error) {
+// MeasureBaseline runs both modes for the requested objective sets and
+// assembles the report. objectives selects from "wire+power",
+// "wire+power+delay", "wire+power+delay+congestion", and "large" (the
+// 100k-cell scale-tier entry); "" measures all of them.
+func MeasureBaseline(objectives string) (*Baseline, error) {
 	m, err := parseObjectiveModes(objectives)
 	if err != nil {
 		return nil, err
 	}
 	wp, wpd := m.wp, m.wpd
 	b := &Baseline{
-		Circuit:     baselineCircuit,
-		Objective:   "wire+power",
-		Iters:       baselineIters,
-		Seed:        baselineSeed,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		EvalWorkers: evalWorkers,
+		Circuit:    baselineCircuit,
+		Objective:  "wire+power",
+		Iters:      baselineIters,
+		Seed:       baselineSeed,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	if !wp {
 		// Without the wire+power measurement the legacy top-level fields
@@ -544,7 +519,7 @@ func measureBaselineWith(evalWorkers int, objectives string) (*Baseline, error) 
 		// misread as recording a diverged wp trajectory.
 		b.Objective = ""
 	} else {
-		mode, err := measureObjectiveMode(fuzzy.WirePower, evalWorkers)
+		mode, err := measureObjectiveMode(fuzzy.WirePower)
 		if err != nil {
 			return nil, err
 		}
@@ -555,21 +530,21 @@ func measureBaselineWith(evalWorkers int, objectives string) (*Baseline, error) 
 		b.TrajectoryMatch = mode.TrajectoryMatch
 	}
 	if wpd {
-		mode, err := measureObjectiveMode(fuzzy.WirePowerDelay, evalWorkers)
+		mode, err := measureObjectiveMode(fuzzy.WirePowerDelay)
 		if err != nil {
 			return nil, err
 		}
 		b.WirePowerDelay = mode
 	}
 	if m.wpdc {
-		mode, err := measureObjectiveMode(fuzzy.WirePowerDelayCongest, evalWorkers)
+		mode, err := measureObjectiveMode(fuzzy.WirePowerDelayCongest)
 		if err != nil {
 			return nil, err
 		}
 		b.WirePowerDelayCongest = mode
 	}
 	if m.large {
-		large, err := measureLargeCircuit(evalWorkers)
+		large, err := measureLargeCircuit()
 		if err != nil {
 			return nil, err
 		}
@@ -612,13 +587,14 @@ const CheckTolerance = 0.15
 // construction) is at its heaviest relative to the pruned scan, so the
 // equal-protocol ratio on the single-CPU reference host lands at
 // ~1.55x (1.93ms vs 3.00ms) with ±6% run-to-run noise. The alloc-share
-// ceiling depends on what the gate host can reach: a multi-core runner
-// engages the pooled per-cell fan-out and is held to wpdAllocShareGate;
-// a single-CPU runner cannot fan out, and with evaluation and selection
-// already O(dirty)-cheap its allocation share has a structural floor
-// (~0.80 measured serial on the reference host) — it is held to
-// wpdAllocShareGateSerial so scan regressions still fail without
-// penalizing hardware that cannot reach the parallel target.
+// ceiling depends on the measured GOMAXPROCS: wpdAllocShareGate was set
+// for multi-core runs when the engine still fanned the vacancy scan out
+// across cores; the engine is now single-threaded, so only a baseline
+// recorded at GOMAXPROCS 1 (the committed one) is held to a ceiling it can
+// meet. With evaluation and selection already O(dirty)-cheap the serial
+// allocation share has a structural floor (~0.80 measured on the reference
+// host); wpdAllocShareGateSerial sits above it, so scan regressions still
+// fail.
 const (
 	wpdFlatScanNsPerIter    = 3004821.0
 	wpdMinSpeedupVsFlat     = 1.5
@@ -637,10 +613,10 @@ const (
 // The committed file's telemetry key sets must be a
 // subset of the current schema: added counters are tolerated, removed
 // ones fail the gate. The measurement is pinned to the committed
-// baseline's parallelism (GOMAXPROCS and EvalWorkers are restored from
-// the JSON), so a serial baseline is never compared against a multi-core
-// run or vice versa; per-core speed differences between hosts remain —
-// refresh the baseline from an environment comparable to the gate's.
+// baseline's GOMAXPROCS (restored from the JSON), so a serial baseline is
+// never compared against a multi-core run or vice versa; per-core speed
+// differences between hosts remain — refresh the baseline from an
+// environment comparable to the gate's.
 // When outPath is non-empty the freshly measured baseline is written
 // there (the CI gate uploads it as an artifact beside the cpuprofile).
 // Used by the CI bench gate.
@@ -682,7 +658,7 @@ func CheckBaseline(path, outPath string, w io.Writer) error {
 	if len(modes) == 0 {
 		return fmt.Errorf("experiments: %s records no objective mode to gate", path)
 	}
-	got, err := measureBaselineWith(ref.EvalWorkers, strings.Join(modes, ","))
+	got, err := MeasureBaseline(strings.Join(modes, ","))
 	if err != nil {
 		return err
 	}

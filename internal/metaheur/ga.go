@@ -31,14 +31,9 @@ type GAConfig struct {
 	Elite int
 	// Tournament is the selection tournament size (0: 3).
 	Tournament int
-	// Workers fans the per-generation fitness evaluation (genome decode +
-	// from-scratch cost pass, the GA's hot loop) across a shared
-	// core.Pool, one evaluator per slot. 0 or 1 keeps evaluation serial.
-	// Fitness values are independent per individual and the best-solution
-	// merge stays serial in population order, so results are identical in
-	// either mode. Each island of the parallel GA owns its own pool.
-	Workers int
-	Seed    uint64
+	// Seed is XORed into the problem seed to derive the GA's random
+	// stream.
+	Seed uint64
 }
 
 func (c *GAConfig) defaults() {
@@ -94,17 +89,6 @@ type gaState struct {
 	rnd  *rng.R
 	pop  []genome
 
-	// Parallel fitness evaluation (GAConfig.Workers > 1): a shared worker
-	// pool with one evaluator per slot, plus per-individual result
-	// staging so the best-solution merge can stay serial in population
-	// order — identical to the serial trajectory.
-	pool     *core.Pool
-	evs      []*evaluator
-	pending  []int // population indices awaiting evaluation
-	fitBuf   []float64
-	costBuf  []fuzzy.Costs
-	placeBuf []*layout.Placement
-
 	bestMu    float64
 	bestCosts fuzzy.Costs
 	best      *layout.Placement
@@ -115,10 +99,6 @@ func newGA(prob *core.Problem, cfg GAConfig, stream uint64) *gaState {
 		prob: prob, cfg: cfg,
 		ev:  newEvaluator(prob),
 		rnd: rng.NewStream(prob.Cfg.Seed^cfg.Seed, stream),
-	}
-	if cfg.Workers > 1 {
-		g.pool = core.NewPool(cfg.Workers)
-		g.evs = make([]*evaluator, g.pool.Size())
 	}
 	base := prob.Ckt.Movable()
 	for i := 0; i < cfg.Pop; i++ {
@@ -145,67 +125,10 @@ func (g *gaState) evaluate(ind *genome) {
 }
 
 func (g *gaState) evaluateAll() {
-	if g.pool != nil {
-		g.evaluatePooled()
-	} else {
-		for i := range g.pop {
-			g.evaluate(&g.pop[i])
-		}
+	for i := range g.pop {
+		g.evaluate(&g.pop[i])
 	}
 	sort.SliceStable(g.pop, func(i, j int) bool { return g.pop[i].fitness > g.pop[j].fitness })
-}
-
-// evaluatePooled computes the fitness of every unevaluated genome across
-// the worker pool, then merges results serially in population order.
-// Decode + cost evaluation is a pure function of the permutation (each
-// slot owns an evaluator), and the merge visits individuals in the same
-// order as the serial loop, so fitness values, best tracking, and the
-// subsequent sort are identical to the serial path.
-func (g *gaState) evaluatePooled() {
-	g.pending = g.pending[:0]
-	for i := range g.pop {
-		if g.pop[i].fitness < 0 {
-			g.pending = append(g.pending, i)
-		}
-	}
-	if len(g.pending) == 0 {
-		return
-	}
-	n := len(g.pending)
-	g.fitBuf = resizeSlice(g.fitBuf, n)
-	g.costBuf = resizeSlice(g.costBuf, n)
-	g.placeBuf = resizeSlice(g.placeBuf, n)
-	g.pool.Batch(nil, g.pool.Size(), n, func(slot, lo, hi int) {
-		ev := g.evs[slot]
-		if ev == nil {
-			ev = newEvaluator(g.prob)
-			g.evs[slot] = ev
-		}
-		for j := lo; j < hi; j++ {
-			place := decodeGenome(g.prob, g.pop[g.pending[j]].perm)
-			ev.full(place)
-			g.placeBuf[j] = place
-			g.fitBuf[j] = ev.mu(place)
-			g.costBuf[j] = ev.costs()
-		}
-	})
-	for j, i := range g.pending {
-		ind := &g.pop[i]
-		ind.fitness = g.fitBuf[j]
-		if ind.fitness > g.bestMu || g.best == nil {
-			g.bestMu = ind.fitness
-			g.bestCosts = g.costBuf[j]
-			g.best = g.placeBuf[j]
-		}
-		g.placeBuf[j] = nil
-	}
-}
-
-func resizeSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // tournament picks a parent index.

@@ -398,29 +398,3 @@ func TestScratchModeMatchesIncremental(t *testing.T) {
 		t.Fatalf("TS diverged across modes: μ %v vs %v", ts1.BestMu, ts2.BestMu)
 	}
 }
-
-// TestGAPooledFitnessEquivalence pins the parallel fitness evaluation to
-// the serial reference: same seeds, same generations, identical best
-// solution either way.
-func TestGAPooledFitnessEquivalence(t *testing.T) {
-	prob := testProblem(t, 50)
-	run := func(workers int) *Result {
-		cfg := GAConfig{Pop: 12, Generations: 6, Seed: 7, Workers: workers}
-		res, err := RunGA(prob, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0)
-	pooled := run(3)
-	if serial.BestMu != pooled.BestMu {
-		t.Fatalf("pooled GA diverged: serial best mu %v, pooled %v", serial.BestMu, pooled.BestMu)
-	}
-	if serial.Best.Fingerprint() != pooled.Best.Fingerprint() {
-		t.Fatal("pooled GA reached a different best placement")
-	}
-	if serial.BestCosts != pooled.BestCosts {
-		t.Fatalf("pooled GA costs diverged: %+v vs %+v", serial.BestCosts, pooled.BestCosts)
-	}
-}

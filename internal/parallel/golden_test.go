@@ -46,7 +46,6 @@ func goldenProblem(t *testing.T) *core.Problem {
 	cfg := core.DefaultConfig(fuzzy.WirePower)
 	cfg.MaxIters = 40
 	cfg.Seed = 2006
-	cfg.AllocWorkers = 1
 	p, err := core.NewProblem(ckt, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,7 @@ package parallel
 import (
 	"testing"
 
-	"simevo/internal/core"
 	"simevo/internal/fuzzy"
-	"simevo/internal/gen"
 )
 
 // TestTypeIIDeltaWirePowerDelay is the warm-patch satellite for the
@@ -27,43 +25,5 @@ func TestTypeIIDeltaWirePowerDelay(t *testing.T) {
 	if sent, full := delta.RankStats[0].BytesSent, iters*fullFrameBytes(delta, procs); sent > full {
 		t.Fatalf("delta broadcasts sent %d bytes, %d iterations of full frames %d — regression",
 			sent, iters, full)
-	}
-}
-
-// TestTypeIIWirePowerDelayParallelEval runs the three-objective Type II
-// strategy with the goodness evaluation fanned across the engine pool on
-// every rank — the configuration the race job exercises for the delay
-// scorer (per-cell criticality reads against cached gain terms) — and
-// asserts the trajectory equals the all-serial run.
-func TestTypeIIWirePowerDelayParallelEval(t *testing.T) {
-	ckt, err := gen.Generate(gen.Params{
-		Name: "par-eval-wpd", Gates: 430, DFFs: 16, PIs: 8, POs: 8, Depth: 10, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(evalWorkers, allocWorkers int) *Result {
-		cfg := core.DefaultConfig(fuzzy.WirePowerDelay)
-		cfg.MaxIters = 8
-		cfg.Seed = 5
-		cfg.EvalWorkers = evalWorkers
-		cfg.AllocWorkers = allocWorkers
-		prob, err := core.NewProblem(ckt, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunTypeII(prob, detOpts(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0, -1)
-	par := run(3, 3)
-	if serial.BestMu != par.BestMu {
-		t.Fatalf("Type II wpd with EvalWorkers diverged: best μ %v vs %v", par.BestMu, serial.BestMu)
-	}
-	if serial.Best.Fingerprint() != par.Best.Fingerprint() {
-		t.Fatal("Type II wpd with EvalWorkers reached a different best placement")
 	}
 }

@@ -367,44 +367,6 @@ func TestTypeIIIDiversify(t *testing.T) {
 	}
 }
 
-// TestTypeIIWithParallelEval runs the Type II strategy with the goodness
-// evaluation fanned across the engine pool on every rank — the
-// configuration the race jobs exercise — and asserts the trajectory is
-// identical to the all-serial run. The circuit is sized so each rank's
-// row domain clears the parallel-evaluation threshold.
-func TestTypeIIWithParallelEval(t *testing.T) {
-	ckt, err := gen.Generate(gen.Params{
-		Name: "par-eval", Gates: 430, DFFs: 16, PIs: 8, POs: 8, Depth: 10, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(evalWorkers, allocWorkers int) *Result {
-		cfg := core.DefaultConfig(fuzzy.WirePower)
-		cfg.MaxIters = 8
-		cfg.Seed = 5
-		cfg.EvalWorkers = evalWorkers
-		cfg.AllocWorkers = allocWorkers
-		prob, err := core.NewProblem(ckt, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunTypeII(prob, detOpts(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0, -1)
-	par := run(3, 3)
-	if serial.BestMu != par.BestMu {
-		t.Fatalf("Type II with EvalWorkers diverged: best μ %v vs %v", par.BestMu, serial.BestMu)
-	}
-	if serial.Best.Fingerprint() != par.Best.Fingerprint() {
-		t.Fatal("Type II with EvalWorkers reached a different best placement")
-	}
-}
-
 // FuzzDecodeAssignment feeds arbitrary bytes to the assignment header of a
 // Type II broadcast, which every slave decodes. Decoding must not panic,
 // whatever it accepts must re-encode to the bytes it consumed, and every

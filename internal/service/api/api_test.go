@@ -184,10 +184,12 @@ func TestSubmitStatusAndCache(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
 	for name, body := range map[string]string{
-		"bad json":      `{"circuit":`,
-		"unknown field": `{"circuit":"s1196","strategy":"serial","warp":9}`,
-		"bad strategy":  `{"circuit":"s1196","strategy":"quantum"}`,
-		"no circuit":    `{"strategy":"serial"}`,
+		"bad json":       `{"circuit":`,
+		"unknown field":  `{"circuit":"s1196","strategy":"serial","warp":9}`,
+		"bad strategy":   `{"circuit":"s1196","strategy":"quantum"}`,
+		"no circuit":     `{"strategy":"serial"}`,
+		"rows over cap":  `{"circuit":"s1196","strategy":"serial","rows":1000000000}`,
+		"procs over cap": `{"circuit":"s1196","strategy":"type2","procs":100000}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,12 +50,60 @@ func TestSpecNormalize(t *testing.T) {
 		{Circuit: "s1196", Strategy: "sa", Objectives: "wire"}, // metaheur restriction
 		{Circuit: "s1196", Strategy: "type3", Procs: 2},        // too few ranks
 		{Circuit: "s1196", Strategy: "type2", Pattern: "zig"},  // unknown pattern
+		{Circuit: "s1196", Strategy: "serial", Rows: MaxRows + 1},
+		{Circuit: "s1196", Strategy: "type1", Procs: MaxProcs + 1},
 	}
 	for i, s := range bad {
 		if _, err := s.Normalize(); err == nil {
 			t.Errorf("case %d: invalid spec %+v accepted", i, s)
 		}
 	}
+	if _, err := (Spec{Circuit: "s1196", Strategy: "type3", Rows: MaxRows, Procs: MaxProcs}).Normalize(); err != nil {
+		t.Errorf("spec at the caps rejected: %v", err)
+	}
+}
+
+// FuzzSpecNormalize decodes arbitrary JSON into a Spec, as the API does,
+// and normalizes it. Normalize must not panic, an accepted spec must stay
+// within the caps, and normalizing it again must change neither the spec
+// nor its cache key.
+func FuzzSpecNormalize(f *testing.F) {
+	for _, seed := range []string{
+		`{"circuit":"s1196","strategy":"serial"}`,
+		`{"circuit":"s1196","strategy":"TypeII","procs":3,"pattern":"Random","transport":"TCP"}`,
+		`{"circuit":"s3330","strategy":"iii","procs":4,"retry":5,"diversify":true,"sync_exchange":true}`,
+		`{"circuit":"s1238","strategy":"sa","moves":100,"max_iters":9,"bias":0.2,"target_mu":0.5}`,
+		`{"circuit":"s1488","strategy":"ga","objectives":"Power+Wire","rows":12}`,
+		`{"circuit":"s1494","strategy":"serial","objectives":"congest+delay+wire+power","seed":7}`,
+		`{"bench":"INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n","strategy":"ts","max_retries":2}`,
+		`{"circuit":"s1196","strategy":"serial","rows":1000000000}`,
+		`{"circuit":"s1196","strategy":"type1","procs":100000}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var s Spec
+		if json.Unmarshal([]byte(body), &s) != nil {
+			return
+		}
+		n, err := s.Normalize()
+		if err != nil {
+			return
+		}
+		if n.Rows < 0 || n.Rows > MaxRows || n.Procs < 0 || n.Procs > MaxProcs {
+			t.Fatalf("accepted spec outside the caps: rows %d, procs %d", n.Rows, n.Procs)
+		}
+		again, err := n.Normalize()
+		if err != nil {
+			t.Fatalf("normalized spec %+v rejected: %v", n, err)
+		}
+		if again != n {
+			t.Fatalf("Normalize not idempotent:\n first  %+v\n second %+v", n, again)
+		}
+		if again.Fingerprint() != n.Fingerprint() {
+			t.Fatal("re-normalizing changed the fingerprint")
+		}
+	})
 }
 
 func TestSpecFingerprint(t *testing.T) {

@@ -34,6 +34,20 @@ const (
 	TransportTCP = "tcp" // registered simevo-worker processes over TCP
 )
 
+// Caps on the request fields that size what a job allocates up front. A
+// placement holds per-row slices, and a parallel strategy runs one engine
+// per rank, so one request above these could exhaust the server's memory.
+// Both sit far above every legitimate use: the 100k-cell tier and the
+// Type II row patterns need a few hundred rows, and the strategies are
+// studied at a handful of ranks. MaxIters is deliberately uncapped:
+// cancellation bounds a long run, and a huge budget is how a caller asks
+// for a run that ends only when cancelled (the jobs and API tests submit
+// 10,000,000 iterations as such a blocker).
+const (
+	MaxRows  = 10000
+	MaxProcs = 64
+)
+
 // Strategies lists the accepted strategy names.
 func Strategies() []string {
 	return []string{StrategySerial, StrategyTypeI, StrategyTypeII,
@@ -221,6 +235,12 @@ func (s Spec) Normalize() (Spec, error) {
 
 	if s.MaxIters < 0 || s.Moves < 0 || s.Rows < 0 || s.Procs < 0 || s.Retry < 0 || s.MaxRetries < 0 {
 		return Spec{}, fmt.Errorf("jobs: negative budgets are invalid")
+	}
+	if s.Rows > MaxRows {
+		return Spec{}, fmt.Errorf("jobs: rows %d above the limit of %d", s.Rows, MaxRows)
+	}
+	if s.Procs > MaxProcs {
+		return Spec{}, fmt.Errorf("jobs: procs %d above the limit of %d", s.Procs, MaxProcs)
 	}
 	switch {
 	case s.Strategy == StrategySA:

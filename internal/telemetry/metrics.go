@@ -66,13 +66,6 @@ var (
 	TimingConeCells = Default.Histogram("simevo_timing_cone_cells", "Cells recomputed per incremental STA update (dirty-cone size).")
 	TimingRebuilds  = Default.Counter("simevo_timing_rebuilds_total", "Full STA rebuilds.")
 
-	// core.Pool worker lifecycle.
-	PoolWorkersAlive   = Default.Gauge("simevo_pool_workers", "Live pool worker goroutines.")
-	PoolWorkersSpawned = Default.Counter("simevo_pool_worker_events_total", "Pool worker lifecycle events.", "event", "spawn")
-	PoolRetiredIdle    = Default.Counter("simevo_pool_worker_events_total", "Pool worker lifecycle events.", "event", "retire_idle")
-	PoolRetiredCancel  = Default.Counter("simevo_pool_worker_events_total", "Pool worker lifecycle events.", "event", "retire_cancel")
-	PoolBatches        = Default.Counter("simevo_pool_batches_total", "Work batches dispatched to the shared pool.")
-
 	// Transport framing (all TCP connections in the process).
 	TransportSentFrames = Default.Counter("simevo_transport_frames_total", "TCP transport frames, by direction.", "dir", "sent")
 	TransportRecvFrames = Default.Counter("simevo_transport_frames_total", "TCP transport frames, by direction.", "dir", "recv")
@@ -102,11 +95,11 @@ var (
 	// round to time.
 	ExchangeAsyncType3Ns = Default.Histogram("simevo_exchange_round_ns", "Parallel-strategy exchange round latency in nanoseconds.", "strategy", "type3_async")
 
-	ExchangePosted       = Default.Counter("simevo_exchange_posted_total", "Searcher improvements posted to the Type III store.")
-	ExchangeAdopted      = Default.Counter("simevo_exchange_adopted_total", "Store solutions adopted by a searcher (speculation accepted or synchronous adoption).")
-	ExchangeRejected     = Default.Counter("simevo_exchange_rejected_total", "Store solutions rejected by a searcher after speculation.")
-	SpeculationRestores  = Default.Counter("simevo_exchange_speculation_restores_total", "Snapshot restores performed by the speculative reject path (no full rebuild).")
-	ExchangeStoreEpoch   = Default.Gauge("simevo_exchange_store_epoch", "Monotonic epoch of the Type III store's best solution (last run on this process).")
+	ExchangePosted      = Default.Counter("simevo_exchange_posted_total", "Searcher improvements posted to the Type III store.")
+	ExchangeAdopted     = Default.Counter("simevo_exchange_adopted_total", "Store solutions adopted by a searcher (speculation accepted or synchronous adoption).")
+	ExchangeRejected    = Default.Counter("simevo_exchange_rejected_total", "Store solutions rejected by a searcher after speculation.")
+	SpeculationRestores = Default.Counter("simevo_exchange_speculation_restores_total", "Snapshot restores performed by the speculative reject path (no full rebuild).")
+	ExchangeStoreEpoch  = Default.Gauge("simevo_exchange_store_epoch", "Monotonic epoch of the Type III store's best solution (last run on this process).")
 
 	// Service (simevo-serve job manager + SSE).
 	JobsSubmitted  = Default.Counter("simevo_jobs_submitted_total", "Jobs accepted by the service (including cache hits).")

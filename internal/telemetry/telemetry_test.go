@@ -243,8 +243,6 @@ func TestExpositionParses(t *testing.T) {
 	ScanPrunedSuffix.Add(60)
 	CostDirtyEvals.Inc()
 	TimingConeCells.Observe(9)
-	PoolWorkersAlive.Add(2)
-	PoolWorkersAlive.Add(-2)
 	TransportSentFrames.Inc()
 	TransportSentBytes.Add(512)
 	ExchangeRoundType2Ns.Observe(1_000_000)

@@ -28,6 +28,10 @@ import (
 const (
 	frameHeader = 12      // src + dst + tag
 	maxFrame    = 1 << 28 // 256 MiB payload guard against corrupt prefixes
+	// frameStep is the largest buffer a frame is given before its bytes
+	// arrive. Longer frames grow the buffer as they are read, so a bare
+	// length prefix costs at most this much.
+	frameStep = 64 << 10
 )
 
 // Control tags of the coordinator/worker protocol.
@@ -72,18 +76,37 @@ func writeFrame(w io.Writer, f frame) error {
 }
 
 // readFrame reads one frame from r.
-func readFrame(r *bufio.Reader) (frame, error) {
+func readFrame(r *bufio.Reader) (frame, error) { return readFrameMax(r, maxFrame) }
+
+// readFrameMax reads one frame whose payload is at most limit bytes. The
+// buffer starts at no more than frameStep bytes and at most doubles per
+// step while the frame's bytes arrive, so the memory a frame holds stays
+// within twice what was received plus one step, whatever its prefix
+// claims.
+func readFrameMax(r *bufio.Reader, limit int) (frame, error) {
 	var pfx [4]byte
 	if _, err := io.ReadFull(r, pfx[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(pfx[:])
-	if n < frameHeader || n > maxFrame+frameHeader {
+	n := int64(binary.LittleEndian.Uint32(pfx[:]))
+	if n < frameHeader || n > int64(limit)+frameHeader {
 		return frame{}, fmt.Errorf("transport: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frame{}, err
+	buf := make([]byte, min(n, frameStep))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return frame{}, err
+		}
+		off = len(buf)
+		if int64(off) == n {
+			break
+		}
+		next := make([]byte, off+int(min(n-int64(off), int64(off))))
+		copy(next, buf)
+		buf = next
 	}
 	f := frame{
 		src: int(int32(binary.LittleEndian.Uint32(buf[0:]))),

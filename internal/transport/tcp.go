@@ -219,7 +219,9 @@ func (h *Hub) admit(conn net.Conn) {
 	if to := dur(h.cfg.JoinTimeout); to > 0 {
 		conn.SetReadDeadline(time.Now().Add(to))
 	}
-	f, err := readFrame(w.r)
+	// Read no more than a matching join can carry: the token check
+	// happens after the read, so a longer claim is rejected unread.
+	f, err := readFrameMax(w.r, len(joinMagic)+len(h.token))
 	ok := err == nil && f.tag == tagCtrlJoin &&
 		len(f.data) >= len(joinMagic) && string(f.data[:len(joinMagic)]) == joinMagic
 	if ok {
@@ -858,9 +860,9 @@ func (r *remote) Recv(src, tag int) ([]byte, mpi.Status) { return r.in.recv(src,
 
 // Poll is the non-blocking Recv (see Transport.Poll).
 func (r *remote) Poll(src, tag int) ([]byte, mpi.Status, bool) { return r.in.pollRecv(src, tag) }
-func (r *remote) Bcast(root int, data []byte) []byte     { return bcast(r, root, data) }
-func (r *remote) Gather(root int, data []byte) [][]byte  { return gather(r, root, data) }
-func (r *remote) Barrier()                               { barrier(r) }
+func (r *remote) Bcast(root int, data []byte) []byte           { return bcast(r, root, data) }
+func (r *remote) Gather(root int, data []byte) [][]byte        { return gather(r, root, data) }
+func (r *remote) Barrier()                                     { barrier(r) }
 
 // Serve runs the worker loop: wait for a rank assignment, execute fn as
 // that rank, report completion, and return to waiting — until the hub says

@@ -85,7 +85,7 @@ func BenchmarkTrialNetAt(b *testing.B) {
 		inc := NewIncremental(ckt, Steiner)
 		inc.Rebuild(place)
 		inc.RemoveCell(cell)
-		view := inc.View()
+		view := inc.BaseView()
 		b.ResetTimer()
 		sink := 0.0
 		for i := 0; i < b.N; i++ {

@@ -12,8 +12,7 @@ package wire
 // buckets accelerate, and it leaves the walk with no dead entries to step
 // over.
 //
-// Not safe for concurrent mutation; concurrent read-only use (the chunked
-// parallel scan, which partitions rows) is fine between commits.
+// Not safe for concurrent use.
 type VacancyBuckets struct {
 	order []int32   // vacancy indices grouped by row; each row's live prefix x-ascending (ties: ascending index)
 	xs    []float64 // xs[p] = vacancy order[p]'s x (hoisted for the seek/walk)

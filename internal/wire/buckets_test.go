@@ -45,11 +45,11 @@ func bucketFree(b *VacancyBuckets, v int) bool {
 	return p < b.start[r]+b.rowN[r]
 }
 
-// feasibleLive sums the free vacancies of the rowOK rows in [lo, hi) — the
-// count ScanBestRows takes.
-func feasibleLive(b *VacancyBuckets, rowOK []bool, lo, hi int) int {
+// feasibleLive sums the free vacancies of the rowOK rows — the count
+// ScanBestRows takes.
+func feasibleLive(b *VacancyBuckets, rowOK []bool) int {
 	n := 0
-	for r := lo; r < hi; r++ {
+	for r := range rowOK {
 		if rowOK[r] {
 			n += b.RowLive(r)
 		}
@@ -199,7 +199,7 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 	t.Helper()
 	inc := NewIncremental(ckt, est)
 	inc.Rebuild(coords)
-	view := inc.View()
+	view := inc.BaseView()
 	var s scanState
 	s.rows = rows
 	for step := 0; step < steps; step++ {
@@ -251,8 +251,8 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 
 		s.set.PrepareScan(rowCenters(layout.RowY, s.rows))
 		var st, wantSt ScanStats
-		feasible := feasibleLive(&s.bk, s.rowOK, 0, s.rows)
-		gotBest, gotScore := s.set.ScanBestRows(view, &s.bk, s.rowOK, 0, s.rows, feasible, bound0, &st)
+		feasible := feasibleLive(&s.bk, s.rowOK)
+		gotBest, gotScore := s.set.ScanBestRows(view, &s.bk, s.rowOK, feasible, bound0, &st)
 		wantBest, wantScore := s.set.ScanBest(view, s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, &wantSt)
 		if gotBest != wantBest || gotScore != wantScore {
 			t.Fatalf("%s step %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)",
@@ -281,7 +281,7 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 	place := layout.NewRandom(ckt, 8, rng.New(5))
 	inc := NewIncremental(ckt, Steiner)
 	inc.Rebuild(place)
-	view := inc.View()
+	view := inc.BaseView()
 	r := rng.New(0x71e5)
 	rows := place.NumRows()
 	var set TrialSet
@@ -320,7 +320,7 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 		}
 
 		set.PrepareScan(rowCenters(layout.RowY, rows))
-		got, gotScore := set.ScanBestRows(view, &bk, rowOK, 0, rows, feasibleLive(&bk, rowOK, 0, rows), 1e308, nil)
+		got, gotScore := set.ScanBestRows(view, &bk, rowOK, feasibleLive(&bk, rowOK), 1e308, nil)
 
 		// Brute-force reference: first index with the strictly smallest
 		// exact score.

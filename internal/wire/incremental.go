@@ -36,11 +36,8 @@ import (
 // canonical formulas of excl.go and trial.go, shared with the Evaluator,
 // and are likewise bitwise reproducible.
 //
-// An Incremental is not safe for concurrent mutation. Concurrent *reads*
-// are safe through per-goroutine Views (View), which the parallel
-// allocation scanner and the parallel dirty-net flush exploit: every
-// mutation finishes before a scan starts, and Views carry their own
-// scratch for the net visits and the RMST estimator.
+// An Incremental is not safe for concurrent use. Its View carries the
+// scratch for the net visits, the trial scoring and the RMST estimator.
 //
 // Storage is one flat array: each net owns a contiguous block holding its
 // sorted x values, sorted y values, and (Steiner only) their prefix sums,
@@ -92,7 +89,7 @@ type Incremental struct {
 	removed  []netlist.CellID // cells lifted out for trial scanning
 	oldX     []float64        // coords of removed cells, parallel to removed
 	oldY     []float64
-	base     View             // serial-use view
+	base     View             // the view every refresh and trial uses
 	drainBuf []netlist.CellID // scratch for Drain
 	built    bool             // Rebuild has run at least once
 }
@@ -310,8 +307,7 @@ func (inc *Incremental) Rebuild(coords Coords) {
 // exclusion on the net can keep more than three pins, the refill ranks the
 // pins: the sort records where each pin's value starts in the sorted axes,
 // which are the positions the trunk formulas need. The visit writes only
-// this net's geometry block, length slot and pin references, so views may
-// refresh disjoint nets concurrently (FlushChunk).
+// this net's geometry block, length slot and pin references.
 func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
@@ -673,10 +669,11 @@ func (inc *Incremental) RestoreCell(id netlist.CellID) {
 
 // Drain applies the source's coordinate-change journal to the mirror and
 // marks the nets of every moved cell stale. The marked nets' geometry,
-// lengths and exclusions stay stale until the next Lengths, NetLength or
-// chunked flush re-derives them, so nothing may read or edit them in
-// between; Sync is the variant that refreshes at once. The source must be
-// the same placement the state was last rebuilt from.
+// lengths and exclusions stay stale until the next Lengths or NetLength
+// re-derives them, so nothing may read or edit them in between; Sync is
+// the variant that refreshes at once. The source must be the same
+// placement the state was last rebuilt from. Drain returns the number of
+// nets on the dirty list, the nets the next Lengths refreshes.
 //
 // Unlike MoveCell — which edits each net's sorted arrays one pin at a time
 // and pays two binary searches, two memmoves, and a prefix refresh per pin
@@ -687,7 +684,7 @@ func (inc *Incremental) RestoreCell(id netlist.CellID) {
 // pins and the single refill is cheaper than the per-pin edits. The
 // refilled arrays hold the same sorted value multisets the per-pin edits
 // would produce, so every downstream value is bit-identical.
-func (inc *Incremental) Drain(src ChangeSource) {
+func (inc *Incremental) Drain(src ChangeSource) int {
 	if len(inc.removed) != 0 {
 		panic("wire: Drain with removed cells outstanding")
 	}
@@ -705,6 +702,7 @@ func (inc *Incremental) Drain(src ChangeSource) {
 			inc.markDirty(ref.Net, netStale)
 		}
 	}
+	return len(inc.dirty)
 }
 
 // Sync is Drain followed by an immediate refresh of every stale net, so the
@@ -881,37 +879,6 @@ func (inc *Incremental) flush() {
 	inc.stale = inc.stale[:0]
 }
 
-// DirtyLen returns the current dirty-net count — the fan-out domain for a
-// chunked parallel flush.
-func (inc *Incremental) DirtyLen() int { return len(inc.dirty) }
-
-// FlushChunk visits the due nets among dirty nets [lo, hi) of the dirty
-// list through the given view's scratch, leaving the flags set.
-// Chunks over disjoint ranges may run concurrently (each refresh reads
-// shared immutable state and writes only its own net's block, length slot
-// and pin references); a serial FinishFlush completes the flush. Refreshes
-// are order-independent and bitwise identical to the serial flush's, so a
-// chunked flush followed by FinishFlush is indistinguishable from Lengths'
-// built-in flush.
-func (inc *Incremental) FlushChunk(v *View, lo, hi int) {
-	if len(inc.removed) != 0 {
-		panic("wire: FlushChunk with removed cells outstanding")
-	}
-	for _, n := range inc.dirty[lo:hi] {
-		inc.visit(v, n)
-	}
-}
-
-// FinishFlush clears the dirty flags and list after every FlushChunk of a
-// chunked parallel flush completed.
-func (inc *Incremental) FinishFlush() {
-	for _, n := range inc.dirty {
-		inc.state[n] &^= netListed | netPending
-	}
-	inc.dirty = inc.dirty[:0]
-	inc.stale = inc.stale[:0]
-}
-
 // markDirty lists net n and marks its visit due: bit is netStale when the
 // net's geometry must be refilled from the mirror, netEdited when per-pin
 // edits kept it current.
@@ -979,9 +946,8 @@ func resizeFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// View is a read-only trial scorer over an Incremental's cached state with
-// its own scratch buffers, so multiple goroutines can score trials
-// concurrently (one View each) while no mutation is in flight.
+// View is a read-only trial scorer over an Incremental's cached state; it
+// owns the scratch buffers of the net visits and the trial scoring.
 type View struct {
 	inc *Incremental
 	ev  *Evaluator // scratch: pin-order collection, RMST, candidate staging
@@ -991,12 +957,7 @@ type View struct {
 	posX, posY []int32
 }
 
-// View returns a new independent view.
-func (inc *Incremental) View() *View {
-	return &View{inc: inc, ev: NewEvaluator(inc.ckt, inc.est)}
-}
-
-// BaseView returns the evaluator-owned view for single-goroutine use.
+// BaseView returns the state's view.
 func (inc *Incremental) BaseView() *View { return &inc.base }
 
 // TrialNetAt estimates the net's length with the stored pins plus one

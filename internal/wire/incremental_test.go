@@ -103,7 +103,7 @@ func TestTrialMatchesScratch(t *testing.T) {
 		inc := NewIncremental(ckt, est)
 		inc.Rebuild(coords)
 		ev := NewEvaluator(ckt, est)
-		view := inc.View()
+		view := inc.BaseView()
 		r := rng.New(5)
 		var nets []netlist.NetID
 
@@ -213,7 +213,7 @@ func TestTrialSetMatchesViewTrials(t *testing.T) {
 		place := layout.NewRandom(ckt, 8, rng.New(5))
 		inc := NewIncremental(ckt, est)
 		inc.Rebuild(place)
-		view := inc.View()
+		view := inc.BaseView()
 		r := rng.New(77)
 		var nets []netlist.NetID
 		var set TrialSet

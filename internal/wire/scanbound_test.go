@@ -140,7 +140,7 @@ func TestScanBoundsSound(t *testing.T) {
 		f := newTrunkFixture(t, r, 3, trial%2 == 1)
 		inc := NewIncremental(f.ckt, Steiner)
 		inc.Rebuild(f.coords)
-		view := inc.View()
+		view := inc.BaseView()
 		for _, hub := range f.hubs {
 			nets := f.ckt.CellNets(hub, nil)
 			inc.RemoveCell(hub)
@@ -223,7 +223,7 @@ func TestRowBoundSweepRounding(t *testing.T) {
 		}
 		inc := NewIncremental(f.ckt, Steiner)
 		inc.Rebuild(f.coords)
-		view := inc.View()
+		view := inc.BaseView()
 		for _, hub := range f.hubs {
 			nets := f.ckt.CellNets(hub, nil)
 			inc.RemoveCell(hub)
@@ -255,10 +255,8 @@ func TestRowBoundSweepRounding(t *testing.T) {
 // placed and committed, then the next cell is scanned against the shrunken
 // pool. Vacancies share the pins' grid, so many tie exactly. Every winner
 // must be bitwise the flat reference scan's and the first minimum of a
-// plain Score loop, for the whole row range and for a two-chunk split
-// reduced the way the parallel scan reduces, and the scan must count every
-// free vacancy of a feasible row exactly once. An odd first byte selects
-// the wide grid.
+// plain Score loop, and the scan must count every free vacancy of a
+// feasible row exactly once. An odd first byte selects the wide grid.
 func FuzzScanBestRows(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1})
@@ -279,7 +277,7 @@ func FuzzScanBestRows(f *testing.F) {
 		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)
 		inc := NewIncremental(fx.ckt, Steiner)
 		inc.Rebuild(fx.coords)
-		view := inc.View()
+		view := inc.BaseView()
 
 		sel := append([]netlist.CellID(nil), fx.hubs...)
 		movable := fx.ckt.Movable()
@@ -341,25 +339,14 @@ func FuzzScanBestRows(f *testing.F) {
 				t.Fatalf("cell %d: ScanBest (%d, %v) != Score loop (%d, %v)", own, want, wantScore, brute, bruteScore)
 			}
 			var st ScanStats
-			live := feasibleLive(&bk, rowOK, 0, fx.rows)
-			got, gotScore := set.ScanBestRows(view, &bk, rowOK, 0, fx.rows, live, bound0, &st)
+			live := feasibleLive(&bk, rowOK)
+			got, gotScore := set.ScanBestRows(view, &bk, rowOK, live, bound0, &st)
 			if got != want || gotScore != wantScore {
 				t.Fatalf("cell %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)", own, got, gotScore, want, wantScore)
 			}
 			if n := st.Vacancies + st.SkippedBucket; n != feasible || uint64(live) != feasible || st.Vacancies > feasible {
 				t.Fatalf("cell %d: scan counted %d candidates (%d visited, %d live), %d free feasible",
 					own, n, st.Vacancies, live, feasible)
-			}
-			split := 1 + src.Intn(fx.rows-1)
-			best, bestScore := -1, 0.0
-			for _, rg := range [][2]int{{0, split}, {split, fx.rows}} {
-				b, s := set.ScanBestRows(view, &bk, rowOK, rg[0], rg[1], feasibleLive(&bk, rowOK, rg[0], rg[1]), bound0, nil)
-				if b >= 0 && (best < 0 || s < bestScore || (s == bestScore && b < best)) {
-					best, bestScore = b, s
-				}
-			}
-			if best != want || (best >= 0 && bestScore != wantScore) {
-				t.Fatalf("cell %d split %d: chunked (%d, %v) != ScanBest (%d, %v)", own, split, best, bestScore, want, wantScore)
 			}
 
 			if want < 0 {

@@ -73,9 +73,7 @@ type TrialSet struct {
 	// mass prunes proportionally harder, which is what keeps wpd/wpdc
 	// scans pruning like wp scans. Columns fill lazily, one row on first
 	// walk (ensureRowTail): the best-first row iteration cuts most rows
-	// before their suffix column is ever needed, and the chunked parallel
-	// scan partitions rows, so the lazy fill touches disjoint memory per
-	// worker. rowReady[r] == epoch marks row r's column (and its trunk
+	// before their suffix column is ever needed. rowReady[r] == epoch marks row r's column (and its trunk
 	// memo entries) filled for the current cell; PrepareScan advances the
 	// epoch instead of clearing every row.
 	rowTail  []float64
@@ -303,9 +301,7 @@ func branchExcess(v, p []float64) float64 {
 // of each row); the TrialSet keeps the slice, so it must not change while
 // the set scans. O(items log items + rows) — noise against the
 // O(items·vacancies) scan it accelerates. Call after CompileTrials and
-// before any ScanBestRows; the state is read-only during scans, and the
-// lazy fills of row-chunked concurrent scans touch disjoint rows, so they
-// need no further setup.
+// before any ScanBestRows.
 func (t *TrialSet) PrepareScan(rowY []float64) {
 	rows := len(rowY)
 	t.rowY = rowY
@@ -528,9 +524,7 @@ func (t *TrialSet) envAt(seg int, x float64) float64 {
 // its row class — the field comment proves both bounds. The xPen part is
 // tracked separately by the walk's envelope (xRem). Filling the column
 // also fills the row's trunk y-memo entries, which the walk then reads
-// unchecked. Safe under the chunked parallel scan: rows are partitioned
-// across workers, so each column (and its stamp) is touched by exactly one
-// goroutine.
+// unchecked.
 func (t *TrialSet) ensureRowTail(row int) {
 	if t.rowReady[row] == t.epoch {
 		return
@@ -611,9 +605,7 @@ func (t *TrialSet) fillClass(i, class int, y float64) int {
 // Score returns the weighted trial cost of placing the compiled cell at
 // (x, y). yClass identifies y's memo class (pass a negative class, or
 // compile with yClasses 0, to bypass the memo). Read-only apart from the
-// memo entries it fills; concurrent use requires goroutines to score
-// disjoint y classes and one View per goroutine (the RMST fallback needs
-// per-goroutine scratch).
+// memo entries it fills and the view's scratch.
 func (t *TrialSet) Score(view *View, x, y float64, yClass int) float64 {
 	cost, _ := t.ScoreBounded(view, x, y, yClass, math.Inf(1))
 	return cost
@@ -753,8 +745,8 @@ type Vacancy struct {
 // ScanStats tallies where the vacancy scan spends (and saves) work: how many
 // candidates it visited, how many each prune mechanism discarded, and
 // how many survived to a full score. Accumulation is plain arithmetic —
-// callers own one ScanStats per goroutine and fold them into telemetry
-// counters after the scan, keeping the inner loop free of atomics.
+// callers fold it into telemetry counters after the scan, keeping the
+// inner loop free of atomics.
 type ScanStats struct {
 	Vacancies     uint64 // row-feasible candidates considered
 	PrunedBBox    uint64 // dropped by the leading-net bbox pre-check
@@ -763,17 +755,6 @@ type ScanStats struct {
 	Scored        uint64 // fully scored (survived every prune)
 	SkippedBucket uint64 // never visited: cut wholesale by a row/tail skip
 	RowsVisited   uint64 // row buckets entered by the sharded scan
-}
-
-// Merge folds o into s.
-func (s *ScanStats) Merge(o *ScanStats) {
-	s.Vacancies += o.Vacancies
-	s.PrunedBBox += o.PrunedBBox
-	s.PrunedSuffix += o.PrunedSuffix
-	s.BailedExact += o.BailedExact
-	s.Scored += o.Scored
-	s.SkippedBucket += o.SkippedBucket
-	s.RowsVisited += o.RowsVisited
 }
 
 // rowScan is ScanBestRows' walk state, shared by the two directional walks
@@ -791,8 +772,7 @@ type rowScan struct {
 }
 
 // ScanBestRows is the row-sharded vacancy scan for the compiled cell: it
-// visits only rows [rowLo, rowHi) of the buckets, skipping infeasible and
-// empty rows, skipping whole rows whose lower bound already reaches the
+// visits the rows of the buckets, skipping infeasible and empty rows, skipping whole rows whose lower bound already reaches the
 // running bound, and walking each surviving bucket outward from the
 // vacancy nearest the cell's median anchor. Rows are entered best-first:
 // rowLB is convex around anchorRow, so the scan grows one contiguous row
@@ -812,33 +792,33 @@ type rowScan struct {
 // scored at their bucket x and their row's centerline. Requires
 // CompileTrials, PrepareScan (with rowY matching the vacancies' row
 // centerlines), and a bucket Build over the same vacancy pool. The y memo
-// may start cold: each row fills its own entries on entry, so row-chunked
-// concurrent scans touch disjoint entries — each goroutine still needs its
-// own View. Returns (-1, bound0) if no vacancy is admissible under bound0.
+// may start cold: each row fills its own entries on entry. Returns
+// (-1, bound0) if no vacancy is admissible under bound0.
 //
-// feasible must be the number of free vacancies in the rowOK rows of
-// [rowLo, rowHi) (RowLive summed over them). st counts each of them
+// rowOK has one entry per bucket row. feasible must be the number of free
+// vacancies in the rowOK rows (RowLive summed over them). st counts each of them
 // exactly once: as visited (Vacancies), or, the difference, as skipped
 // wholesale (SkippedBucket).
 func (t *TrialSet) ScanBestRows(view *View, bk *VacancyBuckets, rowOK []bool,
-	rowLo, rowHi, feasible int, bound0 float64, st *ScanStats) (int, float64) {
+	feasible int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
 		st = new(ScanStats)
 	}
 	visited0 := st.Vacancies
 	c := rowScan{view: view, bk: bk, st: st, best: -1, bound: bound0}
-	up := min(max(t.anchorRow, rowLo), rowHi-1)
+	rows := len(rowOK)
+	up := min(max(t.anchorRow, 0), rows-1)
 	down := up - 1
-	for up < rowHi || down >= rowLo {
-		if down < rowLo || (up < rowHi && t.rowLB[up] <= t.rowLB[down]) {
+	for up < rows || down >= 0 {
+		if down < 0 || (up < rows && t.rowLB[up] <= t.rowLB[down]) {
 			if t.scanRow(&c, rowOK, up) {
-				up = rowHi
+				up = rows
 			} else {
 				up++
 			}
 		} else {
 			if t.scanRow(&c, rowOK, down) {
-				down = rowLo - 1
+				down = -1
 			} else {
 				down--
 			}
