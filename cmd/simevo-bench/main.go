@@ -7,25 +7,12 @@
 //	simevo-bench -table 2       # only Table 2
 //	simevo-bench -scale paper   # full paper-scale iteration counts
 //	simevo-bench -scale tiny    # smoke scale
-//	simevo-bench -baseline BENCH_baseline.json
-//	                            # record the incremental-engine perf
-//	                            # baseline (and nothing else)
-//	simevo-bench -baseline BENCH_baseline.json -objectives wire+power+delay
-//	                            # restrict the baseline to one objective
-//	                            # mode (default: both paper modes plus the
-//	                            # congestion-enabled mode and the 100k-cell
-//	                            # "large" scale entry, with per-objective
-//	                            # phase timings for wpd/wpdc)
-//	simevo-bench -check-baseline BENCH_baseline.json -cpuprofile gate.prof \
-//	             -out-baseline measured_baseline.json
-//	                            # -cpuprofile/-memprofile cover gate runs
-//	                            # too: a regressed gate is exactly the run
-//	                            # worth profiling; -out-baseline writes the
-//	                            # freshly measured numbers for artifact upload
+//	simevo-bench -cpuprofile cpu.prof -memprofile mem.prof
+//	                            # profile the run
 //
-// Baselines embed each kept run's engine telemetry counters (iterations,
-// incremental vs rebuild evals, scan prune statistics) under "telemetry"
-// so perf regressions can be triaged against the recorded work counts.
+// Performance is measured elsewhere: bench/ (BENCHMARK.json) runs the
+// end-to-end workloads, and the engine's bitwise and within-run ratio
+// gates are tests (go test ./...).
 package main
 
 import (
@@ -41,22 +28,16 @@ import (
 func main() {
 	table := flag.String("table", "all", `experiment to run: "profile", "1".."4", "compare", or "all"`)
 	scale := flag.String("scale", "quick", `experiment scale: "paper", "quick", or "tiny"`)
-	baseline := flag.String("baseline", "", "write the incremental-engine perf baseline JSON to this path and exit")
-	objectives := flag.String("objectives", "",
-		"objective modes the -baseline measurement covers (comma-separated: wire+power, wire+power+delay, wire+power+delay+congestion, large, exchange; empty = all)")
-	check := flag.String("check-baseline", "", "re-measure and fail if the incremental/scratch speedup regressed >15% against the baseline JSON at this path (covers every mode the file records)")
-	outBaseline := flag.String("out-baseline", "", "with -check-baseline: also write the freshly measured baseline JSON to this path (uploaded as a CI artifact)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
 	// run's failures return an exit code instead of calling os.Exit so the
-	// deferred profile writers always flush — a regressed bench gate run
-	// is exactly the one worth profiling.
-	os.Exit(run(*table, *scale, *baseline, *objectives, *check, *outBaseline, *cpuprofile, *memprofile))
+	// deferred profile writers always flush.
+	os.Exit(run(*table, *scale, *cpuprofile, *memprofile))
 }
 
-func run(table, scale, baseline, objectives, check, outBaseline, cpuprofile, memprofile string) int {
+func run(table, scale, cpuprofile, memprofile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -83,21 +64,6 @@ func run(table, scale, baseline, objectives, check, outBaseline, cpuprofile, mem
 				fmt.Fprintf(os.Stderr, "simevo-bench: %v\n", err)
 			}
 		}()
-	}
-
-	if check != "" {
-		if err := experiments.CheckBaseline(check, outBaseline, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "simevo-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if baseline != "" {
-		if err := experiments.WriteBaseline(baseline, objectives, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "simevo-bench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	var sc experiments.Scale

@@ -104,6 +104,12 @@ func SpecFor(ckt *netlist.Circuit, numRows, nx int) Spec {
 	return SpecSized(width, height, nx)
 }
 
+// MaxBins bounds a grid's NX·NY. Square bins on a die far taller than
+// wide, such as a few cells spread over thousands of rows, would otherwise
+// need rows²-many bins: a one-gate netlist on 10000 rows asked for ~10¹⁰.
+// No realistic die comes near the bound; past it, rows of bins grow taller.
+const MaxBins = 1 << 18
+
 // SpecSized derives the grid geometry for an explicit die rectangle.
 func SpecSized(width, height float64, nx int) Spec {
 	if nx <= 0 {
@@ -115,8 +121,9 @@ func SpecSized(width, height float64, nx int) Spec {
 	if height <= 0 {
 		height = 1
 	}
-	ny := int(math.Max(1, math.Round(float64(nx)*height/width)))
-	return Spec{NX: nx, NY: ny, Width: width, Height: height}
+	ny := math.Max(1, math.Round(float64(nx)*height/width))
+	ny = math.Min(ny, math.Max(1, float64(MaxBins/nx)))
+	return Spec{NX: nx, NY: int(ny), Width: width, Height: height}
 }
 
 // rect is a net's covered bin range, inclusive; x0 == -1 marks a net that

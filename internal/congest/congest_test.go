@@ -261,3 +261,19 @@ func TestSpreadMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecBoundsBins: a die far taller than wide — a few cells on many
+// rows — gets at most MaxBins bins, while an ordinary die keeps square
+// bins.
+func TestSpecBoundsBins(t *testing.T) {
+	tall := SpecSized(2e-4, 10000*layout.RowPitch, 0)
+	if tall.NX*tall.NY > MaxBins || tall.NY < 1 {
+		t.Errorf("tall die: %d×%d bins, want at most %d", tall.NX, tall.NY, MaxBins)
+	}
+	if s := SpecSized(100, 100, 64); s.NX != 64 || s.NY != 64 {
+		t.Errorf("square die: %d×%d bins, want 64×64", s.NX, s.NY)
+	}
+	if s := SpecSized(1, 1, 2*MaxBins); s.NY != 1 {
+		t.Errorf("more columns than MaxBins: %d rows of bins, want 1", s.NY)
+	}
+}

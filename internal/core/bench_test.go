@@ -9,9 +9,9 @@ import (
 
 // Micro-benchmarks for the allocation hot path. Each benchmark runs in
 // Incremental (default) and Scratch (DisableIncremental) modes so the
-// effect of the cached net-cost engine is directly visible; the baseline
-// tool (cmd/simevo-bench -baseline) records the same comparison at
-// BenchmarkProfileShare scale.
+// effect of the cached net-cost engine is directly visible;
+// TestIncrementalSpeedupOverReference holds the same comparison to a
+// floor on s1196.
 
 func benchProblem(b *testing.B, scratch bool) *Problem {
 	b.Helper()

@@ -129,7 +129,7 @@ func (e *Engine) init() {
 		extras = append(extras, e.congGrid)
 	}
 	e.pipe = cost.NewPipeline(cfg.Objectives|fuzzy.WirePower, ckt, e.prob.Acts, e.prob.Lv, cfg.TimingModel, extras...)
-	e.pipe.EnableTiming() // surfaced through CostPhases / simevo-bench
+	e.pipe.EnableTiming() // surfaced through CostPhases (read by bench/)
 	for _, o := range e.pipe.Objectives() {
 		if !cfg.Objectives.Has(o.Bit()) {
 			continue
@@ -361,7 +361,7 @@ func (e *Engine) syncIncremental() (rebuilt bool, dirty int) {
 }
 
 // CostPhases returns the accumulated per-objective pipeline time —
-// simevo-bench records it as the per-objective phase breakdown.
+// bench/ reports it as the per-objective phase breakdown.
 func (e *Engine) CostPhases() map[string]time.Duration { return e.pipe.Phases() }
 
 // ComputeGoodness evaluates the goodness of the given cells (which must be

@@ -7,8 +7,10 @@ import (
 	"math"
 	"testing"
 
+	"simevo/internal/congest"
 	"simevo/internal/fuzzy"
 	"simevo/internal/gen"
+	"simevo/internal/layout"
 	"simevo/internal/netlist"
 )
 
@@ -24,32 +26,43 @@ import (
 // workload: a 2000-cell ScaledParams circuit, wpc, clustered start, 64
 // congestion bins, 4 iterations — a row count where the vacancy scan's
 // row and bucket pruning carry real weight, unlike s1196's 22 rows.
+//
+// The s1196-60 cases are the runs TestIncrementalSpeedupOverReference
+// times (60 iterations, seed 2006). They also run the DisableIncremental
+// reference, whose hash must equal the incremental one: incremental ≡
+// reference over the whole μ trace, not only the best μ. Their best μ
+// are 0.6088763216982315 (wp), 0.5988737860956632 (wpd) and
+// 0.6689920004674861 (wpdc).
 var goldenTrajectories = []struct {
-	name string
-	hash string
-	run  func(t *testing.T) *Result
+	name      string
+	hash      string
+	setup     func(t *testing.T) (*netlist.Circuit, Config)
+	reference bool
 }{
-	{"wire+power", "a0a969a6ca9fe0ca", s1196Golden(fuzzy.WirePower)},
-	{"wire+power+delay", "f6fc2f4b06934aeb", s1196Golden(fuzzy.WirePowerDelay)},
-	{"wire+power+congestion", "3df6987c08761db7", s1196Golden(fuzzy.WirePowerCongest)},
-	{"wire+power+delay+congestion", "077c21b1e276f014", s1196Golden(fuzzy.WirePowerDelayCongest)},
-	{"scale-2000-wpc", "11bc723ea1a484a3", scaleGolden},
+	{"wire+power", "a0a969a6ca9fe0ca", s1196Golden(fuzzy.WirePower, 40), false},
+	{"wire+power+delay", "f6fc2f4b06934aeb", s1196Golden(fuzzy.WirePowerDelay, 40), false},
+	{"wire+power+congestion", "3df6987c08761db7", s1196Golden(fuzzy.WirePowerCongest, 40), false},
+	{"wire+power+delay+congestion", "077c21b1e276f014", s1196Golden(fuzzy.WirePowerDelayCongest, 40), false},
+	{"scale-2000-wpc", "11bc723ea1a484a3", scaleGolden, false},
+	{"s1196-60-wire+power", "339777eb7e10597e", s1196Golden(fuzzy.WirePower, 60), true},
+	{"s1196-60-wire+power+delay", "e16b331a33236cd0", s1196Golden(fuzzy.WirePowerDelay, 60), true},
+	{"s1196-60-wire+power+delay+congestion", "b27941d643570d6f", s1196Golden(fuzzy.WirePowerDelayCongest, 60), true},
 }
 
-func s1196Golden(obj fuzzy.Objectives) func(t *testing.T) *Result {
-	return func(t *testing.T) *Result {
+func s1196Golden(obj fuzzy.Objectives, iters int) func(t *testing.T) (*netlist.Circuit, Config) {
+	return func(t *testing.T) (*netlist.Circuit, Config) {
 		ckt, err := gen.Benchmark("s1196")
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig(obj)
-		cfg.MaxIters = 40
+		cfg.MaxIters = iters
 		cfg.Seed = 2006
-		return goldenRun(t, ckt, cfg)
+		return ckt, cfg
 	}
 }
 
-func scaleGolden(t *testing.T) *Result {
+func scaleGolden(t *testing.T) (*netlist.Circuit, Config) {
 	ckt, err := gen.Generate(gen.ScaledParams("scale", 2000, 2006))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +72,7 @@ func scaleGolden(t *testing.T) *Result {
 	cfg.Seed = 2006
 	cfg.ClusteredStart = true
 	cfg.CongestBins = 64
-	return goldenRun(t, ckt, cfg)
+	return ckt, cfg
 }
 
 func goldenRun(t *testing.T, ckt *netlist.Circuit, cfg Config) *Result {
@@ -96,8 +109,91 @@ func TestGoldenTrajectories(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			if got := trajectoryHash(g.run(t)); got != g.hash {
+			ckt, cfg := g.setup(t)
+			got := trajectoryHash(goldenRun(t, ckt, cfg))
+			if got != g.hash {
 				t.Errorf("trajectory hash %s, want %s", got, g.hash)
+			}
+			if g.reference {
+				cfg.DisableIncremental = true
+				if ref := trajectoryHash(goldenRun(t, ckt, cfg)); ref != got {
+					t.Errorf("reference trajectory hash %s, incremental %s", ref, got)
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenLargeCircuit pins the 100k-cell scale tier bitwise: the
+// generated "large" circuit (gen seed 1), wpc, 2 iterations (the cold
+// first evaluation and one steady step), seed 2006, clustered start and
+// 64 congestion bins — the package default of 16 columns averages so much
+// area into each bin at this size that no start ever overflows. The
+// clustered start shrinks net boxes, which flattens bbox demand below the
+// 2×-average overflow threshold, so the congestion cost is legitimately 0;
+// the peak bin demand over the best placement is the nonzero congestion
+// signal, and any change to the demand accounting or the trajectory moves
+// it. About 2.3 s per iteration on a 2-vCPU x86 host. Skipped under
+// -short, and under -race, where the single-goroutine run takes over a
+// minute and checks no concurrency.
+func TestGoldenLargeCircuit(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("100k-cell run; skipped under -short and -race")
+	}
+	const (
+		bins     = 64
+		wantMu   = 0.30233605657259
+		wantPeak = 16780.461525917053
+	)
+	ckt, err := gen.Generate(gen.ScaledParams("large", gen.LargeCells, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(fuzzy.WirePowerCongest)
+	cfg.MaxIters = 2
+	cfg.Seed = 2006
+	cfg.ClusteredStart = true
+	cfg.CongestBins = bins
+	res := goldenRun(t, ckt, cfg)
+	// Engines place into layout.DefaultNumRows rows when cfg.NumRows is 0.
+	grid := congest.New(ckt, congest.SpecFor(ckt, layout.DefaultNumRows(ckt), bins),
+		congest.PlacementSource{P: res.Best})
+	grid.Silence()
+	grid.Full(nil)
+	if res.BestMu != wantMu || res.BestCosts.Congest != 0 || grid.Peak() != wantPeak {
+		t.Errorf("best μ %v, congestion %v, peak demand %v; want %v, 0, %v",
+			res.BestMu, res.BestCosts.Congest, grid.Peak(), wantMu, wantPeak)
+	}
+}
+
+// TestGoldenScanCandidates pins, per catalog circuit, how many vacancy
+// candidates the allocation scans are offered over a short wpd run (12
+// iterations, seed 2006): every free vacancy of a width-feasible row,
+// whether the scan visits it or skips it wholesale. The count follows from
+// the trajectory and the width bound alone, not from how well the scan
+// prunes, so a sharper bound leaves it unchanged.
+func TestGoldenScanCandidates(t *testing.T) {
+	want := map[string]uint64{
+		"s1196": 639808,
+		"s1238": 657095,
+		"s1488": 922300,
+		"s1494": 833975,
+		"s3330": 4094842,
+	}
+	for _, name := range gen.Catalog() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ckt, err := gen.Benchmark(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(fuzzy.WirePowerDelay)
+			cfg.MaxIters = 12
+			cfg.Seed = 2006
+			tel := goldenRun(t, ckt, cfg).Telemetry
+			if got := tel.ScanVacancies + tel.ScanSkippedBucket; got != want[name] {
+				t.Errorf("%d scan candidates, want %d", got, want[name])
 			}
 		})
 	}

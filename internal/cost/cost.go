@@ -92,7 +92,7 @@ func (o *weightedSum) applyDirty(dirty []netlist.NetID, lengths []float64) float
 
 // delayObjective adapts the STA to the Objective interface.
 type delayObjective struct {
-	sta *timing.Inc
+	sta *timing.STA
 }
 
 func (o *delayObjective) Bit() fuzzy.Objectives { return fuzzy.Delay }
@@ -107,7 +107,7 @@ func (o *delayObjective) NetScore(n netlist.NetID) float64    { return o.sta.Net
 
 // Sta exposes the underlying analyzer (nil-safe callers should check the
 // pipeline's Delay accessor instead).
-func (o *delayObjective) Sta() *timing.Inc { return o.sta }
+func (o *delayObjective) Sta() *timing.STA { return o.sta }
 
 // Pipeline evaluates a set of objectives over one placement's committed
 // net lengths, in the canonical wire → power → delay order the fuzzy
@@ -143,7 +143,7 @@ func NewPipeline(set fuzzy.Objectives, ckt *netlist.Circuit, acts []float64, lv 
 		p.objs = append(p.objs, &weightedSum{bit: fuzzy.Power, name: "power", w: acts, tree: newSumTree(nn)})
 	}
 	if set.Has(fuzzy.Delay) {
-		p.objs = append(p.objs, &delayObjective{sta: timing.NewInc(ckt, lv, model)})
+		p.objs = append(p.objs, &delayObjective{sta: timing.NewSTA(ckt, lv, model)})
 	}
 	p.objs = append(p.objs, extras...)
 	p.phases = make([]time.Duration, len(p.objs))
@@ -155,7 +155,7 @@ func (p *Pipeline) Objectives() []Objective { return p.objs }
 
 // Delay returns the STA behind the delay objective, or nil
 // when the set does not include Delay.
-func (p *Pipeline) Delay() *timing.Inc {
+func (p *Pipeline) Delay() *timing.STA {
 	for _, o := range p.objs {
 		if d, ok := o.(*delayObjective); ok {
 			return d.Sta()
@@ -166,7 +166,7 @@ func (p *Pipeline) Delay() *timing.Inc {
 
 // EnableTiming turns on per-objective phase accounting (Phases). Off by
 // default: only pipelines whose phases somebody reads — the engine's,
-// surfaced through simevo-bench — should pay the per-evaluation clock
+// surfaced through Engine.CostPhases — should pay the per-evaluation clock
 // reads.
 func (p *Pipeline) EnableTiming() { p.timed = true }
 

@@ -122,20 +122,41 @@ type bookshelfNet struct {
 	pins []bookshelfPin
 }
 
+// member is one file of a Bookshelf set: its name, for messages, and its
+// bytes.
+type member struct {
+	name string
+	r    io.Reader
+}
+
 func loadFiles(name, nodesPath, netsPath, plPath, sclPath string) (*Design, *layout.Placement, error) {
-	nodes, nodeIdx, err := parseNodes(nodesPath)
+	var files [4]member
+	for i, path := range [...]string{nodesPath, netsPath, plPath, sclPath} {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("format: %w", err)
+		}
+		defer f.Close()
+		files[i] = member{filepath.Base(path), f}
+	}
+	return load(name, files[0], files[1], files[2], files[3])
+}
+
+// load parses a Bookshelf set from its four member files.
+func load(name string, nodesF, netsF, plF, sclF member) (*Design, *layout.Placement, error) {
+	nodes, nodeIdx, err := parseNodes(nodesF)
 	if err != nil {
 		return nil, nil, err
 	}
-	nets, err := parseNets(netsPath, nodeIdx)
+	nets, err := parseNets(netsF, nodeIdx)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := parseSCL(sclPath)
+	rows, err := parseSCL(sclF)
 	if err != nil {
 		return nil, nil, err
 	}
-	plX, plY, err := parsePl(plPath, nodeIdx)
+	plX, plY, err := parsePl(plF, nodeIdx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,14 +171,10 @@ func loadFiles(name, nodesPath, netsPath, plPath, sclPath string) (*Design, *lay
 	return d, place, nil
 }
 
-// scanner wraps line scanning with Bookshelf comment/header skipping.
-func scanLines(path string, fn func(fields []string) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("format: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+// scanLines feeds fn the fields of each line of m, skipping blank lines,
+// comments and the "UCLA" header.
+func scanLines(m member, fn func(fields []string) error) error {
+	sc := bufio.NewScanner(m.r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineNo := 0
 	for sc.Scan() {
@@ -167,16 +184,16 @@ func scanLines(path string, fn func(fields []string) error) error {
 			continue
 		}
 		if err := fn(strings.Fields(line)); err != nil {
-			return fmt.Errorf("format: %s:%d: %w", filepath.Base(path), lineNo, err)
+			return fmt.Errorf("format: %s:%d: %w", m.name, lineNo, err)
 		}
 	}
 	return sc.Err()
 }
 
-func parseNodes(path string) ([]bookshelfNode, map[string]int, error) {
+func parseNodes(m member) ([]bookshelfNode, map[string]int, error) {
 	var nodes []bookshelfNode
 	idx := make(map[string]int)
-	err := scanLines(path, func(f []string) error {
+	err := scanLines(m, func(f []string) error {
 		if len(f) >= 3 && f[0] == "NumNodes" || len(f) >= 3 && f[0] == "NumTerminals" {
 			return nil // declared counts are advisory; the entries are authoritative
 		}
@@ -199,15 +216,15 @@ func parseNodes(path string) ([]bookshelfNode, map[string]int, error) {
 		return nil, nil, err
 	}
 	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("format: %s declares no nodes", filepath.Base(path))
+		return nil, nil, fmt.Errorf("format: %s declares no nodes", m.name)
 	}
 	return nodes, idx, nil
 }
 
-func parseNets(path string, nodeIdx map[string]int) ([]bookshelfNet, error) {
+func parseNets(m member, nodeIdx map[string]int) ([]bookshelfNet, error) {
 	var nets []bookshelfNet
 	var cur *bookshelfNet
-	err := scanLines(path, func(f []string) error {
+	err := scanLines(m, func(f []string) error {
 		switch f[0] {
 		case "NumNets", "NumPins":
 			return nil
@@ -236,15 +253,15 @@ func parseNets(path string, nodeIdx map[string]int) ([]bookshelfNet, error) {
 		return nil, err
 	}
 	if len(nets) == 0 {
-		return nil, fmt.Errorf("format: %s declares no nets", filepath.Base(path))
+		return nil, fmt.Errorf("format: %s declares no nets", m.name)
 	}
 	return nets, nil
 }
 
-func parseSCL(path string) ([]Row, error) {
+func parseSCL(m member) ([]Row, error) {
 	var rows []Row
 	var cur *Row
-	err := scanLines(path, func(f []string) error {
+	err := scanLines(m, func(f []string) error {
 		switch f[0] {
 		case "CoreRow":
 			rows = append(rows, Row{SiteWidth: 1, Height: 1})
@@ -282,7 +299,7 @@ func parseSCL(path string) ([]Row, error) {
 		return nil, err
 	}
 	if len(rows) == 0 {
-		return nil, fmt.Errorf("format: %s declares no core rows", filepath.Base(path))
+		return nil, fmt.Errorf("format: %s declares no core rows", m.name)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Coordinate < rows[j].Coordinate })
 	for i := range rows {
@@ -293,10 +310,10 @@ func parseSCL(path string) ([]Row, error) {
 	return rows, nil
 }
 
-func parsePl(path string, nodeIdx map[string]int) (x, y map[string]float64, err error) {
+func parsePl(m member, nodeIdx map[string]int) (x, y map[string]float64, err error) {
 	x = make(map[string]float64, len(nodeIdx))
 	y = make(map[string]float64, len(nodeIdx))
-	err = scanLines(path, func(f []string) error {
+	err = scanLines(m, func(f []string) error {
 		if len(f) < 3 {
 			return nil // orientation-only or malformed trailer lines are ignored
 		}
@@ -313,6 +330,10 @@ func parsePl(path string, nodeIdx map[string]int) (x, y map[string]float64, err 
 	})
 	return x, y, err
 }
+
+// maxNodeSites bounds a node's width in sites, so that the row widths,
+// sums of node widths, cannot overflow.
+const maxNodeSites = 1<<31 - 1
 
 // buildDesign assembles the netlist.Circuit: driver assignment, terminal
 // classification, and structural validation.
@@ -378,10 +399,11 @@ func buildDesign(name string, nodes []bookshelfNode, nets []bookshelfNet, rows [
 	for i, n := range nodes {
 		id := netlist.CellID(i)
 		typ := netlist.Macro
-		width := int(math.Round(n.width / siteW))
-		if width < 1 {
-			width = 1
+		sites := math.Round(n.width / siteW)
+		if !(sites <= maxNodeSites) { // NaN fails too
+			return nil, fmt.Errorf("format: node %q is %v sites wide, above %d", n.name, sites, maxNodeSites)
 		}
+		width := max(int(sites), 1)
 		if n.terminal {
 			// Pad-shaped terminals become real pads (width 0, fixed on
 			// the boundary in the internal model); oddly-shaped ones stay

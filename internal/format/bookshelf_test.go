@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"simevo/internal/core"
@@ -158,4 +159,39 @@ func TestBookshelfIngestionSmoke(t *testing.T) {
 			t.Errorf("telemetry counters missing %q (have %v)", key, counters)
 		}
 	}
+}
+
+// FuzzBookshelf feeds arbitrary .nodes, .nets, .pl and .scl bodies to the
+// readers. They must never panic, and a design they accept must build a
+// core.Problem and run a SimE iteration from the file's placement.
+func FuzzBookshelf(f *testing.F) {
+	read := func(name string) string {
+		blob, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(blob)
+	}
+	nodes, nets, pl, scl := read("tiny.nodes"), read("tiny.nets"), read("tiny.pl"), read("tiny.scl")
+	f.Add(nodes, nets, pl, scl)
+	f.Add("a 1 1\nb 1 1\n", "NetDegree : 2 n\na O\nb I\n", "a 0 0\nb 5 0\n", "CoreRow\nCoordinate : 0\nHeight : 1\nEnd\n")
+	f.Add("a 1 1\np 0 0 terminal\n", "NetDegree : 2\np O\na I\n", "a 1 1\np 0 0 : N /FIXED\n", "CoreRow\nEnd\nCoreRow\nCoordinate : 9\nEnd\n")
+	f.Fuzz(func(t *testing.T, nodes, nets, pl, scl string) {
+		d, p, err := load("fuzz",
+			member{"fuzz.nodes", strings.NewReader(nodes)},
+			member{"fuzz.nets", strings.NewReader(nets)},
+			member{"fuzz.pl", strings.NewReader(pl)},
+			member{"fuzz.scl", strings.NewReader(scl)})
+		if err != nil {
+			return
+		}
+		cfg := core.DefaultConfig(fuzzy.WirePowerCongest)
+		cfg.MaxIters = 1
+		cfg.NumRows = d.NumRows()
+		prob, err := core.NewProblem(d.Ckt, cfg)
+		if err != nil {
+			t.Fatalf("accepted design builds no problem: %v", err)
+		}
+		prob.EngineFrom(p, rng.New(1)).Step()
+	})
 }

@@ -58,7 +58,7 @@ func Benchmark(name string) (*netlist.Circuit, error) {
 }
 
 // LargeCells is the cell count of the "large" scale-tier preset
-// (cmd/circuitgen -preset large, the experiments large-circuit baseline).
+// (cmd/circuitgen -preset large, internal/core's TestGoldenLargeCircuit).
 const LargeCells = 100_000
 
 // ScaledParams derives generation parameters for an arbitrary cell count,
@@ -66,8 +66,8 @@ const LargeCells = 100_000
 // cells are flip-flops, pad counts grow with the perimeter (√cells), and
 // the depth stays in the ISCAS band so width — the placement-relevant
 // dimension — absorbs the scale. The tier is deliberately NOT part of
-// Catalog(): catalog iteration (service validation, the scan-rate
-// baseline sweep) must stay cheap. Generation is deterministic in
+// Catalog(): catalog iteration (service validation, the per-circuit
+// golden tests) must stay cheap. Generation is deterministic in
 // (cells, seed); byte-for-byte reproducibility is pinned by a golden
 // hash test.
 func ScaledParams(name string, cells int, seed uint64) Params {

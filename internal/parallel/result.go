@@ -39,8 +39,9 @@ type Options struct {
 	// better solution outright. The default is asynchronous and
 	// speculative: the searcher keeps iterating until the news arrives and
 	// adopts with snapshot/restore. Both modes speak the same post/poll/news
-	// frames — see typeiii.go. The blocking mode remains as the
-	// exchange-overhead baseline.
+	// frames — see typeiii.go. The blocking mode is the paper's protocol
+	// and the reference TestAsyncExchangeSpeedup times the asynchronous
+	// mode against.
 	SyncExchange bool
 	// Context cancels a run cooperatively: the master (Type I/II) or every
 	// searcher (Type III) checks it between iterations, winds the cluster

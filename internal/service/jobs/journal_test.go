@@ -3,6 +3,8 @@ package jobs
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -153,4 +155,92 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if len(recs) != 1 || recs[0].ID != "j-000001" || recs[0].Type != "submit" {
 		t.Fatalf("replay after torn tail: %+v", recs)
 	}
+}
+
+// overCapSubmit is a submit record a journal written before the rows cap
+// (or a corrupt one) can hold: replayed verbatim, its run would allocate a
+// billion rows on every start-up.
+const overCapSubmit = `{"type":"submit","id":"j-1","spec":{"circuit":"s1196","strategy":"serial","rows":1000000000}}`
+
+// TestJournalReplayNormalizesSpecs: a replayed submit goes through the
+// checks Submit applies. The over-cap job comes back failed with the
+// error and never runs; the failure is journaled, so a second restart
+// restores it as terminal history; a valid job next to it runs once, with
+// its spec normalized.
+func TestJournalReplayNormalizesSpecs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	valid := `{"type":"submit","id":"j-2","spec":{"circuit":"s1196","strategy":"SERIAL","max_iters":5}}`
+	if err := os.WriteFile(path, []byte(overCapSubmit+"\n"+valid+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 0; restart < 2; restart++ {
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(Options{Workers: 1, Journal: j})
+		v, err := m.Get("j-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateFailed || v.Started != nil || v.Result != nil || !strings.Contains(v.Error, "rows") {
+			t.Fatalf("restart %d: over-cap job restored as %s (started %v, error %q), want failed on rows",
+				restart, v.State, v.Started, v.Error)
+		}
+		ok := waitTerminal(t, m, "j-2")
+		if ok.State != StateDone || (restart == 0 && ok.Spec.Strategy != StrategySerial) {
+			t.Fatalf("restart %d: valid job %s with strategy %q, error %q", restart, ok.State, ok.Spec.Strategy, ok.Error)
+		}
+		m.Close()
+		j.Close()
+	}
+}
+
+// FuzzJournalReplay replays arbitrary journal bytes into a manager that is
+// closed at once. Replay must not panic, and every restored job must be
+// terminal or carry a spec that Normalize leaves unchanged, the only kind
+// a worker may run.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte(overCapSubmit + "\n"))
+	f.Add([]byte(`{"type":"submit","id":"j-1","spec":{"circuit":"s1196","strategy":"serial","max_iters":3}}
+{"type":"start","id":"j-1"}
+{"type":"finish","id":"j-1","state":"done","result":{"best_mu":0.5,"iters":3}}
+{"type":"submit","id":"j-2","spec":{"bench":"INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n","strategy":"ga","objectives":"wire+power+delay"}}
+{"type":"finish","id":"j-9","state":"failed"}
+{"type":"submit","id":"j-1","spec":{"circuit":"s27"}}
+{"type":"submit","id":"j-3","spec":{"circuit":"s1196","strategy":"type3","procs":2}}
+{"type":"fin`))
+	f.Add([]byte(`{"type":"submit","id":"j-00x","spec":{}}` + "\n" + `{"type":"finish","id":"j-00x","state":"bogus"}`))
+	f.Add([]byte("\x00\xff{}\n\n{\"type\":\"submit\"}"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		m := NewManager(Options{Workers: 1, Journal: j})
+		defer m.Close()
+		m.mu.Lock()
+		jobs := make([]*Job, 0, len(m.jobs))
+		for _, job := range m.jobs {
+			jobs = append(jobs, job)
+		}
+		m.mu.Unlock()
+		for _, job := range jobs {
+			job.mu.Lock()
+			state, spec := job.state, job.spec
+			job.mu.Unlock()
+			if state.Terminal() {
+				continue
+			}
+			norm, err := spec.Normalize()
+			if err != nil || !reflect.DeepEqual(norm, spec) {
+				t.Fatalf("job %s (%s) would run spec %+v: normalized %+v, %v", job.id, state, spec, norm, err)
+			}
+		}
+	})
 }

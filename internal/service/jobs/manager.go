@@ -182,9 +182,22 @@ func (m *Manager) restore(recs []journalRecord) {
 		if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n > m.seq {
 			m.seq = n
 		}
-		job := &Job{id: id, spec: *h.spec, fp: h.spec.Fingerprint(), created: h.created}
-		if h.spec.Bench != "" {
-			sum := sha256.Sum256([]byte(h.spec.Bench))
+		spec := *h.spec
+		if !h.state.Terminal() {
+			// A job that will run gets the checks Submit applies: the
+			// journal may predate a cap, or be corrupt. A spec that fails
+			// them is restored as a failed job and never runs.
+			norm, err := spec.Normalize()
+			if err != nil {
+				h.state, h.finished, h.result, h.errMsg = StateFailed, time.Now(), nil, err.Error()
+				m.journal(journalRecord{Type: "finish", ID: id, Time: h.finished, State: StateFailed, Error: h.errMsg})
+			} else {
+				spec = norm
+			}
+		}
+		job := &Job{id: id, spec: spec, fp: spec.Fingerprint(), created: h.created}
+		if spec.Bench != "" {
+			sum := sha256.Sum256([]byte(spec.Bench))
 			job.benchDigest = "sha256:" + hex.EncodeToString(sum[:8])
 		}
 		if h.state.Terminal() {

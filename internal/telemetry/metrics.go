@@ -60,7 +60,7 @@ var (
 	CongestPeak       = Default.Gauge("simevo_congest_peak_demand", "Peak bin routing demand of the last congestion evaluation.")
 	CongestOverflow   = Default.Gauge("simevo_congest_overflow", "Summed bin demand above twice the average, last congestion evaluation.")
 
-	// timing.Inc STA. Every evaluation is a full rebuild; TimingConeCells
+	// timing.STA. Every evaluation is a full rebuild; TimingConeCells
 	// is no longer written and stays registered because the benchmark
 	// module reads it.
 	TimingConeCells = Default.Histogram("simevo_timing_cone_cells", "Cells recomputed per incremental STA update (dirty-cone size).")

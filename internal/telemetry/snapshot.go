@@ -3,9 +3,9 @@ package telemetry
 // EngineSnapshot is a per-run tally of the same counters the global
 // registry aggregates process-wide. The engine accumulates it with
 // plain (non-atomic) arithmetic on its own goroutine and copies it into
-// Result.Telemetry, so library users and simevo-bench read identical
-// numbers without scraping HTTP. JSON tags let simevo-bench embed the
-// counters in BENCH_baseline.json.
+// Result.Telemetry, so library users, the golden tests and the bench/
+// workloads read identical numbers without scraping HTTP. The JSON tags
+// name the counters in the bench/ reports.
 type EngineSnapshot struct {
 	Iterations uint64 `json:"iterations"`
 

@@ -7,9 +7,9 @@ import (
 	"simevo/internal/telemetry"
 )
 
-// Inc is the static timing analyzer behind the cost pipeline's Delay
+// STA is the static timing analyzer behind the cost pipeline's Delay
 // objective. Where Analyze returns a fresh Analysis with explicit required
-// times, Inc keeps its per-cell state in place across evaluations and
+// times, STA keeps its per-cell state in place across evaluations and
 // serves the two reads the engine makes between them: per-cell and per-net
 // criticality. Rebuild re-derives the whole state from the net lengths:
 //
@@ -23,10 +23,10 @@ import (
 // weight) is served from a per-net max of arr+dep over the net's
 // endpoints.
 //
-// An Inc is not safe for concurrent mutation; concurrent reads
+// An STA is not safe for concurrent mutation; concurrent reads
 // (Criticality, NetCriticality, MaxDelay) are safe once Rebuild has
 // returned.
-type Inc struct {
+type STA struct {
 	ckt *netlist.Circuit
 	lv  *netlist.Levels
 	m   Model
@@ -39,16 +39,16 @@ type Inc struct {
 	adNet    []float64 // per-net max over endpoints of arr+dep
 	maxDelay float64
 
-	rebuilds uint64 // Rebuild calls (plain counter: Inc is single-goroutine by contract)
+	rebuilds uint64 // Rebuild calls (plain counter: STA is single-goroutine by contract)
 }
 
 // Rebuilds reports how many times Rebuild has run.
-func (s *Inc) Rebuilds() uint64 { return s.rebuilds }
+func (s *STA) Rebuilds() uint64 { return s.rebuilds }
 
-// NewInc builds the analyzer shell; Rebuild must run before any reads.
-func NewInc(ckt *netlist.Circuit, lv *netlist.Levels, m Model) *Inc {
+// NewSTA builds the analyzer shell; Rebuild must run before any reads.
+func NewSTA(ckt *netlist.Circuit, lv *netlist.Levels, m Model) *STA {
 	n := len(ckt.Cells)
-	s := &Inc{
+	s := &STA{
 		ckt: ckt, lv: lv, m: m,
 		cd:       make([]float64, n),
 		arr:      make([]float64, n),
@@ -64,10 +64,10 @@ func NewInc(ckt *netlist.Circuit, lv *netlist.Levels, m Model) *Inc {
 }
 
 // MaxDelay returns Cost_delay: the largest sink arrival.
-func (s *Inc) MaxDelay() float64 { return s.maxDelay }
+func (s *STA) MaxDelay() float64 { return s.maxDelay }
 
 // Rebuild re-derives the full analysis from the given per-net lengths.
-func (s *Inc) Rebuild(lengths []float64) float64 {
+func (s *STA) Rebuild(lengths []float64) float64 {
 	s.rebuilds++
 	telemetry.TimingRebuilds.Inc()
 	ckt := s.ckt
@@ -98,7 +98,7 @@ func (s *Inc) Rebuild(lengths []float64) float64 {
 
 // arrivalOf is the arrival recurrence: the worst fan-in arrival plus
 // interconnect, plus the cell's own switching delay.
-func (s *Inc) arrivalOf(id netlist.CellID) float64 {
+func (s *STA) arrivalOf(id netlist.CellID) float64 {
 	cell := &s.ckt.Cells[id]
 	switch cell.Type {
 	case netlist.Input:
@@ -118,7 +118,7 @@ func (s *Inc) arrivalOf(id netlist.CellID) float64 {
 
 // dataArrOf is the sink-side arrival: the PO input arrival, or the DFF
 // data arrival including setup.
-func (s *Inc) dataArrOf(id netlist.CellID) float64 {
+func (s *STA) dataArrOf(id netlist.CellID) float64 {
 	cell := &s.ckt.Cells[id]
 	if cell.Type == netlist.DFF {
 		in := cell.In[0]
@@ -137,7 +137,7 @@ func (s *Inc) dataArrOf(id netlist.CellID) float64 {
 // depOf is the departure recurrence: the worst path delay from
 // the cell's output pin to any sink (-Inf when it feeds none). Paths end
 // at PO inputs (no further delay) and DFF data pins (setup penalty).
-func (s *Inc) depOf(id netlist.CellID) float64 {
+func (s *STA) depOf(id netlist.CellID) float64 {
 	out := s.ckt.Cells[id].Out
 	if out == netlist.NoNet {
 		return math.Inf(-1)
@@ -162,7 +162,7 @@ func (s *Inc) depOf(id netlist.CellID) float64 {
 }
 
 // maxOverSinks re-derives Cost_delay from the sink arrivals.
-func (s *Inc) maxOverSinks() float64 {
+func (s *STA) maxOverSinks() float64 {
 	max := 0.0
 	for _, po := range s.ckt.POs {
 		if s.dataArr[po] > max {
@@ -179,7 +179,7 @@ func (s *Inc) maxOverSinks() float64 {
 
 // adOf is the per-net criticality input: the worst arr+dep over the net's
 // endpoint cells.
-func (s *Inc) adOf(n netlist.NetID) float64 {
+func (s *STA) adOf(n netlist.NetID) float64 {
 	best := math.Inf(-1)
 	net := &s.ckt.Nets[n]
 	if d := net.Driver; d != netlist.NoCell {
@@ -198,7 +198,7 @@ func (s *Inc) adOf(n netlist.NetID) float64 {
 // critOf maps an arr+dep sum to [0,1] criticality: slack = MaxDelay−ad,
 // criticality = 1 − slack/MaxDelay = ad/MaxDelay, clamped; cells feeding
 // no sink (ad = −Inf) pin to 0, matching Analysis.Criticality semantics.
-func (s *Inc) critOf(ad float64) float64 {
+func (s *STA) critOf(ad float64) float64 {
 	if s.maxDelay <= 0 || math.IsInf(ad, -1) {
 		return 0
 	}
@@ -213,12 +213,12 @@ func (s *Inc) critOf(ad float64) float64 {
 }
 
 // Criticality returns the cell's path criticality in [0,1].
-func (s *Inc) Criticality(id netlist.CellID) float64 {
+func (s *STA) Criticality(id netlist.CellID) float64 {
 	return s.critOf(s.arr[id] + s.dep[id])
 }
 
 // NetCriticality returns the worst endpoint criticality of a net — the
 // delay weight of allocation trials.
-func (s *Inc) NetCriticality(n netlist.NetID) float64 {
+func (s *STA) NetCriticality(n netlist.NetID) float64 {
 	return s.critOf(s.adNet[n])
 }

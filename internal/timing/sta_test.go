@@ -33,14 +33,14 @@ func incTestCircuit(t *testing.T, name string) (*netlist.Circuit, *netlist.Level
 // criticality, and every net criticality — whatever state it started from.
 func TestIncRebuildIsStateless(t *testing.T) {
 	ckt, lv, lengths := incTestCircuit(t, "s1488")
-	warm := NewInc(ckt, lv, DefaultModel())
+	warm := NewSTA(ckt, lv, DefaultModel())
 	r := rng.New(7)
 	for round := 0; round < 20; round++ {
 		for k := 0; k < 1+r.Intn(ckt.NumNets()/2); k++ {
 			n := r.Intn(ckt.NumNets())
 			lengths[n] = math.Abs(lengths[n] + (r.Float64()-0.5)*30)
 		}
-		fresh := NewInc(ckt, lv, DefaultModel())
+		fresh := NewSTA(ckt, lv, DefaultModel())
 		if got, want := warm.Rebuild(lengths), fresh.Rebuild(lengths); got != want {
 			t.Fatalf("round %d: MaxDelay %v != fresh %v", round, got, want)
 		}
@@ -63,24 +63,24 @@ func TestIncRebuildIsStateless(t *testing.T) {
 // TestIncAgreesWithAnalyze cross-checks the deadline-free slack
 // formulation against the classic Analyze pass: MaxDelay must match
 // exactly (same max-of-sums recurrence) and criticalities to float
-// tolerance (Analyze subtracts along the backward chain, Inc keeps an
+// tolerance (Analyze subtracts along the backward chain, STA keeps an
 // additive departure, so the two agree up to rounding).
 func TestIncAgreesWithAnalyze(t *testing.T) {
 	ckt, lv, lengths := incTestCircuit(t, "s1196")
-	inc := NewInc(ckt, lv, DefaultModel())
+	inc := NewSTA(ckt, lv, DefaultModel())
 	inc.Rebuild(lengths)
 	a, err := Analyze(ckt, lv, lengths, DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc.MaxDelay() != a.MaxDelay {
-		t.Fatalf("Inc MaxDelay %v != Analyze %v", inc.MaxDelay(), a.MaxDelay)
+		t.Fatalf("STA MaxDelay %v != Analyze %v", inc.MaxDelay(), a.MaxDelay)
 	}
 	for id := range ckt.Cells {
 		ci := inc.Criticality(netlist.CellID(id))
 		ca := a.Criticality(netlist.CellID(id))
 		if math.Abs(ci-ca) > 1e-9 {
-			t.Fatalf("cell %d: Inc criticality %v, Analyze %v", id, ci, ca)
+			t.Fatalf("cell %d: STA criticality %v, Analyze %v", id, ci, ca)
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestIncAgreesWithAnalyze(t *testing.T) {
 // [0,1] and cells feeding no sink score 0.
 func TestIncCriticalityRange(t *testing.T) {
 	ckt, lv, lengths := incTestCircuit(t, "s1238")
-	inc := NewInc(ckt, lv, DefaultModel())
+	inc := NewSTA(ckt, lv, DefaultModel())
 	inc.Rebuild(lengths)
 	for id := range ckt.Cells {
 		c := inc.Criticality(netlist.CellID(id))

@@ -130,7 +130,7 @@ func TestProfileSharesExposed(t *testing.T) {
 	// The paper's Section 4 profile (allocation ≈ 98%) describes from-
 	// scratch trial evaluation — the DisableIncremental reference mode.
 	// The default incremental engine deliberately breaks this profile;
-	// cmd/simevo-bench -baseline records both sides.
+	// internal/core's TestIncrementalSpeedupOverReference times both sides.
 	ckt := simevo.MustBenchmark("s1238")
 	cfg := simevo.DefaultConfig(simevo.WirePower)
 	cfg.MaxIters = 10
