@@ -44,7 +44,7 @@ func main() {
 	procs := flag.Int("procs", 3, "cluster size for parallel strategies")
 	pattern := flag.String("pattern", "fixed", "type2 row pattern: fixed | random")
 	retry := flag.Int("retry", 100, "type3 retry threshold")
-	syncExchange := flag.Bool("sync-exchange", false, "type3: wait for the store's news and adopt outright (the paper's blocking exchange) instead of speculating asynchronously")
+	syncExchange := flag.Bool("sync-exchange", false, "type3: wait for the store's news (the paper's blocking exchange) instead of picking it up asynchronously")
 	diversify := flag.Bool("diversify", false, "type3: give each searcher a distinct allocation order")
 	clustered := flag.Bool("clustered-start", false, "start from the connectivity-clustered placement instead of the uniform-random deal")
 	ideal := flag.Bool("ideal-net", false, "use a zero-cost interconnect instead of fast Ethernet")

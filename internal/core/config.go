@@ -89,10 +89,6 @@ type Config struct {
 	// PowerConfig parameterizes switching-activity estimation.
 	PowerConfig power.Config
 
-	// KPaths is the number of near-critical paths tracked per iteration
-	// for reporting (the delay cost itself is the STA maximum).
-	KPaths int
-
 	// AllocOrder selects the allocation processing order of the selection
 	// set (default WorstFirst). The paper's Section 7 proposes using a
 	// different allocation function per Type III thread to diversify the
@@ -108,15 +104,6 @@ type Config struct {
 	// tests and as an escape hatch.
 	DisableIncremental bool
 
-	// FullEvalEvery is the interval of the net-length mirror's periodic
-	// rebuild: every this many evaluations the wire.Incremental state is
-	// rebuilt from the placement instead of synced from the coordinate
-	// journal, bounding any drift a future non-exact estimator (or a
-	// dirty-net tracking bug) could introduce (0: 64). The objectives
-	// themselves recompute from the full length array on every
-	// evaluation.
-	FullEvalEvery int
-
 	// AllocWorkers is kept only so existing callers that assign it still
 	// compile; nothing reads it. The engine is single-threaded: parallelism
 	// lives in the Type I/II/III strategies.
@@ -127,13 +114,8 @@ type Config struct {
 	// DisableMuTrace turns off recording μ(s) after every evaluation
 	// (Engine.MuTrace). Recording is on by default — benchmarks and the
 	// paper's tables consume the trace — while long-running services
-	// should disable it (or cap it with MuTraceCap) to avoid unbounded
-	// growth.
+	// should disable it to avoid unbounded growth.
 	DisableMuTrace bool
-
-	// MuTraceCap, when positive, bounds the recorded trace to the most
-	// recent MuTraceCap evaluations (ring buffer). 0 keeps the full trace.
-	MuTraceCap int
 }
 
 // AllocOrder enumerates allocation processing orders for the selection set.
@@ -161,7 +143,6 @@ func DefaultConfig(obj fuzzy.Objectives) Config {
 		WireEstimator: wire.Steiner,
 		TimingModel:   timing.DefaultModel(),
 		PowerConfig:   power.DefaultConfig(),
-		KPaths:        8,
 	}
 }
 
@@ -189,15 +170,6 @@ func (c *Config) validate() error {
 	}
 	if c.CongestBins < 0 {
 		return fmt.Errorf("core: CongestBins %d must be >= 0", c.CongestBins)
-	}
-	if c.KPaths <= 0 {
-		c.KPaths = 8
-	}
-	if c.FullEvalEvery <= 0 {
-		c.FullEvalEvery = 64
-	}
-	if c.MuTraceCap < 0 {
-		c.MuTraceCap = 0
 	}
 	if c.PowerConfig.MaxIters == 0 {
 		c.PowerConfig = power.DefaultConfig()

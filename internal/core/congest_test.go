@@ -12,8 +12,8 @@ import (
 // integer bin grid binned off the wire.Incremental mirror's pin boxes —
 // must report bitwise the costs, μ, and placements of the
 // DisableIncremental reference (grid binned off the raw placement) with
-// the full wire+power+delay+congestion objective set active. A short
-// FullEvalEvery exercises the mid-run mirror rebuild.
+// the full wire+power+delay+congestion objective set active. Replacing the
+// placement object every fourth step forces mid-run mirror rebuilds.
 func TestCongestTrajectoriesAllCircuits(t *testing.T) {
 	for _, name := range gen.Catalog() {
 		name := name
@@ -28,7 +28,6 @@ func TestCongestTrajectoriesAllCircuits(t *testing.T) {
 				cfg.MaxIters = iters
 				cfg.Seed = 2006
 				cfg.DisableIncremental = disable
-				cfg.FullEvalEvery = 4
 				p, err := NewProblem(ckt, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -38,6 +37,9 @@ func TestCongestTrajectoriesAllCircuits(t *testing.T) {
 			ref := mk(true)
 			inc := mk(false)
 			for i := 0; i < iters; i++ {
+				if i%4 == 3 {
+					inc.SetPlacement(inc.Placement().Clone())
+				}
 				ref.Step()
 				inc.Step()
 				if ref.Costs() != inc.Costs() {

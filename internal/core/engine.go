@@ -51,9 +51,8 @@ type Engine struct {
 	// mirror is kept in lockstep with the placement through the layout
 	// coordinate journal; incStale forces a full rebuild after the
 	// placement object is replaced (adopt / broadcast decode).
-	inc        *wire.Incremental
-	incStale   bool
-	evalsSince int // evaluations since the last full-recompute checksum
+	inc      *wire.Incremental
+	incStale bool
 
 	// pinAttach[inc.PinIndex(id)+i] is attachSum for the cell's i-th
 	// CellPins entry: widths never change, so the goodness fold reads the
@@ -75,8 +74,6 @@ type Engine struct {
 	noImprove int
 	profile   Profile
 	muTrace   []float64
-	muHead    int  // ring position when the trace cap is reached
-	muWrapped bool // the ring has overwritten at least one entry
 
 	// Telemetry: tel is the per-run tally copied into Result.Telemetry;
 	// scanStats is a plain accumulator folded into tel and the
@@ -95,7 +92,7 @@ type Engine struct {
 	goodsBuf []float64     // per-objective goodness scratch (cellGoodness)
 	goodsOut []float64     // per-domain goodness scratch (Step)
 	vacRef   []layout.SlotRef
-	// speculative-exchange scratch (RestoreSearch / AdoptPlacement)
+	// solution-adoption scratch (AdoptPlacement)
 	patchSlots  []layout.SlotRef
 	patchDeltas []layout.SlotDelta
 	vacs        []wire.Vacancy
@@ -184,36 +181,8 @@ func (e *Engine) BestPlacement() *layout.Placement { return e.best }
 func (e *Engine) Goodness(id netlist.CellID) float64 { return e.goodness[id] }
 
 // MuTrace returns μ(s) after every evaluation so far, oldest first. With
-// Config.MuTraceCap set, only the most recent MuTraceCap values are kept;
-// with Config.DisableMuTrace set, the trace is empty.
-func (e *Engine) MuTrace() []float64 {
-	if !e.muWrapped {
-		return e.muTrace
-	}
-	out := make([]float64, 0, len(e.muTrace))
-	out = append(out, e.muTrace[e.muHead:]...)
-	out = append(out, e.muTrace[:e.muHead]...)
-	return out
-}
-
-// recordMu appends to the μ trace, honoring the recording switch and the
-// ring-buffer cap.
-func (e *Engine) recordMu(mu float64) {
-	cfg := &e.prob.Cfg
-	if cfg.DisableMuTrace {
-		return
-	}
-	if cfg.MuTraceCap > 0 && len(e.muTrace) >= cfg.MuTraceCap {
-		e.muTrace[e.muHead] = mu
-		e.muHead++
-		if e.muHead == cfg.MuTraceCap {
-			e.muHead = 0
-		}
-		e.muWrapped = true
-		return
-	}
-	e.muTrace = append(e.muTrace, mu)
-}
+// Config.DisableMuTrace set, the trace is empty.
+func (e *Engine) MuTrace() []float64 { return e.muTrace }
 
 // SetDomain restricts evaluation, selection and allocation to the given
 // cells (Type II domain decomposition). Pass nil to restore the full
@@ -327,7 +296,9 @@ func (e *Engine) EvaluateCosts() {
 	e.tel.CostFull++
 	ratios := fuzzy.Ratio(e.costs, e.prob.Lower)
 	e.mu = fuzzy.Eval(cfg.Objectives, ratios, cfg.Goals, e.prob.OWA, e.place.WidthViolation(cfg.Alpha))
-	e.recordMu(e.mu)
+	if !cfg.DisableMuTrace {
+		e.muTrace = append(e.muTrace, e.mu)
+	}
 
 	if e.mu > e.bestMu {
 		e.bestMu = e.mu
@@ -342,22 +313,19 @@ func (e *Engine) EvaluateCosts() {
 
 // syncIncremental brings the incremental net-length mirror into lockstep
 // with the placement: normally a journal drain marking only the nets
-// touched since the last evaluation dirty; a full rebuild after the
-// placement object was replaced, and periodically as the full-recompute
-// checksum. It reports whether a full rebuild ran and, after a drain, how
-// many nets the next Lengths refreshes.
+// touched since the last evaluation dirty; a full rebuild before the first
+// evaluation and after the placement object was replaced. It reports
+// whether a full rebuild ran and, after a drain, how many nets the next
+// Lengths refreshes.
 func (e *Engine) syncIncremental() (rebuilt bool, dirty int) {
-	if e.incStale || !e.inc.Built() || e.evalsSince >= e.prob.Cfg.FullEvalEvery {
+	if e.incStale || !e.inc.Built() {
 		e.place.JournalCoords(true)
 		e.place.ResetJournal()
 		e.inc.Rebuild(e.place)
 		e.incStale = false
-		e.evalsSince = 0
 		return true, 0
 	}
-	dirty = e.inc.Drain(e.place)
-	e.evalsSince++
-	return false, dirty
+	return false, e.inc.Drain(e.place)
 }
 
 // CostPhases returns the accumulated per-objective pipeline time —

@@ -99,7 +99,6 @@ func checkEvaluation(t *testing.T, name string, ckt *netlist.Circuit, obj fuzzy.
 		cfg.Seed = 2006
 		cfg.WireEstimator = est
 		cfg.DisableIncremental = reference
-		cfg.FullEvalEvery = 7 // a periodic rebuild mid-run
 		if obj.Has(fuzzy.Congest) {
 			cfg.CongestBins = 8
 		}
@@ -115,6 +114,10 @@ func checkEvaluation(t *testing.T, name string, ckt *netlist.Circuit, obj fuzzy.
 		rows = []int{1, n - 1}
 	}
 	for step := 0; step < 20; step++ {
+		if step%7 == 6 {
+			// Replace the placement object: a mirror rebuild mid-run.
+			inc.SetPlacement(inc.Placement().Clone())
+		}
 		if mode == "rows" {
 			ref.DomainFromRows(rows)
 			inc.DomainFromRows(rows)

@@ -1,11 +1,27 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"simevo/internal/fuzzy"
 	"simevo/internal/gen"
 )
+
+// runRebuildingEvery runs p's engine to completion, replacing the
+// placement object after every n-th step: the incremental engine then
+// rebuilds its net-length mirror at the next evaluation instead of
+// draining the coordinate journal. The reference engine has no mirror and
+// follows its usual trajectory.
+func runRebuildingEvery(p *Problem, n int) *Result {
+	eng := p.NewEngine(0)
+	steps := 0
+	return eng.RunContext(context.Background(), func(IterStats) {
+		if steps++; steps%n == 0 {
+			eng.SetPlacement(eng.Placement().Clone())
+		}
+	})
+}
 
 // TestIncrementalReproducesReferenceTrajectory asserts the tentpole
 // invariant: a full run on the incremental net-cost engine follows
@@ -21,9 +37,8 @@ func TestIncrementalReproducesReferenceTrajectory(t *testing.T) {
 		run := func(disable bool) *Result {
 			p := testProblem(t, obj, iters)
 			p.Cfg.DisableIncremental = disable
-			// A short checksum interval exercises the rebuild path mid-run.
-			p.Cfg.FullEvalEvery = 7
-			return p.NewEngine(0).Run()
+			// Exercise the rebuild path mid-run.
+			return runRebuildingEvery(p, 7)
 		}
 		ref := run(true)
 		inc := run(false)
@@ -137,8 +152,7 @@ func TestGoodnessCacheMatchesReference(t *testing.T) {
 	run := func(scratch bool) *Result {
 		p := testProblem(t, fuzzy.WirePower, 30)
 		p.Cfg.DisableIncremental = scratch
-		p.Cfg.FullEvalEvery = 11
-		return p.NewEngine(0).Run()
+		return runRebuildingEvery(p, 11)
 	}
 	ref := run(true)
 	inc := run(false)
@@ -147,35 +161,44 @@ func TestGoodnessCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMuTraceRingCap asserts the trace ring keeps the most recent
-// evaluations in order, and that recording can be disabled entirely.
-func TestMuTraceRingCap(t *testing.T) {
-	full := testProblem(t, fuzzy.WirePower, 20)
-	ef := full.NewEngine(0)
-	rf := ef.Run()
-
-	capped := testProblem(t, fuzzy.WirePower, 20)
-	capped.Cfg.MuTraceCap = 5
-	ec := capped.NewEngine(0)
-	rc := ec.Run()
-
-	if len(rc.MuTrace) != 5 {
-		t.Fatalf("capped trace has %d entries, want 5", len(rc.MuTrace))
+// TestDrainOnlyMatchesReference runs the incremental engine with no
+// rebuild after the first evaluation — every later evaluation drains the
+// coordinate journal — for well over a hundred evaluations of s1196 under
+// wire+power+delay, and requires every μ to equal the DisableIncremental
+// reference bitwise: the drained mirror does not drift.
+func TestDrainOnlyMatchesReference(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("long reference run; skipped under -short and -race")
 	}
-	tail := rf.MuTrace[len(rf.MuTrace)-5:]
-	for i := range tail {
-		if rc.MuTrace[i] != tail[i] {
-			t.Fatalf("ring entry %d = %v, want %v (tail of full trace)", i, rc.MuTrace[i], tail[i])
+	ckt, err := gen.Benchmark("s1196")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(disable bool) *Result {
+		cfg := DefaultConfig(fuzzy.WirePowerDelay)
+		cfg.MaxIters = 130
+		cfg.Seed = 2006
+		cfg.DisableIncremental = disable
+		p, err := NewProblem(ckt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.NewEngine(0).Run()
+	}
+	ref := run(true)
+	inc := run(false)
+	if got := inc.Telemetry.FullRebuilds; got != 1 {
+		t.Fatalf("incremental engine rebuilt its mirror %d times, want only the first evaluation", got)
+	}
+	if len(ref.MuTrace) != len(inc.MuTrace) || len(inc.MuTrace) < 130 {
+		t.Fatalf("trace lengths %d vs %d, want ≥ 130 evaluations", len(ref.MuTrace), len(inc.MuTrace))
+	}
+	for i := range ref.MuTrace {
+		if ref.MuTrace[i] != inc.MuTrace[i] {
+			t.Fatalf("μ diverged at evaluation %d: reference %v, incremental %v", i, ref.MuTrace[i], inc.MuTrace[i])
 		}
 	}
-
-	off := testProblem(t, fuzzy.WirePower, 20)
-	off.Cfg.DisableMuTrace = true
-	ro := off.NewEngine(0).Run()
-	if len(ro.MuTrace) != 0 {
-		t.Fatalf("disabled trace recorded %d entries", len(ro.MuTrace))
-	}
-	if ro.BestMu != rf.BestMu {
-		t.Fatalf("trace recording changed the trajectory: %v vs %v", ro.BestMu, rf.BestMu)
+	if ref.Best.Fingerprint() != inc.Best.Fingerprint() {
+		t.Fatal("best placements diverged")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // incremental engine (net lengths from the wire.Incremental mirror) must
 // report bitwise-identical fuzzy.Costs — wirelength, power, and delay —
 // after every single evaluation of a WirePowerDelay run, compared against
-// the Config.DisableIncremental from-scratch reference. A short
-// FullEvalEvery exercises the periodic mirror rebuild mid-run.
+// the Config.DisableIncremental from-scratch reference. Replacing the
+// placement object every fourth step forces mid-run mirror rebuilds.
 func TestMultiObjectiveCostTrajectoriesAllCircuits(t *testing.T) {
 	for _, name := range gen.Catalog() {
 		name := name
@@ -28,7 +28,6 @@ func TestMultiObjectiveCostTrajectoriesAllCircuits(t *testing.T) {
 				cfg.MaxIters = iters
 				cfg.Seed = 2006
 				cfg.DisableIncremental = disable
-				cfg.FullEvalEvery = 4
 				p, err := NewProblem(ckt, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -38,6 +37,9 @@ func TestMultiObjectiveCostTrajectoriesAllCircuits(t *testing.T) {
 			ref := mk(true)
 			inc := mk(false)
 			for i := 0; i < iters; i++ {
+				if i%4 == 3 {
+					inc.SetPlacement(inc.Placement().Clone())
+				}
 				ref.Step()
 				inc.Step()
 				if ref.Costs() != inc.Costs() {
@@ -139,7 +141,8 @@ func TestScanPruneSlackRegression(t *testing.T) {
 
 // TestWirePowerCostTrajectory covers the two-objective mode the paper's
 // Tables 1-2 run: the wire and power costs must stay bitwise equal between
-// the incremental and reference modes step by step.
+// the incremental and reference modes step by step, across a mirror
+// rebuild forced every sixth step.
 func TestWirePowerCostTrajectory(t *testing.T) {
 	ckt, err := gen.Benchmark("s1196")
 	if err != nil {
@@ -151,7 +154,6 @@ func TestWirePowerCostTrajectory(t *testing.T) {
 		cfg.MaxIters = iters
 		cfg.Seed = 2006
 		cfg.DisableIncremental = disable
-		cfg.FullEvalEvery = 6
 		p, err := NewProblem(ckt, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -161,6 +163,9 @@ func TestWirePowerCostTrajectory(t *testing.T) {
 	ref := mk(true)
 	inc := mk(false)
 	for i := 0; i < iters; i++ {
+		if i%6 == 5 {
+			inc.SetPlacement(inc.Placement().Clone())
+		}
 		ref.Step()
 		inc.Step()
 		if ref.Costs() != inc.Costs() {

@@ -11,7 +11,7 @@ import (
 
 // Profile accumulates time spent in each SimE operator. The paper's
 // Section 4 reports the shares for its serial implementation (allocation
-// ~98%); cmd/simevo-profile regenerates that experiment.
+// ~98%); `simevo-bench -table profile` regenerates that experiment.
 type Profile struct {
 	Eval   time.Duration // cost + goodness evaluation
 	Select time.Duration

@@ -19,7 +19,6 @@ import (
 	"simevo/internal/fuzzy"
 	"simevo/internal/gen"
 	"simevo/internal/mpi"
-	"simevo/internal/netlist"
 	"simevo/internal/parallel"
 	"simevo/internal/stats"
 )
@@ -127,8 +126,6 @@ func cells(name string) int {
 	}
 	return ckt.NumMovable()
 }
-
-var _ = netlist.ComputeStats // keep the import for documentation references
 
 // Profile regenerates the Section 4 experiment: the share of runtime spent
 // in each SimE operator for the two- and three-objective serial versions.

@@ -46,7 +46,7 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 	var out *Result
 	err := cl.Run(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			res, err := typeIIIStore(prob, c, nil, 100)
+			res, err := typeIIIStore(prob, c, nil)
 			if err != nil {
 				return err
 			}
@@ -64,9 +64,9 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 			}
 			seq++
 			c.Send(0, tagT3Post, encodePost(seq, mu, best))
-			c.Send(0, tagT3Poll, encodePollReq(0, mu))
+			c.Send(0, tagT3Poll, encodePollReq(mu))
 			news, _ := c.Recv(0, tagT3News)
-			_, _, storeMu, place, err := decodeNews(prob, news)
+			storeMu, place, err := decodeNews(prob, news)
 			if err != nil {
 				exchErr = fmt.Errorf("parallel: rank %d: corrupt store news: %w", c.Rank(), err)
 				return false, 0, nil

@@ -40,8 +40,7 @@ func TestTypeIIIAsyncDeterministic(t *testing.T) {
 	}
 	if a.Exchange.StoreEpoch != b.Exchange.StoreEpoch ||
 		a.Exchange.Posted != b.Exchange.Posted ||
-		a.Exchange.Adopted != b.Exchange.Adopted ||
-		a.Exchange.Rejected != b.Exchange.Rejected {
+		a.Exchange.Adopted != b.Exchange.Adopted {
 		t.Fatalf("exchange activity not deterministic: %+v vs %+v", a.Exchange, b.Exchange)
 	}
 	if a.Exchange.StoreEpoch == 0 {
@@ -53,9 +52,8 @@ func TestTypeIIIAsyncDeterministic(t *testing.T) {
 }
 
 // TestTypeIIISyncExchange keeps the blocking exchange working behind
-// Options.SyncExchange: it reports its round-trip overhead, never
-// speculates, and the store counts exactly the improvements the searchers
-// posted.
+// Options.SyncExchange: it reports its round-trip overhead, and the store
+// counts exactly the improvements the searchers posted.
 func TestTypeIIISyncExchange(t *testing.T) {
 	prob := testProblem(t, fuzzy.WirePower, 25, 2006)
 	opt := detOpts(4)
@@ -70,9 +68,6 @@ func TestTypeIIISyncExchange(t *testing.T) {
 	}
 	if res.Exchange == nil {
 		t.Fatal("sync Type III returned no exchange stats")
-	}
-	if res.Exchange.Restores != 0 {
-		t.Fatalf("sync protocol cannot speculate, got %d restores", res.Exchange.Restores)
 	}
 	if res.Exchange.Posted == 0 {
 		t.Fatal("no posts recorded; blocking searchers' improvements never reached the store")
@@ -139,7 +134,7 @@ func TestTypeIIIStoreNeverRegresses(t *testing.T) {
 		return scriptFrame{src: src, tag: tagT3Post, data: encodePost(seq, mu, place())}
 	}
 	poll := func(src int, mu float64) scriptFrame {
-		return scriptFrame{src: src, tag: tagT3Poll, data: encodePollReq(0, mu)}
+		return scriptFrame{src: src, tag: tagT3Poll, data: encodePollReq(mu)}
 	}
 	done := func(src int, mu float64) scriptFrame {
 		var st searcherStats
@@ -158,7 +153,7 @@ func TestTypeIIIStoreNeverRegresses(t *testing.T) {
 		done(1, 0.45),
 		done(2, 0.60),
 	}}
-	res, err := typeIIIStore(prob, c, nil, 10)
+	res, err := typeIIIStore(prob, c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,76 +175,15 @@ func TestTypeIIIStoreNeverRegresses(t *testing.T) {
 	if len(news) != 2 {
 		t.Fatalf("store sent %d news frames, want 2", len(news))
 	}
-	if news[0].data[12] != 1 {
+	if news[0].data[0] != 1 {
 		t.Fatal("first poll (behind the best) should have received a solution")
 	}
-	gotMu := math.Float64frombits(binary.LittleEndian.Uint64(news[0].data[13:]))
+	gotMu := math.Float64frombits(binary.LittleEndian.Uint64(news[0].data[1:]))
 	if gotMu != 0.50 {
 		t.Fatalf("news solution μ = %v, want the store best 0.50 at poll time", gotMu)
 	}
-	if news[1].data[12] != 0 {
+	if news[1].data[0] != 0 {
 		t.Fatal("second poll (already at the best) should have received keep-yours")
-	}
-}
-
-// TestTypeIIIStoreCullsAndClones checks the consultation-budget
-// reallocation: a searcher that keeps winning is granted a doubled budget
-// (cloned — it explores alone longer), one that posts without ever
-// winning is halved (culled — pulled toward the store's best more often).
-func TestTypeIIIStoreCullsAndClones(t *testing.T) {
-	prob := testProblem(t, fuzzy.WirePower, 10, 2006)
-	r := rng.New(8)
-	place := func() *layout.Placement {
-		return layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, r)
-	}
-	post := func(src int, seq uint64, mu float64) scriptFrame {
-		return scriptFrame{src: src, tag: tagT3Post, data: encodePost(seq, mu, place())}
-	}
-	poll := func(src int, mu float64) scriptFrame {
-		return scriptFrame{src: src, tag: tagT3Poll, data: encodePollReq(0, mu)}
-	}
-	done := func(src int, mu float64) scriptFrame {
-		var st searcherStats
-		return scriptFrame{src: src, tag: tagT3Done, data: encodeDone(5, mu, place(), &st)}
-	}
-	c := &scriptComm{size: 3, frames: []scriptFrame{
-		post(1, 1, 0.40), // rank 1 wins...
-		post(1, 2, 0.50),
-		post(1, 3, 0.60),
-		post(2, 1, 0.10), // ...rank 2 posts but never wins
-		post(2, 2, 0.20),
-		poll(1, 0.60),
-		poll(2, 0.20),
-		done(1, 0.60),
-		done(2, 0.20),
-	}}
-	res, err := typeIIIStore(prob, c, nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var grant [3]int
-	for _, f := range c.sent {
-		if f.tag == tagT3News {
-			grant[f.src] = int(binary.LittleEndian.Uint32(f.data[8:]))
-		}
-	}
-	if grant[1] != 20 {
-		t.Fatalf("winner's granted budget = %d, want 20 (2x base)", grant[1])
-	}
-	if grant[2] != 5 {
-		t.Fatalf("loser's granted budget = %d, want 5 (base/2)", grant[2])
-	}
-	for _, sr := range res.Exchange.Searchers {
-		switch sr.Rank {
-		case 1:
-			if sr.Wins != 3 {
-				t.Fatalf("rank 1 wins = %d, want 3", sr.Wins)
-			}
-		case 2:
-			if sr.Wins != 0 {
-				t.Fatalf("rank 2 wins = %d, want 0", sr.Wins)
-			}
-		}
 	}
 }
 
@@ -264,12 +198,12 @@ var storeFrameTags = [...]int{tagT3Post, tagT3Poll, tagT3Done}
 func FuzzTypeIIIStoreFrames(f *testing.F) {
 	prob := testProblem(f, fuzzy.WirePower, 10, 2006)
 	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(5))
-	st := searcherStats{adopted: 1, rejected: 2, restores: 2, roundNs: []int64{7, 9}}
+	st := searcherStats{adopted: 1, roundNs: []int64{7, 9}}
 	post := encodePost(1, 0.7, place)
 	done := encodeDone(5, 0.8, place, &st)
 	f.Add(uint8(0), post)
 	f.Add(uint8(0), post[:20])
-	f.Add(uint8(1), encodePollReq(3, 0.2))
+	f.Add(uint8(1), encodePollReq(0.2))
 	f.Add(uint8(1), []byte{1, 2, 3})
 	f.Add(uint8(2), done)
 	f.Add(uint8(2), done[:len(done)-3])
@@ -280,7 +214,7 @@ func FuzzTypeIIIStoreFrames(f *testing.F) {
 			{src: 1, tag: tagT3Done, data: encodeDone(5, 0.3, place, &clean)},
 			{src: 2, tag: tagT3Done, data: encodeDone(5, 0.4, place, &clean)},
 		}}
-		res, err := typeIIIStore(prob, c, nil, 10)
+		res, err := typeIIIStore(prob, c, nil)
 		if err != nil {
 			return
 		}
@@ -297,11 +231,11 @@ func FuzzTypeIIIStoreFrames(f *testing.F) {
 func FuzzNewsDecode(f *testing.F) {
 	prob := testProblem(f, fuzzy.WirePower, 10, 2006)
 	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(6))
-	f.Add(encodeNews(4, 10, nil))
-	f.Add(encodeNews(4, 10, encodeSolution(0.6, place)))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 9})
+	f.Add(encodeNews(nil))
+	f.Add(encodeNews(encodeSolution(0.6, place)))
+	f.Add([]byte{1, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _, p, err := decodeNews(prob, data)
+		_, p, err := decodeNews(prob, data)
 		if err == nil && p != nil {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("accepted news carries an invalid placement: %v", err)
@@ -317,15 +251,15 @@ func FuzzDoneStatsDecode(f *testing.F) {
 	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(7))
 	st := searcherStats{adopted: 3, roundNs: []int64{1, 2, 3}}
 	frame := encodeDone(5, 0.5, place, &st)
-	f.Add(frame[len(frame)-16-8*len(st.roundNs):])
+	f.Add(frame[len(frame)-8-8*len(st.roundNs):])
 	f.Add([]byte{})
-	f.Add(make([]byte, 16))
+	f.Add(make([]byte, 8))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeDoneStats(data)
 		if err != nil {
 			return
 		}
-		if len(data) != 16+8*len(got.roundNs) {
+		if len(data) != 8+8*len(got.roundNs) {
 			t.Fatalf("accepted %d-byte blob announcing %d samples", len(data), len(got.roundNs))
 		}
 	})

@@ -12,7 +12,7 @@ import (
 // Type III runs (s1196 wp, 40 iterations, seed 2006, 4 ranks, retry 5,
 // FastEthernet, compute measurement off). A blocking segment is a
 // request/reply round trip plus the adoption rebuild; an asynchronous one
-// is a post, a poll issue, a news application or a speculation restore.
+// is a post, a poll issue, or a news application with its adoption.
 const exchangeSpeedupFloor = 2.0
 
 // TestAsyncExchangeSpeedup compares the median exchange segment of the two

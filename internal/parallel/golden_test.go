@@ -28,7 +28,11 @@ var goldenParallel = []struct {
 	hash string
 }{
 	{"typeII-p3", goldenTypeII, "ff505a4f2f434671"},
-	{"typeIII-async-p4", func(t *testing.T) string { return goldenTypeIII(t, false) }, "d1b5598490680db3"},
+	// Re-recorded when the async searchers stopped speculating: a better
+	// store solution is adopted outright and, as in blocking mode, the
+	// next evaluation's improvement re-posts it. μ is unchanged
+	// (0.5789353318492759); posted went 51 → 52.
+	{"typeIII-async-p4", func(t *testing.T) string { return goldenTypeIII(t, false) }, "f0b0208d9b5757d4"},
 	// The store epoch counts strict improvements in arrival order, so it
 	// also pins the size of every frame a searcher sends: a larger poll
 	// delays the sender's later posts in virtual time and can reorder them.
@@ -112,13 +116,15 @@ func goldenTypeIII(t *testing.T, block bool) string {
 	h.put(res.Best.Fingerprint())
 	h.put(ex.StoreEpoch)
 	h.putI(ex.Adopted)
-	h.putI(ex.Rejected)
-	h.putI(ex.Restores)
+	// Two zero words where the hashes once covered the speculation's
+	// rejected and restored counts, so the recorded hashes stay valid.
+	h.putI(0)
+	h.putI(0)
 	if !block {
 		h.putI(ex.Posted)
 	}
-	t.Logf("μ %v epoch %d posted %d adopted %d rejected %d restores %d",
-		res.BestMu, ex.StoreEpoch, ex.Posted, ex.Adopted, ex.Rejected, ex.Restores)
+	t.Logf("μ %v epoch %d posted %d adopted %d",
+		res.BestMu, ex.StoreEpoch, ex.Posted, ex.Adopted)
 	return h.sum()
 }
 

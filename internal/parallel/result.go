@@ -35,13 +35,12 @@ type Options struct {
 	// — the search-diversification idea of the paper's Section 7.
 	Diversify bool
 	// SyncExchange selects the paper's blocking Type III exchange: a
-	// searcher that consults the store waits for its news and adopts a
-	// better solution outright. The default is asynchronous and
-	// speculative: the searcher keeps iterating until the news arrives and
-	// adopts with snapshot/restore. Both modes speak the same post/poll/news
-	// frames — see typeiii.go. The blocking mode is the paper's protocol
-	// and the reference TestAsyncExchangeSpeedup times the asynchronous
-	// mode against.
+	// searcher that consults the store waits for its news. The default is
+	// asynchronous: the searcher keeps iterating until the news arrives.
+	// Either way a strictly better store solution is adopted outright, and
+	// both modes speak the same post/poll/news frames — see typeiii.go. The
+	// blocking mode is the paper's protocol and the reference
+	// TestAsyncExchangeSpeedup times the asynchronous mode against.
 	SyncExchange bool
 	// Context cancels a run cooperatively: the master (Type I/II) or every
 	// searcher (Type III) checks it between iterations, winds the cluster
@@ -134,23 +133,24 @@ type Result struct {
 	// engine; each searcher's counters feed the process registry).
 	Telemetry telemetry.EngineSnapshot
 	// Exchange reports the Type III exchange protocol's work: posts,
-	// speculative adoptions and rejections, snapshot restores, the
-	// store's final epoch, and the per-exchange overhead distribution.
+	// adoptions, the store's final epoch, and the per-exchange overhead
+	// distribution.
 	// Nil for strategies without a central store.
 	Exchange *ExchangeStats
 }
 
 // ExchangeStats aggregates the Type III exchange activity of one run.
-// Posted/Adopted/Rejected/Restores sum over searchers; Searchers carries
-// the store's per-rank improvement-rate table (the input of its cull/clone
-// budget reallocation). RoundNs are the timed exchange segments — in
+// Posted/Adopted sum over searchers; Searchers carries the store's
+// per-rank post counts. RoundNs are the timed exchange segments — in
 // blocking mode one poll-to-adoption round each, in the async mode the
 // non-blocking machinery actually paid per exchange (post encode/send,
-// news decode, speculative snapshot/adopt, restore).
+// poll issue, news decode and adoption).
 type ExchangeStats struct {
-	Posted   int
-	Adopted  int
+	Posted  int
+	Adopted int
+	// Deprecated: always zero; kept only because bench/ reads it.
 	Rejected int
+	// Deprecated: always zero; kept only because bench/ reads it.
 	Restores int
 	// StoreEpoch is the store's final best-solution epoch: the number of
 	// times the global best improved.
@@ -163,8 +163,6 @@ type ExchangeStats struct {
 type SearcherRate struct {
 	Rank  int
 	Posts int // improvements posted
-	Wins  int // posts that improved the global best
-	Retry int // consultation budget the store last granted the rank
 }
 
 // P50RoundNs returns the median timed exchange segment (0 when none were

@@ -19,14 +19,9 @@ import (
 const (
 	tagT3Done = 33 + iota // searcher -> store: final best + exchange stats
 	tagT3Post             // searcher -> store: sequenced improvement post (fire-and-forget)
-	tagT3Poll             // searcher -> store: 16-byte best-so-far poll
-	tagT3News             // store -> searcher: epoch + budget + optionally a better solution
+	tagT3Poll             // searcher -> store: 8-byte best-so-far poll
+	tagT3News             // store -> searcher: optionally a better solution
 )
-
-// specWindow is the speculation horizon: long enough for an adopted
-// solution to prove productive, short enough that a reject wastes little
-// budget.
-const specWindow = 8
 
 // RunTypeIII executes the parallel-search strategy of the paper's Figure 6,
 // modeled on asynchronous multiple-Markov-chain parallel SA [1]: rank 0 is
@@ -35,15 +30,12 @@ const specWindow = 8
 // random stream.
 //
 // A searcher that improves posts the solution to the store without
-// waiting; a searcher that stalls for Options.Retry iterations sends a
-// 16-byte poll, and the store answers with a news frame. By default the
-// exchange is asynchronous and speculative: the searcher keeps iterating
-// until the news arrives, and adopts a strictly better store solution
-// speculatively — it snapshots its search state, patches the placement
-// in, runs a short speculation window, and on reject restores the
-// snapshot. Options.SyncExchange selects the paper's blocking exchange
-// over the same frames: the searcher waits for the news and adopts a
-// better solution outright.
+// waiting; a searcher that stalls for Options.Retry iterations sends an
+// 8-byte poll, and the store answers with a news frame. A strictly better
+// store solution is adopted outright. By default the exchange is
+// asynchronous: the searcher keeps iterating until the news arrives.
+// Options.SyncExchange selects the paper's blocking exchange over the same
+// frames: the searcher waits for the news.
 //
 // On the simulated cluster the async protocol is deterministic: polls
 // participate in the virtual-time schedule (mpi.Comm.Poll), so for a
@@ -87,7 +79,7 @@ func TypeIIIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 		return nil, typeIIISearcher(prob, c, retry, opt, opt.SyncExchange)
 	}
 	fc := tolerantComm(c, opt)
-	out, err := typeIIIStore(prob, c, fc, retry)
+	out, err := typeIIIStore(prob, c, fc)
 	if err != nil {
 		return nil, err
 	}
@@ -109,21 +101,17 @@ func TypeIIIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 // searcherStats is one searcher's exchange accounting, shipped to the
 // store inside the Done frame. Posts are counted by the store itself.
 type searcherStats struct {
-	adopted  int
-	rejected int
-	restores int
-	roundNs  []int64
+	adopted int
+	roundNs []int64
 }
 
 // encodeDone is the tagT3Done wire format: the executed iteration count
-// (u64), the final solution, and the exchange-stats blob — three u32
-// counters, a u32 sample count, and the timed exchange segments.
+// (u64), the final solution, and the exchange-stats blob — the u32
+// adoption count, a u32 sample count, and the timed exchange segments.
 func encodeDone(iters int, mu float64, place *layout.Placement, st *searcherStats) []byte {
 	buf := binary.LittleEndian.AppendUint64(nil, uint64(iters))
 	buf = append(buf, encodeSolution(mu, place)...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.adopted))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.rejected))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.restores))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.roundNs)))
 	for _, ns := range st.roundNs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ns))
@@ -135,14 +123,12 @@ func encodeDone(iters int, mu float64, place *layout.Placement, st *searcherStat
 // solution in a Done frame.
 func decodeDoneStats(rest []byte) (searcherStats, error) {
 	var st searcherStats
-	if len(rest) < 16 {
+	if len(rest) < 8 {
 		return st, fmt.Errorf("parallel: done stats blob too short (%d bytes)", len(rest))
 	}
 	st.adopted = int(binary.LittleEndian.Uint32(rest[0:]))
-	st.rejected = int(binary.LittleEndian.Uint32(rest[4:]))
-	st.restores = int(binary.LittleEndian.Uint32(rest[8:]))
-	n := uint64(binary.LittleEndian.Uint32(rest[12:]))
-	rest = rest[16:]
+	n := uint64(binary.LittleEndian.Uint32(rest[4:]))
+	rest = rest[8:]
 	if uint64(len(rest)) != 8*n {
 		return st, fmt.Errorf("parallel: done stats blob: %d samples announced, %d bytes present", n, len(rest))
 	}
@@ -195,63 +181,52 @@ func encodePost(seq uint64, mu float64, place *layout.Placement) []byte {
 	return append(buf, encodeSolution(mu, place)...)
 }
 
-// poll wire format: the searcher's last-seen store epoch and its current
-// best μ — 16 bytes, no placement. The store already holds every
-// improvement the searcher posted, so a consultation never re-sends one.
-func encodePollReq(epoch uint64, mu float64) []byte {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], epoch)
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(mu))
-	return buf[:]
+// poll wire format: the searcher's current best μ — 8 bytes, no
+// placement. The store already holds every improvement the searcher
+// posted, so a consultation never re-sends one.
+func encodePollReq(mu float64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(mu))
 }
 
-// news wire format: store epoch (u64), granted consultation budget (u32),
-// and a has-solution flag (u8) followed by the solution when the store's
-// best strictly beats the poller's μ.
-func encodeNews(epoch uint64, retry int, solution []byte) []byte {
-	buf := make([]byte, 13, 13+len(solution))
-	binary.LittleEndian.PutUint64(buf[0:], epoch)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(retry))
-	if len(solution) > 0 {
-		buf[12] = 1
-		buf = append(buf, solution...)
+// news wire format: a has-solution flag (u8) followed by the solution when
+// the store's best strictly beats the poller's μ.
+func encodeNews(solution []byte) []byte {
+	if len(solution) == 0 {
+		return []byte{0}
 	}
-	return buf
+	return append([]byte{1}, solution...)
 }
 
-func decodeNews(prob *core.Problem, data []byte) (epoch uint64, retry int, mu float64, place *layout.Placement, err error) {
-	if len(data) < 13 {
-		return 0, 0, 0, nil, fmt.Errorf("parallel: news payload too short (%d bytes)", len(data))
+// decodeNews parses a news frame; place is nil when the store's best does
+// not beat the poller's.
+func decodeNews(prob *core.Problem, data []byte) (mu float64, place *layout.Placement, err error) {
+	if len(data) < 1 {
+		return 0, nil, errors.New("parallel: news payload empty")
 	}
-	epoch = binary.LittleEndian.Uint64(data[0:])
-	retry = int(binary.LittleEndian.Uint32(data[8:]))
-	if data[12] == 0 {
-		return epoch, retry, 0, nil, nil
+	if data[0] == 0 {
+		return 0, nil, nil
 	}
-	mu, place, _, err = decodeSolution(prob, data[13:])
-	return epoch, retry, mu, place, err
+	mu, place, _, err = decodeSolution(prob, data[1:])
+	return mu, place, err
 }
 
 // --- store ---
 
-// searcherEntry is the store's improvement-rate record for one searcher
-// rank — the cull/clone input of its budget reallocation.
+// searcherEntry is the store's record of one searcher rank's posts.
 type searcherEntry struct {
 	lastSeq uint64
 	posts   int
-	wins    int
-	retry   int // last granted consultation budget
 }
 
 // typeIIIStore runs the central best-solution store on rank 0: it merges
-// sequenced posts, answers every 16-byte poll with a news frame, and
+// sequenced posts, answers every 8-byte poll with a news frame, and
 // collects each rank's Done. Blocking and asynchronous searchers and the
 // cooperating workers of coop.go all speak this one frame set; they differ
 // only in when they read the news. With a non-nil fc the store degrades
 // instead of failing: a searcher that dies or sends corrupt frames counts
 // as done (its contributions so far are kept), and the run errors only if
 // every searcher is lost before any solution arrived.
-func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Result, error) {
+func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 	bestMu := -1.0
 	var bestData []byte // encoded solution, kept serialized for cheap replies
 	var best *layout.Placement
@@ -261,48 +236,11 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 	table := make(map[int]*searcherEntry)
 	exch := &ExchangeStats{}
 
-	entry := func(r int) *searcherEntry {
-		e := table[r]
-		if e == nil {
-			e = &searcherEntry{retry: baseRetry}
-			table[r] = e
-		}
-		return e
-	}
 	// improve installs a new global best and advances the epoch.
 	improve := func(mu float64, place *layout.Placement, data []byte) {
 		bestMu, best, bestData = mu, place, data
 		epoch++
 		telemetry.ExchangeStoreEpoch.Set(int64(epoch))
-	}
-	// budgetFor reallocates consultation budgets between searchers: the
-	// outright winner's budget is cloned (doubled — it explores alone
-	// longer between consultations), a searcher with posts but no wins
-	// while others win is culled (halved — pulled toward the store's best
-	// more often). Pure integer bookkeeping, deterministic on the
-	// simulator's reference schedule.
-	budgetFor := func(r int) int {
-		e := entry(r)
-		maxWins, winners := 0, 0
-		for _, se := range table {
-			if se.wins > maxWins {
-				maxWins, winners = se.wins, 1
-			} else if se.wins == maxWins && se.wins > 0 {
-				winners++
-			}
-		}
-		b := baseRetry
-		switch {
-		case maxWins > 0 && e.wins == maxWins && winners == 1:
-			b = 2 * baseRetry
-		case maxWins > 0 && e.wins == 0 && e.posts > 0:
-			b = baseRetry / 2
-			if b < 1 {
-				b = 1
-			}
-		}
-		e.retry = b
-		return b
 	}
 
 	var doneRanks, deadRanks map[int]bool
@@ -370,7 +308,11 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 				continue
 			}
 			seq := binary.LittleEndian.Uint64(data)
-			e := entry(st.Source)
+			e := table[st.Source]
+			if e == nil {
+				e = &searcherEntry{}
+				table[st.Source] = e
+			}
 			if seq <= e.lastSeq {
 				continue
 			}
@@ -385,22 +327,21 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 			e.posts++
 			exch.Posted++
 			if mu > bestMu {
-				e.wins++
 				improve(mu, place, data[8:])
 			}
 		case tagT3Poll:
-			if len(data) < 16 {
+			if len(data) < 8 {
 				if err := dropOrFail(st.Source, fmt.Errorf("parallel: poll payload too short (%d bytes)", len(data))); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			mu := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+			mu := math.Float64frombits(binary.LittleEndian.Uint64(data))
 			var solution []byte
 			if bestMu > mu {
 				solution = bestData
 			}
-			reply(st.Source, encodeNews(epoch, budgetFor(st.Source), solution))
+			reply(st.Source, encodeNews(solution))
 		case tagT3Done:
 			// Done wire format: 8-byte iteration count, the solution, then
 			// the exchange-stats blob. A corrupt Done still ends the rank.
@@ -419,11 +360,8 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 				iters = n
 			}
 			exch.Adopted += sst.adopted
-			exch.Rejected += sst.rejected
-			exch.Restores += sst.restores
 			exch.RoundNs = append(exch.RoundNs, sst.roundNs...)
 			if mu > bestMu {
-				entry(st.Source).wins++
 				improve(mu, place, encodeSolution(mu, place))
 			}
 		default:
@@ -439,7 +377,7 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 	exch.StoreEpoch = epoch
 	for r := 1; r < c.Size(); r++ {
 		if e, ok := table[r]; ok {
-			exch.Searchers = append(exch.Searchers, SearcherRate{Rank: r, Posts: e.posts, Wins: e.wins, Retry: e.retry})
+			exch.Searchers = append(exch.Searchers, SearcherRate{Rank: r, Posts: e.posts})
 		}
 	}
 	res := &Result{BestMu: bestMu, Best: best, Iters: iters, Exchange: exch}
@@ -450,12 +388,10 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm, baseRetry int) (*Res
 
 // typeIIISearcher runs one searcher rank. Every strict improvement of its
 // best is posted to the store with a sequence number; after retry
-// iterations without one it polls the store with its best μ. With block
-// set it waits for the store's news and adopts a strictly better solution
-// outright — the paper's exchange. Otherwise it keeps iterating, picks up
-// the news with a non-blocking poll whenever it has arrived, and adopts
-// speculatively: snapshot, adopt, a specWindow-iteration probe, and a
-// restore of the snapshot if the probe fails to improve on the adopted μ.
+// iterations without one it polls the store with its best μ and adopts a
+// strictly better store solution outright. With block set it waits for
+// the store's news — the paper's exchange. Otherwise it keeps iterating
+// and picks up the news with a non-blocking poll whenever it has arrived.
 func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block bool) error {
 	// Every searcher starts from the canonical reference placement with its
 	// own random stream (the paper's Table 4 setup).
@@ -469,18 +405,13 @@ func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block b
 	var (
 		stats       searcherStats
 		seq         uint64 // post sequence number (high-water mark at the store)
-		epoch       uint64 // last store epoch seen in a news frame
 		count       int    // iterations without improvement since the last event
 		pollPending bool   // a poll is in flight; await its news before sending another
-
-		spec     *core.SearchSnapshot // non-nil while speculating
-		specMu   float64              // μ of the adopted remote solution
-		specLeft int                  // speculation iterations remaining
 	)
 
 	// The timed exchange segments: in blocking mode one poll-to-adoption
 	// round each; otherwise every piece of exchange work the search pays
-	// for (post, poll, news handling, restore).
+	// for (post, poll, news handling).
 	observe := func(start time.Time) {
 		ns := int64(time.Since(start))
 		if block {
@@ -500,27 +431,15 @@ func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block b
 		telemetry.ExchangePosted.Inc()
 	}
 	news := func(data []byte) error {
-		newsEpoch, grant, mu, place, err := decodeNews(prob, data)
+		mu, place, err := decodeNews(prob, data)
 		if err != nil {
 			return fmt.Errorf("parallel: rank %d: corrupt news frame: %w", c.Rank(), err)
 		}
-		epoch = newsEpoch
-		if grant > 0 {
-			retry = grant
-		}
-		if place == nil || mu <= eng.BestMu() {
-			return nil
-		}
-		if block {
+		if place != nil && mu > eng.BestMu() {
 			eng.AdoptPlacement(place)
 			stats.adopted++
 			telemetry.ExchangeAdopted.Inc()
-			return nil
 		}
-		spec = eng.SnapshotSearch()
-		eng.AdoptPlacement(place)
-		specMu = mu
-		specLeft = specWindow
 		return nil
 	}
 
@@ -532,31 +451,6 @@ func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block b
 		st := eng.Step()
 		if c.Rank() == 1 {
 			opt.report(st)
-		}
-
-		if spec != nil {
-			// Speculating ahead from an adopted remote best: accept as
-			// soon as the probe improves past the adopted μ, reject by
-			// restoring the pre-adoption state when the window closes.
-			specLeft--
-			if eng.BestMu() > specMu {
-				spec = nil
-				stats.adopted++
-				telemetry.ExchangeAdopted.Inc()
-				post() // share the improvement the adoption enabled
-				count = 0
-			} else if specLeft <= 0 {
-				start := time.Now()
-				eng.RestoreSearch(spec)
-				observe(start)
-				spec = nil
-				stats.rejected++
-				stats.restores++
-				telemetry.ExchangeRejected.Inc()
-				telemetry.SpeculationRestores.Inc()
-				count = 0
-			}
-			continue
 		}
 
 		if eng.BestMu() > prevBest {
@@ -580,7 +474,7 @@ func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block b
 		}
 		if count > retry {
 			start := time.Now()
-			c.Send(0, tagT3Poll, encodePollReq(epoch, eng.BestMu()))
+			c.Send(0, tagT3Poll, encodePollReq(eng.BestMu()))
 			if block {
 				data, _ := c.Recv(0, tagT3News)
 				if err := news(data); err != nil {

@@ -102,9 +102,10 @@ type Spec struct {
 	// Diversify gives each Type III searcher a distinct allocation order.
 	Diversify bool `json:"diversify,omitempty"`
 	// SyncExchange selects the blocking Type III exchange: a consulting
-	// searcher waits for the store's news and adopts a better solution
-	// outright. Default false: the asynchronous exchange with speculative
-	// adoption. Both modes speak the same post/poll/news frames.
+	// searcher waits for the store's news. Default false: the asynchronous
+	// exchange, which keeps iterating until the news arrives. Either way a
+	// better store solution is adopted outright, over the same
+	// post/poll/news frames.
 	SyncExchange bool `json:"sync_exchange,omitempty"`
 	// MaxRetries is how many times a failed run is retried (with capped
 	// exponential backoff between attempts) before the job is marked

@@ -90,15 +90,17 @@ var (
 	// Asynchronous Type III exchange protocol (post/poll/news). The round
 	// histogram above measures a searcher's blocking store round-trip in
 	// the synchronous protocol; the async histogram measures only the
-	// exchange machinery a searcher actually pays (encode/post, news
-	// decode, speculative snapshot/adopt/restore) — there is no blocking
-	// round to time.
+	// exchange machinery a searcher actually pays (encode/post, poll
+	// issue, news decode and adoption) — there is no blocking round to
+	// time.
 	ExchangeAsyncType3Ns = Default.Histogram("simevo_exchange_round_ns", "Parallel-strategy exchange round latency in nanoseconds.", "strategy", "type3_async")
 
-	ExchangePosted      = Default.Counter("simevo_exchange_posted_total", "Searcher improvements posted to the Type III store.")
-	ExchangeAdopted     = Default.Counter("simevo_exchange_adopted_total", "Store solutions adopted by a searcher (speculation accepted or synchronous adoption).")
-	ExchangeRejected    = Default.Counter("simevo_exchange_rejected_total", "Store solutions rejected by a searcher after speculation.")
-	SpeculationRestores = Default.Counter("simevo_exchange_speculation_restores_total", "Snapshot restores performed by the speculative reject path (no full rebuild).")
+	ExchangePosted  = Default.Counter("simevo_exchange_posted_total", "Searcher improvements posted to the Type III store.")
+	ExchangeAdopted = Default.Counter("simevo_exchange_adopted_total", "Store solutions adopted by a searcher.")
+	// Deprecated: always zero; kept only because bench/ reads it.
+	ExchangeRejected = Default.Counter("simevo_exchange_rejected_total", "Always zero: searchers adopt a better store solution outright.")
+	// Deprecated: always zero; kept only because bench/ reads it.
+	SpeculationRestores = Default.Counter("simevo_exchange_speculation_restores_total", "Always zero: searchers adopt a better store solution outright.")
 	ExchangeStoreEpoch  = Default.Gauge("simevo_exchange_store_epoch", "Monotonic epoch of the Type III store's best solution (last run on this process).")
 
 	// Service (simevo-serve job manager + SSE).

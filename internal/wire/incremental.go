@@ -278,9 +278,9 @@ func (inc *Incremental) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float64
 func (inc *Incremental) needPrefix() bool { return inc.est == Steiner }
 
 // Rebuild resynchronizes the full state — mirror, multisets, committed
-// lengths and the wanted cells' exclusions — from the given coordinates. It
-// doubles as the periodic full-recompute checksum: rebuilding from a
-// consistent state reproduces the cached values bit for bit.
+// lengths and the wanted cells' exclusions — from the given coordinates.
+// Rebuilding from a consistent state reproduces the cached values bit for
+// bit.
 func (inc *Incremental) Rebuild(coords Coords) {
 	if len(inc.removed) != 0 {
 		panic("wire: Rebuild with removed cells outstanding")

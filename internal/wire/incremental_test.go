@@ -175,8 +175,8 @@ func TestRemoveRestoreKeepsLengthsValid(t *testing.T) {
 	}
 }
 
-// TestRebuildIsChecksum asserts the periodic full-recompute invariant:
-// rebuilding from a consistent state reproduces identical lengths.
+// TestRebuildIsChecksum asserts that rebuilding from a consistent state
+// reproduces identical lengths.
 func TestRebuildIsChecksum(t *testing.T) {
 	ckt := testCircuit(t, 34)
 	for _, est := range allEstimators {
