@@ -269,33 +269,16 @@ func TestAdoptPlacement(t *testing.T) {
 		t.Fatal("AdoptPlacement did not clone")
 	}
 	// A second adoption lands on e2's warm mirror and takes the patched
-	// path: it must reproduce e1's best μ without rebuilding the mirror
-	// and leave e1's best untouched.
+	// path: it must reproduce e1's best μ and leave e1's best untouched.
 	e2.EvaluateCosts()
-	base := e2.Telemetry().FullRebuilds
 	e2.AdoptPlacement(e1.BestPlacement())
 	e2.EvaluateCosts()
 	if math.Abs(e2.Mu()-e1.BestMu()) > 1e-12 {
 		t.Fatalf("patched adoption μ %v != source %v", e2.Mu(), e1.BestMu())
 	}
-	if got := e2.Telemetry().FullRebuilds; got != base {
-		t.Fatalf("patched adoption rebuilt the mirror %d times, want 0", got-base)
-	}
 	e2.Step()
 	if e1.BestPlacement().Fingerprint() != fp {
 		t.Fatal("patched AdoptPlacement mutated the source placement")
-	}
-	// Control: with the mirror stale, adoption takes the clone fallback
-	// and the next evaluation rebuilds from scratch.
-	e2.SetPlacement(e2.Placement().Clone())
-	base = e2.Telemetry().FullRebuilds
-	e2.AdoptPlacement(e1.BestPlacement())
-	e2.EvaluateCosts()
-	if e2.Telemetry().FullRebuilds == base {
-		t.Fatal("stale-mirror AdoptPlacement did not rebuild the mirror")
-	}
-	if e2.Placement() == e1.BestPlacement() || e2.Placement().Fingerprint() != fp {
-		t.Fatal("clone-fallback adoption did not install a copy of the source placement")
 	}
 }
 
@@ -374,17 +357,6 @@ func TestMuTraceMatchesIterations(t *testing.T) {
 	// One evaluation per iteration plus the final one.
 	if len(res.MuTrace) != res.Iters+1 {
 		t.Fatalf("MuTrace length %d, want %d", len(res.MuTrace), res.Iters+1)
-	}
-
-	// Recording can be disabled entirely, without changing the trajectory.
-	off := testProblem(t, fuzzy.WirePower, 12)
-	off.Cfg.DisableMuTrace = true
-	ro := off.NewEngine(0).Run()
-	if len(ro.MuTrace) != 0 {
-		t.Fatalf("disabled trace recorded %d entries", len(ro.MuTrace))
-	}
-	if ro.BestMu != res.BestMu {
-		t.Fatalf("trace recording changed the trajectory: %v vs %v", ro.BestMu, res.BestMu)
 	}
 }
 
