@@ -14,7 +14,8 @@ import (
 // serial engine (and the master rank of every parallel strategy) uses the
 // same stream, so all strategies are normalized against — and start from —
 // the same solution, exactly as the paper's runs do ("All runs were
-// performed using the same starting solution").
+// performed using the same starting solution"). NewProblem builds that
+// solution once and every engine on this stream starts from a copy.
 const refStream = 0
 
 // referenceCosts evaluates the objective costs of the canonical initial
@@ -26,11 +27,10 @@ const refStream = 0
 // when the cost has improved by the goal factor. This keeps μ comparable
 // across serial and parallel runs (the paper reports parallel quality as
 // a percentage of serial μ) and puts converged solutions in the 0.5-0.8
-// band the paper's tables show. The levelization and activity tables are
-// the problem's cached ones — they are placement-independent.
-func referenceCosts(ckt *netlist.Circuit, cfg *Config, lv *netlist.Levels, acts []float64) fuzzy.Costs {
-	rnd := rng.NewStream(cfg.Seed, refStream)
-	place := initialPlacement(ckt, cfg, rnd)
+// band the paper's tables show. place is the problem's canonical start;
+// the levelization and activity tables are its cached ones — they are
+// placement-independent.
+func referenceCosts(ckt *netlist.Circuit, cfg *Config, place *layout.Placement, lv *netlist.Levels, acts []float64) fuzzy.Costs {
 	ev := wire.NewEvaluator(ckt, cfg.WireEstimator)
 	lengths := ev.Lengths(place, nil)
 
@@ -47,10 +47,9 @@ func referenceCosts(ckt *netlist.Circuit, cfg *Config, lv *netlist.Levels, acts 
 }
 
 // initialPlacement builds a run's starting placement: uniform-random by
-// default, connectivity-clustered with Config.ClusteredStart. Every
-// consumer of the canonical start (reference costs, NewEngine,
-// EngineFromReference) routes through here so the normalization and the
-// searches always agree on the construction.
+// default, connectivity-clustered with Config.ClusteredStart. NewProblem
+// builds the canonical start here once; NewEngine builds the starts of
+// the other streams.
 func initialPlacement(ckt *netlist.Circuit, cfg *Config, rnd *rng.R) *layout.Placement {
 	if cfg.ClusteredStart {
 		return layout.NewClustered(ckt, cfg.NumRows, rnd)

@@ -65,11 +65,11 @@ func TestCongestTrajectoriesAllCircuits(t *testing.T) {
 	}
 }
 
-// TestCongestTrajectoryParallelEval runs the wire+power+congestion set
+// TestCongestTrajectoryMatchesReference runs the wire+power+congestion set
 // (no delay) on s1196 with the default grid, step by step against the
 // DisableIncremental reference: the congestion CellScore and NetScore
 // hooks feed goodness and the trial weights without an STA alongside.
-func TestCongestTrajectoryParallelEval(t *testing.T) {
+func TestCongestTrajectoryMatchesReference(t *testing.T) {
 	ckt, err := gen.Benchmark("s1196")
 	if err != nil {
 		t.Fatal(err)

@@ -61,6 +61,7 @@ type Engine struct {
 
 	goodness   []float64 // per cell id
 	domain     []netlist.CellID
+	inRows     []bool // DomainFromRows scratch, all false between calls
 	allocOrder AllocOrder
 	mu         float64
 	costs      fuzzy.Costs
@@ -197,13 +198,26 @@ func (e *Engine) SetDomain(cells []netlist.CellID) {
 }
 
 // DomainFromRows restricts the domain to all cells currently placed in the
-// given rows.
+// given rows. It marks the rows' cells and collects them in ID order, the
+// sorted set SetDomain would build, without a sort per call.
 func (e *Engine) DomainFromRows(rows []int) {
-	var cells []netlist.CellID
-	for _, r := range rows {
-		cells = append(cells, e.place.Row(r)...)
+	if e.inRows == nil {
+		e.inRows = make([]bool, len(e.prob.Ckt.Cells))
 	}
-	e.SetDomain(cells)
+	for _, r := range rows {
+		for _, id := range e.place.Row(r) {
+			if id != netlist.NoCell {
+				e.inRows[id] = true
+			}
+		}
+	}
+	e.domain = e.domain[:0]
+	for _, id := range e.prob.Ckt.Movable() {
+		if e.inRows[id] {
+			e.inRows[id] = false
+			e.domain = append(e.domain, id)
+		}
+	}
 }
 
 // AdoptPlacement replaces the current placement with a copy of p (Type III

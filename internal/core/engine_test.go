@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"simevo/internal/fuzzy"
@@ -216,10 +217,19 @@ func TestDomainRestriction(t *testing.T) {
 	rows := []int{0, 1, 2}
 	e.DomainFromRows(rows)
 	inRows := map[netlist.CellID]bool{}
+	var cells []netlist.CellID
 	for _, r := range rows {
 		for _, id := range e.Placement().Row(r) {
 			inRows[id] = true
 		}
+		cells = append(cells, e.Placement().Row(r)...)
+	}
+	// DomainFromRows collects the same sorted set SetDomain builds from
+	// the rows' contents.
+	got := slices.Clone(e.domain)
+	e.SetDomain(cells)
+	if !slices.Equal(got, e.domain) {
+		t.Fatalf("DomainFromRows = %v, SetDomain of the rows' cells = %v", got, e.domain)
 	}
 	for i := 0; i < 3; i++ {
 		e.EvaluateCosts()

@@ -60,11 +60,11 @@ func TestIncrementalReproducesReferenceTrajectory(t *testing.T) {
 	}
 }
 
-// TestParallelEvalMatchesReferenceAllCircuits runs wp on every bundled
+// TestEvalMatchesReferenceAllCircuits runs wp on every bundled
 // benchmark and requires the incremental engine to follow the
 // DisableIncremental reference bitwise: best μ, best placement and the
 // whole μ trace.
-func TestParallelEvalMatchesReferenceAllCircuits(t *testing.T) {
+func TestEvalMatchesReferenceAllCircuits(t *testing.T) {
 	for _, name := range gen.Catalog() {
 		ckt, err := gen.Benchmark(name)
 		if err != nil {
@@ -97,11 +97,11 @@ func TestParallelEvalMatchesReferenceAllCircuits(t *testing.T) {
 	}
 }
 
-// TestParallelWpdAllocMatchesReferenceAllCircuits runs wpd on every
+// TestWpdAllocMatchesReferenceAllCircuits runs wpd on every
 // bundled benchmark, step by step, and requires the incremental engine to
 // report bitwise the costs, μ and placement of the DisableIncremental
 // reference after every Step.
-func TestParallelWpdAllocMatchesReferenceAllCircuits(t *testing.T) {
+func TestWpdAllocMatchesReferenceAllCircuits(t *testing.T) {
 	for _, name := range gen.Catalog() {
 		name := name
 		t.Run(name, func(t *testing.T) {

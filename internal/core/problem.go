@@ -12,11 +12,16 @@ import (
 
 // Problem bundles a circuit with the placement-independent data every SimE
 // engine needs: switching activities, levelization, per-net and
-// per-objective lower bounds, and the validated configuration. In the
-// paper's cluster each MPI process computes this once at startup; here the
-// parallel strategies share one Problem across ranks.
+// per-objective lower bounds, the canonical initial placement, and the
+// validated configuration. In the paper's cluster each MPI process
+// computes this once at startup; here the parallel strategies share one
+// Problem across ranks, so it and its circuit are read-only once built.
 type Problem struct {
 	Ckt *netlist.Circuit
+	// Cfg is the validated configuration. Seed, NumRows and
+	// ClusteredStart fix the canonical start NewProblem builds and
+	// evaluates, so they must not change afterwards; the search
+	// parameters may.
 	Cfg Config
 
 	Lv *netlist.Levels
@@ -39,6 +44,13 @@ type Problem struct {
 	attachC1 []netlist.CellID
 	attachW1 []int32
 	attachW2 []int32
+
+	// start is the canonical initial placement, built once from the
+	// refStream generator and evaluated for Ref; startRnd is that
+	// generator's state right after the build. Engines clone them and
+	// never mutate the originals.
+	start    *layout.Placement
+	startRnd *rng.R
 }
 
 // NewProblem validates the configuration and precomputes the shared data.
@@ -59,9 +71,9 @@ func NewProblem(ckt *netlist.Circuit, cfg Config) (*Problem, error) {
 		Acts: power.FromProbabilities(probs),
 		OWA:  fuzzy.OWA{Beta: cfg.Beta},
 	}
-	// The reference evaluation reuses the cached levelization and
-	// activities instead of re-deriving both per construction.
-	p.Ref = referenceCosts(ckt, &cfg, p.Lv, p.Acts)
+	p.startRnd = rng.NewStream(cfg.Seed, refStream)
+	p.start = initialPlacement(ckt, &cfg, p.startRnd)
+	p.Ref = referenceCosts(ckt, &cfg, p.start, p.Lv, p.Acts)
 	if p.Ref.Wire <= 0 || p.Ref.Power <= 0 {
 		return nil, fmt.Errorf("core: degenerate reference costs %+v", p.Ref)
 	}
@@ -116,7 +128,13 @@ func (p *Problem) buildAttach() {
 
 // NewEngine creates an engine with a fresh random initial placement drawn
 // from the problem seed combined with the given stream (rank) number.
+// Stream refStream (0) is the canonical start: the engine gets a copy of
+// the placement Ref was evaluated on and of the generator that built it,
+// exactly as if it had built them itself.
 func (p *Problem) NewEngine(stream uint64) *Engine {
+	if stream == refStream {
+		return p.EngineFrom(p.start.Clone(), p.startRnd.Clone())
+	}
 	rnd := rng.NewStream(p.Cfg.Seed, stream)
 	place := initialPlacement(p.Ckt, &p.Cfg, rnd)
 	return p.EngineFrom(place, rnd)
@@ -128,9 +146,7 @@ func (p *Problem) NewEngine(stream uint64) *Engine {
 // every thread "using the same starting solution but with different
 // randomization seeds" — this is that construction.
 func (p *Problem) EngineFromReference(stream uint64) *Engine {
-	refRnd := rng.NewStream(p.Cfg.Seed, refStream)
-	place := initialPlacement(p.Ckt, &p.Cfg, refRnd)
-	return p.EngineFrom(place, rng.NewStream(p.Cfg.Seed, stream))
+	return p.EngineFrom(p.start.Clone(), rng.NewStream(p.Cfg.Seed, stream))
 }
 
 // EngineFrom wraps an existing placement (takes ownership) with a SimE

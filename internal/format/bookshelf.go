@@ -65,42 +65,77 @@ type Design struct {
 // count the design places into.
 func (d *Design) NumRows() int { return len(d.Rows) }
 
+// maxAuxBytes bounds the .aux file LoadAux reads. An .aux file only
+// names the member files, so a few hundred bytes is typical.
+const maxAuxBytes = 64 << 10
+
 // LoadAux parses a Bookshelf .aux file and the file set it names. The
 // member files are resolved relative to the .aux file's directory.
 func LoadAux(path string) (*Design, *layout.Placement, error) {
-	blob, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("format: %w", err)
 	}
-	// Aux syntax: "RowBasedPlacement : a.nodes a.nets a.wts a.pl a.scl".
+	defer f.Close()
+	blob, err := io.ReadAll(io.LimitReader(f, maxAuxBytes+1))
+	if err != nil {
+		return nil, nil, fmt.Errorf("format: %w", err)
+	}
+	if len(blob) > maxAuxBytes {
+		return nil, nil, fmt.Errorf("format: %s is larger than %d bytes", path, maxAuxBytes)
+	}
+	files, err := parseAux(blob)
+	if err != nil {
+		return nil, nil, fmt.Errorf("format: %s: %w", path, err)
+	}
+	dir := filepath.Dir(path)
+	name := strings.TrimSuffix(filepath.Base(path), ".aux")
+	return loadFiles(name, filepath.Join(dir, files.nodes), filepath.Join(dir, files.nets),
+		filepath.Join(dir, files.pl), filepath.Join(dir, files.scl))
+}
+
+// auxFiles are the member file names an .aux file lists, as written.
+type auxFiles struct {
+	nodes, nets, pl, scl string
+}
+
+// parseAux reads the text of a Bookshelf .aux file, whose syntax is
+// "RowBasedPlacement : a.nodes a.nets a.wts a.pl a.scl". The names after
+// the first colon must include exactly one .nodes, .nets, .pl and .scl
+// file; other names (.wts weights, which are unused) are skipped.
+func parseAux(blob []byte) (auxFiles, error) {
 	line := strings.TrimSpace(string(blob))
 	if i := strings.Index(line, ":"); i >= 0 {
 		line = line[i+1:]
 	}
-	dir := filepath.Dir(path)
-	var nodesPath, netsPath, plPath, sclPath string
+	var files auxFiles
 	for _, f := range strings.Fields(line) {
+		var slot *string
 		switch filepath.Ext(f) {
 		case ".nodes":
-			nodesPath = filepath.Join(dir, f)
+			slot = &files.nodes
 		case ".nets":
-			netsPath = filepath.Join(dir, f)
+			slot = &files.nets
 		case ".pl":
-			plPath = filepath.Join(dir, f)
+			slot = &files.pl
 		case ".scl":
-			sclPath = filepath.Join(dir, f)
-		case ".wts": // weights are unused
+			slot = &files.scl
+		default:
+			continue
 		}
+		if *slot != "" {
+			return auxFiles{}, fmt.Errorf("names two %s files, %s and %s", filepath.Ext(f), *slot, f)
+		}
+		*slot = f
 	}
-	for _, req := range []struct{ name, p string }{
-		{".nodes", nodesPath}, {".nets", netsPath}, {".pl", plPath}, {".scl", sclPath},
+	for _, req := range []struct{ ext, name string }{
+		{".nodes", files.nodes}, {".nets", files.nets}, {".pl", files.pl}, {".scl", files.scl},
 	} {
-		if req.p == "" {
-			return nil, nil, fmt.Errorf("format: %s names no %s file", path, req.name)
+		if req.name == "" {
+			return auxFiles{}, fmt.Errorf("names no %s file", req.ext)
 		}
 	}
-	name := strings.TrimSuffix(filepath.Base(path), ".aux")
-	return loadFiles(name, nodesPath, netsPath, plPath, sclPath)
+	return files, nil
 }
 
 // bookshelfNode is a .nodes entry before circuit construction.

@@ -195,3 +195,60 @@ func FuzzBookshelf(f *testing.F) {
 		prob.EngineFrom(p, rng.New(1)).Step()
 	})
 }
+
+// TestBookshelfAuxRejects covers the .aux files LoadAux refuses: one over
+// the size bound, one naming a member kind twice, one missing a kind.
+func TestBookshelfAuxRejects(t *testing.T) {
+	dir := t.TempDir()
+	const names = "RowBasedPlacement : tiny.nodes tiny.nets tiny.pl tiny.scl"
+	for _, tc := range []struct{ name, text, want string }{
+		{"big.aux", names + strings.Repeat(" ", maxAuxBytes), "larger than"},
+		{"twice.aux", names + " other.pl", "names two .pl files"},
+		{"short.aux", "RowBasedPlacement : tiny.nodes tiny.nets tiny.pl", "names no .scl file"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadAux(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzBookshelfAux feeds arbitrary text to the .aux parser: it must not
+// panic, and a file it accepts names exactly one member of each kind
+// after its colon, the one it returns.
+func FuzzBookshelfAux(f *testing.F) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "tiny.aux"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add([]byte("a.nodes a.nets a.wts a.pl a.scl"))
+	f.Add([]byte("RowBasedPlacement : a.nodes a.nets a.pl a.scl a.pl"))
+	f.Add([]byte("x.nodes : .nodes .nets .pl .scl\n"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		files, err := parseAux(blob)
+		if err != nil {
+			return
+		}
+		text := string(blob)
+		if i := strings.Index(text, ":"); i >= 0 {
+			text = text[i+1:]
+		}
+		for _, m := range []struct{ ext, name string }{
+			{".nodes", files.nodes}, {".nets", files.nets}, {".pl", files.pl}, {".scl", files.scl},
+		} {
+			var named []string
+			for _, f := range strings.Fields(text) {
+				if filepath.Ext(f) == m.ext {
+					named = append(named, f)
+				}
+			}
+			if len(named) != 1 || named[0] != m.name {
+				t.Fatalf("accepted %q: %s files %q, parser returned %q", blob, m.ext, named, m.name)
+			}
+		}
+	})
+}

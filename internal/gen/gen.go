@@ -12,6 +12,8 @@ package gen
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"simevo/internal/netlist"
 	"simevo/internal/rng"
@@ -110,13 +112,13 @@ func Generate(p Params) (*netlist.Circuit, error) {
 	var levels [][]string
 	var level0 []string
 	for i := 0; i < p.PIs; i++ {
-		name := fmt.Sprintf("pi%d", i)
+		name := "pi" + strconv.Itoa(i)
 		b.AddInput(name)
 		level0 = append(level0, name)
 	}
 	dffNames := make([]string, p.DFFs)
 	for i := 0; i < p.DFFs; i++ {
-		dffNames[i] = fmt.Sprintf("ff%d", i)
+		dffNames[i] = "ff" + strconv.Itoa(i)
 		level0 = append(level0, dffNames[i])
 	}
 	levels = append(levels, level0)
@@ -154,28 +156,31 @@ func Generate(p Params) (*netlist.Circuit, error) {
 	var inputs []string // AddGate copies it, so one buffer serves every gate
 	for lvl := 1; lvl <= p.Depth; lvl++ {
 		cur := make([]string, 0, perLevel[lvl])
+		signals := totalSignals(levels) // levels grows only after this one
 		for g := 0; g < perLevel[lvl]; g++ {
 			fanin := 1 + r.Pick(p.FaninDist)
 			typ := gateForFanin(r, fanin)
 			inputs = inputs[:0]
-			seen := map[string]bool{}
+			distinct := 0
 			if g == 0 {
 				// Anchor each level to the previous one so the realized
 				// combinational depth matches the target exactly.
 				prev := levels[lvl-1]
-				sig := prev[r.Intn(len(prev))]
-				seen[sig] = true
-				inputs = append(inputs, sig)
+				inputs = append(inputs, prev[r.Intn(len(prev))])
+				distinct++
 			}
 			for len(inputs) < fanin {
 				sig := pickInput(lvl)
-				if seen[sig] && len(seen) < totalSignals(levels) {
-					continue // avoid duplicate pins when alternatives exist
+				if slices.Contains(inputs, sig) {
+					if distinct < signals {
+						continue // avoid duplicate pins when alternatives exist
+					}
+				} else {
+					distinct++
 				}
-				seen[sig] = true
 				inputs = append(inputs, sig)
 			}
-			name := fmt.Sprintf("g%d", gateNum)
+			name := "g" + strconv.Itoa(gateNum)
 			gateNum++
 			b.AddGate(name, typ, inputs, 0)
 			cur = append(cur, name)

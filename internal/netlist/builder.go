@@ -16,6 +16,7 @@ type Builder struct {
 	cells []protoCell
 	byNam map[string]int
 	errs  []error
+	pins  []string // current backing array the cells' input lists are carved from
 }
 
 type protoCell struct {
@@ -37,7 +38,7 @@ func (b *Builder) AddInput(name string) {
 
 // AddOutput declares a primary output pad consuming the given signal.
 func (b *Builder) AddOutput(signal string) {
-	b.add(protoCell{name: "out:" + signal, typ: Output, inputs: []string{signal}})
+	b.add(protoCell{name: "out:" + signal, typ: Output, inputs: b.carve(signal)})
 }
 
 // AddGate declares a gate (or DFF) named after the signal it drives, with
@@ -46,9 +47,24 @@ func (b *Builder) AddGate(name string, typ GateType, inputs []string, width int)
 	if width == 0 {
 		width = DefaultWidth(typ, len(inputs))
 	}
-	cp := make([]string, len(inputs))
-	copy(cp, inputs)
-	b.add(protoCell{name: name, typ: typ, width: width, inputs: cp})
+	b.add(protoCell{name: name, typ: typ, width: width, inputs: b.carve(inputs...)})
+}
+
+// pinChunk is the number of input names one backing array of the
+// builder holds.
+const pinChunk = 2048
+
+// carve copies an input list into the builder's current backing array and
+// returns the capacity-capped window holding it, so callers may reuse
+// their slice. A full array is left to the lists already carved from it
+// and a new one started, so no name is copied twice.
+func (b *Builder) carve(inputs ...string) []string {
+	if cap(b.pins)-len(b.pins) < len(inputs) {
+		b.pins = make([]string, 0, max(pinChunk, len(inputs)))
+	}
+	start := len(b.pins)
+	b.pins = append(b.pins, inputs...)
+	return b.pins[start:len(b.pins):len(b.pins)]
 }
 
 // Grow reserves room for n more cells, so a caller that knows the

@@ -6,6 +6,8 @@ import "fmt"
 // view: DFF outputs and primary inputs are sources at level 0; every other
 // cell's level is 1 + max level of its combinational fan-in. Edges into a
 // DFF's data pin do not propagate (the DFF is a path sink on that side).
+// The Levels of a validated circuit are shared by every reader and must
+// not be modified.
 type Levels struct {
 	// Level[i] is the combinational level of cell i. Output pads take the
 	// level of their driver + 1 so that POs terminate paths.
@@ -17,12 +19,22 @@ type Levels struct {
 	Depth int
 }
 
-// Levelize computes the combinational levelization, returning an error if
-// the combinational view contains a cycle (which indicates an un-clocked
-// feedback loop — invalid for the timing model).
+// Levelize returns the combinational levelization, or an error if the
+// combinational view contains a cycle (which indicates an un-clocked
+// feedback loop — invalid for the timing model). A validated circuit
+// returns the Levels Validate computed, the same pointer on every call,
+// so concurrent callers only read; an unvalidated one is levelized anew
+// on each call and keeps nothing.
 func (c *Circuit) Levelize() (*Levels, error) {
+	if c.levels != nil {
+		return c.levels, nil
+	}
+	return c.levelize()
+}
+
+func (c *Circuit) levelize() (*Levels, error) {
 	n := len(c.Cells)
-	indeg := make([]int, n)
+	indeg := make([]int32, n)
 
 	// Combinational edges: driver -> sink for each net, except edges OUT OF
 	// a DFF do not count toward its sinks' level... no: DFF output is a
@@ -40,24 +52,20 @@ func (c *Circuit) Levelize() (*Levels, error) {
 			indeg[i] = 0
 			continue
 		}
-		indeg[i] = len(c.Cells[i].In)
+		indeg[i] = int32(len(c.Cells[i].In))
 	}
 
+	// Cells leave the FIFO queue in the order they enter it, so Order
+	// doubles as the queue: Order[head:] is still to be processed.
 	lv := &Levels{Level: make([]int, n), Order: make([]CellID, 0, n)}
-	queue := make([]CellID, 0, n)
 	for i := range c.Cells {
 		if indeg[i] == 0 {
-			queue = append(queue, CellID(i))
-			lv.Level[i] = 0
+			lv.Order = append(lv.Order, CellID(i))
 		}
 	}
 
-	processed := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		lv.Order = append(lv.Order, id)
-		processed++
+	for head := 0; head < len(lv.Order); head++ {
+		id := lv.Order[head]
 		if lv.Level[id] > lv.Depth {
 			lv.Depth = lv.Level[id]
 		}
@@ -74,16 +82,16 @@ func (c *Circuit) Levelize() (*Levels, error) {
 			}
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				lv.Order = append(lv.Order, s)
 			}
 		}
 	}
 
 	// Sources that are DFFs were enqueued above; DFF data fan-in edges were
 	// skipped, so a deficit means a purely combinational cycle.
-	if processed != n {
+	if len(lv.Order) != n {
 		return nil, fmt.Errorf("netlist: %s has a combinational cycle (%d of %d cells levelized)",
-			c.Name, processed, n)
+			c.Name, len(lv.Order), n)
 	}
 	return lv, nil
 }

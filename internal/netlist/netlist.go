@@ -127,6 +127,12 @@ type Net struct {
 func (n *Net) Degree() int { return 1 + len(n.Sinks) }
 
 // Circuit is a complete gate-level design.
+//
+// A circuit is read-only once validated: Validate (which Builder.Build,
+// ParseBench and the Bookshelf loader run) levelizes it and keeps the
+// result, and engines, cost pipelines and parallel ranks share the one
+// circuit and its Levels without copying. Editing cells or nets after
+// that requires calling Validate again.
 type Circuit struct {
 	Name  string
 	Cells []Cell
@@ -136,6 +142,7 @@ type Circuit struct {
 	PIs, POs, DFFs []CellID
 
 	movable []CellID // cached list of non-pad cells
+	levels  *Levels  // set by Validate; returned by Levelize
 }
 
 // Cell returns the cell with the given id.

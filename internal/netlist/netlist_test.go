@@ -160,6 +160,28 @@ func TestDFFBreaksCycle(t *testing.T) {
 	}
 }
 
+// TestLevelizeOnce checks that a built circuit keeps the levelization
+// Validate computed: every Levelize call returns that one value, and a
+// circuit assembled without Validate gets an equal, freshly computed one.
+func TestLevelizeOnce(t *testing.T) {
+	ckt := buildSmall(t)
+	a, err := ckt.Levelize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := ckt.Levelize(); b != a {
+		t.Fatal("a built circuit levelized twice")
+	}
+	raw := &Circuit{Name: ckt.Name, Cells: ckt.Cells, Nets: ckt.Nets}
+	c, err := raw.Levelize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a || !reflect.DeepEqual(c, a) {
+		t.Fatalf("unvalidated circuit: levels %+v (shared %v), want a fresh copy of %+v", c, c == a, a)
+	}
+}
+
 func TestLevelizeOrder(t *testing.T) {
 	ckt := buildSmall(t)
 	lv, err := ckt.Levelize()

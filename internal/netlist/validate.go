@@ -9,7 +9,11 @@ import "fmt"
 //   - every sink of a net lists the net among its inputs;
 //   - pads have the right pin shape (inputs drive, outputs consume one net);
 //   - the combinational view (DFF outputs as sources) is acyclic.
+//
+// A valid circuit keeps the levelization computed here; Levelize returns
+// it from then on.
 func (c *Circuit) Validate() error {
+	c.levels = nil
 	for i := range c.Cells {
 		cell := &c.Cells[i]
 		if cell.ID != CellID(i) {
@@ -96,8 +100,10 @@ func (c *Circuit) Validate() error {
 		}
 	}
 
-	if _, err := c.Levelize(); err != nil {
+	lv, err := c.levelize()
+	if err != nil {
 		return err
 	}
+	c.levels = lv
 	return nil
 }

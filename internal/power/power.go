@@ -70,6 +70,7 @@ func Probabilities(ckt *netlist.Circuit, cfg Config) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	tp := compileTape(ckt, lv)
 
 	prob := make([]float64, ckt.NumNets())
 	// Initialize: PI nets at PIProb, DFF outputs at 0.5 (resolved by the
@@ -77,8 +78,8 @@ func Probabilities(ckt *netlist.Circuit, cfg Config) ([]float64, error) {
 	for _, pi := range ckt.PIs {
 		prob[ckt.Cells[pi].Out] = cfg.PIProb
 	}
-	for _, ff := range ckt.DFFs {
-		prob[ckt.Cells[ff].Out] = 0.5
+	for _, out := range tp.dffOut {
+		prob[out] = 0.5
 	}
 	// Macro outputs have no truth function to propagate through; they keep
 	// the neutral probability (maximum switching activity S = 0.5).
@@ -90,30 +91,107 @@ func Probabilities(ckt *netlist.Circuit, cfg Config) ([]float64, error) {
 
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		// Combinational propagation in topological order.
-		for _, id := range lv.Order {
-			cell := &ckt.Cells[id]
-			if cell.Type == netlist.Input || cell.Type == netlist.Output ||
-				cell.Type == netlist.DFF || cell.Type == netlist.Macro {
-				continue
-			}
-			prob[cell.Out] = gateProb(cell.Type, cell.In, prob)
+		for k, t := range tp.typ {
+			prob[tp.out[k]] = gateProb(t, tp.in[tp.off[k]:tp.off[k+1]], prob)
 		}
 		// Synchronous DFF update: output probability becomes the data
 		// input's steady-state probability.
 		delta := 0.0
-		for _, ff := range ckt.DFFs {
-			cell := &ckt.Cells[ff]
-			next := prob[cell.In[0]]
-			if d := math.Abs(next - prob[cell.Out]); d > delta {
+		for k, out := range tp.dffOut {
+			next := prob[tp.dffIn[k]]
+			if d := math.Abs(next - prob[out]); d > delta {
 				delta = d
 			}
-			prob[cell.Out] = next
+			prob[out] = next
 		}
 		if delta <= cfg.Tol {
 			break
 		}
 	}
 	return prob, nil
+}
+
+// gateTape is a circuit's logic compiled for the probability fixpoint:
+// the combinational gates as flat arrays (gate k has type typ[k], drives
+// net out[k] and reads in[off[k]:off[k+1]]), and the DFFs as
+// data-input/output net pairs. A sweep then reads a few arrays in order
+// instead of chasing Cell structs through the level order.
+type gateTape struct {
+	typ    []netlist.GateType
+	out    []netlist.NetID
+	off    []int32
+	in     []netlist.NetID
+	dffIn  []netlist.NetID
+	dffOut []netlist.NetID
+}
+
+// compileTape lays the gates out by level and, within a level, by type
+// and fan-in. A gate reads only nets driven by sources or by gates of
+// lower levels, so any order within a level computes every probability
+// bit for bit as the level order does; grouping like gates keeps the
+// per-gate branches of a sweep predictable.
+func compileTape(ckt *netlist.Circuit, lv *netlist.Levels) gateTape {
+	var byLevel []netlist.CellID // the gates in lv.Order's order
+	pins := 0
+	for _, id := range lv.Order {
+		if cell := &ckt.Cells[id]; isGate(cell.Type) {
+			byLevel = append(byLevel, id)
+			pins += len(cell.In)
+		}
+	}
+	// A stable counting sort of each level on (type, fan-in), fan-ins
+	// above seven sharing one group.
+	const fanins = 8
+	const groups = (int(netlist.Macro) + 1) * fanins
+	group := func(id netlist.CellID) int {
+		cell := &ckt.Cells[id]
+		return int(cell.Type)*fanins + min(len(cell.In), fanins-1)
+	}
+	order := make([]netlist.CellID, len(byLevel))
+	var next [groups + 1]int32
+	for lo := 0; lo < len(byLevel); {
+		hi := lo + 1
+		for hi < len(byLevel) && lv.Level[byLevel[hi]] == lv.Level[byLevel[lo]] {
+			hi++
+		}
+		next = [groups + 1]int32{}
+		for _, id := range byLevel[lo:hi] {
+			next[group(id)+1]++
+		}
+		for g := 1; g <= groups; g++ {
+			next[g] += next[g-1]
+		}
+		for _, id := range byLevel[lo:hi] {
+			g := group(id)
+			order[lo+int(next[g])] = id
+			next[g]++
+		}
+		lo = hi
+	}
+	tp := gateTape{
+		typ:    make([]netlist.GateType, len(order)),
+		out:    make([]netlist.NetID, len(order)),
+		off:    make([]int32, 1, len(order)+1),
+		in:     make([]netlist.NetID, 0, pins),
+		dffIn:  make([]netlist.NetID, len(ckt.DFFs)),
+		dffOut: make([]netlist.NetID, len(ckt.DFFs)),
+	}
+	for k, id := range order {
+		cell := &ckt.Cells[id]
+		tp.typ[k], tp.out[k] = cell.Type, cell.Out
+		tp.in = append(tp.in, cell.In...)
+		tp.off = append(tp.off, int32(len(tp.in)))
+	}
+	for k, ff := range ckt.DFFs {
+		tp.dffIn[k], tp.dffOut[k] = ckt.Cells[ff].In[0], ckt.Cells[ff].Out
+	}
+	return tp
+}
+
+// isGate reports whether cells of type t have a truth function the
+// fixpoint propagates: everything but pads, DFFs and Macros.
+func isGate(t netlist.GateType) bool {
+	return t != netlist.Input && t != netlist.Output && t != netlist.DFF && t != netlist.Macro
 }
 
 // gateProb evaluates the output one-probability of a gate from its input

@@ -213,3 +213,134 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// referenceProbabilities is the per-cell walk the flat gate tape
+// replaced: every sweep visits the cells in level order and skips the
+// ones without a truth function. Probabilities must match it bitwise.
+func referenceProbabilities(t *testing.T, ckt *netlist.Circuit, cfg Config) []float64 {
+	t.Helper()
+	lv, err := ckt.Levelize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := make([]float64, ckt.NumNets())
+	for _, pi := range ckt.PIs {
+		prob[ckt.Cells[pi].Out] = cfg.PIProb
+	}
+	for _, ff := range ckt.DFFs {
+		prob[ckt.Cells[ff].Out] = 0.5
+	}
+	for i := range ckt.Cells {
+		if cell := &ckt.Cells[i]; cell.Type == netlist.Macro && cell.Out != netlist.NoNet {
+			prob[cell.Out] = 0.5
+		}
+	}
+	for iter := 0; iter < cfg.MaxIters; iter++ {
+		for _, id := range lv.Order {
+			cell := &ckt.Cells[id]
+			if cell.Type == netlist.Input || cell.Type == netlist.Output ||
+				cell.Type == netlist.DFF || cell.Type == netlist.Macro {
+				continue
+			}
+			prob[cell.Out] = gateProb(cell.Type, cell.In, prob)
+		}
+		delta := 0.0
+		for _, ff := range ckt.DFFs {
+			cell := &ckt.Cells[ff]
+			next := prob[cell.In[0]]
+			if d := math.Abs(next - prob[cell.Out]); d > delta {
+				delta = d
+			}
+			prob[cell.Out] = next
+		}
+		if delta <= cfg.Tol {
+			break
+		}
+	}
+	return prob
+}
+
+// TestTapeMatchesReference pins the flat-tape fixpoint to the per-cell
+// walk, bit for bit, on the catalog, a scaled circuit and a hand-built
+// circuit covering multi-input XOR/XNOR folds, fan-ins above seven, Macro
+// cells and DFF loops.
+func TestTapeMatchesReference(t *testing.T) {
+	ckts := map[string]*netlist.Circuit{}
+	for _, name := range gen.Catalog() {
+		ckt, err := gen.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckts[name] = ckt
+	}
+	scaled, err := gen.Generate(gen.ScaledParams("c2000", 2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckts["c2000"] = scaled
+
+	b := netlist.NewBuilder("mixed")
+	wide := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	for _, in := range wide {
+		b.AddInput(in)
+	}
+	b.AddGate("and9", netlist.And, wide, 0)
+	b.AddGate("nand8", netlist.Nand, wide[1:], 0)
+	b.AddGate("or9", netlist.Or, append([]string{"ff2"}, wide[1:]...), 0)
+	b.AddGate("mix", netlist.Xor, []string{"and9", "nand8"}, 0)
+	b.AddOutput("mix")
+	b.AddOutput("or9")
+	b.AddGate("x3", netlist.Xor, []string{"a", "b", "ff1"}, 0)
+	b.AddGate("xn3", netlist.Xnor, []string{"x3", "c", "m"}, 0)
+	b.AddGate("m", netlist.Macro, []string{"a", "x3"}, 0)
+	b.AddGate("n", netlist.Nor, []string{"xn3", "m", "ff2"}, 0)
+	b.AddGate("o", netlist.Or, []string{"n", "b"}, 0)
+	b.AddGate("ff1", netlist.DFF, []string{"o"}, 0)
+	b.AddGate("ff2", netlist.DFF, []string{"xn3"}, 0)
+	b.AddOutput("n")
+	mixed, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckts["mixed"] = mixed
+
+	for _, cfg := range []Config{DefaultConfig(), {PIProb: 0.3, MaxIters: 7, Tol: 0}} {
+		for name, ckt := range ckts {
+			got, err := Probabilities(ckt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceProbabilities(t, ckt, cfg)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s (PI %v): net %d probability %v, reference %v", name, cfg.PIProb, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkProbabilities times the fixpoint on a catalog circuit and a
+// 20k-cell scaled one, where the tolerance is never reached and all 50
+// sweeps run.
+func BenchmarkProbabilities(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		p    func() (*netlist.Circuit, error)
+	}{
+		{"s3330", func() (*netlist.Circuit, error) { return gen.Benchmark("s3330") }},
+		{"scale20k", func() (*netlist.Circuit, error) { return gen.Generate(gen.ScaledParams("scale", 20000, 2006)) }},
+	} {
+		ckt, err := tc.p()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Probabilities(ckt, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -37,6 +37,13 @@ func NewStream(seed, stream uint64) *R {
 	return r
 }
 
+// Clone returns an independent generator in r's current state: both
+// produce the same sequence from here on.
+func (r *R) Clone() *R {
+	c := *r
+	return &c
+}
+
 // Split derives a child generator whose future output is independent of the
 // parent's. The parent advances by two steps; repeated splits yield distinct
 // children.
