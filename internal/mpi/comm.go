@@ -143,3 +143,35 @@ func (c *Comm) Barrier() {
 	c.Send(0, tagBarrierUp, nil)
 	c.Recv(0, tagBarrierDown)
 }
+
+// The rank-0 calls below give a simulated rank the degrading interface of
+// a real transport's coordinator (transport.Group), so master code has one
+// path for both. Simulated ranks cannot fail: each call is the plain
+// primitive, with identical frames and virtual-time charges.
+
+// TrySend is Send; it never fails.
+func (c *Comm) TrySend(dst, tag int, data []byte) error {
+	c.Send(dst, tag, data)
+	return nil
+}
+
+// TryRecv is Recv; it never fails.
+func (c *Comm) TryRecv(src, tag int) ([]byte, Status, error) {
+	data, st := c.Recv(src, tag)
+	return data, st, nil
+}
+
+// BcastRoot is this rank's Bcast as the root.
+func (c *Comm) BcastRoot(data []byte) { c.Bcast(c.rs.id, data) }
+
+// GatherRoot is this rank's Gather as the root.
+func (c *Comm) GatherRoot(own []byte) [][]byte { return c.Gather(c.rs.id, own) }
+
+// DropRank panics with the cause: a corrupt frame between simulated ranks
+// is a program bug, and Cluster.Run returns the panic as the run's error.
+func (c *Comm) DropRank(rank int, err error) {
+	panic(fmt.Errorf("mpi: dropping rank %d: %w", rank, err))
+}
+
+// FailedRanks returns nil: no simulated rank is ever lost.
+func (c *Comm) FailedRanks() map[int]error { return nil }

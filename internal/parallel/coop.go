@@ -35,6 +35,26 @@ func NewCoopCluster(o Options) (*mpi.Cluster, error) {
 	return mpi.NewCluster(o.Procs, mpi.Options{Net: o.net(), MeasureCompute: o.measure()}), nil
 }
 
+// runSim runs rank on every rank of a simulated cluster and returns rank
+// 0's result with the cluster's makespan and per-rank accounting.
+func runSim(prob *core.Problem, opt Options, rank func(Comm, *core.Problem, Options) (*Result, error)) (*Result, error) {
+	cl := mpi.NewCluster(opt.Procs, mpi.Options{Net: opt.net(), MeasureCompute: opt.measure()})
+	var out *Result
+	err := cl.Run(func(c *mpi.Comm) error {
+		res, err := rank(c, prob, opt)
+		if c.Rank() == 0 {
+			out = res
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.VirtualTime = cl.MakeSpan()
+	out.RankStats = cl.Stats()
+	return out, nil
+}
+
 // RunCoop executes the cooperating search and returns the store's final
 // best over all workers.
 func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
@@ -42,16 +62,9 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 		return nil, fmt.Errorf("parallel: cooperative search needs >= 3 ranks, got %d", opt.Procs)
 	}
 	o := Options{Procs: opt.Procs, Net: opt.Net, MeasureCompute: opt.MeasureCompute}
-	cl := mpi.NewCluster(opt.Procs, mpi.Options{Net: o.net(), MeasureCompute: o.measure()})
-	var out *Result
-	err := cl.Run(func(c *mpi.Comm) error {
+	out, err := runSim(prob, o, func(c Comm, prob *core.Problem, _ Options) (*Result, error) {
 		if c.Rank() == 0 {
-			res, err := typeIIIStore(prob, c, nil)
-			if err != nil {
-				return err
-			}
-			out = res
-			return nil
+			return typeIIIStore(prob, c.(*mpi.Comm))
 		}
 		// A corrupt store reply is an error of this rank, not a process
 		// crash: remember it, let the worker finish on its own solution,
@@ -78,23 +91,19 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 		}
 		mu, best, err := opt.Worker(c.Rank(), exchange)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Coop workers track their own budgets; the store's iteration
 		// count is unused here (Iters is cleared below).
 		c.Send(0, tagT3Done, encodeDone(0, mu, best, &searcherStats{}))
-		return exchErr
+		return nil, exchErr
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.VirtualTime = cl.MakeSpan()
-	out.RankStats = cl.Stats()
-	if out.Best != nil {
-		eng := prob.EngineFrom(out.Best.Clone(), nil)
-		eng.EvaluateCosts()
-		out.BestCosts = eng.Costs()
-	}
+	eng := prob.EngineFrom(out.Best.Clone(), nil)
+	eng.EvaluateCosts()
+	out.BestCosts = eng.Costs()
 	out.Iters = 0
 	return out, nil
 }

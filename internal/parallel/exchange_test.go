@@ -83,11 +83,14 @@ func TestTypeIIISyncExchange(t *testing.T) {
 
 // scriptComm drives typeIIIStore directly with a scripted frame sequence —
 // the chaos harness for the store's merge logic. Recv pops the script;
-// Send records every news/reply the store emits.
+// Send records every news/reply the store emits. It has the rank-0 calls
+// of a real transport, with DropRank recording the expelled rank, so the
+// store degrades exactly as it does over TCP.
 type scriptComm struct {
-	frames []scriptFrame
-	sent   []scriptFrame
-	size   int
+	frames  []scriptFrame
+	sent    []scriptFrame
+	size    int
+	dropped map[int]error
 }
 
 type scriptFrame struct {
@@ -117,6 +120,24 @@ func (s *scriptComm) Poll(src, tag int) ([]byte, mpi.Status, bool) {
 func (s *scriptComm) Bcast(root int, data []byte) []byte    { return data }
 func (s *scriptComm) Gather(root int, data []byte) [][]byte { return nil }
 func (s *scriptComm) Barrier()                              {}
+
+func (s *scriptComm) TrySend(dst, tag int, data []byte) error {
+	s.Send(dst, tag, data)
+	return nil
+}
+func (s *scriptComm) TryRecv(src, tag int) ([]byte, mpi.Status, error) {
+	data, st := s.Recv(src, tag)
+	return data, st, nil
+}
+func (s *scriptComm) BcastRoot(data []byte)          {}
+func (s *scriptComm) GatherRoot(own []byte) [][]byte { return nil }
+func (s *scriptComm) DropRank(rank int, err error) {
+	if s.dropped == nil {
+		s.dropped = make(map[int]error)
+	}
+	s.dropped[rank] = err
+}
+func (s *scriptComm) FailedRanks() map[int]error { return s.dropped }
 
 // TestTypeIIIStoreNeverRegresses feeds the store an adversarial schedule —
 // duplicated sequence numbers, stale out-of-order posts, worse solutions
@@ -153,7 +174,7 @@ func TestTypeIIIStoreNeverRegresses(t *testing.T) {
 		done(1, 0.45),
 		done(2, 0.60),
 	}}
-	res, err := typeIIIStore(prob, c, nil)
+	res, err := typeIIIStore(prob, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +208,50 @@ func TestTypeIIIStoreNeverRegresses(t *testing.T) {
 	}
 }
 
+// TestTypeIIIStoreIgnoresDroppedRank: a searcher expelled for a corrupt
+// post counts as done once, and the Done it already had in flight must
+// neither count it again nor be merged — the store keeps reading until
+// every other searcher has reported, so rank 3's best reaches the result.
+func TestTypeIIIStoreIgnoresDroppedRank(t *testing.T) {
+	prob := testProblem(t, fuzzy.WirePower, 10, 2006)
+	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(8))
+	done := func(src int, mu float64, adopted int) scriptFrame {
+		st := searcherStats{adopted: adopted}
+		return scriptFrame{src: src, tag: tagT3Done, data: encodeDone(5, mu, place, &st)}
+	}
+	c := &scriptComm{size: 4, frames: []scriptFrame{
+		{src: 1, tag: tagT3Post, data: encodePost(1, 0.5, place)[:20]},
+		done(1, 0.3, 1),
+		done(2, 0.4, 0),
+		done(3, 0.9, 0),
+	}}
+	res, err := typeIIIStore(prob, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BestMu != 0.9 {
+		t.Fatalf("store best μ = %v, want rank 3's 0.9", res.BestMu)
+	}
+	if len(c.frames) != 0 {
+		t.Fatalf("store stopped with %d frames unread", len(c.frames))
+	}
+	if res.Exchange.Adopted != 0 {
+		t.Fatalf("adopted = %d, want 0: the dropped rank's Done was merged", res.Exchange.Adopted)
+	}
+	if len(res.FailedRanks) != 1 || res.FailedRanks[0] != 1 {
+		t.Fatalf("FailedRanks = %v, want [1]", res.FailedRanks)
+	}
+}
+
 // storeFrameTags are the frames a searcher may send the store, indexed by
 // the fuzzer's tag selector.
 var storeFrameTags = [...]int{tagT3Post, tagT3Poll, tagT3Done}
 
 // FuzzTypeIIIStoreFrames hardens the store against corrupt searcher
 // frames: one fuzzed (tag, payload) frame from rank 1, then a clean Done
-// from each searcher. The store must return a result or an error and
-// never panic; an accepted run must still be monotonic.
+// from each searcher. The store must degrade, never fail or panic: only
+// rank 1 may be dropped, every frame is read, and rank 2's clean Done
+// (μ 0.4) bounds the best from below.
 func FuzzTypeIIIStoreFrames(f *testing.F) {
 	prob := testProblem(f, fuzzy.WirePower, 10, 2006)
 	place := layout.NewRandom(prob.Ckt, prob.Cfg.NumRows, rng.New(5))
@@ -214,14 +271,22 @@ func FuzzTypeIIIStoreFrames(f *testing.F) {
 			{src: 1, tag: tagT3Done, data: encodeDone(5, 0.3, place, &clean)},
 			{src: 2, tag: tagT3Done, data: encodeDone(5, 0.4, place, &clean)},
 		}}
-		res, err := typeIIIStore(prob, c, nil)
+		res, err := typeIIIStore(prob, c)
 		if err != nil {
-			return
+			t.Fatalf("store failed instead of degrading: %v", err)
 		}
-		// Rank 1's clean Done is always read (the fuzzed frame ends at
-		// most one rank), so the store's best can never fall below it.
-		if res.BestMu < 0.3 || res.Best == nil {
-			t.Fatalf("store best μ %v below rank 1's clean Done 0.3", res.BestMu)
+		for r := range c.dropped {
+			if r != 1 {
+				t.Fatalf("store dropped rank %d for rank 1's frame", r)
+			}
+		}
+		if len(c.frames) != 0 {
+			t.Fatalf("store stopped with %d frames unread", len(c.frames))
+		}
+		// ≥ 0.4 also covers rank 1's clean Done (μ 0.3), which the store
+		// skips once the fuzzed frame has dropped or finished rank 1.
+		if res.BestMu < 0.4 || res.Best == nil {
+			t.Fatalf("store best μ %v below rank 2's clean Done 0.4", res.BestMu)
 		}
 	})
 }

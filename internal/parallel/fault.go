@@ -1,19 +1,20 @@
 package parallel
 
 import (
+	"fmt"
 	"sort"
 
 	"simevo/internal/mpi"
 	"simevo/internal/transport"
 )
 
-// FaultComm is the degraded-execution contract a real transport's rank-0
-// handle offers on top of Comm: non-panicking send/receive variants that
-// attribute failures to ranks, root-half collectives that skip dead ranks,
-// and expulsion of ranks whose frames arrive corrupt. The TCP
-// transport.Group implements it; the simulated cluster does not (simulated
-// ranks cannot fail), so sim runs always take the plain code path and
-// their trajectories are untouched by the fault machinery.
+// FaultComm is rank 0's handle as the masters and the Type III store use
+// it: Comm plus non-panicking send/receive variants that attribute
+// failures to ranks, root-half collectives that skip dead ranks, and
+// expulsion of ranks whose frames arrive corrupt. The TCP transport.Group
+// degrades on a lost rank; the simulated *mpi.Comm cannot lose one, so
+// there each call is the plain primitive and DropRank fails the run. Both
+// run the same master code.
 type FaultComm interface {
 	Comm
 	TrySend(dst, tag int, data []byte) error
@@ -24,16 +25,18 @@ type FaultComm interface {
 	FailedRanks() map[int]error
 }
 
-var _ FaultComm = (*transport.Group)(nil)
+var (
+	_ FaultComm = (*transport.Group)(nil)
+	_ FaultComm = (*mpi.Comm)(nil)
+)
 
-// tolerantComm returns the fault-tolerant view of c when the options ask
-// for degraded execution and the transport supports it; nil otherwise.
-func tolerantComm(c Comm, opt Options) FaultComm {
-	if !opt.Tolerate {
-		return nil
+// rootComm returns rank 0's FaultComm view of c.
+func rootComm(c Comm) (FaultComm, error) {
+	fc, ok := c.(FaultComm)
+	if !ok {
+		return nil, fmt.Errorf("parallel: rank 0 transport %T does not implement FaultComm", c)
 	}
-	fc, _ := c.(FaultComm)
-	return fc
+	return fc, nil
 }
 
 // failedRankList flattens a FaultComm's failure map into the ascending

@@ -4,11 +4,11 @@ package parallel
 // cluster with the deterministic chaos wrapper injecting severed, hung,
 // and corrupted connections, and pin the degraded-mode contract: the run
 // finishes on the survivors, the lost ranks are recorded in the Result,
-// and a fault-free tolerant run follows the simulator's trajectory
-// bitwise.
+// and a fault-free run follows the simulator's trajectory bitwise.
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,49 +90,85 @@ func runTCP(t *testing.T, prob *core.Problem, opt Options, hubCfg transport.Conf
 	return res, runErr
 }
 
-func tolerantOpts(procs int) Options {
-	return Options{Procs: procs, Tolerate: true}
-}
-
-// TestTCPTolerantMatchesSimTypeI: with no faults, the tolerant TCP path
-// must emit the exact trajectory of the simulated cluster — TrySend and
-// the root-side collective halves count and carry identical traffic.
-func TestTCPTolerantMatchesSimTypeI(t *testing.T) {
+// TestTCPMatchesSimTypeI: with no faults, the TCP run must emit the exact
+// trajectory of the simulated cluster — TrySend and the root-side
+// collective halves count and carry identical traffic.
+func TestTCPMatchesSimTypeI(t *testing.T) {
 	prob := testProblem(t, fuzzy.WirePower, 20, 11)
 	ref, err := RunTypeI(prob, detOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runTCP(t, prob, tolerantOpts(3), transport.Config{}, nil, TypeIRank)
+	res, err := runTCP(t, prob, Options{Procs: 3}, transport.Config{}, nil, TypeIRank)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestMu != ref.BestMu {
-		t.Fatalf("tolerant TCP BestMu %.9f != sim %.9f", res.BestMu, ref.BestMu)
+		t.Fatalf("TCP BestMu %.9f != sim %.9f", res.BestMu, ref.BestMu)
 	}
 	if res.BestCosts != ref.BestCosts {
-		t.Fatalf("tolerant TCP costs %+v != sim %+v", res.BestCosts, ref.BestCosts)
+		t.Fatalf("TCP costs %+v != sim %+v", res.BestCosts, ref.BestCosts)
 	}
 	if len(res.FailedRanks) != 0 {
 		t.Fatalf("fault-free run reported failed ranks %v", res.FailedRanks)
 	}
 }
 
-func TestTCPTolerantMatchesSimTypeII(t *testing.T) {
+func TestTCPMatchesSimTypeII(t *testing.T) {
 	prob := testProblem(t, fuzzy.WirePower, 20, 12)
 	ref, err := RunTypeII(prob, detOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runTCP(t, prob, tolerantOpts(3), transport.Config{}, nil, TypeIIRank)
+	res, err := runTCP(t, prob, Options{Procs: 3}, transport.Config{}, nil, TypeIIRank)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestMu != ref.BestMu {
-		t.Fatalf("tolerant TCP BestMu %.9f != sim %.9f", res.BestMu, ref.BestMu)
+		t.Fatalf("TCP BestMu %.9f != sim %.9f", res.BestMu, ref.BestMu)
 	}
 	if len(res.FailedRanks) != 0 {
 		t.Fatalf("fault-free run reported failed ranks %v", res.FailedRanks)
+	}
+}
+
+// TestSimCorruptFrameFailsRun: the simulated cluster runs the same
+// degrading masters, but a simulated rank cannot fail, so a corrupt frame
+// is a program bug — DropRank must fail the run with an error naming the
+// rank, not degrade it or hang it. Rank 2 is scripted to send one bad
+// frame; rank 1 is an ordinary slave.
+func TestSimCorruptFrameFailsRun(t *testing.T) {
+	prob := testProblem(t, fuzzy.WirePower, 5, 16)
+	cases := []struct {
+		name  string
+		entry func(Comm, *core.Problem, Options) (*Result, error)
+		bad   func(c Comm)
+	}{
+		{"typeI-short-goodness", TypeIRank, func(c Comm) {
+			c.Bcast(0, nil)
+			c.Gather(0, encodeF64s([]float64{0.5}))
+		}},
+		{"typeII-corrupt-rows", TypeIIRank, func(c Comm) {
+			c.Bcast(0, nil)
+			c.Send(0, tagT2Rows, []byte{1, 2, 3})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := runSim(prob, detOpts(3), func(c Comm, prob *core.Problem, opt Options) (*Result, error) {
+				if c.Rank() == 2 {
+					tc.bad(c)
+					return nil, nil
+				}
+				return tc.entry(c, prob, opt)
+			})
+			if err == nil {
+				t.Fatalf("run degraded to μ %v instead of failing", res.BestMu)
+			}
+			if !strings.Contains(err.Error(), "dropping rank 2") {
+				t.Fatalf("error does not name the corrupt rank 2: %v", err)
+			}
+		})
 	}
 }
 
@@ -151,7 +187,7 @@ func TestTypeISeverTrajectoryPreserved(t *testing.T) {
 	wcfg := map[int]transport.Config{
 		1: {WrapConn: transport.Wrap(&ch, 5, transport.ChaosFault{AtFrame: 2, Action: transport.ChaosSever})},
 	}
-	res, err := runTCP(t, prob, tolerantOpts(3), transport.Config{}, wcfg, TypeIRank)
+	res, err := runTCP(t, prob, Options{Procs: 3}, transport.Config{}, wcfg, TypeIRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +214,7 @@ func TestTypeIIHangDegraded(t *testing.T) {
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  300 * time.Millisecond,
 	}
-	res, err := runTCP(t, prob, tolerantOpts(3), hubCfg, wcfg, TypeIIRank,
+	res, err := runTCP(t, prob, Options{Procs: 3}, hubCfg, wcfg, TypeIIRank,
 		func() { ch.Close() })
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +239,7 @@ func TestTypeIIICorruptDegraded(t *testing.T) {
 	wcfg := map[int]transport.Config{
 		1: {WrapConn: transport.Wrap(&ch, 7, transport.ChaosFault{AtFrame: 1, Action: transport.ChaosCorrupt})},
 	}
-	res, err := runTCP(t, prob, tolerantOpts(4), transport.Config{}, wcfg, TypeIIIRank)
+	res, err := runTCP(t, prob, Options{Procs: 4}, transport.Config{}, wcfg, TypeIIIRank)
 	if err != nil {
 		t.Fatal(err)
 	}

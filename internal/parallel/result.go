@@ -47,14 +47,11 @@ type Options struct {
 	// down cleanly, and the best-so-far result is returned. Nil never
 	// cancels.
 	Context context.Context
-	// Tolerate lets the master degrade instead of fail when a rank is lost
-	// mid-run (connection drop, heartbeat timeout, corrupt frames). The
-	// failed rank is removed from the exchange pattern, its share of the
-	// work is redistributed among the survivors, and the run finishes,
-	// recording the loss in Result.FailedRanks. Requires a transport that
-	// implements FaultComm (the TCP Group); the simulated cluster ignores
-	// it — simulated ranks cannot fail. A fault-free tolerant run follows
-	// a bitwise-identical trajectory to a non-tolerant one.
+	// Tolerate is kept only so existing callers that assign it still
+	// compile: masters always degrade when a real transport loses a rank
+	// (see Result.FailedRanks).
+	//
+	// Deprecated: ignored.
 	Tolerate bool
 	// Progress, when non-nil, receives per-iteration statistics from the
 	// master rank (Type I/II) or the first searcher rank (Type III, whose
@@ -125,8 +122,9 @@ type Result struct {
 	ReachedTarget bool
 	RankStats     []mpi.RankStats
 	MuTrace       []float64
-	// FailedRanks lists the ranks lost or expelled mid-run when the
-	// strategy ran with Options.Tolerate, ascending. Empty on clean runs.
+	// FailedRanks lists the ranks lost or expelled mid-run, ascending.
+	// Only a real transport loses ranks: the master finishes on the
+	// survivors instead of failing. Empty on clean and simulated runs.
 	FailedRanks []int
 	// Telemetry is the master engine's per-run counter snapshot (zero
 	// for Type III, whose rank 0 is the central store and runs no

@@ -6,7 +6,6 @@ import (
 
 	"simevo/internal/core"
 	"simevo/internal/layout"
-	"simevo/internal/mpi"
 	"simevo/internal/netlist"
 	"simevo/internal/telemetry"
 	"simevo/internal/transport"
@@ -37,22 +36,7 @@ func RunTypeI(prob *core.Problem, opt Options) (*Result, error) {
 	if len(movable) < opt.Procs {
 		return nil, fmt.Errorf("parallel: %d cells cannot feed %d ranks", len(movable), opt.Procs)
 	}
-
-	cl := mpi.NewCluster(opt.Procs, mpi.Options{Net: opt.net(), MeasureCompute: opt.measure()})
-	var out *Result
-	err := cl.Run(func(c *mpi.Comm) error {
-		res, err := TypeIRank(c, prob, opt)
-		if res != nil {
-			out = res
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.VirtualTime = cl.MakeSpan()
-	out.RankStats = cl.Stats()
-	return out, nil
+	return runSim(prob, opt, TypeIRank)
 }
 
 // TypeIRank executes this rank's role in a Type I run over an existing
@@ -66,9 +50,13 @@ func TypeIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("parallel: %d cells cannot feed %d ranks", len(prob.Ckt.Movable()), c.Size())
 	}
 	if c.Rank() == 0 {
-		res, err := typeIMaster(prob, c, opt)
+		root, err := rootComm(c)
+		if err != nil {
+			return nil, err
+		}
+		res := typeIMaster(prob, root, opt)
 		attachRankStats(c, res)
-		return res, err
+		return res, nil
 	}
 	return nil, typeISlave(prob, c)
 }
@@ -84,21 +72,16 @@ func cellChunk(movable []netlist.CellID, r, p int) []netlist.CellID {
 	return movable[lo:hi]
 }
 
-func typeIMaster(prob *core.Problem, c Comm, opt Options) (*Result, error) {
+func typeIMaster(prob *core.Problem, c FaultComm, opt Options) *Result {
 	eng := prob.NewEngine(0) // identical construction to the serial run
 	movable := prob.Ckt.Movable()
 	chunk := cellChunk(movable, 0, c.Size())
-	fc := tolerantComm(c, opt)
 	var goodsBuf, lostBuf []float64
 
 	for iter := 0; iter < prob.Cfg.MaxIters && !opt.cancelled(); iter++ {
 		roundStart := time.Now()
-		// Broadcast the current placement to the slaves.
-		if fc != nil {
-			fc.BcastRoot(eng.Placement().Encode())
-		} else {
-			c.Bcast(0, eng.Placement().Encode())
-		}
+		// Broadcast the current placement to the live slaves.
+		c.BcastRoot(eng.Placement().Encode())
 
 		// Local evaluation: full costs (duplicated on every rank) plus the
 		// master's goodness chunk.
@@ -106,37 +89,23 @@ func typeIMaster(prob *core.Problem, c Comm, opt Options) (*Result, error) {
 		goodsBuf = eng.ComputeGoodness(chunk, goodsBuf)
 
 		// Gather the slaves' goodness chunks.
-		var parts [][]byte
-		if fc != nil {
-			parts = fc.GatherRoot(encodeF64s(goodsBuf))
-		} else {
-			parts = c.Gather(0, encodeF64s(goodsBuf))
-		}
+		parts := c.GatherRoot(encodeF64s(goodsBuf))
 		for r := 1; r < c.Size(); r++ {
 			rchunk := cellChunk(movable, r, c.Size())
-			vals, err := decodeF64s(parts[r])
-			bad := err != nil || len(vals) != len(rchunk)
-			if fc != nil && (parts[r] == nil || bad) {
-				if parts[r] != nil {
-					fc.DropRank(r, fmt.Errorf("parallel: corrupt goodness chunk: err=%v len=%d want=%d",
-						err, len(vals), len(rchunk)))
+			if parts[r] != nil {
+				vals, err := decodeF64s(parts[r])
+				if err == nil && len(vals) == len(rchunk) {
+					eng.SetGoodness(rchunk, vals)
+					continue
 				}
-				// Degraded: recompute the lost chunk locally. Goodness is a
-				// pure function of the placement, so the trajectory equals
-				// the no-fault run — a Type I failure costs time, never
-				// quality.
-				lostBuf = eng.ComputeGoodness(rchunk, lostBuf)
-				eng.SetGoodness(rchunk, lostBuf)
-				continue
+				c.DropRank(r, fmt.Errorf("parallel: corrupt goodness chunk: err=%v len=%d want=%d",
+					err, len(vals), len(rchunk)))
 			}
-			if err != nil {
-				return nil, err
-			}
-			if len(vals) != len(rchunk) {
-				return nil, fmt.Errorf("parallel: rank %d sent %d goodness values for %d cells",
-					r, len(vals), len(rchunk))
-			}
-			eng.SetGoodness(rchunk, vals)
+			// Degraded: recompute the lost chunk locally. Goodness is a
+			// pure function of the placement, so the trajectory equals the
+			// no-fault run — a Type I failure costs time, never quality.
+			lostBuf = eng.ComputeGoodness(rchunk, lostBuf)
+			eng.SetGoodness(rchunk, lostBuf)
 		}
 
 		// Selection and allocation happen only on the master.
@@ -144,26 +113,19 @@ func typeIMaster(prob *core.Problem, c Comm, opt Options) (*Result, error) {
 		telemetry.ExchangeRoundType1Ns.Observe(int64(time.Since(roundStart)))
 	}
 	// Terminal broadcast: zero-length placement signals the slaves to stop.
-	if fc != nil {
-		fc.BcastRoot(nil)
-	} else {
-		c.Bcast(0, nil)
-	}
+	c.BcastRoot(nil)
 	eng.EvaluateCosts()
 
 	res := eng.Result()
-	out := &Result{
-		BestMu:    res.BestMu,
-		BestCosts: res.BestCosts,
-		Best:      res.Best,
-		Iters:     res.Iters,
-		MuTrace:   res.MuTrace,
-		Telemetry: res.Telemetry,
+	return &Result{
+		BestMu:      res.BestMu,
+		BestCosts:   res.BestCosts,
+		Best:        res.Best,
+		Iters:       res.Iters,
+		MuTrace:     res.MuTrace,
+		Telemetry:   res.Telemetry,
+		FailedRanks: failedRankList(c),
 	}
-	if fc != nil {
-		out.FailedRanks = failedRankList(fc)
-	}
-	return out, nil
 }
 
 func typeISlave(prob *core.Problem, c Comm) error {

@@ -6,7 +6,6 @@ import (
 
 	"simevo/internal/core"
 	"simevo/internal/layout"
-	"simevo/internal/mpi"
 	"simevo/internal/rng"
 	"simevo/internal/telemetry"
 )
@@ -34,21 +33,7 @@ func RunTypeII(prob *core.Problem, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("parallel: Type II needs >= 2 ranks, got %d", opt.Procs)
 	}
 
-	cl := mpi.NewCluster(opt.Procs, mpi.Options{Net: opt.net(), MeasureCompute: opt.measure()})
-	var out *Result
-	err := cl.Run(func(c *mpi.Comm) error {
-		res, err := TypeIIRank(c, prob, opt)
-		if res != nil {
-			out = res
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.VirtualTime = cl.MakeSpan()
-	out.RankStats = cl.Stats()
-	return out, nil
+	return runSim(prob, opt, TypeIIRank)
 }
 
 // TypeIIRank executes this rank's role in a Type II run over an existing
@@ -63,14 +48,18 @@ func TypeIIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 		if pattern == nil {
 			pattern = FixedPattern{}
 		}
-		res, err := typeIIMaster(prob, c, pattern, opt)
+		root, err := rootComm(c)
+		if err != nil {
+			return nil, err
+		}
+		res, err := typeIIMaster(prob, root, pattern, opt)
 		attachRankStats(c, res)
 		return res, err
 	}
 	return nil, typeIISlave(prob, c)
 }
 
-func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (*Result, error) {
+func typeIIMaster(prob *core.Problem, c FaultComm, pattern RowPattern, opt Options) (*Result, error) {
 	eng := prob.NewEngine(0)
 	targetMu := opt.TargetMu
 	numRows := eng.Placement().NumRows()
@@ -86,7 +75,6 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 	var prevSlots []layout.SlotRef
 	var deltaBuf []layout.SlotDelta
 
-	fc := tolerantComm(c, opt)
 	res := &Result{}
 	for iter := 0; iter < prob.Cfg.MaxIters && !opt.cancelled(); iter++ {
 		roundStart := time.Now()
@@ -94,12 +82,10 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 		if err := validatePattern(assign, numRows); err != nil {
 			return nil, err
 		}
-		if fc != nil {
-			// Degraded: dead ranks' row shares move onto the survivors, so
-			// every row keeps being optimized. With no failures this is a
-			// no-op and the assignment (hence the trajectory) is untouched.
-			redistributeRows(assign, fc.FailedRanks())
-		}
+		// Degraded: dead ranks' row shares move onto the survivors, so
+		// every row keeps being optimized. With no failures this is a
+		// no-op and the assignment (hence the trajectory) is untouched.
+		redistributeRows(assign, c.FailedRanks())
 
 		// Broadcast assignment + placement in one message: the full
 		// encoding on the first iteration (and when deltas would not pay —
@@ -120,11 +106,7 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 			msg = append(msg, place.Encode()...)
 		}
 		prevSlots = place.SnapshotSlots(prevSlots)
-		if fc != nil {
-			fc.BcastRoot(msg)
-		} else {
-			c.Bcast(0, msg)
-		}
+		c.BcastRoot(msg)
 
 		// The master works its own partition like any slave. Step's
 		// evaluation sees the previous iteration's merged solution, so μ
@@ -134,26 +116,18 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 
 		// Merge the slaves' rows into the master's placement.
 		for r := 1; r < c.Size(); r++ {
-			if fc != nil {
-				if len(assign[r]) == 0 {
-					continue // dead this iteration: its rows went to survivors
-				}
-				data, _, err := fc.TryRecv(r, tagT2Rows)
-				if err != nil {
-					// The rank died between broadcast and merge. Its rows
-					// simply keep their pre-iteration positions (still a
-					// valid placement) and move to survivors next round.
-					continue
-				}
-				if err := eng.Placement().ApplyRows(data); err != nil {
-					fc.DropRank(r, fmt.Errorf("parallel: corrupt row merge: %w", err))
-					continue
-				}
+			if len(assign[r]) == 0 {
+				continue // dead this iteration: its rows went to survivors
+			}
+			data, _, err := c.TryRecv(r, tagT2Rows)
+			if err != nil {
+				// The rank died between broadcast and merge. Its rows
+				// simply keep their pre-iteration positions (still a
+				// valid placement) and move to survivors next round.
 				continue
 			}
-			data, _ := c.Recv(r, tagT2Rows)
 			if err := eng.Placement().ApplyRows(data); err != nil {
-				return nil, fmt.Errorf("parallel: merging rank %d rows: %w", r, err)
+				c.DropRank(r, fmt.Errorf("parallel: corrupt row merge: %w", err))
 			}
 		}
 		eng.Placement().Recompute()
@@ -165,11 +139,7 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 			break
 		}
 	}
-	if fc != nil {
-		fc.BcastRoot(nil) // stop signal, skipping dead ranks
-	} else {
-		c.Bcast(0, nil) // stop signal
-	}
+	c.BcastRoot(nil) // stop signal, skipping dead ranks
 
 	// Evaluate the final merged solution (Step never saw the last merge)
 	// and check its integrity once.
@@ -185,9 +155,7 @@ func typeIIMaster(prob *core.Problem, c Comm, pattern RowPattern, opt Options) (
 	res.Iters = er.Iters
 	res.MuTrace = er.MuTrace
 	res.Telemetry = er.Telemetry
-	if fc != nil {
-		res.FailedRanks = failedRankList(fc)
-	}
+	res.FailedRanks = failedRankList(c)
 	return res, nil
 }
 

@@ -46,21 +46,7 @@ func RunTypeIII(prob *core.Problem, opt Options) (*Result, error) {
 	if opt.Procs < 3 {
 		return nil, fmt.Errorf("parallel: Type III needs >= 3 ranks (one is the central store), got %d", opt.Procs)
 	}
-	cl := mpi.NewCluster(opt.Procs, mpi.Options{Net: opt.net(), MeasureCompute: opt.measure()})
-	var out *Result
-	err := cl.Run(func(c *mpi.Comm) error {
-		res, err := TypeIIIRank(c, prob, opt)
-		if res != nil {
-			out = res
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.VirtualTime = cl.MakeSpan()
-	out.RankStats = cl.Stats()
-	return out, nil
+	return runSim(prob, opt, TypeIIIRank)
 }
 
 // TypeIIIRank executes this rank's role in a Type III run over an existing
@@ -78,20 +64,18 @@ func TypeIIIRank(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 	if c.Rank() != 0 {
 		return nil, typeIIISearcher(prob, c, retry, opt, opt.SyncExchange)
 	}
-	fc := tolerantComm(c, opt)
-	out, err := typeIIIStore(prob, c, fc)
+	root, err := rootComm(c)
 	if err != nil {
 		return nil, err
 	}
-	if fc != nil {
-		out.FailedRanks = failedRankList(fc)
+	out, err := typeIIIStore(prob, root)
+	if err != nil {
+		return nil, err
 	}
 	// The store tracks only μ; recover the cost breakdown of the winner.
-	if out.Best != nil {
-		eng := prob.EngineFrom(out.Best.Clone(), nil)
-		eng.EvaluateCosts()
-		out.BestCosts = eng.Costs()
-	}
+	eng := prob.EngineFrom(out.Best.Clone(), nil)
+	eng.EvaluateCosts()
+	out.BestCosts = eng.Costs()
 	attachRankStats(c, out)
 	return out, nil
 }
@@ -222,17 +206,16 @@ type searcherEntry struct {
 // sequenced posts, answers every 8-byte poll with a news frame, and
 // collects each rank's Done. Blocking and asynchronous searchers and the
 // cooperating workers of coop.go all speak this one frame set; they differ
-// only in when they read the news. With a non-nil fc the store degrades
-// instead of failing: a searcher that dies or sends corrupt frames counts
-// as done (its contributions so far are kept), and the run errors only if
-// every searcher is lost before any solution arrived.
-func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
+// only in when they read the news. A searcher that dies or sends a corrupt
+// frame is dropped and counts as done (its contributions so far are kept),
+// and any later frame from it is ignored; the run errors only if every
+// searcher is lost before any solution arrived.
+func typeIIIStore(prob *core.Problem, c FaultComm) (*Result, error) {
 	bestMu := -1.0
 	var bestData []byte // encoded solution, kept serialized for cheap replies
 	var best *layout.Placement
 	var epoch uint64 // bumps every time the global best improves
-	done := 0
-	iters := 0 // max iterations any searcher executed (cancellation may cut runs short)
+	iters := 0       // max iterations any searcher executed (cancellation may cut runs short)
 	table := make(map[int]*searcherEntry)
 	exch := &ExchangeStats{}
 
@@ -243,56 +226,27 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 		telemetry.ExchangeStoreEpoch.Set(int64(epoch))
 	}
 
-	var doneRanks, deadRanks map[int]bool
-	if fc != nil {
-		doneRanks = make(map[int]bool)
-		deadRanks = make(map[int]bool)
-	}
-	// rankDown counts a failed searcher toward completion exactly once —
-	// and not at all if its Done already arrived.
-	rankDown := func(r int) {
-		if r <= 0 || doneRanks[r] || deadRanks[r] {
-			return
-		}
-		deadRanks[r] = true
-		done++
-	}
-	// dropOrFail degrades on a per-rank error when fault tolerance is on
-	// and aborts the run otherwise.
-	dropOrFail := func(src int, err error) error {
-		if fc != nil {
-			fc.DropRank(src, err)
-			rankDown(src)
-			return nil
-		}
-		return err
-	}
-	reply := func(dst int, data []byte) {
-		if fc != nil {
-			if err := fc.TrySend(dst, tagT3News, data); err != nil {
-				rankDown(dst)
-			}
-		} else {
-			c.Send(dst, tagT3News, data)
-		}
+	// finished holds the searchers counted toward completion: their Done
+	// arrived, or they were lost or dropped. Each counts exactly once, and
+	// the store reads no further frame from it.
+	finished := make(map[int]bool)
+	drop := func(src int, err error) {
+		c.DropRank(src, err)
+		finished[src] = true
 	}
 
-	for done < c.Size()-1 {
-		var data []byte
-		var st mpi.Status
-		if fc != nil {
-			var err error
-			data, st, err = fc.TryRecv(mpi.AnySource, mpi.AnyTag)
-			if err != nil {
-				var re *transport.RankError
-				if errors.As(err, &re) {
-					rankDown(re.Rank)
-					continue
-				}
-				return nil, err
+	for len(finished) < c.Size()-1 {
+		data, st, err := c.TryRecv(mpi.AnySource, mpi.AnyTag)
+		if err != nil {
+			var re *transport.RankError
+			if errors.As(err, &re) {
+				finished[re.Rank] = true
+				continue
 			}
-		} else {
-			data, st = c.Recv(mpi.AnySource, mpi.AnyTag)
+			return nil, err
+		}
+		if finished[st.Source] {
+			continue
 		}
 		switch st.Tag {
 		case tagT3Post:
@@ -302,9 +256,7 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 			// and dropped; the best-μ comparison keeps the store monotonic
 			// regardless.
 			if len(data) < 8 {
-				if err := dropOrFail(st.Source, fmt.Errorf("parallel: post payload too short (%d bytes)", len(data))); err != nil {
-					return nil, err
-				}
+				drop(st.Source, fmt.Errorf("parallel: post payload too short (%d bytes)", len(data)))
 				continue
 			}
 			seq := binary.LittleEndian.Uint64(data)
@@ -319,9 +271,7 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 			e.lastSeq = seq
 			mu, place, _, err := decodeSolution(prob, data[8:])
 			if err != nil {
-				if err := dropOrFail(st.Source, fmt.Errorf("parallel: corrupt post frame: %w", err)); err != nil {
-					return nil, err
-				}
+				drop(st.Source, fmt.Errorf("parallel: corrupt post frame: %w", err))
 				continue
 			}
 			e.posts++
@@ -331,9 +281,7 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 			}
 		case tagT3Poll:
 			if len(data) < 8 {
-				if err := dropOrFail(st.Source, fmt.Errorf("parallel: poll payload too short (%d bytes)", len(data))); err != nil {
-					return nil, err
-				}
+				drop(st.Source, fmt.Errorf("parallel: poll payload too short (%d bytes)", len(data)))
 				continue
 			}
 			mu := math.Float64frombits(binary.LittleEndian.Uint64(data))
@@ -341,21 +289,18 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 			if bestMu > mu {
 				solution = bestData
 			}
-			reply(st.Source, encodeNews(solution))
+			if err := c.TrySend(st.Source, tagT3News, encodeNews(solution)); err != nil {
+				finished[st.Source] = true
+			}
 		case tagT3Done:
 			// Done wire format: 8-byte iteration count, the solution, then
 			// the exchange-stats blob. A corrupt Done still ends the rank.
 			n, mu, place, sst, err := decodeDone(prob, data)
 			if err != nil {
-				if err := dropOrFail(st.Source, fmt.Errorf("parallel: corrupt done frame: %w", err)); err != nil {
-					return nil, err
-				}
+				drop(st.Source, fmt.Errorf("parallel: corrupt done frame: %w", err))
 				continue
 			}
-			done++
-			if fc != nil {
-				doneRanks[st.Source] = true
-			}
+			finished[st.Source] = true
 			if n > iters {
 				iters = n
 			}
@@ -365,9 +310,7 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 				improve(mu, place, encodeSolution(mu, place))
 			}
 		default:
-			if err := dropOrFail(st.Source, fmt.Errorf("parallel: store received unexpected tag %d", st.Tag)); err != nil {
-				return nil, err
-			}
+			drop(st.Source, fmt.Errorf("parallel: store received unexpected tag %d", st.Tag))
 		}
 	}
 
@@ -380,8 +323,13 @@ func typeIIIStore(prob *core.Problem, c Comm, fc FaultComm) (*Result, error) {
 			exch.Searchers = append(exch.Searchers, SearcherRate{Rank: r, Posts: e.posts})
 		}
 	}
-	res := &Result{BestMu: bestMu, Best: best, Iters: iters, Exchange: exch}
-	return res, nil
+	return &Result{
+		BestMu:      bestMu,
+		Best:        best,
+		Iters:       iters,
+		FailedRanks: failedRankList(c),
+		Exchange:    exch,
+	}, nil
 }
 
 // --- searcher ---

@@ -68,12 +68,8 @@ func RunSpecOn(ctx context.Context, t transport.Transport, spec Spec, progress c
 	var res *parallel.Result
 	err = transport.Run(t, func(t transport.Transport) error {
 		t.Bcast(0, blob)
-		opt := specOptions(ctx, spec, progress)
-		// Real clusters lose workers; degrade instead of failing. The
-		// fault-free trajectory is bitwise identical either way.
-		opt.Tolerate = true
 		var err error
-		res, err = runRank(t, spec, prob, opt)
+		res, err = runRank(t, spec, prob, specOptions(ctx, spec, progress))
 		return err
 	})
 	if err != nil {

@@ -491,23 +491,10 @@ func (g *Group) Size() int { return g.size }
 // Elapsed implements Transport: wall time since the group formed.
 func (g *Group) Elapsed() time.Duration { return time.Since(g.start) }
 
-// Send implements Transport.
+// Send implements Transport: TrySend, panicking with *Fatal on failure.
 func (g *Group) Send(dst, tag int, data []byte) {
-	if dst < 0 || dst >= g.size {
-		fatalf("send to invalid rank %d", dst)
-	}
-	if dst == 0 {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		g.countFrame(0, 0, len(data))
-		g.in.push(frame{src: 0, dst: 0, tag: tag, data: cp})
-		return
-	}
-	w := g.ws[dst-1]
-	g.countFrame(0, dst, len(data))
-	if err := w.w.write(frame{src: 0, dst: dst, tag: tag, data: data}); err != nil {
-		g.workerLost(w, err)
-		panic(&Fatal{Err: &RankError{Rank: dst, Err: fmt.Errorf("send: %w", err)}})
+	if err := g.TrySend(dst, tag, data); err != nil {
+		panic(&Fatal{Err: err})
 	}
 }
 
@@ -515,19 +502,22 @@ func (g *Group) Send(dst, tag int, data []byte) {
 // just-failing) destination as a *RankError instead of panicking — the
 // primitive degraded masters build on. Sends to already-failed ranks are
 // counted like ordinary sends and then skipped, so a fault-free run and a
-// faulty one emit identical traffic statistics for the surviving ranks.
+// faulty one emit identical traffic statistics for the surviving ranks. A
+// send to rank 0 itself is a local enqueue and cannot fail.
 func (g *Group) TrySend(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= g.size {
-		return fmt.Errorf("transport: send to invalid rank %d", dst)
+		return fmt.Errorf("send to invalid rank %d", dst)
 	}
+	g.countFrame(0, dst, len(data))
 	if dst == 0 {
-		g.Send(dst, tag, data) // local enqueue cannot fail
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		g.in.push(frame{src: 0, dst: 0, tag: tag, data: cp})
 		return nil
 	}
 	g.failedMu.Lock()
 	err := g.failed[dst]
 	g.failedMu.Unlock()
-	g.countFrame(0, dst, len(data))
 	if err != nil {
 		return err
 	}
@@ -589,12 +579,15 @@ func (g *Group) Cancel() {
 	}
 }
 
-// DropRank expels a live rank from the current job: the master records it
-// failed (its pending and future traffic is ignored) and the worker is
-// told to abandon the job with a hard cancel — its rank function aborts,
-// reports a failed status, and the worker survives to serve the next job.
-// Degraded masters use it when a rank's frames arrive corrupt. Dropping
-// rank 0, an out-of-range rank, or an already-failed rank is a no-op.
+// DropRank expels a live rank from the current job. The master records it
+// failed: sends to it are skipped, receives naming it fail once its queued
+// frames are read, and a wildcard receive reports the failure once. Frames
+// the rank sent before the cancel landed are still delivered to rank 0, so
+// the caller must ignore them. The worker is told to abandon the job with
+// a hard cancel: its rank function aborts, reports a failed status, and
+// the worker survives to serve the next job. Degraded masters use it when
+// a rank's frames arrive corrupt. Dropping rank 0 or an out-of-range rank
+// is a no-op, and an already-failed rank keeps its first cause.
 func (g *Group) DropRank(rank int, err error) {
 	if rank <= 0 || rank >= g.size {
 		return

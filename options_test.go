@@ -25,7 +25,8 @@ var optionStructs = []struct{ dir, name string }{
 // unusedOptionAllowed lists the exported option fields that may stay
 // unreferenced, each with the reason.
 var unusedOptionAllowed = map[string]string{
-	"core.Config.AllocWorkers": "only bench/ assigns it",
+	"core.Config.AllocWorkers":  "only bench/ assigns it",
+	"parallel.Options.Tolerate": "only bench/ assigns it",
 }
 
 // optionRef is one syntactic reference to a field name: a selector x.Name
