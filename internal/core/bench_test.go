@@ -62,19 +62,47 @@ func BenchmarkTrialCost(b *testing.B) {
 	}
 }
 
+// scaleBenchProblem is the 20k-cell generated circuit in the configuration
+// of the benchmark's scale-20k-wpc workload (wpc, clustered start, 64
+// congestion bins), the size where the vacancy scan dominates the
+// iteration.
+func scaleBenchProblem(b *testing.B) *Problem {
+	b.Helper()
+	ckt, err := gen.Generate(gen.ScaledParams("scale", 20000, 2006))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(fuzzy.WirePowerCongest)
+	cfg.MaxIters = 1 << 30
+	cfg.Seed = 2006
+	cfg.ClusteredStart = true
+	cfg.CongestBins = 64
+	p, err := NewProblem(ckt, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
 // BenchmarkAllocate measures complete SimE iterations and reports the
 // allocation phase separately (alloc-ns/op), the quantity the paper's
-// Section 4 profile is about.
+// Section 4 profile is about, and the vacancies the scans visited
+// (visits/op; 0 in Scratch mode, which does not run them). Scale20k-wpc
+// runs the incremental engine only: there the scan is most of the
+// iteration.
 func BenchmarkAllocate(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		scratch bool
-	}{{"Incremental", false}, {"Scratch", true}} {
+		name string
+		prob func(*testing.B) *Problem
+	}{
+		{"Incremental", func(b *testing.B) *Problem { return benchProblem(b, false) }},
+		{"Scratch", func(b *testing.B) *Problem { return benchProblem(b, true) }},
+		{"Scale20k-wpc", scaleBenchProblem},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
-			p := benchProblem(b, mode.scratch)
-			e := p.NewEngine(0)
+			e := mode.prob(b).NewEngine(0)
 			e.Step() // warm scratch buffers and caches
-			start := e.Profile()
+			start, visits := e.Profile(), e.Telemetry().ScanVacancies
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Step()
@@ -82,6 +110,7 @@ func BenchmarkAllocate(b *testing.B) {
 			b.StopTimer()
 			d := e.Profile().Alloc - start.Alloc
 			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), "alloc-ns/op")
+			b.ReportMetric(float64(e.Telemetry().ScanVacancies-visits)/float64(b.N), "visits/op")
 		})
 	}
 }

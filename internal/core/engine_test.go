@@ -4,7 +4,9 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
+	"simevo/internal/cputime"
 	"simevo/internal/fuzzy"
 	"simevo/internal/gen"
 	"simevo/internal/netlist"
@@ -334,11 +336,31 @@ func TestProfileAllocationDominates(t *testing.T) {
 	// iteration at 400 gates. At testProblem's 150 gates it is 63%, the
 	// share the incremental engine reaches there once its evaluation is
 	// incremental too, so that size cannot separate the two profiles.
-	p := sizedProblem(t, fuzzy.WirePower, 400, 27, 60)
-	p.Cfg.DisableIncremental = true
-	e := p.NewEngine(0)
-	e.Run()
-	eval, sel, alloc := e.Profile().Shares()
+	//
+	// The shares are wall-clock phase times, which a loaded host skews
+	// one run at a time. So the two engines run alternately, three times
+	// each, under the thread CPU clock, and each engine's shares come from
+	// its lowest-CPU run, as in TestIncrementalSpeedupOverReference.
+	ref := sizedProblem(t, fuzzy.WirePower, 400, 27, 60)
+	ref.Cfg.DisableIncremental = true
+	inc := sizedProblem(t, fuzzy.WirePower, 400, 27, 30)
+	var best [2]time.Duration
+	var shares [2][3]float64 // per engine: eval, select, alloc
+	for i := 0; i < 6; i++ {
+		mode, p := i%2, ref
+		if mode == 1 {
+			p = inc
+		}
+		e := p.NewEngine(0)
+		d, _ := cputime.Thread(func() { e.Run() })
+		if i < 2 || d < best[mode] {
+			best[mode] = d
+			eval, sel, alloc := e.Profile().Shares()
+			shares[mode] = [3]float64{eval, sel, alloc}
+		}
+	}
+	eval, sel, alloc := shares[0][0], shares[0][1], shares[0][2]
+	t.Logf("allocation share: reference %.1f%%, incremental %.1f%%", alloc*100, shares[1][2]*100)
 	if alloc < eval || alloc < sel {
 		t.Fatalf("allocation share %.1f%% not dominant (eval %.1f%%, select %.1f%%)",
 			alloc*100, eval*100, sel*100)
@@ -350,11 +372,7 @@ func TestProfileAllocationDominates(t *testing.T) {
 	// The incremental engine must shift the profile: its allocation phase
 	// is incomparably cheaper, so the allocation share drops well below
 	// the reference mode's.
-	pi := sizedProblem(t, fuzzy.WirePower, 400, 27, 30)
-	ei := pi.NewEngine(0)
-	ei.Run()
-	_, _, allocInc := ei.Profile().Shares()
-	if allocInc >= alloc {
+	if allocInc := shares[1][2]; allocInc >= alloc {
 		t.Fatalf("incremental allocation share %.1f%% not below reference %.1f%%",
 			allocInc*100, alloc*100)
 	}

@@ -12,6 +12,7 @@ import (
 	"simevo/internal/gen"
 	"simevo/internal/layout"
 	"simevo/internal/netlist"
+	"simevo/internal/telemetry"
 )
 
 // goldenTrajectories pins serial SimE trajectories across commits: the
@@ -184,17 +185,49 @@ func TestGoldenScanCandidates(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			ckt, err := gen.Benchmark(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig(fuzzy.WirePowerDelay)
-			cfg.MaxIters = 12
-			cfg.Seed = 2006
-			tel := goldenRun(t, ckt, cfg).Telemetry
+			tel := scanGoldenRun(t, name)
 			if got := tel.ScanVacancies + tel.ScanSkippedBucket; got != want[name] {
 				t.Errorf("%d scan candidates, want %d", got, want[name])
 			}
 		})
 	}
+}
+
+// TestGoldenScanVisits pins, for the same runs as TestGoldenScanCandidates,
+// how many of the offered candidates the scans visit: those neither cut
+// with their row nor left outside a row's walk. Unlike the candidate
+// count, this follows from how well the scan prunes, so a change that
+// loses pruning power fails here and not only in a benchmark. A change
+// that sharpens the bounds lowers it on purpose and updates the table.
+func TestGoldenScanVisits(t *testing.T) {
+	want := map[string]uint64{
+		"s1196": 39411,
+		"s1238": 40416,
+		"s1488": 53607,
+		"s1494": 53762,
+		"s3330": 180827,
+	}
+	for _, name := range gen.Catalog() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			if got := scanGoldenRun(t, name).ScanVacancies; got != want[name] {
+				t.Errorf("%d scan visits, want %d", got, want[name])
+			}
+		})
+	}
+}
+
+// scanGoldenRun runs the scan goldens' configuration on a catalog circuit
+// (wpd, 12 iterations, seed 2006) and returns the run's telemetry.
+func scanGoldenRun(t *testing.T, name string) telemetry.EngineSnapshot {
+	t.Helper()
+	ckt, err := gen.Benchmark(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(fuzzy.WirePowerDelay)
+	cfg.MaxIters = 12
+	cfg.Seed = 2006
+	return goldenRun(t, ckt, cfg).Telemetry
 }

@@ -133,9 +133,17 @@ func xPenOf(it *compiledTrial, x float64) float64 {
 // with pins. It also requires the branch-excess term to be exercised: some
 // trunk must carry eX > 0, and some row bound must come out strictly
 // sharper than the bound without it.
+//
+// The trunk window is checked the same way. Each vertically cheaper
+// trunk's corrected term, its rowTail share plus w·xPen plus w·min(Hc −
+// Vc, dist(x, medI) − xPen), stays under its weighted trial length. For
+// bounds taken from the row's own scores, every grid x outside the
+// window trunkWindow returns scores at or above the bound. Some window
+// must exclude a grid point, so the check cannot pass vacuously.
 func TestScanBoundsSound(t *testing.T) {
 	r := rng.New(0x5eed)
 	sawExcess, sawSharper := false, false
+	sawVertical, sawWindow := false, false
 	for trial := 0; trial < 80; trial++ {
 		f := newTrunkFixture(t, r, 3, trial%2 == 1)
 		inc := NewIncremental(f.ckt, Steiner)
@@ -165,7 +173,7 @@ func TestScanBoundsSound(t *testing.T) {
 			}
 			stride := len(set.items) + 1
 			for row := 0; row < f.rows; row++ {
-				set.ensureRowTail(row)
+				set.fillRowTail(row)
 				y := f.rowY(row)
 				base := row * stride
 				for i := range set.items {
@@ -175,9 +183,11 @@ func TestScanBoundsSound(t *testing.T) {
 						sawSharper = true
 					}
 				}
+				scores := make([]float64, 0, 60)
 				for k := -6; k < 54; k++ {
 					x := f.xAt(k)
 					score := set.Score(view, x, y, row)
+					scores = append(scores, score)
 					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
 						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
 					}
@@ -187,12 +197,41 @@ func TestScanBoundsSound(t *testing.T) {
 						cost := view.TrialNetAt(nets[i], x, y) * it.w
 						pen := it.w * xPenOf(it, x)
 						whole += pen
-						if term := set.rowTail[base+i] - set.rowTail[base+i+1] + pen; term*scanSlack > cost {
+						term := set.rowTail[base+i] - set.rowTail[base+i+1] + pen
+						if term*scanSlack > cost {
 							t.Fatalf("trial %d row %d x %v item %d: bound %v > cost %v", trial, row, x, i, term, cost)
+						}
+						slot := i*set.yClasses + row
+						if gap := set.memo[2*slot] - (set.memo[2*slot+1] + it.ex); gap > 0 {
+							sawVertical = true
+							n := len(it.xv)
+							dist := max(it.xv[(n-1)/2]-x, x-it.xv[n/2], 0)
+							if corr := term + it.w*min(gap, dist-xPenOf(it, x)); corr*scanSlack > cost {
+								t.Fatalf("trial %d row %d x %v item %d: window-corrected bound %v > cost %v",
+									trial, row, x, i, corr, cost)
+							}
 						}
 					}
 					if whole*scanSlack > score {
 						t.Fatalf("trial %d row %d x %v: rowTail+xPen %v > score %v", trial, row, x, whole, score)
+					}
+				}
+				for j := 0; j < len(scores); j += 3 {
+					bound := scores[j]
+					b := bound/scanSlack - set.rowTail[base] - set.minEnv
+					if b <= 0 {
+						continue
+					}
+					wlo, whi := set.trunkWindow(b)
+					for k, score := range scores {
+						if x := f.xAt(k - 6); x >= wlo && x < whi {
+							continue
+						}
+						sawWindow = true
+						if score < bound {
+							t.Fatalf("trial %d row %d x %v: outside window [%v, %v) for bound %v, score %v",
+								trial, row, f.xAt(k-6), wlo, whi, bound, score)
+						}
 					}
 				}
 			}
@@ -201,6 +240,10 @@ func TestScanBoundsSound(t *testing.T) {
 	}
 	if !sawExcess || !sawSharper {
 		t.Fatalf("branch excess never exercised: eX > 0 seen %v, sharper row bound seen %v", sawExcess, sawSharper)
+	}
+	if !sawVertical || !sawWindow {
+		t.Fatalf("trunk window never exercised: vertically cheaper trunk seen %v, excluded grid point seen %v",
+			sawVertical, sawWindow)
 	}
 }
 
@@ -272,6 +315,17 @@ func FuzzScanBestRows(f *testing.F) {
 	f.Add([]byte("12"))
 	f.Add([]byte("C200"))
 	f.Add([]byte("1j"))
+	// Trunk windows engage. Tall narrow trunks, vertically cheaper in
+	// most rows, on the narrow grid ("d\r>", ">\xa1...") and the wide one
+	// ("_h...", "\xffD\x15"); trunks whose stored pins share one x, on
+	// both grids ("\xf4>...", "\xf1\x1d`\x16", "\xf7\xdd\xca\r").
+	f.Add([]byte("d\r>"))
+	f.Add([]byte(">\xa1\xd0\xd1\xcbI\xa9"))
+	f.Add([]byte("_h\xd4\n\xa9\xfb\xe2\xfc\x9b9"))
+	f.Add([]byte("\xffD\x15"))
+	f.Add([]byte("\xf4>\xd7\xdd\xc4Ld."))
+	f.Add([]byte("\xf1\x1d`\x16"))
+	f.Add([]byte("\xf7\xdd\xca\r"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &byteSource{b: data}
 		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)

@@ -26,8 +26,8 @@ import (
 // distinct values. When compiled with yClasses > 0, the y-dependent half
 // of every trunk record — the y branch total, the extended y-span — is
 // memoized per y-class (row), leaving only the x-side arithmetic per
-// trial. The scan fills a row's entries when it first enters the row
-// (ensureRowTail); Score fills the entry it reads.
+// trial. The scan fills a row's entries when it enters the row
+// (fillRowTail); Score fills the entry it reads.
 //
 // Score sums net costs in compile order with the same multiply-add
 // sequence as the scalar path, so its result is bitwise identical to
@@ -66,19 +66,51 @@ type TrialSet struct {
 	//     bound holds against the computed branch sums too;
 	//   - empty and boxless items contribute 0.
 	//
+	// Trunk window. Where a trunk item's vertical orientation is the
+	// cheaper one at row r, Vc(r) = ySpanExt(r) + D* < Hc(r) = S +
+	// yBranch(r) (S the stored x span, D* = S + eX), its term charges Vc
+	// flat across the row, though the vertical cost grows with the
+	// candidate's distance from the stored x median interval medI =
+	// [medLo, medHi] (the middle value, or the two middle values). Adding
+	// a point x to a multiset raises its least L1 deviation by at least
+	// dist(x, medI): Σ|x_i − m| >= D + dist(m, medI) for any m, and |x − m|
+	// >= dist(x, medI) − dist(m, medI). So xBranch(x) >= D* + dist(x,
+	// medI), and the item's trial length, min(Hc + xPen(x), ySpanExt +
+	// xBranch(x)), exceeds its share min(Hc, Vc) + xPen(x) by at least
+	// exc(x) = min(Hc − Vc, dist(x, medI) − xPen(x)) >= 0, times w. Every
+	// other item covers its own share, so the trial costs at least
+	// rowTail[r] + xLB(x) + w·exc(x) >= rowTail[r] + minEnv + w·exc(x), and
+	// a vacancy can beat the bound only if w·exc(x) < b = bound/scanSlack −
+	// rowTail[r] − minEnv. An item with w·(Hc − Vc) >= b therefore confines
+	// the row to dist(x, medI) − xPen(x) < b/w: within the stored span xPen
+	// is 0, so x must lie in (medLo − b/w, medHi + b/w); past the span's
+	// end the excess stays at its value there (medLo − minX on the left,
+	// maxX − medHi on the right). A window edge inside the span thus also
+	// excludes every vacancy past the span on that side, and an edge that
+	// reaches past the span leaves that side unconstrained. scanRow
+	// intersects the windows of the row's items (trunkWindow) and walks
+	// only inside. Rounding: b, Hc − Vc and b/w round relative to the
+	// bound (the row's rowTail already holds w·Vc), which scanSlack covers
+	// as it covers rowTail; the branch sums behind xBranch and D* are
+	// covered by eX's allowance; the edges round at the magnitude of the
+	// coordinates, so each is widened by prefixAllowance, the allowance
+	// branchExcess deducts (compiledTrial.wlo/whi).
+	//
 	// The weights embed the active objective scores — in wpd mode the
 	// cached per-net timing criticality, in wpc/wpdc mode the congestion
 	// grid's per-net demand score — so the bound is criticality- and
 	// congestion-aware: hot nets carry inflated weights and their bound
 	// mass prunes proportionally harder, which is what keeps wpd/wpdc
-	// scans pruning like wp scans. Columns fill lazily, one row on first
-	// walk (ensureRowTail): the best-first row iteration cuts most rows
-	// before their suffix column is ever needed. rowReady[r] == epoch marks row r's column (and its trunk
-	// memo entries) filled for the current cell; PrepareScan advances the
-	// epoch instead of clearing every row.
-	rowTail  []float64
-	rowReady []uint32
-	epoch    uint32
+	// scans pruning like wp scans. Columns fill lazily, one row as the
+	// scan enters it (fillRowTail): the best-first row iteration cuts most
+	// rows before their suffix column is ever needed.
+	rowTail []float64
+	// vert lists the vertically cheaper trunk items of the row fillRowTail
+	// filled last, with their gaps w·(Hc − Vc); vertMax is the largest gap
+	// (−Inf when the list is empty). trunkWindow reads only these items,
+	// and only when vertMax reaches the row's budget.
+	vert    []trunkGap
+	vertMax float64
 	// rowLB[r] = C + Σ w_j · yPen_j(y_r), the whole-trial lower bound at
 	// row r's centerline, with C = Σ w_j · (storedSpan_j + e_j): e_j is
 	// min(eX, eY) for a trunk item and 0 otherwise. By the rowTail
@@ -194,6 +226,12 @@ type compiledTrial struct {
 	// (see TrialSet.rowTail).
 	ex, ey float64
 
+	// Trunk: the stored x median interval [medLo, medHi] (the middle value,
+	// or the two middle values) widened on each side by the same rounding
+	// allowance branchExcess deducts: the core of the item's scan window
+	// (see TrialSet.rowTail).
+	wlo, whi float64
+
 	// Trunk: median anchors around the merged middle. Odd merged count
 	// uses a0..a1 (med = clamp(c, a0, a1)); even uses a0..a2
 	// (med = (clamp(c,a0,a1)+clamp(c,a1,a2))/2). Same values mergedAt1
@@ -266,6 +304,8 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 			it.iy0 = int32(sort.SearchFloat64s(g.yv, it.ay0))
 			it.ex = branchExcess(g.xv, g.xp)
 			it.ey = branchExcess(g.yv, g.yp)
+			a := prefixAllowance(stored, max(math.Abs(it.minX), math.Abs(it.maxX)))
+			it.wlo, it.whi = g.xv[(stored-1)/2]-a, g.xv[stored/2]+a
 		}
 		dst.items = append(dst.items, it)
 	}
@@ -281,16 +321,22 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 // sums, so each can be off by about n²·ε·M in absolute terms (n values, M
 // the largest |v|): rounding at the magnitude of the coordinates, not of
 // the net, which scanSlack (relative to the score) does not cover for a
-// short net far from the origin. Deducting 4(n+1)²·ε·M, over twice that,
-// keeps every bound built on the excess under the computed trial cost.
-// The result is not clamped: where the true excess is 0 (3 stored pins,
-// or a trial branch sum that rounds below the span) the allowance makes it
-// slightly negative, which is what keeps those bounds sound.
+// short net far from the origin. Deducting prefixAllowance, over twice
+// that, keeps every bound built on the excess under the computed trial
+// cost. The result is not clamped: where the true excess is 0 (3 stored
+// pins, or a trial branch sum that rounds below the span) the allowance
+// makes it slightly negative, which is what keeps those bounds sound.
 func branchExcess(v, p []float64) float64 {
 	n := len(v)
 	h := n / 2
-	m := max(math.Abs(v[0]), math.Abs(v[n-1]))
-	return branchSumAt(v, p, v[h], h) - (v[n-1] - v[0]) - 4*float64((n+1)*(n+1))*0x1p-52*m
+	return branchSumAt(v, p, v[h], h) - (v[n-1] - v[0]) - prefixAllowance(n, max(math.Abs(v[0]), math.Abs(v[n-1])))
+}
+
+// prefixAllowance is 4(n+1)²·ε·m: the rounding allowance for quantities
+// computed at the magnitude m of n sorted coordinates, such as a branch
+// sum taken as a difference of prefix sums.
+func prefixAllowance(n int, m float64) float64 {
+	return 4 * float64((n+1)*(n+1)) * 0x1p-52 * m
 }
 
 // PrepareScan computes the row-sharded prune state ScanBestRows consumes:
@@ -307,16 +353,6 @@ func (t *TrialSet) PrepareScan(rowY []float64) {
 	t.rowY = rowY
 	t.rowTail = resizeFloats(t.rowTail, rows*(len(t.items)+1))
 	t.rowLB = resizeFloats(t.rowLB, rows)
-	if len(t.rowReady) < rows {
-		t.rowReady = make([]uint32, rows)
-		t.epoch = 0
-	}
-	t.rowReady = t.rowReady[:rows]
-	if t.epoch++; t.epoch == 0 {
-		// The stamp wrapped: clear the stale ones once.
-		clear(t.rowReady)
-		t.epoch = 1
-	}
 
 	// Compile the x-penalty envelope, the walk anchor, and the constant
 	// part C = Σ w_j · (storedSpan_j + e_j) of the per-row bound (see
@@ -518,20 +554,25 @@ func (t *TrialSet) envAt(seg int, x float64) float64 {
 	return t.xbv[seg] + t.xbs[seg]*(x-t.xbp[seg])
 }
 
-// ensureRowTail fills row's suffix column of rowTail on first use, at full
-// sharpness: a bbox item contributes its exact y half (extended span), and
-// a trunk item contributes storedSpanX + min(yBranch, ySpanExt + eX) from
-// its row class — the field comment proves both bounds. The xPen part is
-// tracked separately by the walk's envelope (xRem). Filling the column
-// also fills the row's trunk y-memo entries, which the walk then reads
-// unchecked.
-func (t *TrialSet) ensureRowTail(row int) {
-	if t.rowReady[row] == t.epoch {
-		return
-	}
+// trunkGap is one vertically cheaper trunk item of a row: its index and
+// its orientation gap w·(Hc − Vc) there.
+type trunkGap struct {
+	wg float64
+	i  int
+}
+
+// fillRowTail fills row's suffix column of rowTail at full sharpness: a
+// bbox item contributes its exact y half (extended span), and a trunk item
+// contributes storedSpanX + min(yBranch, ySpanExt + eX) from its row class
+// — the field comment proves both bounds. The xPen part is tracked
+// separately by the walk's envelope (xRem). Filling the column also fills
+// the row's trunk y-memo entries, which the walk then reads unchecked, and
+// the row's vertically cheaper trunks (vert, vertMax) for trunkWindow.
+func (t *TrialSet) fillRowTail(row int) {
 	y := t.rowY[row]
 	base := row * (len(t.items) + 1)
 	acc := 0.0
+	t.vert, t.vertMax = t.vert[:0], math.Inf(-1)
 	t.rowTail[base+len(t.items)] = 0
 	for i := len(t.items) - 1; i >= 0; i-- {
 		it := &t.items[i]
@@ -556,12 +597,14 @@ func (t *TrialSet) ensureRowTail(row int) {
 			yMin := t.memo[2*slot] // y branch total (horizontal trunk)
 			if s := t.memo[2*slot+1] + it.ex; s < yMin {
 				yMin = s // extended y span plus x branch excess (vertical trunk)
+				wg := (t.memo[2*slot] - s) * it.w
+				t.vert = append(t.vert, trunkGap{wg, i})
+				t.vertMax = max(t.vertMax, wg)
 			}
 			acc += ((it.maxX - it.minX) + yMin) * it.w
 		}
 		t.rowTail[base+i] = acc
 	}
-	t.rowReady[row] = t.epoch
 }
 
 // fillClass computes trunk item i's y-memo entry for class (centerline y)
@@ -753,7 +796,7 @@ type ScanStats struct {
 	PrunedSuffix  uint64 // dropped by the suffix-bound (rowTail) estimate
 	BailedExact   uint64 // dropped by the exact partial-cost prefix check
 	Scored        uint64 // fully scored (survived every prune)
-	SkippedBucket uint64 // never visited: cut wholesale by a row/tail skip
+	SkippedBucket uint64 // never visited: cut with its row or tail, or outside a trunk window
 	RowsVisited   uint64 // row buckets entered by the sharded scan
 }
 
@@ -772,9 +815,13 @@ type rowScan struct {
 }
 
 // ScanBestRows is the row-sharded vacancy scan for the compiled cell: it
-// visits the rows of the buckets, skipping infeasible and empty rows, skipping whole rows whose lower bound already reaches the
-// running bound, and walking each surviving bucket outward from the
-// vacancy nearest the cell's median anchor. Rows are entered best-first:
+// visits the rows of the buckets, skipping infeasible and empty rows,
+// skipping whole rows whose lower bound already reaches the running bound,
+// and walking each surviving bucket outward from the vacancy nearest the
+// cell's median anchor, within the row's trunk window: the x-range where
+// every vertically cheaper trunk, which rowTail charges only its flat row
+// share, can still pay its true cost under the bound (see rowTail; a row
+// whose window is empty is skipped). Rows are entered best-first:
 // rowLB is convex around anchorRow, so the scan grows one contiguous row
 // range from there, each step entering whichever neighbouring row has the
 // smaller rowLB. That tightens the bound on the most promising rows
@@ -836,7 +883,10 @@ func (t *TrialSet) ScanBestRows(view *View, bk *VacancyBuckets, rowOK []bool,
 // penalty, already reaches the bound is skipped wholesale. scanRow
 // reports true when the first skip fires: each side of the order moves
 // away from anchorRow, the argmin of the convex rowLB, so every remaining
-// row on that side is dominated too, and the caller cuts the side.
+// row on that side is dominated too, and the caller cuts the side. A row
+// it enters is walked only inside its trunk window, taken at the bound
+// on entry (the bound only falls during the walk, so the window stays
+// sound), and a row whose window is empty is skipped.
 func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
 	bk := c.bk
 	if bk.rowN[r] == 0 || !rowOK[r] {
@@ -859,26 +909,64 @@ func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
 			return false
 		}
 	}
-	t.ensureRowTail(r)
+	t.fillRowTail(r)
 	// Re-check with the sharp memoized column before paying for the
 	// seek and walk: rowTail[base] upgrades the sweep's span-based
 	// bound with the true per-row trunk y halves.
-	if (t.rowTail[r*(len(t.items)+1)]+xlb)*scanSlack >= c.bound {
+	tail := t.rowTail[r*(len(t.items)+1)]
+	if (tail+xlb)*scanSlack >= c.bound {
 		return false
 	}
-	p0 := bk.SeekGE(r, t.anchorX)
-	t.walkDir(c, r, p0, hi, +1)
-	t.walkDir(c, r, p0-1, lo-1, -1)
+	// Confine the walk to the row's trunk window [wlo, whi) (see rowTail),
+	// computed only where some trunk's gap reaches the row's budget, and
+	// seek to the anchor clamped into it. Either walk then starts on its
+	// own side of anchorX, as the envelope cursors need.
+	wlo, whi := math.Inf(-1), math.Inf(1)
+	if (tail+t.minEnv+t.vertMax)*scanSlack >= c.bound {
+		if b := c.bound/scanSlack - tail - t.minEnv; b > 0 {
+			if wlo, whi = t.trunkWindow(b); wlo >= whi {
+				return false
+			}
+		}
+	}
+	p0 := bk.SeekGE(r, min(max(t.anchorX, wlo), whi))
+	t.walkDir(c, r, p0, hi, +1, whi)
+	t.walkDir(c, r, p0-1, lo-1, -1, wlo)
 	return false
+}
+
+// trunkWindow intersects the x-windows of the vertically cheaper trunk
+// items of the row fillRowTail filled last whose gap w·(Hc − Vc) reaches
+// the budget b: item j confines the row to [wlo_j − b/w_j, whi_j + b/w_j),
+// each side only where that edge stays within the item's stored x span
+// (see rowTail).
+func (t *TrialSet) trunkWindow(b float64) (wlo, whi float64) {
+	wlo, whi = math.Inf(-1), math.Inf(1)
+	for _, v := range t.vert {
+		if v.wg < b {
+			continue
+		}
+		it := &t.items[v.i]
+		d := b / it.w
+		if e := it.wlo - d; e >= it.minX && e > wlo {
+			wlo = e
+		}
+		if e := it.whi + d; e <= it.maxX && e < whi {
+			whi = e
+		}
+	}
+	return wlo, whi
 }
 
 // walkDir walks one row's free vacancies from position p toward end
 // (exclusive) in steps of dir, scoring each under the cursor's running
+// bound. It stops at the row's trunk window edge: past edge (x >= edge
+// walking right, x < edge walking left) no vacancy can score under the
 // bound. When the precheck fires at an x beyond the cut interval, every
 // remaining position in the walk direction has a precheck value at least
 // as large (the envelope is nondecreasing outward), so the walk stops —
 // the dominated tail is never visited.
-func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int) {
+func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int, edge float64) {
 	bk, st := c.bk, c.st
 	items, stride := t.items, len(t.items)+1
 	rowBase := row * stride
@@ -892,8 +980,11 @@ func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int) {
 	seg, nbp := t.anchorSeg, len(t.xbp)
 walk:
 	for ; p != end; p += dir {
-		v := int(bk.order[p])
 		x := bk.xs[p]
+		if (dir > 0 && x >= edge) || (dir < 0 && x < edge) {
+			return
+		}
+		v := int(bk.order[p])
 		st.Vacancies++
 		xRem := 0.0
 		if t.hasPrune {
