@@ -31,7 +31,6 @@ import (
 	"simevo/internal/fuzzy"
 	"simevo/internal/layout"
 	"simevo/internal/netlist"
-	"simevo/internal/telemetry"
 )
 
 // Scale is the fixed-point quantum: demand is stored in units of
@@ -146,15 +145,12 @@ type Grid struct {
 	diff   []int64 // (nx+1)*(ny+1) corner updates; demand is its 2-D prefix sum
 	rects  []rect  // per-net covered bins (NetScore reads them)
 
-	val          float64 // cost of the last Full
-	total        int64   // Σ demand of the last evaluation
-	peak         int64   // max bin demand of the last evaluation
-	overflowNum  int64   // overflow numerator, units of Scale·NX·NY
-	nBinUpdates  uint64
-	nRebuilds    uint64
-	lastBinUpd   uint64 // value of nBinUpdates already flushed to telemetry
-	lastRebuilds uint64
-	silent       bool
+	val         float64 // cost of the last Full
+	total       int64   // Σ demand of the last evaluation
+	peak        int64   // max bin demand of the last evaluation
+	overflowNum int64   // overflow numerator, units of Scale·NX·NY
+	nBinUpdates uint64
+	nRebuilds   uint64
 }
 
 // New creates a grid for a circuit. src may be nil at construction
@@ -322,13 +318,6 @@ func (g *Grid) finish() float64 {
 	}
 	g.total, g.peak, g.overflowNum = total, peak, over
 	g.val = float64(over) / (float64(Scale) * float64(b))
-	if !g.silent {
-		telemetry.CongestBinUpdates.Add(g.nBinUpdates - g.lastBinUpd)
-		telemetry.CongestRebuilds.Add(g.nRebuilds - g.lastRebuilds)
-		g.lastBinUpd, g.lastRebuilds = g.nBinUpdates, g.nRebuilds
-		telemetry.CongestPeak.Set(g.peak / Scale)
-		telemetry.CongestOverflow.Set(int64(g.val))
-	}
 	return g.val
 }
 
@@ -357,7 +346,7 @@ func (g *Grid) Demand(dst []float64) []float64 {
 	return dst
 }
 
-// Stats reports the grid's lifetime churn counters.
+// Stats reports the grid's lifetime churn counters (the engine publishes them).
 func (g *Grid) Stats() (binUpdates, rebuilds uint64) { return g.nBinUpdates, g.nRebuilds }
 
 // CellScore is the goodness hook: 1 − (cell's bin demand / peak demand),
@@ -384,7 +373,3 @@ func (g *Grid) NetScore(n netlist.NetID) float64 {
 	d := g.demand[int((r.y0+r.y1)/2)*g.spec.NX+int((r.x0+r.x1)/2)]
 	return float64(d) / float64(g.peak)
 }
-
-// Silence disables the process-wide telemetry flush — one-shot diagnostic
-// grids (metrics.EstimateCongestion) keep the engine's gauges clean.
-func (g *Grid) Silence() { g.silent = true }

@@ -85,7 +85,6 @@ func TestFullIsStateless(t *testing.T) {
 	lengths := make([]float64, ckt.NumNets())
 
 	warm := New(ckt, spec, src)
-	warm.Silence()
 	warm.Full(lengths)
 
 	movable := ckt.Movable()
@@ -97,7 +96,6 @@ func TestFullIsStateless(t *testing.T) {
 		}
 		warm.Full(lengths)
 		ref := New(ckt, spec, src)
-		ref.Silence()
 		ref.Full(lengths)
 		gridsEqual(t, warm, ref, "after random moves")
 		for n := range warm.rects {
@@ -125,10 +123,8 @@ func TestSourceEquivalence(t *testing.T) {
 	inc.Rebuild(place)
 
 	a := New(ckt, spec, PlacementSource{P: place})
-	a.Silence()
 	a.Full(lengths)
 	b := New(ckt, spec, inc)
-	b.Silence()
 	b.Full(lengths)
 	gridsEqual(t, a, b, "placement vs incremental source")
 }
@@ -163,7 +159,6 @@ func TestContributionConservation(t *testing.T) {
 	place := layout.NewRandom(ckt, 12, rng.New(8))
 	spec := SpecFor(ckt, 12, 0)
 	g := New(ckt, spec, PlacementSource{P: place})
-	g.Silence()
 	g.Full(make([]float64, ckt.NumNets()))
 
 	var sumBins, sumContrib int64

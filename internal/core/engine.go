@@ -73,15 +73,14 @@ type Engine struct {
 
 	iter      int
 	noImprove int
-	profile   Profile
 	muTrace   []float64
 
-	// Telemetry: tel is the per-run tally copied into Result.Telemetry;
-	// scanStats is a plain accumulator folded into tel and the
-	// process-wide registry once per allocation pass, keeping atomics out
-	// of the scan loop. Purely observational — never consulted by the
-	// search.
+	// Telemetry: tel is the per-run tally and the engine's only counters;
+	// Profile derives from it and publish flushes its progress since pub.
+	// scanStats is folded into tel once per allocation pass, keeping the
+	// scan loop plain. Purely observational — never consulted by the search.
 	tel       telemetry.EngineSnapshot
+	pub       telemetry.EngineSnapshot
 	scanStats wire.ScanStats
 
 	// scratch buffers
@@ -271,6 +270,12 @@ func (e *Engine) PatchPlacement(deltas []layout.SlotDelta) error {
 // and μ(s), and updates the best-solution tracking. It does not touch
 // per-cell goodness.
 func (e *Engine) EvaluateCosts() {
+	e.evaluateCosts()
+	e.publish()
+}
+
+// evaluateCosts is EvaluateCosts for callers that publish after timing it.
+func (e *Engine) evaluateCosts() {
 	if e.place.Dirty() {
 		e.place.Recompute()
 	}
@@ -291,19 +296,15 @@ func (e *Engine) EvaluateCosts() {
 		// Reference mode re-derives every net length from scratch.
 		e.lengths = e.ev.Lengths(e.place, e.lengths)
 		e.tel.FullRebuilds++
-		telemetry.EngineEvalsReference.Inc()
 	} else if rebuilt, dirty := e.syncIncremental(); rebuilt {
 		e.lengths = e.inc.Lengths(e.lengths)
 		e.tel.FullRebuilds++
-		telemetry.EngineEvalsRebuild.Inc()
 	} else {
 		// The mirror re-estimates only the nets touched since the last
 		// evaluation.
 		e.lengths = e.inc.Lengths(e.lengths)
 		e.tel.IncrementalEvals++
 		e.tel.DirtyNets += uint64(dirty)
-		telemetry.EngineEvalsIncremental.Inc()
-		telemetry.EngineDirtyNets.Observe(int64(dirty))
 	}
 	e.costs = e.pipe.Full(e.lengths)
 	e.tel.Evals++
@@ -682,14 +683,10 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	e.tel.AllocPrepNs += uint64(prepD)
 	e.tel.AllocScanNs += uint64(scanD)
 	e.tel.AllocCommitNs += uint64(commitD)
-	telemetry.AllocSubPrepNs.Observe(int64(prepD))
-	telemetry.AllocSubScanNs.Observe(int64(scanD))
-	telemetry.AllocSubCommitNs.Observe(int64(commitD))
 }
 
 // flushScanStats folds the vacancy-scan accumulator into the run snapshot
-// and the process-wide counters — a handful of atomic adds per allocation
-// pass instead of per vacancy.
+// once per allocation pass.
 func (e *Engine) flushScanStats() {
 	agg := e.scanStats
 	e.scanStats = wire.ScanStats{}
@@ -703,13 +700,6 @@ func (e *Engine) flushScanStats() {
 	e.tel.ScanScored += agg.Scored
 	e.tel.ScanSkippedBucket += agg.SkippedBucket
 	e.tel.ScanRowsVisited += agg.RowsVisited
-	telemetry.ScanVacancies.Add(agg.Vacancies)
-	telemetry.ScanPrunedBBox.Add(agg.PrunedBBox)
-	telemetry.ScanPrunedSuffix.Add(agg.PrunedSuffix)
-	telemetry.ScanBailedExact.Add(agg.BailedExact)
-	telemetry.ScanScored.Add(agg.Scored)
-	telemetry.ScanSkippedBucket.Add(agg.SkippedBucket)
-	telemetry.ScanRowsVisited.Add(agg.RowsVisited)
 }
 
 // prepTrial stages the per-cell trial state: the cell's incident nets with
@@ -862,12 +852,9 @@ func (e *Engine) Step() IterStats {
 		// changes every iteration.
 		e.inc.Want(e.domain)
 	}
-	e.EvaluateCosts()
+	e.evaluateCosts()
 	e.goodsOut = e.ComputeGoodness(e.domain, e.goodsOut)
-	d := time.Since(t0)
-	e.profile.Eval += d
-	e.tel.EvalNs += uint64(d)
-	telemetry.EnginePhaseEvalNs.Observe(int64(d))
+	e.tel.EvalNs += uint64(time.Since(t0))
 	return e.SelectAndAllocate()
 }
 
@@ -879,21 +866,15 @@ func (e *Engine) SelectAndAllocate() IterStats {
 	t1 := time.Now()
 	sel := e.selectCells()
 	t2 := time.Now()
-	dSel := t2.Sub(t1)
-	e.profile.Select += dSel
-	e.tel.SelectNs += uint64(dSel)
-	telemetry.EnginePhaseSelectNs.Observe(int64(dSel))
+	e.tel.SelectNs += uint64(t2.Sub(t1))
 
 	stats := e.currentStats(len(sel))
 	e.allocate(sel)
-	dAlloc := time.Since(t2)
-	e.profile.Alloc += dAlloc
-	e.tel.AllocNs += uint64(dAlloc)
-	telemetry.EnginePhaseAllocNs.Observe(int64(dAlloc))
+	e.tel.AllocNs += uint64(time.Since(t2))
 
 	e.iter++
 	e.tel.Iterations++
-	telemetry.EngineIterations.Inc()
+	e.publish()
 	return stats
 }
 
@@ -947,11 +928,9 @@ func (e *Engine) RunContext(ctx context.Context, progress Progress) *Result {
 	}
 	// The last allocation has not been evaluated yet.
 	t0 := time.Now()
-	e.EvaluateCosts()
-	d := time.Since(t0)
-	e.profile.Eval += d
-	e.tel.EvalNs += uint64(d)
-	telemetry.EnginePhaseEvalNs.Observe(int64(d))
+	e.evaluateCosts()
+	e.tel.EvalNs += uint64(time.Since(t0))
+	e.publish()
 	return e.result()
 }
 
@@ -962,10 +941,21 @@ func (e *Engine) result() *Result {
 		BestCosts: e.bestCosts,
 		BestIter:  e.bestIter,
 		Iters:     e.iter,
-		Profile:   e.profile,
+		Profile:   e.Profile(),
 		MuTrace:   e.MuTrace(),
 		Telemetry: e.Telemetry(),
 	}
+}
+
+// publish flushes the snapshot's progress to the process-wide registry.
+func (e *Engine) publish() {
+	cur := e.Telemetry()
+	var peak, overflow float64
+	if e.congGrid != nil {
+		peak, overflow = e.congGrid.Peak(), e.congGrid.Overflow()
+	}
+	cur.Publish(&e.pub, e.inc == nil, peak, overflow)
+	e.pub = cur
 }
 
 // Telemetry returns the engine's per-run counter snapshot, with the STA
@@ -985,8 +975,11 @@ func (e *Engine) Telemetry() telemetry.EngineSnapshot {
 // Result snapshots the current run state without running further.
 func (e *Engine) Result() *Result { return e.result() }
 
-// Profile returns the accumulated operator timings.
-func (e *Engine) Profile() Profile { return e.profile }
+// Profile returns the accumulated operator timings, the phase times of
+// the run snapshot.
+func (e *Engine) Profile() Profile {
+	return Profile{time.Duration(e.tel.EvalNs), time.Duration(e.tel.SelectNs), time.Duration(e.tel.AllocNs)}
+}
 
 func resizeRefs(s []layout.SlotRef, n int) []layout.SlotRef {
 	if cap(s) < n {

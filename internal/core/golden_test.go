@@ -159,7 +159,6 @@ func TestGoldenLargeCircuit(t *testing.T) {
 	// Engines place into layout.DefaultNumRows rows when cfg.NumRows is 0.
 	grid := congest.New(ckt, congest.SpecFor(ckt, layout.DefaultNumRows(ckt), bins),
 		congest.PlacementSource{P: res.Best})
-	grid.Silence()
 	grid.Full(nil)
 	if res.BestMu != wantMu || res.BestCosts.Congest != 0 || grid.Peak() != wantPeak {
 		t.Errorf("best μ %v, congestion %v, peak demand %v; want %v, 0, %v",

@@ -56,7 +56,6 @@ func EstimateCongestion(p *layout.Placement, nx int) *Congestion {
 	height := float64(p.NumRows()) * layout.RowPitch
 	spec := congest.SpecSized(width, height, nx)
 	g := congest.New(p.Circuit(), spec, congest.PlacementSource{P: p})
-	g.Silence() // diagnostic call: keep the engine gauges clean
 	g.Full(nil)
 
 	return &Congestion{

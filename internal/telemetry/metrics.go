@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// Process-wide metric set. Every instrumented layer updates these
-// unconditionally; they are aggregates across all engines, pools, and
-// transports in the process (per-run numbers live in EngineSnapshot).
+// Process-wide metric set, aggregated across the process; bench/ reads
+// these, not the per-run snapshots. EngineSnapshot.Publish is the only
+// writer of the engine family (Engine*, AllocSub*, Scan*, Congest*,
+// TimingRebuilds); the other layers update their metrics directly.
 var (
-	// Engine phase timers (core.Engine.Step / SelectAndAllocate).
+	// Engine phase timers (core.Engine.Step / SelectAndAllocate / Run).
 	EnginePhaseEvalNs   = Default.Histogram("simevo_engine_phase_ns", "Engine phase wall time per iteration in nanoseconds.", "phase", "evaluate")
 	EnginePhaseSelectNs = Default.Histogram("simevo_engine_phase_ns", "Engine phase wall time per iteration in nanoseconds.", "phase", "select")
 	EnginePhaseAllocNs  = Default.Histogram("simevo_engine_phase_ns", "Engine phase wall time per iteration in nanoseconds.", "phase", "allocate")
@@ -54,15 +55,15 @@ var (
 	CostDirtyEvals         = Default.Counter("simevo_cost_evals_total", "cost.Objective evaluations by path.", "path", "dirty")
 	CostDirtyFallbackEvals = Default.Counter("simevo_cost_evals_total", "cost.Objective evaluations by path.", "path", "dirty_fallback")
 
-	// congest.Grid congestion objective.
+	// The engines' congest.Grid congestion objective.
 	CongestBinUpdates = Default.Counter("simevo_congest_bin_updates_total", "Congestion-grid bin writes (net contribution adds).")
 	CongestRebuilds   = Default.Counter("simevo_congest_rebuilds_total", "Full congestion-grid rebuilds.")
 	CongestPeak       = Default.Gauge("simevo_congest_peak_demand", "Peak bin routing demand of the last congestion evaluation.")
 	CongestOverflow   = Default.Gauge("simevo_congest_overflow", "Summed bin demand above twice the average, last congestion evaluation.")
 
-	// timing.STA. Every evaluation is a full rebuild; TimingConeCells
-	// is no longer written and stays registered because the benchmark
-	// module reads it.
+	// The engines' timing.STA. Every evaluation is a full rebuild;
+	// TimingConeCells is no longer written and stays registered because
+	// the benchmark module reads it.
 	TimingConeCells = Default.Histogram("simevo_timing_cone_cells", "Cells recomputed per incremental STA update (dirty-cone size).")
 	TimingRebuilds  = Default.Counter("simevo_timing_rebuilds_total", "Full STA rebuilds.")
 

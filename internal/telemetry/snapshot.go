@@ -1,11 +1,10 @@
 package telemetry
 
-// EngineSnapshot is a per-run tally of the same counters the global
-// registry aggregates process-wide. The engine accumulates it with
-// plain (non-atomic) arithmetic on its own goroutine and copies it into
-// Result.Telemetry, so library users, the golden tests and the bench/
-// workloads read identical numbers without scraping HTTP. The JSON tags
-// name the counters in the bench/ reports.
+// EngineSnapshot is an engine's per-run tally: the engine accumulates it
+// with plain arithmetic on its own goroutine, and reads the STA and
+// congestion-grid counts into it from those layers. Its operator Profile
+// derives from the phase times, Result.Telemetry is a copy, and Publish
+// makes the process-wide registry a derived view of the snapshots.
 type EngineSnapshot struct {
 	Iterations uint64 `json:"iterations"`
 
@@ -44,31 +43,48 @@ type EngineSnapshot struct {
 	CongestRebuilds   uint64 `json:"congest_rebuilds"`
 }
 
-// Counters flattens the snapshot into a name → value map, matching the
-// JSON field names. Handy for reports that iterate metrics generically.
-func (s *EngineSnapshot) Counters() map[string]uint64 {
-	return map[string]uint64{
-		"iterations":          s.Iterations,
-		"eval_ns":             s.EvalNs,
-		"select_ns":           s.SelectNs,
-		"alloc_ns":            s.AllocNs,
-		"alloc_prep_ns":       s.AllocPrepNs,
-		"alloc_scan_ns":       s.AllocScanNs,
-		"alloc_commit_ns":     s.AllocCommitNs,
-		"evals":               s.Evals,
-		"incremental_evals":   s.IncrementalEvals,
-		"full_rebuilds":       s.FullRebuilds,
-		"dirty_nets":          s.DirtyNets,
-		"scan_vacancies":      s.ScanVacancies,
-		"scan_pruned_bbox":    s.ScanPrunedBBox,
-		"scan_pruned_suffix":  s.ScanPrunedSuffix,
-		"scan_bailed_exact":   s.ScanBailedExact,
-		"scan_scored":         s.ScanScored,
-		"scan_skipped_bucket": s.ScanSkippedBucket,
-		"scan_rows_visited":   s.ScanRowsVisited,
-		"cost_full":           s.CostFull,
-		"timing_rebuilds":     s.TimingRebuilds,
-		"congest_bin_updates": s.CongestBinUpdates,
-		"congest_rebuilds":    s.CongestRebuilds,
+// Publish adds the progress since prev, the snapshot last published, to
+// the engine-family globals; it is their only writer, and allocates
+// nothing. Counters get the differences. The engine publishes after every
+// evaluation and iteration, so each histogram gets one sample per
+// iteration (phase and sub-phase times), per timed evaluation phase
+// (EvalNs advanced), and per incremental evaluation (its dirty nets).
+// reference counts full evaluations as reference, not rebuild, ones; the
+// congestion gauges take congPeak and congOverflow when the grid rebuilt.
+// CostFull stays out: cost.Pipeline counts its own evaluations.
+func (s *EngineSnapshot) Publish(prev *EngineSnapshot, reference bool, congPeak, congOverflow float64) {
+	if s.Iterations != prev.Iterations {
+		EngineIterations.Add(s.Iterations - prev.Iterations)
+		EnginePhaseSelectNs.Observe(int64(s.SelectNs - prev.SelectNs))
+		EnginePhaseAllocNs.Observe(int64(s.AllocNs - prev.AllocNs))
+		AllocSubPrepNs.Observe(int64(s.AllocPrepNs - prev.AllocPrepNs))
+		AllocSubScanNs.Observe(int64(s.AllocScanNs - prev.AllocScanNs))
+		AllocSubCommitNs.Observe(int64(s.AllocCommitNs - prev.AllocCommitNs))
+	}
+	if s.EvalNs != prev.EvalNs {
+		EnginePhaseEvalNs.Observe(int64(s.EvalNs - prev.EvalNs))
+	}
+	if s.IncrementalEvals != prev.IncrementalEvals {
+		EngineEvalsIncremental.Add(s.IncrementalEvals - prev.IncrementalEvals)
+		EngineDirtyNets.Observe(int64(s.DirtyNets - prev.DirtyNets))
+	}
+	if reference {
+		EngineEvalsReference.Add(s.FullRebuilds - prev.FullRebuilds)
+	} else {
+		EngineEvalsRebuild.Add(s.FullRebuilds - prev.FullRebuilds)
+	}
+	ScanVacancies.Add(s.ScanVacancies - prev.ScanVacancies)
+	ScanPrunedBBox.Add(s.ScanPrunedBBox - prev.ScanPrunedBBox)
+	ScanPrunedSuffix.Add(s.ScanPrunedSuffix - prev.ScanPrunedSuffix)
+	ScanBailedExact.Add(s.ScanBailedExact - prev.ScanBailedExact)
+	ScanScored.Add(s.ScanScored - prev.ScanScored)
+	ScanSkippedBucket.Add(s.ScanSkippedBucket - prev.ScanSkippedBucket)
+	ScanRowsVisited.Add(s.ScanRowsVisited - prev.ScanRowsVisited)
+	TimingRebuilds.Add(s.TimingRebuilds - prev.TimingRebuilds)
+	CongestBinUpdates.Add(s.CongestBinUpdates - prev.CongestBinUpdates)
+	if s.CongestRebuilds != prev.CongestRebuilds {
+		CongestRebuilds.Add(s.CongestRebuilds - prev.CongestRebuilds)
+		CongestPeak.Set(int64(congPeak))
+		CongestOverflow.Set(int64(congOverflow))
 	}
 }

@@ -23,8 +23,9 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n. Negative deltas are a caller bug; they would break
-// Prometheus monotonicity, so they are dropped.
+// Add adds n. Callers pass differences of monotone values, such as
+// EngineSnapshot.Publish's snapshot deltas, so n never wraps, also
+// across a mid-run placement rebuild.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"simevo/internal/netlist"
-	"simevo/internal/telemetry"
 )
 
 // STA is the static timing analyzer behind the cost pipeline's Delay
@@ -42,7 +41,7 @@ type STA struct {
 	rebuilds uint64 // Rebuild calls (plain counter: STA is single-goroutine by contract)
 }
 
-// Rebuilds reports how many times Rebuild has run.
+// Rebuilds reports how many times Rebuild has run (the engine publishes it).
 func (s *STA) Rebuilds() uint64 { return s.rebuilds }
 
 // NewSTA builds the analyzer shell; Rebuild must run before any reads.
@@ -69,7 +68,6 @@ func (s *STA) MaxDelay() float64 { return s.maxDelay }
 // Rebuild re-derives the full analysis from the given per-net lengths.
 func (s *STA) Rebuild(lengths []float64) float64 {
 	s.rebuilds++
-	telemetry.TimingRebuilds.Inc()
 	ckt := s.ckt
 	for n := range s.netDelay {
 		s.netDelay[n] = s.m.UnitWire * lengths[n]

@@ -55,34 +55,10 @@ func housekeeping(fn string) bool {
 // by name, so a field sharing its name with a used field of another
 // struct passes.
 func TestOptionFieldsAreUsed(t *testing.T) {
-	fset := token.NewFileSet()
 	var refs []optionRef
 	fields := map[string][]string{} // "dir.Type" -> exported field names
-	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if file == "." {
-				return nil
-			}
-			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(file, "go.mod")); err == nil {
-				return filepath.SkipDir // a nested module, such as bench/
-			}
-			return nil
-		}
-		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		for _, decl := range f.Decls {
+	for _, src := range parseModule(t) {
+		for _, decl := range src.file.Decls {
 			fn := ""
 			if fd, ok := decl.(*ast.FuncDecl); ok {
 				fn = fd.Name.Name
@@ -94,26 +70,22 @@ func TestOptionFieldsAreUsed(t *testing.T) {
 						for _, fl := range st.Fields.List {
 							for _, name := range fl.Names {
 								if name.IsExported() {
-									key := dir + "." + n.Name.Name
+									key := src.dir + "." + n.Name.Name
 									fields[key] = append(fields[key], name.Name)
 								}
 							}
 						}
 					}
 				case *ast.SelectorExpr:
-					refs = append(refs, optionRef{dir, fn, n.Sel.Name})
+					refs = append(refs, optionRef{src.dir, fn, n.Sel.Name})
 				case *ast.KeyValueExpr:
 					if id, ok := n.Key.(*ast.Ident); ok {
-						refs = append(refs, optionRef{dir, fn, id.Name})
+						refs = append(refs, optionRef{src.dir, fn, id.Name})
 					}
 				}
 				return true
 			})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	allowSeen := map[string]bool{}
@@ -154,4 +126,162 @@ func TestOptionFieldsAreUsed(t *testing.T) {
 			t.Errorf("allow-listed %s is not a field of an option struct; drop it from unusedOptionAllowed", key)
 		}
 	}
+}
+
+// sourceFile is one parsed non-test Go file of this module and the
+// slash-separated directory that holds it.
+type sourceFile struct {
+	dir  string
+	file *ast.File
+}
+
+// parseModule parses every non-test Go file of this module, skipping
+// testdata, hidden directories and nested modules such as bench/.
+func parseModule(t *testing.T) []sourceFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []sourceFile
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if file == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(file, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module, such as bench/
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			return err
+		}
+		files = append(files, sourceFile{filepath.ToSlash(filepath.Dir(file)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// engineFamily reports whether a telemetry global belongs to the engine
+// family, the metrics EngineSnapshot.Publish derives from run snapshots.
+func engineFamily(name string) bool {
+	for _, p := range []string{"Engine", "AllocSub", "Scan", "Congest"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return name == "TimingRebuilds"
+}
+
+// TestEngineMetricsHaveOneWriter keeps the engine's counters on a single
+// write path: every engine-family global of internal/telemetry is updated
+// (Inc, Add, Observe, ObserveN or Set) from exactly one non-test function
+// of this module. The engine counts into its run snapshot, and
+// EngineSnapshot.Publish turns the snapshot's progress into the globals;
+// a second writer would count the same events twice or let the globals
+// drift from the snapshots. Like TestOptionFieldsAreUsed the check is
+// syntactic: it sees telemetry.X.M(...) calls, and X.M(...) inside
+// internal/telemetry.
+func TestEngineMetricsHaveOneWriter(t *testing.T) {
+	const pkg = "internal/telemetry"
+	files := parseModule(t)
+	writers := map[string]map[string]bool{} // global -> "dir.func" writing it
+	for _, src := range files {
+		if src.dir != pkg {
+			continue
+		}
+		for _, decl := range src.file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if engineFamily(name.Name) {
+						writers[name.Name] = map[string]bool{}
+					}
+				}
+			}
+		}
+	}
+	if len(writers) == 0 {
+		t.Fatal("no engine-family globals found in " + pkg)
+	}
+	write := map[string]bool{"Inc": true, "Add": true, "Observe": true, "ObserveN": true, "Set": true}
+	for _, src := range files {
+		for _, decl := range src.file.Decls {
+			fn := src.dir + "." + declName(decl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !write[sel.Sel.Name] {
+					return true
+				}
+				global := ""
+				switch x := sel.X.(type) {
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && id.Name == "telemetry" {
+						global = x.Sel.Name
+					}
+				case *ast.Ident:
+					if src.dir == pkg {
+						global = x.Name
+					}
+				}
+				if w, ok := writers[global]; ok {
+					w[fn] = true
+				}
+				return true
+			})
+		}
+	}
+	names := make([]string, 0, len(writers))
+	for name := range writers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if fns := writers[name]; len(fns) != 1 {
+			list := make([]string, 0, len(fns))
+			for fn := range fns {
+				list = append(list, fn)
+			}
+			sort.Strings(list)
+			t.Errorf("telemetry.%s is written by %d functions %v, want exactly one (EngineSnapshot.Publish)", name, len(fns), list)
+		}
+	}
+}
+
+// declName names a top-level declaration: Recv.Func for methods, the
+// function name for functions, and "" for everything else.
+func declName(decl ast.Decl) string {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return ""
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
 }
