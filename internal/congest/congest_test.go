@@ -119,7 +119,7 @@ func TestSourceEquivalence(t *testing.T) {
 	spec := SpecFor(ckt, 12, 0)
 	lengths := make([]float64, ckt.NumNets())
 
-	inc := wire.NewIncremental(ckt, wire.Steiner)
+	inc := wire.NewIncremental(ckt)
 	inc.Rebuild(place)
 
 	a := New(ckt, spec, PlacementSource{P: place})

@@ -52,7 +52,7 @@ func BenchmarkTrialCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x := float64(i%64) + 0.5
 				if useInc {
-					sink += e.trials.Score(e.inc.BaseView(), x, 7.5, -1)
+					sink += e.trials.Score(x, 7.5, -1)
 				} else {
 					sink += e.trialCost(id, x, 7.5)
 				}

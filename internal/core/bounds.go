@@ -31,7 +31,7 @@ const refStream = 0
 // the levelization and activity tables are its cached ones — they are
 // placement-independent.
 func referenceCosts(ckt *netlist.Circuit, cfg *Config, place *layout.Placement, lv *netlist.Levels, acts []float64) fuzzy.Costs {
-	ev := wire.NewEvaluator(ckt, cfg.WireEstimator)
+	ev := wire.NewEvaluator(ckt)
 	lengths := ev.Lengths(place, nil)
 
 	// Wire and power reference costs are always needed (they normalize

@@ -24,7 +24,6 @@ import (
 	"simevo/internal/fuzzy"
 	"simevo/internal/power"
 	"simevo/internal/timing"
-	"simevo/internal/wire"
 )
 
 // Config parameterizes a SimE run.
@@ -40,10 +39,6 @@ type Config struct {
 
 	// MaxIters bounds the number of iterations of Run.
 	MaxIters int
-
-	// StopAfterNoImprove terminates Run early after this many consecutive
-	// iterations without a best-μ improvement (0 disables).
-	StopAfterNoImprove int
 
 	// TargetMu terminates Run once the best solution quality reaches this
 	// value (0 disables). Used for quality-normalized timing runs.
@@ -79,21 +74,11 @@ type Config struct {
 	// configuration the large-tier congestion gate measures.
 	ClusteredStart bool
 
-	// WireEstimator selects the net-length model (default wire.Steiner,
-	// as in the paper).
-	WireEstimator wire.Estimator
-
 	// TimingModel parameterizes the delay substrate.
 	TimingModel timing.Model
 
 	// PowerConfig parameterizes switching-activity estimation.
 	PowerConfig power.Config
-
-	// AllocOrder selects the allocation processing order of the selection
-	// set (default WorstFirst). The paper's Section 7 proposes using a
-	// different allocation function per Type III thread to diversify the
-	// cooperating searches; parallel.Options.Diversify uses these orders.
-	AllocOrder AllocOrder
 
 	// DisableIncremental forces from-scratch evaluation everywhere: net
 	// lengths, goodness, and trial scoring re-collect every pin from the
@@ -119,6 +104,10 @@ type Config struct {
 }
 
 // AllocOrder enumerates allocation processing orders for the selection set.
+// Every engine starts with WorstFirst; Engine.SetAllocOrder changes it. The
+// paper's Section 7 proposes using a different allocation function per
+// Type III thread to diversify the cooperating searches;
+// parallel.Options.Diversify uses these orders.
 type AllocOrder uint8
 
 // Allocation orders. WorstFirst is the classic sorted-individual-best-fit
@@ -134,15 +123,14 @@ const (
 // set.
 func DefaultConfig(obj fuzzy.Objectives) Config {
 	return Config{
-		Objectives:    obj,
-		Bias:          0,
-		MaxIters:      350,
-		Alpha:         0.10,
-		Beta:          0.70,
-		Goals:         fuzzy.DefaultGoals(),
-		WireEstimator: wire.Steiner,
-		TimingModel:   timing.DefaultModel(),
-		PowerConfig:   power.DefaultConfig(),
+		Objectives:  obj,
+		Bias:        0,
+		MaxIters:    350,
+		Alpha:       0.10,
+		Beta:        0.70,
+		Goals:       fuzzy.DefaultGoals(),
+		TimingModel: timing.DefaultModel(),
+		PowerConfig: power.DefaultConfig(),
 	}
 }
 

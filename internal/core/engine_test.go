@@ -294,16 +294,6 @@ func TestAdoptPlacement(t *testing.T) {
 	}
 }
 
-func TestStopAfterNoImprove(t *testing.T) {
-	p := testProblem(t, fuzzy.WirePower, 100000)
-	p.Cfg.StopAfterNoImprove = 5
-	e := p.NewEngine(0)
-	res := e.Run()
-	if res.Iters >= 100000 {
-		t.Fatal("no-improvement stop did not trigger")
-	}
-}
-
 func TestTargetMuStops(t *testing.T) {
 	// Learn an achievable quality, then verify a run targeting half of it
 	// stops early.

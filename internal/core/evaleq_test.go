@@ -9,7 +9,6 @@ import (
 	"simevo/internal/fuzzy"
 	"simevo/internal/gen"
 	"simevo/internal/netlist"
-	"simevo/internal/wire"
 )
 
 // evalEqBench is a hand-built netlist for the evaluation equivalence test.
@@ -46,26 +45,21 @@ o2 = BUF(n10)
 // TestEvaluationMatchesReference runs the incremental engine against the
 // DisableIncremental reference for 20 Steps and requires, after every
 // Step, bitwise-equal net lengths, costs, μ and goodness of every requested
-// cell. The matrix covers the wp, wpd and wpc objective sets, the HPWL,
-// Steiner and RMST estimators, and two request shapes: the full domain
-// and a Type II row domain re-derived before every Step (so the requested
-// set changes). The hand-built
-// netlist runs the whole matrix; every catalog circuit runs wp with the
-// default estimator on the full domain, and s1196 also runs every
-// objective set, estimator and request shape.
+// cell. The matrix covers the wp, wpd and wpc objective sets and two
+// request shapes: the full domain and a Type II row domain re-derived
+// before every Step (so the requested set changes). The hand-built netlist
+// runs the whole matrix; every catalog circuit runs wp on the full domain,
+// and s1196 also runs every objective set and request shape.
 func TestEvaluationMatchesReference(t *testing.T) {
 	hand, err := netlist.ParseBench("evaleq", strings.NewReader(evalEqBench))
 	if err != nil {
 		t.Fatal(err)
 	}
 	objs := []fuzzy.Objectives{fuzzy.WirePower, fuzzy.WirePowerDelay, fuzzy.WirePowerCongest}
-	ests := []wire.Estimator{wire.HPWL, wire.Steiner, wire.RMST}
 	modes := []string{"full", "rows"}
 	for _, obj := range objs {
-		for _, est := range ests {
-			for _, mode := range modes {
-				checkEvaluation(t, "hand", hand, obj, est, mode)
-			}
+		for _, mode := range modes {
+			checkEvaluation(t, "hand", hand, obj, mode)
 		}
 	}
 	for _, name := range gen.Catalog() {
@@ -73,31 +67,24 @@ func TestEvaluationMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEvaluation(t, name, ckt, fuzzy.WirePower, wire.Steiner, "full")
+		checkEvaluation(t, name, ckt, fuzzy.WirePower, "full")
 		if name != "s1196" {
 			continue
 		}
 		for _, obj := range objs[1:] {
-			checkEvaluation(t, name, ckt, obj, wire.Steiner, "full")
+			checkEvaluation(t, name, ckt, obj, "full")
 		}
-		for _, est := range ests {
-			for _, mode := range modes {
-				if est != wire.Steiner || mode != "full" {
-					checkEvaluation(t, name, ckt, fuzzy.WirePower, est, mode)
-				}
-			}
-		}
+		checkEvaluation(t, name, ckt, fuzzy.WirePower, "rows")
 	}
 }
 
-func checkEvaluation(t *testing.T, name string, ckt *netlist.Circuit, obj fuzzy.Objectives, est wire.Estimator, mode string) {
+func checkEvaluation(t *testing.T, name string, ckt *netlist.Circuit, obj fuzzy.Objectives, mode string) {
 	t.Helper()
-	label := fmt.Sprintf("%s/%v/est%d/%s", name, obj, est, mode)
+	label := fmt.Sprintf("%s/%v/%s", name, obj, mode)
 	mk := func(reference bool) *Engine {
 		cfg := DefaultConfig(obj)
 		cfg.MaxIters = 1 << 20
 		cfg.Seed = 2006
-		cfg.WireEstimator = est
 		cfg.DisableIncremental = reference
 		if obj.Has(fuzzy.Congest) {
 			cfg.CongestBins = 8

@@ -26,8 +26,8 @@ func runRebuildingEvery(p *Problem, n int) *Result {
 // TestIncrementalReproducesReferenceTrajectory asserts the tentpole
 // invariant: a full run on the incremental net-cost engine follows
 // bitwise the same trajectory as the from-scratch reference mode — same
-// μ trace, same best solution, same best μ — for both estimator-relevant
-// objective sets.
+// μ trace, same best solution, same best μ — for the wp and wpd objective
+// sets.
 func TestIncrementalReproducesReferenceTrajectory(t *testing.T) {
 	for _, obj := range []fuzzy.Objectives{fuzzy.WirePower, fuzzy.WirePowerDelay} {
 		iters := 25

@@ -83,10 +83,9 @@ func combine(a, b telemetry.EngineSnapshot, sign int) telemetry.EngineSnapshot {
 }
 
 // globalView restricts a run snapshot to what the globals carry: Evals
-// is the sum of the evaluation kinds, and CostFull is cost.Pipeline's
-// own counter, outside the engine family.
+// is the sum of the evaluation kinds.
 func globalView(s telemetry.EngineSnapshot) telemetry.EngineSnapshot {
-	s.Evals, s.CostFull = 0, 0
+	s.Evals = 0
 	return s
 }
 

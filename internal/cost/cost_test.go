@@ -29,7 +29,7 @@ func testSetup(t *testing.T) (*netlist.Circuit, *netlist.Levels, []float64, []fl
 		acts[i] = 0.5 * r.Float64()
 	}
 	place := layout.NewRandom(ckt, 0, rng.New(11))
-	lengths := wire.NewEvaluator(ckt, wire.Steiner).Lengths(place, nil)
+	lengths := wire.NewEvaluator(ckt).Lengths(place, nil)
 	return ckt, lv, acts, lengths
 }
 

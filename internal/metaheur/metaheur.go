@@ -68,7 +68,7 @@ type evaluator struct {
 func newEvaluator(prob *core.Problem) *evaluator {
 	return &evaluator{
 		prob: prob,
-		ev:   wire.NewEvaluator(prob.Ckt, prob.Cfg.WireEstimator),
+		ev:   wire.NewEvaluator(prob.Ckt),
 		pipe: cost.NewPipeline(fuzzy.WirePower, prob.Ckt, prob.Acts, prob.Lv, prob.Cfg.TimingModel),
 	}
 }
@@ -133,7 +133,7 @@ func (e *evaluator) bind(place *layout.Placement) (rebuilt bool) {
 		return false
 	}
 	if e.inc == nil {
-		e.inc = wire.NewIncremental(e.prob.Ckt, e.prob.Cfg.WireEstimator)
+		e.inc = wire.NewIncremental(e.prob.Ckt)
 	}
 	place.JournalCoords(true)
 	place.ResetJournal()

@@ -114,15 +114,14 @@ func (s RowStats) String() string {
 }
 
 // WirelengthByEstimator reports the total net length under every available
-// estimator — the estimator-ablation diagnostic.
+// estimator — a reporting diagnostic; the engine measures Steiner only.
 func WirelengthByEstimator(p *layout.Placement) map[string]float64 {
 	ckt := p.Circuit()
 	out := make(map[string]float64, 3)
 	for name, est := range map[string]wire.Estimator{
 		"hpwl": wire.HPWL, "steiner": wire.Steiner, "rmst": wire.RMST,
 	} {
-		ev := wire.NewEvaluator(ckt, est)
-		out[name] = wire.Total(ev.Lengths(p, nil))
+		out[name] = wire.Total(wire.LengthsBy(ckt, est, p, nil))
 	}
 	return out
 }

@@ -60,8 +60,7 @@ func TestCongestionDemandEqualsHPWL(t *testing.T) {
 	// carries up to 2^-21 rounding error — the tolerance admits that
 	// quantization but nothing larger.
 	p := testPlacement(t)
-	ev := wire.NewEvaluator(p.Circuit(), wire.HPWL)
-	want := wire.Total(ev.Lengths(p, nil))
+	want := wire.Total(wire.LengthsBy(p.Circuit(), wire.HPWL, p, nil))
 	slack := float64(len(p.Circuit().Nets)) / float64(uint64(1)<<21)
 	for _, nx := range []int{4, 16, 32} {
 		c := EstimateCongestion(p, nx)

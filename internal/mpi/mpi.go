@@ -111,9 +111,6 @@ type Options struct {
 	// by itself. Disable for deterministic tests and charge explicitly
 	// with Comm.Charge.
 	MeasureCompute bool
-	// CPUScale multiplies measured compute time (models slower nodes).
-	// 0 means 1.
-	CPUScale float64
 }
 
 // RankStats reports one rank's accounting after Run.
@@ -207,9 +204,6 @@ type Cluster struct {
 func NewCluster(n int, opt Options) *Cluster {
 	if n < 1 {
 		panic("mpi: cluster needs at least one rank")
-	}
-	if opt.CPUScale == 0 {
-		opt.CPUScale = 1
 	}
 	cl := &Cluster{n: n, opt: opt, slots: min(n, runtime.GOMAXPROCS(0))}
 	for i := 0; i < n; i++ {
@@ -319,7 +313,7 @@ func (cl *Cluster) endSegment(rs *rankState) time.Duration {
 	d := rs.pending
 	rs.pending = 0
 	if cl.opt.MeasureCompute {
-		if dt := time.Duration(float64(time.Since(rs.computeStart)) * cl.opt.CPUScale); dt > 0 {
+		if dt := time.Since(rs.computeStart); dt > 0 {
 			d += dt
 		}
 	}

@@ -32,9 +32,8 @@ type EngineSnapshot struct {
 	ScanSkippedBucket uint64 `json:"scan_skipped_bucket"`
 	ScanRowsVisited   uint64 `json:"scan_rows_visited"`
 
-	// Objective pipeline Full() evaluations and full STA rebuilds (one
-	// per evaluation each: the engine recomputes every objective).
-	CostFull       uint64 `json:"cost_full"`
+	// Full STA rebuilds (one per evaluation with delay active: the engine
+	// recomputes every objective).
 	TimingRebuilds uint64 `json:"timing_rebuilds"`
 
 	// Congestion grid activity (zero unless the objective set includes
@@ -51,7 +50,6 @@ type EngineSnapshot struct {
 // (EvalNs advanced), and per incremental evaluation (its dirty nets).
 // reference counts full evaluations as reference, not rebuild, ones; the
 // congestion gauges take congPeak and congOverflow when the grid rebuilt.
-// CostFull stays out: cost.Pipeline counts its own evaluations.
 func (s *EngineSnapshot) Publish(prev *EngineSnapshot, reference bool, congPeak, congOverflow float64) {
 	if s.Iterations != prev.Iterations {
 		EngineIterations.Add(s.Iterations - prev.Iterations)

@@ -167,7 +167,7 @@ func TestWorstPathsOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := layout.NewRandom(ckt, 10, rng.New(1))
-	ev := wire.NewEvaluator(ckt, wire.Steiner)
+	ev := wire.NewEvaluator(ckt)
 	lengths := ev.Lengths(p, nil)
 	lv, _ := ckt.Levelize()
 	a, err := Analyze(ckt, lv, lengths, DefaultModel())
@@ -203,7 +203,7 @@ func TestArrivalMonotoneAlongEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := layout.NewRandom(ckt, 10, rng.New(2))
-	ev := wire.NewEvaluator(ckt, wire.Steiner)
+	ev := wire.NewEvaluator(ckt)
 	lengths := ev.Lengths(p, nil)
 	lv, _ := ckt.Levelize()
 	a, err := Analyze(ckt, lv, lengths, DefaultModel())
@@ -249,7 +249,7 @@ func TestCriticalityRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := layout.NewRandom(ckt, 0, rng.New(3))
-	ev := wire.NewEvaluator(ckt, wire.Steiner)
+	ev := wire.NewEvaluator(ckt)
 	lv, _ := ckt.Levelize()
 	a, err := Analyze(ckt, lv, ev.Lengths(p, nil), DefaultModel())
 	if err != nil {

@@ -31,7 +31,7 @@ func BenchmarkLengthsIncremental(b *testing.B) {
 	b.Run("Dirty", func(b *testing.B) {
 		place := layout.NewRandom(ckt, 16, rng.New(1))
 		place.JournalCoords(true)
-		inc := NewIncremental(ckt, Steiner)
+		inc := NewIncremental(ckt)
 		inc.Rebuild(place)
 		r := rng.New(2)
 		var lengths []float64
@@ -50,7 +50,7 @@ func BenchmarkLengthsIncremental(b *testing.B) {
 
 	b.Run("Full", func(b *testing.B) {
 		place := layout.NewRandom(ckt, 16, rng.New(1))
-		ev := NewEvaluator(ckt, Steiner)
+		ev := NewEvaluator(ckt)
 		r := rng.New(2)
 		var lengths []float64
 		b.ResetTimer()
@@ -82,7 +82,7 @@ func BenchmarkTrialNetAt(b *testing.B) {
 	cell := ckt.Nets[n].Driver
 
 	b.Run("Incremental", func(b *testing.B) {
-		inc := NewIncremental(ckt, Steiner)
+		inc := NewIncremental(ckt)
 		inc.Rebuild(place)
 		inc.RemoveCell(cell)
 		view := inc.BaseView()
@@ -95,7 +95,7 @@ func BenchmarkTrialNetAt(b *testing.B) {
 	})
 
 	b.Run("Scratch", func(b *testing.B) {
-		ev := NewEvaluator(ckt, Steiner)
+		ev := NewEvaluator(ckt)
 		b.ResetTimer()
 		sink := 0.0
 		for i := 0; i < b.N; i++ {

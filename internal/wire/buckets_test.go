@@ -168,22 +168,20 @@ type scanState struct {
 // infeasible rows), and seed bounds, ScanBestRows must return bitwise the
 // same (winner, score) as the flat ScanBest over the live list — which
 // TestTrialSetMatchesViewTrials in turn pins to the brute-force
-// ScoreBounded loop. The generated circuit covers every estimator; the
+// ScoreBounded loop. The generated circuit mixes bbox and trunk nets; the
 // trunk-heavy fixtures (Steiner nets keeping 4-16 pins besides the
 // trialled hub) make the branch-excess bound carry real weight.
 func TestScanBestRowsMatchesFlatScan(t *testing.T) {
 	ckt := testCircuit(t, 36)
-	for _, est := range allEstimators {
-		place := layout.NewRandom(ckt, 8, rng.New(5))
-		checkScanMatchesFlat(t, fmt.Sprintf("est %d", est), ckt, place, place.NumRows(),
-			est, ckt.Movable(), rng.New(0xb0c5), 80)
-	}
+	place := layout.NewRandom(ckt, 8, rng.New(5))
+	checkScanMatchesFlat(t, "generated", ckt, place, place.NumRows(),
+		ckt.Movable(), rng.New(0xb0c5), 80)
 	r := rng.New(0x7b0c)
 	sawExcess := false
 	for fix := 0; fix < 8; fix++ {
 		f := newTrunkFixture(t, r, 4, false)
 		if checkScanMatchesFlat(t, fmt.Sprintf("trunks %d", fix), f.ckt, f.coords, f.rows,
-			Steiner, f.hubs, r, 20) {
+			f.hubs, r, 20) {
 			sawExcess = true
 		}
 	}
@@ -195,11 +193,10 @@ func TestScanBestRowsMatchesFlatScan(t *testing.T) {
 // checkScanMatchesFlat runs steps random scans of the given cells and
 // reports whether any compiled item carried a nonzero x branch excess.
 func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords Coords, rows int,
-	est Estimator, cells []netlist.CellID, r *rng.R, steps int) (sawExcess bool) {
+	cells []netlist.CellID, r *rng.R, steps int) (sawExcess bool) {
 	t.Helper()
-	inc := NewIncremental(ckt, est)
+	inc := NewIncremental(ckt)
 	inc.Rebuild(coords)
-	view := inc.BaseView()
 	var s scanState
 	s.rows = rows
 	for step := 0; step < steps; step++ {
@@ -244,7 +241,7 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 		if step%2 == 1 && len(s.free) > 0 {
 			v := s.free[r.Intn(len(s.free))]
 			if s.rowOK[s.vacs[v].Row] {
-				score := s.set.Score(view, s.vacs[v].X, s.vacs[v].Y, int(s.vacs[v].Row))
+				score := s.set.Score(s.vacs[v].X, s.vacs[v].Y, int(s.vacs[v].Row))
 				bound0 = math.Nextafter(score, math.Inf(1))
 			}
 		}
@@ -252,8 +249,8 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 		s.set.PrepareScan(rowCenters(layout.RowY, s.rows))
 		var st, wantSt ScanStats
 		feasible := feasibleLive(&s.bk, s.rowOK)
-		gotBest, gotScore := s.set.ScanBestRows(view, &s.bk, s.rowOK, feasible, bound0, &st)
-		wantBest, wantScore := s.set.ScanBest(view, s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, &wantSt)
+		gotBest, gotScore := s.set.ScanBestRows(&s.bk, s.rowOK, feasible, bound0, &st)
+		wantBest, wantScore := s.set.ScanBest(s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, &wantSt)
 		if gotBest != wantBest || gotScore != wantScore {
 			t.Fatalf("%s step %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)",
 				tag, step, gotBest, gotScore, wantBest, wantScore)
@@ -279,9 +276,8 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 	ckt := testCircuit(t, 36)
 	movable := ckt.Movable()
 	place := layout.NewRandom(ckt, 8, rng.New(5))
-	inc := NewIncremental(ckt, Steiner)
+	inc := NewIncremental(ckt)
 	inc.Rebuild(place)
-	view := inc.BaseView()
 	r := rng.New(0x71e5)
 	rows := place.NumRows()
 	var set TrialSet
@@ -320,13 +316,13 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 		}
 
 		set.PrepareScan(rowCenters(layout.RowY, rows))
-		got, gotScore := set.ScanBestRows(view, &bk, rowOK, feasibleLive(&bk, rowOK), 1e308, nil)
+		got, gotScore := set.ScanBestRows(&bk, rowOK, feasibleLive(&bk, rowOK), 1e308, nil)
 
 		// Brute-force reference: first index with the strictly smallest
 		// exact score.
 		want, wantScore := -1, 0.0
 		for v := range vacs {
-			score := set.Score(view, vacs[v].X, vacs[v].Y, int(vacs[v].Row))
+			score := set.Score(vacs[v].X, vacs[v].Y, int(vacs[v].Row))
 			if want < 0 || score < wantScore {
 				want, wantScore = v, score
 			}

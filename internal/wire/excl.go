@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"sort"
-
-	"simevo/internal/netlist"
-)
+import "sort"
 
 // Canonical excluding-length formulas shared by the from-scratch Evaluator
 // and the Incremental engine.
@@ -156,24 +152,4 @@ func steinerExcl(xv, xp, yv, yp []float64, rx, ry float64, xLo, yLo, k int) floa
 		return v
 	}
 	return h
-}
-
-// collectRemainingExcluding fills the view scratch with the net's pins in
-// pin order from the mirror, skipping the excluded cell — the same order
-// Evaluator.collect produces, keeping RMST exclusion bitwise identical.
-func (v *View) collectRemainingExcluding(n netlist.NetID, exclude netlist.CellID) {
-	inc := v.inc
-	net := inc.ckt.Net(n)
-	v.ev.xs, v.ev.ys = v.ev.xs[:0], v.ev.ys[:0]
-	add := func(id netlist.CellID) {
-		if id == netlist.NoCell || id == exclude {
-			return
-		}
-		v.ev.xs = append(v.ev.xs, inc.cx[id])
-		v.ev.ys = append(v.ev.ys, inc.cy[id])
-	}
-	add(net.Driver)
-	for _, s := range net.Sinks {
-		add(s)
-	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // Incremental is a net-cost engine that maintains cached per-net geometry
-// — a coordinate mirror per cell plus sorted pin-coordinate multisets (and,
-// for the Steiner estimator, prefix sums for the trunk/median math) per net
-// — so that:
+// — a coordinate mirror per cell plus sorted pin-coordinate multisets and
+// their prefix sums (for the Steiner trunk/median math) per net — so that:
 //
 //   - a trial placement of one cell is scored in O(log p) per net through a
 //     View (TrialNetAt / TrialNetAt2) instead of re-collecting and
@@ -29,19 +28,18 @@ import (
 // multisets current, so its visit (relength) recomputes just the length
 // and the exclusions from them. The committed length takes the span and
 // the median from the sorted multisets and sums the Steiner branches over
-// the pins in pin order; RMST runs Prim over the pin-order collection.
-// Both are the values the from-scratch Evaluator computes over the same
-// coordinates, bit for bit — the serial, Type I, and Type II trajectory
-// invariants depend on this. Exclusions and trials go through the
+// the pins in pin order: the value the from-scratch Evaluator computes over
+// the same coordinates, bit for bit — the serial, Type I, and Type II
+// trajectory invariants depend on this. Exclusions and trials go through the
 // canonical formulas of excl.go and trial.go, shared with the Evaluator,
 // and are likewise bitwise reproducible.
 //
 // An Incremental is not safe for concurrent use. Its View carries the
-// scratch for the net visits, the trial scoring and the RMST estimator.
+// scratch for the net visits and the trial scoring.
 //
 // Storage is one flat array: each net owns a contiguous block holding its
-// sorted x values, sorted y values, and (Steiner only) their prefix sums,
-// carved out at construction. The multisets hold values only — nothing
+// sorted x values, sorted y values, and their prefix sums, carved out at
+// construction. The multisets hold values only — nothing
 // reads which cell a sorted entry belongs to, so pins are inserted and
 // removed by value. The per-net netGeom fields are capacity-capped slice
 // headers aliasing the block, so the insert/remove-by-memmove mutation
@@ -51,14 +49,12 @@ import (
 // memory.
 type Incremental struct {
 	ckt *netlist.Circuit
-	est Estimator
 
 	cx, cy []float64 // per-cell coordinate mirror
 	geoms  []netGeom // per-net sorted pin geometry (headers into flat)
 
 	// Backing for the per-net geometry: net n's block is xv|yv (deg(n)
-	// each), followed by xp|yp (deg(n)+1 each) when the estimator needs
-	// prefix sums.
+	// each), followed by xp|yp (deg(n)+1 each).
 	flat []float64
 
 	// Flat cell-net incidence: cell id's distinct incident nets (with pin
@@ -105,9 +101,9 @@ const (
 )
 
 // netGeom holds one net's cached geometry: pin coordinates sorted per axis,
-// plus prefix sums for the Steiner branch math (len = len(values)+1; unused
-// for HPWL/RMST). The slices are capacity-capped windows into the net's
-// block of the Incremental's flat backing array.
+// plus prefix sums for the Steiner branch math (len = len(values)+1). The
+// slices are capacity-capped windows into the net's block of the
+// Incremental's flat backing array.
 type netGeom struct {
 	xv, yv []float64
 	xp, yp []float64
@@ -129,12 +125,11 @@ type ChangeSource interface {
 	DrainChangedCells(dst []netlist.CellID) []netlist.CellID
 }
 
-// NewIncremental returns an incremental evaluator for one circuit. Rebuild
-// must run before any other use.
-func NewIncremental(ckt *netlist.Circuit, est Estimator) *Incremental {
+// NewIncremental returns an incremental Steiner evaluator for one circuit.
+// Rebuild must run before any other use.
+func NewIncremental(ckt *netlist.Circuit) *Incremental {
 	inc := &Incremental{
 		ckt:     ckt,
-		est:     est,
 		cx:      make([]float64, len(ckt.Cells)),
 		cy:      make([]float64, len(ckt.Cells)),
 		geoms:   make([]netGeom, ckt.NumNets()),
@@ -142,7 +137,7 @@ func NewIncremental(ckt *netlist.Circuit, est Estimator) *Incremental {
 		state:   make([]uint8, ckt.NumNets()),
 		want:    make([]uint8, len(ckt.Cells)),
 	}
-	inc.base = View{inc: inc, ev: NewEvaluator(ckt, est)}
+	inc.base = View{inc: inc, ev: NewEvaluator(ckt)}
 	inc.buildPins()
 	inc.excl = make([]float64, len(inc.pinRefs))
 	inc.buildFlat()
@@ -208,28 +203,20 @@ func (inc *Incremental) buildPins() {
 // degree and capacity-capped, so the in-place mutation paths can neither
 // reallocate nor cross into a neighbor.
 func (inc *Incremental) buildFlat() {
-	block := func(deg int) int {
-		if inc.needPrefix() {
-			return 4*deg + 2
-		}
-		return 2 * deg
-	}
 	total := 0
 	for n := range inc.geoms {
-		total += block(inc.netDegree(netlist.NetID(n)))
+		total += 4*inc.netDegree(netlist.NetID(n)) + 2
 	}
 	inc.flat = make([]float64, total)
 	off := 0
 	for n := range inc.geoms {
 		deg := inc.netDegree(netlist.NetID(n))
 		g := &inc.geoms[n]
-		b := inc.flat[off : off+block(deg)]
+		b := inc.flat[off : off+4*deg+2]
 		g.xv = b[:deg:deg]
 		g.yv = b[deg : 2*deg : 2*deg]
-		if inc.needPrefix() {
-			g.xp = b[2*deg : 2*deg : 3*deg+1]
-			g.yp = b[3*deg+1 : 3*deg+1 : 4*deg+2]
-		}
+		g.xp = b[2*deg : 2*deg : 3*deg+1]
+		g.yp = b[3*deg+1 : 3*deg+1 : 4*deg+2]
 		off += len(b)
 	}
 }
@@ -251,9 +238,6 @@ func (inc *Incremental) CellPins(id netlist.CellID) []PinRef {
 	return inc.pinRefs[inc.pinOff[id]:inc.pinOff[id+1]]
 }
 
-// Estimator returns the configured estimator.
-func (inc *Incremental) Estimator() Estimator { return inc.est }
-
 // Coord returns the mirrored coordinates of a cell, satisfying Coords (the
 // congestion grid's source contract reads the mirror through it).
 func (inc *Incremental) Coord(id netlist.CellID) (x, y float64) {
@@ -273,9 +257,6 @@ func (inc *Incremental) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float64
 	}
 	return g.xv[0], g.yv[0], g.xv[len(g.xv)-1], g.yv[len(g.yv)-1], true
 }
-
-// needPrefix reports whether the estimator uses the prefix-sum branch math.
-func (inc *Incremental) needPrefix() bool { return inc.est == Steiner }
 
 // Rebuild resynchronizes the full state — mirror, multisets, committed
 // lengths and the wanted cells' exclusions — from the given coordinates.
@@ -302,18 +283,18 @@ func (inc *Incremental) Rebuild(coords Coords) {
 // the pins in pin order (driver, then sinks), refills the sorted multisets
 // and prefix sums, computes the committed length, and evaluates the
 // excluded length of every wanted cell on the net. Only Steiner trunks
-// (more than three pins) and RMST read the pins in pin order; other nets
-// are collected straight into their sorted arrays. When a Steiner
-// exclusion on the net can keep more than three pins, the refill ranks the
-// pins: the sort records where each pin's value starts in the sorted axes,
-// which are the positions the trunk formulas need. The visit writes only
-// this net's geometry block, length slot and pin references.
+// (more than three pins) read the pins in pin order; other nets are
+// collected straight into their sorted arrays. When an exclusion on the
+// net can keep more than three pins, the refill ranks the pins: the sort
+// records where each pin's value starts in the sorted axes, which are the
+// positions the trunk formulas need. The visit writes only this net's
+// geometry block, length slot and pin references.
 func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
 	deg := inc.netDegree(n)
 	g.xv, g.yv = g.xv[:deg], g.yv[:deg]
-	if inc.est == HPWL || (inc.est == Steiner && deg <= 3) {
+	if deg <= 3 {
 		wanted := inc.collect(net, g.xv, g.yv)
 		sortFloats(g.xv)
 		sortFloats(g.yv)
@@ -327,7 +308,7 @@ func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 	ev := v.ev
 	ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
 	wanted := inc.collect(net, ev.xs, ev.ys)
-	if wanted && inc.est == Steiner && deg > 4 {
+	if wanted && deg > 4 {
 		v.posX = rankInto(g.xv, ev.xs, v.posX, &v.ranks)
 		v.posY = rankInto(g.yv, ev.ys, v.posY, &v.ranks)
 	} else {
@@ -346,16 +327,15 @@ func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 // relength recomputes the committed length and the wanted cells'
 // exclusions of a net whose sorted multisets and prefix sums per-pin edits
 // kept current: the span is read from the sorted ends, and only Steiner
-// trunks and RMST collect the pins, in pin order, for their branch sums.
-// The values equal refresh's, which differs only in refilling the arrays
-// first. Like refresh it writes only this net's length slot and pin
-// references.
+// trunks collect the pins, in pin order, for their branch sums. The values
+// equal refresh's, which differs only in refilling the arrays first. Like
+// refresh it writes only this net's length slot and pin references.
 func (inc *Incremental) relength(v *View, n netlist.NetID) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
 	deg := len(g.xv)
 	var wanted bool
-	if inc.est == HPWL || (inc.est == Steiner && deg <= 3) {
+	if deg <= 3 {
 		inc.lengths[n] = spanLength(g)
 		wanted = len(inc.wantList) != 0 && inc.wanted(net)
 	} else {
@@ -422,27 +402,17 @@ func (inc *Incremental) collect(net *netlist.Net, xs, ys []float64) (wanted bool
 }
 
 // netLength is the committed length of a just-refreshed net with more than
-// three pins or under RMST, bitwise the Evaluator's NetLength over the same
-// coordinates: min and max are the sorted ends, the Steiner median is the
-// sorted middle, and the branch sums run over the view's pin-order
-// collection exactly like trunkLength.
+// three pins, bitwise the Evaluator's NetLength over the same coordinates:
+// min and max are the sorted ends, the median is the sorted middle, and
+// the branch sums run over the view's pin-order collection exactly like
+// trunkLength.
 func (inc *Incremental) netLength(v *View, g *netGeom) float64 {
-	deg := len(g.xv)
-	if deg < 2 {
-		return 0
+	h := trunkSorted(g.xv, g.yv, v.ev.ys) // horizontal trunk
+	w := trunkSorted(g.yv, g.xv, v.ev.xs) // vertical trunk
+	if w < h {
+		return w
 	}
-	switch inc.est {
-	case Steiner:
-		h := trunkSorted(g.xv, g.yv, v.ev.ys) // horizontal trunk
-		w := trunkSorted(g.yv, g.xv, v.ev.xs) // vertical trunk
-		if w < h {
-			return w
-		}
-		return h
-	case RMST:
-		return v.ev.rmstLength()
-	}
-	panic("wire: unknown estimator")
+	return h
 }
 
 // excludeNet evaluates the exclusion of every wanted cell on net n from the
@@ -456,31 +426,31 @@ func (inc *Incremental) excludeNet(v *View, n netlist.NetID, ranked bool) {
 	i := 0
 	if d := net.Driver; d != netlist.NoCell {
 		if inc.want[d] != 0 {
-			inc.exclude(v, n, g, d, refs[0], 0, ranked)
+			inc.exclude(v, g, d, refs[0], 0, ranked)
 		}
 		i++
 	}
 	for j, c := range net.Sinks {
 		if inc.want[c] != 0 {
-			inc.exclude(v, n, g, c, refs[i+j], i+j, ranked)
+			inc.exclude(v, g, c, refs[i+j], i+j, ranked)
 		}
 	}
 }
 
-// exclude stores the length of net n without cell c's pins into c's pin
-// reference r, c holding the net's pin i (in pin order). A cell with
-// several pins on the net is evaluated at each of them; the value is the
-// same.
-func (inc *Incremental) exclude(v *View, n netlist.NetID, g *netGeom, c netlist.CellID, r int32, i int, ranked bool) {
+// exclude stores the length of the net with geometry g without cell c's
+// pins into c's pin reference r, c holding the net's pin i (in pin order).
+// A cell with several pins on the net is evaluated at each of them; the
+// value is the same.
+func (inc *Incremental) exclude(v *View, g *netGeom, c netlist.CellID, r int32, i int, ranked bool) {
 	k := int(inc.pinRefs[r].K)
 	m := len(g.xv) - k
 	rx, ry := inc.cx[c], inc.cy[c]
 	x := 0.0
 	switch {
 	case m < 2:
-	case inc.est == HPWL || (inc.est == Steiner && m <= 3):
+	case m <= 3:
 		x = hpwlExcl(g.xv, g.yv, rx, ry, k)
-	case inc.est == Steiner:
+	default:
 		var xLo, yLo int
 		if ranked {
 			xLo, yLo = int(v.posX[i]), int(v.posY[i])
@@ -488,11 +458,6 @@ func (inc *Incremental) exclude(v *View, n netlist.NetID, g *netGeom, c netlist.
 			xLo, yLo = searchF64(g.xv, rx), searchF64(g.yv, ry)
 		}
 		x = steinerExcl(g.xv, g.xp, g.yv, g.yp, rx, ry, xLo, yLo, k)
-	default:
-		// RMST has no sorted-multiset shortcut; like the Evaluator, it
-		// collects the remaining pins in pin order and runs Prim.
-		v.collectRemainingExcluding(n, c)
-		x = v.ev.rmstLength()
 	}
 	inc.excl[r] = x
 }
@@ -548,9 +513,6 @@ func rankInto(dst, vals []float64, pos []int32, buf *[]rankPair) []int32 {
 // the bits equal a fresh left-to-right prefixInto — the canonical form
 // every evaluator produces, independent of edit history.
 func (inc *Incremental) refreshPrefix(g *netGeom, xLo, yLo int) {
-	if !inc.needPrefix() {
-		return
-	}
 	g.xp = prefixFrom(g.xp, g.xv, xLo)
 	g.yp = prefixFrom(g.yp, g.yv, yLo)
 }
@@ -950,7 +912,7 @@ func resizeFloats(s []float64, n int) []float64 {
 // owns the scratch buffers of the net visits and the trial scoring.
 type View struct {
 	inc *Incremental
-	ev  *Evaluator // scratch: pin-order collection, RMST, candidate staging
+	ev  *Evaluator // scratch: pin-order collection, candidate staging
 
 	// Net-refresh scratch: the rank sort and each pin's sorted positions.
 	ranks      []rankPair
@@ -961,32 +923,18 @@ type View struct {
 func (inc *Incremental) BaseView() *View { return &inc.base }
 
 // TrialNetAt estimates the net's length with the stored pins plus one
-// candidate point — O(log p) for HPWL/Steiner. The cell being trialled must
-// have been lifted out with RemoveCell beforehand.
+// candidate point in O(log p). The cell being trialled must have been
+// lifted out with RemoveCell beforehand.
 func (v *View) TrialNetAt(n netlist.NetID, x, y float64) float64 {
 	g := &v.inc.geoms[n]
-	switch v.inc.est {
-	case HPWL:
-		if len(g.xv) == 0 {
-			return 0
-		}
-		return bboxPlus1(g.xv[0], g.xv[len(g.xv)-1], g.yv[0], g.yv[len(g.yv)-1], x, y)
-	case Steiner:
-		stored := len(g.xv)
-		if stored == 0 {
-			return 0
-		}
-		if stored <= 2 {
-			return bboxPlus1(g.xv[0], g.xv[stored-1], g.yv[0], g.yv[stored-1], x, y)
-		}
-		return steinerTrial1(g.xv, g.xp, g.yv, g.yp, x, y)
-	case RMST:
-		v.collectRemaining(n)
-		v.ev.xs = append(v.ev.xs, x)
-		v.ev.ys = append(v.ev.ys, y)
-		return v.ev.rmstLength()
+	stored := len(g.xv)
+	if stored == 0 {
+		return 0
 	}
-	panic("wire: unknown estimator")
+	if stored <= 2 {
+		return bboxPlus1(g.xv[0], g.xv[stored-1], g.yv[0], g.yv[stored-1], x, y)
+	}
+	return steinerTrial1(g.xv, g.xp, g.yv, g.yp, x, y)
 }
 
 // TrialNetAt2 estimates the net's length with two candidate points (the
@@ -995,43 +943,6 @@ func (v *View) TrialNetAt(n netlist.NetID, x, y float64) float64 {
 // Evaluator.NetLengthWithCellsAt's append order for bitwise equality.
 func (v *View) TrialNetAt2(n netlist.NetID, x1, y1, x2, y2 float64) float64 {
 	g := &v.inc.geoms[n]
-	switch v.inc.est {
-	case HPWL:
-		v.ev.cand2(x1, y1, x2, y2)
-		return hpwlTrial(g.xv, g.yv, v.ev.candX, v.ev.candY)
-	case Steiner:
-		v.ev.cand2(x1, y1, x2, y2)
-		return steinerTrial(g.xv, g.xp, g.yv, g.yp, v.ev.candX, v.ev.candY)
-	case RMST:
-		v.collectRemaining(n)
-		v.ev.xs = append(v.ev.xs, x1, x2)
-		v.ev.ys = append(v.ev.ys, y1, y2)
-		return v.ev.rmstLength()
-	}
-	panic("wire: unknown estimator")
-}
-
-// collectRemaining fills the view scratch with the net's non-removed pins
-// in pin order (driver, then sinks) from the mirror — the same order
-// Evaluator.collect produces, which keeps RMST trials bitwise identical.
-func (v *View) collectRemaining(n netlist.NetID) {
-	inc := v.inc
-	net := inc.ckt.Net(n)
-	v.ev.xs, v.ev.ys = v.ev.xs[:0], v.ev.ys[:0]
-	add := func(id netlist.CellID) {
-		if id == netlist.NoCell {
-			return
-		}
-		for _, r := range inc.removed {
-			if r == id {
-				return
-			}
-		}
-		v.ev.xs = append(v.ev.xs, inc.cx[id])
-		v.ev.ys = append(v.ev.ys, inc.cy[id])
-	}
-	add(net.Driver)
-	for _, s := range net.Sinks {
-		add(s)
-	}
+	v.ev.cand2(x1, y1, x2, y2)
+	return steinerTrial(g.xv, g.xp, g.yv, g.yp, v.ev.candX, v.ev.candY)
 }

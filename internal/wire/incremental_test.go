@@ -23,8 +23,6 @@ func testCircuit(t testing.TB, seed int64) *netlist.Circuit {
 	return ckt
 }
 
-var allEstimators = []Estimator{HPWL, Steiner, RMST}
-
 // mutableCoords is a plain coordinate table implementing ChangeSource, so
 // the tests can drive arbitrary move sequences through Sync.
 type mutableCoords struct {
@@ -58,34 +56,32 @@ func (m *mutableCoords) move(id netlist.CellID, x, y float64) {
 
 // TestIncrementalMatchesScratchUnderMoves drives randomized move sequences
 // through Sync and asserts every committed net length stays bitwise equal
-// to a from-scratch evaluation, for every estimator.
+// to a from-scratch evaluation.
 func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 	ckt := testCircuit(t, 31)
 	movable := ckt.Movable()
-	for _, est := range allEstimators {
-		place := layout.NewRandom(ckt, 8, rng.New(7))
-		coords := newMutableCoords(ckt, place)
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(coords)
-		ev := NewEvaluator(ckt, est)
-		r := rng.New(99)
+	place := layout.NewRandom(ckt, 8, rng.New(7))
+	coords := newMutableCoords(ckt, place)
+	inc := NewIncremental(ckt)
+	inc.Rebuild(coords)
+	ev := NewEvaluator(ckt)
+	r := rng.New(99)
 
-		var got, want []float64
-		for step := 0; step < 200; step++ {
-			// Move 1-3 random cells to random positions (half-site grid with
-			// occasional coincident values to exercise duplicate handling).
-			for k := 0; k <= r.Intn(3); k++ {
-				id := movable[r.Intn(len(movable))]
-				coords.move(id, float64(r.Intn(160))/2, float64(r.Intn(48))/2)
-			}
-			inc.Sync(coords)
-			got = inc.Lengths(got)
-			want = ev.Lengths(coords, want)
-			for n := range want {
-				if got[n] != want[n] {
-					t.Fatalf("est %d step %d: net %d incremental %v != scratch %v",
-						est, step, n, got[n], want[n])
-				}
+	var got, want []float64
+	for step := 0; step < 200; step++ {
+		// Move 1-3 random cells to random positions (half-site grid with
+		// occasional coincident values to exercise duplicate handling).
+		for k := 0; k <= r.Intn(3); k++ {
+			id := movable[r.Intn(len(movable))]
+			coords.move(id, float64(r.Intn(160))/2, float64(r.Intn(48))/2)
+		}
+		inc.Sync(coords)
+		got = inc.Lengths(got)
+		want = ev.Lengths(coords, want)
+		for n := range want {
+			if got[n] != want[n] {
+				t.Fatalf("step %d: net %d incremental %v != scratch %v",
+					step, n, got[n], want[n])
 			}
 		}
 	}
@@ -93,60 +89,58 @@ func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 
 // TestTrialMatchesScratch asserts View trials (one and two candidates) are
 // bitwise equal to the Evaluator's canonical trial functions across random
-// states, for every estimator.
+// states.
 func TestTrialMatchesScratch(t *testing.T) {
 	ckt := testCircuit(t, 32)
 	movable := ckt.Movable()
-	for _, est := range allEstimators {
-		place := layout.NewRandom(ckt, 8, rng.New(11))
-		coords := newMutableCoords(ckt, place)
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(coords)
-		ev := NewEvaluator(ckt, est)
-		view := inc.BaseView()
-		r := rng.New(5)
-		var nets []netlist.NetID
+	place := layout.NewRandom(ckt, 8, rng.New(11))
+	coords := newMutableCoords(ckt, place)
+	inc := NewIncremental(ckt)
+	inc.Rebuild(coords)
+	ev := NewEvaluator(ckt)
+	view := inc.BaseView()
+	r := rng.New(5)
+	var nets []netlist.NetID
 
-		for step := 0; step < 300; step++ {
-			a := movable[r.Intn(len(movable))]
-			b := movable[r.Intn(len(movable))]
-			for b == a {
-				b = movable[r.Intn(len(movable))]
-			}
-			x1, y1 := float64(r.Intn(160))/2, float64(r.Intn(48))/2
-			x2, y2 := float64(r.Intn(160))/2, float64(r.Intn(48))/2
+	for step := 0; step < 300; step++ {
+		a := movable[r.Intn(len(movable))]
+		b := movable[r.Intn(len(movable))]
+		for b == a {
+			b = movable[r.Intn(len(movable))]
+		}
+		x1, y1 := float64(r.Intn(160))/2, float64(r.Intn(48))/2
+		x2, y2 := float64(r.Intn(160))/2, float64(r.Intn(48))/2
 
-			// Single-cell trials over a's nets.
-			inc.RemoveCell(a)
-			nets = ckt.CellNets(a, nets[:0])
-			for _, n := range nets {
-				got := view.TrialNetAt(n, x1, y1)
-				want := ev.NetLengthWithCellAt(n, a, x1, y1, coords)
-				if got != want {
-					t.Fatalf("est %d step %d: net %d 1-cand trial %v != scratch %v",
-						est, step, n, got, want)
-				}
+		// Single-cell trials over a's nets.
+		inc.RemoveCell(a)
+		nets = ckt.CellNets(a, nets[:0])
+		for _, n := range nets {
+			got := view.TrialNetAt(n, x1, y1)
+			want := ev.NetLengthWithCellAt(n, a, x1, y1, coords)
+			if got != want {
+				t.Fatalf("step %d: net %d 1-cand trial %v != scratch %v",
+					step, n, got, want)
 			}
+		}
 
-			// Two-cell trials over nets containing both a and b.
-			inc.RemoveCell(b)
-			nets = ckt.CellNets(b, nets[:0])
-			for _, n := range nets {
-				got := view.TrialNetAt2(n, x1, y1, x2, y2)
-				want := ev.NetLengthWithCellsAt(n, a, x1, y1, b, x2, y2, coords)
-				if got != want {
-					t.Fatalf("est %d step %d: net %d 2-cand trial %v != scratch %v",
-						est, step, n, got, want)
-				}
+		// Two-cell trials over nets containing both a and b.
+		inc.RemoveCell(b)
+		nets = ckt.CellNets(b, nets[:0])
+		for _, n := range nets {
+			got := view.TrialNetAt2(n, x1, y1, x2, y2)
+			want := ev.NetLengthWithCellsAt(n, a, x1, y1, b, x2, y2, coords)
+			if got != want {
+				t.Fatalf("step %d: net %d 2-cand trial %v != scratch %v",
+					step, n, got, want)
 			}
-			inc.RestoreCell(b)
-			inc.RestoreCell(a)
+		}
+		inc.RestoreCell(b)
+		inc.RestoreCell(a)
 
-			// Occasionally commit a move so trials run against varied states.
-			if step%3 == 0 {
-				coords.move(a, x1, y1)
-				inc.Sync(coords)
-			}
+		// Occasionally commit a move so trials run against varied states.
+		if step%3 == 0 {
+			coords.move(a, x1, y1)
+			inc.Sync(coords)
 		}
 	}
 }
@@ -156,7 +150,7 @@ func TestTrialMatchesScratch(t *testing.T) {
 func TestRemoveRestoreKeepsLengthsValid(t *testing.T) {
 	ckt := testCircuit(t, 33)
 	place := layout.NewRandom(ckt, 8, rng.New(3))
-	inc := NewIncremental(ckt, Steiner)
+	inc := NewIncremental(ckt)
 	inc.Rebuild(place)
 	before := inc.Lengths(nil)
 
@@ -179,26 +173,24 @@ func TestRemoveRestoreKeepsLengthsValid(t *testing.T) {
 // reproduces identical lengths.
 func TestRebuildIsChecksum(t *testing.T) {
 	ckt := testCircuit(t, 34)
-	for _, est := range allEstimators {
-		place := layout.NewRandom(ckt, 8, rng.New(21))
-		coords := newMutableCoords(ckt, place)
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(coords)
-		movable := ckt.Movable()
-		r := rng.New(8)
-		for i := 0; i < 120; i++ {
-			id := movable[r.Intn(len(movable))]
-			coords.move(id, float64(r.Intn(100))/2, float64(r.Intn(30))/2)
-		}
-		inc.Sync(coords)
-		incLengths := inc.Lengths(nil)
-		inc.Rebuild(coords)
-		rebuilt := inc.Lengths(nil)
-		for n := range incLengths {
-			if incLengths[n] != rebuilt[n] {
-				t.Fatalf("est %d: net %d drifted: incremental %v, rebuilt %v",
-					est, n, incLengths[n], rebuilt[n])
-			}
+	place := layout.NewRandom(ckt, 8, rng.New(21))
+	coords := newMutableCoords(ckt, place)
+	inc := NewIncremental(ckt)
+	inc.Rebuild(coords)
+	movable := ckt.Movable()
+	r := rng.New(8)
+	for i := 0; i < 120; i++ {
+		id := movable[r.Intn(len(movable))]
+		coords.move(id, float64(r.Intn(100))/2, float64(r.Intn(30))/2)
+	}
+	inc.Sync(coords)
+	incLengths := inc.Lengths(nil)
+	inc.Rebuild(coords)
+	rebuilt := inc.Lengths(nil)
+	for n := range incLengths {
+		if incLengths[n] != rebuilt[n] {
+			t.Fatalf("net %d drifted: incremental %v, rebuilt %v",
+				n, incLengths[n], rebuilt[n])
 		}
 	}
 }
@@ -209,64 +201,62 @@ func TestRebuildIsChecksum(t *testing.T) {
 func TestTrialSetMatchesViewTrials(t *testing.T) {
 	ckt := testCircuit(t, 36)
 	movable := ckt.Movable()
-	for _, est := range allEstimators {
-		place := layout.NewRandom(ckt, 8, rng.New(5))
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(place)
-		view := inc.BaseView()
-		r := rng.New(77)
-		var nets []netlist.NetID
-		var set TrialSet
+	place := layout.NewRandom(ckt, 8, rng.New(5))
+	inc := NewIncremental(ckt)
+	inc.Rebuild(place)
+	view := inc.BaseView()
+	r := rng.New(77)
+	var nets []netlist.NetID
+	var set TrialSet
 
-		for step := 0; step < 100; step++ {
-			id := movable[r.Intn(len(movable))]
-			nets = ckt.CellNets(id, nets[:0])
-			weights := make([]float64, len(nets))
-			for i := range weights {
-				weights[i] = 1 + float64(r.Intn(8))/4
-			}
-			inc.RemoveCell(id)
-			inc.CompileTrials(&set, nets, weights, place.NumRows())
-
-			// Build a vacancy pool on row centerlines.
-			nVac := 12
-			vacs := make([]Vacancy, nVac)
-			free := make([]int32, nVac)
-			rowOK := make([]bool, place.NumRows())
-			for i := range rowOK {
-				rowOK[i] = true
-			}
-			for i := range vacs {
-				row := int32(r.Intn(place.NumRows()))
-				vacs[i] = Vacancy{X: float64(r.Intn(120)) / 2, Y: layout.RowY(int(row)), Row: row}
-				free[i] = int32(i)
-			}
-
-			// Score == Σ TrialNetAt · w, bitwise.
-			v0 := vacs[0]
-			want := 0.0
-			for i, n := range nets {
-				want += view.TrialNetAt(n, v0.X, v0.Y) * weights[i]
-			}
-			if got := set.Score(view, v0.X, v0.Y, int(v0.Row)); got != want {
-				t.Fatalf("est %d: Score %v != Σ trials %v", est, got, want)
-			}
-
-			// ScanBest == ScoreBounded loop.
-			wantBest, wantBound := -1, 1e308
-			for _, f := range free {
-				vac := vacs[f]
-				if s, ok := set.ScoreBounded(view, vac.X, vac.Y, int(vac.Row), wantBound); ok {
-					wantBest, wantBound = int(f), s
-				}
-			}
-			gotBest, gotBound := set.ScanBest(view, vacs, free, rowOK, 0, len(free), 1e308, nil)
-			if gotBest != wantBest || gotBound != wantBound {
-				t.Fatalf("est %d: ScanBest (%d, %v) != ScoreBounded loop (%d, %v)",
-					est, gotBest, gotBound, wantBest, wantBound)
-			}
-			inc.RestoreCell(id)
+	for step := 0; step < 100; step++ {
+		id := movable[r.Intn(len(movable))]
+		nets = ckt.CellNets(id, nets[:0])
+		weights := make([]float64, len(nets))
+		for i := range weights {
+			weights[i] = 1 + float64(r.Intn(8))/4
 		}
+		inc.RemoveCell(id)
+		inc.CompileTrials(&set, nets, weights, place.NumRows())
+
+		// Build a vacancy pool on row centerlines.
+		nVac := 12
+		vacs := make([]Vacancy, nVac)
+		free := make([]int32, nVac)
+		rowOK := make([]bool, place.NumRows())
+		for i := range rowOK {
+			rowOK[i] = true
+		}
+		for i := range vacs {
+			row := int32(r.Intn(place.NumRows()))
+			vacs[i] = Vacancy{X: float64(r.Intn(120)) / 2, Y: layout.RowY(int(row)), Row: row}
+			free[i] = int32(i)
+		}
+
+		// Score == Σ TrialNetAt · w, bitwise.
+		v0 := vacs[0]
+		want := 0.0
+		for i, n := range nets {
+			want += view.TrialNetAt(n, v0.X, v0.Y) * weights[i]
+		}
+		if got := set.Score(v0.X, v0.Y, int(v0.Row)); got != want {
+			t.Fatalf("Score %v != Σ trials %v", got, want)
+		}
+
+		// ScanBest == ScoreBounded loop.
+		wantBest, wantBound := -1, 1e308
+		for _, f := range free {
+			vac := vacs[f]
+			if s, ok := set.ScoreBounded(vac.X, vac.Y, int(vac.Row), wantBound); ok {
+				wantBest, wantBound = int(f), s
+			}
+		}
+		gotBest, gotBound := set.ScanBest(vacs, free, rowOK, 0, len(free), 1e308, nil)
+		if gotBest != wantBest || gotBound != wantBound {
+			t.Fatalf("ScanBest (%d, %v) != ScoreBounded loop (%d, %v)",
+				gotBest, gotBound, wantBest, wantBound)
+		}
+		inc.RestoreCell(id)
 	}
 }
 
@@ -286,14 +276,14 @@ func TestScanBestTrailingZeroTieBreak(t *testing.T) {
 	free := []int32{0, 1}
 	rowOK := []bool{true}
 
-	best, _ := set.ScanBest(nil, vacs, free, rowOK, 0, len(free), 1e308, nil)
+	best, _ := set.ScanBest(vacs, free, rowOK, 0, len(free), 1e308, nil)
 	if best != 0 {
 		t.Fatalf("ScanBest picked vacancy %d, want the first of the tie (0)", best)
 	}
 	// ScoreBounded must report the tie as inadmissible (ok=false) even
 	// though the trailing record contributes nothing.
-	s0 := set.Score(nil, vacs[0].X, vacs[0].Y, -1)
-	if _, ok := set.ScoreBounded(nil, vacs[1].X, vacs[1].Y, -1, s0); ok {
+	s0 := set.Score(vacs[0].X, vacs[0].Y, -1)
+	if _, ok := set.ScoreBounded(vacs[1].X, vacs[1].Y, -1, s0); ok {
 		t.Fatal("ScoreBounded admitted a tied vacancy past a trailing zero record")
 	}
 }
@@ -304,9 +294,9 @@ func TestPlacementJournalFeedsSync(t *testing.T) {
 	ckt := testCircuit(t, 35)
 	place := layout.NewRandom(ckt, 8, rng.New(2))
 	place.JournalCoords(true)
-	inc := NewIncremental(ckt, Steiner)
+	inc := NewIncremental(ckt)
 	inc.Rebuild(place)
-	ev := NewEvaluator(ckt, Steiner)
+	ev := NewEvaluator(ckt)
 
 	movable := ckt.Movable()
 	r := rng.New(12)
@@ -332,57 +322,54 @@ func TestPlacementJournalFeedsSync(t *testing.T) {
 
 // TestExcludingMatchesScratch asserts the goodness-path invariant: for
 // every requested cell and every incident net, the cached-state excluded
-// length is bitwise equal to the Evaluator's from-scratch value, across all
-// estimators. It covers the three ways an exclusion gets computed: filled
+// length is bitwise equal to the Evaluator's from-scratch value. It covers the three ways an exclusion gets computed: filled
 // on request (a first request, then a wider one that adds cells), kept
 // current by the refresh of nets a journal sync dirtied, and kept current
 // by per-pin edits (MoveCell) flushed through Lengths.
 func TestExcludingMatchesScratch(t *testing.T) {
-	for _, est := range allEstimators {
-		ckt := testCircuit(t, 5)
-		p := layout.NewRandom(ckt, 8, rng.New(5))
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(p)
-		ev := NewEvaluator(ckt, est)
-		movable := ckt.Movable()
+	ckt := testCircuit(t, 5)
+	p := layout.NewRandom(ckt, 8, rng.New(5))
+	inc := NewIncremental(ckt)
+	inc.Rebuild(p)
+	ev := NewEvaluator(ckt)
+	movable := ckt.Movable()
 
-		check := func(stage string, cells []netlist.CellID, coords Coords) {
-			inc.Exclusions(cells)
-			for _, id := range cells {
-				excl := inc.CellExcl(id)
-				for i, ref := range inc.CellPins(id) {
-					want := ev.NetLengthExcluding(ref.Net, id, coords)
-					if excl[i] != want {
-						t.Fatalf("est %v %s: net %d excluding cell %d: cached %v, scratch %v",
-							est, stage, ref.Net, id, excl[i], want)
-					}
+	check := func(stage string, cells []netlist.CellID, coords Coords) {
+		inc.Exclusions(cells)
+		for _, id := range cells {
+			excl := inc.CellExcl(id)
+			for i, ref := range inc.CellPins(id) {
+				want := ev.NetLengthExcluding(ref.Net, id, coords)
+				if excl[i] != want {
+					t.Fatalf("%s: net %d excluding cell %d: cached %v, scratch %v",
+						stage, ref.Net, id, excl[i], want)
 				}
 			}
 		}
-		check("first request", movable[:len(movable)/2], p)
-		check("wider request", movable, p)
-
-		// Move a batch of cells and re-check after a journal sync.
-		m := newMutableCoords(ckt, p)
-		r := rng.New(99)
-		for i := 0; i < 25; i++ {
-			id := movable[int(r.Uint64()%uint64(len(movable)))]
-			m.move(id, float64(r.Uint64()%300), float64(r.Uint64()%90))
-		}
-		inc.Sync(m)
-		inc.Lengths(nil)
-		check("after sync", movable, m)
-
-		// Per-pin edits, flushed by Lengths.
-		for i := 0; i < 10; i++ {
-			id := movable[int(r.Uint64()%uint64(len(movable)))]
-			x, y := float64(r.Uint64()%300), float64(r.Uint64()%90)
-			m.x[id], m.y[id] = x, y
-			inc.MoveCell(id, x, y)
-		}
-		inc.Lengths(nil)
-		check("after moves", movable, m)
 	}
+	check("first request", movable[:len(movable)/2], p)
+	check("wider request", movable, p)
+
+	// Move a batch of cells and re-check after a journal sync.
+	m := newMutableCoords(ckt, p)
+	r := rng.New(99)
+	for i := 0; i < 25; i++ {
+		id := movable[int(r.Uint64()%uint64(len(movable)))]
+		m.move(id, float64(r.Uint64()%300), float64(r.Uint64()%90))
+	}
+	inc.Sync(m)
+	inc.Lengths(nil)
+	check("after sync", movable, m)
+
+	// Per-pin edits, flushed by Lengths.
+	for i := 0; i < 10; i++ {
+		id := movable[int(r.Uint64()%uint64(len(movable)))]
+		x, y := float64(r.Uint64()%300), float64(r.Uint64()%90)
+		m.x[id], m.y[id] = x, y
+		inc.MoveCell(id, x, y)
+	}
+	inc.Lengths(nil)
+	check("after moves", movable, m)
 }
 
 // TestEditedNetsMatchScratch covers nets that per-pin edits changed, whose
@@ -391,50 +378,48 @@ func TestExcludingMatchesScratch(t *testing.T) {
 // SA/TS move path), mixed with journal syncs that refill, must give the
 // Evaluator's lengths and exclusions bit for bit.
 func TestEditedNetsMatchScratch(t *testing.T) {
-	for _, est := range allEstimators {
-		ckt := testCircuit(t, 8)
-		p := layout.NewRandom(ckt, 8, rng.New(8))
-		m := newMutableCoords(ckt, p)
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(m)
-		ev := NewEvaluator(ckt, est)
-		movable := ckt.Movable()
-		wanted := movable[:len(movable)/2]
+	ckt := testCircuit(t, 8)
+	p := layout.NewRandom(ckt, 8, rng.New(8))
+	m := newMutableCoords(ckt, p)
+	inc := NewIncremental(ckt)
+	inc.Rebuild(m)
+	ev := NewEvaluator(ckt)
+	movable := ckt.Movable()
+	wanted := movable[:len(movable)/2]
+	inc.Exclusions(wanted)
+	r := rng.New(17)
+	for step := 0; step < 300; step++ {
+		id := movable[r.Intn(len(movable))]
+		x, y := float64(r.Intn(160))/2, float64(r.Intn(48))/2
+		if step%7 == 0 {
+			m.move(id, x, y)
+			inc.Sync(m)
+		} else {
+			m.x[id], m.y[id] = x, y
+			inc.MoveCell(id, x, y)
+		}
+		for _, ref := range inc.CellPins(id) {
+			if got, want := inc.NetLength(ref.Net), ev.NetLength(ref.Net, m); got != want {
+				t.Fatalf("step %d: net %d length %v, scratch %v", step, ref.Net, got, want)
+			}
+		}
+		if step%10 != 9 {
+			continue
+		}
 		inc.Exclusions(wanted)
-		r := rng.New(17)
-		for step := 0; step < 300; step++ {
-			id := movable[r.Intn(len(movable))]
-			x, y := float64(r.Intn(160))/2, float64(r.Intn(48))/2
-			if step%7 == 0 {
-				m.move(id, x, y)
-				inc.Sync(m)
-			} else {
-				m.x[id], m.y[id] = x, y
-				inc.MoveCell(id, x, y)
-			}
-			for _, ref := range inc.CellPins(id) {
-				if got, want := inc.NetLength(ref.Net), ev.NetLength(ref.Net, m); got != want {
-					t.Fatalf("est %v step %d: net %d length %v, scratch %v", est, step, ref.Net, got, want)
+		for _, c := range wanted {
+			excl := inc.CellExcl(c)
+			for i, ref := range inc.CellPins(c) {
+				if want := ev.NetLengthExcluding(ref.Net, c, m); excl[i] != want {
+					t.Fatalf("step %d: net %d excluding cell %d: %v, scratch %v",
+						step, ref.Net, c, excl[i], want)
 				}
 			}
-			if step%10 != 9 {
-				continue
-			}
-			inc.Exclusions(wanted)
-			for _, c := range wanted {
-				excl := inc.CellExcl(c)
-				for i, ref := range inc.CellPins(c) {
-					if want := ev.NetLengthExcluding(ref.Net, c, m); excl[i] != want {
-						t.Fatalf("est %v step %d: net %d excluding cell %d: %v, scratch %v",
-							est, step, ref.Net, c, excl[i], want)
-					}
-				}
-			}
-			got := inc.Lengths(nil)
-			for n, want := range ev.Lengths(m, nil) {
-				if got[n] != want {
-					t.Fatalf("est %v step %d: net %d committed %v, scratch %v", est, step, n, got[n], want)
-				}
+		}
+		got := inc.Lengths(nil)
+		for n, want := range ev.Lengths(m, nil) {
+			if got[n] != want {
+				t.Fatalf("step %d: net %d committed %v, scratch %v", step, n, got[n], want)
 			}
 		}
 	}
@@ -445,9 +430,9 @@ func TestEditedNetsMatchScratch(t *testing.T) {
 func TestExcludingPadNets(t *testing.T) {
 	ckt := testCircuit(t, 6)
 	p := layout.NewRandom(ckt, 8, rng.New(6))
-	inc := NewIncremental(ckt, Steiner)
+	inc := NewIncremental(ckt)
 	inc.Rebuild(p)
-	ev := NewEvaluator(ckt, Steiner)
+	ev := NewEvaluator(ckt)
 	all := make([]netlist.CellID, len(ckt.Cells))
 	for i := range all {
 		all[i] = netlist.CellID(i)
@@ -473,13 +458,12 @@ func TestExcludingPadNets(t *testing.T) {
 
 // TestSteadyStateZeroAllocs pins the SoA storage contract: once the flat
 // backing arrays exist and the scratch buffers are warm, a full
-// sync/re-estimate/goodness/trial cycle allocates nothing. (RMST is
-// excluded: its trial path collects pins into growable scratch by design.)
+// sync/re-estimate/goodness/trial cycle allocates nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	ckt := testCircuit(t, 77)
 	place := layout.NewRandom(ckt, 0, rng.NewStream(9, 0))
 	coords := newMutableCoords(ckt, place)
-	inc := NewIncremental(ckt, Steiner)
+	inc := NewIncremental(ckt)
 	inc.Rebuild(coords)
 
 	movable := ckt.Movable()
@@ -487,7 +471,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	var trials TrialSet
 	var nets []netlist.NetID
 	var weights []float64
-	view := inc.BaseView()
 	rowY := rowCenters(layout.RowY, 8)
 
 	cycle := func(round int) {
@@ -512,7 +495,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		inc.RemoveCell(id)
 		inc.CompileTrials(&trials, nets, weights, 8)
 		trials.PrepareScan(rowY)
-		_ = trials.Score(view, 3.5, layout.RowY(2), 2)
+		_ = trials.Score(3.5, layout.RowY(2), 2)
 		inc.RestoreCell(id)
 	}
 
@@ -570,7 +553,7 @@ func TestMultisetDuplicatesMatchRebuild(t *testing.T) {
 	r := rng.New(0xd0b1e)
 	ckt := dupPinCircuit(t, r, 5, 40)
 	sawK := false
-	probe := NewIncremental(ckt, HPWL)
+	probe := NewIncremental(ckt)
 	for id := range ckt.Cells {
 		for _, ref := range probe.CellPins(netlist.CellID(id)) {
 			sawK = sawK || ref.K > 1
@@ -583,41 +566,39 @@ func TestMultisetDuplicatesMatchRebuild(t *testing.T) {
 	// non-dyadic ones, so the prefix sums round.
 	coordX := func() float64 { return 1000.1 + 0.3*float64(r.Intn(4)) }
 	coordY := func() float64 { return 1.1 * layout.RowY(r.Intn(3)) }
-	for _, est := range allEstimators {
-		coords := &mutableCoords{x: make([]float64, len(ckt.Cells)), y: make([]float64, len(ckt.Cells))}
-		for i := range ckt.Cells {
-			coords.x[i], coords.y[i] = coordX(), coordY()
+	coords := &mutableCoords{x: make([]float64, len(ckt.Cells)), y: make([]float64, len(ckt.Cells))}
+	for i := range ckt.Cells {
+		coords.x[i], coords.y[i] = coordX(), coordY()
+	}
+	inc := NewIncremental(ckt)
+	inc.Rebuild(coords)
+	removed := make(map[netlist.CellID]bool)
+	for step := 0; step < 1500; step++ {
+		id := netlist.CellID(r.Intn(len(ckt.Cells)))
+		x, y := coordX(), coordY()
+		if r.Intn(2) == 0 {
+			x = coords.x[id] // same x, new y: the x multiset sees remove+insert of one value
 		}
-		inc := NewIncremental(ckt, est)
-		inc.Rebuild(coords)
-		removed := make(map[netlist.CellID]bool)
-		for step := 0; step < 1500; step++ {
-			id := netlist.CellID(r.Intn(len(ckt.Cells)))
-			x, y := coordX(), coordY()
-			if r.Intn(2) == 0 {
-				x = coords.x[id] // same x, new y: the x multiset sees remove+insert of one value
-			}
-			switch {
-			case removed[id] && r.Intn(3) == 0:
-				inc.RestoreCell(id)
-				delete(removed, id)
-			case removed[id]:
-				inc.PlaceCell(id, x, y)
-				coords.x[id], coords.y[id] = x, y
-				delete(removed, id)
-			case r.Intn(2) == 0:
-				inc.RemoveCell(id)
-				removed[id] = true
-			default:
-				inc.MoveCell(id, x, y)
-				coords.x[id], coords.y[id] = x, y
-			}
-			requireGeomsMatch(t, fmt.Sprintf("est %d step %d", est, step), inc, ckt, coords, removed)
-			if len(removed) == 0 {
-				fresh := NewIncremental(ckt, est)
-				fresh.Rebuild(coords)
-				requireGeomsEqual(t, fmt.Sprintf("est %d step %d rebuild", est, step), inc, fresh)
-			}
+		switch {
+		case removed[id] && r.Intn(3) == 0:
+			inc.RestoreCell(id)
+			delete(removed, id)
+		case removed[id]:
+			inc.PlaceCell(id, x, y)
+			coords.x[id], coords.y[id] = x, y
+			delete(removed, id)
+		case r.Intn(2) == 0:
+			inc.RemoveCell(id)
+			removed[id] = true
+		default:
+			inc.MoveCell(id, x, y)
+			coords.x[id], coords.y[id] = x, y
+		}
+		requireGeomsMatch(t, fmt.Sprintf("step %d", step), inc, ckt, coords, removed)
+		if len(removed) == 0 {
+			fresh := NewIncremental(ckt)
+			fresh.Rebuild(coords)
+			requireGeomsEqual(t, fmt.Sprintf("step %d rebuild", step), inc, fresh)
 		}
 	}
 }
@@ -643,10 +624,8 @@ func requireGeomsMatch(t *testing.T, tag string, inc *Incremental, ckt *netlist.
 		}
 		slices.Sort(want.xv)
 		slices.Sort(want.yv)
-		if inc.needPrefix() {
-			want.xp = prefixInto(nil, want.xv)
-			want.yp = prefixInto(nil, want.yv)
-		}
+		want.xp = prefixInto(nil, want.xv)
+		want.yp = prefixInto(nil, want.yv)
 		requireNetGeom(t, tag, n, &inc.geoms[n], &want)
 	}
 }

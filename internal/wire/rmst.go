@@ -3,34 +3,27 @@ package wire
 // Rectilinear minimum spanning tree (RMST) estimation. The RMST is a
 // tighter routed-length estimate than the single-trunk tree for high-fanout
 // nets (it is within 1.5x of the optimal rectilinear Steiner minimal tree)
-// at O(k²) cost for k pins, which is acceptable because placement nets are
-// small. Exposed as a third Estimator so the ablation benches can compare
-// the estimators' effect on SimE behaviour.
-
-// RMST selects the rectilinear-minimum-spanning-tree estimator.
-const RMST Estimator = 2
+// at O(k²) cost for k pins. It is a reporting diagnostic (LengthsBy); the
+// engine measures Steiner only.
 
 // rmstLength computes the total Manhattan length of a minimum spanning
-// tree over the collected pins, using Prim's algorithm with the evaluator's
+// tree over the pins (xs, ys), using Prim's algorithm with the given
 // scratch buffers.
-func (e *Evaluator) rmstLength() float64 {
-	n := len(e.xs)
+func rmstLength(xs, ys []float64, distBuf *[]float64, inBuf *[]bool) float64 {
+	n := len(xs)
 	if n < 2 {
 		return 0
 	}
 	if n == 2 {
-		return abs(e.xs[0]-e.xs[1]) + abs(e.ys[0]-e.ys[1])
+		return abs(xs[0]-xs[1]) + abs(ys[0]-ys[1])
 	}
-	if cap(e.med) < n {
-		e.med = make([]float64, n)
+	if cap(*distBuf) < n {
+		*distBuf = make([]float64, n)
 	}
-	dist := e.med[:n] // reuse the median scratch as the key array
-	inTree := e.inT
-	if cap(inTree) < n {
-		inTree = make([]bool, n)
+	if cap(*inBuf) < n {
+		*inBuf = make([]bool, n)
 	}
-	inTree = inTree[:n]
-	e.inT = inTree
+	dist, inTree := (*distBuf)[:n], (*inBuf)[:n]
 	for i := range inTree {
 		inTree[i] = false
 		dist[i] = 1e308
@@ -47,7 +40,7 @@ func (e *Evaluator) rmstLength() float64 {
 			if inTree[i] {
 				continue
 			}
-			if d := abs(e.xs[i]-e.xs[cur]) + abs(e.ys[i]-e.ys[cur]); d < dist[i] {
+			if d := abs(xs[i]-xs[cur]) + abs(ys[i]-ys[cur]); d < dist[i] {
 				dist[i] = d
 			}
 			if dist[i] < bestD {

@@ -6,7 +6,6 @@ import (
 
 	"simevo/internal/gen"
 	"simevo/internal/layout"
-	"simevo/internal/netlist"
 	"simevo/internal/rng"
 )
 
@@ -16,7 +15,7 @@ func TestRMSTTwoPin(t *testing.T) {
 	coords := gridCoords{}
 	coords[ckt.Nets[net].Driver] = [2]float64{0, 0}
 	coords[ckt.Nets[net].Sinks[0]] = [2]float64{3, 4}
-	if got := NewEvaluator(ckt, RMST).NetLength(net, coords); got != 7 {
+	if got := LengthsBy(ckt, RMST, coords, nil)[net]; got != 7 {
 		t.Fatalf("2-pin RMST = %v, want 7", got)
 	}
 }
@@ -31,7 +30,7 @@ func TestRMSTKnownSquare(t *testing.T) {
 	for i, s := range ckt.Nets[net].Sinks {
 		coords[s] = pts[i+1]
 	}
-	if got := NewEvaluator(ckt, RMST).NetLength(net, coords); got != 30 {
+	if got := LengthsBy(ckt, RMST, coords, nil)[net]; got != 30 {
 		t.Fatalf("square RMST = %v, want 30", got)
 	}
 }
@@ -46,7 +45,7 @@ func TestRMSTCollinear(t *testing.T) {
 	for i, s := range ckt.Nets[net].Sinks {
 		coords[s] = pts[i+1]
 	}
-	if got := NewEvaluator(ckt, RMST).NetLength(net, coords); got != 15 {
+	if got := LengthsBy(ckt, RMST, coords, nil)[net]; got != 15 {
 		t.Fatalf("collinear RMST = %v, want 15", got)
 	}
 }
@@ -62,11 +61,10 @@ func TestRMSTBounds(t *testing.T) {
 	}
 	prop := func(seed uint64) bool {
 		p := layout.NewRandom(ckt, 10, rng.New(seed))
-		he := NewEvaluator(ckt, HPWL)
-		re := NewEvaluator(ckt, RMST)
-		for i := 0; i < ckt.NumNets(); i++ {
-			h := he.NetLength(netlist.NetID(i), p)
-			r := re.NetLength(netlist.NetID(i), p)
+		hs := LengthsBy(ckt, HPWL, p, nil)
+		rs := LengthsBy(ckt, RMST, p, nil)
+		for i, h := range hs {
+			r := rs[i]
 			if r < h-1e-9 || r < 0 {
 				return false
 			}
@@ -79,22 +77,5 @@ func TestRMSTBounds(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRMSTUsableBySimE(t *testing.T) {
-	// The estimator must plug into the trial-position path used by the
-	// allocation operator.
-	ckt := starCircuit(t, 2)
-	net := netByName(t, ckt, "d")
-	coords := gridCoords{}
-	coords[ckt.Nets[net].Driver] = [2]float64{0, 0}
-	coords[ckt.Nets[net].Sinks[0]] = [2]float64{8, 0}
-	coords[ckt.Nets[net].Sinks[1]] = [2]float64{8, 2}
-	e := NewEvaluator(ckt, RMST)
-	full := e.NetLength(net, coords)
-	trial := e.NetLengthWithCellAt(net, ckt.Nets[net].Driver, 7, 0, coords)
-	if trial >= full {
-		t.Fatalf("moving the driver closer did not shrink the RMST: %v -> %v", full, trial)
 	}
 }

@@ -112,7 +112,7 @@ func fixtureWeights(src intn, n int) []float64 {
 // xPenOf is the x-extension a candidate at x forces on an item's stored box.
 func xPenOf(it *compiledTrial, x float64) float64 {
 	switch {
-	case !it.hasBox:
+	case it.kind == trialZero:
 		return 0
 	case x < it.minX:
 		return it.minX - x
@@ -146,7 +146,7 @@ func TestScanBoundsSound(t *testing.T) {
 	sawVertical, sawWindow := false, false
 	for trial := 0; trial < 80; trial++ {
 		f := newTrunkFixture(t, r, 3, trial%2 == 1)
-		inc := NewIncremental(f.ckt, Steiner)
+		inc := NewIncremental(f.ckt)
 		inc.Rebuild(f.coords)
 		view := inc.BaseView()
 		for _, hub := range f.hubs {
@@ -186,7 +186,7 @@ func TestScanBoundsSound(t *testing.T) {
 				scores := make([]float64, 0, 60)
 				for k := -6; k < 54; k++ {
 					x := f.xAt(k)
-					score := set.Score(view, x, y, row)
+					score := set.Score(x, y, row)
 					scores = append(scores, score)
 					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
 						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
@@ -264,9 +264,8 @@ func TestRowBoundSweepRounding(t *testing.T) {
 			f.coords.x[i] = 1000 + float64(r.Intn(40))*0.37
 			f.coords.y[i] = rowY(rows - 1 - r.Intn(6))
 		}
-		inc := NewIncremental(f.ckt, Steiner)
+		inc := NewIncremental(f.ckt)
 		inc.Rebuild(f.coords)
-		view := inc.BaseView()
 		for _, hub := range f.hubs {
 			nets := f.ckt.CellNets(hub, nil)
 			inc.RemoveCell(hub)
@@ -281,7 +280,7 @@ func TestRowBoundSweepRounding(t *testing.T) {
 				y := rowY(row)
 				for k := 0; k < 40; k++ {
 					x := 1000 + float64(k)*0.37
-					score := set.Score(view, x, y, row)
+					score := set.Score(x, y, row)
 					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
 						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
 					}
@@ -329,9 +328,8 @@ func FuzzScanBestRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &byteSource{b: data}
 		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)
-		inc := NewIncremental(fx.ckt, Steiner)
+		inc := NewIncremental(fx.ckt)
 		inc.Rebuild(fx.coords)
-		view := inc.BaseView()
 
 		sel := append([]netlist.CellID(nil), fx.hubs...)
 		movable := fx.ckt.Movable()
@@ -376,15 +374,15 @@ func FuzzScanBestRows(f *testing.F) {
 			}
 			bound0 := 1e308
 			if src.Intn(2) == 0 && bucketFree(&bk, own) && rowOK[vacs[own].Row] {
-				score := set.Score(view, vacs[own].X, vacs[own].Y, int(vacs[own].Row))
+				score := set.Score(vacs[own].X, vacs[own].Y, int(vacs[own].Row))
 				bound0 = math.Nextafter(score, math.Inf(1))
 			}
 
-			want, wantScore := set.ScanBest(view, vacs, free, rowOK, 0, len(free), bound0, nil)
+			want, wantScore := set.ScanBest(vacs, free, rowOK, 0, len(free), bound0, nil)
 			brute, bruteScore := -1, bound0
 			for _, v := range free {
 				if vc := vacs[v]; rowOK[vc.Row] {
-					if s := set.Score(view, vc.X, vc.Y, int(vc.Row)); s < bruteScore {
+					if s := set.Score(vc.X, vc.Y, int(vc.Row)); s < bruteScore {
 						brute, bruteScore = int(v), s
 					}
 				}
@@ -394,7 +392,7 @@ func FuzzScanBestRows(f *testing.F) {
 			}
 			var st ScanStats
 			live := feasibleLive(&bk, rowOK)
-			got, gotScore := set.ScanBestRows(view, &bk, rowOK, live, bound0, &st)
+			got, gotScore := set.ScanBestRows(&bk, rowOK, live, bound0, &st)
 			if got != want || gotScore != wantScore {
 				t.Fatalf("cell %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)", own, got, gotScore, want, wantScore)
 			}

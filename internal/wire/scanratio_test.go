@@ -91,7 +91,7 @@ func stageScanPass(t *testing.T) *scanPass {
 	// length-weighted objective, NetScore (the timing criticality) of each
 	// scored one, over the pass's starting net lengths.
 	start := eng.Placement().Clone()
-	inc := wire.NewIncremental(ckt, cfg.WireEstimator)
+	inc := wire.NewIncremental(ckt)
 	inc.Rebuild(start)
 	pipe := cost.NewPipeline(cfg.Objectives, ckt, p.Acts, p.Lv, cfg.TimingModel)
 	pipe.Full(inc.Lengths(nil))
@@ -116,9 +116,8 @@ func stageScanPass(t *testing.T) *scanPass {
 // of each scan.
 func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) {
 	ckt, place := s.ckt, s.start.Clone()
-	inc := wire.NewIncremental(ckt, s.cfg.WireEstimator)
+	inc := wire.NewIncremental(ckt)
 	inc.Rebuild(place)
-	view := inc.BaseView()
 	numRows := place.NumRows()
 	rowW := make([]int, numRows)
 	rowY := make([]float64, numRows)
@@ -180,7 +179,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 		bound0 := math.Inf(1)
 		if !used[own] && rowOK[vacs[own].Row] {
 			vc := vacs[own]
-			bound0 = math.Nextafter(set.Score(view, vc.X, vc.Y, int(vc.Row)), math.Inf(1))
+			bound0 = math.Nextafter(set.Score(vc.X, vc.Y, int(vc.Row)), math.Inf(1))
 		}
 
 		var fWin, rWin int
@@ -188,7 +187,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 		timeFlat := func() {
 			d, _ := cputime.Thread(func() {
 				for k := 0; k < scanReps; k++ {
-					fWin, fScore = set.ScanBest(view, vacs, free, rowOK, 0, len(free), bound0, nil)
+					fWin, fScore = set.ScanBest(vacs, free, rowOK, 0, len(free), bound0, nil)
 				}
 			})
 			flat += d
@@ -197,7 +196,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 			d, _ := cputime.Thread(func() {
 				for k := 0; k < scanReps; k++ {
 					set.PrepareScan(rowY)
-					rWin, rScore = set.ScanBestRows(view, &bk, rowOK, feasible, bound0, nil)
+					rWin, rScore = set.ScanBestRows(&bk, rowOK, feasible, bound0, nil)
 				}
 			})
 			rows += d

@@ -15,7 +15,7 @@ package wire
 // concurrent calls must not share a row. st (which may be
 // nil) collects prune statistics with plain increments; it changes no
 // comparison, so the winner and the trajectory are bitwise unaffected.
-func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
+func (t *TrialSet) ScanBest(vacs []Vacancy, free []int32,
 	rowOK []bool, lo, hi int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
 		st = new(ScanStats)
@@ -24,19 +24,19 @@ func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
 	items := t.items
 	// tail[i] = Σ_{j>=i} w_j · (storedSpan_j + e_j) lower-bounds the
 	// weighted cost of items i.. for any candidate: every trial with stored
-	// pins is at least the stored pins' half-perimeter (see TrialSet.rowTail
-	// for the RMST argument), a trunk's by min(eX, eY) more — an excess
+	// pins is at least the stored pins' half-perimeter, a trunk's by
+	// min(eX, eY) more — an excess
 	// that carries the trunk's rounding allowance, so it may be slightly
 	// negative; empty nets contribute 0.
 	tail := make([]float64, len(items)+1)
 	for i := len(items) - 1; i >= 0; i-- {
 		tail[i] = tail[i+1]
-		if it := &items[i]; it.hasBox {
+		if it := &items[i]; it.kind != trialZero {
 			tail[i] += ((it.maxX - it.minX) + (it.maxY - it.minY) + trunkExcess(it)) * it.w
 		}
 	}
 	// Bbox pre-check on the leading net: any trial with stored pins —
-	// bbox, trunk, or RMST — is bounded below by the half-perimeter of the
+	// bbox or trunk — is bounded below by the half-perimeter of the
 	// stored pins extended by the candidate (a trunk's plus its excess, as
 	// in tail), and items 1.. are bounded below by tail[1]. When even that sum reaches the current bound the
 	// vacancy is skipped before any full evaluation. Pruned vacancies are
@@ -44,7 +44,7 @@ func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
 	// is >= the bound), so the winner — and the trajectory — is untouched.
 	prune := false
 	var pruneW, pruneE, tail1, minX0, maxX0, minY0, maxY0 float64
-	if len(items) > 0 && items[0].hasBox {
+	if len(items) > 0 && items[0].kind != trialZero {
 		it := &items[0]
 		prune, pruneW, pruneE, tail1 = true, it.w, trunkExcess(it), tail[1]
 		minX0, maxX0, minY0, maxY0 = it.minX, it.maxX, it.minY, it.maxY
@@ -137,8 +137,6 @@ scan:
 					h = v2
 				}
 				cost += h * it.w
-			case trialRMST:
-				cost += view.TrialNetAt(it.net, x, y) * it.w
 			case trialZero:
 				// Falls through to the bound check: a trailing zero
 				// record at cost == bound is a tie and must not reach

@@ -17,13 +17,13 @@ package wire
 //
 // The formulas are O(log p) in the stored pin count p:
 //
-//	HPWL:    bounding box of stored extremes and candidates.
-//	Steiner: trunk span from the extremes; branch sum around the merged
-//	         median via prefix sums (branchSum); candidate branches added
-//	         last, in candidate order.
+//	up to 3 pins: bounding box of stored extremes and candidates.
+//	more pins:    trunk span from the extremes; branch sum around the
+//	              merged median via prefix sums (branchSum); candidate
+//	              branches added last, in candidate order.
 //
 // Prefix sums are always produced by a fresh left-to-right accumulation
-// over the sorted values (see refreshPrefix and Evaluator.prefixInto), so
+// over the sorted values (see refreshPrefix and prefixInto), so
 // any two evaluators holding the same coordinates hold bitwise-identical
 // prefix arrays regardless of the edit history that produced them.
 

@@ -14,13 +14,12 @@ import (
 // cell, and Score runs a tight loop over the records:
 //
 //	trialZero  — the cell owns every pin; the trial length is 0.
-//	trialBBox  — the trial degenerates to a bounding box (HPWL estimator,
-//	             or a Steiner net with <= 3 total pins): four precomputed
-//	             bounds, pure arithmetic per trial.
+//	trialBBox  — the trial degenerates to a bounding box (a net with <= 3
+//	             total pins): four precomputed bounds, pure arithmetic per
+//	             trial.
 //	trialTrunk — general Steiner net: precomputed spans and median anchors
 //	             (the merged median of "sorted pins plus one point" is a
 //	             clamp between middle anchors).
-//	trialRMST  — RMST estimator: collect-and-Prim through the View.
 //
 // Vacancies sit on row centerlines, so the candidate y takes only numRows
 // distinct values. When compiled with yClasses > 0, the y-dependent half
@@ -46,11 +45,6 @@ type TrialSet struct {
 	//   - a bbox item's lb is its exact y half plus its stored x span:
 	//     storedSpanX + ySpanExt(r), with ySpanExt the stored y span
 	//     extended to the row's centerline;
-	//   - an RMST item with stored pins uses the same bbox formula: any
-	//     spanning structure over the merged pin set covers the merged
-	//     extent on each axis (Σ|dx| over the tree's edges is at least the
-	//     x span along the leftmost-to-rightmost path, likewise for y), so
-	//     RMST(stored ∪ candidate) >= the merged half-perimeter;
 	//   - a trunk item's lb is storedSpanX + min(yBranch(r), ySpanExt(r) +
 	//     eX). The horizontal orientation costs spanX(x) + yBranch, and
 	//     spanX(x) = storedSpanX + xPen(x). The vertical one costs
@@ -64,7 +58,7 @@ type TrialSet struct {
 	//     way the sum is >= D + xPen(x) = spanX(x) + eX. The stored eX
 	//     also has a rounding allowance deducted (branchExcess), so the
 	//     bound holds against the computed branch sums too;
-	//   - empty and boxless items contribute 0.
+	//   - empty items contribute 0.
 	//
 	// Trunk window. Where a trunk item's vertical orientation is the
 	// cheaper one at row r, Vc(r) = ySpanExt(r) + D* < Hc(r) = S +
@@ -203,20 +197,15 @@ const (
 	trialZero trialKind = iota
 	trialBBox
 	trialTrunk
-	trialRMST
 )
 
 type compiledTrial struct {
 	kind trialKind
 	oddM bool // trunk: merged pin count (stored+1) is odd
-	// hasBox marks items whose stored-pin bbox participates in the prune
-	// bounds: bbox and trunk items always, RMST items when any stored pin
-	// remains (an RMST trial is bounded below by the merged bbox
-	// half-perimeter, so the bbox-shaped bound is sound for it too).
-	hasBox bool
-	w      float64
+	w    float64
 
-	// Stored pin bounds per axis (hasBox items).
+	// Stored pin bounds per axis (bbox and trunk items, the ones with
+	// stored pins, whose bbox takes part in the prune bounds).
 	minX, maxX, minY, maxY float64
 
 	// Trunk: branch excess of the stored pins per axis, Σ|v_i − m| −
@@ -250,8 +239,6 @@ type compiledTrial struct {
 	// ixMid+1 (even only) when med > a1. ixMid is positional and shared
 	// by both axes.
 	ix0, iy0, ixMid int32
-
-	net netlist.NetID // trialRMST
 }
 
 // CompileTrials fills dst with the trial records for the given nets and
@@ -264,28 +251,19 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 	dst.items = dst.items[:0]
 	for i, n := range nets {
 		g := &inc.geoms[n]
-		it := compiledTrial{w: weights[i], net: n}
+		it := compiledTrial{w: weights[i]}
 		stored := len(g.xv)
+		if stored > 0 {
+			it.minX, it.maxX = g.xv[0], g.xv[stored-1]
+			it.minY, it.maxY = g.yv[0], g.yv[stored-1]
+		}
 		switch {
-		case inc.est == RMST:
-			it.kind = trialRMST
-			if stored > 0 {
-				it.hasBox = true
-				it.minX, it.maxX = g.xv[0], g.xv[stored-1]
-				it.minY, it.maxY = g.yv[0], g.yv[stored-1]
-			}
 		case stored == 0:
 			it.kind = trialZero
-		case inc.est == HPWL || stored <= 2:
+		case stored <= 2:
 			it.kind = trialBBox
-			it.hasBox = true
-			it.minX, it.maxX = g.xv[0], g.xv[stored-1]
-			it.minY, it.maxY = g.yv[0], g.yv[stored-1]
 		default:
 			it.kind = trialTrunk
-			it.hasBox = true
-			it.minX, it.maxX = g.xv[0], g.xv[stored-1]
-			it.minY, it.maxY = g.yv[0], g.yv[stored-1]
 			it.xv, it.xp, it.yv, it.yp = g.xv, g.xp, g.yv, g.yp
 			m := stored + 1
 			if m%2 == 1 {
@@ -363,7 +341,7 @@ func (t *TrialSet) PrepareScan(rowY []float64) {
 	c := 0.0
 	for i := range t.items {
 		it := &t.items[i]
-		if !it.hasBox {
+		if it.kind == trialZero {
 			continue
 		}
 		t.xlo = append(t.xlo, it.minX)
@@ -577,14 +555,7 @@ func (t *TrialSet) fillRowTail(row int) {
 	for i := len(t.items) - 1; i >= 0; i-- {
 		it := &t.items[i]
 		switch it.kind {
-		case trialBBox, trialRMST:
-			// The bbox formula is exact for bbox items and a valid lower
-			// bound for RMST items with stored pins (merged half-perimeter
-			// <= RMST; see rowTail). Boxless RMST items (all pins removed)
-			// contribute 0 like empty nets.
-			if !it.hasBox {
-				break
-			}
+		case trialBBox:
 			yPen := 0.0
 			if y < it.minY {
 				yPen = it.minY - y
@@ -648,9 +619,9 @@ func (t *TrialSet) fillClass(i, class int, y float64) int {
 // Score returns the weighted trial cost of placing the compiled cell at
 // (x, y). yClass identifies y's memo class (pass a negative class, or
 // compile with yClasses 0, to bypass the memo). Read-only apart from the
-// memo entries it fills and the view's scratch.
-func (t *TrialSet) Score(view *View, x, y float64, yClass int) float64 {
-	cost, _ := t.ScoreBounded(view, x, y, yClass, math.Inf(1))
+// memo entries it fills.
+func (t *TrialSet) Score(x, y float64, yClass int) float64 {
+	cost, _ := t.ScoreBounded(x, y, yClass, math.Inf(1))
 	return cost
 }
 
@@ -662,7 +633,7 @@ func (t *TrialSet) Score(view *View, x, y float64, yClass int) float64 {
 // vacancy), leaving the selected slot — and the search trajectory —
 // identical to an unbounded scan. When ok is true, cost is the complete
 // sum, bitwise equal to Score's.
-func (t *TrialSet) ScoreBounded(view *View, x, y float64, yClass int, bound float64) (cost float64, ok bool) {
+func (t *TrialSet) ScoreBounded(x, y float64, yClass int, bound float64) (cost float64, ok bool) {
 	memo := yClass >= 0 && t.yClasses > 0
 	for i := range t.items {
 		it := &t.items[i]
@@ -749,8 +720,6 @@ func (t *TrialSet) ScoreBounded(view *View, x, y float64, yClass int, bound floa
 				h = v
 			}
 			cost += h * it.w
-		case trialRMST:
-			cost += view.TrialNetAt(it.net, x, y) * it.w
 		case trialZero:
 			// Trial length 0: contributes +0.0, which cannot change the
 			// (non-negative) accumulator — skip the multiply-add. The
@@ -806,7 +775,6 @@ type ScanStats struct {
 // out-of-order walk never bails an exact tie — the explicit index
 // tie-break below then reproduces the flat scan's earliest-index winner.
 type rowScan struct {
-	view      *View
 	bk        *VacancyBuckets
 	st        *ScanStats
 	best      int
@@ -846,13 +814,13 @@ type rowScan struct {
 // vacancies in the rowOK rows (RowLive summed over them). st counts each of them
 // exactly once: as visited (Vacancies), or, the difference, as skipped
 // wholesale (SkippedBucket).
-func (t *TrialSet) ScanBestRows(view *View, bk *VacancyBuckets, rowOK []bool,
+func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rowOK []bool,
 	feasible int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
 		st = new(ScanStats)
 	}
 	visited0 := st.Vacancies
-	c := rowScan{view: view, bk: bk, st: st, best: -1, bound: bound0}
+	c := rowScan{bk: bk, st: st, best: -1, bound: bound0}
 	rows := len(rowOK)
 	up := min(max(t.anchorRow, 0), rows-1)
 	down := up - 1
@@ -1070,8 +1038,6 @@ walk:
 					h = v2
 				}
 				cost += h * it.w
-			case trialRMST:
-				cost += c.view.TrialNetAt(it.net, x, y) * it.w
 			case trialZero:
 				// Falls through to the bound check, like the flat scan: a
 				// trailing zero record at the bound is handled by the
@@ -1083,7 +1049,7 @@ walk:
 			// sit a few ULPs off the true remainder in either direction —
 			// too small only weakens the prune, too large is absorbed by
 			// scanSlack like the reassociation error it already covers.
-			if it.hasBox {
+			if it.kind != trialZero {
 				if x < it.minX {
 					xRem -= it.w * (it.minX - x)
 				} else if x > it.maxX {

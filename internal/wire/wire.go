@@ -1,10 +1,14 @@
 // Package wire estimates the routed length of placement nets.
 //
 // The paper estimates interconnect wirelength per net with a Steiner tree
-// and sums the estimates (Section 2). This package provides that estimator
-// (a single-trunk rectilinear Steiner tree, the standard constructive
-// approximation) plus the cheaper half-perimeter bounding box (HPWL) that
-// it degenerates to for nets with up to three pins.
+// and sums the estimates (Section 2). The engine measures every net, trial
+// and exclusion with that one model: a single-trunk rectilinear Steiner
+// tree, the standard constructive approximation, which equals the
+// half-perimeter bounding box for nets with up to three pins. Evaluator
+// computes it from scratch and Incremental from a cached mirror, bit for
+// bit alike. The half-perimeter (HPWL) and rectilinear minimum spanning
+// tree (RMST) models are a reporting diagnostic only: LengthsBy measures
+// whole nets under any Estimator, and nothing in the engine reads them.
 package wire
 
 import (
@@ -19,7 +23,8 @@ type Coords interface {
 	Coord(id netlist.CellID) (x, y float64)
 }
 
-// Estimator selects the net-length model.
+// Estimator names a whole-net length model for LengthsBy, the reporting
+// diagnostic. The engine's Evaluator and Incremental measure Steiner only.
 type Estimator uint8
 
 // Available estimators.
@@ -31,17 +36,18 @@ const (
 	// of the two trunk orientations. Equals HPWL for nets with <= 3 pins
 	// and upper-bounds it otherwise.
 	Steiner
+	// RMST is the rectilinear minimum spanning tree over the pins (rmst.go).
+	RMST
 )
 
-// Evaluator computes net lengths for one circuit. It keeps scratch buffers,
+// Evaluator computes Steiner net lengths for one circuit from scratch: the
+// reference the Incremental mirror is pinned to. It keeps scratch buffers,
 // so it is not safe for concurrent use; each goroutine should own one.
 type Evaluator struct {
 	ckt *netlist.Circuit
-	est Estimator
 	xs  []float64
 	ys  []float64
-	med []float64 // scratch for median / MST keys
-	inT []bool    // scratch for MST membership
+	med []float64 // scratch for the median (and the RMST keys of LengthsBy)
 
 	// Trial scratch: candidate points plus sorted copies with prefix sums
 	// for the canonical trial formulas (trial.go).
@@ -50,13 +56,10 @@ type Evaluator struct {
 	pxs, pys     []float64
 }
 
-// NewEvaluator returns an evaluator using the given estimator.
-func NewEvaluator(ckt *netlist.Circuit, est Estimator) *Evaluator {
-	return &Evaluator{ckt: ckt, est: est}
+// NewEvaluator returns a Steiner evaluator for the circuit.
+func NewEvaluator(ckt *netlist.Circuit) *Evaluator {
+	return &Evaluator{ckt: ckt}
 }
-
-// Estimator returns the configured estimator.
-func (e *Evaluator) Estimator() Estimator { return e.est }
 
 // collect gathers pin coordinates of the net, optionally excluding every
 // pin belonging to cell `exclude` (pass netlist.NoCell to keep all).
@@ -93,12 +96,6 @@ func (e *Evaluator) NetLength(id netlist.NetID, coords Coords) float64 {
 // state — the reference side of the goodness-equivalence invariant.
 func (e *Evaluator) NetLengthExcluding(id netlist.NetID, exclude netlist.CellID, coords Coords) float64 {
 	net := e.ckt.Net(id)
-	if e.est == RMST {
-		// RMST has no sorted-multiset shortcut; both modes collect the
-		// remaining pins in pin order and run Prim.
-		e.collect(net, exclude, coords)
-		return e.lengthOf()
-	}
 	e.collect(net, netlist.NoCell, coords)
 	k := 0
 	if net.Driver == exclude {
@@ -121,7 +118,7 @@ func (e *Evaluator) NetLengthExcluding(id netlist.NetID, exclude netlist.CellID,
 	e.sys = append(e.sys[:0], e.ys...)
 	slices.Sort(e.sxs)
 	slices.Sort(e.sys)
-	if e.est == HPWL || m <= 3 {
+	if m <= 3 {
 		return hpwlExcl(e.sxs, e.sys, rx, ry, k)
 	}
 	e.pxs = prefixInto(e.pxs, e.sxs)
@@ -175,67 +172,44 @@ func (e *Evaluator) cand2(x1, y1, x2, y2 float64) {
 }
 
 // trialLength scores the collected pins (e.xs/e.ys) plus the staged
-// candidates through the canonical trial formulas. For HPWL (and the
-// small-net Steiner degeneration) the bounding box is order-independent, so
-// the candidates are simply appended; for larger Steiner nets the pins are
-// sorted with fresh prefix sums and handed to steinerTrial; RMST appends
-// the candidates and runs Prim over the collect order, matching the
-// Incremental View's RMST path.
+// candidates through the canonical trial formulas. Up to three pins the
+// bounding box is order-independent, so the candidates are simply
+// appended; larger nets are sorted with fresh prefix sums and handed to
+// steinerTrial.
 func (e *Evaluator) trialLength() float64 {
 	m := len(e.xs) + len(e.candX)
 	if m < 2 {
 		return 0
 	}
-	switch e.est {
-	case HPWL:
-		// The bounding box is order-independent, so appending and scanning
-		// yields bitwise the same value as hpwlTrial over sorted storage.
+	if m <= 3 {
 		e.xs = append(e.xs, e.candX...)
 		e.ys = append(e.ys, e.candY...)
 		return hpwl(e.xs, e.ys)
-	case Steiner:
-		if m <= 3 {
-			e.xs = append(e.xs, e.candX...)
-			e.ys = append(e.ys, e.candY...)
-			return hpwl(e.xs, e.ys)
-		}
-		e.sxs = append(e.sxs[:0], e.xs...)
-		e.sys = append(e.sys[:0], e.ys...)
-		slices.Sort(e.sxs)
-		slices.Sort(e.sys)
-		e.pxs = prefixInto(e.pxs, e.sxs)
-		e.pys = prefixInto(e.pys, e.sys)
-		return steinerTrial(e.sxs, e.pxs, e.sys, e.pys, e.candX, e.candY)
-	case RMST:
-		e.xs = append(e.xs, e.candX...)
-		e.ys = append(e.ys, e.candY...)
-		return e.rmstLength()
 	}
-	panic("wire: unknown estimator")
+	e.sxs = append(e.sxs[:0], e.xs...)
+	e.sys = append(e.sys[:0], e.ys...)
+	slices.Sort(e.sxs)
+	slices.Sort(e.sys)
+	e.pxs = prefixInto(e.pxs, e.sxs)
+	e.pys = prefixInto(e.pys, e.sys)
+	return steinerTrial(e.sxs, e.pxs, e.sys, e.pys, e.candX, e.candY)
 }
 
+// lengthOf is the Steiner length of the collected pins.
 func (e *Evaluator) lengthOf() float64 {
 	n := len(e.xs)
 	if n < 2 {
 		return 0
 	}
-	switch e.est {
-	case HPWL:
-		return hpwl(e.xs, e.ys)
-	case Steiner:
-		if n <= 3 {
-			return hpwl(e.xs, e.ys) // exact Steiner length for <= 3 pins
-		}
-		h := trunkLength(e.xs, e.ys, &e.med) // horizontal trunk
-		v := trunkLength(e.ys, e.xs, &e.med) // vertical trunk
-		if v < h {
-			return v
-		}
-		return h
-	case RMST:
-		return e.rmstLength()
+	if n <= 3 {
+		return hpwl(e.xs, e.ys) // exact Steiner length for <= 3 pins
 	}
-	panic("wire: unknown estimator")
+	h := trunkLength(e.xs, e.ys, &e.med) // horizontal trunk
+	v := trunkLength(e.ys, e.xs, &e.med) // vertical trunk
+	if v < h {
+		return v
+	}
+	return h
 }
 
 func hpwl(xs, ys []float64) float64 {
@@ -335,6 +309,32 @@ func (e *Evaluator) Lengths(coords Coords, dst []float64) []float64 {
 	dst = dst[:e.ckt.NumNets()]
 	for i := range dst {
 		dst[i] = e.NetLength(netlist.NetID(i), coords)
+	}
+	return dst
+}
+
+// LengthsBy fills dst (allocated if nil) with every net's length under est
+// and returns it: the whole-net reporting diagnostic behind
+// metrics.WirelengthByEstimator. Steiner gives the Evaluator's lengths.
+func LengthsBy(ckt *netlist.Circuit, est Estimator, coords Coords, dst []float64) []float64 {
+	e := NewEvaluator(ckt)
+	if est == Steiner {
+		return e.Lengths(coords, dst)
+	}
+	dst = resizeFloats(dst, ckt.NumNets())
+	var inTree []bool
+	for i := range dst {
+		e.collect(ckt.Net(netlist.NetID(i)), netlist.NoCell, coords)
+		switch {
+		case len(e.xs) < 2:
+			dst[i] = 0
+		case est == HPWL:
+			dst[i] = hpwl(e.xs, e.ys)
+		case est == RMST:
+			dst[i] = rmstLength(e.xs, e.ys, &e.med, &inTree)
+		default:
+			panic("wire: unknown estimator")
+		}
 	}
 	return dst
 }

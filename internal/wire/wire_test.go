@@ -63,8 +63,7 @@ func TestTwoPinNet(t *testing.T) {
 	coords[sink] = [2]float64{3, 4}
 
 	for _, est := range []Estimator{HPWL, Steiner} {
-		e := NewEvaluator(ckt, est)
-		if got := e.NetLength(net, coords); got != 7 {
+		if got := LengthsBy(ckt, est, coords, nil)[net]; got != 7 {
 			t.Fatalf("est %d: 2-pin length = %v, want 7", est, got)
 		}
 	}
@@ -81,8 +80,8 @@ func TestSteinerEqualsHPWLUpTo3Pins(t *testing.T) {
 		i++
 		coords[s] = pts[i]
 	}
-	h := NewEvaluator(ckt, HPWL).NetLength(net, coords)
-	s := NewEvaluator(ckt, Steiner).NetLength(net, coords)
+	h := LengthsBy(ckt, HPWL, coords, nil)[net]
+	s := NewEvaluator(ckt).NetLength(net, coords)
 	if h != s {
 		t.Fatalf("3-pin Steiner %v != HPWL %v", s, h)
 	}
@@ -101,8 +100,8 @@ func TestSteinerKnown4Pin(t *testing.T) {
 	for i, s := range ckt.Nets[net].Sinks {
 		coords[s] = pts[i+1]
 	}
-	h := NewEvaluator(ckt, HPWL).NetLength(net, coords)
-	s := NewEvaluator(ckt, Steiner).NetLength(net, coords)
+	h := LengthsBy(ckt, HPWL, coords, nil)[net]
+	s := NewEvaluator(ckt).NetLength(net, coords)
 	if h != 20 {
 		t.Fatalf("HPWL = %v, want 20", h)
 	}
@@ -122,10 +121,9 @@ func TestSteinerAtLeastHPWL(t *testing.T) {
 	}
 	prop := func(seed uint64) bool {
 		p := layout.NewRandom(ckt, 10, rng.New(seed))
-		he := NewEvaluator(ckt, HPWL)
-		se := NewEvaluator(ckt, Steiner)
-		for i := 0; i < ckt.NumNets(); i++ {
-			h := he.NetLength(netlist.NetID(i), p)
+		hs := LengthsBy(ckt, HPWL, p, nil)
+		se := NewEvaluator(ckt)
+		for i, h := range hs {
 			s := se.NetLength(netlist.NetID(i), p)
 			if s < h-1e-9 {
 				return false
@@ -152,7 +150,7 @@ func TestNetLengthExcluding(t *testing.T) {
 	coords[ckt.Nets[net].Driver] = [2]float64{100, 100} // far outlier
 	coords[ckt.Nets[net].Sinks[0]] = [2]float64{0, 0}
 	coords[ckt.Nets[net].Sinks[1]] = [2]float64{1, 1}
-	e := NewEvaluator(ckt, Steiner)
+	e := NewEvaluator(ckt)
 	full := e.NetLength(net, coords)
 	excl := e.NetLengthExcluding(net, ckt.Nets[net].Driver, coords)
 	if excl != 2 {
@@ -169,7 +167,7 @@ func TestNetLengthExcludingDegenerate(t *testing.T) {
 	coords := gridCoords{}
 	coords[ckt.Nets[net].Driver] = [2]float64{0, 0}
 	coords[ckt.Nets[net].Sinks[0]] = [2]float64{5, 5}
-	e := NewEvaluator(ckt, Steiner)
+	e := NewEvaluator(ckt)
 	if got := e.NetLengthExcluding(net, ckt.Nets[net].Driver, coords); got != 0 {
 		t.Fatalf("1 remaining pin length = %v, want 0", got)
 	}
@@ -182,7 +180,7 @@ func TestNetLengthWithCellAt(t *testing.T) {
 	driver, sink := ckt.Nets[net].Driver, ckt.Nets[net].Sinks[0]
 	coords[driver] = [2]float64{0, 0}
 	coords[sink] = [2]float64{10, 0}
-	e := NewEvaluator(ckt, Steiner)
+	e := NewEvaluator(ckt)
 	// Moving the driver next to the sink should shrink the net.
 	got := e.NetLengthWithCellAt(net, driver, 9, 0, coords)
 	if got != 1 {
@@ -202,7 +200,7 @@ func TestLengthsAndTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := layout.NewRandom(ckt, 8, rng.New(1))
-	e := NewEvaluator(ckt, Steiner)
+	e := NewEvaluator(ckt)
 	lengths := e.Lengths(p, nil)
 	if len(lengths) != ckt.NumNets() {
 		t.Fatalf("Lengths returned %d entries, want %d", len(lengths), ckt.NumNets())
@@ -238,7 +236,7 @@ func TestMovingCellTowardPinsReducesLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := layout.NewRandom(ckt, 8, rng.New(2))
-	e := NewEvaluator(ckt, Steiner)
+	e := NewEvaluator(ckt)
 	for i := 0; i < ckt.NumNets(); i++ {
 		net := &ckt.Nets[i]
 		if net.Driver == netlist.NoCell || ckt.Cells[net.Driver].IsPad() {

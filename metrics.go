@@ -27,8 +27,8 @@ func ComputeRowStats(p *Placement) RowStats {
 }
 
 // WirelengthByEstimator reports a placement's total net length under every
-// available estimator (hpwl, steiner, rmst) — useful for estimator
-// ablations.
+// available estimator (hpwl, steiner, rmst). It is a reporting diagnostic:
+// the optimizer itself measures Steiner lengths only.
 func WirelengthByEstimator(p *Placement) map[string]float64 {
 	return metrics.WirelengthByEstimator(p)
 }
