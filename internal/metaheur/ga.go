@@ -281,19 +281,14 @@ func RunParallelGA(prob *core.Problem, cfg ParallelGAConfig) (*parallel.Result, 
 		migrants = c.Pop / 2
 	}
 
-	o := parallel.Options{Procs: cfg.Procs, Net: cfg.Net, MeasureCompute: cfg.MeasureCompute}
-	cl, err := parallel.NewCoopCluster(o)
-	if err != nil {
-		return nil, err
-	}
-
 	type island struct {
 		mu   float64
 		best *layout.Placement
 	}
 	results := make([]island, cfg.Procs)
 
-	runErr := cl.Run(func(comm *mpi.Comm) error {
+	o := parallel.Options{Procs: cfg.Procs, Net: cfg.Net, MeasureCompute: cfg.MeasureCompute}
+	out, err := parallel.RunSim(prob, o, func(comm parallel.Comm, prob *core.Problem, _ parallel.Options) (*parallel.Result, error) {
 		g := newGA(prob, c, uint64(0x15a0+comm.Rank()))
 		next := (comm.Rank() + 1) % comm.Size()
 		prev := (comm.Rank() - 1 + comm.Size()) % comm.Size()
@@ -305,7 +300,7 @@ func RunParallelGA(prob *core.Problem, cfg ParallelGAConfig) (*parallel.Result, 
 				data, _ := comm.Recv(prev, tagGAMigrate)
 				incoming, err := decodeMigrants(prob, data)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				// Replace the tail (worst) with the immigrants.
 				for i, ind := range incoming {
@@ -315,21 +310,20 @@ func RunParallelGA(prob *core.Problem, cfg ParallelGAConfig) (*parallel.Result, 
 			}
 		}
 		results[comm.Rank()] = island{mu: g.bestMu, best: g.best}
-		return nil
+		// Rank 0 carries the run's result; the islands' bests are merged
+		// once every rank has finished.
+		return &parallel.Result{Iters: c.Generations}, nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 
-	out := &parallel.Result{Iters: c.Generations}
 	for _, isl := range results {
 		if isl.best != nil && isl.mu > out.BestMu {
 			out.BestMu = isl.mu
 			out.Best = isl.best
 		}
 	}
-	out.VirtualTime = cl.MakeSpan()
-	out.RankStats = cl.Stats()
 	if out.Best != nil {
 		eng := prob.EngineFrom(out.Best.Clone(), nil)
 		eng.EvaluateCosts()

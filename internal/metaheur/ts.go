@@ -192,28 +192,12 @@ func RunParallelTS(prob *core.Problem, cfg ParallelTSConfig) (*parallel.Result, 
 	c := cfg.TS
 	c.defaults()
 	o := parallel.Options{Procs: cfg.Procs, Net: cfg.Net, MeasureCompute: cfg.MeasureCompute}
-	cl, runErr := parallel.NewCoopCluster(o)
-	if runErr != nil {
-		return nil, runErr
-	}
-	var out *parallel.Result
-	err := cl.Run(func(comm *mpi.Comm) error {
+	return parallel.RunSim(prob, o, func(comm parallel.Comm, prob *core.Problem, _ parallel.Options) (*parallel.Result, error) {
 		if comm.Rank() == 0 {
-			res, err := parallelTSMaster(prob, c, comm)
-			if err != nil {
-				return err
-			}
-			out = res
-			return nil
+			return parallelTSMaster(prob, c, comm)
 		}
-		return parallelTSSlave(prob, comm)
+		return nil, parallelTSSlave(prob, comm)
 	})
-	if err != nil {
-		return nil, err
-	}
-	out.VirtualTime = cl.MakeSpan()
-	out.RankStats = cl.Stats()
-	return out, nil
 }
 
 func parallelTSMaster(prob *core.Problem, cfg TSConfig, c parallel.Comm) (*parallel.Result, error) {

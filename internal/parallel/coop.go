@@ -25,19 +25,12 @@ type CoopOptions struct {
 	Worker         func(rank int, exchange ExchangeFunc) (float64, *layout.Placement, error)
 }
 
-// NewCoopCluster builds a raw virtual cluster from Options, for parallel
-// strategies implemented outside this package (the Type I parallel tabu
-// search in internal/metaheur uses it).
-func NewCoopCluster(o Options) (*mpi.Cluster, error) {
-	if o.Procs < 2 {
-		return nil, fmt.Errorf("parallel: cluster needs >= 2 ranks, got %d", o.Procs)
-	}
-	return mpi.NewCluster(o.Procs, mpi.Options{Net: o.net(), MeasureCompute: o.measure()}), nil
-}
-
-// runSim runs rank on every rank of a simulated cluster and returns rank
-// 0's result with the cluster's makespan and per-rank accounting.
-func runSim(prob *core.Problem, opt Options, rank func(Comm, *core.Problem, Options) (*Result, error)) (*Result, error) {
+// RunSim runs rank on every rank of a simulated cluster and returns rank
+// 0's result with the cluster's makespan and per-rank accounting. Rank 0
+// must return a non-nil result. It is the one simulated-cluster driver:
+// the Type I/II/III strategies, the cooperating search and the parallel
+// metaheuristics in internal/metaheur all run through it.
+func RunSim(prob *core.Problem, opt Options, rank func(Comm, *core.Problem, Options) (*Result, error)) (*Result, error) {
 	cl := mpi.NewCluster(opt.Procs, mpi.Options{Net: opt.net(), MeasureCompute: opt.measure()})
 	var out *Result
 	err := cl.Run(func(c *mpi.Comm) error {
@@ -62,7 +55,7 @@ func RunCoop(prob *core.Problem, opt CoopOptions) (*Result, error) {
 		return nil, fmt.Errorf("parallel: cooperative search needs >= 3 ranks, got %d", opt.Procs)
 	}
 	o := Options{Procs: opt.Procs, Net: opt.Net, MeasureCompute: opt.MeasureCompute}
-	out, err := runSim(prob, o, func(c Comm, prob *core.Problem, _ Options) (*Result, error) {
+	out, err := RunSim(prob, o, func(c Comm, prob *core.Problem, _ Options) (*Result, error) {
 		if c.Rank() == 0 {
 			return typeIIIStore(prob, c.(*mpi.Comm))
 		}

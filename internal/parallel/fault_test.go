@@ -90,48 +90,6 @@ func runTCP(t *testing.T, prob *core.Problem, opt Options, hubCfg transport.Conf
 	return res, runErr
 }
 
-// TestTCPMatchesSimTypeI: with no faults, the TCP run must emit the exact
-// trajectory of the simulated cluster — TrySend and the root-side
-// collective halves count and carry identical traffic.
-func TestTCPMatchesSimTypeI(t *testing.T) {
-	prob := testProblem(t, fuzzy.WirePower, 20, 11)
-	ref, err := RunTypeI(prob, detOpts(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runTCP(t, prob, Options{Procs: 3}, transport.Config{}, nil, TypeIRank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestMu != ref.BestMu {
-		t.Fatalf("TCP BestMu %.9f != sim %.9f", res.BestMu, ref.BestMu)
-	}
-	if res.BestCosts != ref.BestCosts {
-		t.Fatalf("TCP costs %+v != sim %+v", res.BestCosts, ref.BestCosts)
-	}
-	if len(res.FailedRanks) != 0 {
-		t.Fatalf("fault-free run reported failed ranks %v", res.FailedRanks)
-	}
-}
-
-func TestTCPMatchesSimTypeII(t *testing.T) {
-	prob := testProblem(t, fuzzy.WirePower, 20, 12)
-	ref, err := RunTypeII(prob, detOpts(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runTCP(t, prob, Options{Procs: 3}, transport.Config{}, nil, TypeIIRank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestMu != ref.BestMu {
-		t.Fatalf("TCP BestMu %.9f != sim %.9f", res.BestMu, ref.BestMu)
-	}
-	if len(res.FailedRanks) != 0 {
-		t.Fatalf("fault-free run reported failed ranks %v", res.FailedRanks)
-	}
-}
-
 // TestSimCorruptFrameFailsRun: the simulated cluster runs the same
 // degrading masters, but a simulated rank cannot fail, so a corrupt frame
 // is a program bug — DropRank must fail the run with an error naming the
@@ -155,7 +113,7 @@ func TestSimCorruptFrameFailsRun(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := runSim(prob, detOpts(3), func(c Comm, prob *core.Problem, opt Options) (*Result, error) {
+			res, err := RunSim(prob, detOpts(3), func(c Comm, prob *core.Problem, opt Options) (*Result, error) {
 				if c.Rank() == 2 {
 					tc.bad(c)
 					return nil, nil

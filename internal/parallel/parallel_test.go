@@ -152,36 +152,6 @@ func TestFloatCodecRoundTrip(t *testing.T) {
 
 // --- Type I ---
 
-func TestTypeIMatchesSerialTrajectory(t *testing.T) {
-	// The defining invariant of Type I parallelization: the search
-	// trajectory is identical to the serial algorithm for the same seed.
-	const iters = 8
-	serial := testProblem(t, fuzzy.WirePower, iters, 5).NewEngine(0).Run()
-
-	for _, p := range []int{2, 3, 4} {
-		prob := testProblem(t, fuzzy.WirePower, iters, 5)
-		res, err := RunTypeI(prob, detOpts(p))
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if res.BestMu != serial.BestMu {
-			t.Fatalf("p=%d: best μ %v != serial %v", p, res.BestMu, serial.BestMu)
-		}
-		if res.Best.Fingerprint() != serial.Best.Fingerprint() {
-			t.Fatalf("p=%d: best placement differs from serial", p)
-		}
-		if len(res.MuTrace) != len(serial.MuTrace) {
-			t.Fatalf("p=%d: trace lengths %d vs %d", p, len(res.MuTrace), len(serial.MuTrace))
-		}
-		for i := range res.MuTrace {
-			if res.MuTrace[i] != serial.MuTrace[i] {
-				t.Fatalf("p=%d: μ trace diverges at %d: %v vs %v",
-					p, i, res.MuTrace[i], serial.MuTrace[i])
-			}
-		}
-	}
-}
-
 func TestTypeICommunicationAccounted(t *testing.T) {
 	prob := testProblem(t, fuzzy.WirePower, 5, 5)
 	res, err := RunTypeI(prob, detOpts(3))

@@ -36,7 +36,7 @@ func RunTypeI(prob *core.Problem, opt Options) (*Result, error) {
 	if len(movable) < opt.Procs {
 		return nil, fmt.Errorf("parallel: %d cells cannot feed %d ranks", len(movable), opt.Procs)
 	}
-	return runSim(prob, opt, TypeIRank)
+	return RunSim(prob, opt, TypeIRank)
 }
 
 // TypeIRank executes this rank's role in a Type I run over an existing

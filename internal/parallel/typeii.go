@@ -33,7 +33,7 @@ func RunTypeII(prob *core.Problem, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("parallel: Type II needs >= 2 ranks, got %d", opt.Procs)
 	}
 
-	return runSim(prob, opt, TypeIIRank)
+	return RunSim(prob, opt, TypeIIRank)
 }
 
 // TypeIIRank executes this rank's role in a Type II run over an existing

@@ -46,7 +46,7 @@ func RunTypeIII(prob *core.Problem, opt Options) (*Result, error) {
 	if opt.Procs < 3 {
 		return nil, fmt.Errorf("parallel: Type III needs >= 3 ranks (one is the central store), got %d", opt.Procs)
 	}
-	return runSim(prob, opt, TypeIIIRank)
+	return RunSim(prob, opt, TypeIIIRank)
 }
 
 // TypeIIIRank executes this rank's role in a Type III run over an existing

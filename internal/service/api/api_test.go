@@ -190,6 +190,7 @@ func TestSubmitValidation(t *testing.T) {
 		"no circuit":     `{"strategy":"serial"}`,
 		"rows over cap":  `{"circuit":"s1196","strategy":"serial","rows":1000000000}`,
 		"procs over cap": `{"circuit":"s1196","strategy":"type2","procs":100000}`,
+		"bench over cap": `{"bench":"` + strings.Repeat("#", jobs.MaxBenchBytes+1) + `","strategy":"serial"}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -52,6 +52,7 @@ func TestSpecNormalize(t *testing.T) {
 		{Circuit: "s1196", Strategy: "type2", Pattern: "zig"},  // unknown pattern
 		{Circuit: "s1196", Strategy: "serial", Rows: MaxRows + 1},
 		{Circuit: "s1196", Strategy: "type1", Procs: MaxProcs + 1},
+		{Bench: strings.Repeat("#", MaxBenchBytes+1), Strategy: "serial"},
 	}
 	for i, s := range bad {
 		if _, err := s.Normalize(); err == nil {
@@ -60,6 +61,30 @@ func TestSpecNormalize(t *testing.T) {
 	}
 	if _, err := (Spec{Circuit: "s1196", Strategy: "type3", Rows: MaxRows, Procs: MaxProcs}).Normalize(); err != nil {
 		t.Errorf("spec at the caps rejected: %v", err)
+	}
+
+	// Every catalog circuit and a 100k-gate netlist fit under
+	// MaxBenchBytes as inline uploads.
+	var ckts []*netlist.Circuit
+	for _, name := range gen.Catalog() {
+		ckt, err := gen.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckts = append(ckts, ckt)
+	}
+	big, err := gen.Generate(gen.Params{Name: "g100k", Gates: 100_000, DFFs: 7_700, PIs: 330, POs: 330, Depth: 18, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ckt := range append(ckts, big) {
+		var sb strings.Builder
+		if err := netlist.WriteBench(&sb, ckt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Spec{Bench: sb.String(), Strategy: "serial"}).Normalize(); err != nil {
+			t.Errorf("%s upload (%d bytes) rejected: %v", ckt.Name, sb.Len(), err)
+		}
 	}
 }
 
@@ -78,6 +103,7 @@ func FuzzSpecNormalize(f *testing.F) {
 		`{"bench":"INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n","strategy":"ts","max_retries":2}`,
 		`{"circuit":"s1196","strategy":"serial","rows":1000000000}`,
 		`{"circuit":"s1196","strategy":"type1","procs":100000}`,
+		`{"bench":"` + strings.Repeat("#", MaxBenchBytes+1) + `","strategy":"serial"}`,
 	} {
 		f.Add(seed)
 	}
@@ -90,8 +116,8 @@ func FuzzSpecNormalize(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n.Rows < 0 || n.Rows > MaxRows || n.Procs < 0 || n.Procs > MaxProcs {
-			t.Fatalf("accepted spec outside the caps: rows %d, procs %d", n.Rows, n.Procs)
+		if n.Rows < 0 || n.Rows > MaxRows || n.Procs < 0 || n.Procs > MaxProcs || len(n.Bench) > MaxBenchBytes {
+			t.Fatalf("accepted spec outside the caps: rows %d, procs %d, bench %d bytes", n.Rows, n.Procs, len(n.Bench))
 		}
 		again, err := n.Normalize()
 		if err != nil {

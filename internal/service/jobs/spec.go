@@ -37,15 +37,23 @@ const (
 // Caps on the request fields that size what a job allocates up front. A
 // placement holds per-row slices, and a parallel strategy runs one engine
 // per rank, so one request above these could exhaust the server's memory.
-// Both sit far above every legitimate use: the 100k-cell tier and the
-// Type II row patterns need a few hundred rows, and the strategies are
-// studied at a handful of ranks. MaxIters is deliberately uncapped:
-// cancellation bounds a long run, and a huge budget is how a caller asks
-// for a run that ends only when cancelled (the jobs and API tests submit
-// 10,000,000 iterations as such a blocker).
+// MaxRows and MaxProcs sit far above every legitimate use: the 100k-cell
+// tier and the Type II row patterns need a few hundred rows, and the
+// strategies are studied at a handful of ranks. MaxIters is deliberately
+// uncapped: cancellation bounds a long run, and a huge budget is how a
+// caller asks for a run that ends only when cancelled (the jobs and API
+// tests submit 10,000,000 iterations as such a blocker).
+//
+// MaxBenchBytes bounds an inline netlist (Spec.Bench) for the same reason:
+// the job parses it once, but every rank of a parallel run builds an
+// engine over the parsed circuit, so a netlist near the API's 16 MiB body
+// cap times MaxProcs ranks could exhaust memory. 4 MiB admits every
+// catalog circuit (under 40 KB as .bench text) and a 100k-gate generated
+// netlist (about 3.1 MB), the scale tier the project studies.
 const (
-	MaxRows  = 10000
-	MaxProcs = 64
+	MaxRows       = 10000
+	MaxProcs      = 64
+	MaxBenchBytes = 4 << 20
 )
 
 // Strategies lists the accepted strategy names.
@@ -210,6 +218,9 @@ func (s Spec) total() int {
 func (s Spec) Normalize() (Spec, error) {
 	if (s.Circuit == "") == (s.Bench == "") {
 		return Spec{}, fmt.Errorf("jobs: exactly one of circuit and bench is required")
+	}
+	if len(s.Bench) > MaxBenchBytes {
+		return Spec{}, fmt.Errorf("jobs: inline netlist of %d bytes above the limit of %d", len(s.Bench), MaxBenchBytes)
 	}
 	if s.Circuit != "" {
 		if _, err := gen.CatalogParams(s.Circuit); err != nil {
