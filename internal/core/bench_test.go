@@ -42,7 +42,7 @@ func BenchmarkTrialCost(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			p := benchProblem(b, mode.scratch)
 			e := p.NewEngine(0)
-			e.Step() // sizes the per-row scan state prepTrial reads
+			e.Step() // stages the row centerlines prepTrial passes to PrepareScan
 			e.EvaluateCosts()
 			id := p.Ckt.Movable()[len(p.Ckt.Movable())/2]
 			useInc := !mode.scratch && e.inc != nil && e.inc.Built()
@@ -52,7 +52,7 @@ func BenchmarkTrialCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x := float64(i%64) + 0.5
 				if useInc {
-					sink += e.trials.Score(x, 7.5, -1)
+					sink += e.trials.Score(x, 7.5)
 				} else {
 					sink += e.trialCost(id, x, 7.5)
 				}

@@ -99,7 +99,7 @@ type Engine struct {
 	buckets     wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
 	rowW        []int
 	rowOK       []bool    // per row: adding the current cell keeps the width bound
-	rowY        []float64 // per row: centerline y (layout.RowY), the scan's y classes
+	rowY        []float64 // per row: centerline y (layout.RowY), the scan's rowY
 }
 
 func (e *Engine) init() {
@@ -722,15 +722,15 @@ func (e *Engine) prepTrial(id netlist.CellID, useInc bool) {
 	}
 	e.orderTrials(id, useInc)
 	if useInc {
-		// Vacancy candidates sit on row centerlines, so the rows are the
-		// y-memo classes; e.rowY holds layout.RowY per row, which
-		// reproduces Recompute's centerline expression bit for bit. The
-		// memo fills lazily. PrepareScan derives the per-row bound and
-		// the anchor the bucketed scan prunes with — O(nets·log nets +
-		// rows). Not negligible: trial preparation as a whole measured
-		// 35–40% of allocation time (the scan 46–54%) in serial s1196 and
-		// s3330 runs, wp and wpd, 150 iterations.
-		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, len(e.rowY))
+		// Vacancy candidates sit on row centerlines; e.rowY holds
+		// layout.RowY per row, which reproduces Recompute's centerline
+		// expression bit for bit. PrepareScan derives the x envelope and
+		// the row the bucketed scan starts from — O(nets·log nets + log
+		// rows); the scan computes each row's bound and y halves as it
+		// enters the row. Not negligible: trial preparation as a whole
+		// measured 35–40% of allocation time (the scan 46–54%) in serial
+		// s1196 and s3330 runs, wp and wpd, 150 iterations.
+		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW)
 		e.trials.PrepareScan(e.rowY)
 	}
 }
@@ -822,7 +822,7 @@ func (e *Engine) seedBound(own int) float64 {
 	if e.vacUsed[own] || !e.rowOK[e.vacs[own].Row] {
 		return math.Inf(1)
 	}
-	s := e.trials.Score(e.vacs[own].X, e.vacs[own].Y, int(e.vacs[own].Row))
+	s := e.trials.Score(e.vacs[own].X, e.vacs[own].Y)
 	return math.Nextafter(s, math.Inf(1))
 }
 

@@ -174,12 +174,11 @@ func (e *evaluator) swapDelta(place *layout.Placement, a, b netlist.CellID) floa
 	e.nets = e.prob.Ckt.CellNets(a, e.nets)
 	e.nets = e.prob.Ckt.CellNets(b, e.nets)
 
-	var view *wire.View
-	if !e.scratchMode() {
+	cached := !e.scratchMode()
+	if cached {
 		e.bind(place)
 		e.inc.RemoveCell(a)
 		e.inc.RemoveCell(b)
-		view = e.inc.BaseView()
 	}
 	var dWire, dPow float64
 	for _, n := range dedupNets(e.nets) {
@@ -188,20 +187,20 @@ func (e *evaluator) swapDelta(place *layout.Placement, a, b netlist.CellID) floa
 		var nu float64
 		switch {
 		case hasA && hasB:
-			if view != nil {
-				nu = view.TrialNetAt2(n, bx, by, ax, ay)
+			if cached {
+				nu = e.inc.TrialNetAt2(n, bx, by, ax, ay)
 			} else {
 				nu = e.ev.NetLengthWithCellsAt(n, a, bx, by, b, ax, ay, place)
 			}
 		case hasA:
-			if view != nil {
-				nu = view.TrialNetAt(n, bx, by)
+			if cached {
+				nu = e.inc.TrialNetAt(n, bx, by)
 			} else {
 				nu = e.ev.NetLengthWithCellAt(n, a, bx, by, place)
 			}
 		default:
-			if view != nil {
-				nu = view.TrialNetAt(n, ax, ay)
+			if cached {
+				nu = e.inc.TrialNetAt(n, ax, ay)
 			} else {
 				nu = e.ev.NetLengthWithCellAt(n, b, ax, ay, place)
 			}
@@ -209,7 +208,7 @@ func (e *evaluator) swapDelta(place *layout.Placement, a, b netlist.CellID) floa
 		dWire += nu - old
 		dPow += (nu - old) * e.prob.Acts[n]
 	}
-	if view != nil {
+	if cached {
 		e.inc.RestoreCell(b)
 		e.inc.RestoreCell(a)
 	}

@@ -167,7 +167,7 @@ type scanState struct {
 // across random cells, vacancy pools (with committed entries and
 // infeasible rows), and seed bounds, ScanBestRows must return bitwise the
 // same (winner, score) as the flat ScanBest over the live list — which
-// TestTrialSetMatchesViewTrials in turn pins to the brute-force
+// TestTrialSetMatchesNetTrials in turn pins to the brute-force
 // ScoreBounded loop. The generated circuit mixes bbox and trunk nets; the
 // trunk-heavy fixtures (Steiner nets keeping 4-16 pins besides the
 // trialled hub) make the branch-excess bound carry real weight.
@@ -207,7 +207,7 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 			weights[i] = 1 + float64(r.Intn(8))/4
 		}
 		inc.RemoveCell(id)
-		inc.CompileTrials(&s.set, nets, weights, s.rows)
+		inc.CompileTrials(&s.set, nets, weights)
 		for i := range s.set.items {
 			sawExcess = sawExcess || s.set.items[i].ex > 0
 		}
@@ -241,7 +241,7 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 		if step%2 == 1 && len(s.free) > 0 {
 			v := s.free[r.Intn(len(s.free))]
 			if s.rowOK[s.vacs[v].Row] {
-				score := s.set.Score(s.vacs[v].X, s.vacs[v].Y, int(s.vacs[v].Row))
+				score := s.set.Score(s.vacs[v].X, s.vacs[v].Y)
 				bound0 = math.Nextafter(score, math.Inf(1))
 			}
 		}
@@ -290,7 +290,7 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 			weights[i] = 1 + float64(r.Intn(8))/4
 		}
 		inc.RemoveCell(id)
-		inc.CompileTrials(&set, nets, weights, rows)
+		inc.CompileTrials(&set, nets, weights)
 
 		// Few distinct positions, many copies each: most scans tie.
 		nPos := 1 + r.Intn(4)
@@ -322,7 +322,7 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 		// exact score.
 		want, wantScore := -1, 0.0
 		for v := range vacs {
-			score := set.Score(vacs[v].X, vacs[v].Y, int(vacs[v].Row))
+			score := set.Score(vacs[v].X, vacs[v].Y)
 			if want < 0 || score < wantScore {
 				want, wantScore = v, score
 			}

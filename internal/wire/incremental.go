@@ -12,9 +12,9 @@ import (
 // — a coordinate mirror per cell plus sorted pin-coordinate multisets and
 // their prefix sums (for the Steiner trunk/median math) per net — so that:
 //
-//   - a trial placement of one cell is scored in O(log p) per net through a
-//     View (TrialNetAt / TrialNetAt2) instead of re-collecting and
-//     re-sorting every pin;
+//   - a trial placement of one cell is scored in O(log p) per net
+//     (TrialNetAt / TrialNetAt2) instead of re-collecting and re-sorting
+//     every pin;
 //   - after a batch of cell moves, only the nets incident to the moved
 //     cells ("dirty" nets) are re-derived, instead of recomputing every net
 //     from scratch.
@@ -34,8 +34,8 @@ import (
 // canonical formulas of excl.go and trial.go, shared with the Evaluator,
 // and are likewise bitwise reproducible.
 //
-// An Incremental is not safe for concurrent use. Its View carries the
-// scratch for the net visits and the trial scoring.
+// An Incremental is not safe for concurrent use: it carries the scratch
+// for the net visits and the trial scoring.
 //
 // Storage is one flat array: each net owns a contiguous block holding its
 // sorted x values, sorted y values, and their prefix sums, carved out at
@@ -85,9 +85,15 @@ type Incremental struct {
 	removed  []netlist.CellID // cells lifted out for trial scanning
 	oldX     []float64        // coords of removed cells, parallel to removed
 	oldY     []float64
-	base     View             // the view every refresh and trial uses
 	drainBuf []netlist.CellID // scratch for Drain
 	built    bool             // Rebuild has run at least once
+
+	// Scratch of the net visits and the trials: the pin-order collection
+	// and candidate staging (ev), the rank sort and each pin's sorted
+	// positions.
+	ev         *Evaluator
+	ranks      []rankPair
+	posX, posY []int32
 }
 
 // Per-net state bits.
@@ -136,8 +142,8 @@ func NewIncremental(ckt *netlist.Circuit) *Incremental {
 		lengths: make([]float64, ckt.NumNets()),
 		state:   make([]uint8, ckt.NumNets()),
 		want:    make([]uint8, len(ckt.Cells)),
+		ev:      NewEvaluator(ckt),
 	}
-	inc.base = View{inc: inc, ev: NewEvaluator(ckt)}
 	inc.buildPins()
 	inc.excl = make([]float64, len(inc.pinRefs))
 	inc.buildFlat()
@@ -270,7 +276,7 @@ func (inc *Incremental) Rebuild(coords Coords) {
 		inc.cx[i], inc.cy[i] = coords.Coord(netlist.CellID(i))
 	}
 	for n := range inc.geoms {
-		inc.refresh(&inc.base, netlist.NetID(n))
+		inc.refresh(netlist.NetID(n))
 		inc.state[n] = 0
 	}
 	inc.dirty = inc.dirty[:0]
@@ -289,7 +295,7 @@ func (inc *Incremental) Rebuild(coords Coords) {
 // records where each pin's value starts in the sorted axes, which are the
 // positions the trunk formulas need. The visit writes only this net's
 // geometry block, length slot and pin references.
-func (inc *Incremental) refresh(v *View, n netlist.NetID) {
+func (inc *Incremental) refresh(n netlist.NetID) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
 	deg := inc.netDegree(n)
@@ -301,16 +307,16 @@ func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 		inc.refreshPrefix(g, 0, 0)
 		inc.lengths[n] = spanLength(g)
 		if wanted {
-			inc.excludeNet(v, n, false) // the spans need no positions
+			inc.excludeNet(n, false) // the spans need no positions
 		}
 		return
 	}
-	ev := v.ev
+	ev := inc.ev
 	ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
 	wanted := inc.collect(net, ev.xs, ev.ys)
 	if wanted && deg > 4 {
-		v.posX = rankInto(g.xv, ev.xs, v.posX, &v.ranks)
-		v.posY = rankInto(g.yv, ev.ys, v.posY, &v.ranks)
+		inc.posX = rankInto(g.xv, ev.xs, inc.posX, &inc.ranks)
+		inc.posY = rankInto(g.yv, ev.ys, inc.posY, &inc.ranks)
 	} else {
 		copy(g.xv, ev.xs)
 		copy(g.yv, ev.ys)
@@ -318,9 +324,9 @@ func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 		sortFloats(g.yv)
 	}
 	inc.refreshPrefix(g, 0, 0)
-	inc.lengths[n] = inc.netLength(v, g)
+	inc.lengths[n] = inc.netLength(g)
 	if wanted {
-		inc.excludeNet(v, n, true)
+		inc.excludeNet(n, true)
 	}
 }
 
@@ -330,7 +336,7 @@ func (inc *Incremental) refresh(v *View, n netlist.NetID) {
 // trunks collect the pins, in pin order, for their branch sums. The values
 // equal refresh's, which differs only in refilling the arrays first. Like
 // refresh it writes only this net's length slot and pin references.
-func (inc *Incremental) relength(v *View, n netlist.NetID) {
+func (inc *Incremental) relength(n netlist.NetID) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
 	deg := len(g.xv)
@@ -339,25 +345,25 @@ func (inc *Incremental) relength(v *View, n netlist.NetID) {
 		inc.lengths[n] = spanLength(g)
 		wanted = len(inc.wantList) != 0 && inc.wanted(net)
 	} else {
-		ev := v.ev
+		ev := inc.ev
 		ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
 		wanted = inc.collect(net, ev.xs, ev.ys)
-		inc.lengths[n] = inc.netLength(v, g)
+		inc.lengths[n] = inc.netLength(g)
 	}
 	if wanted {
-		inc.excludeNet(v, n, false)
+		inc.excludeNet(n, false)
 	}
 }
 
 // visit brings a dirty net's length and exclusions up to date: refresh for
 // a stale net, relength for one only per-pin edits changed. It leaves the
 // state bits alone.
-func (inc *Incremental) visit(v *View, n netlist.NetID) {
+func (inc *Incremental) visit(n netlist.NetID) {
 	switch s := inc.state[n]; {
 	case s&netStale != 0:
-		inc.refresh(v, n)
+		inc.refresh(n)
 	case s&netEdited != 0:
-		inc.relength(v, n)
+		inc.relength(n)
 	}
 }
 
@@ -404,11 +410,11 @@ func (inc *Incremental) collect(net *netlist.Net, xs, ys []float64) (wanted bool
 // netLength is the committed length of a just-refreshed net with more than
 // three pins, bitwise the Evaluator's NetLength over the same coordinates:
 // min and max are the sorted ends, the median is the sorted middle, and
-// the branch sums run over the view's pin-order collection exactly like
+// the branch sums run over the visit's pin-order collection exactly like
 // trunkLength.
-func (inc *Incremental) netLength(v *View, g *netGeom) float64 {
-	h := trunkSorted(g.xv, g.yv, v.ev.ys) // horizontal trunk
-	w := trunkSorted(g.yv, g.xv, v.ev.xs) // vertical trunk
+func (inc *Incremental) netLength(g *netGeom) float64 {
+	h := trunkSorted(g.xv, g.yv, inc.ev.ys) // horizontal trunk
+	w := trunkSorted(g.yv, g.xv, inc.ev.xs) // vertical trunk
 	if w < h {
 		return w
 	}
@@ -417,22 +423,22 @@ func (inc *Incremental) netLength(v *View, g *netGeom) float64 {
 
 // excludeNet evaluates the exclusion of every wanted cell on net n from the
 // net's current geometry. ranked reports that the visit's rank sort left
-// the pins' sorted positions in the view; otherwise exclude searches for
+// the pins' sorted positions in posX/posY; otherwise exclude searches for
 // the ones it needs.
-func (inc *Incremental) excludeNet(v *View, n netlist.NetID, ranked bool) {
+func (inc *Incremental) excludeNet(n netlist.NetID, ranked bool) {
 	g := &inc.geoms[n]
 	net := inc.ckt.Net(n)
 	refs := inc.netRef[inc.netOff[n]:inc.netOff[n+1]]
 	i := 0
 	if d := net.Driver; d != netlist.NoCell {
 		if inc.want[d] != 0 {
-			inc.exclude(v, g, d, refs[0], 0, ranked)
+			inc.exclude(g, d, refs[0], 0, ranked)
 		}
 		i++
 	}
 	for j, c := range net.Sinks {
 		if inc.want[c] != 0 {
-			inc.exclude(v, g, c, refs[i+j], i+j, ranked)
+			inc.exclude(g, c, refs[i+j], i+j, ranked)
 		}
 	}
 }
@@ -441,7 +447,7 @@ func (inc *Incremental) excludeNet(v *View, n netlist.NetID, ranked bool) {
 // pins into c's pin reference r, c holding the net's pin i (in pin order).
 // A cell with several pins on the net is evaluated at each of them; the
 // value is the same.
-func (inc *Incremental) exclude(v *View, g *netGeom, c netlist.CellID, r int32, i int, ranked bool) {
+func (inc *Incremental) exclude(g *netGeom, c netlist.CellID, r int32, i int, ranked bool) {
 	k := int(inc.pinRefs[r].K)
 	m := len(g.xv) - k
 	rx, ry := inc.cx[c], inc.cy[c]
@@ -453,7 +459,7 @@ func (inc *Incremental) exclude(v *View, g *netGeom, c netlist.CellID, r int32, 
 	default:
 		var xLo, yLo int
 		if ranked {
-			xLo, yLo = int(v.posX[i]), int(v.posY[i])
+			xLo, yLo = int(inc.posX[i]), int(inc.posY[i])
 		} else {
 			xLo, yLo = searchF64(g.xv, rx), searchF64(g.yv, ry)
 		}
@@ -564,8 +570,8 @@ func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 }
 
 // RemoveCell lifts a cell's pins out of its nets' multisets so that trial
-// scoring needs no exclusion logic: a View trial is then simply "stored
-// pins plus candidate point(s)". The mirror keeps the old coordinates until
+// scoring needs no exclusion logic: a trial is then simply "stored pins
+// plus candidate point(s)". The mirror keeps the old coordinates until
 // PlaceCell re-inserts the cell. Committed lengths must not be read while
 // cells are removed.
 func (inc *Incremental) RemoveCell(id netlist.CellID) {
@@ -676,7 +682,7 @@ func (inc *Incremental) Sync(src ChangeSource) {
 	inc.Drain(src)
 	for _, n := range inc.stale {
 		if inc.state[n]&netStale != 0 {
-			inc.refresh(&inc.base, n)
+			inc.refresh(n)
 			inc.state[n] &^= netPending
 		}
 	}
@@ -688,7 +694,7 @@ func (inc *Incremental) Sync(src ChangeSource) {
 func (inc *Incremental) refreshStale() {
 	for _, n := range inc.dirty {
 		if inc.state[n]&netPending != 0 {
-			inc.visit(&inc.base, n)
+			inc.visit(n)
 			inc.state[n] &^= netPending
 		}
 	}
@@ -711,7 +717,7 @@ func (inc *Incremental) NetLength(n netlist.NetID) float64 {
 		if len(inc.removed) != 0 {
 			panic("wire: NetLength with removed cells outstanding")
 		}
-		inc.visit(&inc.base, n)
+		inc.visit(n)
 		inc.state[n] &^= netPending
 	}
 	return inc.lengths[n]
@@ -781,7 +787,7 @@ func (inc *Incremental) Exclusions(cells []netlist.CellID) {
 	// exclusions are missing.
 	for _, n := range inc.pending {
 		inc.state[n] &^= netQueued
-		inc.excludeNet(&inc.base, n, false)
+		inc.excludeNet(n, false)
 	}
 	inc.pending = inc.pending[:0]
 	inc.unfilled = false
@@ -834,7 +840,7 @@ func (inc *Incremental) flush() {
 		panic("wire: Lengths with removed cells outstanding")
 	}
 	for _, n := range inc.dirty {
-		inc.visit(&inc.base, n)
+		inc.visit(n)
 		inc.state[n] &^= netListed | netPending
 	}
 	inc.dirty = inc.dirty[:0]
@@ -908,25 +914,11 @@ func resizeFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// View is a read-only trial scorer over an Incremental's cached state; it
-// owns the scratch buffers of the net visits and the trial scoring.
-type View struct {
-	inc *Incremental
-	ev  *Evaluator // scratch: pin-order collection, candidate staging
-
-	// Net-refresh scratch: the rank sort and each pin's sorted positions.
-	ranks      []rankPair
-	posX, posY []int32
-}
-
-// BaseView returns the state's view.
-func (inc *Incremental) BaseView() *View { return &inc.base }
-
 // TrialNetAt estimates the net's length with the stored pins plus one
 // candidate point in O(log p). The cell being trialled must have been
 // lifted out with RemoveCell beforehand.
-func (v *View) TrialNetAt(n netlist.NetID, x, y float64) float64 {
-	g := &v.inc.geoms[n]
+func (inc *Incremental) TrialNetAt(n netlist.NetID, x, y float64) float64 {
+	g := &inc.geoms[n]
 	stored := len(g.xv)
 	if stored == 0 {
 		return 0
@@ -941,8 +933,8 @@ func (v *View) TrialNetAt(n netlist.NetID, x, y float64) float64 {
 // pairwise-swap trial). Both trialled cells must have been lifted out with
 // RemoveCell beforehand. Candidate order matches
 // Evaluator.NetLengthWithCellsAt's append order for bitwise equality.
-func (v *View) TrialNetAt2(n netlist.NetID, x1, y1, x2, y2 float64) float64 {
-	g := &v.inc.geoms[n]
-	v.ev.cand2(x1, y1, x2, y2)
-	return steinerTrial(g.xv, g.xp, g.yv, g.yp, v.ev.candX, v.ev.candY)
+func (inc *Incremental) TrialNetAt2(n netlist.NetID, x1, y1, x2, y2 float64) float64 {
+	g := &inc.geoms[n]
+	inc.ev.cand2(x1, y1, x2, y2)
+	return steinerTrial(g.xv, g.xp, g.yv, g.yp, inc.ev.candX, inc.ev.candY)
 }

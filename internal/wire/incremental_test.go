@@ -87,9 +87,9 @@ func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 	}
 }
 
-// TestTrialMatchesScratch asserts View trials (one and two candidates) are
-// bitwise equal to the Evaluator's canonical trial functions across random
-// states.
+// TestTrialMatchesScratch asserts Incremental trials (one and two
+// candidates) are bitwise equal to the Evaluator's canonical trial
+// functions across random states.
 func TestTrialMatchesScratch(t *testing.T) {
 	ckt := testCircuit(t, 32)
 	movable := ckt.Movable()
@@ -98,7 +98,6 @@ func TestTrialMatchesScratch(t *testing.T) {
 	inc := NewIncremental(ckt)
 	inc.Rebuild(coords)
 	ev := NewEvaluator(ckt)
-	view := inc.BaseView()
 	r := rng.New(5)
 	var nets []netlist.NetID
 
@@ -115,7 +114,7 @@ func TestTrialMatchesScratch(t *testing.T) {
 		inc.RemoveCell(a)
 		nets = ckt.CellNets(a, nets[:0])
 		for _, n := range nets {
-			got := view.TrialNetAt(n, x1, y1)
+			got := inc.TrialNetAt(n, x1, y1)
 			want := ev.NetLengthWithCellAt(n, a, x1, y1, coords)
 			if got != want {
 				t.Fatalf("step %d: net %d 1-cand trial %v != scratch %v",
@@ -127,7 +126,7 @@ func TestTrialMatchesScratch(t *testing.T) {
 		inc.RemoveCell(b)
 		nets = ckt.CellNets(b, nets[:0])
 		for _, n := range nets {
-			got := view.TrialNetAt2(n, x1, y1, x2, y2)
+			got := inc.TrialNetAt2(n, x1, y1, x2, y2)
 			want := ev.NetLengthWithCellsAt(n, a, x1, y1, b, x2, y2, coords)
 			if got != want {
 				t.Fatalf("step %d: net %d 2-cand trial %v != scratch %v",
@@ -195,16 +194,16 @@ func TestRebuildIsChecksum(t *testing.T) {
 	}
 }
 
-// TestTrialSetMatchesViewTrials pins the compiled scorer to the scalar
-// paths: Score must equal the weighted sum of View trials bitwise, and
+// TestTrialSetMatchesNetTrials pins the compiled scorer to the scalar
+// paths: Score must equal the weighted sum of Incremental.TrialNetAt
+// trials bitwise, and
 // ScanBest must pick exactly the vacancy a ScoreBounded loop picks.
-func TestTrialSetMatchesViewTrials(t *testing.T) {
+func TestTrialSetMatchesNetTrials(t *testing.T) {
 	ckt := testCircuit(t, 36)
 	movable := ckt.Movable()
 	place := layout.NewRandom(ckt, 8, rng.New(5))
 	inc := NewIncremental(ckt)
 	inc.Rebuild(place)
-	view := inc.BaseView()
 	r := rng.New(77)
 	var nets []netlist.NetID
 	var set TrialSet
@@ -217,7 +216,7 @@ func TestTrialSetMatchesViewTrials(t *testing.T) {
 			weights[i] = 1 + float64(r.Intn(8))/4
 		}
 		inc.RemoveCell(id)
-		inc.CompileTrials(&set, nets, weights, place.NumRows())
+		inc.CompileTrials(&set, nets, weights)
 
 		// Build a vacancy pool on row centerlines.
 		nVac := 12
@@ -237,9 +236,9 @@ func TestTrialSetMatchesViewTrials(t *testing.T) {
 		v0 := vacs[0]
 		want := 0.0
 		for i, n := range nets {
-			want += view.TrialNetAt(n, v0.X, v0.Y) * weights[i]
+			want += inc.TrialNetAt(n, v0.X, v0.Y) * weights[i]
 		}
-		if got := set.Score(v0.X, v0.Y, int(v0.Row)); got != want {
+		if got := set.Score(v0.X, v0.Y); got != want {
 			t.Fatalf("Score %v != Σ trials %v", got, want)
 		}
 
@@ -247,7 +246,7 @@ func TestTrialSetMatchesViewTrials(t *testing.T) {
 		wantBest, wantBound := -1, 1e308
 		for _, f := range free {
 			vac := vacs[f]
-			if s, ok := set.ScoreBounded(vac.X, vac.Y, int(vac.Row), wantBound); ok {
+			if s, ok := set.ScoreBounded(vac.X, vac.Y, wantBound); ok {
 				wantBest, wantBound = int(f), s
 			}
 		}
@@ -282,8 +281,8 @@ func TestScanBestTrailingZeroTieBreak(t *testing.T) {
 	}
 	// ScoreBounded must report the tie as inadmissible (ok=false) even
 	// though the trailing record contributes nothing.
-	s0 := set.Score(vacs[0].X, vacs[0].Y, -1)
-	if _, ok := set.ScoreBounded(vacs[1].X, vacs[1].Y, -1, s0); ok {
+	s0 := set.Score(vacs[0].X, vacs[0].Y)
+	if _, ok := set.ScoreBounded(vacs[1].X, vacs[1].Y, s0); ok {
 		t.Fatal("ScoreBounded admitted a tied vacancy past a trailing zero record")
 	}
 }
@@ -493,9 +492,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			weights = append(weights, 1)
 		}
 		inc.RemoveCell(id)
-		inc.CompileTrials(&trials, nets, weights, 8)
+		inc.CompileTrials(&trials, nets, weights)
 		trials.PrepareScan(rowY)
-		_ = trials.Score(3.5, layout.RowY(2), 2)
+		_ = trials.Score(3.5, layout.RowY(2))
 		inc.RestoreCell(id)
 	}
 

@@ -126,13 +126,19 @@ func xPenOf(it *compiledTrial, x float64) float64 {
 // costs on Steiner trunks with 3-16 stored pins (duplicate coordinates
 // included), for every row and for x inside and outside the pin spans:
 // each item's rowTail term plus its x-penalty stays under the item's
-// weighted trial length, and rowLB plus the x envelope stays under the
+// weighted trial length, and rowBound plus the x envelope stays under the
 // whole trial score — each up to scanSlack, as the scan compares them.
 // Half the fixtures use the wide grid, where the bounds and the trial
 // costs round at the magnitude of the coordinates and candidates coincide
 // with pins. It also requires the branch-excess term to be exercised: some
 // trunk must carry eX > 0, and some row bound must come out strictly
 // sharper than the bound without it.
+//
+// The best-first row order is checked too: moving away from anchorRow on
+// either side, rowBound never falls by more than scanSlack allows, which
+// is what lets the scan cut a whole side at its first dominated row. Some
+// fixture must put the y cut interval strictly between two rows whose
+// bounds differ, where the anchor is the smaller of the two.
 //
 // The trunk window is checked the same way. Each vertically cheaper
 // trunk's corrected term, its rowTail share plus w·xPen plus w·min(Hc −
@@ -142,19 +148,19 @@ func xPenOf(it *compiledTrial, x float64) float64 {
 // must exclude a grid point, so the check cannot pass vacuously.
 func TestScanBoundsSound(t *testing.T) {
 	r := rng.New(0x5eed)
-	sawExcess, sawSharper := false, false
+	sawExcess, sawSharper, sawBetween := false, false, false
 	sawVertical, sawWindow := false, false
 	for trial := 0; trial < 80; trial++ {
 		f := newTrunkFixture(t, r, 3, trial%2 == 1)
 		inc := NewIncremental(f.ckt)
 		inc.Rebuild(f.coords)
-		view := inc.BaseView()
+		centers := rowCenters(f.rowY, f.rows)
 		for _, hub := range f.hubs {
 			nets := f.ckt.CellNets(hub, nil)
 			inc.RemoveCell(hub)
 			var set TrialSet
-			inc.CompileTrials(&set, nets, fixtureWeights(r, len(nets)), f.rows)
-			set.PrepareScan(rowCenters(f.rowY, f.rows))
+			inc.CompileTrials(&set, nets, fixtureWeights(r, len(nets)))
+			set.PrepareScan(centers)
 			for i := range set.items {
 				it := &set.items[i]
 				if it.kind != trialTrunk {
@@ -171,38 +177,54 @@ func TestScanBoundsSound(t *testing.T) {
 				}
 				sawExcess = sawExcess || it.ex > 0
 			}
-			stride := len(set.items) + 1
+			a := set.anchorRow
+			for row := a + 1; row < f.rows; row++ {
+				if set.rowBound(row) < set.rowBound(row-1)*scanSlack {
+					t.Fatalf("trial %d: rowBound falls from row %d to %d above anchor %d: %v -> %v",
+						trial, row-1, row, a, set.rowBound(row-1), set.rowBound(row))
+				}
+			}
+			for row := a - 1; row >= 0; row-- {
+				if set.rowBound(row) < set.rowBound(row+1)*scanSlack {
+					t.Fatalf("trial %d: rowBound falls from row %d to %d below anchor %d: %v -> %v",
+						trial, row+1, row, a, set.rowBound(row+1), set.rowBound(row))
+				}
+			}
+			lo, hi := set.cutInterval(set.ylo, set.yhi)
+			lo, hi = min(lo, hi), max(lo, hi)
+			for b := max(a-1, 0); b <= min(a, f.rows-2); b++ { // rows b, b+1 bracket the anchor
+				if centers[b] < lo && hi < centers[b+1] && set.rowBound(b) != set.rowBound(b+1) {
+					sawBetween = true
+				}
+			}
 			for row := 0; row < f.rows; row++ {
 				set.fillRowTail(row)
 				y := f.rowY(row)
-				base := row * stride
 				for i := range set.items {
-					slot := i*set.yClasses + row
-					yBranch, ySpan := set.memo[2*slot], set.memo[2*slot+1]
-					if ySpan < yBranch && ySpan+set.items[i].ex > ySpan {
+					it := &set.items[i]
+					if it.ySpan < it.yBranch && it.ySpan+it.ex > it.ySpan {
 						sawSharper = true
 					}
 				}
 				scores := make([]float64, 0, 60)
 				for k := -6; k < 54; k++ {
 					x := f.xAt(k)
-					score := set.Score(x, y, row)
+					score := set.Score(x, y)
 					scores = append(scores, score)
-					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
-						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
+					if lb := set.rowBound(row) + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
+						t.Fatalf("trial %d row %d x %v: rowBound+env %v > score %v", trial, row, x, lb, score)
 					}
-					whole := set.rowTail[base]
+					whole := set.rowTail[0]
 					for i := range set.items {
 						it := &set.items[i]
-						cost := view.TrialNetAt(nets[i], x, y) * it.w
+						cost := inc.TrialNetAt(nets[i], x, y) * it.w
 						pen := it.w * xPenOf(it, x)
 						whole += pen
-						term := set.rowTail[base+i] - set.rowTail[base+i+1] + pen
+						term := set.rowTail[i] - set.rowTail[i+1] + pen
 						if term*scanSlack > cost {
 							t.Fatalf("trial %d row %d x %v item %d: bound %v > cost %v", trial, row, x, i, term, cost)
 						}
-						slot := i*set.yClasses + row
-						if gap := set.memo[2*slot] - (set.memo[2*slot+1] + it.ex); gap > 0 {
+						if gap := it.yBranch - (it.ySpan + it.ex); gap > 0 {
 							sawVertical = true
 							n := len(it.xv)
 							dist := max(it.xv[(n-1)/2]-x, x-it.xv[n/2], 0)
@@ -218,7 +240,7 @@ func TestScanBoundsSound(t *testing.T) {
 				}
 				for j := 0; j < len(scores); j += 3 {
 					bound := scores[j]
-					b := bound/scanSlack - set.rowTail[base] - set.minEnv
+					b := bound/scanSlack - set.rowTail[0] - set.minEnv
 					if b <= 0 {
 						continue
 					}
@@ -241,19 +263,21 @@ func TestScanBoundsSound(t *testing.T) {
 	if !sawExcess || !sawSharper {
 		t.Fatalf("branch excess never exercised: eX > 0 seen %v, sharper row bound seen %v", sawExcess, sawSharper)
 	}
+	if !sawBetween {
+		t.Fatal("no fixture put the y cut interval between two rows of different bound")
+	}
 	if !sawVertical || !sawWindow {
 		t.Fatalf("trunk window never exercised: vertically cheaper trunk seen %v, excluded grid point seen %v",
 			sawVertical, sawWindow)
 	}
 }
 
-// TestRowBoundSweepRounding checks rowLB on a tall die: 2000 rows with every
-// pin in the top six, so the y sweep starts thousands of units from the
-// items and its partial sums cancel down to the trial's scale. Its rounding
-// is then absolute, larger than scanSlack covers relative to the score,
-// and only PrepareScan's deduction keeps rowLB plus the x envelope under
-// the score on the rows the pins sit in.
-func TestRowBoundSweepRounding(t *testing.T) {
+// TestRowBoundRoundingOnTallDie checks rowBound on a tall die: 2000 rows
+// with every pin in the top six, far from the origin of y. The bound is
+// summed per row from C and non-negative penalty terms, so its rounding
+// stays relative to its own value, and scanSlack alone must keep rowBound
+// plus the x envelope under the score on the rows the pins sit in.
+func TestRowBoundRoundingOnTallDie(t *testing.T) {
 	r := rng.New(7)
 	const rows = 2000
 	rowY := func(k int) float64 { return (float64(k) + 0.5) * layout.RowPitch }
@@ -274,15 +298,15 @@ func TestRowBoundSweepRounding(t *testing.T) {
 				w[i] = 0.01 + r.Float64()
 			}
 			var set TrialSet
-			inc.CompileTrials(&set, nets, w, rows)
+			inc.CompileTrials(&set, nets, w)
 			set.PrepareScan(centers)
 			for row := rows - 6; row < rows; row++ {
 				y := rowY(row)
 				for k := 0; k < 40; k++ {
 					x := 1000 + float64(k)*0.37
-					score := set.Score(x, y, row)
-					if lb := set.rowLB[row] + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
-						t.Fatalf("trial %d row %d x %v: rowLB+env %v > score %v", trial, row, x, lb, score)
+					score := set.Score(x, y)
+					if lb := set.rowBound(row) + set.envAt(set.envSeg(x), x); lb*scanSlack > score {
+						t.Fatalf("trial %d row %d x %v: rowBound+env %v > score %v", trial, row, x, lb, score)
 					}
 				}
 			}
@@ -325,6 +349,14 @@ func FuzzScanBestRows(f *testing.F) {
 	f.Add([]byte("\xf4>\xd7\xdd\xc4Ld."))
 	f.Add([]byte("\xf1\x1d`\x16"))
 	f.Add([]byte("\xf7\xdd\xca\r"))
+	// The first hub's y cut interval, where the best-first row order
+	// starts, lies below row 0 ("!c"), above the last row ("_", wide
+	// grid), strictly between two rows of different bound ("@G"), and
+	// across several rows ("TO$:(k").
+	f.Add([]byte("!c"))
+	f.Add([]byte("_"))
+	f.Add([]byte("@G"))
+	f.Add([]byte("TO$:(k"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &byteSource{b: data}
 		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)
@@ -361,7 +393,7 @@ func FuzzScanBestRows(f *testing.F) {
 		for own, id := range sel {
 			nets := fx.ckt.CellNets(id, nil)
 			inc.RemoveCell(id)
-			inc.CompileTrials(&set, nets, fixtureWeights(src, len(nets)), fx.rows)
+			inc.CompileTrials(&set, nets, fixtureWeights(src, len(nets)))
 			set.PrepareScan(centers)
 			feasible := uint64(0)
 			for r := range rowOK {
@@ -374,7 +406,7 @@ func FuzzScanBestRows(f *testing.F) {
 			}
 			bound0 := 1e308
 			if src.Intn(2) == 0 && bucketFree(&bk, own) && rowOK[vacs[own].Row] {
-				score := set.Score(vacs[own].X, vacs[own].Y, int(vacs[own].Row))
+				score := set.Score(vacs[own].X, vacs[own].Y)
 				bound0 = math.Nextafter(score, math.Inf(1))
 			}
 
@@ -382,7 +414,7 @@ func FuzzScanBestRows(f *testing.F) {
 			brute, bruteScore := -1, bound0
 			for _, v := range free {
 				if vc := vacs[v]; rowOK[vc.Row] {
-					if s := set.Score(vc.X, vc.Y, int(vc.Row)); s < bruteScore {
+					if s := set.Score(vc.X, vc.Y); s < bruteScore {
 						brute, bruteScore = int(v), s
 					}
 				}

@@ -159,7 +159,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 				w[j-1], w[j] = w[j], w[j-1]
 			}
 		}
-		inc.CompileTrials(&set, nets, w, numRows)
+		inc.CompileTrials(&set, nets, w)
 		set.PrepareScan(rowY)
 
 		cw := ckt.Cells[id].Width
@@ -179,7 +179,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 		bound0 := math.Inf(1)
 		if !used[own] && rowOK[vacs[own].Row] {
 			vc := vacs[own]
-			bound0 = math.Nextafter(set.Score(vc.X, vc.Y, int(vc.Row)), math.Inf(1))
+			bound0 = math.Nextafter(set.Score(vc.X, vc.Y), math.Inf(1))
 		}
 
 		var fWin, rWin int

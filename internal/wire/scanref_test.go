@@ -8,13 +8,11 @@ package wire
 // still-free vacancies — skipping width-infeasible rows, scoring the rest
 // with the bounded early exit, and returning the first vacancy index
 // holding the strictly smallest score (-1 if none is admissible under
-// bound0). The scoring is inlined; the equivalence test pins it bitwise
-// to the ScoreBounded loop it replaces. The memo must be compiled with
-// yClasses covering every row. Every trunk trial refills its y-memo entry
-// (the same values each time), so the scan needs no warm memo, and
-// concurrent calls must not share a row. st (which may be
-// nil) collects prune statistics with plain increments; it changes no
-// comparison, so the winner and the trajectory are bitwise unaffected.
+// bound0). It scores each trial with the per-item lengths ScoreBounded
+// uses, and the equivalence test pins it bitwise to a ScoreBounded loop.
+// st (which may be nil) collects prune statistics with plain increments;
+// it changes no comparison, so the winner and the trajectory are bitwise
+// unaffected.
 func (t *TrialSet) ScanBest(vacs []Vacancy, free []int32,
 	rowOK []bool, lo, hi int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
@@ -77,66 +75,15 @@ scan:
 				continue
 			}
 		}
-		yClass := int(row)
 		cost := 0.0
 		for i := range items {
 			it := &items[i]
 			switch it.kind {
 			case trialBBox:
-				lox, hix, loy, hiy := it.minX, it.maxX, it.minY, it.maxY
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				if y < loy {
-					loy = y
-				}
-				if y > hiy {
-					hiy = y
-				}
-				cost += ((hix - lox) + (hiy - loy)) * it.w
+				cost += bboxPlus1(it.minX, it.maxX, it.minY, it.maxY, x, y) * it.w
 			case trialTrunk:
-				slot := t.fillClass(i, yClass, y)
-				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
-
-				lox, hix := it.minX, it.maxX
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				h := (hix - lox) + yBranch
-
-				var medX float64
-				if it.oddM {
-					medX = clampMed(x, it.ax0, it.ax1)
-				} else {
-					medX = (clampMed(x, it.ax0, it.ax1) + clampMed(x, it.ax1, it.ax2)) / 2
-				}
-				var si int
-				switch {
-				case medX <= it.ax0:
-					si = int(it.ix0)
-				case medX <= it.ax1:
-					si = int(it.ixMid)
-				default:
-					si = int(it.ixMid) + 1
-				}
-				xBranch := branchSumAt(it.xv, it.xp, medX, si)
-				if x > medX {
-					xBranch += x - medX
-				} else {
-					xBranch += medX - x
-				}
-				v2 := ySpan + xBranch
-
-				if v2 < h {
-					h = v2
-				}
-				cost += h * it.w
+				yBranch, ySpan := it.yHalf(y)
+				cost += it.trunkLen(x, yBranch, ySpan) * it.w
 			case trialZero:
 				// Falls through to the bound check: a trailing zero
 				// record at cost == bound is a tie and must not reach

@@ -80,7 +80,7 @@ func steinerTrial(xs, xp, ys, yp, cx, cy []float64) float64 {
 // coordinate to the merged median. Stored branches are summed through
 // branchSum with candidate branches added in candidate order; the span is
 // added last so the branch total is a self-contained term (the TrialSet
-// row memo caches it per y-class).
+// scan computes it once per row it enters).
 func trunkTrial(along, alongC, across, acrossP, acrossC []float64) float64 {
 	med := mergedMedian(across, acrossC)
 	sum := branchSum(across, acrossP, med)

@@ -21,32 +21,30 @@ import (
 //	             (the merged median of "sorted pins plus one point" is a
 //	             clamp between middle anchors).
 //
-// Vacancies sit on row centerlines, so the candidate y takes only numRows
-// distinct values. When compiled with yClasses > 0, the y-dependent half
-// of every trunk record — the y branch total, the extended y-span — is
-// memoized per y-class (row), leaving only the x-side arithmetic per
-// trial. The scan fills a row's entries when it enters the row
-// (fillRowTail); Score fills the entry it reads.
+// Vacancies sit on row centerlines, and the row-sharded scan enters each
+// row at most once per cell, so it holds the state of one row at a time:
+// on entry fillRowTail computes every trunk record's y-dependent half —
+// the y branch total, the extended y span (yHalf) — and the row's suffix
+// bounds, and the walk then pays only the x-side arithmetic per trial.
+// Score computes the y half per call.
 //
 // Score sums net costs in compile order with the same multiply-add
 // sequence as the scalar path, so its result is bitwise identical to
-// Σ View.TrialNetAt(nets[i], x, y) · weights[i] — and to the engine's
-// from-scratch reference mode.
+// Σ Incremental.TrialNetAt(nets[i], x, y) · weights[i] — and to the
+// engine's from-scratch reference mode.
 type TrialSet struct {
-	items    []compiledTrial
-	yClasses int
-	memo     []float64 // per (item, class): [yBranch, ySpanExt]; trunk items only
+	items []compiledTrial
 
-	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] is a
-	// lower bound on the weighted cost of items i.. for ANY candidate in
-	// row r, x-penalties aside (the walk tracks those separately, see
-	// xlo/xhi): Σ_{j>=i} w_j · lb_j(r), where
+	// Row state of the scan (fillRowTail). rowTail[i] is a lower bound on
+	// the weighted cost of items i.. for ANY candidate in the row entered
+	// last, x-penalties aside (the walk tracks those separately, see
+	// xlo/xhi): Σ_{j>=i} w_j · lb_j, where
 	//
 	//   - a bbox item's lb is its exact y half plus its stored x span:
-	//     storedSpanX + ySpanExt(r), with ySpanExt the stored y span
-	//     extended to the row's centerline;
-	//   - a trunk item's lb is storedSpanX + min(yBranch(r), ySpanExt(r) +
-	//     eX). The horizontal orientation costs spanX(x) + yBranch, and
+	//     storedSpanX + ySpanExt, with ySpanExt the stored y span extended
+	//     to the row's centerline;
+	//   - a trunk item's lb is storedSpanX + min(yBranch, ySpanExt + eX).
+	//     The horizontal orientation costs spanX(x) + yBranch, and
 	//     spanX(x) = storedSpanX + xPen(x). The vertical one costs
 	//     ySpanExt + xBranch(x), and xBranch(x) >= spanX(x) + eX, where eX
 	//     = D − storedSpanX is the branch excess of the stored pins (D =
@@ -61,76 +59,60 @@ type TrialSet struct {
 	//   - empty items contribute 0.
 	//
 	// Trunk window. Where a trunk item's vertical orientation is the
-	// cheaper one at row r, Vc(r) = ySpanExt(r) + D* < Hc(r) = S +
-	// yBranch(r) (S the stored x span, D* = S + eX), its term charges Vc
-	// flat across the row, though the vertical cost grows with the
-	// candidate's distance from the stored x median interval medI =
-	// [medLo, medHi] (the middle value, or the two middle values). Adding
-	// a point x to a multiset raises its least L1 deviation by at least
-	// dist(x, medI): Σ|x_i − m| >= D + dist(m, medI) for any m, and |x − m|
-	// >= dist(x, medI) − dist(m, medI). So xBranch(x) >= D* + dist(x,
-	// medI), and the item's trial length, min(Hc + xPen(x), ySpanExt +
-	// xBranch(x)), exceeds its share min(Hc, Vc) + xPen(x) by at least
-	// exc(x) = min(Hc − Vc, dist(x, medI) − xPen(x)) >= 0, times w. Every
-	// other item covers its own share, so the trial costs at least
-	// rowTail[r] + xLB(x) + w·exc(x) >= rowTail[r] + minEnv + w·exc(x), and
-	// a vacancy can beat the bound only if w·exc(x) < b = bound/scanSlack −
-	// rowTail[r] − minEnv. An item with w·(Hc − Vc) >= b therefore confines
-	// the row to dist(x, medI) − xPen(x) < b/w: within the stored span xPen
-	// is 0, so x must lie in (medLo − b/w, medHi + b/w); past the span's
-	// end the excess stays at its value there (medLo − minX on the left,
-	// maxX − medHi on the right). A window edge inside the span thus also
-	// excludes every vacancy past the span on that side, and an edge that
-	// reaches past the span leaves that side unconstrained. scanRow
-	// intersects the windows of the row's items (trunkWindow) and walks
-	// only inside. Rounding: b, Hc − Vc and b/w round relative to the
-	// bound (the row's rowTail already holds w·Vc), which scanSlack covers
-	// as it covers rowTail; the branch sums behind xBranch and D* are
-	// covered by eX's allowance; the edges round at the magnitude of the
-	// coordinates, so each is widened by prefixAllowance, the allowance
-	// branchExcess deducts (compiledTrial.wlo/whi).
+	// cheaper one in the row, Vc = ySpanExt + D* < Hc = S + yBranch (S the
+	// stored x span, D* = S + eX), its term charges Vc flat across the
+	// row, though the vertical cost grows with the candidate's distance
+	// from the stored x median interval medI = [medLo, medHi] (the middle
+	// value, or the two middle values). Adding a point x to a multiset
+	// raises its least L1 deviation by at least dist(x, medI): Σ|x_i − m|
+	// >= D + dist(m, medI) for any m, and |x − m| >= dist(x, medI) −
+	// dist(m, medI). So xBranch(x) >= D* + dist(x, medI), and the item's
+	// trial length, min(Hc + xPen(x), ySpanExt + xBranch(x)), exceeds its
+	// share min(Hc, Vc) + xPen(x) by at least exc(x) = min(Hc − Vc, dist(x,
+	// medI) − xPen(x)) >= 0, times w. Every other item covers its own
+	// share, so the trial costs at least rowTail[0] + xLB(x) + w·exc(x) >=
+	// rowTail[0] + minEnv + w·exc(x), and a vacancy can beat the bound only
+	// if w·exc(x) < b = bound/scanSlack − rowTail[0] − minEnv. An item with
+	// w·(Hc − Vc) >= b therefore confines the row to dist(x, medI) −
+	// xPen(x) < b/w: within the stored span xPen is 0, so x must lie in
+	// (medLo − b/w, medHi + b/w); past the span's end the excess stays at
+	// its value there (medLo − minX on the left, maxX − medHi on the
+	// right). A window edge inside the span thus also excludes every
+	// vacancy past the span on that side, and an edge that reaches past
+	// the span leaves that side unconstrained. scanRow intersects the
+	// windows of the row's items (trunkWindow) and walks only inside.
+	// Rounding: b, Hc − Vc and b/w round relative to the bound (rowTail
+	// already holds w·Vc), which scanSlack covers as it covers rowTail; the
+	// branch sums behind xBranch and D* are covered by eX's allowance; the
+	// edges round at the magnitude of the coordinates, so each is widened
+	// by prefixAllowance, the allowance branchExcess deducts
+	// (compiledTrial.wlo/whi).
 	//
 	// The weights embed the active objective scores — in wpd mode the
 	// cached per-net timing criticality, in wpc/wpdc mode the congestion
 	// grid's per-net demand score — so the bound is criticality- and
 	// congestion-aware: hot nets carry inflated weights and their bound
 	// mass prunes proportionally harder, which is what keeps wpd/wpdc
-	// scans pruning like wp scans. Columns fill lazily, one row as the
-	// scan enters it (fillRowTail): the best-first row iteration cuts most
-	// rows before their suffix column is ever needed.
+	// scans pruning like wp scans.
 	rowTail []float64
-	// vert lists the vertically cheaper trunk items of the row fillRowTail
-	// filled last, with their gaps w·(Hc − Vc); vertMax is the largest gap
-	// (−Inf when the list is empty). trunkWindow reads only these items,
-	// and only when vertMax reaches the row's budget.
+	// vert lists the vertically cheaper trunk items of the row entered
+	// last, with their gaps w·(Hc − Vc); vertMax is the largest gap (−Inf
+	// when the list is empty). trunkWindow reads only these items, and
+	// only when vertMax reaches the row's budget.
 	vert    []trunkGap
 	vertMax float64
-	// rowLB[r] = C + Σ w_j · yPen_j(y_r), the whole-trial lower bound at
-	// row r's centerline, with C = Σ w_j · (storedSpan_j + e_j): e_j is
-	// min(eX, eY) for a trunk item and 0 otherwise. By the rowTail
-	// argument, and its mirror on y (yBranch(y) >= spanY(y) + eY), each
-	// trunk orientation costs at least spanX(x) + spanY(y) + min(eX, eY).
-	// rowLB is computed for every row by an O(rows + items) breakpoint
-	// sweep: the y-penalty envelope is convex piecewise-linear in y, so
-	// integrating its slope across the sorted row centerlines reproduces
-	// the per-row sums with a few flops per row instead of O(items). The
-	// sweep's rounding is absolute, at the scale of the rows swept, so
-	// PrepareScan deducts a bound on it from every row, and the compares
-	// deflate by scanSlack for the relative rest. Every trunk's
-	// excess carries its own rounding allowance (branchExcess). When even
-	// rowLB[r] (deflated) reaches the
-	// running bound, ScanBestRows skips the whole row bucket; anchorRow is
-	// the argmin — the most promising row, where the best-first row
-	// iteration starts.
-	rowLB     []float64
-	rowY      []float64 // per row: centerline y, the caller's slice
+	// rowY holds every row's centerline (the caller's slice); rowC is the
+	// constant part C of rowBound; anchorRow is where the best-first row
+	// order starts, a row of least rowBound.
+	rowY      []float64
+	rowC      float64
 	anchorRow int
 	// Per-item x-penalty envelope for the per-vacancy precheck and the
 	// outward walk. xlo/xhi/xw hold the stored x-interval and weight of
 	// every bbox/trunk item, so xLB(x) = Σ w_j · dist(x, [xlo_j, xhi_j])
 	// is a lower bound on the x-extension the candidate forces across the
 	// whole trial (each bbox/trunk cost is at least storedSpan + xPen +
-	// yPen; see rowTail). rowLB[r] + xLB(x) therefore lower-bounds the
+	// yPen; see rowTail). rowBound(r) + xLB(x) therefore lower-bounds the
 	// entire trial cost.
 	//
 	// xLB is convex piecewise-linear with its (real-arithmetic) minimum on
@@ -155,17 +137,16 @@ type TrialSet struct {
 	anchorX        float64
 	anchorSeg      int
 	minEnv         float64
-	evp, evw       []float64 // breakpoint-sweep scratch: positions, weights
+	evp, evw       []float64 // cutInterval scratch: sorted positions, weights
 	// Piecewise-linear form of the x envelope, built once per cell from the
 	// cut interval's sorted endpoints: xbp are the deduplicated breakpoints,
 	// xbv[i] = xLB(xbp[i]), and xbs[i] the slope on [xbp[i], xbp[i+1]);
 	// left of xbp[0] the slope is -xTotW (the negated total weight). envAt
 	// evaluates the envelope in O(1) given the segment index, turning the
 	// per-vacancy O(items) penalty loop into a monotone cursor walk. The
-	// segment values are themselves a breakpoint sweep, but one that starts
-	// at the items' own extent, not rows away from them, so its rounding
-	// stays at the scale of the trial and every compare against them is
-	// deflated by scanSlack alone.
+	// segment values are a breakpoint sweep that starts at the items' own
+	// extent, so its rounding stays at the scale of the trial and every
+	// compare against them is deflated by scanSlack alone.
 	xbp, xbv, xbs []float64
 	xTotW         float64
 }
@@ -186,9 +167,8 @@ type TrialSet struct {
 // winner is bitwise the brute-force scan's. Prefix-only bails
 // (cost >= bound over the already-accumulated exact terms) need no slack.
 // The slack covers rounding relative to the estimate only; rounding at the
-// magnitude of the coordinates (trunk branch sums, the rowLB sweep across
-// the rows) is deducted from the bounds where it arises (branchExcess,
-// PrepareScan).
+// magnitude of the coordinates (trunk branch sums) is deducted from the
+// bounds where it arises (branchExcess).
 const scanSlack = 1 - 1e-12
 
 type trialKind uint8
@@ -239,15 +219,17 @@ type compiledTrial struct {
 	// ixMid+1 (even only) when med > a1. ixMid is positional and shared
 	// by both axes.
 	ix0, iy0, ixMid int32
+
+	// Trunk: the y half (yHalf) at the centerline of the row the scan
+	// entered last, filled by fillRowTail and read by the walk.
+	yBranch, ySpan float64
 }
 
 // CompileTrials fills dst with the trial records for the given nets and
-// parallel weights. yClasses > 0 sizes the per-row memo (pass the row
-// count when candidates sit on row centerlines; 0 disables memoization).
-// The trialled cell must already be lifted out with RemoveCell; the
-// records alias the live cached arrays, so they are valid until the next
-// mutation of the incremental state.
-func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weights []float64, yClasses int) {
+// parallel weights. The trialled cell must already be lifted out with
+// RemoveCell; the records alias the live cached arrays, so they are valid
+// until the next mutation of the incremental state.
+func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weights []float64) {
 	dst.items = dst.items[:0]
 	for i, n := range nets {
 		g := &inc.geoms[n]
@@ -287,10 +269,6 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 		}
 		dst.items = append(dst.items, it)
 	}
-	dst.yClasses = yClasses
-	if yClasses > 0 {
-		dst.memo = resizeFloats(dst.memo, 2*len(dst.items)*yClasses)
-	}
 }
 
 // branchExcess returns Σ|v_i − m| − (v_max − v_min) for sorted values v with
@@ -317,28 +295,25 @@ func prefixAllowance(n int, m float64) float64 {
 	return 4 * float64((n+1)*(n+1)) * 0x1p-52 * m
 }
 
-// PrepareScan computes the row-sharded prune state ScanBestRows consumes:
-// the x envelope with its cut interval and anchor, and the per-row bound
-// rowLB; the per-row suffix columns rowTail (see the field comment) fill
-// lazily during the scan. rowY holds every row's centerline y and must
-// reproduce the candidates' y bit for bit (the engine passes layout.RowY
-// of each row); the TrialSet keeps the slice, so it must not change while
-// the set scans. O(items log items + rows) — noise against the
-// O(items·vacancies) scan it accelerates. Call after CompileTrials and
-// before any ScanBestRows.
+// PrepareScan computes the prune state ScanBestRows consumes: the x
+// envelope with its cut interval and anchor, the constant part of the row
+// bound, and the row the scan starts from; the row state (rowTail) fills
+// as the scan enters each row. rowY holds every row's centerline y in
+// ascending order and must reproduce the candidates' y bit for bit (the
+// engine passes layout.RowY of each row); the TrialSet keeps the slice,
+// so it must not change while the set scans. O(items log items + log rows)
+// — noise against the O(items·vacancies) scan it accelerates. Call after
+// CompileTrials and before any ScanBestRows.
 func (t *TrialSet) PrepareScan(rowY []float64) {
-	rows := len(rowY)
 	t.rowY = rowY
-	t.rowTail = resizeFloats(t.rowTail, rows*(len(t.items)+1))
-	t.rowLB = resizeFloats(t.rowLB, rows)
+	t.rowTail = resizeFloats(t.rowTail, len(t.items)+1)
 
 	// Compile the x-penalty envelope, the walk anchor, and the constant
-	// part C = Σ w_j · (storedSpan_j + e_j) of the per-row bound (see
-	// rowLB).
+	// part C of the row bound (see rowBound).
 	t.xlo, t.xhi, t.xw = t.xlo[:0], t.xhi[:0], t.xw[:0]
 	t.ylo, t.yhi = t.ylo[:0], t.yhi[:0]
 	t.anchorX = math.Inf(-1) // seek to the region start: right walk covers all
-	c := 0.0
+	t.rowC = 0
 	for i := range t.items {
 		it := &t.items[i]
 		if it.kind == trialZero {
@@ -353,13 +328,12 @@ func (t *TrialSet) PrepareScan(rowY []float64) {
 		if it.kind == trialTrunk {
 			e = min(it.ex, it.ey)
 		}
-		c += ((it.maxX - it.minX) + (it.maxY - it.minY) + e) * it.w
+		t.rowC += ((it.maxX - it.minX) + (it.maxY - it.minY) + e) * it.w
 	}
 	t.hasPrune = len(t.xw) > 0
 	if !t.hasPrune {
 		t.xCutLo, t.xCutHi = math.Inf(-1), math.Inf(1)
 		t.minEnv = 0
-		clear(t.rowLB)
 		t.anchorRow = 0
 		return
 	}
@@ -375,56 +349,45 @@ func (t *TrialSet) PrepareScan(rowY []float64) {
 	t.anchorSeg = t.envSeg(t.anchorX)
 	t.minEnv = t.envAt(t.envSeg(t.xCutLo), t.xCutLo)
 
-	// Sweep the convex y-penalty envelope across the row centerlines:
-	// rowLB[r] = C + f(y_r) with f integrated breakpoint to breakpoint
-	// over the sorted (position, weight) y events; slope starts at -Σw
-	// left of every interval.
-	t.sortEvents(t.ylo, t.yhi)
-	// The sweep rounds at the scale of the rows swept, not of the bound it
-	// produces: its partial sums reach Σw·span rows away from the items and
-	// cancel as the slope turns from -Σw to +Σw. Each of its ops additions
-	// rounds by at most ε/2 of Σw·span, and the carried slope by as much
-	// per event, so deducting 8·ops·ε·Σw·span keeps every rowLB under the
-	// true bound. A constant deduction keeps the convexity the row order
-	// and the side cuts rely on; the argmin is taken before it.
-	y0 := rowY[0]
-	span := max(rowY[rows-1], t.evp[len(t.evp)-1]) - min(y0, t.evp[0])
-	d := 8 * float64(len(t.xw)+len(t.evp)+rows) * 0x1p-52 * t.xTotW * span
-	slope, f := 0.0, 0.0
+	// The row bound, convex in y, is least on the weighted-median interval
+	// of the items' y intervals: start at a row inside it or, when it falls
+	// between rows (or past either end), at the bracketing row of smaller
+	// bound, so the bound grows moving away from anchorRow on both sides.
+	lo, hi := t.cutInterval(t.ylo, t.yhi)
+	lo, hi = min(lo, hi), max(lo, hi)
+	r := sort.SearchFloat64s(rowY, lo)
+	switch {
+	case r == len(rowY):
+		r--
+	case r > 0 && rowY[r] > hi && t.rowBound(r-1) <= t.rowBound(r):
+		r--
+	}
+	t.anchorRow = r
+}
+
+// rowBound is the whole-trial lower bound at row r's centerline y_r:
+// C + Σ w_j · yPen_j(y_r), with C = Σ w_j · (storedSpan_j + e_j) (rowC) and
+// yPen_j the distance from y_r to item j's stored y interval; e_j is
+// min(eX, eY) for a trunk item and 0 otherwise. By the rowTail argument,
+// and its mirror on y (yBranch(y) >= spanY(y) + eY), each trunk
+// orientation costs at least spanX(x) + spanY(y) + min(eX, eY), so
+// rowBound(r) + xLB(x) bounds every trial in the row. Its terms are
+// non-negative apart from the trunks' rounding allowances, so it rounds
+// relative to its value, which the compares' scanSlack covers. Out of
+// range rows get +Inf.
+func (t *TrialSet) rowBound(r int) float64 {
+	if r < 0 || r >= len(t.rowY) {
+		return math.Inf(1)
+	}
+	y, lb := t.rowY[r], t.rowC
 	for j, w := range t.xw {
-		slope -= w
-		if lo := t.ylo[j]; y0 < lo {
-			f += w * (lo - y0)
-		} else if hi := t.yhi[j]; y0 > hi {
-			f += w * (y0 - hi)
+		if lo := t.ylo[j]; y < lo {
+			lb += w * (lo - y)
+		} else if hi := t.yhi[j]; y > hi {
+			lb += w * (y - hi)
 		}
 	}
-	k := 0
-	for k < len(t.evp) && t.evp[k] <= y0 {
-		slope += t.evw[k]
-		k++
-	}
-	minLB := c + f
-	t.rowLB[0] = minLB - d
-	t.anchorRow = 0
-	for r := 1; r < rows; r++ {
-		y, prev := rowY[r], rowY[r-1]
-		for k < len(t.evp) && t.evp[k] <= y {
-			if t.evp[k] > prev {
-				f += slope * (t.evp[k] - prev)
-				prev = t.evp[k]
-			}
-			slope += t.evw[k]
-			k++
-		}
-		f += slope * (y - prev)
-		lb := c + f
-		t.rowLB[r] = lb - d
-		if lb < minLB {
-			minLB = lb
-			t.anchorRow = r
-		}
-	}
+	return lb
 }
 
 // cutInterval sorts the prunable items' interval endpoints along one axis
@@ -432,8 +395,9 @@ func (t *TrialSet) PrepareScan(rowY []float64) {
 // the penalty envelope f(p) = Σ w_j · dist(p, I_j): the envelope's slope is
 // ≤ 0 left of cutLo and ≥ 0 right of cutHi, so f is nonincreasing toward
 // the interval from the left and nondecreasing away from it on the right —
-// the directional-cut thresholds. Leaves the sorted breakpoints in evp/evw
-// (sortEvents) for the caller's sweep.
+// the directional-cut thresholds. Where f is flat between two breakpoints
+// the two come out swapped (cutHi < cutLo). Leaves the sorted breakpoints
+// in evp/evw (sortEvents) for buildEnvelope.
 func (t *TrialSet) cutInterval(los, his []float64) (cutLo, cutHi float64) {
 	total := t.sortEvents(los, his)
 	// Slope left of everything is -total; each event adds its weight.
@@ -482,9 +446,9 @@ func (t *TrialSet) sortEvents(los, his []float64) (total float64) {
 // into the piecewise-linear form of xLB(x) = Σ w_j · dist(x, [xlo_j,
 // xhi_j]): deduplicated breakpoints xbp, the envelope value at each
 // breakpoint xbv, and the slope of the segment to its right xbs. The
-// value sweep integrates slope·Δx breakpoint to breakpoint — the same
-// reassociation the rowLB sweep performs along y — so consumers must
-// treat envAt results as scanSlack-deflated estimates, never exact sums.
+// value sweep integrates slope·Δx breakpoint to breakpoint, a
+// reassociation of the per-item sum, so consumers must treat envAt
+// results as scanSlack-deflated estimates, never exact sums.
 func (t *TrialSet) buildEnvelope() {
 	t.xbp, t.xbv, t.xbs = t.xbp[:0], t.xbv[:0], t.xbs[:0]
 	total := 0.0
@@ -539,19 +503,18 @@ type trunkGap struct {
 	i  int
 }
 
-// fillRowTail fills row's suffix column of rowTail at full sharpness: a
-// bbox item contributes its exact y half (extended span), and a trunk item
-// contributes storedSpanX + min(yBranch, ySpanExt + eX) from its row class
-// — the field comment proves both bounds. The xPen part is tracked
-// separately by the walk's envelope (xRem). Filling the column also fills
-// the row's trunk y-memo entries, which the walk then reads unchecked, and
-// the row's vertically cheaper trunks (vert, vertMax) for trunkWindow.
+// fillRowTail enters a row: it computes every trunk item's y half at the
+// row's centerline, which the walk then reads, and the row's suffix
+// bounds rowTail at full sharpness: a bbox item contributes its exact y
+// half (extended span), and a trunk item storedSpanX + min(yBranch,
+// ySpanExt + eX) — the field comment proves both bounds. The xPen part is
+// tracked separately by the walk's envelope (xRem). It also lists the
+// row's vertically cheaper trunks (vert, vertMax) for trunkWindow.
 func (t *TrialSet) fillRowTail(row int) {
 	y := t.rowY[row]
-	base := row * (len(t.items) + 1)
 	acc := 0.0
 	t.vert, t.vertMax = t.vert[:0], math.Inf(-1)
-	t.rowTail[base+len(t.items)] = 0
+	t.rowTail[len(t.items)] = 0
 	for i := len(t.items) - 1; i >= 0; i-- {
 		it := &t.items[i]
 		switch it.kind {
@@ -564,47 +527,54 @@ func (t *TrialSet) fillRowTail(row int) {
 			}
 			acc += ((it.maxX - it.minX) + (it.maxY - it.minY) + yPen) * it.w
 		case trialTrunk:
-			slot := t.fillClass(i, row, y)
-			yMin := t.memo[2*slot] // y branch total (horizontal trunk)
-			if s := t.memo[2*slot+1] + it.ex; s < yMin {
+			it.yBranch, it.ySpan = it.yHalf(y)
+			yMin := it.yBranch // horizontal trunk
+			if s := it.ySpan + it.ex; s < yMin {
 				yMin = s // extended y span plus x branch excess (vertical trunk)
-				wg := (t.memo[2*slot] - s) * it.w
+				wg := (it.yBranch - s) * it.w
 				t.vert = append(t.vert, trunkGap{wg, i})
 				t.vertMax = max(t.vertMax, wg)
 			}
 			acc += ((it.maxX - it.minX) + yMin) * it.w
 		}
-		t.rowTail[base+i] = acc
+		t.rowTail[i] = acc
 	}
 }
 
-// fillClass computes trunk item i's y-memo entry for class (centerline y)
-// and returns its slot.
-func (t *TrialSet) fillClass(i, class int, y float64) int {
-	it := &t.items[i]
-	slot := i*t.yClasses + class
-	var medY float64
+// branch returns the branch total along one axis of a trunk item with the
+// candidate coordinate c: Σ|v_i − med| + |c − med| over the stored sorted
+// values v (prefix sums p), med the merged median, which lies between the
+// axis's anchors a0..a2; i0 is the axis's split index at a0.
+func (it *compiledTrial) branch(v, p []float64, a0, a1, a2 float64, i0 int32, c float64) float64 {
+	var med float64
 	if it.oddM {
-		medY = clampMed(y, it.ay0, it.ay1)
+		med = clampMed(c, a0, a1)
 	} else {
-		medY = (clampMed(y, it.ay0, it.ay1) + clampMed(y, it.ay1, it.ay2)) / 2
+		med = (clampMed(c, a0, a1) + clampMed(c, a1, a2)) / 2
 	}
 	var si int
 	switch {
-	case medY <= it.ay0:
-		si = int(it.iy0)
-	case medY <= it.ay1:
+	case med <= a0:
+		si = int(i0)
+	case med <= a1:
 		si = int(it.ixMid)
 	default:
 		si = int(it.ixMid) + 1
 	}
-	b := branchSumAt(it.yv, it.yp, medY, si)
-	if y > medY {
-		b += y - medY
+	b := branchSumAt(v, p, med, si)
+	if c > med {
+		b += c - med
 	} else {
-		b += medY - y
+		b += med - c
 	}
-	t.memo[2*slot] = b // horizontal trunk: y branch total
+	return b
+}
+
+// yHalf returns a trunk item's y-dependent half at candidate y: the y
+// branch total of the horizontal orientation and the along-y span of the
+// vertical one, the stored span extended to y.
+func (it *compiledTrial) yHalf(y float64) (yBranch, ySpan float64) {
+	yBranch = it.branch(it.yv, it.yp, it.ay0, it.ay1, it.ay2, it.iy0, y)
 	loy, hiy := it.minY, it.maxY
 	if y < loy {
 		loy = y
@@ -612,16 +582,32 @@ func (t *TrialSet) fillClass(i, class int, y float64) int {
 	if y > hiy {
 		hiy = y
 	}
-	t.memo[2*slot+1] = hiy - loy // vertical trunk: along-y span
-	return slot
+	return yBranch, hiy - loy
+}
+
+// trunkLen is a trunk item's trial length at candidate x given its y half
+// at the candidate's y: the cheaper of the horizontal trunk (along-x span
+// plus the y branch total) and the vertical one (along-y span plus the x
+// branch total).
+func (it *compiledTrial) trunkLen(x, yBranch, ySpan float64) float64 {
+	lox, hix := it.minX, it.maxX
+	if x < lox {
+		lox = x
+	}
+	if x > hix {
+		hix = x
+	}
+	h := (hix - lox) + yBranch
+	if v := ySpan + it.branch(it.xv, it.xp, it.ax0, it.ax1, it.ax2, it.ix0, x); v < h {
+		return v
+	}
+	return h
 }
 
 // Score returns the weighted trial cost of placing the compiled cell at
-// (x, y). yClass identifies y's memo class (pass a negative class, or
-// compile with yClasses 0, to bypass the memo). Read-only apart from the
-// memo entries it fills.
-func (t *TrialSet) Score(x, y float64, yClass int) float64 {
-	cost, _ := t.ScoreBounded(x, y, yClass, math.Inf(1))
+// (x, y). Read-only.
+func (t *TrialSet) Score(x, y float64) float64 {
+	cost, _ := t.ScoreBounded(x, y, math.Inf(1))
 	return cost
 }
 
@@ -633,93 +619,15 @@ func (t *TrialSet) Score(x, y float64, yClass int) float64 {
 // vacancy), leaving the selected slot — and the search trajectory —
 // identical to an unbounded scan. When ok is true, cost is the complete
 // sum, bitwise equal to Score's.
-func (t *TrialSet) ScoreBounded(x, y float64, yClass int, bound float64) (cost float64, ok bool) {
-	memo := yClass >= 0 && t.yClasses > 0
+func (t *TrialSet) ScoreBounded(x, y, bound float64) (cost float64, ok bool) {
 	for i := range t.items {
 		it := &t.items[i]
 		switch it.kind {
 		case trialBBox:
-			// Direct arithmetic beats the memo for the bbox degeneration.
-			lox, hix, loy, hiy := it.minX, it.maxX, it.minY, it.maxY
-			if x < lox {
-				lox = x
-			}
-			if x > hix {
-				hix = x
-			}
-			if y < loy {
-				loy = y
-			}
-			if y > hiy {
-				hiy = y
-			}
-			cost += ((hix - lox) + (hiy - loy)) * it.w
+			cost += bboxPlus1(it.minX, it.maxX, it.minY, it.maxY, x, y) * it.w
 		case trialTrunk:
-			var yBranch, ySpan float64
-			if memo {
-				slot := t.fillClass(i, yClass, y)
-				yBranch, ySpan = t.memo[2*slot], t.memo[2*slot+1]
-			} else {
-				var medY float64
-				if it.oddM {
-					medY = clampMed(y, it.ay0, it.ay1)
-				} else {
-					medY = (clampMed(y, it.ay0, it.ay1) + clampMed(y, it.ay1, it.ay2)) / 2
-				}
-				yBranch = branchSum(it.yv, it.yp, medY)
-				if y > medY {
-					yBranch += y - medY
-				} else {
-					yBranch += medY - y
-				}
-				loy, hiy := it.minY, it.maxY
-				if y < loy {
-					loy = y
-				}
-				if y > hiy {
-					hiy = y
-				}
-				ySpan = hiy - loy
-			}
-
-			// Horizontal trunk: along-x span plus the y branch total.
-			lox, hix := it.minX, it.maxX
-			if x < lox {
-				lox = x
-			}
-			if x > hix {
-				hix = x
-			}
-			h := (hix - lox) + yBranch
-
-			// Vertical trunk: along-y span plus the x branch total.
-			var medX float64
-			if it.oddM {
-				medX = clampMed(x, it.ax0, it.ax1)
-			} else {
-				medX = (clampMed(x, it.ax0, it.ax1) + clampMed(x, it.ax1, it.ax2)) / 2
-			}
-			var si int
-			switch {
-			case medX <= it.ax0:
-				si = int(it.ix0)
-			case medX <= it.ax1:
-				si = int(it.ixMid)
-			default:
-				si = int(it.ixMid) + 1
-			}
-			xBranch := branchSumAt(it.xv, it.xp, medX, si)
-			if x > medX {
-				xBranch += x - medX
-			} else {
-				xBranch += medX - x
-			}
-			v := ySpan + xBranch
-
-			if v < h {
-				h = v
-			}
-			cost += h * it.w
+			yBranch, ySpan := it.yHalf(y)
+			cost += it.trunkLen(x, yBranch, ySpan) * it.w
 		case trialZero:
 			// Trial length 0: contributes +0.0, which cannot change the
 			// (non-negative) accumulator — skip the multiply-add. The
@@ -747,8 +655,8 @@ func clampMed(c, lo, hi float64) float64 {
 }
 
 // Vacancy is one candidate slot for ScanBestRows: physical center plus the
-// row, which doubles as the y memo class. Y is the row's centerline; the
-// scan reads the row's entry of PrepareScan's rowY instead.
+// row. Y is the row's centerline; the scan reads the row's entry of
+// PrepareScan's rowY instead.
 type Vacancy struct {
 	X, Y float64
 	Row  int32
@@ -789,16 +697,18 @@ type rowScan struct {
 // cell's median anchor, within the row's trunk window: the x-range where
 // every vertically cheaper trunk, which rowTail charges only its flat row
 // share, can still pay its true cost under the bound (see rowTail; a row
-// whose window is empty is skipped). Rows are entered best-first:
-// rowLB is convex around anchorRow, so the scan grows one contiguous row
-// range from there, each step entering whichever neighbouring row has the
-// smaller rowLB. That tightens the bound on the most promising rows
-// first, and once one row's rowLB plus the smallest x penalty reaches the
-// bound, every farther row on its side does too, so that side is cut. The
-// per-vacancy precheck — rowTail[row] plus the x-penalty envelope, weakly
-// monotone in the outward x distance — cuts the entire remaining bucket
-// tail the moment it fires beyond the cut interval, skipping dominated
-// regions wholesale instead of bailing per vacancy.
+// whose window is empty is skipped). Rows are entered best-first: the row
+// bound (rowBound) grows moving away from anchorRow on both sides, so the
+// scan grows one contiguous row range from there, each step entering
+// whichever neighbouring row has the smaller bound, computed when the
+// range first reaches it. That tightens the bound on the most promising
+// rows first, and once one row's bound plus the smallest x penalty
+// reaches the running bound, every farther row on its side does too, so
+// that side is cut. The per-vacancy precheck — rowTail[0] plus the
+// x-penalty envelope, weakly monotone in the outward x distance — cuts the
+// entire remaining bucket tail the moment it fires beyond the cut
+// interval, skipping dominated regions wholesale instead of bailing per
+// vacancy.
 //
 // The winner is the lowest-index vacancy among those with the strictly
 // smallest score — bitwise the first minimum of a flat in-order
@@ -806,8 +716,7 @@ type rowScan struct {
 // tie-admitting bound plus an explicit index tie-break. Vacancies are
 // scored at their bucket x and their row's centerline. Requires
 // CompileTrials, PrepareScan (with rowY matching the vacancies' row
-// centerlines), and a bucket Build over the same vacancy pool. The y memo
-// may start cold: each row fills its own entries on entry. Returns
+// centerlines), and a bucket Build over the same vacancy pool. Returns
 // (-1, bound0) if no vacancy is admissible under bound0.
 //
 // rowOK has one entry per bucket row. feasible must be the number of free
@@ -822,21 +731,23 @@ func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rowOK []bool,
 	visited0 := st.Vacancies
 	c := rowScan{bk: bk, st: st, best: -1, bound: bound0}
 	rows := len(rowOK)
-	up := min(max(t.anchorRow, 0), rows-1)
-	down := up - 1
+	up, down := t.anchorRow, t.anchorRow-1
+	lbUp, lbDown := t.rowBound(up), t.rowBound(down)
 	for up < rows || down >= 0 {
-		if down < 0 || (up < rows && t.rowLB[up] <= t.rowLB[down]) {
-			if t.scanRow(&c, rowOK, up) {
+		if down < 0 || (up < rows && lbUp <= lbDown) {
+			if t.scanRow(&c, rowOK, up, lbUp) {
 				up = rows
 			} else {
 				up++
 			}
+			lbUp = t.rowBound(up)
 		} else {
-			if t.scanRow(&c, rowOK, down) {
+			if t.scanRow(&c, rowOK, down, lbDown) {
 				down = -1
 			} else {
 				down--
 			}
+			lbDown = t.rowBound(down)
 		}
 	}
 	st.SkippedBucket += uint64(feasible) - (st.Vacancies - visited0)
@@ -846,22 +757,23 @@ func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rowOK []bool,
 	return c.best, c.bestScore
 }
 
-// scanRow scans one row of the best-first order. A row whose rowLB plus
-// the smallest x penalty minEnv, or rowLB plus the row's best-case x
-// penalty, already reaches the bound is skipped wholesale. scanRow
-// reports true when the first skip fires: each side of the order moves
-// away from anchorRow, the argmin of the convex rowLB, so every remaining
-// row on that side is dominated too, and the caller cuts the side. A row
-// it enters is walked only inside its trunk window, taken at the bound
-// on entry (the bound only falls during the walk, so the window stays
-// sound), and a row whose window is empty is skipped.
-func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
+// scanRow scans row r of the best-first order, whose bound is lb. A row
+// whose lb plus the smallest x penalty minEnv, or lb plus the row's
+// best-case x penalty, already reaches the running bound is skipped
+// wholesale. scanRow reports true when the first skip fires: each side of
+// the order moves away from anchorRow, and the row bound does not fall
+// that way, so every remaining row on that side is dominated too, and the
+// caller cuts the side. A row it enters is walked only inside its trunk
+// window, taken at the bound on entry (the bound only falls during the
+// walk, so the window stays sound), and a row whose window is empty is
+// skipped.
+func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int, lb float64) bool {
 	bk := c.bk
 	if bk.rowN[r] == 0 || !rowOK[r] {
 		return false
 	}
 	c.st.RowsVisited++
-	if (t.rowLB[r]+t.minEnv)*scanSlack >= c.bound {
+	if (lb+t.minEnv)*scanSlack >= c.bound {
 		return true
 	}
 	lo, hi := bk.liveSpan(r)
@@ -873,15 +785,15 @@ func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
 	if t.hasPrune && (bk.xs[lo] > t.xCutLo || bk.xs[hi-1] < t.xCutLo) {
 		xc := min(max(t.xCutLo, bk.xs[lo]), bk.xs[hi-1])
 		xlb = t.envAt(t.envSeg(xc), xc)
-		if (t.rowLB[r]+xlb)*scanSlack >= c.bound {
+		if (lb+xlb)*scanSlack >= c.bound {
 			return false
 		}
 	}
 	t.fillRowTail(r)
-	// Re-check with the sharp memoized column before paying for the
-	// seek and walk: rowTail[base] upgrades the sweep's span-based
-	// bound with the true per-row trunk y halves.
-	tail := t.rowTail[r*(len(t.items)+1)]
+	// Re-check with the row's sharp suffix bound before paying for the
+	// seek and walk: rowTail[0] upgrades the span-based lb with the true
+	// per-row trunk y halves.
+	tail := t.rowTail[0]
 	if (tail+xlb)*scanSlack >= c.bound {
 		return false
 	}
@@ -904,10 +816,10 @@ func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int) bool {
 }
 
 // trunkWindow intersects the x-windows of the vertically cheaper trunk
-// items of the row fillRowTail filled last whose gap w·(Hc − Vc) reaches
-// the budget b: item j confines the row to [wlo_j − b/w_j, whi_j + b/w_j),
-// each side only where that edge stays within the item's stored x span
-// (see rowTail).
+// items of the row entered last whose gap w·(Hc − Vc) reaches the budget
+// b: item j confines the row to [wlo_j − b/w_j, whi_j + b/w_j), each side
+// only where that edge stays within the item's stored x span (see
+// rowTail).
 func (t *TrialSet) trunkWindow(b float64) (wlo, whi float64) {
 	wlo, whi = math.Inf(-1), math.Inf(1)
 	for _, v := range t.vert {
@@ -926,19 +838,18 @@ func (t *TrialSet) trunkWindow(b float64) (wlo, whi float64) {
 	return wlo, whi
 }
 
-// walkDir walks one row's free vacancies from position p toward end
-// (exclusive) in steps of dir, scoring each under the cursor's running
-// bound. It stops at the row's trunk window edge: past edge (x >= edge
-// walking right, x < edge walking left) no vacancy can score under the
-// bound. When the precheck fires at an x beyond the cut interval, every
-// remaining position in the walk direction has a precheck value at least
-// as large (the envelope is nondecreasing outward), so the walk stops —
-// the dominated tail is never visited.
+// walkDir walks the free vacancies of the row fillRowTail entered from
+// position p toward end (exclusive) in steps of dir, scoring each under
+// the cursor's running bound. It stops at the row's trunk window edge:
+// past edge (x >= edge walking right, x < edge walking left) no vacancy
+// can score under the bound. When the precheck fires at an x beyond the
+// cut interval, every remaining position in the walk direction has a
+// precheck value at least as large (the envelope is nondecreasing
+// outward), so the walk stops — the dominated tail is never visited.
 func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int, edge float64) {
 	bk, st := c.bk, c.st
-	items, stride := t.items, len(t.items)+1
-	rowBase := row * stride
-	rowLB := t.rowTail[rowBase]
+	items := t.items
+	tail0 := t.rowTail[0]
 	y := t.rowY[row]
 	// The walk is monotone in x and starts on its own side of anchorX (p
 	// is SeekGE's split there), so the envelope segment cursor, seeded at
@@ -968,7 +879,7 @@ walk:
 			// xRem estimates the x penalty still owed by the whole trial
 			// (a reassociated sweep sum — compare only slack-deflated).
 			xRem = t.envAt(seg, x)
-			if (rowLB+xRem)*scanSlack >= c.bound {
+			if (tail0+xRem)*scanSlack >= c.bound {
 				st.PrunedBBox++
 				if (dir > 0 && x >= t.xCutHi) || (dir < 0 && x <= t.xCutLo) {
 					// Beyond the cut interval the envelope is
@@ -984,60 +895,9 @@ walk:
 			it := &items[i]
 			switch it.kind {
 			case trialBBox:
-				lox, hix, loy, hiy := it.minX, it.maxX, it.minY, it.maxY
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				if y < loy {
-					loy = y
-				}
-				if y > hiy {
-					hiy = y
-				}
-				cost += ((hix - lox) + (hiy - loy)) * it.w
+				cost += bboxPlus1(it.minX, it.maxX, it.minY, it.maxY, x, y) * it.w
 			case trialTrunk:
-				slot := i*t.yClasses + row
-				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
-
-				lox, hix := it.minX, it.maxX
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				h := (hix - lox) + yBranch
-
-				var medX float64
-				if it.oddM {
-					medX = clampMed(x, it.ax0, it.ax1)
-				} else {
-					medX = (clampMed(x, it.ax0, it.ax1) + clampMed(x, it.ax1, it.ax2)) / 2
-				}
-				var si int
-				switch {
-				case medX <= it.ax0:
-					si = int(it.ix0)
-				case medX <= it.ax1:
-					si = int(it.ixMid)
-				default:
-					si = int(it.ixMid) + 1
-				}
-				xBranch := branchSumAt(it.xv, it.xp, medX, si)
-				if x > medX {
-					xBranch += x - medX
-				} else {
-					xBranch += medX - x
-				}
-				v2 := ySpan + xBranch
-
-				if v2 < h {
-					h = v2
-				}
-				cost += h * it.w
+				cost += it.trunkLen(x, it.yBranch, it.ySpan) * it.w
 			case trialZero:
 				// Falls through to the bound check, like the flat scan: a
 				// trailing zero record at the bound is handled by the
@@ -1065,7 +925,7 @@ walk:
 				st.BailedExact++
 				continue walk
 			}
-			if (cost+(t.rowTail[rowBase+i+1]+xRem))*scanSlack >= c.bound {
+			if (cost+(t.rowTail[i+1]+xRem))*scanSlack >= c.bound {
 				st.PrunedSuffix++
 				continue walk
 			}

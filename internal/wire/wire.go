@@ -129,8 +129,8 @@ func (e *Evaluator) NetLengthExcluding(id netlist.NetID, exclude netlist.CellID,
 // NetLengthWithCellAt estimates the net length with one cell's pins moved
 // to (x, y) — the trial-position evaluation used by the allocation
 // operator. It computes the canonical trial formulas of trial.go over the
-// remaining pins, producing bitwise the same value as an Incremental View
-// trial with the cell removed.
+// remaining pins, producing bitwise the same value as
+// Incremental.TrialNetAt with the cell removed.
 func (e *Evaluator) NetLengthWithCellAt(id netlist.NetID, cell netlist.CellID, x, y float64, coords Coords) float64 {
 	e.collect(e.ckt.Net(id), cell, coords)
 	e.cand1(x, y)
