@@ -7,10 +7,10 @@
 // passing is charged per a fast-Ethernet LogP model, so the reported times
 // are what a wall clock would show on the paper's 8-node Pentium-4 fabric.
 //
-// Part 2 shows the delta codec: Type II broadcasts ship moved-cell deltas
-// that patch the slaves' warm incremental net state, so the master sends
-// measurably fewer bytes than full-placement frames every iteration would
-// cost.
+// Part 2 shows the slot patches: a Type II round ships only the cells
+// that moved, as a bitmap over the slots plus the new occupant of each
+// marked slot, from the master to the slaves and back, so the ranks send
+// a fraction of what full placements every iteration would cost.
 //
 // Part 3 runs the same strategy over the real TCP transport — a
 // coordinator hub plus two workers on localhost (in-process goroutines
@@ -91,26 +91,31 @@ func main() {
 		}
 	}
 
-	deltaCodecDemo()
+	patchDemo()
 	tcpTransportDemo()
 }
 
-// deltaCodecDemo compares the master's Type II broadcast traffic on the
-// simulated cluster with what full-placement frames would have cost.
-func deltaCodecDemo() {
-	fmt.Println("\nType II broadcast bytes (s1494, p=3, 120 iterations):")
+// patchDemo compares the Type II traffic on the simulated cluster with
+// what full placements would have cost: the master's broadcast to every
+// slave, and each slave's reply.
+func patchDemo() {
+	fmt.Println("\nType II round bytes (s1494, p=3, 120 iterations):")
 	const procs = 3
 	prob := exampleProblem()
 	res, err := parallel.RunTypeII(prob, parallel.Options{Procs: procs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// A full frame carries the whole placement encoding to every slave.
-	fullB := prob.Cfg.MaxIters * (procs - 1) * len(res.Best.Encode())
-	deltaB := res.RankStats[0].BytesSent
-	fmt.Printf("  full placements: %7d bytes from the master (every iteration a full frame)\n", fullB)
-	fmt.Printf("  moved-cell deltas: %5d bytes (%.0f%% of full), μ %.4f\n",
-		deltaB, 100*float64(deltaB)/float64(fullB), res.BestMu)
+	full := prob.Cfg.MaxIters * len(res.Best.Encode())
+	for r, st := range res.RankStats {
+		fullB := full
+		if r == 0 {
+			fullB *= procs - 1 // one broadcast frame per slave
+		}
+		fmt.Printf("  rank %d: %7d bytes sent, %3.0f%% of full placements (%d bytes)\n",
+			r, st.BytesSent, 100*float64(st.BytesSent)/float64(fullB), fullB)
+	}
+	fmt.Printf("  μ %.4f\n", res.BestMu)
 }
 
 // tcpTransportDemo forms a real TCP cluster on localhost — a coordinator

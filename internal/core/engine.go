@@ -237,8 +237,11 @@ func (e *Engine) AdoptPlacement(p *layout.Placement) {
 	e.incStale = true
 }
 
-// SetPlacement replaces the current placement, taking ownership (no clone).
-// Used by the parallel slaves after decoding a broadcast placement.
+// SetPlacement replaces the current placement, taking ownership (no clone),
+// and rebuilds the incremental mirror at the next evaluation. The Type I
+// and II slaves pass their own placement back after applying a broadcast's
+// moves: after a round nearly every net is dirty, and the rebuild costs
+// them less than patching the mirror warm.
 func (e *Engine) SetPlacement(p *layout.Placement) {
 	e.place = p
 	if e.place.Dirty() {
@@ -247,13 +250,14 @@ func (e *Engine) SetPlacement(p *layout.Placement) {
 	e.incStale = true
 }
 
-// PatchPlacement applies broadcast slot deltas to the current placement and
+// PatchPlacement applies slot deltas to the current placement and
 // refreshes coordinates. Unlike SetPlacement it keeps the engine's
 // incremental net-cost state warm: the coordinate journal records exactly
 // the cells the patch (and row repacking) moved, so the next evaluation
-// re-estimates only the dirty nets instead of rebuilding from scratch —
-// the point of the Type II delta broadcasts. On error the incremental
-// state is marked stale; the placement itself may be left inconsistent.
+// re-estimates only the dirty nets instead of rebuilding from scratch. Its
+// caller is AdoptPlacement (Type III adoption of a store solution). On
+// error the incremental state is marked stale; the placement itself may be
+// left inconsistent.
 func (e *Engine) PatchPlacement(deltas []layout.SlotDelta) error {
 	if err := e.place.ApplySlotDeltas(deltas); err != nil {
 		e.incStale = true
@@ -728,7 +732,7 @@ func (e *Engine) prepTrial(id netlist.CellID, useInc bool) {
 		// the row the bucketed scan starts from — O(nets·log nets + log
 		// rows); the scan computes each row's bound and y halves as it
 		// enters the row. Not negligible: trial preparation as a whole
-		// measured 35–40% of allocation time (the scan 46–54%) in serial
+		// measured 29–35% of allocation time (the scan 52–61%) in serial
 		// s1196 and s3330 runs, wp and wpd, 150 iterations.
 		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW)
 		e.trials.PrepareScan(e.rowY)

@@ -7,18 +7,16 @@ import (
 	"simevo/internal/netlist"
 )
 
-// Wire formats used by the parallel strategies to ship placements between
-// ranks. All values are little-endian int32. A full placement is:
+// The full-placement wire format, which Type III solutions, the cluster
+// worker API and the metaheuristics ship between ranks. All values are
+// little-endian int32:
 //
 //	numRows, then per row: count, cellID...
 //
-// A row subset is:
-//
-//	numEntries, then per entry: rowIndex, count, cellID...
-//
 // Sizes are what the network model charges for, so the encoding is kept
 // close to what the paper's C/MPI implementation would have sent (4 bytes
-// per cell reference).
+// per cell reference). The Type I and II rounds send slot moves instead
+// (internal/parallel's slotPatch).
 
 // Encode serializes the full slot assignment.
 func (p *Placement) Encode() []byte {
@@ -86,71 +84,6 @@ func DecodePlacementPrefix(ckt *netlist.Circuit, data []byte) (*Placement, []byt
 	p.dirty = true
 	p.Recompute()
 	return p, d.data[d.off:], nil
-}
-
-// EncodeRows serializes the contents of a subset of rows.
-func (p *Placement) EncodeRows(rows []int) []byte {
-	n := 1
-	for _, r := range rows {
-		n += 2 + len(p.rows[r])
-	}
-	buf := make([]byte, 0, 4*n)
-	buf = appendI32(buf, int32(len(rows)))
-	for _, r := range rows {
-		buf = appendI32(buf, int32(r))
-		buf = appendI32(buf, int32(len(p.rows[r])))
-		for _, id := range p.rows[r] {
-			buf = appendI32(buf, int32(id))
-		}
-	}
-	return buf
-}
-
-// ApplyRows overwrites the given rows from EncodeRows output produced by a
-// copy of the same placement (Type II merge step). Slot back-references for
-// the affected cells are updated; the caller must Recompute before reading
-// coordinates.
-func (p *Placement) ApplyRows(data []byte) error {
-	d := decoder{data: data}
-	entries, err := d.i32()
-	if err != nil {
-		return err
-	}
-	for e := 0; e < int(entries); e++ {
-		r, err := d.i32()
-		if err != nil {
-			return err
-		}
-		if r < 0 || int(r) >= p.numRows {
-			return fmt.Errorf("layout: ApplyRows row %d out of range", r)
-		}
-		count, err := d.i32()
-		if err != nil {
-			return err
-		}
-		// The count is bounded by the bytes left (4 per cell id) before
-		// the row is allocated, as in DecodePlacementPrefix.
-		if count < 0 || int(count) > len(p.ckt.Cells) || int(count) > d.left()/4 {
-			return fmt.Errorf("layout: ApplyRows count %d out of range", count)
-		}
-		row := make([]netlist.CellID, count)
-		for i := range row {
-			v, err := d.i32()
-			if err != nil {
-				return err
-			}
-			if v < 0 || int(v) >= len(p.ckt.Cells) {
-				return fmt.Errorf("layout: ApplyRows cell id %d out of range", v)
-			}
-			row[i] = netlist.CellID(v)
-		}
-		p.rows[r] = row
-		for i, id := range row {
-			p.slotOf[id] = SlotRef{Row: r, Idx: int32(i)}
-		}
-	}
-	p.dirty = true
-	return nil
 }
 
 func appendI32(buf []byte, v int32) []byte {

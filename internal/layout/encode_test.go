@@ -102,29 +102,3 @@ func FuzzDecodePlacement(f *testing.F) {
 		}
 	})
 }
-
-// FuzzApplyRows feeds arbitrary bytes to the Type II row-merge decoder, the
-// format every slave sends its master. ApplyRows must reject what it cannot
-// apply without panicking, and whatever it applies must leave a placement
-// the master can Recompute.
-func FuzzApplyRows(f *testing.F) {
-	ckt, err := gen.Generate(gen.Params{Name: "fz", Gates: 10, DFFs: 1, PIs: 2, POs: 2, Depth: 3, Seed: 5})
-	if err != nil {
-		f.Fatal(err)
-	}
-	base := NewRandom(ckt, 4, rng.New(7))
-	for _, rows := range [][]int{{0}, {1, 3}, {0, 1, 2, 3}} {
-		data := base.EncodeRows(rows)
-		f.Add(data)
-		f.Add(data[:len(data)-2])
-	}
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // one row, huge count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p := base.Clone()
-		if err := p.ApplyRows(data); err != nil {
-			return
-		}
-		p.Recompute()
-	})
-}

@@ -344,7 +344,7 @@ func (p *Placement) FillHole(ref SlotRef, id netlist.CellID) {
 // a permutation: the vacated slots of the listed cells are exactly the
 // target slots, which is what the SimE allocation operator produces (a
 // bijection between selected cells and vacated slots) and what one Type II
-// master merge amounts to. Entries whose cell already sits in the target
+// round's moves amount to. Entries whose cell already sits in the target
 // slot are allowed and are no-ops.
 type SlotDelta struct {
 	Cell netlist.CellID
@@ -353,7 +353,7 @@ type SlotDelta struct {
 }
 
 // SnapshotSlots copies every cell's current slot into dst (allocated if too
-// small) — the reference state DiffSlots compares against.
+// small) — the target state DiffSlotsTo compares against.
 func (p *Placement) SnapshotSlots(dst []SlotRef) []SlotRef {
 	if cap(dst) < len(p.slotOf) {
 		dst = make([]SlotRef, len(p.slotOf))
@@ -363,25 +363,12 @@ func (p *Placement) SnapshotSlots(dst []SlotRef) []SlotRef {
 	return dst
 }
 
-// DiffSlots appends a delta for every cell whose slot differs from the
-// snapshot and returns the extended slice. Applying the result to a
-// placement in the snapshot state reproduces this placement's slot
-// assignment exactly.
-func (p *Placement) DiffSlots(prev []SlotRef, dst []SlotDelta) []SlotDelta {
-	for id, ref := range p.slotOf {
-		if ref != prev[id] {
-			dst = append(dst, SlotDelta{Cell: netlist.CellID(id), Row: ref.Row, Idx: ref.Idx})
-		}
-	}
-	return dst
-}
-
 // DiffSlotsTo appends a delta for every cell whose slot differs from the
-// target assignment and returns the extended slice — the inverse direction
-// of DiffSlots: applying the result to THIS placement moves it into the
-// target state. Both assignments must be full (hole-free) slot assignments
-// over identical row shapes; then the differing cells form a permutation
-// of their slots and the batch satisfies the ApplySlotDeltas contract.
+// target assignment and returns the extended slice: applying the result to
+// this placement moves it into the target state. Both assignments must be
+// full (hole-free) slot assignments over identical row shapes; then the
+// differing cells form a permutation of their slots and the batch
+// satisfies the ApplySlotDeltas contract.
 func (p *Placement) DiffSlotsTo(target []SlotRef, dst []SlotDelta) []SlotDelta {
 	for id, ref := range p.slotOf {
 		if t := target[id]; ref != t && t != NoSlot {

@@ -266,45 +266,6 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestEncodeApplyRows(t *testing.T) {
-	ckt := testCircuit(t)
-	p := NewRandom(ckt, 10, rng.New(16))
-	q := p.Clone()
-
-	// Permute two rows in q, ship just those rows back to p.
-	rows := []int{2, 5}
-	// Reverse the order of cells within each row on q.
-	for _, r := range rows {
-		row := q.rows[r]
-		for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
-			row[i], row[j] = row[j], row[i]
-		}
-		for i, id := range row {
-			q.slotOf[id] = SlotRef{Row: int32(r), Idx: int32(i)}
-		}
-	}
-	data := q.EncodeRows(rows)
-	if err := p.ApplyRows(data); err != nil {
-		t.Fatalf("ApplyRows: %v", err)
-	}
-	p.Recompute()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("after ApplyRows: %v", err)
-	}
-	if p.Fingerprint() != q.Fingerprint() {
-		t.Fatal("ApplyRows did not reproduce source placement")
-	}
-}
-
-func TestApplyRowsRejectsCorrupt(t *testing.T) {
-	ckt := testCircuit(t)
-	p := NewRandom(ckt, 10, rng.New(17))
-	data := p.EncodeRows([]int{0})
-	if err := p.ApplyRows(data[:3]); err == nil {
-		t.Fatal("truncated row encoding accepted")
-	}
-}
-
 func TestEncodeDecodeProperty(t *testing.T) {
 	ckt := testCircuit(t)
 	prop := func(seed uint64) bool {
@@ -380,7 +341,7 @@ func TestCoordJournal(t *testing.T) {
 
 // TestSlotDeltasPatchToTarget is the delta-codec core property at the
 // layout level: for two random placements differing by a slot permutation,
-// applying DiffSlots output to the first reproduces the second exactly —
+// applying the first's DiffSlotsTo output reproduces the second exactly —
 // same fingerprint and bitwise-identical physical coordinates.
 func TestSlotDeltasPatchToTarget(t *testing.T) {
 	ckt := testCircuit(t)
@@ -411,8 +372,7 @@ func TestSlotDeltasPatchToTarget(t *testing.T) {
 		}
 		target.Recompute()
 
-		snap := base.SnapshotSlots(nil)
-		deltas := target.DiffSlots(snap, nil)
+		deltas := base.DiffSlotsTo(target.SnapshotSlots(nil), nil)
 		if err := base.ApplySlotDeltas(deltas); err != nil {
 			t.Logf("apply: %v", err)
 			return false

@@ -39,8 +39,20 @@ type equivRow struct {
 	// threshold (0: the default).
 	sync  bool
 	retry int
-	// check runs row-specific assertions on the finished run.
+	// check runs row-specific assertions on the finished run; every
+	// Type II row also runs checkPatchBytes.
 	check func(t *testing.T, row equivRow, got *Result)
+}
+
+// checks runs the row's assertions on the finished run.
+func (r equivRow) checks(t *testing.T, got *Result) {
+	t.Helper()
+	if r.strategy == "typeII" {
+		checkPatchBytes(t, r, got)
+	}
+	if r.check != nil {
+		r.check(t, r, got)
+	}
 }
 
 func (r equivRow) name() string {
@@ -84,12 +96,9 @@ var equivRows = func() []equivRow {
 		rows = append(rows, equivRow{circuit: "par-t", obj: "wp", seed: 5, iters: 8, strategy: "typeI", transport: "sim", procs: p})
 	}
 	rows = append(rows,
-		// Delta broadcasts (slaves patch their warm incremental state)
-		// ship fewer bytes than full frames, and follow the reference
-		// engine, which re-evaluates every placement from scratch.
-		equivRow{circuit: "par-t", obj: "wp", seed: 2006, iters: 30, strategy: "typeII", transport: "sim", procs: 3, check: checkDeltaSaves},
-		// The random pattern's reshuffling makes deltas span every
-		// rank's rows.
+		equivRow{circuit: "par-t", obj: "wp", seed: 2006, iters: 30, strategy: "typeII", transport: "sim", procs: 3},
+		// The random pattern's reshuffling makes a broadcast's moves span
+		// every rank's rows.
 		equivRow{circuit: "par-t", obj: "wp", seed: 7, iters: 20, strategy: "typeII", transport: "sim", procs: 4, pattern: 7},
 		equivRow{circuit: "par-t", obj: "wp", seed: 11, iters: 25, strategy: "typeII", transport: "sim", procs: 3},
 		// Type III against its reference engine: adoptions patch a warm
@@ -101,13 +110,9 @@ var equivRows = func() []equivRow {
 	)
 	// Every strategy under the multi-objective sets.
 	for _, obj := range []string{"wpd", "wpc", "wpdc"} {
-		typeII := equivRow{circuit: "par-t", obj: obj, seed: 2006, iters: 15, strategy: "typeII", transport: "sim", procs: 3}
-		if obj == "wpd" {
-			typeII.check = checkDeltaNeverAbove
-		}
 		rows = append(rows,
 			equivRow{circuit: "par-t", obj: obj, seed: 2006, iters: 10, strategy: "typeI", transport: "sim", procs: 3},
-			typeII,
+			equivRow{circuit: "par-t", obj: obj, seed: 2006, iters: 15, strategy: "typeII", transport: "sim", procs: 3},
 			equivRow{circuit: "par-t", obj: obj, seed: 2006, iters: 15, strategy: "typeIII", transport: "sim", procs: 4, retry: 2, sync: true, check: checkAdopts},
 		)
 	}
@@ -183,9 +188,7 @@ func TestEquivalenceMatrix(t *testing.T) {
 				sameResult(t, ref, got)
 				sameSchedule(t, ref, got)
 			}
-			if row.check != nil {
-				row.check(t, row, got)
-			}
+			row.checks(t, got)
 		})
 	}
 }
@@ -215,9 +218,7 @@ func TestTCPMatchesSim(t *testing.T) {
 			if len(got.FailedRanks) != 0 {
 				t.Fatalf("fault-free run reported failed ranks %v", got.FailedRanks)
 			}
-			if row.check != nil {
-				row.check(t, row, got)
-			}
+			row.checks(t, got)
 		})
 	}
 }
@@ -273,34 +274,25 @@ func sameSchedule(t *testing.T, ref, got *Result) {
 	}
 }
 
-// fullFrameBytes is what one full-placement broadcast costs the master of
-// a procs-rank run: the assignment header, the kind byte and the placement
-// encoding, sent to every slave.
+// fullFrameBytes is what one broadcast of the full placement would cost
+// the master of a procs-rank Type II run: the assignment header and the
+// placement encoding, sent to every slave.
 func fullFrameBytes(res *Result, procs int) int {
 	rows := res.Best.NumRows()
 	assign := FixedPattern{}.Assign(0, rows, procs)
-	return (procs - 1) * (len(encodeAssignment(assign)) + 1 + len(res.Best.Encode()))
+	return (procs - 1) * (len(encodeAssignment(assign)) + len(res.Best.Encode()))
 }
 
-// checkDeltaSaves requires the Type II master to ship measurably fewer
-// bytes than a full frame every iteration would cost.
-func checkDeltaSaves(t *testing.T, row equivRow, got *Result) {
+// checkPatchBytes requires a Type II master to send less than half of
+// what a full placement every iteration would cost: its broadcasts carry
+// only the moves since the previous one.
+func checkPatchBytes(t *testing.T, row equivRow, got *Result) {
 	full := row.iters * fullFrameBytes(got, row.procs)
 	sent := got.RankStats[0].BytesSent
-	if sent >= full {
-		t.Fatalf("delta broadcasts sent %d bytes, %d iterations of full frames %d — no saving", sent, row.iters, full)
+	if 2*sent >= full {
+		t.Fatalf("master sent %d bytes, %d iterations of full frames %d: not under half", sent, row.iters, full)
 	}
-	t.Logf("master bytes sent: full frames %d, delta %d (%.1f%%)", full, sent, 100*float64(sent)/float64(full))
-}
-
-// checkDeltaNeverAbove requires the Type II master never to send more
-// than a full frame per iteration. On this small circuit most iterations
-// move over a third of the cells, so the codec may fall back to full
-// frames and equal bytes are fine.
-func checkDeltaNeverAbove(t *testing.T, row equivRow, got *Result) {
-	if sent, full := got.RankStats[0].BytesSent, row.iters*fullFrameBytes(got, row.procs); sent > full {
-		t.Fatalf("delta broadcasts sent %d bytes, %d iterations of full frames %d — regression", sent, row.iters, full)
-	}
+	t.Logf("master bytes sent: full frames %d, patches %d (%.1f%%)", full, sent, 100*float64(sent)/float64(full))
 }
 
 // checkAdopts requires a Type III run to have adopted a store solution,

@@ -108,7 +108,7 @@ func TestSimCorruptFrameFailsRun(t *testing.T) {
 		}},
 		{"typeII-corrupt-rows", TypeIIRank, func(c Comm) {
 			c.Bcast(0, nil)
-			c.Send(0, tagT2Rows, []byte{1, 2, 3})
+			c.Send(0, tagT2Moves, []byte{1, 2, 3})
 		}},
 	}
 	for _, tc := range cases {
@@ -159,7 +159,7 @@ func TestTypeISeverTrajectoryPreserved(t *testing.T) {
 }
 
 // TestTypeIIHangDegraded wedges a slave's writes mid-run — the socket
-// stays open, pongs jam behind the hung row frame — and relies on the
+// stays open, pongs jam behind the hung move frame — and relies on the
 // hub's heartbeat timeout to expel it. The master must finish on the
 // survivor with the hung rank recorded and a valid best placement.
 func TestTypeIIHangDegraded(t *testing.T) {
@@ -184,6 +184,30 @@ func TestTypeIIHangDegraded(t *testing.T) {
 		t.Fatalf("degraded run produced no usable best (μ=%v)", res.BestMu)
 	}
 	if _, err := layout.DecodePlacement(prob.Ckt, res.Best.Encode()); err != nil {
+		t.Fatalf("degraded best placement invalid: %v", err)
+	}
+}
+
+// TestTypeIICorruptDegraded flips every payload byte of one slave's move
+// patch. The master must reject the patch before it moves a cell, drop
+// the rank, and finish on the survivor with a valid best placement.
+func TestTypeIICorruptDegraded(t *testing.T) {
+	prob := testProblem(t, fuzzy.WirePower, 25, 14)
+	var ch *transport.Chaos
+	wcfg := map[int]transport.Config{
+		1: {WrapConn: transport.Wrap(&ch, 5, transport.ChaosFault{AtFrame: 3, Action: transport.ChaosCorrupt})},
+	}
+	res, err := runTCP(t, prob, Options{Procs: 3}, transport.Config{}, wcfg, TypeIIRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FailedRanks) != 1 || res.FailedRanks[0] != 1 {
+		t.Fatalf("FailedRanks = %v, want [1]", res.FailedRanks)
+	}
+	if res.Best == nil || res.BestMu <= 0 {
+		t.Fatalf("degraded run produced no usable best (μ=%v)", res.BestMu)
+	}
+	if err := res.Best.Validate(); err != nil {
 		t.Fatalf("degraded best placement invalid: %v", err)
 	}
 }

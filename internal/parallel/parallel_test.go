@@ -378,15 +378,15 @@ func FuzzDecodeAssignment(f *testing.F) {
 	})
 }
 
-// TestTypeIISlaveRejectsBadAssignment broadcasts a well-formed placement
-// with an assignment naming a row the placement does not have. The slave
-// must fail with an error instead of panicking in DomainFromRows.
+// TestTypeIISlaveRejectsBadAssignment broadcasts a well-formed patch (no
+// moves from the canonical start) with an assignment naming a row the
+// placement does not have. The slave must fail with an error instead of
+// panicking in DomainFromRows.
 func TestTypeIISlaveRejectsBadAssignment(t *testing.T) {
 	prob := testProblem(t, fuzzy.WirePower, 5, 3)
 	place := prob.NewEngine(0).Placement()
 	bad := [][]int{{0}, {place.NumRows() + 7}}
-	msg := append(encodeAssignment(bad), bcastFull)
-	msg = append(msg, place.Encode()...)
+	msg := newSlotPatch(place).appendMoves(encodeAssignment(bad), place)
 	cl := mpi.NewCluster(2, mpi.Options{})
 	err := cl.Run(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {

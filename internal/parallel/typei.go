@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"simevo/internal/core"
-	"simevo/internal/layout"
 	"simevo/internal/netlist"
 	"simevo/internal/telemetry"
 	"simevo/internal/transport"
@@ -77,11 +76,15 @@ func typeIMaster(prob *core.Problem, c FaultComm, opt Options) *Result {
 	movable := prob.Ckt.Movable()
 	chunk := cellChunk(movable, 0, c.Size())
 	var goodsBuf, lostBuf []float64
+	bcast := newSlotPatch(eng.Placement())
 
 	for iter := 0; iter < prob.Cfg.MaxIters && !opt.cancelled(); iter++ {
 		roundStart := time.Now()
-		// Broadcast the current placement to the live slaves.
-		c.BcastRoot(eng.Placement().Encode())
+		// Broadcast the moves since the previous broadcast to the live
+		// slaves, which hold that state. The patch is never empty (its
+		// bitmap has a bit per slot), so it cannot be taken for the stop
+		// signal.
+		c.BcastRoot(bcast.appendMoves(nil, eng.Placement()))
 
 		// Local evaluation: full costs (duplicated on every rank) plus the
 		// master's goodness chunk.
@@ -112,7 +115,7 @@ func typeIMaster(prob *core.Problem, c FaultComm, opt Options) *Result {
 		opt.report(eng.SelectAndAllocate())
 		telemetry.ExchangeRoundType1Ns.Observe(int64(time.Since(roundStart)))
 	}
-	// Terminal broadcast: zero-length placement signals the slaves to stop.
+	// Terminal broadcast: a zero-length message signals the slaves to stop.
 	c.BcastRoot(nil)
 	eng.EvaluateCosts()
 
@@ -129,7 +132,9 @@ func typeIMaster(prob *core.Problem, c FaultComm, opt Options) *Result {
 }
 
 func typeISlave(prob *core.Problem, c Comm) error {
-	eng := prob.EngineFrom(layout.New(prob.Ckt, prob.Cfg.NumRows), nil)
+	// Every slave starts from the canonical start, as the master does.
+	eng := prob.NewEngine(0)
+	patch := newSlotPatch(eng.Placement())
 	movable := prob.Ckt.Movable()
 	chunk := cellChunk(movable, c.Rank(), c.Size())
 	var goodsBuf []float64
@@ -139,11 +144,11 @@ func typeISlave(prob *core.Problem, c Comm) error {
 		if len(data) == 0 {
 			return nil // stop signal
 		}
-		place, err := layout.DecodePlacement(prob.Ckt, data)
-		if err != nil {
-			return fmt.Errorf("parallel: rank %d decoding placement: %w", c.Rank(), err)
+		place := eng.Placement()
+		if err := patch.apply(data, place, nil); err != nil {
+			return fmt.Errorf("parallel: rank %d patching placement: %w", c.Rank(), err)
 		}
-		eng.SetPlacement(place)
+		eng.SetPlacement(place) // rebuild the mirror, as for Type II
 		// Full cost evaluation (duplicate work) is required before any
 		// goodness can be computed: wirelength goodness of a cell needs
 		// the lengths of all its fan-in nets.

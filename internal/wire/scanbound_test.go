@@ -315,6 +315,32 @@ func TestRowBoundRoundingOnTallDie(t *testing.T) {
 	}
 }
 
+// vacancyRows returns the rows a fuzzed vacancy pool draws from, by
+// shape%3: every row, a block of up to three contiguous rows from row
+// shape/3 mod rows, or every third row from row shape/3 mod 3. The last
+// two are a Type II rank's own rows at p = 3 under the fixed pattern, in
+// its even (contiguous) and odd (strided) iterations: every other row of
+// the die is empty.
+func vacancyRows(shape byte, rows int) []int {
+	k := int(shape / 3)
+	var pool []int
+	for r := 0; r < rows; r++ {
+		switch shape % 3 {
+		case 0:
+			pool = append(pool, r)
+		case 1:
+			if lo := k % rows; r >= lo && r < lo+1+k/rows%3 {
+				pool = append(pool, r)
+			}
+		case 2:
+			if r%3 == k%3 {
+				pool = append(pool, r)
+			}
+		}
+	}
+	return pool
+}
+
 // FuzzScanBestRows runs an allocation-like sequence over a fuzzed trunk
 // fixture — grid, pins, weights, vacancy pool, feasible rows and seed
 // bounds all come from the input: each selected cell is scanned, its winner
@@ -322,42 +348,53 @@ func TestRowBoundRoundingOnTallDie(t *testing.T) {
 // pool. Vacancies share the pins' grid, so many tie exactly. Every winner
 // must be bitwise the flat reference scan's and the first minimum of a
 // plain Score loop, and the scan must count every free vacancy of a
-// feasible row exactly once. An odd first byte selects the wide grid.
+// feasible row exactly once. An odd first byte selects the wide grid, and
+// shape the rows that hold vacancies (vacancyRows).
 func FuzzScanBestRows(f *testing.F) {
-	f.Add([]byte{0})
-	f.Add([]byte{1})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte("trunk-heavy vacancy scan with duplicate pins"))
-	f.Add([]byte("wide trunk-heavy scan with clustered pins"))
-	f.Add([]byte{255, 13, 0, 0, 77, 3, 3, 3, 200, 41, 9, 128})
-	f.Add([]byte{3, 255, 2, 3, 16, 16, 16, 47, 46, 45, 7, 7, 7, 7, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{0}, byte(0))
+	f.Add([]byte{1}, byte(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(0))
+	f.Add([]byte("trunk-heavy vacancy scan with duplicate pins"), byte(0))
+	f.Add([]byte("wide trunk-heavy scan with clustered pins"), byte(0))
+	f.Add([]byte{255, 13, 0, 0, 77, 3, 3, 3, 200, 41, 9, 128}, byte(0))
+	f.Add([]byte{3, 255, 2, 3, 16, 16, 16, 47, 46, 45, 7, 7, 7, 7, 0, 1, 2, 3, 4, 5, 6, 7}, byte(0))
 	// Wide grid: without the trunk rounding allowance the row bound
 	// ("12") and the flat scan's stored-span bound ("C200") round a hair
 	// above the winner's computed score; with every pin of a trunk at one
 	// point ("1j") an unclamped branch sum rounds below 0.
-	f.Add([]byte("12"))
-	f.Add([]byte("C200"))
-	f.Add([]byte("1j"))
+	f.Add([]byte("12"), byte(0))
+	f.Add([]byte("C200"), byte(0))
+	f.Add([]byte("1j"), byte(0))
 	// Trunk windows engage. Tall narrow trunks, vertically cheaper in
 	// most rows, on the narrow grid ("d\r>", ">\xa1...") and the wide one
 	// ("_h...", "\xffD\x15"); trunks whose stored pins share one x, on
 	// both grids ("\xf4>...", "\xf1\x1d`\x16", "\xf7\xdd\xca\r").
-	f.Add([]byte("d\r>"))
-	f.Add([]byte(">\xa1\xd0\xd1\xcbI\xa9"))
-	f.Add([]byte("_h\xd4\n\xa9\xfb\xe2\xfc\x9b9"))
-	f.Add([]byte("\xffD\x15"))
-	f.Add([]byte("\xf4>\xd7\xdd\xc4Ld."))
-	f.Add([]byte("\xf1\x1d`\x16"))
-	f.Add([]byte("\xf7\xdd\xca\r"))
+	f.Add([]byte("d\r>"), byte(0))
+	f.Add([]byte(">\xa1\xd0\xd1\xcbI\xa9"), byte(0))
+	f.Add([]byte("_h\xd4\n\xa9\xfb\xe2\xfc\x9b9"), byte(0))
+	f.Add([]byte("\xffD\x15"), byte(0))
+	f.Add([]byte("\xf4>\xd7\xdd\xc4Ld."), byte(0))
+	f.Add([]byte("\xf1\x1d`\x16"), byte(0))
+	f.Add([]byte("\xf7\xdd\xca\r"), byte(0))
 	// The first hub's y cut interval, where the best-first row order
 	// starts, lies below row 0 ("!c"), above the last row ("_", wide
 	// grid), strictly between two rows of different bound ("@G"), and
 	// across several rows ("TO$:(k").
-	f.Add([]byte("!c"))
-	f.Add([]byte("_"))
-	f.Add([]byte("@G"))
-	f.Add([]byte("TO$:(k"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte("!c"), byte(0))
+	f.Add([]byte("_"), byte(0))
+	f.Add([]byte("@G"), byte(0))
+	f.Add([]byte("TO$:(k"), byte(0))
+	// Type II shapes (vacancyRows): vacancies in a contiguous block
+	// (shapes 76, 127, 178) or in every third row (26, 116, 176), with
+	// width-infeasible rows on both sides of the anchor; in each, an empty
+	// or infeasible row cuts a side of the order.
+	f.Add([]byte("4~5"), byte(26))
+	f.Add([]byte("\"^e*![VTN"), byte(76))
+	f.Add([]byte("20.DG"), byte(127))
+	f.Add([]byte("!7<%03\",U`"), byte(178))
+	f.Add([]byte(")CtSx"), byte(176))
+	f.Add([]byte("kMm^c6l"), byte(116))
+	f.Fuzz(func(t *testing.T, data []byte, shape byte) {
 		src := &byteSource{b: data}
 		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)
 		inc := NewIncremental(fx.ckt)
@@ -377,8 +414,9 @@ func FuzzScanBestRows(f *testing.F) {
 		}
 		nVac := len(sel) + src.Intn(24)
 		vacs := make([]Vacancy, nVac)
+		pool := vacancyRows(shape, fx.rows)
 		for i := range vacs {
-			row := int32(src.Intn(fx.rows))
+			row := int32(pool[src.Intn(len(pool))])
 			vacs[i] = Vacancy{X: fx.xAt(src.Intn(48)), Y: fx.rowY(int(row)), Row: row}
 		}
 		var bk VacancyBuckets

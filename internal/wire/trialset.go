@@ -763,18 +763,25 @@ func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rowOK []bool,
 // wholesale. scanRow reports true when the first skip fires: each side of
 // the order moves away from anchorRow, and the row bound does not fall
 // that way, so every remaining row on that side is dominated too, and the
-// caller cuts the side. A row it enters is walked only inside its trunk
-// window, taken at the bound on entry (the bound only falls during the
-// walk, so the window stays sound), and a row whose window is empty is
-// skipped.
+// caller cuts the side. That holds at an empty or width-infeasible row as
+// much as at a full one, so the side cut is tested first: a Type II rank,
+// whose free vacancies sit in its own rows only, then stops at the first
+// dominated foreign row instead of bounding every row out to the die
+// edge. A row it enters is walked only inside its trunk window, taken at
+// the bound on entry (the bound only falls during the walk, so the window
+// stays sound), and a row whose window is empty is skipped. RowsVisited
+// counts the rows with a free feasible vacancy that the order reaches.
 func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int, lb float64) bool {
 	bk := c.bk
-	if bk.rowN[r] == 0 || !rowOK[r] {
-		return false
+	live := bk.rowN[r] != 0 && rowOK[r]
+	if live {
+		c.st.RowsVisited++
 	}
-	c.st.RowsVisited++
 	if (lb+t.minEnv)*scanSlack >= c.bound {
 		return true
+	}
+	if !live {
+		return false
 	}
 	lo, hi := bk.liveSpan(r)
 	// Best-case x penalty anywhere in this row: the envelope is convex with
