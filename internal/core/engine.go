@@ -175,28 +175,14 @@ func (e *Engine) BestMu() float64 { return e.bestMu }
 // before mutation.
 func (e *Engine) BestPlacement() *layout.Placement { return e.best }
 
-// Goodness returns the last evaluated goodness of a cell.
-func (e *Engine) Goodness(id netlist.CellID) float64 { return e.goodness[id] }
-
 // MuTrace returns μ(s) after every evaluation so far, oldest first. With
 // Config.DisableMuTrace set, the trace is empty.
 func (e *Engine) MuTrace() []float64 { return e.muTrace }
 
-// SetDomain restricts evaluation, selection and allocation to the given
-// cells (Type II domain decomposition). Pass nil to restore the full
-// movable set. The engine copies and sorts the list.
-func (e *Engine) SetDomain(cells []netlist.CellID) {
-	if cells == nil {
-		e.domain = append(e.domain[:0], e.prob.Ckt.Movable()...)
-		return
-	}
-	e.domain = append(e.domain[:0], cells...)
-	slices.Sort(e.domain)
-}
-
-// DomainFromRows restricts the domain to all cells currently placed in the
-// given rows. It marks the rows' cells and collects them in ID order, the
-// sorted set SetDomain would build, without a sort per call.
+// DomainFromRows restricts evaluation, selection and allocation to all
+// cells currently placed in the given rows (Type II domain decomposition).
+// It marks the rows' cells and collects them in ID order, without a sort
+// per call.
 func (e *Engine) DomainFromRows(rows []int) {
 	if e.inRows == nil {
 		e.inRows = make([]bool, len(e.prob.Ckt.Cells))
@@ -994,13 +980,6 @@ func resizeF64(s []float64, n int) []float64 {
 func resizeVacs(s []wire.Vacancy, n int) []wire.Vacancy {
 	if cap(s) < n {
 		return make([]wire.Vacancy, n)
-	}
-	return s[:n]
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
 	}
 	return s[:n]
 }

@@ -274,8 +274,8 @@ func sameEngineState(t *testing.T, where string, ref, inc *Engine) {
 		t.Fatalf("%s: domains diverged", where)
 	}
 	for _, id := range ref.domain {
-		if math.Float64bits(ref.Goodness(id)) != math.Float64bits(inc.Goodness(id)) {
-			t.Fatalf("%s: cell %d goodness %v, reference %v", where, id, inc.Goodness(id), ref.Goodness(id))
+		if math.Float64bits(ref.goodness[id]) != math.Float64bits(inc.goodness[id]) {
+			t.Fatalf("%s: cell %d goodness %v, reference %v", where, id, inc.goodness[id], ref.goodness[id])
 		}
 	}
 	if ref.Placement().Fingerprint() != inc.Placement().Fingerprint() {

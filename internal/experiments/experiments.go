@@ -1,7 +1,7 @@
 // Package experiments regenerates the paper's evaluation artifacts: the
 // Section 4 runtime profile and Tables 1-4. Each experiment prints a text
-// table in the paper's layout; EXPERIMENTS.md records paper-vs-measured
-// values produced by this harness.
+// table in the paper's layout. A paper-vs-measured record of these tables,
+// EXPERIMENTS.md, is ROADMAP item 2's output and is not committed yet.
 //
 // Iteration counts follow the paper at Scale.Div == 1 (Table 2: serial
 // 3500, parallel 4000 + 500 per extra processor; Table 3: serial 5000,

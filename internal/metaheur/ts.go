@@ -170,12 +170,6 @@ type ParallelTSConfig struct {
 	MeasureCompute *bool
 }
 
-// Type I TS protocol tags.
-const (
-	tagTSWork = 40 + iota
-	tagTSDeltas
-)
-
 // RunParallelTS distributes the candidate-list evaluation over slaves (the
 // Type I scheme of the authors' TS companion paper [6], which they report
 // gave TS its best speedups): the master samples the neighborhood,

@@ -31,9 +31,6 @@ type Congestion struct {
 	Overflow float64
 }
 
-// Bin returns the demand of bin (x, y).
-func (c *Congestion) Bin(x, y int) float64 { return c.Demand[y*c.NX+x] }
-
 // String summarizes the congestion map.
 func (c *Congestion) String() string {
 	return fmt.Sprintf("congestion: %dx%d bins, peak %.1f, avg %.2f, overflow %.1f",

@@ -95,19 +95,3 @@ func (c *Circuit) levelize() (*Levels, error) {
 	}
 	return lv, nil
 }
-
-// PathEndpoints returns the combinational path sources (PIs and DFF outputs)
-// and sinks (POs and DFFs, via their data inputs).
-func (c *Circuit) PathEndpoints() (sources, sinks []CellID) {
-	for _, id := range c.PIs {
-		sources = append(sources, id)
-	}
-	for _, id := range c.DFFs {
-		sources = append(sources, id)
-		sinks = append(sinks, id)
-	}
-	for _, id := range c.POs {
-		sinks = append(sinks, id)
-	}
-	return sources, sinks
-}

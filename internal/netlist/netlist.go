@@ -34,7 +34,6 @@ const (
 	Xnor
 	Buf
 	Macro
-	numGateTypes
 )
 
 var gateNames = [...]string{
@@ -209,25 +208,6 @@ func (c *Circuit) CellNets(id CellID, dst []NetID) []NetID {
 		}
 	}
 	return dst
-}
-
-// FaninCells appends to dst the cells driving the inputs of id.
-func (c *Circuit) FaninCells(id CellID, dst []CellID) []CellID {
-	for _, n := range c.Cells[id].In {
-		if d := c.Nets[n].Driver; d != NoCell {
-			dst = append(dst, d)
-		}
-	}
-	return dst
-}
-
-// FanoutCells appends to dst the sink cells of id's output net.
-func (c *Circuit) FanoutCells(id CellID, dst []CellID) []CellID {
-	out := c.Cells[id].Out
-	if out == NoNet {
-		return dst
-	}
-	return append(dst, c.Nets[out].Sinks...)
 }
 
 // DefaultWidth returns the physical width in sites used for a gate of the

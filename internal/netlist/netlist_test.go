@@ -241,17 +241,6 @@ func TestLevelizeLevels(t *testing.T) {
 	}
 }
 
-func TestPathEndpoints(t *testing.T) {
-	ckt := buildSmall(t)
-	sources, sinks := ckt.PathEndpoints()
-	if len(sources) != 3 { // 2 PIs + 1 DFF
-		t.Fatalf("sources = %d, want 3", len(sources))
-	}
-	if len(sinks) != 2 { // 1 DFF + 1 PO
-		t.Fatalf("sinks = %d, want 2", len(sinks))
-	}
-}
-
 func TestCellNetsDistinct(t *testing.T) {
 	// A cell with two pins on the same net should list the net once.
 	b := NewBuilder("dup-pin")
@@ -271,24 +260,6 @@ func TestCellNetsDistinct(t *testing.T) {
 	nets := ckt.CellNets(g, nil)
 	if len(nets) != 2 { // its own output net + net "a" once
 		t.Fatalf("CellNets = %v, want 2 distinct nets", nets)
-	}
-}
-
-func TestFaninFanoutCells(t *testing.T) {
-	ckt := buildSmall(t)
-	var g1 CellID = NoCell
-	for i := range ckt.Cells {
-		if ckt.Cells[i].Name == "g1" {
-			g1 = CellID(i)
-		}
-	}
-	fanin := ckt.FaninCells(g1, nil)
-	if len(fanin) != 2 {
-		t.Fatalf("g1 fanin = %d, want 2", len(fanin))
-	}
-	fanout := ckt.FanoutCells(g1, nil)
-	if len(fanout) != 1 || ckt.Cells[fanout[0]].Name != "g2" {
-		t.Fatalf("g1 fanout = %v, want [g2]", fanout)
 	}
 }
 

@@ -10,12 +10,6 @@ import (
 	"simevo/internal/transport"
 )
 
-// Type I protocol tags.
-const (
-	tagT1Placement = 10 + iota
-	tagT1Goodness
-)
-
 // RunTypeI executes the low-level parallelization of the paper's Figures
 // 2-3: each iteration the master broadcasts the current placement, every
 // rank (master included) computes the costs and the goodness of its chunk

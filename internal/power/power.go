@@ -10,7 +10,9 @@
 // one-probability (default 0.5); a gate's output probability follows from
 // its truth function over independent inputs; the switching activity of a
 // net with one-probability p is S = 2·p·(1−p). Sequential feedback through
-// flip-flops is resolved by fixpoint iteration.
+// flip-flops is resolved by fixpoint iteration. The sum itself is the power
+// objective of the cost pipeline (internal/cost), weighted by the
+// activities FromProbabilities derives here.
 package power
 
 import (
@@ -34,16 +36,6 @@ type Config struct {
 // DefaultConfig returns the standard estimation parameters.
 func DefaultConfig() Config {
 	return Config{PIProb: 0.5, MaxIters: 50, Tol: 1e-9}
-}
-
-// Activities computes the switching probability S_i of every net.
-// The returned slice is indexed by NetID.
-func Activities(ckt *netlist.Circuit, cfg Config) ([]float64, error) {
-	probs, err := Probabilities(ckt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return FromProbabilities(probs), nil
 }
 
 // FromProbabilities derives switching activities from steady-state
@@ -239,14 +231,4 @@ func gateProb(t netlist.GateType, in []netlist.NetID, prob []float64) float64 {
 		return p
 	}
 	panic(fmt.Sprintf("power: gateProb on non-gate type %v", t))
-}
-
-// Cost computes the paper's power cost Σ l_i · S_i given per-net lengths
-// and activities.
-func Cost(lengths, activities []float64) float64 {
-	sum := 0.0
-	for i := range lengths {
-		sum += lengths[i] * activities[i]
-	}
-	return sum
 }

@@ -79,12 +79,20 @@ func TestBiasedInputs(t *testing.T) {
 	}
 }
 
-func TestActivityFormula(t *testing.T) {
-	ckt := buildGate(t, netlist.And, 2)
-	acts, err := Activities(ckt, DefaultConfig())
+// activities derives the per-net switching activities as the engine's
+// problem set-up does.
+func activities(t *testing.T, ckt *netlist.Circuit) []float64 {
+	t.Helper()
+	probs, err := Probabilities(ckt, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return FromProbabilities(probs)
+}
+
+func TestActivityFormula(t *testing.T) {
+	ckt := buildGate(t, netlist.And, 2)
+	acts := activities(t, ckt)
 	// Output prob 0.25 -> S = 2*0.25*0.75 = 0.375.
 	if got := netProb(t, ckt, acts, "g"); math.Abs(got-0.375) > 1e-12 {
 		t.Fatalf("AND2 activity = %v, want 0.375", got)
@@ -153,11 +161,7 @@ func TestProbabilitiesInRange(t *testing.T) {
 				return false
 			}
 		}
-		acts, err := Activities(ckt, DefaultConfig())
-		if err != nil {
-			return false
-		}
-		for _, s := range acts {
+		for _, s := range FromProbabilities(probs) {
 			if s < 0 || s > 0.5+1e-12 {
 				return false
 			}
@@ -166,22 +170,6 @@ func TestProbabilitiesInRange(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCost(t *testing.T) {
-	lengths := []float64{10, 20, 30}
-	acts := []float64{0.5, 0.25, 0.1}
-	want := 10*0.5 + 20*0.25 + 30*0.1
-	if got := Cost(lengths, acts); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Cost = %v, want %v", got, want)
-	}
-}
-
-func TestCostMonotoneInLength(t *testing.T) {
-	acts := []float64{0.3, 0.3}
-	if Cost([]float64{10, 10}, acts) >= Cost([]float64{20, 10}, acts) {
-		t.Fatal("power cost not monotone in net length")
 	}
 }
 
@@ -199,14 +187,7 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := Activities(ckt, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := Activities(ckt, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1, a2 := activities(t, ckt), activities(t, ckt)
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("activity of net %d differs between runs", i)

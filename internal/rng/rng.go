@@ -91,11 +91,6 @@ func (r *R) Intn(n int) int {
 	}
 }
 
-// Int63 returns a non-negative 63-bit value, mirroring math/rand.Int63.
-func (r *R) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *R) Perm(n int) []int {
 	p := make([]int, n)

@@ -238,15 +238,6 @@ func TestPickPanicsOnZeroSum(t *testing.T) {
 	New(1).Pick([]float64{0, 0})
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(59)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
-	}
-}
-
 func TestUint32FullRangeCoverage(t *testing.T) {
 	// Sanity check that high and low bits both vary.
 	r := New(61)

@@ -20,9 +20,8 @@ import (
 // line, so a journal survives version skew (unknown fields are ignored)
 // and a crash mid-write (a truncated last line is discarded on replay).
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu sync.Mutex
+	f  *os.File
 
 	history []journalRecord // parsed at open; consumed once by the manager
 }
@@ -49,7 +48,7 @@ type journalRecord struct {
 // replay at that point — everything before it is kept, so a crash that
 // truncated the final line loses at most that one transition.
 func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{path: path}
+	j := &Journal{}
 	if f, err := os.Open(path); err == nil {
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024) // uploaded netlists travel in submit records
@@ -75,9 +74,6 @@ func OpenJournal(path string) (*Journal, error) {
 	j.f = f
 	return j, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Replayed returns the records parsed at open, oldest first. The manager
 // consumes them once at construction.

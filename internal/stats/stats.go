@@ -1,6 +1,6 @@
 // Package stats renders experiment results as text tables matching the
-// layout of the paper's Tables 1-4, and provides the small numeric helpers
-// (speedup, quality percentage) the harness reports.
+// layout of the paper's Tables 1-4, and provides the quality percentage the
+// harness reports.
 package stats
 
 import (
@@ -21,14 +21,6 @@ func Seconds(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.2f", s)
 	}
-}
-
-// Speedup returns serial/parallel (0 when parallel is 0).
-func Speedup(serial, par time.Duration) float64 {
-	if par <= 0 {
-		return 0
-	}
-	return float64(serial) / float64(par)
 }
 
 // QualityPercent returns achieved/target as a percentage capped at 100,

@@ -23,15 +23,6 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(10*time.Second, 2*time.Second); got != 5 {
-		t.Fatalf("Speedup = %v, want 5", got)
-	}
-	if got := Speedup(time.Second, 0); got != 0 {
-		t.Fatalf("Speedup by zero = %v, want 0", got)
-	}
-}
-
 func TestQualityPercent(t *testing.T) {
 	if got := QualityPercent(0.47, 0.50); got != 94 {
 		t.Fatalf("QualityPercent = %d, want 94", got)

@@ -86,20 +86,6 @@ func bucketIndex(v int64) int {
 	return i
 }
 
-// ObserveN records n identical samples of value v in two atomic adds —
-// used to fold a locally accumulated batch into the histogram without
-// per-event atomics.
-func (h *Histogram) ObserveN(v int64, n uint64) {
-	if n == 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[bucketIndex(v)].Add(n)
-	h.sum.Add(v * int64(n))
-}
-
 // snapshot copies the bucket counts, total count, and sum. The copy is
 // not an atomic cut across buckets — fine for monitoring, where each
 // individual bucket is still monotone.

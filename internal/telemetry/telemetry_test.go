@@ -31,7 +31,8 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(3)         // le="4"
 	h.Observe(1 << 38)   // last finite bucket
 	h.Observe(1<<38 + 1) // +Inf
-	h.ObserveN(3, 2)     // le="4", batched
+	h.Observe(3)         // le="4"
+	h.Observe(3)         // le="4"
 	h.Observe(-5)        // clamps to 0, le="1"
 
 	var b strings.Builder
@@ -359,7 +360,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{"Gauge.Set", func() { g.Set(42) }},
 		{"Gauge.Add", func() { g.Add(-1) }},
 		{"Histogram.Observe", func() { h.Observe(12345) }},
-		{"Histogram.ObserveN", func() { h.ObserveN(77, 5) }},
 	}
 	for _, chk := range checks {
 		if allocs := testing.AllocsPerRun(1000, chk.fn); allocs != 0 {

@@ -7,8 +7,7 @@ import (
 )
 
 // STA is the static timing analyzer behind the cost pipeline's Delay
-// objective. Where Analyze returns a fresh Analysis with explicit required
-// times, STA keeps its per-cell state in place across evaluations and
+// objective. It keeps its per-cell state in place across evaluations and
 // serves the two reads the engine makes between them: per-cell and per-net
 // criticality. Rebuild re-derives the whole state from the net lengths:
 //
@@ -23,8 +22,7 @@ import (
 // endpoints.
 //
 // An STA is not safe for concurrent mutation; concurrent reads
-// (Criticality, NetCriticality, MaxDelay) are safe once Rebuild has
-// returned.
+// (Criticality, NetCriticality) are safe once Rebuild has returned.
 type STA struct {
 	ckt *netlist.Circuit
 	lv  *netlist.Levels
@@ -62,10 +60,8 @@ func NewSTA(ckt *netlist.Circuit, lv *netlist.Levels, m Model) *STA {
 	return s
 }
 
-// MaxDelay returns Cost_delay: the largest sink arrival.
-func (s *STA) MaxDelay() float64 { return s.maxDelay }
-
-// Rebuild re-derives the full analysis from the given per-net lengths.
+// Rebuild re-derives the full analysis from the given per-net lengths and
+// returns Cost_delay, the largest sink arrival.
 func (s *STA) Rebuild(lengths []float64) float64 {
 	s.rebuilds++
 	ckt := s.ckt
@@ -195,7 +191,7 @@ func (s *STA) adOf(n netlist.NetID) float64 {
 
 // critOf maps an arr+dep sum to [0,1] criticality: slack = MaxDelay−ad,
 // criticality = 1 − slack/MaxDelay = ad/MaxDelay, clamped; cells feeding
-// no sink (ad = −Inf) pin to 0, matching Analysis.Criticality semantics.
+// no sink (ad = −Inf) have infinite slack and pin to 0.
 func (s *STA) critOf(ad float64) float64 {
 	if s.maxDelay <= 0 || math.IsInf(ad, -1) {
 		return 0

@@ -7,21 +7,15 @@
 // dependent, placement independent) and ID is the interconnect delay of the
 // net (proportional to its estimated wirelength, placement dependent).
 //
-// The implementation is a standard static timing analysis over the
-// combinational view of the circuit (primary inputs and flip-flop outputs
-// are path sources; primary outputs and flip-flop data inputs are path
-// sinks): forward arrival-time propagation, backward required-time
-// propagation, per-cell slack, critical-path extraction, and enumeration of
-// the K worst paths used by the delay goodness measure.
+// STA is a static timing analysis over the combinational view of the
+// circuit (primary inputs and flip-flop outputs are path sources; primary
+// outputs and flip-flop data inputs are path sinks): forward arrival-time
+// propagation, backward departure-time propagation, and per-cell and
+// per-net criticality, which the delay goodness measure and the allocation
+// trial weights read.
 package timing
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"simevo/internal/netlist"
-)
+import "simevo/internal/netlist"
 
 // Model holds the delay parameters. Units are abstract "delay units";
 // interconnect delay scales with net length in layout sites.
@@ -57,8 +51,8 @@ func DefaultModel() Model {
 }
 
 // CellDelay returns the switching delay CD of a cell: intrinsic delay plus
-// output load. Pads have zero delay; flip-flops contribute ClkToQ as
-// sources (handled in Analyze).
+// output load. Pads have zero delay; a flip-flop's delay is ClkToQ, the
+// offset of the paths it sources.
 func (m Model) CellDelay(ckt *netlist.Circuit, id netlist.CellID) float64 {
 	cell := &ckt.Cells[id]
 	switch cell.Type {
@@ -72,234 +66,4 @@ func (m Model) CellDelay(ckt *netlist.Circuit, id netlist.CellID) float64 {
 		d += m.LoadPerSink * float64(len(ckt.Nets[cell.Out].Sinks))
 	}
 	return d
-}
-
-// Path is a source-to-sink combinational path.
-type Path struct {
-	// Cells lists the path from source to sink (inclusive).
-	Cells []netlist.CellID
-	// Delay is T_π for the path.
-	Delay float64
-}
-
-// Analysis holds the results of one timing pass.
-type Analysis struct {
-	ckt   *netlist.Circuit
-	model Model
-
-	// Arrival[c] is the signal arrival time at cell c's output. For
-	// flip-flops this is the clock-to-Q time (source side).
-	Arrival []float64
-	// DataArrival[c] is the arrival at a sink pin: meaningful for output
-	// pads and for flip-flop data inputs (including setup).
-	DataArrival []float64
-	// Required[c] is the latest permissible output arrival; Slack[c] =
-	// Required[c] - Arrival[c]. Cells feeding no sink have +Inf slack.
-	Required []float64
-	Slack    []float64
-	// NetDelay[n] is the interconnect delay ID of net n.
-	NetDelay []float64
-	// MaxDelay is Cost_delay: the largest sink arrival.
-	MaxDelay float64
-
-	worstSink netlist.CellID
-}
-
-// Analyze runs a full timing pass given per-net length estimates.
-func Analyze(ckt *netlist.Circuit, lv *netlist.Levels, lengths []float64, m Model) (*Analysis, error) {
-	if len(lengths) != ckt.NumNets() {
-		return nil, fmt.Errorf("timing: %d lengths for %d nets", len(lengths), ckt.NumNets())
-	}
-	n := len(ckt.Cells)
-	a := &Analysis{
-		ckt: ckt, model: m,
-		Arrival:     make([]float64, n),
-		DataArrival: make([]float64, n),
-		Required:    make([]float64, n),
-		Slack:       make([]float64, n),
-		NetDelay:    make([]float64, ckt.NumNets()),
-		worstSink:   netlist.NoCell,
-	}
-	for i := range a.NetDelay {
-		a.NetDelay[i] = m.UnitWire * lengths[i]
-	}
-
-	// Forward pass: arrival times in topological order.
-	for _, id := range lv.Order {
-		cell := &ckt.Cells[id]
-		switch cell.Type {
-		case netlist.Input:
-			a.Arrival[id] = 0
-			continue
-		case netlist.DFF:
-			a.Arrival[id] = m.ClkToQ
-			continue // data-side arrival handled in the sink pass below
-		}
-		worst := 0.0
-		for _, in := range cell.In {
-			d := ckt.Nets[in].Driver
-			if t := a.Arrival[d] + a.NetDelay[in]; t > worst {
-				worst = t
-			}
-		}
-		if cell.Type == netlist.Output {
-			a.DataArrival[id] = worst
-			if a.worstSink == netlist.NoCell || worst > a.MaxDelay {
-				a.MaxDelay, a.worstSink = worst, id
-			}
-			continue
-		}
-		a.Arrival[id] = worst + m.CellDelay(ckt, id)
-	}
-
-	// Flip-flop data inputs are sinks too.
-	for _, ff := range ckt.DFFs {
-		in := ckt.Cells[ff].In[0]
-		d := ckt.Nets[in].Driver
-		t := a.Arrival[d] + a.NetDelay[in] + m.Setup
-		a.DataArrival[ff] = t
-		if a.worstSink == netlist.NoCell || t > a.MaxDelay {
-			a.MaxDelay, a.worstSink = t, ff
-		}
-	}
-
-	// Backward pass: required times against MaxDelay.
-	for i := range a.Required {
-		a.Required[i] = math.Inf(1)
-	}
-	for _, po := range ckt.POs {
-		in := ckt.Cells[po].In[0]
-		d := ckt.Nets[in].Driver
-		if r := a.MaxDelay - a.NetDelay[in]; r < a.Required[d] {
-			a.Required[d] = r
-		}
-	}
-	for _, ff := range ckt.DFFs {
-		in := ckt.Cells[ff].In[0]
-		d := ckt.Nets[in].Driver
-		if r := a.MaxDelay - m.Setup - a.NetDelay[in]; r < a.Required[d] {
-			a.Required[d] = r
-		}
-	}
-	for i := len(lv.Order) - 1; i >= 0; i-- {
-		id := lv.Order[i]
-		cell := &ckt.Cells[id]
-		if cell.Type == netlist.Input || cell.Type == netlist.DFF || cell.Type == netlist.Output {
-			continue
-		}
-		// Propagate this cell's requirement to its fan-in drivers.
-		req := a.Required[id] - m.CellDelay(ckt, id)
-		for _, in := range cell.In {
-			d := ckt.Nets[in].Driver
-			if r := req - a.NetDelay[in]; r < a.Required[d] {
-				a.Required[d] = r
-			}
-		}
-	}
-	for i := range a.Slack {
-		a.Slack[i] = a.Required[i] - a.Arrival[i]
-	}
-	return a, nil
-}
-
-// Criticality maps a cell's slack to [0, 1]: 1 on the critical path, 0 for
-// cells with slack >= MaxDelay (or feeding no sink).
-func (a *Analysis) Criticality(id netlist.CellID) float64 {
-	s := a.Slack[id]
-	if math.IsInf(s, 1) || a.MaxDelay <= 0 {
-		return 0
-	}
-	c := 1 - s/a.MaxDelay
-	if c < 0 {
-		return 0
-	}
-	if c > 1 {
-		return 1
-	}
-	return c
-}
-
-// CriticalPath extracts the worst path (source to sink).
-func (a *Analysis) CriticalPath() Path {
-	if a.worstSink == netlist.NoCell {
-		return Path{}
-	}
-	return a.tracePath(a.worstSink)
-}
-
-// WorstPaths returns up to k paths, one per distinct sink, ordered by
-// decreasing path delay. The first entry is the critical path, so
-// WorstPaths(k)[0].Delay == MaxDelay.
-func (a *Analysis) WorstPaths(k int) []Path {
-	type sinkT struct {
-		id netlist.CellID
-		t  float64
-	}
-	var sinks []sinkT
-	for _, po := range a.ckt.POs {
-		sinks = append(sinks, sinkT{po, a.DataArrival[po]})
-	}
-	for _, ff := range a.ckt.DFFs {
-		sinks = append(sinks, sinkT{ff, a.DataArrival[ff]})
-	}
-	sort.Slice(sinks, func(i, j int) bool {
-		if sinks[i].t != sinks[j].t {
-			return sinks[i].t > sinks[j].t
-		}
-		return sinks[i].id < sinks[j].id
-	})
-	if k > len(sinks) {
-		k = len(sinks)
-	}
-	paths := make([]Path, 0, k)
-	for _, s := range sinks[:k] {
-		paths = append(paths, a.tracePath(s.id))
-	}
-	return paths
-}
-
-// tracePath walks back from a sink cell along worst-arrival predecessors.
-func (a *Analysis) tracePath(sink netlist.CellID) Path {
-	p := Path{Delay: a.DataArrival[sink]}
-	var rev []netlist.CellID
-	rev = append(rev, sink)
-	cur := sink
-	for {
-		cell := &a.ckt.Cells[cur]
-		// Sinks consume through their single data pin; gates through all.
-		var ins []netlist.NetID
-		switch {
-		case cell.Type == netlist.Input:
-			ins = nil
-		case cell.Type == netlist.DFF && cur != sink:
-			ins = nil // reached a DFF as a source: stop
-		default:
-			ins = cell.In
-		}
-		if len(ins) == 0 {
-			break
-		}
-		bestD := netlist.NoCell
-		bestT := math.Inf(-1)
-		for _, in := range ins {
-			d := a.ckt.Nets[in].Driver
-			if t := a.Arrival[d] + a.NetDelay[in]; t > bestT {
-				bestT, bestD = t, d
-			}
-		}
-		if bestD == netlist.NoCell {
-			break
-		}
-		rev = append(rev, bestD)
-		cur = bestD
-		if c := &a.ckt.Cells[cur]; c.Type == netlist.Input || c.Type == netlist.DFF {
-			break
-		}
-	}
-	// Reverse into source-to-sink order.
-	p.Cells = make([]netlist.CellID, len(rev))
-	for i, id := range rev {
-		p.Cells[len(rev)-1-i] = id
-	}
-	return p
 }

@@ -30,7 +30,8 @@ func chain(t *testing.T, n int) *netlist.Circuit {
 	return ckt
 }
 
-func analyzeUnit(t *testing.T, ckt *netlist.Circuit, netLen float64, m Model) *Analysis {
+// staUnit runs STA with every net at length netLen.
+func staUnit(t *testing.T, ckt *netlist.Circuit, netLen float64, m Model) *STA {
 	t.Helper()
 	lv, err := ckt.Levelize()
 	if err != nil {
@@ -40,63 +41,53 @@ func analyzeUnit(t *testing.T, ckt *netlist.Circuit, netLen float64, m Model) *A
 	for i := range lengths {
 		lengths[i] = netLen
 	}
-	a, err := Analyze(ckt, lv, lengths, m)
-	if err != nil {
-		t.Fatal(err)
+	s := NewSTA(ckt, lv, m)
+	s.Rebuild(lengths)
+	return s
+}
+
+// cellNamed returns the ID of the cell called name.
+func cellNamed(t *testing.T, ckt *netlist.Circuit, name string) netlist.CellID {
+	t.Helper()
+	for i := range ckt.Cells {
+		if ckt.Cells[i].Name == name {
+			return netlist.CellID(i)
+		}
 	}
-	return a
+	t.Fatalf("no cell %q", name)
+	return netlist.NoCell
 }
 
 func TestChainDelay(t *testing.T) {
 	ckt := chain(t, 3)
-	m := DefaultModel()
-	a := analyzeUnit(t, ckt, 10, m)
+	s := staUnit(t, ckt, 10, DefaultModel())
 
 	// Each buffer: base 1.0 + load 0.2*1 sink = 1.2. Each net: 0.08*10 = 0.8.
 	// Path: in0 --0.8--> g1(1.2) --0.8--> g2(1.2) --0.8--> g3(1.2) --0.8--> out.
 	want := 4*0.8 + 3*1.2
-	if math.Abs(a.MaxDelay-want) > 1e-9 {
-		t.Fatalf("MaxDelay = %v, want %v", a.MaxDelay, want)
-	}
-
-	cp := a.CriticalPath()
-	if len(cp.Cells) != 5 { // in0, g1, g2, g3, out
-		t.Fatalf("critical path has %d cells, want 5", len(cp.Cells))
-	}
-	if math.Abs(cp.Delay-want) > 1e-9 {
-		t.Fatalf("critical path delay = %v, want %v", cp.Delay, want)
-	}
-	if ckt.Cells[cp.Cells[0]].Type != netlist.Input {
-		t.Fatal("critical path does not start at a source")
-	}
-	if ckt.Cells[cp.Cells[len(cp.Cells)-1]].Type != netlist.Output {
-		t.Fatal("critical path does not end at a sink")
+	if math.Abs(s.maxDelay-want) > 1e-9 {
+		t.Fatalf("MaxDelay = %v, want %v", s.maxDelay, want)
 	}
 }
 
 func TestZeroWireDelay(t *testing.T) {
 	ckt := chain(t, 2)
-	m := DefaultModel()
-	a := analyzeUnit(t, ckt, 0, m)
+	s := staUnit(t, ckt, 0, DefaultModel())
 	want := 2 * 1.2 // gates only
-	if math.Abs(a.MaxDelay-want) > 1e-9 {
-		t.Fatalf("MaxDelay = %v, want %v", a.MaxDelay, want)
+	if math.Abs(s.maxDelay-want) > 1e-9 {
+		t.Fatalf("MaxDelay = %v, want %v", s.maxDelay, want)
 	}
 }
 
 func TestSlackOnCriticalPathIsZero(t *testing.T) {
 	ckt := chain(t, 3)
-	a := analyzeUnit(t, ckt, 10, DefaultModel())
-	cp := a.CriticalPath()
-	for _, id := range cp.Cells {
-		c := &ckt.Cells[id]
+	s := staUnit(t, ckt, 10, DefaultModel())
+	for i := range ckt.Cells {
+		c := &ckt.Cells[i]
 		if c.Type == netlist.Output {
 			continue // sinks have no output arrival/slack
 		}
-		if math.Abs(a.Slack[id]) > 1e-9 {
-			t.Fatalf("cell %s on critical path has slack %v", c.Name, a.Slack[id])
-		}
-		if got := a.Criticality(id); math.Abs(got-1) > 1e-9 {
+		if got := s.Criticality(netlist.CellID(i)); math.Abs(got-1) > 1e-9 {
 			t.Fatalf("cell %s criticality = %v, want 1", c.Name, got)
 		}
 	}
@@ -116,17 +107,8 @@ func TestSideBranchHasPositiveSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyzeUnit(t, ckt, 5, DefaultModel())
-	var s1 netlist.CellID = netlist.NoCell
-	for i := range ckt.Cells {
-		if ckt.Cells[i].Name == "s1" {
-			s1 = netlist.CellID(i)
-		}
-	}
-	if a.Slack[s1] <= 0 {
-		t.Fatalf("fast branch slack = %v, want > 0", a.Slack[s1])
-	}
-	if c := a.Criticality(s1); c >= 1 {
+	s := staUnit(t, ckt, 5, DefaultModel())
+	if c := s.Criticality(cellNamed(t, ckt, "s1")); c >= 1 {
 		t.Fatalf("fast branch criticality = %v, want < 1", c)
 	}
 }
@@ -144,58 +126,29 @@ func TestDFFPathSegmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := DefaultModel()
-	a := analyzeUnit(t, ckt, 10, m)
+	s := staUnit(t, ckt, 10, m)
 
 	// Segment A: net(0.8) + g1(1.2) + net(0.8) + setup(1.0) = 3.8.
 	// Segment B: clkToQ(2.0) + net(0.8) + g2(1.2) + net(0.8) = 4.8.
 	wantB := m.ClkToQ + 0.8 + 1.2 + 0.8
-	if math.Abs(a.MaxDelay-wantB) > 1e-9 {
-		t.Fatalf("MaxDelay = %v, want %v (DFF source segment)", a.MaxDelay, wantB)
+	if math.Abs(s.maxDelay-wantB) > 1e-9 {
+		t.Fatalf("MaxDelay = %v, want %v (DFF source segment)", s.maxDelay, wantB)
 	}
-	cp := a.CriticalPath()
-	if ckt.Cells[cp.Cells[0]].Type != netlist.DFF {
-		t.Fatalf("critical path should start at the DFF, starts at %v",
-			ckt.Cells[cp.Cells[0]].Name)
-	}
-}
-
-func TestWorstPathsOrdered(t *testing.T) {
-	ckt, err := gen.Generate(gen.Params{
-		Name: "t", Gates: 150, DFFs: 10, PIs: 8, POs: 8, Depth: 10, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := layout.NewRandom(ckt, 10, rng.New(1))
-	ev := wire.NewEvaluator(ckt)
-	lengths := ev.Lengths(p, nil)
-	lv, _ := ckt.Levelize()
-	a, err := Analyze(ckt, lv, lengths, DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := a.WorstPaths(5)
-	if len(paths) == 0 {
-		t.Fatal("no paths returned")
-	}
-	if math.Abs(paths[0].Delay-a.MaxDelay) > 1e-9 {
-		t.Fatalf("WorstPaths[0].Delay = %v, want MaxDelay %v", paths[0].Delay, a.MaxDelay)
-	}
-	for i := 1; i < len(paths); i++ {
-		if paths[i].Delay > paths[i-1].Delay+1e-9 {
-			t.Fatalf("paths not in decreasing delay order at %d", i)
+	// The critical path starts at the flip-flop: it and g2 lie on it, g1
+	// only on the shorter segment A.
+	for _, name := range []string{"ff", "g2"} {
+		if c := s.Criticality(cellNamed(t, ckt, name)); math.Abs(c-1) > 1e-9 {
+			t.Fatalf("%s criticality = %v, want 1", name, c)
 		}
 	}
-	for _, path := range paths {
-		if len(path.Cells) < 2 {
-			t.Fatalf("degenerate path %v", path)
-		}
+	if c := s.Criticality(cellNamed(t, ckt, "g1")); c >= 1 {
+		t.Fatalf("g1 criticality = %v, want < 1", c)
 	}
 }
 
 func TestArrivalMonotoneAlongEdges(t *testing.T) {
 	// STA invariant: for every combinational edge driver->sink,
-	// Arrival[sink] >= Arrival[driver] + NetDelay (+ gate delay if a gate).
+	// arr[sink] >= arr[driver] + netDelay (+ gate delay if a gate).
 	ckt, err := gen.Generate(gen.Params{
 		Name: "t2", Gates: 120, DFFs: 8, PIs: 6, POs: 6, Depth: 8, Seed: 6,
 	})
@@ -204,23 +157,20 @@ func TestArrivalMonotoneAlongEdges(t *testing.T) {
 	}
 	p := layout.NewRandom(ckt, 10, rng.New(2))
 	ev := wire.NewEvaluator(ckt)
-	lengths := ev.Lengths(p, nil)
 	lv, _ := ckt.Levelize()
-	a, err := Analyze(ckt, lv, lengths, DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := DefaultModel()
+	s := NewSTA(ckt, lv, m)
+	s.Rebuild(ev.Lengths(p, nil))
 	for i := range ckt.Nets {
 		net := &ckt.Nets[i]
-		for _, s := range net.Sinks {
-			sc := &ckt.Cells[s]
+		for _, sk := range net.Sinks {
+			sc := &ckt.Cells[sk]
 			if sc.Type == netlist.Output || sc.Type == netlist.DFF {
 				continue
 			}
-			lower := a.Arrival[net.Driver] + a.NetDelay[i] + m.CellDelay(ckt, s)
-			if a.Arrival[s] < lower-1e-9 {
-				t.Fatalf("arrival at %s = %v < %v", sc.Name, a.Arrival[s], lower)
+			lower := s.arr[net.Driver] + s.netDelay[i] + m.CellDelay(ckt, sk)
+			if s.arr[sk] < lower-1e-9 {
+				t.Fatalf("arrival at %s = %v < %v", sc.Name, s.arr[sk], lower)
 			}
 		}
 	}
@@ -228,37 +178,9 @@ func TestArrivalMonotoneAlongEdges(t *testing.T) {
 
 func TestLongerWiresIncreaseDelay(t *testing.T) {
 	ckt := chain(t, 4)
-	a1 := analyzeUnit(t, ckt, 5, DefaultModel())
-	a2 := analyzeUnit(t, ckt, 50, DefaultModel())
-	if a2.MaxDelay <= a1.MaxDelay {
-		t.Fatalf("delay did not grow with wirelength: %v vs %v", a1.MaxDelay, a2.MaxDelay)
-	}
-}
-
-func TestAnalyzeLengthMismatch(t *testing.T) {
-	ckt := chain(t, 2)
-	lv, _ := ckt.Levelize()
-	if _, err := Analyze(ckt, lv, []float64{1}, DefaultModel()); err == nil {
-		t.Fatal("length/net mismatch accepted")
-	}
-}
-
-func TestCriticalityRange(t *testing.T) {
-	ckt, err := gen.Benchmark("s1238")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := layout.NewRandom(ckt, 0, rng.New(3))
-	ev := wire.NewEvaluator(ckt)
-	lv, _ := ckt.Levelize()
-	a, err := Analyze(ckt, lv, ev.Lengths(p, nil), DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ckt.Cells {
-		c := a.Criticality(netlist.CellID(i))
-		if c < 0 || c > 1 || math.IsNaN(c) {
-			t.Fatalf("criticality of cell %d = %v", i, c)
-		}
+	s1 := staUnit(t, ckt, 5, DefaultModel())
+	s2 := staUnit(t, ckt, 50, DefaultModel())
+	if s2.maxDelay <= s1.maxDelay {
+		t.Fatalf("delay did not grow with wirelength: %v vs %v", s1.maxDelay, s2.maxDelay)
 	}
 }

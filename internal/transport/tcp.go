@@ -118,12 +118,8 @@ func ListenConfig(addr, token string, cfg Config) (*Hub, error) {
 	return NewHubConfig(ln, token, cfg), nil
 }
 
-// NewHub starts a hub on an existing listener, taking ownership of it.
-func NewHub(ln net.Listener, token string) *Hub {
-	return NewHubConfig(ln, token, Config{})
-}
-
-// NewHubConfig is NewHub with explicit failure-detection timings.
+// NewHubConfig starts a hub on an existing listener, taking ownership of
+// it, with explicit failure-detection timings.
 func NewHubConfig(ln net.Listener, token string, cfg Config) *Hub {
 	h := &Hub{ln: ln, token: token, cfg: cfg.withDefaults()}
 	h.cond = sync.NewCond(&h.mu)

@@ -20,7 +20,6 @@ type VacancyBuckets struct {
 	rowAt []int32   // per position: the row (inverse of the region table)
 	start []int32   // per row: region start in order; len rows+1
 	rowN  []int32   // per row: live count, the length of the region's live prefix
-	total int       // live count across all rows
 }
 
 // Build sorts the vacancy pool into per-row x-ascending buckets and marks
@@ -33,7 +32,6 @@ func (b *VacancyBuckets) Build(vacs []Vacancy, rows int) {
 	b.rowAt = resizeI32s(b.rowAt, n)
 	b.start = resizeI32s(b.start, rows+1)
 	b.rowN = resizeI32s(b.rowN, rows)
-	b.total = n
 
 	// Counting sort by row. rowN doubles as the per-row fill cursor — the
 	// second pass leaves it back at the per-row counts.
@@ -99,11 +97,7 @@ func (b *VacancyBuckets) Commit(v int32) {
 	b.order[end-1], b.xs[end-1] = v, x
 	b.pos[v] = end - 1
 	b.rowN[r]--
-	b.total--
 }
-
-// Live returns the number of free vacancies across all rows.
-func (b *VacancyBuckets) Live() int { return b.total }
 
 // RowLive returns the number of free vacancies in one row.
 func (b *VacancyBuckets) RowLive(row int) int { return int(b.rowN[row]) }
