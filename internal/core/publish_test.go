@@ -21,13 +21,12 @@ import (
 // count, in the order of countHists.
 type engineGlobals struct {
 	view   telemetry.EngineSnapshot
-	counts [7]uint64
+	counts [6]uint64
 }
 
 var countHists = []*telemetry.Histogram{
 	telemetry.EnginePhaseEvalNs, telemetry.EnginePhaseSelectNs, telemetry.EnginePhaseAllocNs,
 	telemetry.AllocSubPrepNs, telemetry.AllocSubScanNs, telemetry.AllocSubCommitNs,
-	telemetry.EngineDirtyNets,
 }
 
 func readEngineGlobals() engineGlobals {
@@ -40,9 +39,7 @@ func readEngineGlobals() engineGlobals {
 		AllocPrepNs:       sum(telemetry.AllocSubPrepNs),
 		AllocScanNs:       sum(telemetry.AllocSubScanNs),
 		AllocCommitNs:     sum(telemetry.AllocSubCommitNs),
-		IncrementalEvals:  telemetry.EngineEvalsIncremental.Load(),
 		FullRebuilds:      telemetry.EngineEvalsRebuild.Load() + telemetry.EngineEvalsReference.Load(),
-		DirtyNets:         sum(telemetry.EngineDirtyNets),
 		ScanVacancies:     telemetry.ScanVacancies.Load(),
 		ScanPrunedBBox:    telemetry.ScanPrunedBBox.Load(),
 		ScanPrunedSuffix:  telemetry.ScanPrunedSuffix.Load(),
@@ -100,10 +97,10 @@ func untimed(s telemetry.EngineSnapshot) telemetry.EngineSnapshot {
 // the snapshot total stands for. Every iteration is one sample of each
 // select, allocate and allocation sub-phase timer; the evaluate timer
 // takes Step's evaluations (one per iteration) and finals more (Run's
-// last evaluation); every incremental evaluation is one dirty-net sample.
-func samples(s telemetry.EngineSnapshot, finals uint64) [7]uint64 {
+// last evaluation).
+func samples(s telemetry.EngineSnapshot, finals uint64) [6]uint64 {
 	it := s.Iterations
-	return [7]uint64{it + finals, it, it, it, it, it, s.IncrementalEvals}
+	return [6]uint64{it + finals, it, it, it, it, it}
 }
 
 // TestPublishDerivesGlobalsFromSnapshots pins the single write path: the
@@ -184,7 +181,7 @@ func TestPublishDerivesGlobalsFromSnapshots(t *testing.T) {
 	if want := uint64(opt.Procs * resB.Iters); dB.view.Iterations != want {
 		t.Errorf("type II: %d iterations published, want %d ranks × %d", dB.view.Iterations, opt.Procs, resB.Iters)
 	}
-	evals := dB.view.IncrementalEvals + dB.view.FullRebuilds
+	evals := dB.view.FullRebuilds
 	if want := uint64(opt.Procs*resB.Iters + 1); evals != want || dB.view.TimingRebuilds != want || dB.view.CongestRebuilds != want {
 		t.Errorf("type II: %d evaluations, %d STA and %d grid rebuilds published, want %d each",
 			evals, dB.view.TimingRebuilds, dB.view.CongestRebuilds, want)

@@ -46,17 +46,9 @@ type Placement struct {
 	slotOf []SlotRef          // per cell; NoSlot for pads
 	x, y   []float64          // physical centers per cell (pads fixed)
 
-	rowWidth []int // summed widths per row (holes keep their last width? no: recomputed)
+	rowWidth []int // summed widths of each row's cells, holes excluded (Recompute)
 	estWidth float64
 	dirty    bool // true when Recompute is needed
-
-	// Coordinate-change journal: when enabled, every cell whose physical
-	// coordinates change (through Recompute or SetCoordHint) is recorded
-	// once until drained. Incremental net-cost evaluators use it to
-	// re-estimate only the nets touched since their last sync.
-	journal   bool
-	changed   []netlist.CellID
-	inJournal []bool
 }
 
 // DefaultNumRows picks a row count giving a roughly square die for the
@@ -221,10 +213,7 @@ func (p *Placement) Row(r int) []netlist.CellID { return p.rows[r] }
 func (p *Placement) Slot(id netlist.CellID) SlotRef { return p.slotOf[id] }
 
 // Recompute refreshes physical coordinates and row widths from the slot
-// assignment. Holes occupy no width. With journaling enabled, cells whose
-// coordinates actually change are recorded — covering every slot-level
-// mutation path (swaps, hole fills, external row merges) without those
-// paths needing journal awareness of their own.
+// assignment. Holes occupy no width.
 func (p *Placement) Recompute() {
 	for row := 0; row < p.numRows; row++ {
 		xoff := 0
@@ -234,49 +223,13 @@ func (p *Placement) Recompute() {
 				continue
 			}
 			w := p.ckt.Cells[id].Width
-			x := float64(xoff) + float64(w)/2
-			if p.journal && (p.x[id] != x || p.y[id] != y) {
-				p.recordChange(id)
-			}
-			p.x[id] = x
+			p.x[id] = float64(xoff) + float64(w)/2
 			p.y[id] = y
 			xoff += w
 		}
 		p.rowWidth[row] = xoff
 	}
 	p.dirty = false
-}
-
-// JournalCoords enables or disables coordinate-change journaling.
-// Enabling is idempotent and keeps any undrained entries.
-func (p *Placement) JournalCoords(on bool) {
-	p.journal = on
-	if on && p.inJournal == nil {
-		p.inJournal = make([]bool, len(p.ckt.Cells))
-	}
-}
-
-// DrainChangedCells appends the journaled cells to dst, clears the
-// journal, and returns the extended slice.
-func (p *Placement) DrainChangedCells(dst []netlist.CellID) []netlist.CellID {
-	dst = append(dst, p.changed...)
-	p.ResetJournal()
-	return dst
-}
-
-// ResetJournal discards all undrained journal entries.
-func (p *Placement) ResetJournal() {
-	for _, id := range p.changed {
-		p.inJournal[id] = false
-	}
-	p.changed = p.changed[:0]
-}
-
-func (p *Placement) recordChange(id netlist.CellID) {
-	if !p.inJournal[id] {
-		p.inJournal[id] = true
-		p.changed = append(p.changed, id)
-	}
 }
 
 // X returns the physical x coordinate (site units) of the cell's center.
@@ -297,9 +250,6 @@ func RowY(row int) float64 { return (float64(row) + 0.5) * RowPitch }
 // this iteration are scored at their new (approximate) location rather than
 // their stale one.
 func (p *Placement) SetCoordHint(id netlist.CellID, x, y float64) {
-	if p.journal && (p.x[id] != x || p.y[id] != y) {
-		p.recordChange(id)
-	}
 	p.x[id], p.y[id] = x, y
 }
 
@@ -350,32 +300,6 @@ type SlotDelta struct {
 	Cell netlist.CellID
 	Row  int32
 	Idx  int32
-}
-
-// SnapshotSlots copies every cell's current slot into dst (allocated if too
-// small) — the target state DiffSlotsTo compares against.
-func (p *Placement) SnapshotSlots(dst []SlotRef) []SlotRef {
-	if cap(dst) < len(p.slotOf) {
-		dst = make([]SlotRef, len(p.slotOf))
-	}
-	dst = dst[:len(p.slotOf)]
-	copy(dst, p.slotOf)
-	return dst
-}
-
-// DiffSlotsTo appends a delta for every cell whose slot differs from the
-// target assignment and returns the extended slice: applying the result to
-// this placement moves it into the target state. Both assignments must be
-// full (hole-free) slot assignments over identical row shapes; then the
-// differing cells form a permutation of their slots and the batch
-// satisfies the ApplySlotDeltas contract.
-func (p *Placement) DiffSlotsTo(target []SlotRef, dst []SlotDelta) []SlotDelta {
-	for id, ref := range p.slotOf {
-		if t := target[id]; ref != t && t != NoSlot {
-			dst = append(dst, SlotDelta{Cell: netlist.CellID(id), Row: t.Row, Idx: t.Idx})
-		}
-	}
-	return dst
 }
 
 // ApplySlotDeltas relocates the listed cells: all are lifted out of their

@@ -286,63 +286,10 @@ func TestDefaultNumRows(t *testing.T) {
 	}
 }
 
-func TestCoordJournal(t *testing.T) {
-	ckt := testCircuit(t)
-	p := NewRandom(ckt, 8, rng.New(4))
-
-	// Journaling off: mutations record nothing.
-	a, b := ckt.Movable()[0], ckt.Movable()[1]
-	p.SwapCells(a, b)
-	p.Recompute()
-	if got := p.DrainChangedCells(nil); len(got) != 0 {
-		t.Fatalf("journal off recorded %d cells", len(got))
-	}
-
-	p.JournalCoords(true)
-
-	// A swap + recompute must journal every cell whose coordinates moved
-	// — at least the two swapped cells (they live in different slots).
-	p.SwapCells(a, b)
-	before := map[netlist.CellID][2]float64{}
-	for _, id := range ckt.Movable() {
-		x, y := p.Coord(id)
-		before[id] = [2]float64{x, y}
-	}
-	p.Recompute()
-	changed := map[netlist.CellID]bool{}
-	for _, id := range p.DrainChangedCells(nil) {
-		changed[id] = true
-	}
-	for _, id := range ckt.Movable() {
-		x, y := p.Coord(id)
-		moved := before[id] != [2]float64{x, y}
-		if moved && !changed[id] {
-			t.Fatalf("cell %d moved but was not journaled", id)
-		}
-		if !moved && changed[id] {
-			t.Fatalf("cell %d did not move but was journaled", id)
-		}
-	}
-
-	// SetCoordHint journals value changes exactly once (deduplicated).
-	x, y := p.Coord(a)
-	p.SetCoordHint(a, x+1, y)
-	p.SetCoordHint(a, x+2, y)
-	p.SetCoordHint(a, x+2, y) // no-op: same value
-	got := p.DrainChangedCells(nil)
-	if len(got) != 1 || got[0] != a {
-		t.Fatalf("hint journal = %v, want [%d]", got, a)
-	}
-	// Drained: the journal is empty again.
-	if rest := p.DrainChangedCells(nil); len(rest) != 0 {
-		t.Fatalf("journal not cleared: %v", rest)
-	}
-}
-
 // TestSlotDeltasPatchToTarget is the delta-codec core property at the
 // layout level: for two random placements differing by a slot permutation,
-// applying the first's DiffSlotsTo output reproduces the second exactly —
-// same fingerprint and bitwise-identical physical coordinates.
+// applying that permutation's deltas to the first reproduces the second
+// exactly — same fingerprint and bitwise-identical physical coordinates.
 func TestSlotDeltasPatchToTarget(t *testing.T) {
 	ckt := testCircuit(t)
 	prop := func(seed uint64) bool {
@@ -367,12 +314,14 @@ func TestSlotDeltasPatchToTarget(t *testing.T) {
 			refs[i] = target.RemoveToHole(id)
 		}
 		perm := r.Perm(len(cells))
+		deltas := make([]SlotDelta, len(cells))
 		for i, id := range cells {
-			target.FillHole(refs[perm[i]], id)
+			to := refs[perm[i]]
+			target.FillHole(to, id)
+			deltas[i] = SlotDelta{Cell: id, Row: to.Row, Idx: to.Idx}
 		}
 		target.Recompute()
 
-		deltas := base.DiffSlotsTo(target.SnapshotSlots(nil), nil)
 		if err := base.ApplySlotDeltas(deltas); err != nil {
 			t.Logf("apply: %v", err)
 			return false

@@ -41,16 +41,18 @@ type Result struct {
 // operator (cells score at the swapped slot's last-recomputed coordinates);
 // a periodic full recompute kills the accumulated drift.
 //
-// Move deltas go through a wire.Incremental bound lazily to the working
+// Move deltas go through a wire.Incremental bound to the working
 // placement: trial lengths are read from the cached net geometry in
-// O(log p) per net instead of re-collecting every pin, and full() after a
-// placement Recompute re-estimates only the journaled (moved) cells' nets.
-// The objective totals live in the same cost.Pipeline the SimE engine
-// runs — wire and power fold changed nets into their summation trees in
-// O(dirty·log n), and a full recompute lands on the identical bits — so
-// the μ values reported here are exactly the engine's. Fitness-only users
-// (the GA evaluates fresh placements and never asks for deltas) keep the
-// plain from-scratch length path and never pay for the geometry cache.
+// O(log p) per net instead of re-collecting every pin. The mirror changes
+// in two ways only: binding a new placement rebuilds it, and per-pin
+// edits (MoveCell) carry every move of the bound one — an accepted swap's
+// two cells, and the cells a Recompute shifted. The objective totals live
+// in the same cost.Pipeline the SimE engine runs — wire and power fold a
+// swap's nets into their summation trees in O(dirty·log n), and a full
+// recompute lands on the identical bits — so the μ values reported here
+// are exactly the engine's. Fitness-only users (the GA evaluates fresh
+// placements and never asks for deltas) keep the plain from-scratch
+// length path (full) and never pay for the geometry cache.
 // core.Config.DisableIncremental forces the from-scratch paths here too —
 // the trajectories are bitwise identical either way (tested), so the
 // switch isolates the caching machinery.
@@ -61,7 +63,6 @@ type evaluator struct {
 	boundTo *layout.Placement // placement the incremental state mirrors
 	lengths []float64
 	pipe    *cost.Pipeline
-	dirty   []netlist.NetID // scratch: pre-flush dirty snapshot
 	nets    []netlist.NetID // scratch
 }
 
@@ -79,32 +80,22 @@ func newEvaluator(prob *core.Problem) *evaluator {
 // switch isolates the caching machinery, not the math.
 func (e *evaluator) scratchMode() bool { return e.prob.Cfg.DisableIncremental }
 
-// full recomputes the totals for the given placement: a dirty-net resync
-// when the incremental state already mirrors this placement, a from-scratch
-// pass otherwise. Per-net values are bitwise identical either way, and the
-// objective totals land on the same bits whether they were folded forward
-// net by net or recombined from the whole array.
+// full recomputes the totals for the given placement from scratch, for
+// fitness-only users (the GA); it leaves the incremental state alone.
 func (e *evaluator) full(place *layout.Placement) {
 	if place.Dirty() {
 		place.Recompute()
 	}
-	if e.boundTo == place {
-		e.inc.Sync(place)
-		e.dirty = e.inc.DirtySnapshot(e.dirty)
-		e.lengths = e.inc.Lengths(e.lengths)
-		e.pipe.ApplyDirty(e.dirty, e.lengths)
-	} else {
-		e.boundTo = nil
-		e.lengths = e.ev.Lengths(place, e.lengths)
-		e.pipe.Full(e.lengths)
-	}
+	e.lengths = e.ev.Lengths(place, e.lengths)
+	e.pipe.Full(e.lengths)
 }
 
-// fullBound is full for move-generating users (SA/TS): it binds the
-// incremental state first and reads the lengths from it, so adopting or
-// decoding a placement costs one net-length pass (inside Rebuild) instead
-// of a scratch pass followed by the first swapDelta's rebuild. Fitness-
-// only users (the GA) should keep calling full.
+// fullBound is full for move-generating users (SA/TS): it brings the
+// incremental state up to the placement and reads the lengths from it.
+// A newly bound placement (an adoption, a decoded broadcast) costs one
+// net-length pass, inside Rebuild. On the bound one a recompute after a
+// few swaps shifts only the cells behind them in their rows: those are
+// edited in pin by pin, and only their nets are relengthed and folded.
 func (e *evaluator) fullBound(place *layout.Placement) {
 	if e.scratchMode() {
 		e.full(place)
@@ -118,25 +109,32 @@ func (e *evaluator) fullBound(place *layout.Placement) {
 		e.pipe.Full(e.lengths)
 		return
 	}
-	e.dirty = e.inc.DirtySnapshot(e.dirty)
+	e.nets = e.nets[:0]
+	for _, id := range e.prob.Ckt.Movable() {
+		x, y := place.Coord(id)
+		if cx, cy := e.inc.Coord(id); cx != x || cy != y {
+			e.inc.MoveCell(id, x, y)
+			for _, ref := range e.inc.CellPins(id) {
+				e.nets = append(e.nets, ref.Net)
+			}
+		}
+	}
 	e.lengths = e.inc.Lengths(e.lengths)
-	e.pipe.ApplyDirty(e.dirty, e.lengths)
+	e.pipe.ApplyDirty(e.nets, e.lengths) // a repeated net folds as a no-op
 }
 
-// bind points the incremental state at the placement, rebuilding the
-// cached geometry if it mirrors a different one; it reports whether a
-// rebuild ran (the dirty-net record is then gone and objective state must
-// recompute in full).
+// bind points the incremental state at the placement, rebuilding it if it
+// mirrors a different one; it reports whether a rebuild ran. A bound
+// placement's coordinates change only through applySwap (which edits the
+// mirror) and Recompute (which the callers follow with fullBound), so the
+// mirror is current.
 func (e *evaluator) bind(place *layout.Placement) (rebuilt bool) {
 	if e.boundTo == place {
-		e.inc.Sync(place)
 		return false
 	}
 	if e.inc == nil {
 		e.inc = wire.NewIncremental(e.prob.Ckt)
 	}
-	place.JournalCoords(true)
-	place.ResetJournal()
 	e.inc.Rebuild(place)
 	e.boundTo = place
 	return true

@@ -101,9 +101,10 @@ var equivRows = func() []equivRow {
 		// every rank's rows.
 		equivRow{circuit: "par-t", obj: "wp", seed: 7, iters: 20, strategy: "typeII", transport: "sim", procs: 4, pattern: 7},
 		equivRow{circuit: "par-t", obj: "wp", seed: 11, iters: 25, strategy: "typeII", transport: "sim", procs: 3},
-		// Type III against its reference engine: adoptions patch a warm
-		// searcher through slot deltas (AdoptPlacement) where the
-		// reference engine re-evaluates from scratch.
+		// Type III against its reference engine: an adopting searcher
+		// takes the decoded store solution (SetPlacement), and its next
+		// evaluation rebuilds the mirror from it where the reference
+		// engine re-evaluates from scratch.
 		equivRow{circuit: "par-t", obj: "wp", seed: 8, iters: 25, strategy: "typeIII", transport: "sim", procs: 4, retry: 5},
 		equivRow{circuit: "par-t", obj: "wp", seed: 8, iters: 25, strategy: "typeIII", transport: "sim", procs: 4, retry: 5, sync: true, check: checkAdopts},
 		equivRow{circuit: "s1196", obj: "wp", seed: 2006, iters: 40, strategy: "typeIII", transport: "sim", procs: 4, retry: 5, check: checkAdopts},

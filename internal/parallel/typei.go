@@ -138,14 +138,13 @@ func typeISlave(prob *core.Problem, c Comm) error {
 		if len(data) == 0 {
 			return nil // stop signal
 		}
-		place := eng.Placement()
-		if err := patch.apply(data, place, nil); err != nil {
+		if err := patch.apply(data, eng.Placement(), nil); err != nil {
 			return fmt.Errorf("parallel: rank %d patching placement: %w", c.Rank(), err)
 		}
-		eng.SetPlacement(place) // rebuild the mirror, as for Type II
 		// Full cost evaluation (duplicate work) is required before any
 		// goodness can be computed: wirelength goodness of a cell needs
-		// the lengths of all its fan-in nets.
+		// the lengths of all its fan-in nets. It recomputes the patched
+		// placement's coordinates and rebuilds the mirror from them.
 		eng.EvaluateCosts()
 		goodsBuf = eng.ComputeGoodness(chunk, goodsBuf)
 		c.Gather(0, encodeF64s(goodsBuf))

@@ -175,10 +175,6 @@ func typeIISlave(prob *core.Problem, c Comm) error {
 		if err := patch.apply(rest, place, nil); err != nil {
 			return fmt.Errorf("parallel: rank %d patching placement: %w", c.Rank(), err)
 		}
-		// Rebuild the mirror once rather than patching it warm: after a
-		// round nearly every net is dirty, and the warm patch cost more
-		// slave compute than the rebuild.
-		eng.SetPlacement(place)
 		patch.snapshot(place)
 		// A corrupt assignment must fail the rank, not panic it: rows out
 		// of range would index past the placement in DomainFromRows.

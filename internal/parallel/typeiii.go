@@ -384,7 +384,7 @@ func typeIIISearcher(prob *core.Problem, c Comm, retry int, opt Options, block b
 			return fmt.Errorf("parallel: rank %d: corrupt news frame: %w", c.Rank(), err)
 		}
 		if place != nil && mu > eng.BestMu() {
-			eng.AdoptPlacement(place)
+			eng.SetPlacement(place) // freshly decoded: the engine takes it
 			stats.adopted++
 			telemetry.ExchangeAdopted.Inc()
 		}

@@ -24,8 +24,10 @@ var (
 	AllocSubScanNs   = Default.Histogram("simevo_engine_alloc_subphase_ns", "Allocation sub-phase wall time per iteration in nanoseconds.", "sub", "scan")
 	AllocSubCommitNs = Default.Histogram("simevo_engine_alloc_subphase_ns", "Allocation sub-phase wall time per iteration in nanoseconds.", "sub", "commit")
 
-	// Cost-evaluation shape: which EvaluateCosts branch ran, and how
-	// many dirty nets an incremental evaluation folded.
+	// Cost-evaluation shape: which EvaluateCosts branch ran. Every
+	// evaluation rebuilds the net lengths in full, so the engine writes
+	// neither EngineEvalsIncremental nor EngineDirtyNets; they stay
+	// registered because the benchmark module reads them.
 	EngineEvalsIncremental = Default.Counter("simevo_engine_evals_total", "Cost evaluations by kind.", "kind", "incremental")
 	EngineEvalsRebuild     = Default.Counter("simevo_engine_evals_total", "Cost evaluations by kind.", "kind", "rebuild")
 	EngineEvalsReference   = Default.Counter("simevo_engine_evals_total", "Cost evaluations by kind.", "kind", "reference")

@@ -19,10 +19,10 @@ type EngineSnapshot struct {
 	AllocScanNs   uint64 `json:"alloc_scan_ns"`
 	AllocCommitNs uint64 `json:"alloc_commit_ns"`
 
-	Evals            uint64 `json:"evals"`
-	IncrementalEvals uint64 `json:"incremental_evals"`
-	FullRebuilds     uint64 `json:"full_rebuilds"`
-	DirtyNets        uint64 `json:"dirty_nets"`
+	// Every evaluation rebuilds the net lengths in full: from the
+	// net-length mirror, or from scratch in the reference mode.
+	Evals        uint64 `json:"evals"`
+	FullRebuilds uint64 `json:"full_rebuilds"`
 
 	ScanVacancies     uint64 `json:"scan_vacancies"`
 	ScanPrunedBBox    uint64 `json:"scan_pruned_bbox"`
@@ -46,9 +46,9 @@ type EngineSnapshot struct {
 // the engine-family globals; it is their only writer, and allocates
 // nothing. Counters get the differences. The engine publishes after every
 // evaluation and iteration, so each histogram gets one sample per
-// iteration (phase and sub-phase times), per timed evaluation phase
-// (EvalNs advanced), and per incremental evaluation (its dirty nets).
-// reference counts full evaluations as reference, not rebuild, ones; the
+// iteration (phase and sub-phase times) and per timed evaluation phase
+// (EvalNs advanced). reference counts full evaluations as reference, not
+// rebuild, ones; the
 // congestion gauges take congPeak and congOverflow when the grid rebuilt.
 func (s *EngineSnapshot) Publish(prev *EngineSnapshot, reference bool, congPeak, congOverflow float64) {
 	if s.Iterations != prev.Iterations {
@@ -61,10 +61,6 @@ func (s *EngineSnapshot) Publish(prev *EngineSnapshot, reference bool, congPeak,
 	}
 	if s.EvalNs != prev.EvalNs {
 		EnginePhaseEvalNs.Observe(int64(s.EvalNs - prev.EvalNs))
-	}
-	if s.IncrementalEvals != prev.IncrementalEvals {
-		EngineEvalsIncremental.Add(s.IncrementalEvals - prev.IncrementalEvals)
-		EngineDirtyNets.Observe(int64(s.DirtyNets - prev.DirtyNets))
 	}
 	if reference {
 		EngineEvalsReference.Add(s.FullRebuilds - prev.FullRebuilds)

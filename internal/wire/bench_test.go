@@ -21,18 +21,40 @@ func benchCircuit(b *testing.B) *netlist.Circuit {
 }
 
 // BenchmarkLengthsIncremental compares refreshing all net lengths after a
-// two-cell move: the dirty-net incremental path (journal drain + touched
-// nets only) against the from-scratch full pass the engine used to do
-// every iteration.
+// two-cell swap: the per-pin path SA and TS take (MoveCell at the swapped
+// coordinates, then only the touched nets relengthed), the full Rebuild
+// every engine evaluation runs, and the from-scratch Evaluator pass of the
+// reference engine.
 func BenchmarkLengthsIncremental(b *testing.B) {
 	ckt := benchCircuit(b)
 	movable := ckt.Movable()
 
-	b.Run("Dirty", func(b *testing.B) {
+	b.Run("MoveCell", func(b *testing.B) {
 		place := layout.NewRandom(ckt, 16, rng.New(1))
-		place.JournalCoords(true)
 		inc := NewIncremental(ckt)
 		inc.Rebuild(place)
+		r := rng.New(2)
+		var lengths []float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := movable[r.Intn(len(movable))]
+			c := movable[r.Intn(len(movable))]
+			if a != c {
+				ax, ay := place.Coord(a)
+				cx, cy := place.Coord(c)
+				place.SwapCells(a, c)
+				place.SetCoordHint(a, cx, cy)
+				place.SetCoordHint(c, ax, ay)
+				inc.MoveCell(a, cx, cy)
+				inc.MoveCell(c, ax, ay)
+			}
+			lengths = inc.Lengths(lengths)
+		}
+	})
+
+	b.Run("Rebuild", func(b *testing.B) {
+		place := layout.NewRandom(ckt, 16, rng.New(1))
+		inc := NewIncremental(ckt)
 		r := rng.New(2)
 		var lengths []float64
 		b.ResetTimer()
@@ -43,7 +65,7 @@ func BenchmarkLengthsIncremental(b *testing.B) {
 				place.SwapCells(a, c)
 				place.Recompute()
 			}
-			inc.Sync(place)
+			inc.Rebuild(place)
 			lengths = inc.Lengths(lengths)
 		}
 	})

@@ -18,12 +18,13 @@ import "sort"
 // entries sit at an end of the sorted axis. The Steiner medians and branch
 // sums need the excluded entries' position in each sorted axis, which the
 // callers supply. The Evaluator searches for them in its freshly sorted
-// copy. The Incremental engine ranks the pins of a net once while it
+// copy. The Incremental engine ranks the pins of a net once while Rebuild
 // refills the net's sorted arrays (refresh, incremental.go) and evaluates
 // the exclusion of every requested cell on the net in that same visit, so
-// a dirty net of p pins costs one O(p log p) ranking instead of two
-// searches per excluded cell. Only a net that is visited for newly
-// requested cells without having changed (Exclusions) is searched.
+// a net of p pins costs one O(p log p) ranking instead of two searches per
+// excluded cell. Only a net visited without a refill is searched: one
+// relengthed after per-pin edits, or one visited for newly requested cells
+// (Exclusions).
 
 // searchF64 returns the first index i with v[i] >= x — sort.SearchFloat64s
 // semantics. Placement nets are small, so a linear scan beats the binary

@@ -10,29 +10,25 @@ import (
 
 // Incremental is a net-cost engine that maintains cached per-net geometry
 // — a coordinate mirror per cell plus sorted pin-coordinate multisets and
-// their prefix sums (for the Steiner trunk/median math) per net — so that:
+// their prefix sums (for the Steiner trunk/median math) per net — so that
+// a trial placement of one cell is scored in O(log p) per net (TrialNetAt,
+// TrialNetAt2, TrialSet) instead of re-collecting and re-sorting every pin.
 //
-//   - a trial placement of one cell is scored in O(log p) per net
-//     (TrialNetAt / TrialNetAt2) instead of re-collecting and re-sorting
-//     every pin;
-//   - after a batch of cell moves, only the nets incident to the moved
-//     cells ("dirty" nets) are re-derived, instead of recomputing every net
-//     from scratch.
-//
-// A dirty net is re-derived in one visit. A net a journal drain dirtied
-// is stale: the visit (refresh) collects the net's pins from the mirror in
-// pin order, refills the sorted multisets and prefix sums, computes the
-// committed length, and evaluates the excluded length of every requested
-// cell on the net (Exclusions, the goodness measure's O_i basis). A net
-// that only per-pin edits (MoveCell, PlaceCell) changed keeps its sorted
-// multisets current, so its visit (relength) recomputes just the length
-// and the exclusions from them. The committed length takes the span and
-// the median from the sorted multisets and sums the Steiner branches over
-// the pins in pin order: the value the from-scratch Evaluator computes over
-// the same coordinates, bit for bit — the serial, Type I, and Type II
-// trajectory invariants depend on this. Exclusions and trials go through the
-// canonical formulas of excl.go and trial.go, shared with the Evaluator,
-// and are likewise bitwise reproducible.
+// The state changes in exactly two ways. Rebuild re-derives every net
+// from a coordinate source: the mirror is copied, and one visit per net
+// (refresh) collects its pins in pin order, refills the sorted multisets
+// and prefix sums, computes the committed length, and evaluates the
+// excluded length of every wanted cell on the net (Exclusions, the
+// goodness measure's O_i basis). Per-pin edits (RemoveCell, PlaceCell,
+// MoveCell) keep the multisets current one pin at a time and mark the
+// edited nets dirty; a dirty net's visit (relength) recomputes just the
+// length and the exclusions from them. The committed length takes the
+// span and the median from the sorted multisets and sums the Steiner
+// branches over the pins in pin order: the value the from-scratch
+// Evaluator computes over the same coordinates, bit for bit — the serial,
+// Type I, and Type II trajectory invariants depend on this. Exclusions and
+// trials go through the canonical formulas of excl.go and trial.go, shared
+// with the Evaluator, and are likewise bitwise reproducible.
 //
 // An Incremental is not safe for concurrent use: it carries the scratch
 // for the net visits and the trial scoring.
@@ -45,8 +41,7 @@ import (
 // headers aliasing the block, so the insert/remove-by-memmove mutation
 // paths can never spill into a neighboring net's block (a net's pin count
 // never exceeds its degree) and never allocate. Walking nets in id order —
-// the dirty-net refresh, trial compilation — therefore walks contiguous
-// memory.
+// Rebuild, trial compilation — therefore walks contiguous memory.
 type Incremental struct {
 	ckt *netlist.Circuit
 
@@ -78,15 +73,13 @@ type Incremental struct {
 	unfilled bool            // some wanted entry may still be -1
 	pending  []netlist.NetID // Exclusions scratch: nets to refresh
 
-	lengths  []float64        // committed per-net lengths
-	dirty    []netlist.NetID  // nets changed since the last Lengths
-	stale    []netlist.NetID  // nets Drain marked stale, not yet visited (for Sync)
-	state    []uint8          // per net: netListed | netStale | netEdited | netQueued
-	removed  []netlist.CellID // cells lifted out for trial scanning
-	oldX     []float64        // coords of removed cells, parallel to removed
-	oldY     []float64
-	drainBuf []netlist.CellID // scratch for Drain
-	built    bool             // Rebuild has run at least once
+	lengths []float64        // committed per-net lengths
+	dirty   []netlist.NetID  // nets per-pin edits changed since the last Lengths
+	state   []uint8          // per net: netListed | netEdited | netQueued
+	removed []netlist.CellID // cells lifted out for trial scanning
+	oldX    []float64        // coords of removed cells, parallel to removed
+	oldY    []float64
+	built   bool // Rebuild has run at least once
 
 	// Scratch of the net visits and the trials: the pin-order collection
 	// and candidate staging (ev), the rank sort and each pin's sorted
@@ -99,11 +92,8 @@ type Incremental struct {
 // Per-net state bits.
 const (
 	netListed uint8 = 1 << iota // on the dirty list
-	netStale                    // geometry, length and exclusions need a refresh
 	netEdited                   // geometry current; length and exclusions need a relength
 	netQueued                   // on the Exclusions pending list
-
-	netPending = netStale | netEdited // the net's visit is due
 )
 
 // netGeom holds one net's cached geometry: pin coordinates sorted per axis,
@@ -120,15 +110,6 @@ type netGeom struct {
 type PinRef struct {
 	Net netlist.NetID
 	K   int32
-}
-
-// ChangeSource is the placement-side contract for Sync: coordinates plus a
-// drainable journal of cells whose coordinates changed since the last
-// drain. *layout.Placement satisfies it once coordinate journaling is
-// enabled.
-type ChangeSource interface {
-	Coords
-	DrainChangedCells(dst []netlist.CellID) []netlist.CellID
 }
 
 // NewIncremental returns an incremental Steiner evaluator for one circuit.
@@ -253,7 +234,7 @@ func (inc *Incremental) Coord(id netlist.CellID) (x, y float64) {
 // NetBBox returns the bounding box of a net's pins from the cached sorted
 // multisets in O(1). ok is false for a degenerate net with no pins or
 // while some of its pins are lifted out by RemoveCell. The box is exact
-// for the committed coordinates of the last Sync/Rebuild, which makes it
+// for the committed coordinates of the last Rebuild, which makes it
 // the congestion grid's geometry source: identical coordinates on the
 // reference path yield the identical box.
 func (inc *Incremental) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float64, ok bool) {
@@ -267,7 +248,8 @@ func (inc *Incremental) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float64
 // Rebuild resynchronizes the full state — mirror, multisets, committed
 // lengths and the wanted cells' exclusions — from the given coordinates.
 // Rebuilding from a consistent state reproduces the cached values bit for
-// bit.
+// bit, so a rebuild and any sequence of per-pin edits that reaches the
+// same coordinates leave identical values.
 func (inc *Incremental) Rebuild(coords Coords) {
 	if len(inc.removed) != 0 {
 		panic("wire: Rebuild with removed cells outstanding")
@@ -280,12 +262,12 @@ func (inc *Incremental) Rebuild(coords Coords) {
 		inc.state[n] = 0
 	}
 	inc.dirty = inc.dirty[:0]
-	inc.stale = inc.stale[:0]
 	inc.unfilled = false
 	inc.built = true
 }
 
-// refresh re-derives one net from the mirror in a single visit. It collects
+// refresh re-derives one net from the mirror in a single visit (Rebuild's
+// per-net pass). It collects
 // the pins in pin order (driver, then sinks), refills the sorted multisets
 // and prefix sums, computes the committed length, and evaluates the
 // excluded length of every wanted cell on the net. Only Steiner trunks
@@ -352,18 +334,6 @@ func (inc *Incremental) relength(n netlist.NetID) {
 	}
 	if wanted {
 		inc.excludeNet(n, false)
-	}
-}
-
-// visit brings a dirty net's length and exclusions up to date: refresh for
-// a stale net, relength for one only per-pin edits changed. It leaves the
-// state bits alone.
-func (inc *Incremental) visit(n netlist.NetID) {
-	switch s := inc.state[n]; {
-	case s&netStale != 0:
-		inc.refresh(n)
-	case s&netEdited != 0:
-		inc.relength(n)
 	}
 }
 
@@ -549,9 +519,9 @@ func prefixInto(dst, v []float64) []float64 {
 
 // MoveCell updates the mirror and every incident net's geometry for a cell
 // now at (x, y), marking those nets dirty; their next visit only
-// recomputes length and exclusions (relength). Removal is a binary search
-// into each sorted axis plus a memmove; no-op when the coordinates are
-// unchanged.
+// recomputes length and exclusions (relength). Removal is a search into
+// each sorted axis plus a memmove; an axis whose coordinate is unchanged
+// is left alone, as is the whole state when both are.
 func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 	if inc.cx[id] == x && inc.cy[id] == y {
 		return
@@ -561,11 +531,15 @@ func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 	inc.eachNet(id, func(n netlist.NetID, g *netGeom, k int) {
 		xLo, yLo := len(g.xv), len(g.yv)
 		for i := 0; i < k; i++ {
-			xLo = min(xLo, removePin(&g.xv, oldX), insertPin(&g.xv, x))
-			yLo = min(yLo, removePin(&g.yv, oldY), insertPin(&g.yv, y))
+			if x != oldX {
+				xLo = min(xLo, removePin(&g.xv, oldX), insertPin(&g.xv, x))
+			}
+			if y != oldY {
+				yLo = min(yLo, removePin(&g.yv, oldY), insertPin(&g.yv, y))
+			}
 		}
 		inc.refreshPrefix(g, xLo, yLo)
-		inc.markDirty(n, netEdited)
+		inc.markDirty(n)
 	})
 }
 
@@ -619,7 +593,7 @@ func (inc *Incremental) PlaceCell(id netlist.CellID, x, y float64) {
 		}
 		inc.refreshPrefix(g, xLo, yLo)
 		if moved {
-			inc.markDirty(n, netEdited)
+			inc.markDirty(n)
 		}
 	})
 }
@@ -635,73 +609,18 @@ func (inc *Incremental) RestoreCell(id netlist.CellID) {
 	panic(fmt.Sprintf("wire: RestoreCell(%d) without RemoveCell", id))
 }
 
-// Drain applies the source's coordinate-change journal to the mirror and
-// marks the nets of every moved cell stale. The marked nets' geometry,
-// lengths and exclusions stay stale until the next Lengths or NetLength
-// re-derives them, so nothing may read or edit them in between; Sync is
-// the variant that refreshes at once. The source must be the same
-// placement the state was last rebuilt from. Drain returns the number of
-// nets on the dirty list, the nets the next Lengths refreshes.
-//
-// Unlike MoveCell — which edits each net's sorted arrays one pin at a time
-// and pays two binary searches, two memmoves, and a prefix refresh per pin
-// — a drain batches: it updates the whole mirror first, and the flush then
-// refreshes each touched net once from the mirror. A journal drain
-// typically moves a large fraction of the cells (every allocated cell plus
-// the row repacking behind it), so most touched nets have several moved
-// pins and the single refill is cheaper than the per-pin edits. The
-// refilled arrays hold the same sorted value multisets the per-pin edits
-// would produce, so every downstream value is bit-identical.
-func (inc *Incremental) Drain(src ChangeSource) int {
-	if len(inc.removed) != 0 {
-		panic("wire: Drain with removed cells outstanding")
-	}
-	inc.drainBuf = src.DrainChangedCells(inc.drainBuf[:0])
-	for _, id := range inc.drainBuf {
-		x, y := src.Coord(id)
-		if inc.cx[id] == x && inc.cy[id] == y {
-			continue
-		}
-		inc.cx[id], inc.cy[id] = x, y
-		for _, ref := range inc.CellPins(id) {
-			if inc.state[ref.Net]&netStale == 0 {
-				inc.stale = append(inc.stale, ref.Net)
-			}
-			inc.markDirty(ref.Net, netStale)
-		}
-	}
-	return len(inc.dirty)
-}
-
-// Sync is Drain followed by an immediate refresh of every stale net, so the
-// geometry is current for trials and per-pin edits right away. It visits
-// only the nets drains marked stale, not the whole dirty list: a caller
-// that syncs between per-pin edits (SA, TS) keeps a growing list of edited
-// nets. The dirty list survives until the next Lengths, for DirtySnapshot.
-func (inc *Incremental) Sync(src ChangeSource) {
-	inc.Drain(src)
-	for _, n := range inc.stale {
-		if inc.state[n]&netStale != 0 {
-			inc.refresh(n)
-			inc.state[n] &^= netPending
-		}
-	}
-	inc.stale = inc.stale[:0]
-}
-
-// refreshStale visits every net on the dirty list that is still due,
+// relengthEdited relengths every net on the dirty list that is still due,
 // leaving the list itself in place.
-func (inc *Incremental) refreshStale() {
+func (inc *Incremental) relengthEdited() {
 	for _, n := range inc.dirty {
-		if inc.state[n]&netPending != 0 {
-			inc.visit(n)
-			inc.state[n] &^= netPending
+		if inc.state[n]&netEdited != 0 {
+			inc.relength(n)
+			inc.state[n] &^= netEdited
 		}
 	}
-	inc.stale = inc.stale[:0]
 }
 
-// Lengths refreshes the dirty nets and returns all committed per-net
+// Lengths relengths the dirty nets and returns all committed per-net
 // lengths in dst (allocated if too small).
 func (inc *Incremental) Lengths(dst []float64) []float64 {
 	inc.flush()
@@ -710,24 +629,24 @@ func (inc *Incremental) Lengths(dst []float64) []float64 {
 	return dst
 }
 
-// NetLength returns one net's committed length, visiting the net first if
-// it changed since.
+// NetLength returns one net's committed length, relengthing the net first
+// if per-pin edits changed it since.
 func (inc *Incremental) NetLength(n netlist.NetID) float64 {
-	if inc.state[n]&netPending != 0 {
+	if inc.state[n]&netEdited != 0 {
 		if len(inc.removed) != 0 {
 			panic("wire: NetLength with removed cells outstanding")
 		}
-		inc.visit(n)
-		inc.state[n] &^= netPending
+		inc.relength(n)
+		inc.state[n] &^= netEdited
 	}
 	return inc.lengths[n]
 }
 
-// Want makes the given cells the wanted set: from here on every net
-// refresh also evaluates their exclusions, in the same visit as the net's
-// length. A caller that knows which cells it will ask Exclusions for
-// declares them before the evaluation that dirties the nets, so that
-// evaluation computes them; Exclusions keeps the set of its last call.
+// Want makes the given cells the wanted set: from here on every net visit
+// also evaluates their exclusions, in the same visit as the net's length.
+// A caller that knows which cells it will ask Exclusions for declares them
+// before the evaluation's Rebuild, so the rebuild computes them;
+// Exclusions keeps the set of its last call.
 func (inc *Incremental) Want(cells []netlist.CellID) {
 	if slices.Equal(cells, inc.wantList) {
 		return
@@ -755,8 +674,8 @@ func (inc *Incremental) Want(cells []netlist.CellID) {
 
 // Exclusions makes the given cells the wanted set (Want) and brings the
 // excluded lengths of all their pins up to date; CellExcl then reads them.
-// The net refreshes since the cells became wanted have computed most of
-// them, so this call only fills what no refresh covered: the nets of newly
+// The net visits since the cells became wanted have computed most of
+// them, so this call only fills what no visit covered: the nets of newly
 // wanted cells that have not changed since. Each such net is visited once,
 // for all wanted cells on it; its geometry is current, so the visit
 // searches the sorted axes for the positions the Steiner formula needs
@@ -766,7 +685,7 @@ func (inc *Incremental) Exclusions(cells []netlist.CellID) {
 	if len(inc.removed) != 0 {
 		panic("wire: Exclusions with removed cells outstanding")
 	}
-	inc.refreshStale()
+	inc.relengthEdited()
 	inc.Want(cells)
 	if !inc.unfilled {
 		return
@@ -783,7 +702,7 @@ func (inc *Incremental) Exclusions(cells []netlist.CellID) {
 			}
 		}
 	}
-	// These nets have not changed since their last refresh: only the
+	// These nets have not changed since their last visit: only the
 	// exclusions are missing.
 	for _, n := range inc.pending {
 		inc.state[n] &^= netQueued
@@ -813,15 +732,6 @@ func (inc *Incremental) NumPins() int { return len(inc.pinRefs) }
 // Built reports whether Rebuild has initialized the state.
 func (inc *Incremental) Built() bool { return inc.built }
 
-// DirtySnapshot copies the current dirty-net list — the nets touched by
-// mutations since the last Lengths — into dst (reused if roomy). The copy
-// survives the flush that Lengths performs, which is what a dirty-net cost
-// fold needs: it captures the list before reading the refreshed lengths,
-// then folds exactly those nets in.
-func (inc *Incremental) DirtySnapshot(dst []netlist.NetID) []netlist.NetID {
-	return append(dst[:0], inc.dirty...)
-}
-
 // StoredSpan returns the half-perimeter of the net's stored pins (0 when
 // all pins are removed) — the scan-ordering key for compiled trials.
 func (inc *Incremental) StoredSpan(n netlist.NetID) float64 {
@@ -840,18 +750,17 @@ func (inc *Incremental) flush() {
 		panic("wire: Lengths with removed cells outstanding")
 	}
 	for _, n := range inc.dirty {
-		inc.visit(n)
-		inc.state[n] &^= netListed | netPending
+		if inc.state[n]&netEdited != 0 {
+			inc.relength(n)
+		}
+		inc.state[n] &^= netListed | netEdited
 	}
 	inc.dirty = inc.dirty[:0]
-	inc.stale = inc.stale[:0]
 }
 
-// markDirty lists net n and marks its visit due: bit is netStale when the
-// net's geometry must be refilled from the mirror, netEdited when per-pin
-// edits kept it current.
-func (inc *Incremental) markDirty(n netlist.NetID, bit uint8) {
-	inc.state[n] |= bit
+// markDirty lists net n and marks its relength due after a per-pin edit.
+func (inc *Incremental) markDirty(n netlist.NetID) {
+	inc.state[n] |= netEdited
 	if inc.state[n]&netListed == 0 {
 		inc.state[n] |= netListed
 		inc.dirty = append(inc.dirty, n)

@@ -23,11 +23,11 @@ func testCircuit(t testing.TB, seed int64) *netlist.Circuit {
 	return ckt
 }
 
-// mutableCoords is a plain coordinate table implementing ChangeSource, so
-// the tests can drive arbitrary move sequences through Sync.
+// mutableCoords is a plain coordinate table implementing Coords, so the
+// tests can drive arbitrary move sequences and compare against a
+// from-scratch evaluation over the same coordinates.
 type mutableCoords struct {
-	x, y    []float64
-	changed []netlist.CellID
+	x, y []float64
 }
 
 func newMutableCoords(ckt *netlist.Circuit, p *layout.Placement) *mutableCoords {
@@ -43,20 +43,16 @@ func newMutableCoords(ckt *netlist.Circuit, p *layout.Placement) *mutableCoords 
 
 func (m *mutableCoords) Coord(id netlist.CellID) (float64, float64) { return m.x[id], m.y[id] }
 
-func (m *mutableCoords) DrainChangedCells(dst []netlist.CellID) []netlist.CellID {
-	dst = append(dst, m.changed...)
-	m.changed = m.changed[:0]
-	return dst
-}
-
-func (m *mutableCoords) move(id netlist.CellID, x, y float64) {
+// move sets a cell's coordinates in the table and edits them into inc pin
+// by pin.
+func (m *mutableCoords) move(inc *Incremental, id netlist.CellID, x, y float64) {
 	m.x[id], m.y[id] = x, y
-	m.changed = append(m.changed, id)
+	inc.MoveCell(id, x, y)
 }
 
 // TestIncrementalMatchesScratchUnderMoves drives randomized move sequences
-// through Sync and asserts every committed net length stays bitwise equal
-// to a from-scratch evaluation.
+// through MoveCell and asserts every committed net length stays bitwise
+// equal to a from-scratch evaluation.
 func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 	ckt := testCircuit(t, 31)
 	movable := ckt.Movable()
@@ -73,9 +69,8 @@ func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 		// occasional coincident values to exercise duplicate handling).
 		for k := 0; k <= r.Intn(3); k++ {
 			id := movable[r.Intn(len(movable))]
-			coords.move(id, float64(r.Intn(160))/2, float64(r.Intn(48))/2)
+			coords.move(inc, id, float64(r.Intn(160))/2, float64(r.Intn(48))/2)
 		}
-		inc.Sync(coords)
 		got = inc.Lengths(got)
 		want = ev.Lengths(coords, want)
 		for n := range want {
@@ -138,8 +133,7 @@ func TestTrialMatchesScratch(t *testing.T) {
 
 		// Occasionally commit a move so trials run against varied states.
 		if step%3 == 0 {
-			coords.move(a, x1, y1)
-			inc.Sync(coords)
+			coords.move(inc, a, x1, y1)
 		}
 	}
 }
@@ -169,7 +163,8 @@ func TestRemoveRestoreKeepsLengthsValid(t *testing.T) {
 }
 
 // TestRebuildIsChecksum asserts that rebuilding from a consistent state
-// reproduces identical lengths.
+// reproduces identical lengths: per-pin edits and a rebuild that reach the
+// same coordinates agree bit for bit.
 func TestRebuildIsChecksum(t *testing.T) {
 	ckt := testCircuit(t, 34)
 	place := layout.NewRandom(ckt, 8, rng.New(21))
@@ -180,9 +175,8 @@ func TestRebuildIsChecksum(t *testing.T) {
 	r := rng.New(8)
 	for i := 0; i < 120; i++ {
 		id := movable[r.Intn(len(movable))]
-		coords.move(id, float64(r.Intn(100))/2, float64(r.Intn(30))/2)
+		coords.move(inc, id, float64(r.Intn(100))/2, float64(r.Intn(30))/2)
 	}
-	inc.Sync(coords)
 	incLengths := inc.Lengths(nil)
 	inc.Rebuild(coords)
 	rebuilt := inc.Lengths(nil)
@@ -287,44 +281,13 @@ func TestScanBestTrailingZeroTieBreak(t *testing.T) {
 	}
 }
 
-// TestPlacementJournalFeedsSync exercises the real layout journal: slot
-// mutations followed by Recompute must surface every coordinate change.
-func TestPlacementJournalFeedsSync(t *testing.T) {
-	ckt := testCircuit(t, 35)
-	place := layout.NewRandom(ckt, 8, rng.New(2))
-	place.JournalCoords(true)
-	inc := NewIncremental(ckt)
-	inc.Rebuild(place)
-	ev := NewEvaluator(ckt)
-
-	movable := ckt.Movable()
-	r := rng.New(12)
-	var got, want []float64
-	for step := 0; step < 60; step++ {
-		a := movable[r.Intn(len(movable))]
-		b := movable[r.Intn(len(movable))]
-		for b == a {
-			b = movable[r.Intn(len(movable))]
-		}
-		place.SwapCells(a, b)
-		place.Recompute()
-		inc.Sync(place)
-		got = inc.Lengths(got)
-		want = ev.Lengths(place, want)
-		for n := range want {
-			if got[n] != want[n] {
-				t.Fatalf("step %d: net %d incremental %v != scratch %v", step, n, got[n], want[n])
-			}
-		}
-	}
-}
-
 // TestExcludingMatchesScratch asserts the goodness-path invariant: for
 // every requested cell and every incident net, the cached-state excluded
-// length is bitwise equal to the Evaluator's from-scratch value. It covers the three ways an exclusion gets computed: filled
-// on request (a first request, then a wider one that adds cells), kept
-// current by the refresh of nets a journal sync dirtied, and kept current
-// by per-pin edits (MoveCell) flushed through Lengths.
+// length is bitwise equal to the Evaluator's from-scratch value. It covers
+// the three ways an exclusion gets computed: filled on request (a first
+// request, then a wider one that adds cells), by Rebuild's refresh of
+// every net, and kept current by per-pin edits (MoveCell) flushed through
+// Lengths.
 func TestExcludingMatchesScratch(t *testing.T) {
 	ckt := testCircuit(t, 5)
 	p := layout.NewRandom(ckt, 8, rng.New(5))
@@ -349,23 +312,20 @@ func TestExcludingMatchesScratch(t *testing.T) {
 	check("first request", movable[:len(movable)/2], p)
 	check("wider request", movable, p)
 
-	// Move a batch of cells and re-check after a journal sync.
+	// Move a batch of cells and re-check after a rebuild.
 	m := newMutableCoords(ckt, p)
 	r := rng.New(99)
 	for i := 0; i < 25; i++ {
 		id := movable[int(r.Uint64()%uint64(len(movable)))]
-		m.move(id, float64(r.Uint64()%300), float64(r.Uint64()%90))
+		m.x[id], m.y[id] = float64(r.Uint64()%300), float64(r.Uint64()%90)
 	}
-	inc.Sync(m)
-	inc.Lengths(nil)
-	check("after sync", movable, m)
+	inc.Rebuild(m)
+	check("after rebuild", movable, m)
 
 	// Per-pin edits, flushed by Lengths.
 	for i := 0; i < 10; i++ {
 		id := movable[int(r.Uint64()%uint64(len(movable)))]
-		x, y := float64(r.Uint64()%300), float64(r.Uint64()%90)
-		m.x[id], m.y[id] = x, y
-		inc.MoveCell(id, x, y)
+		m.move(inc, id, float64(r.Uint64()%300), float64(r.Uint64()%90))
 	}
 	inc.Lengths(nil)
 	check("after moves", movable, m)
@@ -374,7 +334,7 @@ func TestExcludingMatchesScratch(t *testing.T) {
 // TestEditedNetsMatchScratch covers nets that per-pin edits changed, whose
 // visit recomputes length and exclusions without refilling the sorted
 // arrays: MoveCell followed by NetLength on the moved cell's nets (the
-// SA/TS move path), mixed with journal syncs that refill, must give the
+// SA/TS move path), mixed with rebuilds that refill, must give the
 // Evaluator's lengths and exclusions bit for bit.
 func TestEditedNetsMatchScratch(t *testing.T) {
 	ckt := testCircuit(t, 8)
@@ -391,11 +351,10 @@ func TestEditedNetsMatchScratch(t *testing.T) {
 		id := movable[r.Intn(len(movable))]
 		x, y := float64(r.Intn(160))/2, float64(r.Intn(48))/2
 		if step%7 == 0 {
-			m.move(id, x, y)
-			inc.Sync(m)
-		} else {
 			m.x[id], m.y[id] = x, y
-			inc.MoveCell(id, x, y)
+			inc.Rebuild(m)
+		} else {
+			m.move(inc, id, x, y)
 		}
 		for _, ref := range inc.CellPins(id) {
 			if got, want := inc.NetLength(ref.Net), ev.NetLength(ref.Net, m); got != want {
@@ -457,7 +416,7 @@ func TestExcludingPadNets(t *testing.T) {
 
 // TestSteadyStateZeroAllocs pins the SoA storage contract: once the flat
 // backing arrays exist and the scratch buffers are warm, a full
-// sync/re-estimate/goodness/trial cycle allocates nothing.
+// edit/relength/rebuild/goodness/trial cycle allocates nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	ckt := testCircuit(t, 77)
 	place := layout.NewRandom(ckt, 0, rng.NewStream(9, 0))
@@ -473,13 +432,14 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	rowY := rowCenters(layout.RowY, 8)
 
 	cycle := func(round int) {
-		// A batch of moves through the journal, then dirty re-estimation.
+		// A batch of per-pin moves and their relength, then the rebuild
+		// every engine evaluation runs.
 		for i := 0; i < 8; i++ {
 			id := movable[(round*13+i*7)%len(movable)]
-			coords.move(id, float64((round+i*11)%40)+0.5, float64((round*3+i)%8)*layout.RowPitch+2)
+			coords.move(inc, id, float64((round+i*11)%40)+0.5, float64((round*3+i)%8)*layout.RowPitch+2)
 		}
-		inc.Sync(coords)
 		lengths = inc.Lengths(lengths)
+		inc.Rebuild(coords)
 
 		// Goodness exclusions for a fixed request plus a compiled trial
 		// scan.
