@@ -93,7 +93,7 @@ type Engine struct {
 	vacUsed  []bool
 	buckets  wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
 	rowW     []int
-	rowOK    []bool    // per row: adding the current cell keeps the width bound
+	scanRows []int     // rows with a free vacancy the current cell fits (the scan's rows)
 	rowY     []float64 // per row: centerline y (layout.RowY), the scan's rowY
 }
 
@@ -270,7 +270,7 @@ func (e *Engine) CostPhases() map[string]time.Duration { return e.pipe.Phases() 
 // With the incremental engine active, the excluded net lengths behind each
 // cell's O_i come from the net visits (wire.Incremental.Exclusions). The
 // cells of the last request stay wanted, and Step declares its domain
-// before evaluating, so the dirty-net refresh inside EvaluateCosts has
+// before evaluating, so the mirror's Rebuild inside EvaluateCosts has
 // already computed them; only nets of newly requested cells are visited
 // here. Each cell's goodness is then a fold over its pin references.
 func (e *Engine) ComputeGoodness(cells []netlist.CellID, dst []float64) []float64 {
@@ -466,9 +466,10 @@ func (e *Engine) selectCells() []netlist.CellID {
 // With the incremental engine active, the cell's pins are lifted out of the
 // cached multisets (RemoveCell) so every vacancy is scored in O(log p) per
 // net through the row-sharded vacancy buckets (wire.ScanBestRows): the
-// vacancy pool is bucketed per row and x-sorted once per pass, occupancy is
-// journaled with O(1) commits, and each cell's scan walks outward from its
-// median anchor, cutting dominated regions wholesale.
+// vacancy pool is bucketed per row and x-sorted once per pass, a commit
+// shifts the rest of its row's free vacancies left, and each cell's scan
+// enters only the rows that hold a free vacancy and fit its width,
+// best-first from its median anchor, cutting dominated regions wholesale.
 func (e *Engine) allocate(sel []netlist.CellID) {
 	if len(sel) == 0 {
 		return
@@ -513,11 +514,6 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 		}
 	}
 
-	if cap(e.rowOK) < numRows {
-		e.rowOK = make([]bool, numRows)
-	}
-	e.rowOK = e.rowOK[:numRows]
-
 	// Sub-phase stamps are offsets from tCapture: time.Since reads only the
 	// monotonic clock, where time.Now reads the wall clock as well. mark
 	// carries the previous cell's end stamp into the next cell's prep
@@ -528,14 +524,17 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	for own, id := range sel {
 		w := ckt.Cells[id].Width
 		e.prepTrial(id, useInc)
-		// feasible counts the free vacancies of the width-feasible rows,
-		// the candidates the scan's statistics account for.
+		// The scan walks only the rows that hold a free vacancy and fit
+		// the cell's width; feasible counts their free vacancies, the
+		// candidates the scan's statistics account for.
 		feasible := 0
-		for r := range e.rowOK {
-			ok := float64(e.rowW[r]+w) <= limit
-			e.rowOK[r] = ok
-			if ok && useInc {
-				feasible += e.buckets.RowLive(r)
+		if useInc {
+			e.scanRows = e.scanRows[:0]
+			for r, rw := range e.rowW {
+				if live := e.buckets.RowLive(r); live != 0 && float64(rw+w) <= limit {
+					e.scanRows = append(e.scanRows, r)
+					feasible += live
+				}
 			}
 		}
 		t1 := time.Since(tCapture)
@@ -551,12 +550,12 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 			// still free and feasible, makes most other vacancies bail on
 			// their first net; nextafter keeps equal-scoring earlier
 			// vacancies admissible, so the serial first-minimum wins.
-			best, _ = e.trials.ScanBestRows(&e.buckets, e.rowOK, feasible,
-				e.seedBound(own), &e.scanStats)
+			best, _ = e.trials.ScanBestRows(&e.buckets, e.scanRows, feasible,
+				e.seedBound(own, w, limit), &e.scanStats)
 		} else {
 			bestScore := 0.0
 			for v := 0; v < n; v++ {
-				if e.vacUsed[v] || !e.rowOK[e.vacs[v].Row] {
+				if e.vacUsed[v] || float64(e.rowW[e.vacs[v].Row]+w) > limit {
 					continue
 				}
 				score := e.trialCost(id, e.vacs[v].X, e.vacs[v].Y)
@@ -737,13 +736,14 @@ func (e *Engine) remainingSpan(n netlist.NetID, exclude netlist.CellID) float64 
 
 // seedBound returns the initial scan bound for the prepared cell: one ulp
 // above its own vacated slot's trial score when that slot is still free
-// and width-feasible, +Inf otherwise. Scores strictly below the bound are
-// scanned normally, so the first global minimum still wins — the seed only
-// lets hopeless vacancies bail earlier. The seed slot must be feasible:
+// and its row takes the cell's width w within limit, +Inf otherwise.
+// Scores strictly below the bound are scanned normally, so the first
+// global minimum still wins — the seed only lets hopeless vacancies bail
+// earlier. The seed slot must be feasible:
 // bounding by an infeasible slot could prune every feasible vacancy and
 // misroute the cell into the violation fallback.
-func (e *Engine) seedBound(own int) float64 {
-	if e.vacUsed[own] || !e.rowOK[e.vacs[own].Row] {
+func (e *Engine) seedBound(own, w int, limit float64) float64 {
+	if e.vacUsed[own] || float64(e.rowW[e.vacs[own].Row]+w) > limit {
 		return math.Inf(1)
 	}
 	s := e.trials.Score(e.vacs[own].X, e.vacs[own].Y)

@@ -95,7 +95,8 @@ func (e *evaluator) full(place *layout.Placement) {
 // A newly bound placement (an adoption, a decoded broadcast) costs one
 // net-length pass, inside Rebuild. On the bound one a recompute after a
 // few swaps shifts only the cells behind them in their rows: those are
-// edited in pin by pin, and only their nets are relengthed and folded.
+// edited in pin by pin (MoveCell), and only their nets are read back
+// through NetLength, which relengths each, and folded.
 func (e *evaluator) fullBound(place *layout.Placement) {
 	if e.scratchMode() {
 		e.full(place)
@@ -119,7 +120,10 @@ func (e *evaluator) fullBound(place *layout.Placement) {
 			}
 		}
 	}
-	e.lengths = e.inc.Lengths(e.lengths)
+	// Every other net's length is current: applySwap read its nets back.
+	for _, n := range e.nets {
+		e.lengths[n] = e.inc.NetLength(n)
+	}
 	e.pipe.ApplyDirty(e.nets, e.lengths) // a repeated net folds as a no-op
 }
 

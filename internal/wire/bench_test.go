@@ -22,7 +22,8 @@ func benchCircuit(b *testing.B) *netlist.Circuit {
 
 // BenchmarkLengthsIncremental compares refreshing all net lengths after a
 // two-cell swap: the per-pin path SA and TS take (MoveCell at the swapped
-// coordinates, then only the touched nets relengthed), the full Rebuild
+// coordinates, then only the touched nets read back through NetLength),
+// the full Rebuild
 // every engine evaluation runs, and the from-scratch Evaluator pass of the
 // reference engine.
 func BenchmarkLengthsIncremental(b *testing.B) {
@@ -34,7 +35,7 @@ func BenchmarkLengthsIncremental(b *testing.B) {
 		inc := NewIncremental(ckt)
 		inc.Rebuild(place)
 		r := rng.New(2)
-		var lengths []float64
+		lengths := inc.Lengths(nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a := movable[r.Intn(len(movable))]
@@ -48,7 +49,11 @@ func BenchmarkLengthsIncremental(b *testing.B) {
 				inc.MoveCell(a, cx, cy)
 				inc.MoveCell(c, ax, ay)
 			}
-			lengths = inc.Lengths(lengths)
+			for _, id := range [2]netlist.CellID{a, c} {
+				for _, ref := range inc.CellPins(id) {
+					lengths[ref.Net] = inc.NetLength(ref.Net)
+				}
+			}
 		}
 	})
 

@@ -45,16 +45,26 @@ func bucketFree(b *VacancyBuckets, v int) bool {
 	return p < b.start[r]+b.rowN[r]
 }
 
-// feasibleLive sums the free vacancies of the rowOK rows — the count
-// ScanBestRows takes.
-func feasibleLive(b *VacancyBuckets, rowOK []bool) int {
-	n := 0
-	for r := range rowOK {
-		if rowOK[r] {
-			n += b.RowLive(r)
+// scanList lists, ascending, the rows ScanBestRows walks, as the engine
+// lists them: the rowOK rows that hold a free vacancy. It also returns
+// their free vacancies, the feasible count ScanBestRows takes.
+func scanList(b *VacancyBuckets, rowOK []bool) (rows []int, feasible int) {
+	for r, ok := range rowOK {
+		if live := b.RowLive(r); ok && live != 0 {
+			rows = append(rows, r)
+			feasible += live
 		}
 	}
-	return n
+	return rows, feasible
+}
+
+// checkRowsVisited fails unless the scan counted only listed rows, each at
+// most once, and reached at least one when the list is not empty.
+func checkRowsVisited(t *testing.T, tag string, st *ScanStats, rows []int) {
+	t.Helper()
+	if st.RowsVisited > uint64(len(rows)) || (len(rows) > 0 && st.RowsVisited == 0) {
+		t.Fatalf("%s: scan visited %d rows of a %d-row list", tag, st.RowsVisited, len(rows))
+	}
 }
 
 // rowCenters tabulates yOf over rows — the row centerlines PrepareScan
@@ -177,7 +187,11 @@ type scanState struct {
 // infeasible rows), and seed bounds, ScanBestRows must return bitwise the
 // same (winner, score) as the flat ScanBest over the live list — which
 // TestTrialSetMatchesNetTrials in turn pins to the brute-force
-// ScoreBounded loop. The generated circuit mixes bbox and trunk nets; the
+// ScoreBounded loop. Every fourth step empties the row list (every row too
+// narrow, or every vacancy taken: the engine's violation fallback runs),
+// the next leaves the anchor row out of it (a Type II rank whose anchor
+// lies in a foreign row), and the next leaves gaps on both sides of the
+// anchor. The generated circuit mixes bbox and trunk nets; the
 // trunk-heavy fixtures (Steiner nets keeping 4-16 pins besides the
 // trialled hub) make the branch-excess bound carry real weight.
 func TestScanBestRowsMatchesFlatScan(t *testing.T) {
@@ -220,6 +234,8 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 		for i := range s.set.items {
 			sawExcess = sawExcess || s.set.items[i].ex > 0
 		}
+		s.set.PrepareScan(rowCenters(layout.RowY, s.rows))
+		anchor := s.set.anchorRow
 
 		nVac := 8 + r.Intn(40)
 		s.vacs = s.vacs[:0]
@@ -233,6 +249,11 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 		for i := 0; i < nVac/4; i++ {
 			s.bk.Commit(int32(r.Intn(nVac)))
 		}
+		if step%8 == 5 { // every vacancy taken
+			for v := 0; v < nVac; v++ {
+				s.bk.Commit(int32(v))
+			}
+		}
 		s.free = s.free[:0]
 		for v := 0; v < nVac; v++ {
 			if bucketFree(&s.bk, v) {
@@ -241,7 +262,16 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 		}
 		s.rowOK = s.rowOK[:0]
 		for row := 0; row < s.rows; row++ {
-			s.rowOK = append(s.rowOK, r.Intn(8) != 0)
+			ok := r.Intn(8) != 0
+			switch step % 4 {
+			case 1: // the list is empty: every row too narrow, or full
+				ok = ok && step%8 == 5
+			case 2: // the anchor lies in a row the list leaves out
+				ok = ok && row != anchor
+			case 3: // gaps on both sides of the anchor
+				ok = ok && (row-anchor)%2 == 0
+			}
+			s.rowOK = append(s.rowOK, ok)
 		}
 
 		// Alternate the unbounded scan with an engine-style seed bound
@@ -255,15 +285,18 @@ func checkScanMatchesFlat(t *testing.T, tag string, ckt *netlist.Circuit, coords
 			}
 		}
 
-		s.set.PrepareScan(rowCenters(layout.RowY, s.rows))
 		var st, wantSt ScanStats
-		feasible := feasibleLive(&s.bk, s.rowOK)
-		gotBest, gotScore := s.set.ScanBestRows(&s.bk, s.rowOK, feasible, bound0, &st)
+		list, feasible := scanList(&s.bk, s.rowOK)
+		if step%4 == 1 && len(list) != 0 {
+			t.Fatalf("%s step %d: row list %v, want it empty", tag, step, list)
+		}
+		gotBest, gotScore := s.set.ScanBestRows(&s.bk, list, feasible, bound0, &st)
 		wantBest, wantScore := s.set.ScanBest(s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, &wantSt)
 		if gotBest != wantBest || gotScore != wantScore {
 			t.Fatalf("%s step %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)",
 				tag, step, gotBest, gotScore, wantBest, wantScore)
 		}
+		checkRowsVisited(t, fmt.Sprintf("%s step %d", tag, step), &st, list)
 		// Every free vacancy of a feasible row is a candidate, visited at
 		// most once or else skipped, exactly as the flat scan counts its
 		// visits.
@@ -325,7 +358,8 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 		}
 
 		set.PrepareScan(rowCenters(layout.RowY, rows))
-		got, gotScore := set.ScanBestRows(&bk, rowOK, feasibleLive(&bk, rowOK), 1e308, nil)
+		list, feasible := scanList(&bk, rowOK)
+		got, gotScore := set.ScanBestRows(&bk, list, feasible, 1e308, nil)
 
 		// Brute-force reference: first index with the strictly smallest
 		// exact score.

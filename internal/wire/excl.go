@@ -23,8 +23,7 @@ import "sort"
 // the exclusion of every requested cell on the net in that same visit, so
 // a net of p pins costs one O(p log p) ranking instead of two searches per
 // excluded cell. Only a net visited without a refill is searched: one
-// relengthed after per-pin edits, or one visited for newly requested cells
-// (Exclusions).
+// visited for newly requested cells (Exclusions).
 
 // searchF64 returns the first index i with v[i] >= x — sort.SearchFloat64s
 // semantics. Placement nets are small, so a linear scan beats the binary

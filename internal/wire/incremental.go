@@ -20,15 +20,18 @@ import (
 // and prefix sums, computes the committed length, and evaluates the
 // excluded length of every wanted cell on the net (Exclusions, the
 // goodness measure's O_i basis). Per-pin edits (RemoveCell, PlaceCell,
-// MoveCell) keep the multisets current one pin at a time and mark the
-// edited nets dirty; a dirty net's visit (relength) recomputes just the
-// length and the exclusions from them. The committed length takes the
-// span and the median from the sorted multisets and sums the Steiner
-// branches over the pins in pin order: the value the from-scratch
-// Evaluator computes over the same coordinates, bit for bit — the serial,
-// Type I, and Type II trajectory invariants depend on this. Exclusions and
-// trials go through the canonical formulas of excl.go and trial.go, shared
-// with the Evaluator, and are likewise bitwise reproducible.
+// MoveCell) keep the multisets and prefix sums current one pin at a time
+// and nothing else: an edit that moves a cell leaves the committed
+// lengths and exclusions behind until the next Rebuild, and Lengths and
+// Exclusions panic until then. The one exception is NetLength after
+// MoveCell, which relengths a net MoveCell edited when it is read
+// (relength). The committed length takes the span and the median from the
+// sorted multisets and sums the Steiner branches over the pins in pin
+// order: the value the from-scratch Evaluator computes over the same
+// coordinates, bit for bit — the serial, Type I, and Type II trajectory
+// invariants depend on this. Exclusions and trials go through the
+// canonical formulas of excl.go and trial.go, shared with the Evaluator,
+// and are likewise bitwise reproducible.
 //
 // An Incremental is not safe for concurrent use: it carries the scratch
 // for the net visits and the trial scoring.
@@ -64,9 +67,9 @@ type Incremental struct {
 	netOff []int32
 
 	// Goodness exclusions: excl[r] is the length of pinRefs[r]'s net
-	// without the pins of the cell owning r. It is kept current for the
-	// wanted cells (Want) by every net refresh; a newly wanted cell's
-	// entries are reset to -1 until computed.
+	// without the pins of the cell owning r. Rebuild computes it for the
+	// wanted cells (Want); a newly wanted cell's entries are reset to -1
+	// until Exclusions fills them.
 	excl     []float64
 	want     []uint8 // per cell: 1 while in wantList
 	wantList []netlist.CellID
@@ -74,8 +77,8 @@ type Incremental struct {
 	pending  []netlist.NetID // Exclusions scratch: nets to refresh
 
 	lengths []float64        // committed per-net lengths
-	dirty   []netlist.NetID  // nets per-pin edits changed since the last Lengths
-	state   []uint8          // per net: netListed | netEdited | netQueued
+	state   []uint8          // per net: netEdited | netQueued
+	stale   uint8            // staleMoved | stalePlaced: cell moves since the last Rebuild
 	removed []netlist.CellID // cells lifted out for trial scanning
 	oldX    []float64        // coords of removed cells, parallel to removed
 	oldY    []float64
@@ -91,9 +94,14 @@ type Incremental struct {
 
 // Per-net state bits.
 const (
-	netListed uint8 = 1 << iota // on the dirty list
-	netEdited                   // geometry current; length and exclusions need a relength
+	netEdited uint8 = 1 << iota // MoveCell changed the geometry; the length needs a relength
 	netQueued                   // on the Exclusions pending list
+)
+
+// Incremental.stale bits: what moved a cell since the last Rebuild.
+const (
+	staleMoved  uint8 = 1 << iota // MoveCell: NetLength still reads its nets
+	stalePlaced                   // PlaceCell at new coordinates: no length is current
 )
 
 // netGeom holds one net's cached geometry: pin coordinates sorted per axis,
@@ -261,7 +269,7 @@ func (inc *Incremental) Rebuild(coords Coords) {
 		inc.refresh(netlist.NetID(n))
 		inc.state[n] = 0
 	}
-	inc.dirty = inc.dirty[:0]
+	inc.stale = 0
 	inc.unfilled = false
 	inc.built = true
 }
@@ -312,29 +320,22 @@ func (inc *Incremental) refresh(n netlist.NetID) {
 	}
 }
 
-// relength recomputes the committed length and the wanted cells'
-// exclusions of a net whose sorted multisets and prefix sums per-pin edits
-// kept current: the span is read from the sorted ends, and only Steiner
-// trunks collect the pins, in pin order, for their branch sums. The values
-// equal refresh's, which differs only in refilling the arrays first. Like
-// refresh it writes only this net's length slot and pin references.
+// relength recomputes the committed length of a net whose sorted
+// multisets and prefix sums per-pin edits kept current: the span is read
+// from the sorted ends, and only Steiner trunks collect the pins, in pin
+// order, for their branch sums. The value equals refresh's, which differs
+// only in refilling the arrays first.
 func (inc *Incremental) relength(n netlist.NetID) {
 	g := &inc.geoms[n]
-	net := inc.ckt.Net(n)
 	deg := len(g.xv)
-	var wanted bool
 	if deg <= 3 {
 		inc.lengths[n] = spanLength(g)
-		wanted = len(inc.wantList) != 0 && inc.wanted(net)
-	} else {
-		ev := inc.ev
-		ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
-		wanted = inc.collect(net, ev.xs, ev.ys)
-		inc.lengths[n] = inc.netLength(g)
+		return
 	}
-	if wanted {
-		inc.excludeNet(n, false)
-	}
+	ev := inc.ev
+	ev.xs, ev.ys = resizeFloats(ev.xs, deg), resizeFloats(ev.ys, deg)
+	inc.collect(inc.ckt.Net(n), ev.xs, ev.ys)
+	inc.lengths[n] = inc.netLength(g)
 }
 
 // spanLength is the half-perimeter of a net's sorted axes, 0 below two
@@ -345,19 +346,6 @@ func spanLength(g *netGeom) float64 {
 		return 0
 	}
 	return (g.xv[n-1] - g.xv[0]) + (g.yv[n-1] - g.yv[0])
-}
-
-// wanted reports whether a wanted cell is on the net.
-func (inc *Incremental) wanted(net *netlist.Net) bool {
-	if d := net.Driver; d != netlist.NoCell && inc.want[d] != 0 {
-		return true
-	}
-	for _, c := range net.Sinks {
-		if inc.want[c] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // collect writes the net's pin coordinates from the mirror, in pin order,
@@ -518,16 +506,17 @@ func prefixInto(dst, v []float64) []float64 {
 }
 
 // MoveCell updates the mirror and every incident net's geometry for a cell
-// now at (x, y), marking those nets dirty; their next visit only
-// recomputes length and exclusions (relength). Removal is a search into
-// each sorted axis plus a memmove; an axis whose coordinate is unchanged
-// is left alone, as is the whole state when both are.
+// now at (x, y). NetLength relengths each of those nets when it is next
+// read; Lengths and Exclusions panic until the next Rebuild. Removal is a
+// search into each sorted axis plus a memmove; an axis whose coordinate is
+// unchanged is left alone, as is the whole state when both are.
 func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 	if inc.cx[id] == x && inc.cy[id] == y {
 		return
 	}
 	oldX, oldY := inc.cx[id], inc.cy[id]
 	inc.cx[id], inc.cy[id] = x, y
+	inc.stale |= staleMoved
 	inc.eachNet(id, func(n netlist.NetID, g *netGeom, k int) {
 		xLo, yLo := len(g.xv), len(g.yv)
 		for i := 0; i < k; i++ {
@@ -539,14 +528,14 @@ func (inc *Incremental) MoveCell(id netlist.CellID, x, y float64) {
 			}
 		}
 		inc.refreshPrefix(g, xLo, yLo)
-		inc.markDirty(n)
+		inc.state[n] |= netEdited
 	})
 }
 
 // RemoveCell lifts a cell's pins out of its nets' multisets so that trial
 // scoring needs no exclusion logic: a trial is then simply "stored pins
 // plus candidate point(s)". The mirror keeps the old coordinates until
-// PlaceCell re-inserts the cell. Committed lengths must not be read while
+// PlaceCell re-inserts the cell. NetLength must not relength a net while
 // cells are removed.
 func (inc *Incremental) RemoveCell(id netlist.CellID) {
 	inc.removed = append(inc.removed, id)
@@ -563,9 +552,11 @@ func (inc *Incremental) RemoveCell(id netlist.CellID) {
 	})
 }
 
-// PlaceCell re-inserts a removed cell at (x, y). Incident nets are marked
-// dirty only if the coordinates actually changed, so a remove/restore pair
-// (trial scanning that keeps the old spot) leaves the cached lengths valid.
+// PlaceCell re-inserts a removed cell at (x, y). At new coordinates it
+// leaves every committed length and exclusion behind until the next
+// Rebuild: Lengths, NetLength and Exclusions panic until then. A
+// remove/restore pair (trial scanning that keeps the old spot) leaves them
+// valid.
 func (inc *Incremental) PlaceCell(id netlist.CellID, x, y float64) {
 	idx := -1
 	for i, r := range inc.removed {
@@ -577,7 +568,9 @@ func (inc *Incremental) PlaceCell(id netlist.CellID, x, y float64) {
 	if idx < 0 {
 		panic(fmt.Sprintf("wire: PlaceCell(%d) without RemoveCell", id))
 	}
-	moved := inc.oldX[idx] != x || inc.oldY[idx] != y
+	if inc.oldX[idx] != x || inc.oldY[idx] != y {
+		inc.stale |= stalePlaced
+	}
 	last := len(inc.removed) - 1
 	inc.removed[idx] = inc.removed[last]
 	inc.oldX[idx], inc.oldY[idx] = inc.oldX[last], inc.oldY[last]
@@ -592,9 +585,6 @@ func (inc *Incremental) PlaceCell(id netlist.CellID, x, y float64) {
 			yLo = min(yLo, insertPin(&g.yv, y))
 		}
 		inc.refreshPrefix(g, xLo, yLo)
-		if moved {
-			inc.markDirty(n)
-		}
 	})
 }
 
@@ -609,29 +599,30 @@ func (inc *Incremental) RestoreCell(id netlist.CellID) {
 	panic(fmt.Sprintf("wire: RestoreCell(%d) without RemoveCell", id))
 }
 
-// relengthEdited relengths every net on the dirty list that is still due,
-// leaving the list itself in place.
-func (inc *Incremental) relengthEdited() {
-	for _, n := range inc.dirty {
-		if inc.state[n]&netEdited != 0 {
-			inc.relength(n)
-			inc.state[n] &^= netEdited
-		}
-	}
-}
-
-// Lengths relengths the dirty nets and returns all committed per-net
-// lengths in dst (allocated if too small).
+// Lengths returns the committed per-net lengths of the last Rebuild in dst
+// (allocated if too small). It panics if a per-pin edit moved a cell since.
 func (inc *Incremental) Lengths(dst []float64) []float64 {
-	inc.flush()
+	inc.requireCurrent("Lengths")
 	dst = resizeFloats(dst, len(inc.lengths))
 	copy(dst, inc.lengths)
 	return dst
 }
 
+// requireCurrent panics if a per-pin edit moved a cell since the last
+// Rebuild.
+func (inc *Incremental) requireCurrent(op string) {
+	if inc.stale != 0 {
+		panic("wire: " + op + " after a per-pin move without Rebuild")
+	}
+}
+
 // NetLength returns one net's committed length, relengthing the net first
-// if per-pin edits changed it since.
+// if MoveCell edited it since. It panics after a PlaceCell at new
+// coordinates until the next Rebuild.
 func (inc *Incremental) NetLength(n netlist.NetID) float64 {
+	if inc.stale&stalePlaced != 0 {
+		panic("wire: NetLength after PlaceCell without Rebuild")
+	}
 	if inc.state[n]&netEdited != 0 {
 		if len(inc.removed) != 0 {
 			panic("wire: NetLength with removed cells outstanding")
@@ -642,11 +633,11 @@ func (inc *Incremental) NetLength(n netlist.NetID) float64 {
 	return inc.lengths[n]
 }
 
-// Want makes the given cells the wanted set: from here on every net visit
-// also evaluates their exclusions, in the same visit as the net's length.
-// A caller that knows which cells it will ask Exclusions for declares them
-// before the evaluation's Rebuild, so the rebuild computes them;
-// Exclusions keeps the set of its last call.
+// Want makes the given cells the wanted set: from the next Rebuild on,
+// its net visits also evaluate their exclusions, in the same visit as the
+// net's length. A caller that knows which cells it will ask Exclusions
+// for declares them before the evaluation's Rebuild, so the rebuild
+// computes them; Exclusions keeps the set of its last call.
 func (inc *Incremental) Want(cells []netlist.CellID) {
 	if slices.Equal(cells, inc.wantList) {
 		return
@@ -674,18 +665,18 @@ func (inc *Incremental) Want(cells []netlist.CellID) {
 
 // Exclusions makes the given cells the wanted set (Want) and brings the
 // excluded lengths of all their pins up to date; CellExcl then reads them.
-// The net visits since the cells became wanted have computed most of
-// them, so this call only fills what no visit covered: the nets of newly
-// wanted cells that have not changed since. Each such net is visited once,
-// for all wanted cells on it; its geometry is current, so the visit
-// searches the sorted axes for the positions the Steiner formula needs
-// instead of ranking the pins again. Only the wanted cells' pins are
-// evaluated. No cells may be removed.
+// The last Rebuild computed those of the cells wanted then, so this call
+// only fills the nets of newly wanted cells. Each such net is visited
+// once, for all wanted cells on it; its geometry is the rebuilt one, so
+// the visit searches the sorted axes for the positions the Steiner
+// formula needs instead of ranking the pins again. Only the wanted cells'
+// pins are evaluated. No cells may be removed, and no per-pin edit may
+// have moved a cell since the last Rebuild.
 func (inc *Incremental) Exclusions(cells []netlist.CellID) {
 	if len(inc.removed) != 0 {
 		panic("wire: Exclusions with removed cells outstanding")
 	}
-	inc.relengthEdited()
+	inc.requireCurrent("Exclusions")
 	inc.Want(cells)
 	if !inc.unfilled {
 		return
@@ -702,8 +693,8 @@ func (inc *Incremental) Exclusions(cells []netlist.CellID) {
 			}
 		}
 	}
-	// These nets have not changed since their last visit: only the
-	// exclusions are missing.
+	// These nets have not changed since the Rebuild: only the exclusions
+	// are missing.
 	for _, n := range inc.pending {
 		inc.state[n] &^= netQueued
 		inc.excludeNet(n, false)
@@ -714,9 +705,8 @@ func (inc *Incremental) Exclusions(cells []netlist.CellID) {
 
 // CellExcl returns, parallel to CellPins(id), the length of each incident
 // net without the cell's pins. The cell must have been among the cells of
-// the last Exclusions call, and no net may have changed since the last
-// Exclusions or Lengths call. The slice aliases internal state; callers
-// must not mutate it.
+// the last Exclusions call, and no cell may have moved since. The slice
+// aliases internal state; callers must not mutate it.
 func (inc *Incremental) CellExcl(id netlist.CellID) []float64 {
 	return inc.excl[inc.pinOff[id]:inc.pinOff[id+1]]
 }
@@ -740,31 +730,6 @@ func (inc *Incremental) StoredSpan(n netlist.NetID) float64 {
 		return 0
 	}
 	return (g.xv[len(g.xv)-1] - g.xv[0]) + (g.yv[len(g.yv)-1] - g.yv[0])
-}
-
-func (inc *Incremental) flush() {
-	if len(inc.dirty) == 0 {
-		return
-	}
-	if len(inc.removed) != 0 {
-		panic("wire: Lengths with removed cells outstanding")
-	}
-	for _, n := range inc.dirty {
-		if inc.state[n]&netEdited != 0 {
-			inc.relength(n)
-		}
-		inc.state[n] &^= netListed | netEdited
-	}
-	inc.dirty = inc.dirty[:0]
-}
-
-// markDirty lists net n and marks its relength due after a per-pin edit.
-func (inc *Incremental) markDirty(n netlist.NetID) {
-	inc.state[n] |= netEdited
-	if inc.state[n]&netListed == 0 {
-		inc.state[n] |= netListed
-		inc.dirty = append(inc.dirty, n)
-	}
 }
 
 // eachNet invokes fn for every distinct net incident to the cell with the

@@ -51,8 +51,8 @@ func (m *mutableCoords) move(inc *Incremental, id netlist.CellID, x, y float64) 
 }
 
 // TestIncrementalMatchesScratchUnderMoves drives randomized move sequences
-// through MoveCell and asserts every committed net length stays bitwise
-// equal to a from-scratch evaluation.
+// through MoveCell and asserts every net length read through NetLength
+// stays bitwise equal to a from-scratch evaluation.
 func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 	ckt := testCircuit(t, 31)
 	movable := ckt.Movable()
@@ -63,7 +63,7 @@ func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 	ev := NewEvaluator(ckt)
 	r := rng.New(99)
 
-	var got, want []float64
+	var want []float64
 	for step := 0; step < 200; step++ {
 		// Move 1-3 random cells to random positions (half-site grid with
 		// occasional coincident values to exercise duplicate handling).
@@ -71,12 +71,11 @@ func TestIncrementalMatchesScratchUnderMoves(t *testing.T) {
 			id := movable[r.Intn(len(movable))]
 			coords.move(inc, id, float64(r.Intn(160))/2, float64(r.Intn(48))/2)
 		}
-		got = inc.Lengths(got)
 		want = ev.Lengths(coords, want)
 		for n := range want {
-			if got[n] != want[n] {
+			if got := inc.NetLength(netlist.NetID(n)); got != want[n] {
 				t.Fatalf("step %d: net %d incremental %v != scratch %v",
-					step, n, got[n], want[n])
+					step, n, got, want[n])
 			}
 		}
 	}
@@ -163,8 +162,9 @@ func TestRemoveRestoreKeepsLengthsValid(t *testing.T) {
 }
 
 // TestRebuildIsChecksum asserts that rebuilding from a consistent state
-// reproduces identical lengths: per-pin edits and a rebuild that reach the
-// same coordinates agree bit for bit.
+// reproduces identical lengths: per-pin edits, read back through
+// NetLength, and a rebuild that reach the same coordinates agree bit for
+// bit.
 func TestRebuildIsChecksum(t *testing.T) {
 	ckt := testCircuit(t, 34)
 	place := layout.NewRandom(ckt, 8, rng.New(21))
@@ -177,7 +177,10 @@ func TestRebuildIsChecksum(t *testing.T) {
 		id := movable[r.Intn(len(movable))]
 		coords.move(inc, id, float64(r.Intn(100))/2, float64(r.Intn(30))/2)
 	}
-	incLengths := inc.Lengths(nil)
+	incLengths := make([]float64, ckt.NumNets())
+	for n := range incLengths {
+		incLengths[n] = inc.NetLength(netlist.NetID(n))
+	}
 	inc.Rebuild(coords)
 	rebuilt := inc.Lengths(nil)
 	for n := range incLengths {
@@ -284,10 +287,10 @@ func TestScanBestTrailingZeroTieBreak(t *testing.T) {
 // TestExcludingMatchesScratch asserts the goodness-path invariant: for
 // every requested cell and every incident net, the cached-state excluded
 // length is bitwise equal to the Evaluator's from-scratch value. It covers
-// the three ways an exclusion gets computed: filled on request (a first
-// request, then a wider one that adds cells), by Rebuild's refresh of
-// every net, and kept current by per-pin edits (MoveCell) flushed through
-// Lengths.
+// the two ways an exclusion gets computed: filled on request (a first
+// request, then a wider one that adds cells) and by Rebuild's refresh of
+// every net, also when the Rebuild follows per-pin edits (MoveCell) and
+// the request then adds cells the Rebuild did not cover.
 func TestExcludingMatchesScratch(t *testing.T) {
 	ckt := testCircuit(t, 5)
 	p := layout.NewRandom(ckt, 8, rng.New(5))
@@ -322,20 +325,23 @@ func TestExcludingMatchesScratch(t *testing.T) {
 	inc.Rebuild(m)
 	check("after rebuild", movable, m)
 
-	// Per-pin edits, flushed by Lengths.
+	// Per-pin edits, then a Rebuild wanting a third of the cells and a
+	// request that fills the rest.
 	for i := 0; i < 10; i++ {
 		id := movable[int(r.Uint64()%uint64(len(movable)))]
 		m.move(inc, id, float64(r.Uint64()%300), float64(r.Uint64()%90))
 	}
-	inc.Lengths(nil)
+	inc.Want(movable[:len(movable)/3])
+	inc.Rebuild(m)
 	check("after moves", movable, m)
 }
 
-// TestEditedNetsMatchScratch covers nets that per-pin edits changed, whose
-// visit recomputes length and exclusions without refilling the sorted
-// arrays: MoveCell followed by NetLength on the moved cell's nets (the
-// SA/TS move path), mixed with rebuilds that refill, must give the
-// Evaluator's lengths and exclusions bit for bit.
+// TestEditedNetsMatchScratch covers nets that MoveCell changed, whose
+// NetLength recomputes the length without refilling the sorted arrays:
+// MoveCell followed by NetLength on the moved cell's nets (the SA/TS move
+// path), mixed with rebuilds that refill, must give the Evaluator's
+// lengths bit for bit, on every net, and the Rebuild after such edits its
+// lengths and exclusions.
 func TestEditedNetsMatchScratch(t *testing.T) {
 	ckt := testCircuit(t, 8)
 	p := layout.NewRandom(ckt, 8, rng.New(8))
@@ -364,6 +370,12 @@ func TestEditedNetsMatchScratch(t *testing.T) {
 		if step%10 != 9 {
 			continue
 		}
+		for n, want := range ev.Lengths(m, nil) {
+			if got := inc.NetLength(netlist.NetID(n)); got != want {
+				t.Fatalf("step %d: net %d length %v, scratch %v", step, n, got, want)
+			}
+		}
+		inc.Rebuild(m)
 		inc.Exclusions(wanted)
 		for _, c := range wanted {
 			excl := inc.CellExcl(c)
@@ -416,7 +428,7 @@ func TestExcludingPadNets(t *testing.T) {
 
 // TestSteadyStateZeroAllocs pins the SoA storage contract: once the flat
 // backing arrays exist and the scratch buffers are warm, a full
-// edit/relength/rebuild/goodness/trial cycle allocates nothing.
+// edit/relength/rebuild/lengths/goodness/trial cycle allocates nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	ckt := testCircuit(t, 77)
 	place := layout.NewRandom(ckt, 0, rng.NewStream(9, 0))
@@ -432,14 +444,17 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	rowY := rowCenters(layout.RowY, 8)
 
 	cycle := func(round int) {
-		// A batch of per-pin moves and their relength, then the rebuild
-		// every engine evaluation runs.
+		// A batch of per-pin moves, each read back through NetLength,
+		// then the rebuild every engine evaluation runs.
 		for i := 0; i < 8; i++ {
 			id := movable[(round*13+i*7)%len(movable)]
 			coords.move(inc, id, float64((round+i*11)%40)+0.5, float64((round*3+i)%8)*layout.RowPitch+2)
+			for _, ref := range inc.CellPins(id) {
+				inc.NetLength(ref.Net)
+			}
 		}
-		lengths = inc.Lengths(lengths)
 		inc.Rebuild(coords)
+		lengths = inc.Lengths(lengths)
 
 		// Goodness exclusions for a fixed request plus a compiled trial
 		// scan.
@@ -470,6 +485,72 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state cycle allocates %.1f times per run, want 0", avg)
 	}
+}
+
+// TestStaleReadsPanic pins what a per-pin edit that moves a cell leaves
+// behind: Lengths and Exclusions panic after a MoveCell, and Lengths,
+// NetLength and Exclusions after a PlaceCell at new coordinates, until the
+// next Rebuild; NetLength still reads MoveCell's nets. A RemoveCell/
+// RestoreCell pair, or a PlaceCell back at the old coordinates, leaves
+// every read usable.
+func TestStaleReadsPanic(t *testing.T) {
+	ckt := testCircuit(t, 35)
+	coords := newMutableCoords(ckt, layout.NewRandom(ckt, 8, rng.New(4)))
+	inc := NewIncremental(ckt)
+	inc.Rebuild(coords)
+	ev := NewEvaluator(ckt)
+	cells := ckt.Movable()[:10]
+	id := cells[0]
+	net := inc.CellPins(id)[0].Net
+
+	panics := func(stage, op string, read func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: %s did not panic", stage, op)
+			}
+		}()
+		read()
+	}
+	stale := func(stage string, netLength bool) {
+		t.Helper()
+		panics(stage, "Lengths", func() { inc.Lengths(nil) })
+		panics(stage, "Exclusions", func() { inc.Exclusions(cells) })
+		if netLength {
+			panics(stage, "NetLength", func() { inc.NetLength(net) })
+		}
+	}
+	usable := func(stage string) {
+		t.Helper()
+		got := inc.Lengths(nil)
+		inc.Exclusions(cells)
+		if want := ev.NetLength(net, coords); got[net] != want || inc.NetLength(net) != want {
+			t.Fatalf("%s: net %d length %v, scratch %v", stage, net, got[net], want)
+		}
+	}
+
+	usable("after Rebuild")
+	inc.RemoveCell(id)
+	inc.RestoreCell(id)
+	inc.RemoveCell(id)
+	inc.PlaceCell(id, coords.x[id], coords.y[id])
+	usable("after RemoveCell/RestoreCell")
+
+	coords.move(inc, id, coords.x[id]+1, coords.y[id])
+	stale("after MoveCell", false)
+	if got, want := inc.NetLength(net), ev.NetLength(net, coords); got != want {
+		t.Fatalf("after MoveCell: net %d length %v, scratch %v", net, got, want)
+	}
+	stale("after MoveCell and NetLength", false)
+	inc.Rebuild(coords)
+	usable("after MoveCell and Rebuild")
+
+	inc.RemoveCell(id)
+	coords.x[id]++
+	inc.PlaceCell(id, coords.x[id], coords.y[id])
+	stale("after PlaceCell", true)
+	inc.Rebuild(coords)
+	usable("after PlaceCell and Rebuild")
 }
 
 // dupPinCircuit builds a few wide nets whose sink cells often sink the same

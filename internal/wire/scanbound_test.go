@@ -348,8 +348,9 @@ func vacancyRows(shape byte, rows int) []int {
 // pool. Vacancies share the pins' grid, so many tie exactly. Every winner
 // must be bitwise the flat reference scan's and the first minimum of a
 // plain Score loop, and the scan must count every free vacancy of a
-// feasible row exactly once. An odd first byte selects the wide grid, and
-// shape the rows that hold vacancies (vacancyRows).
+// feasible row exactly once and enter only the rows of its list. An odd
+// first byte selects the wide grid, and shape the rows that hold
+// vacancies (vacancyRows).
 func FuzzScanBestRows(f *testing.F) {
 	f.Add([]byte{0}, byte(0))
 	f.Add([]byte{1}, byte(0))
@@ -386,14 +387,25 @@ func FuzzScanBestRows(f *testing.F) {
 	f.Add([]byte("TO$:(k"), byte(0))
 	// Type II shapes (vacancyRows): vacancies in a contiguous block
 	// (shapes 76, 127, 178) or in every third row (26, 116, 176), with
-	// width-infeasible rows on both sides of the anchor; in each, an empty
-	// or infeasible row cuts a side of the order.
+	// width-infeasible rows on both sides of the anchor, which the row
+	// list leaves out.
 	f.Add([]byte("4~5"), byte(26))
 	f.Add([]byte("\"^e*![VTN"), byte(76))
 	f.Add([]byte("20.DG"), byte(127))
 	f.Add([]byte("!7<%03\",U`"), byte(178))
 	f.Add([]byte(")CtSx"), byte(176))
 	f.Add([]byte("kMm^c6l"), byte(116))
+	// The row list: empty while free vacancies remain, so the engine's
+	// violation fallback runs ("F<[$tS", "/<x0"); without the anchor's
+	// row, as on a Type II rank whose anchor lies in a foreign row
+	// ("OXDb", "x=A&f;Ag"); with gaps on both sides of the anchor
+	// (".+g-Om>wY", "i}L;VaIpO").
+	f.Add([]byte("F<[$tS"), byte(202))
+	f.Add([]byte("/<x0"), byte(245))
+	f.Add([]byte("OXDb"), byte(47))
+	f.Add([]byte("x=A&f;Ag"), byte(74))
+	f.Add([]byte(".+g-Om>wY"), byte(186))
+	f.Add([]byte("i}L;VaIpO"), byte(146))
 	f.Fuzz(func(t *testing.T, data []byte, shape byte) {
 		src := &byteSource{b: data}
 		fx := newTrunkFixture(t, src, 3, src.Intn(2) == 1)
@@ -461,8 +473,8 @@ func FuzzScanBestRows(f *testing.F) {
 				t.Fatalf("cell %d: ScanBest (%d, %v) != Score loop (%d, %v)", own, want, wantScore, brute, bruteScore)
 			}
 			var st ScanStats
-			live := feasibleLive(&bk, rowOK)
-			got, gotScore := set.ScanBestRows(&bk, rowOK, live, bound0, &st)
+			list, live := scanList(&bk, rowOK)
+			got, gotScore := set.ScanBestRows(&bk, list, live, bound0, &st)
 			if got != want || gotScore != wantScore {
 				t.Fatalf("cell %d: ScanBestRows (%d, %v) != ScanBest (%d, %v)", own, got, gotScore, want, wantScore)
 			}
@@ -470,6 +482,7 @@ func FuzzScanBestRows(f *testing.F) {
 				t.Fatalf("cell %d: scan counted %d candidates (%d visited, %d live), %d free feasible",
 					own, n, st.Vacancies, live, feasible)
 			}
+			checkRowsVisited(t, fmt.Sprintf("cell %d", own), &st, list)
 
 			if want < 0 {
 				want = int(free[0]) // the engine's width-violation fallback

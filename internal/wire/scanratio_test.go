@@ -141,6 +141,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 	var nets []netlist.NetID
 	var w, key []float64
 	var free []int32
+	var scanRows []int
 	for own, id := range s.sel {
 		// The engine's per-cell preparation: lift the cell, order its
 		// nets by descending weighted remaining span (ties by net id),
@@ -164,10 +165,12 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 
 		cw := ckt.Cells[id].Width
 		feasible := 0
+		scanRows = scanRows[:0]
 		for r := range rowOK {
 			rowOK[r] = float64(rowW[r]+cw) <= limit
-			if rowOK[r] {
-				feasible += bk.RowLive(r)
+			if live := bk.RowLive(r); rowOK[r] && live != 0 {
+				scanRows = append(scanRows, r)
+				feasible += live
 			}
 		}
 		free = free[:0]
@@ -196,7 +199,7 @@ func (s *scanPass) run(t *testing.T, flatFirst bool) (flat, rows time.Duration) 
 			d, _ := cputime.Thread(func() {
 				for k := 0; k < scanReps; k++ {
 					set.PrepareScan(rowY)
-					rWin, rScore = set.ScanBestRows(&bk, rowOK, feasible, bound0, nil)
+					rWin, rScore = set.ScanBestRows(&bk, scanRows, feasible, bound0, nil)
 				}
 			})
 			rows += d

@@ -691,24 +691,24 @@ type rowScan struct {
 }
 
 // ScanBestRows is the row-sharded vacancy scan for the compiled cell: it
-// visits the rows of the buckets, skipping infeasible and empty rows,
-// skipping whole rows whose lower bound already reaches the running bound,
-// and walking each surviving bucket outward from the vacancy nearest the
-// cell's median anchor, within the row's trunk window: the x-range where
-// every vertically cheaper trunk, which rowTail charges only its flat row
-// share, can still pay its true cost under the bound (see rowTail; a row
-// whose window is empty is skipped). Rows are entered best-first: the row
-// bound (rowBound) grows moving away from anchorRow on both sides, so the
-// scan grows one contiguous row range from there, each step entering
-// whichever neighbouring row has the smaller bound, computed when the
-// range first reaches it. That tightens the bound on the most promising
-// rows first, and once one row's bound plus the smallest x penalty
-// reaches the running bound, every farther row on its side does too, so
-// that side is cut. The per-vacancy precheck — rowTail[0] plus the
-// x-penalty envelope, weakly monotone in the outward x distance — cuts the
-// entire remaining bucket tail the moment it fires beyond the cut
-// interval, skipping dominated regions wholesale instead of bailing per
-// vacancy.
+// visits the listed rows of the buckets, skipping whole rows whose lower
+// bound already reaches the running bound, and walking each surviving
+// bucket outward from the vacancy nearest the cell's median anchor,
+// within the row's trunk window: the x-range where every vertically
+// cheaper trunk, which rowTail charges only its flat row share, can still
+// pay its true cost under the bound (see rowTail; a row whose window is
+// empty is skipped). Rows are entered best-first: the row bound
+// (rowBound) grows moving away from anchorRow on both sides, so the scan
+// grows one contiguous range of the list from there, each step entering
+// whichever neighbouring listed row has the smaller bound, computed when
+// the range first reaches it. That tightens the bound on the most
+// promising rows first, and once one row's bound plus the smallest x
+// penalty reaches the running bound, every farther row on its side does
+// too, so that side is cut. The per-vacancy precheck — rowTail[0] plus
+// the x-penalty envelope, weakly monotone in the outward x distance —
+// cuts the entire remaining bucket tail the moment it fires beyond the
+// cut interval, skipping dominated regions wholesale instead of bailing
+// per vacancy.
 //
 // The winner is the lowest-index vacancy among those with the strictly
 // smallest score — bitwise the first minimum of a flat in-order
@@ -719,35 +719,38 @@ type rowScan struct {
 // centerlines), and a bucket Build over the same vacancy pool. Returns
 // (-1, bound0) if no vacancy is admissible under bound0.
 //
-// rowOK has one entry per bucket row. feasible must be the number of free
-// vacancies in the rowOK rows (RowLive summed over them). st counts each of them
-// exactly once: as visited (Vacancies), or, the difference, as skipped
-// wholesale (SkippedBucket).
-func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rowOK []bool,
+// rows lists, ascending, the bucket rows to scan; each must hold a free
+// vacancy. feasible must be the number of free vacancies in them
+// (RowLive summed over them). st counts each of them exactly once: as
+// visited (Vacancies), or, the difference, as skipped wholesale
+// (SkippedBucket).
+func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rows []int,
 	feasible int, bound0 float64, st *ScanStats) (int, float64) {
 	if st == nil {
 		st = new(ScanStats)
 	}
 	visited0 := st.Vacancies
 	c := rowScan{bk: bk, st: st, best: -1, bound: bound0}
-	rows := len(rowOK)
-	up, down := t.anchorRow, t.anchorRow-1
-	lbUp, lbDown := t.rowBound(up), t.rowBound(down)
-	for up < rows || down >= 0 {
-		if down < 0 || (up < rows && lbUp <= lbDown) {
-			if t.scanRow(&c, rowOK, up, lbUp) {
-				up = rows
+	// up and down index rows: the first listed row at or above anchorRow
+	// and the last below it.
+	up := sort.SearchInts(rows, t.anchorRow)
+	down := up - 1
+	lbUp, lbDown := t.listBound(rows, up), t.listBound(rows, down)
+	for up < len(rows) || down >= 0 {
+		if down < 0 || (up < len(rows) && lbUp <= lbDown) {
+			if t.scanRow(&c, rows[up], lbUp) {
+				up = len(rows)
 			} else {
 				up++
 			}
-			lbUp = t.rowBound(up)
+			lbUp = t.listBound(rows, up)
 		} else {
-			if t.scanRow(&c, rowOK, down, lbDown) {
+			if t.scanRow(&c, rows[down], lbDown) {
 				down = -1
 			} else {
 				down--
 			}
-			lbDown = t.rowBound(down)
+			lbDown = t.listBound(rows, down)
 		}
 	}
 	st.SkippedBucket += uint64(feasible) - (st.Vacancies - visited0)
@@ -757,31 +760,29 @@ func (t *TrialSet) ScanBestRows(bk *VacancyBuckets, rowOK []bool,
 	return c.best, c.bestScore
 }
 
-// scanRow scans row r of the best-first order, whose bound is lb. A row
-// whose lb plus the smallest x penalty minEnv, or lb plus the row's
+// listBound is the row bound of rows[i], +Inf past either end of the list.
+func (t *TrialSet) listBound(rows []int, i int) float64 {
+	if i < 0 || i >= len(rows) {
+		return math.Inf(1)
+	}
+	return t.rowBound(rows[i])
+}
+
+// scanRow scans listed row r of the best-first order, whose bound is lb.
+// A row whose lb plus the smallest x penalty minEnv, or lb plus the row's
 // best-case x penalty, already reaches the running bound is skipped
 // wholesale. scanRow reports true when the first skip fires: each side of
 // the order moves away from anchorRow, and the row bound does not fall
 // that way, so every remaining row on that side is dominated too, and the
-// caller cuts the side. That holds at an empty or width-infeasible row as
-// much as at a full one, so the side cut is tested first: a Type II rank,
-// whose free vacancies sit in its own rows only, then stops at the first
-// dominated foreign row instead of bounding every row out to the die
-// edge. A row it enters is walked only inside its trunk window, taken at
-// the bound on entry (the bound only falls during the walk, so the window
-// stays sound), and a row whose window is empty is skipped. RowsVisited
-// counts the rows with a free feasible vacancy that the order reaches.
-func (t *TrialSet) scanRow(c *rowScan, rowOK []bool, r int, lb float64) bool {
+// caller cuts the side. A row it enters is walked only inside its trunk
+// window, taken at the bound on entry (the bound only falls during the
+// walk, so the window stays sound), and a row whose window is empty is
+// skipped. RowsVisited counts the listed rows the order reaches.
+func (t *TrialSet) scanRow(c *rowScan, r int, lb float64) bool {
 	bk := c.bk
-	live := bk.rowN[r] != 0 && rowOK[r]
-	if live {
-		c.st.RowsVisited++
-	}
+	c.st.RowsVisited++
 	if (lb+t.minEnv)*scanSlack >= c.bound {
 		return true
-	}
-	if !live {
-		return false
 	}
 	lo, hi := bk.liveSpan(r)
 	// Best-case x penalty anywhere in this row: the envelope is convex with
